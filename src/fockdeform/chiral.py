@@ -18,6 +18,7 @@ machine-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import fock
 from .deformation import KernelSpec, annihilate_deformed, field_deformed
-from .fock import FockVector, TestFunctionData, symmetrize, symmetrize_axes
+from .fock import FockVector, TestFunctionData, symmetrize_axes
 from .grids import ChiralGridPair
 from .inner import Root, eval_root
 
@@ -193,11 +194,11 @@ def create_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     for (a, b) in _component_keys(xi.truncation):
         if side == "+" and a >= 1:
             raw = np.multiply.outer(g, xi.components[(a - 1, b)])
-            out.components[(a, b)] = math.sqrt(a) * symmetrize_axes(raw, range(a))
+            out.components[(a, b)] = math.sqrt(a) * fock._coset_step(raw, 0, range(a))
         elif side == "-" and b >= 1:
             raw = np.multiply.outer(g, xi.components[(a, b - 1)])
             raw = np.moveaxis(raw, 0, a)
-            out.components[(a, b)] = math.sqrt(b) * symmetrize_axes(raw, range(a, a + b))
+            out.components[(a, b)] = math.sqrt(b) * fock._coset_step(raw, a, range(a, a + b))
     return out
 
 
@@ -248,28 +249,64 @@ def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> Bi
     return apply_cross_twist_matrix(xi.pair, cmat, xi)
 
 
+@functools.lru_cache(maxsize=16)
+def _merge_plan(n_positive: int, n_negative: int, truncation: int) -> tuple:
+    """Per sector n, the gather that :func:`merge_chiral` reads through.
+
+    Entry n is (source, factor), both of shape (M,)*n over union
+    multi-indices.  ``source`` is the flat position, in the concatenation of
+    the raveled components (0, n), (1, n-1), ..., (n, 0), of component
+    (a, n-a) read at the positive slots in order, then the negative slots,
+    where a is the number of positive slots; ``factor`` is sqrt(binom(n, a)).
+    Union indices below ``n_negative`` are the negative half-line.
+    """
+    p, q = n_positive, n_negative
+    m = p + q
+    plan = []
+    for n in range(truncation + 1):
+        digits = np.indices((m,) * n).reshape(n, m ** n)
+        positive = digits >= q
+        a = positive.sum(axis=0)
+        # positive slots first, each group in slot order
+        order = np.argsort(~positive, axis=0, kind="stable")
+        local = np.take_along_axis(np.where(positive, digits - q, digits), order, axis=0)
+        flat = np.zeros(m ** n, dtype=np.intp)
+        for i in range(n):
+            flat = flat * np.where(i < a, p, q) + local[i]
+        sizes = [p ** k * q ** (n - k) for k in range(n + 1)]
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+        factors = np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])
+        source = (flat + offsets[a]).reshape((m,) * n)
+        factor = factors[a].reshape((m,) * n)
+        source.setflags(write=False)
+        factor.setflags(write=False)
+        plan.append((source, factor))
+    return tuple(plan)
+
+
 def merge_chiral(xi: BiFockVector) -> FockVector:
     """Unitary identification of the split tower with the union-grid tower.
 
     [merge Xi]_n = sum_k binom(n, k)^(1/2) Symm_n(embedded Xi_{k, n-k}); maps
     exponential tensor pairs to exponential vectors of the direct sum.
+
+    The sum collapses by sign pattern: on a union multi-index with a positive
+    slots only the k = a term is nonzero, and Symm_n of the embedded
+    component there equals Xi_{a, n-a}(positive slots, negative slots) /
+    binom(n, a), since a! (n-a)! of the n! permutations carry the pattern
+    back to (positive first) and Xi is symmetric within each factor.  Hence
+
+        [merge Xi]_n(k_1..k_n) = Xi_{a, n-a}(k_pos..., k_neg...) / binom(n, a)^(1/2),
+
+    one gather per sector through :func:`_merge_plan`.
     """
     pair = xi.pair
-    grid = pair.union
-    m, q = grid.size, pair.n_negative
-    pos_ids = list(range(q, m))
-    neg_ids = list(range(0, q))
-    n_max = xi.truncation
-    secs = [np.zeros((m,) * n, dtype=complex) for n in range(n_max + 1)]
-    for (a, b), comp in xi.components.items():
-        n = a + b
-        if n == 0:
-            secs[0] = secs[0] + comp
-            continue
-        raw = np.zeros((m,) * n, dtype=complex)
-        raw[np.ix_(*([pos_ids] * a + [neg_ids] * b))] = comp
-        secs[n] = secs[n] + math.sqrt(math.comb(n, a)) * symmetrize(raw)
-    return FockVector(grid, tuple(secs))
+    plan = _merge_plan(pair.n_positive, pair.n_negative, xi.truncation)
+    secs = []
+    for n, (source, factor) in enumerate(plan):
+        flat = np.concatenate([xi.components[(a, n - a)].ravel() for a in range(n + 1)])
+        secs.append(flat[source] / factor)
+    return FockVector(pair.union, tuple(secs))
 
 
 def split_chiral(psi: FockVector, pair: ChiralGridPair) -> BiFockVector:
@@ -417,8 +454,9 @@ class EquivalenceReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.max_vector_direct, self.max_vector_split,
-                   self.max_matrix_direct, self.max_matrix_split)
+        """Largest of the four deviations; NaN if any of them is NaN."""
+        return float(np.max([self.max_vector_direct, self.max_vector_split,
+                             self.max_matrix_direct, self.max_matrix_split]))
 
     @property
     def passed(self) -> bool:
@@ -433,7 +471,7 @@ def _compare_operators(op_a, op_b, pair: ChiralGridPair, truncation: int,
     dev_vec = 0.0
     for _ in range(n_vectors):
         probe = fock.random_fock_vector(pair.union, truncation, rng)
-        dev_vec = max(dev_vec, fock.norm(op_a(probe) - op_b(probe)))
+        dev_vec = float(np.maximum(dev_vec, fock.norm(op_a(probe) - op_b(probe))))
     dev_mat = 0.0
     if with_matrices:
         basis = FockBasis(pair.union, truncation)

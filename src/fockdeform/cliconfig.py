@@ -12,8 +12,28 @@ _TOP_LEVEL_KEYS = {
     "tolerance", "seed", "repetitions", "truncation", "root_count",
     "roots", "ratio_roots", "suites", "massless_grid", "massive_grid",
 }
-_MASSLESS_KEYS = {"points_per_side", "p_min", "p_max"}
-_MASSIVE_KEYS = {"mass", "size", "theta_min", "theta_max"}
+# grid section -> {key: (SuiteConfig field, type)}
+_GRID_KEYS = {
+    "massless_grid": {
+        "points_per_side": ("massless_points_per_side", int),
+        "p_min": ("massless_p_min", float),
+        "p_max": ("massless_p_max", float),
+    },
+    "massive_grid": {
+        "mass": ("massive_mass", float),
+        "size": ("massive_size", int),
+        "theta_min": ("massive_theta_min", float),
+        "theta_max": ("massive_theta_max", float),
+    },
+}
+
+
+def _convert(kind, value, where: str):
+    """kind(value), with a bad type or value reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from exc
 
 
 def config_from_json(data: dict) -> SuiteConfig:
@@ -24,12 +44,10 @@ def config_from_json(data: dict) -> SuiteConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("tolerance",):
+    for key, kind in (("tolerance", float), ("seed", int), ("repetitions", int),
+                      ("truncation", int), ("root_count", int)):
         if key in data:
-            kwargs[key] = float(data[key])
-    for key in ("seed", "repetitions", "truncation", "root_count"):
-        if key in data:
-            kwargs[key] = int(data[key])
+            kwargs[key] = _convert(kind, data[key], key)
     try:
         if data.get("roots") is not None:
             kwargs["roots"] = tuple(root_from_json(r) for r in data["roots"])
@@ -43,31 +61,21 @@ def config_from_json(data: dict) -> SuiteConfig:
             raise
         raise ConfigError(f"invalid root data: {exc}") from exc
     if data.get("suites") is not None:
+        if not isinstance(data["suites"], list):
+            raise ConfigError("suites must be a JSON list of suite names")
         kwargs["suites"] = tuple(str(s) for s in data["suites"])
-    if "massless_grid" in data:
-        g = data["massless_grid"]
-        unknown = set(g) - _MASSLESS_KEYS
+    for name, fields in _GRID_KEYS.items():
+        if name not in data:
+            continue
+        g = data[name]
+        if not isinstance(g, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        unknown = set(g) - set(fields)
         if unknown:
-            raise ConfigError(f"unknown massless_grid keys: {sorted(unknown)}")
-        if "points_per_side" in g:
-            kwargs["massless_points_per_side"] = int(g["points_per_side"])
-        if "p_min" in g:
-            kwargs["massless_p_min"] = float(g["p_min"])
-        if "p_max" in g:
-            kwargs["massless_p_max"] = float(g["p_max"])
-    if "massive_grid" in data:
-        g = data["massive_grid"]
-        unknown = set(g) - _MASSIVE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown massive_grid keys: {sorted(unknown)}")
-        if "mass" in g:
-            kwargs["massive_mass"] = float(g["mass"])
-        if "size" in g:
-            kwargs["massive_size"] = int(g["size"])
-        if "theta_min" in g:
-            kwargs["massive_theta_min"] = float(g["theta_min"])
-        if "theta_max" in g:
-            kwargs["massive_theta_max"] = float(g["theta_max"])
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        for key, value in g.items():
+            field, kind = fields[key]
+            kwargs[field] = _convert(kind, value, f"{name}.{key}")
     try:
         return SuiteConfig(**kwargs)
     except ValueError as exc:

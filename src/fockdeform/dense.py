@@ -40,6 +40,11 @@ def _multiset_norm(weights: np.ndarray, kappa: tuple[int, ...]) -> float:
     return math.sqrt(count * w)
 
 
+def _index_arrays(labels, n: int) -> tuple[np.ndarray, ...]:
+    """The n index arrays that read entry kappa of an n-index tensor, per label."""
+    return tuple(np.array(labels, dtype=np.intp).reshape(len(labels), n).T)
+
+
 class FockBasis:
     """Orthonormal basis of the truncated tower, labelled by index multisets."""
 
@@ -48,16 +53,18 @@ class FockBasis:
         self.truncation = truncation
         self.labels: list[tuple[int, tuple[int, ...]]] = []
         self.vectors: list[FockVector] = []
-        self._factors: list[float] = []
+        # per sector: (n, representative-entry index arrays, normalizations)
+        self._gather: list[tuple[int, tuple[np.ndarray, ...], np.ndarray]] = []
         m = grid.size
         for n in range(truncation + 1):
-            for kappa in itertools.combinations_with_replacement(range(m), n):
-                nrm = _multiset_norm(grid.weights, kappa)
+            kappas = list(itertools.combinations_with_replacement(range(m), n))
+            factors = np.array([_multiset_norm(grid.weights, kappa) for kappa in kappas])
+            for kappa, nrm in zip(kappas, factors):
                 secs = [np.zeros((m,) * k, dtype=complex) for k in range(truncation + 1)]
                 secs[n] = _symmetric_unit_tensor(m, kappa) / nrm
                 self.labels.append((n, kappa))
                 self.vectors.append(FockVector(grid, tuple(secs)))
-                self._factors.append(nrm)
+            self._gather.append((n, _index_arrays(kappas, n), factors))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -69,13 +76,11 @@ class FockBasis:
     def coefficients(self, psi: FockVector) -> np.ndarray:
         """Expansion coefficients <b_i, psi> of a symmetric vector.
 
-        Reads one representative entry per multiset; equals the weighted
-        inner product because psi's sectors are symmetric.
+        Reads one representative entry per multiset, one gather per sector;
+        equals the weighted inner product because psi's sectors are symmetric.
         """
-        out = np.empty(len(self), dtype=complex)
-        for i, ((n, kappa), factor) in enumerate(zip(self.labels, self._factors)):
-            out[i] = factor * psi.sectors[n][kappa]
-        return out
+        return np.concatenate([factors * psi.sectors[n][index]
+                               for n, index, factors in self._gather])
 
 
 class BiFockBasis:
@@ -86,10 +91,12 @@ class BiFockBasis:
         self.truncation = truncation
         self.labels: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.vectors: list[BiFockVector] = []
-        self._factors: list[float] = []
+        # per component: ((a, b), representative-entry index arrays, normalizations)
+        self._gather: list[tuple[tuple[int, int], tuple[np.ndarray, ...], np.ndarray]] = []
         p, q = pair.n_positive, pair.n_negative
         wp, wn = pair.positive_weights, pair.negative_weights
         for (a, b) in chiral._component_keys(truncation):
+            entries, factors = [], []
             for kpos in itertools.combinations_with_replacement(range(p), a):
                 npos = _multiset_norm(wp, kpos)
                 tpos = _symmetric_unit_tensor(p, kpos) / npos
@@ -100,7 +107,9 @@ class BiFockBasis:
                     vec.components[(a, b)] = np.multiply.outer(tpos, tneg)
                     self.labels.append((kpos, kneg))
                     self.vectors.append(vec)
-                    self._factors.append(npos * nneg)
+                    entries.append(kpos + kneg)
+                    factors.append(npos * nneg)
+            self._gather.append(((a, b), _index_arrays(entries, a + b), np.array(factors)))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -110,12 +119,10 @@ class BiFockBasis:
         return chiral.bifock_inner(u, v)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
-        """Expansion coefficients <b_i, xi> of a factorwise-symmetric vector."""
-        out = np.empty(len(self), dtype=complex)
-        for i, ((kpos, kneg), factor) in enumerate(zip(self.labels, self._factors)):
-            comp = xi.components[(len(kpos), len(kneg))]
-            out[i] = factor * comp[kpos + kneg]
-        return out
+        """Expansion coefficients <b_i, xi> of a factorwise-symmetric vector,
+        one gather per component."""
+        return np.concatenate([factors * xi.components[key][index]
+                               for key, index, factors in self._gather])
 
 
 def operator_matrix(op, domain, codomain=None) -> np.ndarray:

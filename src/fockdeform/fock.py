@@ -12,7 +12,6 @@ as immutable; every operation returns a fresh vector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,34 +93,42 @@ def norm(psi: FockVector) -> float:
     return math.sqrt(max(inner(psi, psi).real, 0.0))
 
 
+def _coset_step(tensor: np.ndarray, axis: int, axes) -> np.ndarray:
+    """Symm over ``axes`` of a tensor already symmetric in ``axes`` minus ``axis``.
+
+    The permutations of ``axes`` that fix ``axis`` leave the tensor unchanged,
+    and the transpositions (axis b), b in ``axes``, represent their k cosets
+    (b == axis is the identity).  So the average over all k! permutations
+    collapses to k terms:
+
+        Symm_axes T = (1/k) sum_{b in axes} swapaxes(T, axis, b).
+    """
+    axes = tuple(axes)
+    out = np.array(tensor, dtype=complex)
+    for b in axes:
+        if b != axis:
+            out += np.swapaxes(tensor, axis, b)
+    out /= len(axes)
+    return out
+
+
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
     """Average over all index permutations; projects onto symmetric tensors."""
-    t = np.asarray(tensor, dtype=complex)
-    n = t.ndim
-    if n <= 1:
-        return t.copy()
-    perms = list(itertools.permutations(range(n)))
-    out = np.zeros_like(t)
-    for p in perms:
-        out += np.transpose(t, p)
-    return out / len(perms)
+    return symmetrize_axes(tensor, range(np.ndim(tensor)))
 
 
 def symmetrize_axes(tensor: np.ndarray, axes) -> np.ndarray:
-    """Average over permutations of a subset of axes, fixing the others."""
-    t = np.asarray(tensor, dtype=complex)
+    """Average over permutations of a subset of axes, fixing the others.
+
+    Built up one axis at a time: once the first i axes are symmetric, one
+    :func:`_coset_step` makes the first i + 1 symmetric, so k axes take
+    O(k^2) tensor passes instead of k!.
+    """
+    t = np.array(tensor, dtype=complex)
     axes = tuple(axes)
-    if len(axes) <= 1:
-        return t.copy()
-    out = np.zeros_like(t)
-    count = 0
-    for perm in itertools.permutations(axes):
-        full = list(range(t.ndim))
-        for src, dst in zip(axes, perm):
-            full[src] = dst
-        out += np.transpose(t, full)
-        count += 1
-    return out / count
+    for i in range(1, len(axes)):
+        t = _coset_step(t, axes[i], axes[:i + 1])
+    return t
 
 
 def _axis_multiply(tensor: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -185,7 +192,8 @@ def _create_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVec
         raw = np.multiply.outer(xi, psi.sectors[n - 1])
         if kmat is not None:
             raw = _row_kernel_multiply(raw, kmat)
-        secs.append(math.sqrt(n) * symmetrize(raw))
+        # raw is symmetric in every axis but the new one (axis 0)
+        secs.append(math.sqrt(n) * _coset_step(raw, 0, range(n)))
     return FockVector(grid, tuple(secs))
 
 

@@ -72,8 +72,10 @@ class SuiteConfig:
     massive_theta_max: float = 1.25
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ConfigError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ConfigError("tolerance must be finite and > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.truncation < 2:
             raise ConfigError("truncation must be >= 2")
         if self.massless_points_per_side < 2 or self.massive_size < 2:
@@ -139,10 +141,11 @@ def _random_root(rng: np.random.Generator) -> Root:
 
 def _rec(suite: str, check: str, anchor: str, deviation: float, tolerance: float,
          passed: bool | None = None) -> CheckRecord:
+    """Record one check; a non-finite deviation never passes, whatever ``passed`` says."""
     dev = float(deviation)
+    ok = dev <= tolerance if passed is None else passed
     return CheckRecord(suite=suite, check=check, anchor=anchor, max_deviation=dev,
-                       tolerance=float(tolerance),
-                       passed=bool(dev <= tolerance) if passed is None else bool(passed))
+                       tolerance=float(tolerance), passed=bool(ok) and math.isfinite(dev))
 
 
 def _nonzero_samples(rng: np.random.Generator, count: int, lo=0.02, hi=30.0) -> np.ndarray:

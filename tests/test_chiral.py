@@ -1,12 +1,14 @@
 """Chiral splitting: merge/split unitary, cross twists, and the equivalences."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fockdeform import dense, fock
-from fockdeform.chiral import (BiFockVector, annihilate_half, apply_cross_twist,
+from fockdeform.chiral import (BiFockVector, EquivalenceReport, _compare_operators,
+                               annihilate_half, apply_cross_twist,
                                apply_cross_twist_fock, apply_cross_twist_matrix,
                                apply_reflection_bifock, apply_translation_bifock,
                                bifock_inner, bifock_norm, bifock_vacuum, bifock_zero,
@@ -14,7 +16,7 @@ from fockdeform.chiral import (BiFockVector, annihilate_half, apply_cross_twist,
                                chiral_field, create_half, cross_kernel, exponential_pair,
                                merge_chiral, random_bifock, split_chiral,
                                twisted_annihilator)
-from fockdeform.grids import chiral_pair
+from fockdeform.grids import MomentumGrid, chiral_pair, split_by_sign
 from fockdeform.inner import (eval_inner, eval_root, make_root,
                               random_symmetric_blaschke, trivial_root)
 
@@ -176,6 +178,53 @@ def test_merge_one_one_component_hand_formula(pair, rng):
     embedded += np.multiply.outer(full_psi, full_phi)
     expected = math.sqrt(2.0) * fock.symmetrize(embedded)
     assert np.max(np.abs(merged.sectors[2] - expected)) < 1e-13
+
+
+def reference_merge_component(pair, a, b, comp):
+    """sqrt(binom(n, a)) Symm_n(embedded Xi_{a,b}) by the explicit permutation sum."""
+    m, q = pair.union.size, pair.n_negative
+    n = a + b
+    embedded = np.zeros((m,) * n, dtype=complex)
+    embedded[np.ix_(*([range(q, m)] * a + [range(q)] * b))] = comp
+    perms = list(itertools.permutations(range(n)))
+    symm = sum(np.transpose(embedded, p) for p in perms) / len(perms)
+    return math.sqrt(math.comb(n, a)) * symm
+
+
+def test_merge_matches_permutation_sum_on_asymmetric_split():
+    """Every component of a random bifock at N=4 over 2 negative and 3 positive points.
+
+    The halves differ in size, so a merge that swapped the roles of the
+    positive and negative factors could not even produce the right shapes.
+    """
+    grid = MomentumGrid(np.array([-1.7, -0.6, 0.4, 0.9, 2.3]),
+                        np.array([0.3, 0.5, 0.2, 0.4, 0.6]), 0.0)
+    pair = split_by_sign(grid)
+    assert (pair.n_negative, pair.n_positive) == (2, 3)
+    n_top = 4
+    xi = random_bifock(pair, n_top, np.random.default_rng(31), normalize=False)
+    total = [np.zeros((5,) * n, dtype=complex) for n in range(n_top + 1)]
+    for (a, b), comp in xi.components.items():
+        alone = bifock_zero(pair, n_top)
+        alone.components[(a, b)] = comp
+        merged = merge_chiral(alone)
+        expected = reference_merge_component(pair, a, b, comp)
+        total[a + b] = total[a + b] + expected
+        for n, sec in enumerate(merged.sectors):
+            ref = expected if n == a + b else 0.0
+            assert np.max(np.abs(sec - ref)) < 1e-14, ((a, b), n)
+    merged = merge_chiral(xi)
+    for n in range(n_top + 1):
+        assert np.max(np.abs(merged.sectors[n] - total[n])) < 1e-14
+
+
+def test_merge_vacuum_sector(pair):
+    """Sector 0 of the merge is component (0, 0), exactly, and feeds no other sector."""
+    xi = bifock_zero(pair, 3)
+    xi.components[(0, 0)] = np.array(0.25 - 1.5j)
+    merged = merge_chiral(xi)
+    assert merged.sectors[0].shape == () and merged.sectors[0] == 0.25 - 1.5j
+    assert all(np.all(sec == 0.0) for sec in merged.sectors[1:])
 
 
 def test_split_one_particle_sign_patterns(pair, rng):
@@ -340,3 +389,30 @@ def test_bifock_component_validation(pair):
         BiFockVector(pair, 1, {(0, 0): np.array(1.0 + 0j),
                                (1, 0): np.zeros(2, dtype=complex),
                                (0, 1): np.zeros(3, dtype=complex)})
+
+
+def test_equivalence_report_propagates_nan():
+    """A NaN deviation in any route fails the report, wherever it sits."""
+    small = 1e-16
+    for field in ("max_vector_direct", "max_vector_split",
+                  "max_matrix_direct", "max_matrix_split"):
+        values = dict(max_vector_direct=small, max_vector_split=small,
+                      max_matrix_direct=small, max_matrix_split=small)
+        values[field] = float("nan")
+        rep = EquivalenceReport(side="+", tolerance=TOL, **values)
+        assert math.isnan(rep.max_deviation)
+        assert not rep.passed
+
+
+def test_compare_operators_keeps_late_nan(pair):
+    """A NaN on a later probe is not dropped by the running maximum."""
+    calls = []
+
+    def op_b(v):
+        calls.append(1)
+        return v * float("nan") if len(calls) == 2 else v
+
+    dev_vec, _ = _compare_operators(lambda v: v, op_b, pair, 2,
+                                    np.random.default_rng(3), 3, with_matrices=False)
+    assert len(calls) == 3
+    assert math.isnan(dev_vec)

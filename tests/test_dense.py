@@ -83,3 +83,34 @@ def test_multiset_norm_matches_tensor_norm():
     for idx in np.ndindex(t.shape):
         raw_sq += (w[idx[0]] * w[idx[1]] * w[idx[2]]) * abs(t[idx]) ** 2
     assert abs(math.sqrt(raw_sq) - dense._multiset_norm(w, (0, 0, 2))) < 1e-13
+
+
+def loop_coefficients(basis, vec):
+    """The per-label loop that the sector gathers replace: factor * representative entry."""
+    out = np.empty(len(basis), dtype=complex)
+    for i, label in enumerate(basis.labels):
+        if isinstance(basis, dense.FockBasis):
+            n, kappa = label
+            entry = vec.sectors[n][kappa]
+            factor = dense._multiset_norm(basis.grid.weights, kappa)
+        else:
+            kpos, kneg = label
+            entry = vec.components[(len(kpos), len(kneg))][kpos + kneg]
+            factor = (dense._multiset_norm(basis.pair.positive_weights, kpos)
+                      * dense._multiset_norm(basis.pair.negative_weights, kneg))
+        out[i] = factor * entry
+    return out
+
+
+def test_coefficients_equal_per_label_loop_exactly():
+    rng = np.random.default_rng(8)
+    grid = rapidity_grid(1.0, 4)
+    basis = dense.FockBasis(grid, 3)
+    psi = fock.random_fock_vector(grid, 3, rng)
+    # a non-contiguous sector view must be read the same way
+    psi = fock.FockVector(grid, psi.sectors[:3] + (np.swapaxes(psi.sectors[3], 0, 2),))
+    assert np.all(basis.coefficients(psi) == loop_coefficients(basis, psi))
+    pair = chiral_pair(3)
+    bbasis = dense.BiFockBasis(pair, 3)
+    xi = chiral.random_bifock(pair, 3, rng)
+    assert np.all(bbasis.coefficients(xi) == loop_coefficients(bbasis, xi))

@@ -1,5 +1,6 @@
 """Truncated tower operators: CCR, adjointness, second-quantized symmetries."""
 
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +72,53 @@ def test_symmetrize_axes_subset(rng):
     s = fock.symmetrize_axes(t, [1, 2])
     assert np.max(np.abs(s - np.transpose(s, (0, 2, 1)))) < 1e-14
     assert np.max(np.abs(s.sum() - t.sum())) < 1e-12
+
+
+def permutation_average(tensor, axes):
+    """Reference Symm over ``axes``: the explicit sum over all their permutations."""
+    axes = tuple(axes)
+    perms = list(itertools.permutations(axes))
+    out = np.zeros(tensor.shape, dtype=complex)
+    for perm in perms:
+        full = list(range(tensor.ndim))
+        for src, dst in zip(axes, perm):
+            full[src] = dst
+        out += np.transpose(tensor, full)
+    return out / len(perms)
+
+
+def bounded(rng, shape):
+    return rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coset_step_creation_layout(n, rng):
+    """outer(xi, Psi_{n-1}) times a kernel row product: one coset step is Symm_n."""
+    m = 3
+    psi = permutation_average(bounded(rng, (m,) * (n - 1)), range(n - 1))
+    kmat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (m, m)))
+    raw = fock._row_kernel_multiply(np.multiply.outer(bounded(rng, m), psi), kmat)
+    step = fock._coset_step(raw, 0, range(n))
+    assert np.max(np.abs(step - permutation_average(raw, range(n)))) <= 1e-15
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_coset_step_negative_half_layout(b, rng):
+    """The '-' half creator: a positive axes, then the new axis, then b - 1 negative axes."""
+    a, p, q = 2, 2, 3
+    comp = bounded(rng, (p,) * a + (q,) * (b - 1))
+    comp = permutation_average(permutation_average(comp, range(a)), range(a, a + b - 1))
+    raw = np.moveaxis(np.multiply.outer(bounded(rng, q), comp), 0, a)
+    step = fock._coset_step(raw, a, range(a, a + b))
+    assert np.max(np.abs(step - permutation_average(raw, range(a, a + b)))) <= 1e-15
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 2, 3), (1, 3), (0, 2, 3), (3, 1, 0)])
+def test_symmetrize_axes_matches_permutation_sum(axes, rng):
+    """Repeated coset steps equal the permutation sum on a tensor with no symmetry."""
+    t = bounded(rng, (3, 3, 3, 3))
+    assert np.max(np.abs(fock.symmetrize_axes(t, axes)
+                         - permutation_average(t, axes))) <= 1e-15
 
 
 def test_annihilate_vacuum(grid, rng):

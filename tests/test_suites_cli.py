@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -11,7 +12,7 @@ from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
 from fockdeform.inner import BlaschkeSpec, make_root
 from fockdeform.serialization import root_to_json
 from fockdeform.suites import (REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
-                               run_suite)
+                               _rec, run_suite)
 
 FAST = SuiteConfig(suites=("inner", "fock", "kernel"), seed=11)
 
@@ -168,6 +169,30 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "missing.json")]) == 2
     cfg_path.write_text("{not json")
     assert cli.main(["--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"truncation": "abc"}',
+    '{"tolerance": null}',
+    '{"massless_grid": 3}',
+    '{"seed": -1}',
+    '{"tolerance": NaN}',
+], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
+        "tolerance-nan"])
+def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
+    """Bad types and values are configuration errors (exit 2), not tracebacks."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_rec_non_finite_deviation_never_passes():
+    for dev in (float("nan"), math.inf):
+        assert not _rec("s", "c", "a", dev, 1e-10).passed
+        assert not _rec("s", "c", "a", dev, 1e-10, passed=True).passed
+    assert _rec("s", "c", "a", 1e-16, 1e-10).passed
+    assert _rec("s", "c", "a", 1.0, 1e-3, passed=True).passed
 
 
 def test_cli_tolerance_override_can_fail(capsys):

@@ -4,7 +4,7 @@ from .chiral import (BiFockVector, apply_cross_twist, apply_cross_twist_fock,
                      apply_reflection_bifock, apply_translation_bifock,
                      bifock_inner, bifock_norm, bifock_vacuum, bifock_zero,
                      check_annihilator_equivalence, check_field_equivalence,
-                     chiral_field, create_half, annihilate_half, cross_kernel,
+                     chiral_field, create_half, annihilate_half, cross_matrix,
                      exponential_pair, merge_chiral, random_bifock, split_chiral,
                      twisted_annihilator, twisted_field)
 from .deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
@@ -16,7 +16,7 @@ from .dense import BiFockBasis, FockBasis, hermiticity_defect, matrix_deviation,
     operator_matrix, unitarity_defect
 from .fock import (BoostResult, FockVector, TestFunctionData, annihilate,
                    apply_boost, apply_reflection, apply_translation, create,
-                   exponential_vector, field, inner, norm, random_fock_vector,
+                   exponential_vector, field, norm, random_fock_vector,
                    random_one_particle, real_test_function, symmetrize,
                    symmetrize_axes, vacuum, zero_vector)
 from .grids import (ChiralGridPair, MomentumGrid, boost_momentum, chiral_pair,

@@ -106,12 +106,7 @@ def bifock_inner(xi: BiFockVector, eta: BiFockVector) -> complex:
     total = 0.0 + 0.0j
     for (a, b), u in xi.components.items():
         prod = np.conj(u) * eta.components[(a, b)]
-        n = a + b
-        for ax in range(a):
-            prod = prod * wp.reshape((1,) * ax + (wp.size,) + (1,) * (n - ax - 1))
-        for ax in range(a, n):
-            prod = prod * wn.reshape((1,) * ax + (wn.size,) + (1,) * (n - ax - 1))
-        total += complex(np.sum(prod))
+        total += complex(np.sum(fock._axis_multiply(prod, [wp] * a + [wn] * b)))
     return total
 
 
@@ -212,19 +207,25 @@ def chiral_field(side: str, g, xi: BiFockVector) -> BiFockVector:
     return create_half(side, g, xi) + annihilate_half(side, g, xi)
 
 
-def cross_kernel(root: Root, p: float, q: float) -> complex:
-    """Ordered cross-pair kernel: R(-pq) for p > 0 > q, and exactly 1 otherwise."""
-    if p == 0.0 or q == 0.0:
-        raise ValueError("kernel arguments must be nonzero")
-    if p > 0.0 and q < 0.0:
-        return complex(eval_root(root, -p * q))
-    return 1.0 + 0.0j
+def cross_matrix(grid, values_fn) -> np.ndarray:
+    """Symmetric cross kernel on a union grid: values_fn(-p q) where p q < 0, else 1.
 
+    This is S = B o B^T for the ordered kernel B (values_fn(-p q) for
+    p > 0 > q, else 1).  In prod_{i,j} B[k_i, k_j] each opposite-sign pair
+    meets B's nontrivial entry exactly once and every other factor is 1, so
 
-def _cross_matrix(root: Root, pair: ChiralGridPair) -> np.ndarray:
-    """R(-p q) on positive x negative grid pairs (all arguments are > 0)."""
-    args = -np.multiply.outer(pair.positive_points, pair.negative_points)
-    return np.asarray(eval_root(root, args))
+        prod_{i,j=1..n} B[k_i, k_j] = prod_{i<j} S[k_i, k_j].
+
+    The union twist is therefore the pair phase of S, and the split twist
+    reads its (positive, negative) block S[q:, :q].
+    """
+    pts = grid.points
+    args = -np.multiply.outer(pts, pts)
+    mask = args > 0.0
+    smat = np.ones(args.shape, dtype=complex)
+    if np.any(mask):
+        smat[mask] = values_fn(args[mask])
+    return smat
 
 
 def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray,
@@ -243,10 +244,9 @@ def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> Bi
     A sector-diagonal unitary fixing the vacuum and every one-sided
     component; its square is the twist of the squared root.
     """
-    cmat = _cross_matrix(root, xi.pair)
-    if adjoint:
-        cmat = np.conj(cmat)
-    return apply_cross_twist_matrix(xi.pair, cmat, xi)
+    q = xi.pair.n_negative
+    cmat = cross_matrix(xi.pair.union, lambda args: eval_root(root, args))[q:, :q]
+    return apply_cross_twist_matrix(xi.pair, np.conj(cmat) if adjoint else cmat, xi)
 
 
 @functools.lru_cache(maxsize=16)
@@ -313,50 +313,20 @@ def split_chiral(psi: FockVector, pair: ChiralGridPair) -> BiFockVector:
     """Inverse of :func:`merge_chiral`: sign-pattern slices with binomial unweighting."""
     if not psi.grid.same_as(pair.union):
         raise ValueError("vector does not live on the pair's union grid")
-    m, q = pair.union.size, pair.n_negative
-    pos_ids = list(range(q, m))
-    neg_ids = list(range(0, q))
-    comps = {}
-    for (a, b) in _component_keys(psi.truncation):
-        n = a + b
-        if n == 0:
-            comps[(a, b)] = psi.sectors[0].copy()
-            continue
-        block = psi.sectors[n][np.ix_(*([pos_ids] * a + [neg_ids] * b))]
-        comps[(a, b)] = math.sqrt(math.comb(n, a)) * block
+    pos, neg = slice(pair.n_negative, pair.union.size), slice(0, pair.n_negative)
+    comps = {(a, b): math.sqrt(math.comb(a + b, a)) * psi.sectors[a + b][(pos,) * a + (neg,) * b]
+             for (a, b) in _component_keys(psi.truncation)}
     return BiFockVector(pair, psi.truncation, comps)
-
-
-def fock_cross_matrix(grid, values_fn) -> np.ndarray:
-    """Ordered cross kernel on a union grid: values_fn(-p q) for p > 0 > q, else 1."""
-    pts = grid.points
-    args = -np.multiply.outer(pts, pts)
-    mask = (pts[:, None] > 0.0) & (pts[None, :] < 0.0)
-    bmat = np.ones((pts.size, pts.size), dtype=complex)
-    if np.any(mask):
-        bmat[mask] = values_fn(args[mask])
-    return bmat
-
-
-def apply_cross_twist_fock_matrix(bmat: np.ndarray, psi: FockVector) -> FockVector:
-    """Multiply sector n by the full ordered double product prod_{i,j=1..n} bmat."""
-    secs = [psi.sectors[0].copy()]
-    for n in range(1, psi.truncation + 1):
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        secs.append(fock._pair_multiply(psi.sectors[n], bmat, pairs))
-    return FockVector(psi.grid, tuple(secs))
 
 
 def apply_cross_twist_fock(root: Root, psi: FockVector, adjoint: bool = False) -> FockVector:
     """The cross twist conjugated through the merge, as a sector-diagonal multiplier.
 
-    Only (positive, negative) index pairs contribute nontrivial factors, so
-    sectors n <= 1 are untouched.
+    Sector n is multiplied by prod_{i<j} S[k_i, k_j] with S from
+    :func:`cross_matrix`; sectors n <= 1 are untouched.
     """
-    bmat = fock_cross_matrix(psi.grid, lambda args: eval_root(root, args))
-    if adjoint:
-        bmat = np.conj(bmat)
-    return apply_cross_twist_fock_matrix(bmat, psi)
+    smat = cross_matrix(psi.grid, lambda args: eval_root(root, args))
+    return fock.apply_pair_phase(np.conj(smat) if adjoint else smat, psi)
 
 
 def apply_translation_bifock(x, xi: BiFockVector) -> BiFockVector:
@@ -364,16 +334,9 @@ def apply_translation_bifock(x, xi: BiFockVector) -> BiFockVector:
     x0, x1 = float(x[0]), float(x[1])
     ph_pos = np.exp(1j * xi.pair.positive_points * (x0 - x1))
     ph_neg = np.exp(-1j * xi.pair.negative_points * (x0 + x1))
-    comps = {}
-    for (a, b), comp in xi.components.items():
-        out = comp
-        n = a + b
-        for ax in range(a):
-            out = out * ph_pos.reshape((1,) * ax + (ph_pos.size,) + (1,) * (n - ax - 1))
-        for ax in range(a, n):
-            out = out * ph_neg.reshape((1,) * ax + (ph_neg.size,) + (1,) * (n - ax - 1))
-        comps[(a, b)] = out
-    return BiFockVector(xi.pair, xi.truncation, comps)
+    return BiFockVector(xi.pair, xi.truncation,
+                        {(a, b): fock._axis_multiply(comp, [ph_pos] * a + [ph_neg] * b)
+                         for (a, b), comp in xi.components.items()})
 
 
 def apply_reflection_bifock(xi: BiFockVector) -> BiFockVector:
@@ -392,53 +355,50 @@ def _support_side(pair: ChiralGridPair, amplitude: np.ndarray) -> str:
     return "+" if on_pos else "-"
 
 
-def twisted_annihilator(root: Root, amplitude, pair: ChiralGridPair,
-                        psi: FockVector, route: str = "direct") -> FockVector:
-    """Undeformed annihilator conjugated by the cross twist, sign-adapted.
+def _twist_sandwich(root: Root, amplitude, pair: ChiralGridPair, psi: FockVector,
+                    route: str, union_op, half_op) -> FockVector:
+    """Conjugate an operator by the cross twist, sign-adapted.
 
-    Positive-half amplitudes are sandwiched as twist* a twist, negative-half
-    ones as twist a twist*.  ``route`` selects the realization: "direct" uses
-    the sector-diagonal twist on the union tower, "split" conjugates the
-    one-factor annihilator through merge/split.
+    Positive-half amplitudes are sandwiched as twist* op twist, negative-half
+    ones as twist op twist*.  "direct" applies ``union_op`` between the
+    sector-diagonal union twists; "split" applies ``half_op(side, g, xi)``,
+    with g the amplitude on its half-line, between bi-Fock twists through
+    split/merge.
     """
     side = _support_side(pair, amplitude)
     outer_adjoint = side == "+"
     if route == "direct":
-        out = apply_cross_twist_fock(root, psi, adjoint=not outer_adjoint)
-        out = fock.annihilate(amplitude, out)
+        out = union_op(apply_cross_twist_fock(root, psi, adjoint=not outer_adjoint))
         return apply_cross_twist_fock(root, out, adjoint=outer_adjoint)
     if route == "split":
         q = pair.n_negative
         g = amplitude[q:] if side == "+" else amplitude[:q]
-        xi = split_chiral(psi, pair)
-        xi = apply_cross_twist(root, xi, adjoint=not outer_adjoint)
-        xi = annihilate_half(side, g, xi)
-        xi = apply_cross_twist(root, xi, adjoint=outer_adjoint)
-        return merge_chiral(xi)
+        xi = apply_cross_twist(root, split_chiral(psi, pair), adjoint=not outer_adjoint)
+        xi = half_op(side, g, xi)
+        return merge_chiral(apply_cross_twist(root, xi, adjoint=outer_adjoint))
     raise ValueError("route must be 'direct' or 'split'")
+
+
+def twisted_annihilator(root: Root, amplitude, pair: ChiralGridPair,
+                        psi: FockVector, route: str = "direct") -> FockVector:
+    """Undeformed annihilator conjugated by the cross twist, sign-adapted.
+
+    ``route`` selects the realization: "direct" uses the sector-diagonal
+    twist on the union tower, "split" conjugates the one-factor annihilator
+    through merge/split (see :func:`_twist_sandwich`).
+    """
+    return _twist_sandwich(root, amplitude, pair, psi, route,
+                           lambda v: fock.annihilate(amplitude, v), annihilate_half)
 
 
 def twisted_field(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
                   psi: FockVector, route: str = "direct") -> FockVector:
     """One-light-ray field conjugated by the cross twist, sign-adapted like
     :func:`twisted_annihilator`."""
-    side = _support_side(pair, fd.fplus)
-    if _support_side(pair, np.conj(fd.fminus)) != side:
+    if _support_side(pair, fd.fplus) != _support_side(pair, np.conj(fd.fminus)):
         raise ValueError("field data must be supported on a single half-line")
-    outer_adjoint = side == "+"
-    if route == "direct":
-        out = apply_cross_twist_fock(root, psi, adjoint=not outer_adjoint)
-        out = fock.field(fd, out)
-        return apply_cross_twist_fock(root, out, adjoint=outer_adjoint)
-    if route == "split":
-        q = pair.n_negative
-        g = fd.fplus[q:] if side == "+" else fd.fplus[:q]
-        xi = split_chiral(psi, pair)
-        xi = apply_cross_twist(root, xi, adjoint=not outer_adjoint)
-        xi = chiral_field(side, g, xi)
-        xi = apply_cross_twist(root, xi, adjoint=outer_adjoint)
-        return merge_chiral(xi)
-    raise ValueError("route must be 'direct' or 'split'")
+    return _twist_sandwich(root, fd.fplus, pair, psi, route,
+                           lambda v: fock.field(fd, v), chiral_field)
 
 
 @dataclass(frozen=True)
@@ -480,6 +440,19 @@ def _compare_operators(op_a, op_b, pair: ChiralGridPair, truncation: int,
     return dev_vec, dev_mat
 
 
+def _check_equivalence(side: str, deformed, twisted, pair: ChiralGridPair,
+                       truncation: int, rng: np.random.Generator, n_vectors: int,
+                       tolerance: float, with_matrices: bool) -> EquivalenceReport:
+    """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes."""
+    vec_d, mat_d = _compare_operators(deformed, lambda v: twisted(v, "direct"),
+                                      pair, truncation, rng, n_vectors, with_matrices)
+    vec_s, mat_s = _compare_operators(deformed, lambda v: twisted(v, "split"),
+                                      pair, truncation, rng, n_vectors, with_matrices)
+    return EquivalenceReport(side=side, max_vector_direct=vec_d, max_vector_split=vec_s,
+                             max_matrix_direct=mat_d, max_matrix_split=mat_s,
+                             tolerance=tolerance)
+
+
 def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
                                   truncation: int, rng: np.random.Generator,
                                   n_vectors: int = 10, tolerance: float = 1e-10,
@@ -490,21 +463,12 @@ def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
     whole truncated space; both twist realizations are exercised.
     """
     amplitude = np.asarray(amplitude, dtype=complex)
-    side = _support_side(pair, amplitude)
     spec = KernelSpec(root=root, mass=0.0)
-
-    def deformed(psi):
-        return annihilate_deformed(spec, amplitude, psi)
-
-    vec_d, mat_d = _compare_operators(
-        deformed, lambda v: twisted_annihilator(root, amplitude, pair, v, "direct"),
-        pair, truncation, rng, n_vectors, with_matrices)
-    vec_s, mat_s = _compare_operators(
-        deformed, lambda v: twisted_annihilator(root, amplitude, pair, v, "split"),
-        pair, truncation, rng, n_vectors, with_matrices)
-    return EquivalenceReport(side=side, max_vector_direct=vec_d, max_vector_split=vec_s,
-                             max_matrix_direct=mat_d, max_matrix_split=mat_s,
-                             tolerance=tolerance)
+    return _check_equivalence(
+        _support_side(pair, amplitude),
+        lambda v: annihilate_deformed(spec, amplitude, v),
+        lambda v, route: twisted_annihilator(root, amplitude, pair, v, route),
+        pair, truncation, rng, n_vectors, tolerance, with_matrices)
 
 
 def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
@@ -518,18 +482,9 @@ def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPa
     """
     if not fd.real:
         raise ValueError("field equivalence is formulated for real data")
-    side = _support_side(pair, fd.fplus)
     spec = KernelSpec(root=root, mass=0.0)
-
-    def deformed(psi):
-        return field_deformed(spec, fd, psi)
-
-    vec_d, mat_d = _compare_operators(
-        deformed, lambda v: twisted_field(root, fd, pair, v, "direct"),
-        pair, truncation, rng, n_vectors, with_matrices)
-    vec_s, mat_s = _compare_operators(
-        deformed, lambda v: twisted_field(root, fd, pair, v, "split"),
-        pair, truncation, rng, n_vectors, with_matrices)
-    return EquivalenceReport(side=side, max_vector_direct=vec_d, max_vector_split=vec_s,
-                             max_matrix_direct=mat_d, max_matrix_split=mat_s,
-                             tolerance=tolerance)
+    return _check_equivalence(
+        _support_side(pair, fd.fplus),
+        lambda v: field_deformed(spec, fd, v),
+        lambda v, route: twisted_field(root, fd, pair, v, route),
+        pair, truncation, rng, n_vectors, tolerance, with_matrices)

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

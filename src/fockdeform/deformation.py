@@ -77,45 +77,36 @@ class KernelSpec:
                         f"extra root violates conj(R(t)) = R(1/t) (defect {defect:.2e})")
 
 
-def kernel(spec: KernelSpec, p: float, q: float) -> complex:
-    """Unimodular kernel value K(p, q); raises if p or q is zero."""
-    if p == 0.0 or q == 0.0:
+def _kernel_values(spec: KernelSpec, p, q) -> np.ndarray:
+    """K(p, q) on broadcast momentum arrays; the one copy of the case analysis.
+
+    Raises if any momentum is zero.
+    """
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    if np.any(p == 0.0) or np.any(q == 0.0):
         raise ValueError("kernel arguments must be nonzero")
     if spec.mass > 0.0:
-        return complex(eval_root_at_zero_one(spec.root, wedge_invariant(p, q, spec.mass)))
-    if p > 0.0 and q < 0.0:
-        return complex(eval_root(spec.root, -p * q))
-    if p < 0.0 and q > 0.0:
-        return complex(eval_root(spec.root, p * q))
-    if p > 0.0:  # both positive
-        return complex(eval_root(spec.extra_pos, p / q)) if spec.extra_pos else 1.0 + 0.0j
-    return complex(eval_root(spec.extra_neg, -p / q)) if spec.extra_neg else 1.0 + 0.0j
+        return np.asarray(eval_root_at_zero_one(spec.root, wedge_invariant(p, q, spec.mass)))
+    out = np.ones(p.shape, dtype=complex)
+    for root, mask, args in ((spec.root, (p > 0.0) & (q < 0.0), -p * q),
+                             (spec.root, (p < 0.0) & (q > 0.0), p * q),
+                             (spec.extra_pos, (p > 0.0) & (q > 0.0), p / q),
+                             (spec.extra_neg, (p < 0.0) & (q < 0.0), -p / q)):
+        if root is not None and np.any(mask):
+            out[mask] = eval_root(root, args[mask])
+    return out
+
+
+def kernel(spec: KernelSpec, p: float, q: float) -> complex:
+    """Unimodular kernel value K(p, q); raises if p or q is zero."""
+    return complex(_kernel_values(spec, p, q))
 
 
 def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
-    """K evaluated on all ordered grid pairs: K[a, b] = kernel(p_a, p_b).
-
-    Vectorized; agrees entrywise with :func:`kernel` (tested against it).
-    """
+    """K evaluated on all ordered grid pairs: K[a, b] = kernel(p_a, p_b)."""
     if grid.mass != spec.mass:
         raise ValueError("grid mass does not match the kernel spec")
-    pts = grid.points
-    p, q = pts[:, None], pts[None, :]
-    if spec.mass > 0.0:
-        return np.asarray(eval_root_at_zero_one(
-            spec.root, wedge_invariant(p, q, spec.mass)))
-    out = np.ones((pts.size, pts.size), dtype=complex)
-    mask = (p > 0.0) & (q < 0.0)
-    out[mask] = eval_root(spec.root, (-p * q)[mask])
-    mask = (p < 0.0) & (q > 0.0)
-    out[mask] = eval_root(spec.root, (p * q)[mask])
-    if spec.extra_pos is not None:
-        mask = (p > 0.0) & (q > 0.0)
-        out[mask] = eval_root(spec.extra_pos, (p / q)[mask])
-    if spec.extra_neg is not None:
-        mask = (p < 0.0) & (q < 0.0)
-        out[mask] = eval_root(spec.extra_neg, (-p / q)[mask])
-    return out
+    return _kernel_values(spec, grid.points[:, None], grid.points[None, :])
 
 
 @dataclass(frozen=True)
@@ -131,10 +122,10 @@ class KernelSymmetryReport:
 def kernel_symmetry_check(spec: KernelSpec, sample_pairs,
                           tolerance: float = 1e-10) -> KernelSymmetryReport:
     """Max of |K(q,p) K(p,q) - 1| over sampled nonzero pairs."""
-    worst = 0.0
-    for p, q in sample_pairs:
-        worst = max(worst, abs(kernel(spec, q, p) * kernel(spec, p, q) - 1.0))
-    return KernelSymmetryReport(max_defect=worst, tolerance=tolerance)
+    p, q = np.asarray(sample_pairs, dtype=float).reshape(-1, 2).T
+    defect = np.abs(_kernel_values(spec, q, p) * _kernel_values(spec, p, q) - 1.0)
+    return KernelSymmetryReport(max_defect=float(np.max(defect, initial=0.0)),
+                                tolerance=tolerance)
 
 
 def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
@@ -143,8 +134,9 @@ def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVect
     Sector n is multiplied by prod_k K(p, p_{k}); a diagonal unitary fixing
     the vacuum.
     """
-    row = np.array([kernel(spec, p, q) for q in psi.grid.points])
-    return FockVector(psi.grid, tuple(fock._axis_multiply(s, row) for s in psi.sectors))
+    row = _kernel_values(spec, p, psi.grid.points)
+    return FockVector(psi.grid, tuple(fock._axis_multiply(s, [row] * s.ndim)
+                                      for s in psi.sectors))
 
 
 def annihilate_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:
@@ -184,11 +176,7 @@ def apply_pair_twist(root_of_unity: Root, psi: FockVector,
     rmat = kernel_matrix(spec, psi.grid)
     if np.max(np.abs(rmat * rmat - 1.0)) > tolerance:
         raise ValueError("root is not +-1-valued on the grid-induced arguments")
-    secs = [psi.sectors[0].copy()]
-    for n in range(1, psi.truncation + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        secs.append(fock._pair_multiply(psi.sectors[n], rmat, pairs))
-    return FockVector(psi.grid, tuple(secs))
+    return fock.apply_pair_phase(rmat, psi)
 
 
 class SharpTwistVariant(Enum):
@@ -222,13 +210,7 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
     n <= 1 and the vacuum are untouched.
     """
     gmat = _sharp_twist_matrix(spec, variant, p, psi.grid)
-    if adjoint:
-        gmat = np.conj(gmat)
-    secs = [psi.sectors[0].copy()]
-    for n in range(1, psi.truncation + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        secs.append(fock._pair_multiply(psi.sectors[n], gmat, pairs))
-    return FockVector(psi.grid, tuple(secs))
+    return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
 
 
 def _grid_index(grid: MomentumGrid, p: float) -> int:
@@ -256,10 +238,9 @@ def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> Fo
     """Sharp deformed annihilator a_K(p) = a(p) dressed with prod_k K(p, p_k)."""
     grid = psi.grid
     idx = _grid_index(grid, p)
-    row = np.array([kernel(spec, p, q) for q in grid.points])
+    row = _kernel_values(spec, p, grid.points)
     secs = []
     for n in range(psi.truncation):
-        src = psi.sectors[n + 1][idx]
-        secs.append(math.sqrt(n + 1) * fock._axis_multiply(src, row))
+        secs.append(math.sqrt(n + 1) * fock._axis_multiply(psi.sectors[n + 1][idx], [row] * n))
     secs.append(np.zeros((grid.size,) * psi.truncation, dtype=complex))
     return FockVector(grid, tuple(secs))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import chiral, fock
+from . import chiral
 from .chiral import BiFockVector
 from .fock import FockVector
 from .grids import ChiralGridPair, MomentumGrid
@@ -69,10 +69,6 @@ class FockBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @staticmethod
-    def inner(u: FockVector, v: FockVector) -> complex:
-        return fock.inner(u, v)
-
     def coefficients(self, psi: FockVector) -> np.ndarray:
         """Expansion coefficients <b_i, psi> of a symmetric vector.
 
@@ -113,10 +109,6 @@ class BiFockBasis:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    @staticmethod
-    def inner(u: BiFockVector, v: BiFockVector) -> complex:
-        return chiral.bifock_inner(u, v)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
         """Expansion coefficients <b_i, xi> of a factorwise-symmetric vector,

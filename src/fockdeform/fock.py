@@ -82,10 +82,7 @@ def inner(psi: FockVector, phi: FockVector) -> complex:
     w = psi.grid.weights
     total = 0.0 + 0.0j
     for n, (a, b) in enumerate(zip(psi.sectors, phi.sectors)):
-        prod = np.conj(a) * b
-        for ax in range(n):
-            prod = prod * w.reshape((1,) * ax + (w.size,) + (1,) * (n - ax - 1))
-        total += complex(np.sum(prod))
+        total += complex(np.sum(_axis_multiply(np.conj(a) * b, [w] * n)))
     return total
 
 
@@ -131,40 +128,46 @@ def symmetrize_axes(tensor: np.ndarray, axes) -> np.ndarray:
     return t
 
 
-def _axis_multiply(tensor: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Multiply an n-index tensor by prod_i vec[k_i] (one factor per axis)."""
+def _axis_multiply(tensor: np.ndarray, vecs) -> np.ndarray:
+    """Multiply an n-index tensor by prod_i vecs[i][k_i] (one vector per axis)."""
     out = tensor
     n = tensor.ndim
-    m = vec.size
-    for ax in range(n):
-        out = out * vec.reshape((1,) * ax + (m,) + (1,) * (n - ax - 1))
+    for ax, vec in enumerate(vecs):
+        out = out * vec.reshape((1,) * ax + (vec.size,) + (1,) * (n - ax - 1))
     return out
 
 
 def _pair_multiply(tensor: np.ndarray, mat: np.ndarray, pairs) -> np.ndarray:
-    """Multiply by prod over (i, j) in pairs of mat[k_i, k_j].
+    """Multiply by prod over (i, j) in pairs, i < j, of mat[k_i, k_j].
 
-    ``mat`` may be rectangular when the tensor mixes factor spaces; diagonal
-    pairs (i, i) use the matrix diagonal.
+    ``mat`` may be rectangular when the tensor mixes factor spaces.
     """
     out = tensor
     n = tensor.ndim
     shape = tensor.shape
+    mat = np.ascontiguousarray(mat)
     for i, j in pairs:
-        if i == j:
-            d = np.ascontiguousarray(np.diagonal(mat))
-            out = out * d.reshape((1,) * i + (shape[i],) + (1,) * (n - i - 1))
-            continue
-        a, b = (i, j) if i < j else (j, i)
-        view = mat if i < j else mat.T
-        out = out * np.ascontiguousarray(view).reshape(
-            (1,) * a + (shape[a],) + (1,) * (b - a - 1) + (shape[b],) + (1,) * (n - b - 1))
+        out = out * mat.reshape(
+            (1,) * i + (shape[i],) + (1,) * (j - i - 1) + (shape[j],) + (1,) * (n - j - 1))
     return out
 
 
 def _row_kernel_multiply(sector: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     """Multiply sector(q, p_1..p_n) by prod_k kmat[q, p_k] over trailing axes."""
     return _pair_multiply(sector, kmat, [(0, ax) for ax in range(1, sector.ndim)])
+
+
+def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
+    """Sector-diagonal multiplier: sector n times prod_{i<j} gmat[k_i, k_j].
+
+    The pair twists, the sharp-momentum twists and the union-grid cross twist
+    are all of this form; sectors n <= 1 are untouched.
+    """
+    secs = [psi.sectors[0].copy()]
+    for n in range(1, psi.truncation + 1):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        secs.append(_pair_multiply(psi.sectors[n], gmat, pairs))
+    return FockVector(psi.grid, tuple(secs))
 
 
 def _annihilate_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
@@ -266,7 +269,8 @@ def apply_translation(x, psi: FockVector) -> FockVector:
     """
     x0, x1 = float(x[0]), float(x[1])
     phases = np.exp(1j * (x0 * psi.grid.omegas - x1 * psi.grid.points))
-    return FockVector(psi.grid, tuple(_axis_multiply(s, phases) for s in psi.sectors))
+    return FockVector(psi.grid, tuple(_axis_multiply(s, [phases] * s.ndim)
+                                      for s in psi.sectors))
 
 
 def apply_reflection(psi: FockVector) -> FockVector:
@@ -290,25 +294,21 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     Amplitude whose target leaves the grid is dropped and flagged.
     """
     grid = psi.grid
-    blocks = boost_blocks(grid)
-    m = grid.size
     out_ids, src_ids = [], []
-    for s, e in blocks:
+    for s, e in boost_blocks(grid):
         for i in range(s, e):
             k = i + shift
             if s <= k < e:
                 out_ids.append(i)
                 src_ids.append(k)
-    kept = np.zeros(m, dtype=bool)
+    kept = np.zeros(grid.size, dtype=bool)
     kept[src_ids] = True
     truncated = False
     secs = [psi.sectors[0].copy()]
     for n in range(1, psi.truncation + 1):
         src = psi.sectors[n]
         if not np.all(kept):
-            mask = np.ones(src.shape, dtype=bool)
-            for ax in range(n):
-                mask &= kept.reshape((1,) * ax + (m,) + (1,) * (n - ax - 1))
+            mask = _axis_multiply(np.ones(src.shape, dtype=bool), [kept] * n)
             truncated = truncated or bool(np.any(src[~mask] != 0))
         out = np.zeros_like(src)
         if out_ids:

@@ -148,6 +148,15 @@ def _rec(suite: str, check: str, anchor: str, deviation: float, tolerance: float
                        tolerance=float(tolerance), passed=bool(ok) and math.isfinite(dev))
 
 
+def _worst(*deviations, pick=np.max) -> float:
+    """The check's worst case, ``pick`` over the deviations; NaN if any is NaN.
+
+    Builtin max/min keep a NaN only when it comes first.  Negative controls
+    pass ``pick=np.min``.
+    """
+    return float(pick(deviations))
+
+
 def _nonzero_samples(rng: np.random.Generator, count: int, lo=0.02, hi=30.0) -> np.ndarray:
     return rng.uniform(lo, hi, size=count) * rng.choice([-1.0, 1.0], size=count)
 
@@ -165,36 +174,36 @@ def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
     dev = 0.0
     for r in roots:
         rep = check_symmetric_inner(r.base, t, tol)
-        dev = max(dev, rep.max_conjugation_defect, rep.max_reflection_defect)
+        dev = _worst(dev, rep.max_conjugation_defect, rep.max_reflection_defect)
     recs.append(_rec("inner", "boundary-symmetry", "def:1.1(i)", dev, tol))
 
     dev = 0.0
     for r in roots:
         vals = eval_root(r, t)
-        dev = max(dev, float(np.max(np.abs(np.abs(vals) - 1.0))))
-        dev = max(dev, float(np.max(np.abs(vals * eval_root(r, -t) - 1.0))))
-        dev = max(dev, float(np.max(np.abs(np.conj(vals) - eval_root(r, -t)))))
+        dev = _worst(dev, np.max(np.abs(np.abs(vals) - 1.0)))
+        dev = _worst(dev, np.max(np.abs(vals * eval_root(r, -t) - 1.0)))
+        dev = _worst(dev, np.max(np.abs(np.conj(vals) - eval_root(r, -t))))
     recs.append(_rec("inner", "root-reflection-symmetry", "def:1.1(ii)", dev, tol))
 
     dev = 0.0
     for r in roots:
         bare = make_root(r.base)  # principal branch, no flips
-        dev = max(dev, float(np.max(np.abs(eval_root(bare, t) ** 2 - eval_inner(r.base, t)))))
-        dev = max(dev, float(np.max(np.abs(eval_root(r, t) ** 2 - eval_inner(r.base, t)))))
+        dev = _worst(dev, np.max(np.abs(eval_root(bare, t) ** 2 - eval_inner(r.base, t))))
+        dev = _worst(dev, np.max(np.abs(eval_root(r, t) ** 2 - eval_inner(r.base, t))))
     recs.append(_rec("inner", "root-squaring", "def:1.1(ii)", dev, tol))
 
     theta = _nonzero_samples(rng, 200, 0.05, 3.0)
     dev = 0.0
     for r in roots:
         s_vals = scattering_from_inner(r.base, theta)
-        dev = max(dev, float(np.max(np.abs(np.conj(s_vals) - 1.0 / s_vals))))
-        dev = max(dev, float(np.max(np.abs(1.0 / s_vals - scattering_from_inner(r.base, -theta)))))
+        dev = _worst(dev, np.max(np.abs(np.conj(s_vals) - 1.0 / s_vals)))
+        dev = _worst(dev, np.max(np.abs(1.0 / s_vals - scattering_from_inner(r.base, -theta))))
     recs.append(_rec("inner", "scattering-boundary-symmetry", "def:1.1(iii)", dev, tol))
 
     dev = 0.0
     for r in roots:
         crossed = scattering_from_inner(r.base, 1j * math.pi + theta)
-        dev = max(dev, float(np.max(np.abs(crossed - scattering_from_inner(r.base, -theta)))))
+        dev = _worst(dev, np.max(np.abs(crossed - scattering_from_inner(r.base, -theta))))
     recs.append(_rec("inner", "strip-crossing-via-sinh", "sec1:sinh-correspondence", dev, tol))
 
     if cfg.ratio_roots is not None:
@@ -242,20 +251,20 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
             continue
         comm = (fock.annihilate(xi, fock.create(eta, vec))
                 - fock.create(eta, fock.annihilate(xi, vec)))
-        dev = max(dev, fock.norm(comm - pairing * vec))
+        dev = _worst(dev, fock.norm(comm - pairing * vec))
     recs.append(_rec("fock", "ccr-below-truncation", "sec1:CCR", dev, tol))
 
     x = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
     dev = 0.0
     for _ in range(cfg.repetitions):
         psi = fock.random_fock_vector(grid, n_top, rng)
-        dev = max(dev, abs(fock.norm(fock.apply_translation(x, psi)) - fock.norm(psi)))
+        dev = _worst(dev, abs(fock.norm(fock.apply_translation(x, psi)) - fock.norm(psi)))
     vac = fock.vacuum(grid, n_top)
-    dev = max(dev, fock.norm(fock.apply_translation(x, vac) - vac))
+    dev = _worst(dev, fock.norm(fock.apply_translation(x, vac) - vac))
     one = fock.create(xi, vac)
     phases = np.exp(1j * (x[0] * grid.omegas - x[1] * grid.points))
-    dev = max(dev, float(np.max(np.abs(
-        fock.apply_translation(x, one).sectors[1] - phases * xi))))
+    dev = _worst(dev, np.max(np.abs(
+        fock.apply_translation(x, one).sectors[1] - phases * xi)))
     recs.append(_rec("fock", "translation-multiplier", "eq:U1", dev, tol))
 
     dev = 0.0
@@ -267,13 +276,13 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
             target = np.zeros(grid.size)
             if 0 <= k - shift < grid.size:
                 target[k - shift] = 1.0
-                dev = max(dev, fock.norm(res.vector - fock.create(target, vac)))
+                dev = _worst(dev, fock.norm(res.vector - fock.create(target, vac)))
             else:
-                dev = max(dev, fock.norm(res.vector))
-                dev = max(dev, 0.0 if res.truncated else 1.0)
+                dev = _worst(dev, fock.norm(res.vector))
+                dev = _worst(dev, 0.0 if res.truncated else 1.0)
     mid = fock.random_fock_vector(grid, n_top, rng)
     res = fock.apply_boost(0, mid)
-    dev = max(dev, fock.norm(res.vector - mid))
+    dev = _worst(dev, fock.norm(res.vector - mid))
     recs.append(_rec("fock", "boost-index-shift", "eq:U1", dev, tol))
 
     dev = 0.0
@@ -281,18 +290,18 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
         a = fock.random_fock_vector(grid, n_top, rng)
         b = fock.random_fock_vector(grid, n_top, rng)
         lhs = fock.inner(fock.apply_reflection(a), fock.apply_reflection(b))
-        dev = max(dev, abs(lhs - np.conj(fock.inner(a, b))))
-        dev = max(dev, fock.norm(fock.apply_reflection(fock.apply_reflection(a)) - a))
-        dev = max(dev, fock.norm(fock.apply_reflection(1j * a) + 1j * fock.apply_reflection(a)))
+        dev = _worst(dev, abs(lhs - np.conj(fock.inner(a, b))))
+        dev = _worst(dev, fock.norm(fock.apply_reflection(fock.apply_reflection(a)) - a))
+        dev = _worst(dev, fock.norm(fock.apply_reflection(1j * a) + 1j * fock.apply_reflection(a)))
     recs.append(_rec("fock", "reflection-antiunitary", "eq:U1", dev, tol))
 
     fd = fock.real_test_function(xi)
     mat_field = dense.operator_matrix(lambda v: fock.field(fd, v), basis)
     dev = dense.hermiticity_defect(mat_field)
     phi_vac = fock.field(fd, vac)
-    dev = max(dev, float(np.max(np.abs(phi_vac.sectors[1] - fd.fplus))))
+    dev = _worst(dev, np.max(np.abs(phi_vac.sectors[1] - fd.fplus)))
     for n in range(2, n_top + 1):
-        dev = max(dev, float(np.max(np.abs(phi_vac.sectors[n]))))
+        dev = _worst(dev, np.max(np.abs(phi_vac.sectors[n])))
     recs.append(_rec("fock", "field-hermitian", "sec1:phi_m", dev, tol))
 
     xs, ys = 0.6 * xi, 0.6 * eta
@@ -308,7 +317,7 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
     dev = float(np.max(np.abs(fock.symmetrize(s1) - s1)))
     probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, rng)))
     for sec in probe.sectors:
-        dev = max(dev, float(np.max(np.abs(fock.symmetrize(sec) - sec))) if sec.ndim else 0.0)
+        dev = _worst(dev, np.max(np.abs(fock.symmetrize(sec) - sec)) if sec.ndim else 0.0)
     recs.append(_rec("fock", "symmetrizer-projects", "eqn_isoexpli", dev, tol))
     return recs
 
@@ -332,7 +341,7 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
         for r in roots:
             spec = KernelSpec(root=r, mass=mass)
             for p, q in sample_pairs(100):
-                dev = max(dev, abs(kernel(spec, q, p) * kernel(spec, p, q) - 1.0))
+                dev = _worst(dev, abs(kernel(spec, q, p) * kernel(spec, p, q) - 1.0))
     recs.append(_rec("kernel", "kernel-inverse-symmetry", "sec1:kernel-symmetry", dev, tol))
 
     dev = 0.0
@@ -342,15 +351,15 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
             for p, q in sample_pairs(100):
                 lam = float(rng.uniform(-1.5, 1.5))
                 pb, qb = boost_momentum(p, lam, mass), boost_momentum(q, lam, mass)
-                dev = max(dev, abs(kernel(spec, pb, qb) - kernel(spec, p, q)))
+                dev = _worst(dev, abs(kernel(spec, pb, qb) - kernel(spec, p, q)))
     recs.append(_rec("kernel", "kernel-boost-invariance", "sec2:boost-invariance", dev, tol))
 
     dev = abs(wedge_invariant(2.0, -3.0, 0.0) - 6.0)  # hand value (|q|p - |p|q)/2
     for mass in masses:
         for p, q in sample_pairs(100):
             lam = float(rng.uniform(-1.5, 1.5))
-            dev = max(dev, abs(wedge_invariant(p, q, mass) + wedge_invariant(q, p, mass)))
-            dev = max(dev, abs(wedge_invariant(boost_momentum(p, lam, mass),
+            dev = _worst(dev, abs(wedge_invariant(p, q, mass) + wedge_invariant(q, p, mass)))
+            dev = _worst(dev, abs(wedge_invariant(boost_momentum(p, lam, mass),
                                                boost_momentum(q, lam, mass), mass)
                                - wedge_invariant(p, q, mass)))
     recs.append(_rec("kernel", "wedge-antisymmetric-invariant", "sec3:wedge", dev, tol))
@@ -360,17 +369,17 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
     for p, q in sample_pairs(50):
         w = wedge_invariant(p, q, cfg.massive_mass)
         expected = eval_root(roots[0], w) if w != 0.0 else 1.0
-        dev = max(dev, abs(kernel(spec, p, q) - expected))
+        dev = _worst(dev, abs(kernel(spec, p, q) - expected))
     recs.append(_rec("kernel", "massive-kernel-definition", "eq:R_m", dev, tol))
 
     dev = 0.0
     spec = KernelSpec(root=roots[0], mass=0.0)
     for p, q in sample_pairs(50):
         P, q_ = abs(p), -abs(q)
-        dev = max(dev, abs(kernel(spec, P, q_) - eval_root(roots[0], -P * q_)))
-        dev = max(dev, abs(kernel(spec, q_, P) - eval_root(roots[0], q_ * P)))
-        dev = max(dev, abs(kernel(spec, P, abs(q)) - 1.0))
-        dev = max(dev, abs(kernel(spec, q_, -abs(p)) - 1.0))
+        dev = _worst(dev, abs(kernel(spec, P, q_) - eval_root(roots[0], -P * q_)))
+        dev = _worst(dev, abs(kernel(spec, q_, P) - eval_root(roots[0], q_ * P)))
+        dev = _worst(dev, abs(kernel(spec, P, abs(q)) - 1.0))
+        dev = _worst(dev, abs(kernel(spec, q_, -abs(p)) - 1.0))
     recs.append(_rec("kernel", "massless-kernel-values", "eq:R0", dev, tol))
 
     extras = KernelSpec(root=roots[0], mass=0.0,
@@ -378,10 +387,10 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
                         extra_neg=make_root(BlaschkeSpec((), 1), RECIPROCAL_ATOMS[1]))
     dev = 0.0
     for p, q in sample_pairs(100):
-        dev = max(dev, abs(kernel(extras, q, p) * kernel(extras, p, q) - 1.0))
+        dev = _worst(dev, abs(kernel(extras, q, p) * kernel(extras, p, q) - 1.0))
         lam = float(rng.uniform(-1.0, 1.0))
         pb, qb = boost_momentum(p, lam, 0.0), boost_momentum(q, lam, 0.0)
-        dev = max(dev, abs(kernel(extras, pb, qb) - kernel(extras, p, q)))
+        dev = _worst(dev, abs(kernel(extras, pb, qb) - kernel(extras, p, q)))
     recs.append(_rec("kernel", "generalized-kernel-symmetry", "eq:R0-generalized", dev, tol))
     return recs
 
@@ -403,13 +412,14 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
         p_ref = float(grid.points[1])
         for _ in range(cfg.repetitions):
             psi = fock.random_fock_vector(grid, n_top, rng)
-            dev = max(dev, abs(fock.norm(apply_kernel_phases(spec, p_ref, psi)) - fock.norm(psi)))
+            dev = _worst(dev, abs(fock.norm(apply_kernel_phases(spec, p_ref, psi))
+                                  - fock.norm(psi)))
         vac = fock.vacuum(grid, n_top)
-        dev = max(dev, fock.norm(apply_kernel_phases(spec, p_ref, vac) - vac))
+        dev = _worst(dev, fock.norm(apply_kernel_phases(spec, p_ref, vac) - vac))
         one = fock.create(fock.random_one_particle(grid, rng), vac)
         row = np.array([kernel(spec, p_ref, q) for q in grid.points])
-        dev = max(dev, float(np.max(np.abs(
-            apply_kernel_phases(spec, p_ref, one).sectors[1] - row * one.sectors[1]))))
+        dev = _worst(dev, np.max(np.abs(
+            apply_kernel_phases(spec, p_ref, one).sectors[1] - row * one.sectors[1])))
     recs.append(_rec("deformed", "phase-dressing-unitary", "sec1:T_Rm", dev, tol))
 
     dev = 0.0
@@ -428,7 +438,7 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
 
             mat_direct = dense.operator_matrix(lambda v: annihilate_deformed(spec, xi, v), basis)
             mat_comp = dense.operator_matrix(composed, basis)
-            dev = max(dev, dense.matrix_deviation(mat_direct, mat_comp))
+            dev = _worst(dev, dense.matrix_deviation(mat_direct, mat_comp))
     recs.append(_rec("deformed", "annihilator-equals-dressed-sum", "eq:a_R-explicit", dev, tol))
 
     dev = 0.0
@@ -439,7 +449,7 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
             xi = fock.random_one_particle(grid, rng)
             mc = dense.operator_matrix(lambda v: create_deformed(spec, xi, v), basis)
             ma = dense.operator_matrix(lambda v: annihilate_deformed(spec, xi, v), basis)
-            dev = max(dev, dense.matrix_deviation(mc, ma.conj().T))
+            dev = _worst(dev, dense.matrix_deviation(mc, ma.conj().T))
     recs.append(_rec("deformed", "deformed-adjoint-pair", "sec1:adjoint-aR", dev, 1e-12))
 
     dev = 0.0
@@ -448,9 +458,9 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
         spec = KernelSpec(root=roots[0], mass=grid.mass)
         fd = fock.real_test_function(fock.random_one_particle(grid, rng))
         mat = dense.operator_matrix(lambda v: field_deformed(spec, fd, v), basis)
-        dev = max(dev, dense.hermiticity_defect(mat))
+        dev = _worst(dev, dense.hermiticity_defect(mat))
         out = field_deformed(spec, fd, fock.vacuum(grid, n_top))
-        dev = max(dev, float(np.max(np.abs(out.sectors[1] - fd.fplus))))
+        dev = _worst(dev, np.max(np.abs(out.sectors[1] - fd.fplus)))
     recs.append(_rec("deformed", "deformed-field-hermitian", "sec1:phi_Rm", dev, tol))
 
     dev = 0.0
@@ -462,8 +472,7 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
             psi = fock.random_fock_vector(grid, n_top, rng)
             diff_a = annihilate_deformed(spec, xi, psi) - fock.annihilate(xi, psi)
             diff_c = create_deformed(spec, xi, psi) - fock.create(xi, psi)
-            dev = max(dev, float(max(np.max(np.abs(s)) for s in diff_a.sectors)))
-            dev = max(dev, float(max(np.max(np.abs(s)) for s in diff_c.sectors)))
+            dev = _worst(dev, *(np.max(np.abs(s)) for s in diff_a.sectors + diff_c.sectors))
     recs.append(_rec("deformed", "trivial-root-degeneration", "eq:a_R-explicit", dev, 0.0))
     return recs
 
@@ -487,12 +496,12 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
     for grid in grids:
         for _ in range(cfg.repetitions):
             psi = fock.random_fock_vector(grid, n_top, rng)
-            dev = max(dev, abs(fock.norm(apply_pair_twist(twist, psi)) - fock.norm(psi)))
+            dev = _worst(dev, abs(fock.norm(apply_pair_twist(twist, psi)) - fock.norm(psi)))
         vac = fock.vacuum(grid, n_top)
-        dev = max(dev, fock.norm(apply_pair_twist(twist, vac) - vac))
+        dev = _worst(dev, fock.norm(apply_pair_twist(twist, vac) - vac))
         x = (0.7, -0.4)
         psi = fock.random_fock_vector(grid, n_top, rng)
-        dev = max(dev, fock.norm(apply_pair_twist(twist, fock.apply_translation(x, psi))
+        dev = _worst(dev, fock.norm(apply_pair_twist(twist, fock.apply_translation(x, psi))
                                  - fock.apply_translation(x, apply_pair_twist(twist, psi))))
     recs.append(_rec("root_equivalence", "pair-twist-unitary", "eq:Yr", dev, tol))
 
@@ -509,7 +518,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
 
         m_lhs = dense.operator_matrix(conjugated, basis)
         m_rhs = dense.operator_matrix(lambda v: annihilate_deformed(spec1, xi, v), basis)
-        dev = max(dev, dense.matrix_deviation(m_lhs, m_rhs))
+        dev = _worst(dev, dense.matrix_deviation(m_lhs, m_rhs))
     recs.append(_rec("root_equivalence", "pair-twist-maps-annihilators",
                      "lemma:RootEquivalence", dev, tol))
 
@@ -525,7 +534,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
 
         m_lhs = dense.operator_matrix(conj_field, basis)
         m_rhs = dense.operator_matrix(lambda v: field_deformed(spec1, fd, v), basis)
-        dev = max(dev, dense.matrix_deviation(m_lhs, m_rhs))
+        dev = _worst(dev, dense.matrix_deviation(m_lhs, m_rhs))
     recs.append(_rec("root_equivalence", "field-conjugation",
                      "eq:UnitaryEquivalenceOfFields", dev, tol))
 
@@ -544,8 +553,8 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
     for cand in candidates:
         def conj_b(v, cand=cand):
             return apply_pair_twist(cand, field_deformed(spec_b, fd, apply_pair_twist(cand, v)))
-        min_dev = min(min_dev, dense.matrix_deviation(
-            dense.operator_matrix(conj_b, basis), m_target))
+        min_dev = _worst(min_dev, dense.matrix_deviation(
+            dense.operator_matrix(conj_b, basis), m_target), pick=np.min)
     recs.append(_rec("root_equivalence", "detects-square-mismatch",
                      "proposition:ChoiceOfRootDoesntMatter", min_dev, 1e-3,
                      passed=min_dev > 1e-3))
@@ -568,12 +577,12 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
 
     m_merge = dense.operator_matrix(chiral.merge_chiral, bbasis, fbasis)
     dev = dense.unitarity_defect(m_merge)
-    dev = max(dev, fock.norm(chiral.merge_chiral(chiral.bifock_vacuum(pair, n_top))
+    dev = _worst(dev, fock.norm(chiral.merge_chiral(chiral.bifock_vacuum(pair, n_top))
                              - fock.vacuum(grid, n_top)))
     for _ in range(cfg.repetitions):
         u = chiral.random_bifock(pair, n_top, rng)
         v = chiral.random_bifock(pair, n_top, rng)
-        dev = max(dev, abs(fock.inner(chiral.merge_chiral(u), chiral.merge_chiral(v))
+        dev = _worst(dev, abs(fock.inner(chiral.merge_chiral(u), chiral.merge_chiral(v))
                            - chiral.bifock_inner(u, v)))
     recs.append(_rec("chiral", "merge-unitary", "eqn_isoexpli", dev, tol))
 
@@ -590,11 +599,11 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
                      fock.norm(merged - expected), tol))
 
     dev = 0.0
-    for _ in range(cfg.repetitions // 2):
+    for _ in range(max(1, cfg.repetitions // 2)):
         psi = fock.random_fock_vector(grid, n_top, rng)
-        dev = max(dev, fock.norm(chiral.merge_chiral(chiral.split_chiral(psi, pair)) - psi))
+        dev = _worst(dev, fock.norm(chiral.merge_chiral(chiral.split_chiral(psi, pair)) - psi))
         xi = chiral.random_bifock(pair, n_top, rng)
-        dev = max(dev, chiral.bifock_norm(
+        dev = _worst(dev, chiral.bifock_norm(
             chiral.split_chiral(chiral.merge_chiral(xi), pair) - xi))
     recs.append(_rec("chiral", "split-roundtrip", "eqn_isoexpli", dev, tol))
 
@@ -604,41 +613,40 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
         xi = chiral.random_bifock(pair, n_top, rng)
         lhs = fock.apply_translation(x, chiral.merge_chiral(xi))
         rhs = chiral.merge_chiral(chiral.apply_translation_bifock(x, xi))
-        dev = max(dev, fock.norm(lhs - rhs))
+        dev = _worst(dev, fock.norm(lhs - rhs))
     recs.append(_rec("chiral", "translation-intertwining", "sec1:chiral-splitting", dev, tol))
 
     dev = 0.0
     root = roots[0]
     for _ in range(cfg.repetitions):
         xi = chiral.random_bifock(pair, n_top, rng)
-        dev = max(dev, abs(chiral.bifock_norm(chiral.apply_cross_twist(root, xi))
+        dev = _worst(dev, abs(chiral.bifock_norm(chiral.apply_cross_twist(root, xi))
                            - chiral.bifock_norm(xi)))
         twisted = chiral.apply_cross_twist(root, chiral.apply_translation_bifock(x, xi))
-        dev = max(dev, chiral.bifock_norm(
+        dev = _worst(dev, chiral.bifock_norm(
             twisted - chiral.apply_translation_bifock(x, chiral.apply_cross_twist(root, xi))))
     vac = chiral.bifock_vacuum(pair, n_top)
-    dev = max(dev, chiral.bifock_norm(chiral.apply_cross_twist(root, vac) - vac))
+    dev = _worst(dev, chiral.bifock_norm(chiral.apply_cross_twist(root, vac) - vac))
     one_sided = chiral.bifock_zero(pair, n_top)
     one_sided.components[(2, 0)][:] = fock.symmetrize(
         rng.standard_normal((pair.n_positive,) * 2))
-    dev = max(dev, chiral.bifock_norm(chiral.apply_cross_twist(root, one_sided) - one_sided))
+    dev = _worst(dev, chiral.bifock_norm(chiral.apply_cross_twist(root, one_sided) - one_sided))
     recs.append(_rec("chiral", "cross-twist-unitary", "eqn_Saction", dev, tol))
 
     dev = 0.0
     for r in roots[:3]:
-        cmat_sq = np.asarray(eval_inner(
-            r.base, -np.multiply.outer(pair.positive_points, pair.negative_points)))
+        smat_sq = chiral.cross_matrix(grid, lambda a, r=r: eval_inner(r.base, a))
         for _ in range(3):
             xi = chiral.random_bifock(pair, n_top, rng)
             twice = chiral.apply_cross_twist(r, chiral.apply_cross_twist(r, xi))
-            squared = chiral.apply_cross_twist_matrix(pair, cmat_sq, xi)
-            dev = max(dev, chiral.bifock_norm(twice - squared))
-        bmat_sq = chiral.fock_cross_matrix(grid, lambda a, r=r: eval_inner(r.base, a))
+            squared = chiral.apply_cross_twist_matrix(
+                pair, smat_sq[pair.n_negative:, :pair.n_negative], xi)
+            dev = _worst(dev, chiral.bifock_norm(twice - squared))
         for _ in range(3):
             psi = fock.random_fock_vector(grid, n_top, rng)
             twice = chiral.apply_cross_twist_fock(r, chiral.apply_cross_twist_fock(r, psi))
-            squared = chiral.apply_cross_twist_fock_matrix(bmat_sq, psi)
-            dev = max(dev, fock.norm(twice - squared))
+            squared = fock.apply_pair_phase(smat_sq, psi)
+            dev = _worst(dev, fock.norm(twice - squared))
     recs.append(_rec("chiral", "twist-square-is-squared-root", "sec2:S-squared", dev, tol))
 
     dev = 0.0
@@ -648,11 +656,11 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
         m_comp = dense.operator_matrix(
             lambda v, r=r: chiral.merge_chiral(
                 chiral.apply_cross_twist(r, chiral.split_chiral(v, pair))), fbasis)
-        dev = max(dev, dense.matrix_deviation(m_direct, m_comp))
+        dev = _worst(dev, dense.matrix_deviation(m_direct, m_comp))
     psi = fock.random_fock_vector(grid, n_top, rng)
     low = chiral.apply_cross_twist_fock(roots[0], psi)
     for n in (0, 1):
-        dev = max(dev, float(np.max(np.abs(low.sectors[n] - psi.sectors[n]))))
+        dev = _worst(dev, np.max(np.abs(low.sectors[n] - psi.sectors[n])))
     recs.append(_rec("chiral", "merged-twist-lemma", "eq:Shat", dev, tol))
 
     dev = 0.0
@@ -660,11 +668,11 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
         psi = fock.random_fock_vector(grid, n_top, rng)
         lhs = fock.apply_reflection(chiral.apply_cross_twist_fock(r, psi))
         rhs = chiral.apply_cross_twist_fock(r, fock.apply_reflection(psi), adjoint=True)
-        dev = max(dev, fock.norm(lhs - rhs))
+        dev = _worst(dev, fock.norm(lhs - rhs))
         xi = chiral.random_bifock(pair, n_top, rng)
         lhs_b = chiral.apply_reflection_bifock(chiral.apply_cross_twist(r, xi))
         rhs_b = chiral.apply_cross_twist(r, chiral.apply_reflection_bifock(xi), adjoint=True)
-        dev = max(dev, chiral.bifock_norm(lhs_b - rhs_b))
+        dev = _worst(dev, chiral.bifock_norm(lhs_b - rhs_b))
     recs.append(_rec("chiral", "reflection-compatibility", "sec2:J-compat", dev, tol))
 
     dev = 0.0
@@ -674,7 +682,7 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
         for p in pair.positive_points:
             for q in pair.negative_points:
                 lhs = eval_root(root, -(math.exp(-lam) * p) * (math.exp(lam) * q))
-                dev = max(dev, abs(lhs - eval_root(root, -p * q)))
+                dev = _worst(dev, abs(lhs - eval_root(root, -p * q)))
     recs.append(_rec("chiral", "twist-boost-kernel-invariance",
                      "sec2:boost-invariance", dev, tol))
     return recs
@@ -710,7 +718,7 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> list[Chec
             rep = chiral.check_annihilator_equivalence(
                 r, _one_sided_amplitude(pair, side, rng), pair, n_top, rng,
                 n_vectors=3, tolerance=tol)
-            dev = max(dev, rep.max_deviation)
+            dev = _worst(dev, rep.max_deviation)
         recs.append(_rec("main_relation", name, "eq:Mainrel", dev, tol))
 
     triv = trivial_root()
@@ -726,9 +734,9 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> list[Chec
             lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"), basis)
         m_split = dense.operator_matrix(
             lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"), basis)
-        dev_exact = max(dev_exact, dense.matrix_deviation(m_deformed, m_plain))
-        dev_exact = max(dev_exact, dense.matrix_deviation(m_direct, m_plain))
-        dev_round = max(dev_round, dense.matrix_deviation(m_split, m_plain))
+        dev_exact = _worst(dev_exact, dense.matrix_deviation(m_deformed, m_plain))
+        dev_exact = _worst(dev_exact, dense.matrix_deviation(m_direct, m_plain))
+        dev_round = _worst(dev_round, dense.matrix_deviation(m_split, m_plain))
     recs.append(_rec("main_relation", "trivial-root-exact", "eq:Mainrel", dev_exact, 0.0))
     recs.append(_rec("main_relation", "trivial-root-roundtrip", "eq:Mainrel",
                      dev_round, 1e-12))
@@ -753,7 +761,7 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[
             fd = fock.real_test_function(_one_sided_amplitude(pair, side, rng))
             rep = chiral.check_field_equivalence(r, fd, pair, n_top, rng,
                                                  n_vectors=3, tolerance=tol)
-            dev = max(dev, rep.max_deviation)
+            dev = _worst(dev, rep.max_deviation)
         recs.append(_rec("field_equivalence", name, "thm:Algeq", dev, tol))
 
     bbasis = dense.BiFockBasis(pair, n_top)
@@ -761,8 +769,8 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[
     mat = dense.operator_matrix(lambda v: chiral.chiral_field("+", g, v), bbasis)
     dev = dense.hermiticity_defect(mat)
     created = chiral.chiral_field("+", g, chiral.bifock_vacuum(pair, n_top))
-    dev = max(dev, float(np.max(np.abs(created.components[(1, 0)] - g))))
-    dev = max(dev, float(np.max(np.abs(created.components[(0, 1)]))))
+    dev = _worst(dev, np.max(np.abs(created.components[(1, 0)] - g)))
+    dev = _worst(dev, np.max(np.abs(created.components[(0, 1)])))
     recs.append(_rec("field_equivalence", "one-sided-data-realization", "eq:fpm", dev, tol))
     return recs
 
@@ -800,9 +808,9 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
                 for variant in SharpTwistVariant:
                     m_conj = dense.operator_matrix(conjugation(spec, variant, p), basis)
                     m_variant[variant] = m_conj
-                    devs[variant] = max(devs[variant],
+                    devs[variant] = _worst(devs[variant],
                                         dense.matrix_deviation(m_conj, m_target))
-                dev_agree = max(dev_agree, dense.matrix_deviation(
+                dev_agree = _worst(dev_agree, dense.matrix_deviation(
                     m_variant[SharpTwistVariant.PAIRWISE_SUM],
                     m_variant[SharpTwistVariant.SIGN_SPLIT]))
                 m_tw1 = dense.operator_matrix(
@@ -811,7 +819,7 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
                 m_tw2 = dense.operator_matrix(
                     lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v),
                     basis)
-                dev_unitary = max(dev_unitary, dense.unitarity_defect(m_tw1),
+                dev_unitary = _worst(dev_unitary, dense.unitarity_defect(m_tw1),
                                   dense.unitarity_defect(m_tw2))
     recs.append(_rec("sharp", "conjugation-pairwise-sum", "sec3:sharp-twist",
                      devs[SharpTwistVariant.PAIRWISE_SUM], tol))
@@ -834,7 +842,7 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
         m_tw2 = dense.operator_matrix(
             lambda v: sharp_momentum_twist(control, SharpTwistVariant.SIGN_SPLIT, p, v),
             basis)
-        dev_differ = max(dev_differ, dense.matrix_deviation(m_tw1, m_tw2))
+        dev_differ = _worst(dev_differ, dense.matrix_deviation(m_tw1, m_tw2))
     recs.append(_rec("sharp", "variants-differ-as-operators", "sec3:sharp-twist-sign-split",
                      dev_differ, 1e-3, passed=dev_differ > 1e-3))
 
@@ -845,10 +853,10 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
     psi = fock.random_fock_vector(grid, n_top, rng)
     for variant in SharpTwistVariant:
         out = sharp_momentum_twist(spec, variant, p_ref, vac)
-        dev_unitary = max(dev_unitary, fock.norm(out - vac))
+        dev_unitary = _worst(dev_unitary, fock.norm(out - vac))
         low = sharp_momentum_twist(spec, variant, p_ref, psi)
         for n in (0, 1):
-            dev_unitary = max(dev_unitary, float(np.max(np.abs(low.sectors[n] - psi.sectors[n]))))
+            dev_unitary = _worst(dev_unitary, np.max(np.abs(low.sectors[n] - psi.sectors[n])))
     recs.append(_rec("sharp", "twist-unitary-low-sectors", "sec3:sharp-twist",
                      dev_unitary, tol))
     return recs

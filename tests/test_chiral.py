@@ -13,7 +13,7 @@ from fockdeform.chiral import (BiFockVector, EquivalenceReport, _compare_operato
                                apply_reflection_bifock, apply_translation_bifock,
                                bifock_inner, bifock_norm, bifock_vacuum, bifock_zero,
                                check_annihilator_equivalence, check_field_equivalence,
-                               chiral_field, create_half, cross_kernel, exponential_pair,
+                               chiral_field, create_half, cross_matrix, exponential_pair,
                                merge_chiral, random_bifock, split_chiral,
                                twisted_annihilator)
 from fockdeform.grids import MomentumGrid, chiral_pair, split_by_sign
@@ -107,13 +107,33 @@ def test_chiral_field_support_validation(pair, rng):
         chiral_field("+", np.zeros(2), bifock_vacuum(pair, 3))
 
 
-def test_cross_kernel_values(root):
-    assert cross_kernel(root, 1.0, 2.0) == 1.0 + 0.0j
-    assert cross_kernel(root, -1.0, -2.0) == 1.0 + 0.0j
-    assert cross_kernel(root, -1.0, 2.0) == 1.0 + 0.0j
-    assert abs(cross_kernel(root, 2.0, -3.0) - eval_root(root, 6.0)) < 1e-14
-    with pytest.raises(ValueError):
-        cross_kernel(root, 0.0, 1.0)
+def test_cross_matrix_equals_ordered_double_product(pair, root, rng):
+    """S = B o B^T, and the union twist is the ordered double product of B.
+
+    B is the ordered cross kernel, R(-pq) for p > 0 > q and 1 otherwise; sector
+    n of the union twist must carry prod_{i,j=1..n} B[k_i, k_j].
+    """
+    grid, q = pair.union, pair.n_negative
+    pts = grid.points
+    bmat = np.ones((grid.size, grid.size), dtype=complex)
+    for a, b in itertools.product(range(grid.size), repeat=2):
+        if pts[a] > 0.0 > pts[b]:
+            bmat[a, b] = eval_root(root, -pts[a] * pts[b])
+    smat = cross_matrix(grid, lambda args: eval_root(root, args))
+    assert np.array_equal(smat, smat.T)
+    assert np.all(smat[:q, :q] == 1.0) and np.all(smat[q:, q:] == 1.0)
+    assert np.max(np.abs(smat - bmat * bmat.T)) < 1e-14
+    assert abs(smat[q + 1, 0] - eval_root(root, -pts[q + 1] * pts[0])) < 1e-14
+    psi = fock.random_fock_vector(grid, 3, rng)
+    for adjoint in (False, True):
+        twisted = apply_cross_twist_fock(root, psi, adjoint=adjoint)
+        ref = np.conj(bmat) if adjoint else bmat
+        for n, sector in enumerate(psi.sectors):
+            factor = np.ones(sector.shape, dtype=complex)
+            for idx in np.ndindex(*sector.shape):
+                for i, j in itertools.product(range(n), repeat=2):
+                    factor[idx] *= ref[idx[i], idx[j]]
+            assert np.max(np.abs(twisted.sectors[n] - factor * sector), initial=0.0) < 1e-14
 
 
 def test_cross_twist_trivial_identity(pair, rng):

@@ -1,6 +1,7 @@
 """Boundary-value symmetries of Blaschke products and their roots."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -241,3 +242,9 @@ def test_root_identities_property(spec, t):
     assert abs(v ** 2 - eval_inner(spec, t)) < TOL
     assert abs(v * eval_root(r, -t) - 1.0) < TOL
     assert abs(abs(v) - 1.0) < TOL
+
+
+def test_package_attribute_inner_is_the_module():
+    import fockdeform
+    assert isinstance(fockdeform.inner, types.ModuleType)
+    assert fockdeform.inner.eval_root is eval_root

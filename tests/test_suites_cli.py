@@ -1,12 +1,13 @@
 """Suite runner determinism, report schema, and the verify CLI contract."""
 
 import copy
+import dataclasses
 import json
 import math
 
 import pytest
 
-from fockdeform import cli
+from fockdeform import chiral, cli
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json)
 from fockdeform.inner import BlaschkeSpec, make_root
@@ -185,6 +186,38 @@ def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     cfg_path.write_text(text)
     assert cli.main(["--config", str(cfg_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b"\xff\xfe\x7b")
+    assert cli.main(["--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_late_nan_fails_the_aggregated_check(monkeypatch):
+    """A NaN in the second root's report must fail the check, not vanish in a max."""
+    real = chiral.check_annihilator_equivalence
+    calls = []
+
+    def injected(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        calls.append(rep)
+        return dataclasses.replace(rep, max_vector_direct=math.nan) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(chiral, "check_annihilator_equivalence", injected)
+    report = run_suite(SuiteConfig(root_count=2, suites=("main_relation",)))
+    rec = next(r for r in report.records if r.check == "annihilator-equivalence-positive")
+    assert math.isnan(rec.max_deviation) and not rec.passed
+
+
+def test_split_roundtrip_probes_with_one_repetition(monkeypatch):
+    """repetitions = 1 still takes a probe, so a non-unitary merge is caught."""
+    real = chiral.merge_chiral
+    monkeypatch.setattr(chiral, "merge_chiral", lambda xi: real(xi) * 1.5)
+    report = run_suite(SuiteConfig(repetitions=1, suites=("chiral",)))
+    rec = next(r for r in report.records if r.check == "split-roundtrip")
+    assert rec.max_deviation > 0.1 and not rec.passed
 
 
 def test_rec_non_finite_deviation_never_passes():

@@ -35,9 +35,11 @@ from .inner import Root, eval_root
 class BiFockVector:
     """Doubly graded tower over (positive half)^a x (negative half)^b.
 
-    ``components[(a, b)]`` has shape (P,)*a + (Q,)*b, symmetric within each
-    factor, and is present exactly for a + b <= truncation (total particle
-    number), matching the truncation of the merged tower.
+    ``components[(a, b)]`` has shape (P,)*a + (Q,)*b + B, symmetric within
+    each factor, and is present exactly for a + b <= truncation (total
+    particle number), matching the truncation of the merged tower.  B is a
+    trailing batch shape shared by all components, () for a single vector,
+    with the same column-wise contract as :class:`fock.FockVector`.
     """
 
     pair: ChiralGridPair
@@ -50,11 +52,16 @@ class BiFockVector:
         for (a, b) in _component_keys(self.truncation):
             if (a, b) not in self.components:
                 raise ValueError(f"missing component {(a, b)}")
-            arr = np.asarray(self.components[(a, b)], dtype=complex)
-            if arr.shape != (p,) * a + (q,) * b:
+            comps[(a, b)] = np.asarray(self.components[(a, b)], dtype=complex)
+        batch = comps[(0, 0)].shape
+        for (a, b), arr in comps.items():
+            if arr.shape != (p,) * a + (q,) * b + batch:
                 raise ValueError(f"component {(a, b)} has shape {arr.shape}")
-            comps[(a, b)] = arr
         object.__setattr__(self, "components", comps)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.components[(0, 0)].shape
 
     def component(self, a: int, b: int) -> np.ndarray:
         return self.components[(a, b)]
@@ -63,17 +70,18 @@ class BiFockVector:
         if self.truncation != other.truncation or not self.pair.union.same_as(other.pair.union):
             raise ValueError("incompatible split-space vectors")
 
-    def __add__(self, other: "BiFockVector") -> "BiFockVector":
+    def _combine(self, other: "BiFockVector", fn) -> "BiFockVector":
         self._check_compatible(other)
-        return BiFockVector(self.pair, self.truncation,
-                            {k: self.components[k] + other.components[k]
-                             for k in self.components})
+        return BiFockVector(self.pair, self.truncation, {
+            k: fn(*fock._broadcast_batch(v, self.batch_shape,
+                                         other.components[k], other.batch_shape))
+            for k, v in self.components.items()})
+
+    def __add__(self, other: "BiFockVector") -> "BiFockVector":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "BiFockVector") -> "BiFockVector":
-        self._check_compatible(other)
-        return BiFockVector(self.pair, self.truncation,
-                            {k: self.components[k] - other.components[k]
-                             for k in self.components})
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "BiFockVector":
         c = complex(scalar)
@@ -101,7 +109,10 @@ def bifock_vacuum(pair: ChiralGridPair, truncation: int) -> BiFockVector:
 
 
 def bifock_inner(xi: BiFockVector, eta: BiFockVector) -> complex:
+    """Weighted inner product on the split tower; single vectors only."""
     xi._check_compatible(eta)
+    fock._refuse_batch(xi.batch_shape)
+    fock._refuse_batch(eta.batch_shape)
     wp, wn = xi.pair.positive_weights, xi.pair.negative_weights
     total = 0.0 + 0.0j
     for (a, b), u in xi.components.items():
@@ -160,17 +171,17 @@ def annihilate_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     if g.shape != (size,):
         raise ValueError("amplitude does not match the half-grid")
     wg = w * np.conj(g)
-    out = bifock_zero(pair, xi.truncation)
+    out = {}
     for (a, b) in _component_keys(xi.truncation):
         if side == "+":
             src_key, axis, factor = (a + 1, b), 0, math.sqrt(a + 1)
         else:
             src_key, axis, factor = (a, b + 1), a, math.sqrt(b + 1)
-        if src_key not in xi.components:
-            continue
-        out.components[(a, b)] = factor * np.tensordot(
-            wg, xi.components[src_key], axes=([0], [axis]))
-    return out
+        if src_key in xi.components:
+            out[(a, b)] = factor * np.tensordot(wg, xi.components[src_key], axes=([0], [axis]))
+        else:
+            out[(a, b)] = np.zeros_like(xi.components[(a, b)])
+    return BiFockVector(pair, xi.truncation, out)
 
 
 def create_half(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -185,16 +196,18 @@ def create_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     g = np.asarray(g, dtype=complex)
     if g.shape != (size,):
         raise ValueError("amplitude does not match the half-grid")
-    out = bifock_zero(pair, xi.truncation)
+    out = {}
     for (a, b) in _component_keys(xi.truncation):
         if side == "+" and a >= 1:
             raw = np.multiply.outer(g, xi.components[(a - 1, b)])
-            out.components[(a, b)] = math.sqrt(a) * fock._coset_step(raw, 0, range(a))
+            out[(a, b)] = math.sqrt(a) * fock._coset_step(raw, 0, range(a))
         elif side == "-" and b >= 1:
             raw = np.multiply.outer(g, xi.components[(a, b - 1)])
             raw = np.moveaxis(raw, 0, a)
-            out.components[(a, b)] = math.sqrt(b) * fock._coset_step(raw, a, range(a, a + b))
-    return out
+            out[(a, b)] = math.sqrt(b) * fock._coset_step(raw, a, range(a, a + b))
+        else:
+            out[(a, b)] = np.zeros_like(xi.components[(a, b)])
+    return BiFockVector(pair, xi.truncation, out)
 
 
 def chiral_field(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -298,14 +311,17 @@ def merge_chiral(xi: BiFockVector) -> FockVector:
 
         [merge Xi]_n(k_1..k_n) = Xi_{a, n-a}(k_pos..., k_neg...) / binom(n, a)^(1/2),
 
-    one gather per sector through :func:`_merge_plan`.
+    one gather per sector through :func:`_merge_plan`; a batch rides along
+    on the trailing axes.
     """
     pair = xi.pair
     plan = _merge_plan(pair.n_positive, pair.n_negative, xi.truncation)
+    batch = xi.batch_shape
     secs = []
     for n, (source, factor) in enumerate(plan):
-        flat = np.concatenate([xi.components[(a, n - a)].ravel() for a in range(n + 1)])
-        secs.append(flat[source] / factor)
+        flat = np.concatenate([xi.components[(a, n - a)].reshape((-1,) + batch)
+                               for a in range(n + 1)])
+        secs.append(flat[source] / factor.reshape(factor.shape + (1,) * len(batch)))
     return FockVector(pair.union, tuple(secs))
 
 

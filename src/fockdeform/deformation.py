@@ -135,8 +135,8 @@ def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVect
     the vacuum.
     """
     row = _kernel_values(spec, p, psi.grid.points)
-    return FockVector(psi.grid, tuple(fock._axis_multiply(s, [row] * s.ndim)
-                                      for s in psi.sectors))
+    return FockVector(psi.grid, tuple(fock._axis_multiply(s, [row] * n)
+                                      for n, s in enumerate(psi.sectors)))
 
 
 def annihilate_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:
@@ -230,7 +230,7 @@ def sharp_annihilate(p: float, psi: FockVector) -> FockVector:
     secs = []
     for n in range(psi.truncation):
         secs.append(math.sqrt(n + 1) * psi.sectors[n + 1][idx].copy())
-    secs.append(np.zeros((psi.grid.size,) * psi.truncation, dtype=complex))
+    secs.append(np.zeros_like(psi.sectors[-1]))
     return FockVector(psi.grid, tuple(secs))
 
 
@@ -242,5 +242,5 @@ def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> Fo
     secs = []
     for n in range(psi.truncation):
         secs.append(math.sqrt(n + 1) * fock._axis_multiply(psi.sectors[n + 1][idx], [row] * n))
-    secs.append(np.zeros((grid.size,) * psi.truncation, dtype=complex))
+    secs.append(np.zeros_like(psi.sectors[-1]))
     return FockVector(grid, tuple(secs))

@@ -22,24 +22,35 @@ from .grids import MomentumGrid, boost_blocks
 
 @dataclass(frozen=True)
 class FockVector:
-    """Tower of symmetric complex tensors; sectors[n] has shape (M,)*n."""
+    """Tower of symmetric complex tensors; sectors[n] has shape (M,)*n + B.
+
+    B is a trailing batch shape shared by all sectors, () for a single
+    vector: a batched vector holds one vector per batch entry, and every
+    operator of the package acts on it column by column, since they all
+    address the leading particle axes only.  Adding an unbatched vector to a
+    batched one adds it to every column; reductions (:func:`inner`,
+    :func:`norm`) refuse batches.
+    """
 
     grid: MomentumGrid
     sectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         m = self.grid.size
-        secs = []
-        for n, s in enumerate(self.sectors):
-            s = np.asarray(s, dtype=complex)
-            if s.shape != (m,) * n:
-                raise ValueError(f"sector {n} has shape {s.shape}, expected {(m,) * n}")
-            secs.append(s)
+        secs = [np.asarray(s, dtype=complex) for s in self.sectors]
+        batch = secs[0].shape if secs else ()
+        for n, s in enumerate(secs):
+            if s.shape != (m,) * n + batch:
+                raise ValueError(f"sector {n} has shape {s.shape}, expected {(m,) * n + batch}")
         object.__setattr__(self, "sectors", tuple(secs))
 
     @property
     def truncation(self) -> int:
         return len(self.sectors) - 1
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.sectors[0].shape
 
     def _check_compatible(self, other: "FockVector"):
         if not self.grid.same_as(other.grid):
@@ -47,13 +58,17 @@ class FockVector:
         if self.truncation != other.truncation:
             raise ValueError("vectors have different truncations")
 
-    def __add__(self, other: "FockVector") -> "FockVector":
+    def _combine(self, other: "FockVector", fn) -> "FockVector":
         self._check_compatible(other)
-        return FockVector(self.grid, tuple(a + b for a, b in zip(self.sectors, other.sectors)))
+        return FockVector(self.grid, tuple(
+            fn(*_broadcast_batch(a, self.batch_shape, b, other.batch_shape))
+            for a, b in zip(self.sectors, other.sectors)))
+
+    def __add__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        self._check_compatible(other)
-        return FockVector(self.grid, tuple(a - b for a, b in zip(self.sectors, other.sectors)))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "FockVector":
         c = complex(scalar)
@@ -63,6 +78,25 @@ class FockVector:
 
     def __neg__(self) -> "FockVector":
         return self * (-1.0)
+
+
+def _broadcast_batch(a: np.ndarray, batch_a: tuple, b: np.ndarray, batch_b: tuple):
+    """Give the unbatched one of two tensors trailing unit axes for the other's batch.
+
+    Two batched tensors must have the same batch shape.
+    """
+    if batch_a and batch_b and batch_a != batch_b:
+        raise ValueError(f"batch shapes {batch_a} and {batch_b} differ")
+    if not batch_a:
+        a = a.reshape(a.shape + (1,) * len(batch_b))
+    if not batch_b:
+        b = b.reshape(b.shape + (1,) * len(batch_a))
+    return a, b
+
+
+def _refuse_batch(batch: tuple):
+    if batch:
+        raise ValueError(f"reductions take single vectors, not a batch of shape {batch}")
 
 
 def vacuum(grid: MomentumGrid, truncation: int) -> FockVector:
@@ -77,8 +111,10 @@ def zero_vector(grid: MomentumGrid, truncation: int) -> FockVector:
 
 
 def inner(psi: FockVector, phi: FockVector) -> complex:
-    """Weighted inner product, antilinear in the first argument."""
+    """Weighted inner product, antilinear in the first argument; single vectors only."""
     psi._check_compatible(phi)
+    _refuse_batch(psi.batch_shape)
+    _refuse_batch(phi.batch_shape)
     w = psi.grid.weights
     total = 0.0 + 0.0j
     for n, (a, b) in enumerate(zip(psi.sectors, phi.sectors)):
@@ -152,9 +188,9 @@ def _pair_multiply(tensor: np.ndarray, mat: np.ndarray, pairs) -> np.ndarray:
     return out
 
 
-def _row_kernel_multiply(sector: np.ndarray, kmat: np.ndarray) -> np.ndarray:
-    """Multiply sector(q, p_1..p_n) by prod_k kmat[q, p_k] over trailing axes."""
-    return _pair_multiply(sector, kmat, [(0, ax) for ax in range(1, sector.ndim)])
+def _row_kernel_multiply(sector: np.ndarray, kmat: np.ndarray, n: int) -> np.ndarray:
+    """Multiply sector(q, p_1..p_n) by prod_k kmat[q, p_k] over the n particle axes after q."""
+    return _pair_multiply(sector, kmat, [(0, ax) for ax in range(1, n + 1)])
 
 
 def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
@@ -179,9 +215,9 @@ def _annihilate_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> Foc
     for n in range(psi.truncation):
         src = psi.sectors[n + 1]
         if kmat is not None:
-            src = _row_kernel_multiply(src, kmat)
+            src = _row_kernel_multiply(src, kmat, n)
         secs.append(math.sqrt(n + 1) * np.tensordot(wxi, src, axes=([0], [0])))
-    secs.append(np.zeros((grid.size,) * psi.truncation, dtype=complex))
+    secs.append(np.zeros_like(psi.sectors[-1]))
     return FockVector(grid, tuple(secs))
 
 
@@ -190,11 +226,11 @@ def _create_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVec
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != grid.points.shape:
         raise ValueError("one-particle amplitude does not match the grid")
-    secs = [np.zeros((), dtype=complex)]
+    secs = [np.zeros_like(psi.sectors[0])]
     for n in range(1, psi.truncation + 1):
         raw = np.multiply.outer(xi, psi.sectors[n - 1])
         if kmat is not None:
-            raw = _row_kernel_multiply(raw, kmat)
+            raw = _row_kernel_multiply(raw, kmat, n - 1)
         # raw is symmetric in every axis but the new one (axis 0)
         secs.append(math.sqrt(n) * _coset_step(raw, 0, range(n)))
     return FockVector(grid, tuple(secs))
@@ -269,8 +305,8 @@ def apply_translation(x, psi: FockVector) -> FockVector:
     """
     x0, x1 = float(x[0]), float(x[1])
     phases = np.exp(1j * (x0 * psi.grid.omegas - x1 * psi.grid.points))
-    return FockVector(psi.grid, tuple(_axis_multiply(s, [phases] * s.ndim)
-                                      for s in psi.sectors))
+    return FockVector(psi.grid, tuple(_axis_multiply(s, [phases] * n)
+                                      for n, s in enumerate(psi.sectors)))
 
 
 def apply_reflection(psi: FockVector) -> FockVector:

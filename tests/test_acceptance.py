@@ -31,6 +31,14 @@ def _report(criterion: int, description: str, deviation: float, tolerance: float
     assert ok, line
 
 
+def _worst(*deviations, pick=np.max) -> float:
+    """``pick`` over the deviations; NaN if any is NaN.
+
+    Builtin max/min keep a NaN only when it comes first.
+    """
+    return float(pick(deviations))
+
+
 def _random_roots(rng, count=5):
     return [make_root(random_symmetric_blaschke(rng)) for _ in range(count)]
 
@@ -51,15 +59,15 @@ def test_criterion_1_inner_function_axioms():
     for _ in range(5):
         spec = random_symmetric_blaschke(rng)
         vals = eval_inner(spec, t)
-        dev = max(dev, float(np.max(np.abs(np.abs(vals) - 1.0))))
-        dev = max(dev, float(np.max(np.abs(np.conj(vals) - 1.0 / vals))))
-        dev = max(dev, float(np.max(np.abs(1.0 / vals - eval_inner(spec, -t)))))
+        dev = _worst(dev, float(np.max(np.abs(np.abs(vals) - 1.0))))
+        dev = _worst(dev, float(np.max(np.abs(np.conj(vals) - 1.0 / vals))))
+        dev = _worst(dev, float(np.max(np.abs(1.0 / vals - eval_inner(spec, -t)))))
         root = make_root(spec)
         rvals = eval_root(root, t)
         rneg = eval_root(root, -t)
-        dev = max(dev, float(np.max(np.abs(rvals ** 2 - vals))))
-        dev = max(dev, float(np.max(np.abs(rvals * rneg - 1.0))))
-        dev = max(dev, float(np.max(np.abs(np.conj(rvals) - rneg))))
+        dev = _worst(dev, float(np.max(np.abs(rvals ** 2 - vals))))
+        dev = _worst(dev, float(np.max(np.abs(rvals * rneg - 1.0))))
+        dev = _worst(dev, float(np.max(np.abs(np.conj(rvals) - rneg))))
     elapsed = time.perf_counter() - start
     _report(1, "inner-function and root axioms on 1000 samples", dev, TOL)
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s (limit 1s)"
@@ -83,7 +91,7 @@ def test_criterion_2_ccr_adjointness():
             continue
         comm = (fock.annihilate(xi, fock.create(eta, vec))
                 - fock.create(eta, fock.annihilate(xi, vec)))
-        dev_ccr = max(dev_ccr, fock.norm(comm - pairing * vec))
+        dev_ccr = _worst(dev_ccr, fock.norm(comm - pairing * vec))
     elapsed = time.perf_counter() - start
     _report(2, "create/annihilate conjugate transposes at M=4, N=3", dev_adj, 1e-12)
     _report(2, "CCR on sectors below truncation", dev_ccr, TOL)
@@ -105,9 +113,9 @@ def test_criterion_3_kernel_laws():
                 p = float(rng.uniform(0.1, 3.0) * rng.choice([-1, 1]))
                 q = float(rng.uniform(0.1, 3.0) * rng.choice([-1, 1]))
                 lam = float(rng.uniform(-1.5, 1.5))
-                dev_sym = max(dev_sym, abs(kernel(spec, q, p) * kernel(spec, p, q) - 1.0))
+                dev_sym = _worst(dev_sym, abs(kernel(spec, q, p) * kernel(spec, p, q) - 1.0))
                 pb, qb = boost_momentum(p, lam, mass), boost_momentum(q, lam, mass)
-                dev_boost = max(dev_boost, abs(kernel(spec, pb, qb) - kernel(spec, p, q)))
+                dev_boost = _worst(dev_boost, abs(kernel(spec, pb, qb) - kernel(spec, p, q)))
     _report(3, "kernel inverse symmetry, 100 triples, m in {0,1}", dev_sym, TOL)
     _report(3, "kernel boost invariance, 100 triples, m in {0,1}", dev_boost, TOL)
 
@@ -142,7 +150,7 @@ def test_criterion_5_merged_twist_lemma():
         m_comp = dense.operator_matrix(
             lambda v: chiral.merge_chiral(
                 chiral.apply_cross_twist(root, chiral.split_chiral(v, pair))), fb)
-        dev = max(dev, dense.matrix_deviation(m_direct, m_comp))
+        dev = _worst(dev, dense.matrix_deviation(m_direct, m_comp))
     _report(5, "sector-diagonal twist equals merge-conjugated twist, 5 roots", dev, TOL)
 
 
@@ -155,7 +163,7 @@ def test_criterion_6_main_relation():
         for side in ("+", "-"):
             rep = chiral.check_annihilator_equivalence(
                 root, _one_sided(pair, side, rng), pair, n_top, rng, n_vectors=3)
-            dev = max(dev, rep.max_deviation)
+            dev = _worst(dev, rep.max_deviation)
     _report(6, "annihilator equivalence, both sign cases, 5 roots", dev, TOL)
 
     triv = trivial_root()
@@ -172,9 +180,9 @@ def test_criterion_6_main_relation():
             lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"), basis)
         m_split = dense.operator_matrix(
             lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"), basis)
-        dev_exact = max(dev_exact, dense.matrix_deviation(m_deformed, m_plain),
+        dev_exact = _worst(dev_exact, dense.matrix_deviation(m_deformed, m_plain),
                         dense.matrix_deviation(m_direct, m_plain))
-        dev_round = max(dev_round, dense.matrix_deviation(m_split, m_plain))
+        dev_round = _worst(dev_round, dense.matrix_deviation(m_split, m_plain))
     _report(6, "identity-kernel degeneration is exact (deviation 0)", dev_exact, 0.0)
     _report(6, "identity-kernel merge/split roundtrip at rounding level",
             dev_round, 1e-12)
@@ -188,7 +196,7 @@ def test_criterion_7_field_equivalence():
         for side in ("+", "-"):
             fd = fock.real_test_function(_one_sided(pair, side, rng))
             rep = chiral.check_field_equivalence(root, fd, pair, 3, rng, n_vectors=3)
-            dev = max(dev, rep.max_deviation)
+            dev = _worst(dev, rep.max_deviation)
     _report(7, "twisted one-ray field equals deformed field, dense + vectors", dev, TOL)
 
 
@@ -211,7 +219,7 @@ def test_criterion_8_root_independence():
             lambda v: apply_pair_twist(twist, field_deformed(
                 k2, fd, apply_pair_twist(twist, v))), basis)
         m_target = dense.operator_matrix(lambda v: field_deformed(k1, fd, v), basis)
-        dev = max(dev, dense.matrix_deviation(m_conj, m_target))
+        dev = _worst(dev, dense.matrix_deviation(m_conj, m_target))
     _report(8, "pair twist maps equal-square deformed fields, m in {0,1}", dev, TOL)
 
     grid = grids[0]
@@ -227,7 +235,7 @@ def test_criterion_8_root_independence():
         m_conj = dense.operator_matrix(
             lambda v: apply_pair_twist(cand, field_deformed(
                 kb, fd, apply_pair_twist(cand, v))), basis)
-        min_dev = min(min_dev, dense.matrix_deviation(m_conj, m_target))
+        min_dev = _worst(min_dev, dense.matrix_deviation(m_conj, m_target), pick=np.min)
     _report(8, "unequal squares detectably fail under every candidate twist",
             min_dev, 1e-3, passed=min_dev > 1e-3)
 
@@ -254,8 +262,8 @@ def test_criterion_9_sharp_momentum():
                     return sharp_momentum_twist(spec, variant, p, out)
                 m = dense.operator_matrix(conj_op, basis)
                 m_by_variant[variant] = m
-                dev_conj = max(dev_conj, dense.matrix_deviation(m, m_target))
-            dev_agree = max(dev_agree, dense.matrix_deviation(
+                dev_conj = _worst(dev_conj, dense.matrix_deviation(m, m_target))
+            dev_agree = _worst(dev_agree, dense.matrix_deviation(
                 m_by_variant[SharpTwistVariant.PAIRWISE_SUM],
                 m_by_variant[SharpTwistVariant.SIGN_SPLIT]))
             m1 = dense.operator_matrix(
@@ -264,7 +272,7 @@ def test_criterion_9_sharp_momentum():
             m2 = dense.operator_matrix(
                 lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v),
                 basis)
-            dev_differ = max(dev_differ, dense.matrix_deviation(m1, m2))
+            dev_differ = _worst(dev_differ, dense.matrix_deviation(m1, m2))
     _report(9, "twist(p) a(p) twist(p)* = a_K(p), both variants, all grid p", dev_conj, TOL)
     _report(9, "variants induce the same adjoint action", dev_agree, TOL)
     _report(9, "variants differ as operators for some root", dev_differ, 1e-3,
@@ -283,13 +291,13 @@ def test_criterion_10_modular_compatibility():
             lhs = fock.apply_reflection(chiral.apply_cross_twist_fock(root, psi))
             rhs = chiral.apply_cross_twist_fock(root, fock.apply_reflection(psi),
                                                 adjoint=True)
-            dev_j = max(dev_j, fock.norm(lhs - rhs))
+            dev_j = _worst(dev_j, fock.norm(lhs - rhs))
             xi = chiral.random_bifock(pair, n_top, rng)
             twice = chiral.apply_cross_twist(root, chiral.apply_cross_twist(root, xi))
             cmat_sq = np.asarray(eval_inner(root.base, -np.multiply.outer(
                 pair.positive_points, pair.negative_points)))
             squared = chiral.apply_cross_twist_matrix(pair, cmat_sq, xi)
-            dev_sq = max(dev_sq, chiral.bifock_norm(twice - squared))
+            dev_sq = _worst(dev_sq, chiral.bifock_norm(twice - squared))
     _report(10, "reflection conjugation flips the twist to its adjoint", dev_j, TOL)
     _report(10, "twist squared equals the squared-root twist", dev_sq, TOL)
 

@@ -54,6 +54,25 @@ def test_bifock_vacuum_normalized(pair):
     assert bifock_inner(vac, vac) == 1.0 + 0.0j
 
 
+def batched_bifock(pair, truncation, batch):
+    return BiFockVector(pair, truncation, {
+        (a, b): np.ones(comp.shape + batch, dtype=complex)
+        for (a, b), comp in bifock_zero(pair, truncation).components.items()})
+
+
+def test_bifock_inner_refuses_batch(pair):
+    xi = batched_bifock(pair, 2, (4,))
+    with pytest.raises(ValueError):
+        bifock_inner(xi, xi)
+    with pytest.raises(ValueError):
+        bifock_inner(bifock_vacuum(pair, 2), xi)
+
+
+def test_bifock_norm_refuses_batch(pair):
+    with pytest.raises(ValueError):
+        bifock_norm(batched_bifock(pair, 2, (4,)))
+
+
 def test_bifock_inner_positive(pair, rng):
     xi = random_bifock(pair, 3, rng, normalize=False)
     val = bifock_inner(xi, xi)

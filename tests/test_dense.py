@@ -1,11 +1,17 @@
 """Orthonormal bases and matrix oracles for the truncated towers."""
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 
 from fockdeform import chiral, dense, fock
+from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
+                                    apply_kernel_phases, sharp_annihilate,
+                                    sharp_momentum_twist)
 from fockdeform.grids import chiral_pair, rapidity_grid
+from fockdeform.inner import make_root, random_symmetric_blaschke
 
 
 def test_fock_basis_orthonormal():
@@ -75,9 +81,17 @@ def test_operator_matrix_reproduces_action():
     assert np.max(np.abs(coef_out - direct)) < 1e-12
 
 
+def symmetric_unit_tensor(m, kappa):
+    """Per-label reference: 1 on every distinct rearrangement of kappa, 0 elsewhere."""
+    t = np.zeros((m,) * len(kappa), dtype=complex)
+    for perm in set(itertools.permutations(kappa)):
+        t[perm] = 1.0
+    return t
+
+
 def test_multiset_norm_matches_tensor_norm():
     grid = rapidity_grid(1.0, 3, -0.8, 1.2)
-    t = dense._symmetric_unit_tensor(3, (0, 0, 2))
+    t = symmetric_unit_tensor(3, (0, 0, 2))
     w = grid.weights
     raw_sq = 0.0
     for idx in np.ndindex(t.shape):
@@ -114,3 +128,108 @@ def test_coefficients_equal_per_label_loop_exactly():
     bbasis = dense.BiFockBasis(pair, 3)
     xi = chiral.random_bifock(pair, 3, rng)
     assert np.all(bbasis.coefficients(xi) == loop_coefficients(bbasis, xi))
+
+
+def reference_vectors(basis):
+    """Basis vectors built label by label from the per-label unit tensors."""
+    out = []
+    for label in basis.labels:
+        if isinstance(basis, dense.FockBasis):
+            n, kappa = label
+            m = basis.grid.size
+            secs = [np.zeros((m,) * k, dtype=complex) for k in range(basis.truncation + 1)]
+            secs[n] = (symmetric_unit_tensor(m, kappa)
+                       / dense._multiset_norm(basis.grid.weights, kappa))
+            out.append(fock.FockVector(basis.grid, tuple(secs)))
+        else:
+            kpos, kneg = label
+            pair = basis.pair
+            tpos = (symmetric_unit_tensor(pair.n_positive, kpos)
+                    / dense._multiset_norm(pair.positive_weights, kpos))
+            tneg = (symmetric_unit_tensor(pair.n_negative, kneg)
+                    / dense._multiset_norm(pair.negative_weights, kneg))
+            vec = chiral.bifock_zero(pair, basis.truncation)
+            vec.components[(len(kpos), len(kneg))] = np.multiply.outer(tpos, tneg)
+            out.append(vec)
+    return out
+
+
+def column_loop(op, domain, codomain=None):
+    """The oracle that the batched blocks replace: one application per basis vector."""
+    cod = domain if codomain is None else codomain
+    return np.stack([cod.coefficients(op(v)) for v in reference_vectors(domain)], axis=1)
+
+
+def test_basis_vectors_equal_per_label_reference():
+    pair = chiral_pair(2)
+    for basis in (dense.FockBasis(pair.union, 3), dense.BiFockBasis(pair, 3)):
+        for got, ref in zip(basis.vectors, reference_vectors(basis), strict=True):
+            if isinstance(basis, dense.FockBasis):
+                assert all(np.array_equal(a, b) for a, b in zip(got.sectors, ref.sectors))
+            else:
+                assert all(np.array_equal(got.components[k], ref.components[k])
+                           for k in ref.components)
+
+
+ORACLE_TRUNCATION = 4
+
+
+def oracle_case(name):
+    """(op, domain, codomain) for one operator on a basis of several blocks."""
+    rng = np.random.default_rng(11)
+    root = make_root(random_symmetric_blaschke(rng))
+    pair = chiral_pair(3)
+    grid = rapidity_grid(1.0, 6)
+    basis = dense.FockBasis(grid, ORACLE_TRUNCATION)
+    spec = KernelSpec(root=root, mass=grid.mass)
+    xi = fock.random_one_particle(grid, rng)
+    if name == "create":
+        return (lambda v: fock.create(xi, v)), basis, None
+    if name == "annihilate_deformed":
+        return (lambda v: annihilate_deformed(spec, xi, v)), basis, None
+    if name == "sharp_momentum_twist":
+        p = float(grid.points[2])
+        return (lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v,
+                                               adjoint=True)), basis, None
+    if name == "add_to_unbatched_zero":
+        def dressed_sum(v):
+            out = fock.zero_vector(grid, v.truncation)
+            for idx, q in enumerate(grid.points):
+                amp = grid.weights[idx] * np.conj(xi[idx])
+                out = out + amp * sharp_annihilate(float(q), apply_kernel_phases(spec, q, v))
+            return out
+        return dressed_sum, basis, None
+    union = dense.FockBasis(pair.union, ORACLE_TRUNCATION)
+    if name == "merge_chiral":
+        return chiral.merge_chiral, dense.BiFockBasis(pair, ORACLE_TRUNCATION), union
+    amp = np.zeros(pair.union.size, dtype=complex)
+    amp[:pair.n_negative] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return (lambda v: chiral.twisted_annihilator(root, amp, pair, v, "split")), union, None
+
+
+@pytest.mark.parametrize("name", ["create", "annihilate_deformed", "sharp_momentum_twist",
+                                  "merge_chiral", "twisted_annihilator_split",
+                                  "add_to_unbatched_zero"])
+def test_operator_matrix_equals_column_loop(name):
+    op, domain, codomain = oracle_case(name)
+    cod = domain if codomain is None else codomain
+    # more than one block, so block boundaries are crossed
+    assert len(domain) * max(domain.tower_size, cod.tower_size) > 2 * dense._BLOCK_ENTRIES
+    batched = dense.operator_matrix(op, domain, codomain)
+    assert np.max(np.abs(batched - column_loop(op, domain, codomain))) <= 1e-14
+
+
+def test_vectors_reject_disagreeing_batch_shapes():
+    grid = rapidity_grid(1.0, 3, -0.8, 1.2)
+    with pytest.raises(ValueError):
+        fock.FockVector(grid, (np.zeros(2), np.zeros((3, 2)), np.zeros((3, 3, 4))))
+    batched = fock.FockVector(grid, tuple(np.zeros((3,) * n + (2,)) for n in range(3)))
+    other = fock.FockVector(grid, tuple(np.zeros((3,) * n + (4,)) for n in range(3)))
+    with pytest.raises(ValueError):
+        batched + other
+    pair = chiral_pair(2)
+    comps = {key: np.zeros(c.shape + (2,))
+             for key, c in chiral.bifock_zero(pair, 2).components.items()}
+    comps[(1, 1)] = np.zeros((2, 2, 3))
+    with pytest.raises(ValueError):
+        chiral.BiFockVector(pair, 2, comps)

@@ -48,6 +48,24 @@ def test_inner_grid_mismatch(grid):
         fock.inner(fock.vacuum(grid, 2), fock.vacuum(grid, 3))
 
 
+def batched_vector(grid, truncation, batch):
+    return fock.FockVector(grid, tuple(np.ones((grid.size,) * n + batch, dtype=complex)
+                                       for n in range(truncation + 1)))
+
+
+def test_inner_refuses_batch(grid):
+    psi = batched_vector(grid, 2, (3,))
+    with pytest.raises(ValueError):
+        fock.inner(psi, psi)
+    with pytest.raises(ValueError):
+        fock.inner(fock.vacuum(grid, 2), psi)
+
+
+def test_norm_refuses_batch(grid):
+    with pytest.raises(ValueError):
+        fock.norm(batched_vector(grid, 2, (3,)))
+
+
 def test_symmetrize_two_indices():
     m = 3
     t = np.zeros((m, m), dtype=complex)
@@ -97,7 +115,7 @@ def test_coset_step_creation_layout(n, rng):
     m = 3
     psi = permutation_average(bounded(rng, (m,) * (n - 1)), range(n - 1))
     kmat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (m, m)))
-    raw = fock._row_kernel_multiply(np.multiply.outer(bounded(rng, m), psi), kmat)
+    raw = fock._row_kernel_multiply(np.multiply.outer(bounded(rng, m), psi), kmat, n - 1)
     step = fock._coset_step(raw, 0, range(n))
     assert np.max(np.abs(step - permutation_average(raw, range(n)))) <= 1e-15
 

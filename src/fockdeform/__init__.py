@@ -10,8 +10,8 @@ from .chiral import (BiFockVector, apply_cross_twist, apply_cross_twist_fock,
 from .deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
                           annihilate_deformed_sharp, apply_kernel_phases,
                           apply_pair_twist, create_deformed, field_deformed,
-                          kernel, kernel_matrix, kernel_symmetry_check,
-                          sharp_annihilate, sharp_momentum_twist, wedge_invariant)
+                          kernel, kernel_matrix, sharp_annihilate,
+                          sharp_momentum_twist, wedge_invariant)
 from .dense import BiFockBasis, FockBasis, hermiticity_defect, matrix_deviation, \
     operator_matrix, unitarity_defect
 from .fock import (BoostResult, FockVector, TestFunctionData, annihilate,
@@ -20,9 +20,9 @@ from .fock import (BoostResult, FockVector, TestFunctionData, annihilate,
                    random_one_particle, real_test_function, symmetrize,
                    symmetrize_axes, vacuum, zero_vector)
 from .grids import (ChiralGridPair, MomentumGrid, boost_momentum, chiral_pair,
-                    omega, rapidity_grid, split_by_sign)
+                    omega, rapidity_grid)
 from .inner import (BlaschkeSpec, InnerSymmetryReport, PoleProximityError, Root,
-                    RootRatioReport, ScatteringView, check_inversion_symmetry,
+                    RootRatioReport, check_inversion_symmetry,
                     check_symmetric_inner, eval_inner, eval_root, make_root,
                     merge_flip_sets, root_ratio, random_symmetric_blaschke,
                     scattering_from_inner, trivial_root)

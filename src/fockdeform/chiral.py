@@ -63,9 +63,6 @@ class BiFockVector:
     def batch_shape(self) -> tuple[int, ...]:
         return self.components[(0, 0)].shape
 
-    def component(self, a: int, b: int) -> np.ndarray:
-        return self.components[(a, b)]
-
     def _check_compatible(self, other: "BiFockVector"):
         if self.truncation != other.truncation or not self.pair.union.same_as(other.pair.union):
             raise ValueError("incompatible split-space vectors")
@@ -125,8 +122,9 @@ def bifock_norm(xi: BiFockVector) -> float:
     return math.sqrt(max(bifock_inner(xi, xi).real, 0.0))
 
 
-def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generator,
-                  normalize: bool = True) -> BiFockVector:
+def random_bifock(pair: ChiralGridPair, truncation: int,
+                  rng: np.random.Generator) -> BiFockVector:
+    """Random split-tower vector of unit norm, symmetric within each factor."""
     p, q = pair.n_positive, pair.n_negative
     comps = {}
     for (a, b) in _component_keys(truncation):
@@ -135,11 +133,7 @@ def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generato
         raw = symmetrize_axes(raw, range(a))
         comps[(a, b)] = symmetrize_axes(raw, range(a, a + b))
     out = BiFockVector(pair, truncation, comps)
-    if normalize:
-        nrm = bifock_norm(out)
-        if nrm > 0:
-            out = out * (1.0 / nrm)
-    return out
+    return out * (1.0 / bifock_norm(out))
 
 
 def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
@@ -440,30 +434,27 @@ class EquivalenceReport:
 
 
 def _compare_operators(op_a, op_b, pair: ChiralGridPair, truncation: int,
-                       rng: np.random.Generator, n_vectors: int,
-                       with_matrices: bool) -> tuple[float, float]:
+                       rng: np.random.Generator, n_vectors: int) -> tuple[float, float]:
     from .dense import FockBasis, operator_matrix
 
     dev_vec = 0.0
     for _ in range(n_vectors):
         probe = fock.random_fock_vector(pair.union, truncation, rng)
         dev_vec = float(np.maximum(dev_vec, fock.norm(op_a(probe) - op_b(probe))))
-    dev_mat = 0.0
-    if with_matrices:
-        basis = FockBasis(pair.union, truncation)
-        dev_mat = float(np.max(np.abs(operator_matrix(op_a, basis)
-                                      - operator_matrix(op_b, basis))))
+    basis = FockBasis(pair.union, truncation)
+    dev_mat = float(np.max(np.abs(operator_matrix(op_a, basis)
+                                  - operator_matrix(op_b, basis))))
     return dev_vec, dev_mat
 
 
 def _check_equivalence(side: str, deformed, twisted, pair: ChiralGridPair,
                        truncation: int, rng: np.random.Generator, n_vectors: int,
-                       tolerance: float, with_matrices: bool) -> EquivalenceReport:
+                       tolerance: float) -> EquivalenceReport:
     """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes."""
     vec_d, mat_d = _compare_operators(deformed, lambda v: twisted(v, "direct"),
-                                      pair, truncation, rng, n_vectors, with_matrices)
+                                      pair, truncation, rng, n_vectors)
     vec_s, mat_s = _compare_operators(deformed, lambda v: twisted(v, "split"),
-                                      pair, truncation, rng, n_vectors, with_matrices)
+                                      pair, truncation, rng, n_vectors)
     return EquivalenceReport(side=side, max_vector_direct=vec_d, max_vector_split=vec_s,
                              max_matrix_direct=mat_d, max_matrix_split=mat_s,
                              tolerance=tolerance)
@@ -471,8 +462,8 @@ def _check_equivalence(side: str, deformed, twisted, pair: ChiralGridPair,
 
 def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
                                   truncation: int, rng: np.random.Generator,
-                                  n_vectors: int = 10, tolerance: float = 1e-10,
-                                  with_matrices: bool = True) -> EquivalenceReport:
+                                  n_vectors: int = 10,
+                                  tolerance: float = 1e-10) -> EquivalenceReport:
     """Compare the kernel-deformed annihilator with its twist conjugation.
 
     For an amplitude supported on one half-line the two must agree on the
@@ -484,13 +475,13 @@ def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
         _support_side(pair, amplitude),
         lambda v: annihilate_deformed(spec, amplitude, v),
         lambda v, route: twisted_annihilator(root, amplitude, pair, v, route),
-        pair, truncation, rng, n_vectors, tolerance, with_matrices)
+        pair, truncation, rng, n_vectors, tolerance)
 
 
 def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
                             truncation: int, rng: np.random.Generator,
-                            n_vectors: int = 10, tolerance: float = 1e-10,
-                            with_matrices: bool = True) -> EquivalenceReport:
+                            n_vectors: int = 10,
+                            tolerance: float = 1e-10) -> EquivalenceReport:
     """Compare the kernel-deformed field with the twisted one-light-ray field.
 
     Requires real one-sided data, for which both operators are hermitian and
@@ -503,4 +494,4 @@ def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPa
         _support_side(pair, fd.fplus),
         lambda v: field_deformed(spec, fd, v),
         lambda v, route: twisted_field(root, fd, pair, v, route),
-        pair, truncation, rng, n_vectors, tolerance, with_matrices)
+        pair, truncation, rng, n_vectors, tolerance)

@@ -1,17 +1,20 @@
-"""Config-file and report JSON for the verification CLI."""
+"""Config-file and report JSON for the verification CLI.
+
+A root travels as ``{"zeros": [[re, im], ...], "sign": +-1, "flips": [[a, b],
+...]}``; ``zeros`` defaults to none, ``sign`` to 1 and ``flips`` to none.
+"""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .serialization import root_from_json, root_to_json
+from .inner import BlaschkeSpec, Root, make_root
 from .suites import REPORT_SCHEMA, ConfigError, SuiteConfig, SuiteReport
 
-_TOP_LEVEL_KEYS = {
-    "tolerance", "seed", "repetitions", "truncation", "root_count",
-    "roots", "ratio_roots", "suites", "massless_grid", "massive_grid",
-}
+# top-level scalar key -> type; the key is also the SuiteConfig field
+_SCALAR_KEYS = {"tolerance": float, "seed": int, "repetitions": int,
+                "truncation": int, "root_count": int}
 # grid section -> {key: (SuiteConfig field, type)}
 _GRID_KEYS = {
     "massless_grid": {
@@ -26,14 +29,38 @@ _GRID_KEYS = {
         "theta_max": ("massive_theta_max", float),
     },
 }
+_LIST_KEYS = ("roots", "ratio_roots", "suites")
+_TOP_LEVEL_KEYS = {*_SCALAR_KEYS, *_LIST_KEYS, *_GRID_KEYS}
 
 
 def _convert(kind, value, where: str):
-    """kind(value), with a bad type or value reported as a ConfigError."""
+    """kind(value) if that changes no value: 2.7, "3" and true are ConfigErrors."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from exc
+        out = kind(value)
+        exact = out == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return out
+
+
+def root_to_json(root: Root) -> dict:
+    return {"zeros": [[a.real, a.imag] for a in root.base.zeros],
+            "sign": root.base.sign,
+            "flips": [[a, b] for a, b in root.flips]}
+
+
+def root_from_json(data) -> Root:
+    """Validated root from its JSON object; bad data is a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"a root must be a JSON object, got {data!r}")
+    try:
+        zeros = tuple(complex(re, im) for re, im in data.get("zeros", []))
+        spec = BlaschkeSpec(zeros=zeros, sign=_convert(int, data.get("sign", 1), "sign"))
+        return make_root(spec, tuple(data.get("flips", [])))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"invalid root data: {exc}") from exc
 
 
 def config_from_json(data: dict) -> SuiteConfig:
@@ -43,27 +70,20 @@ def config_from_json(data: dict) -> SuiteConfig:
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, kind in (("tolerance", float), ("seed", int), ("repetitions", int),
-                      ("truncation", int), ("root_count", int)):
-        if key in data:
-            kwargs[key] = _convert(kind, data[key], key)
-    try:
-        if data.get("roots") is not None:
-            kwargs["roots"] = tuple(root_from_json(r) for r in data["roots"])
-        if data.get("ratio_roots") is not None:
-            pair = [root_from_json(r) for r in data["ratio_roots"]]
-            if len(pair) != 2:
-                raise ConfigError("ratio_roots must hold exactly two roots")
-            kwargs["ratio_roots"] = (pair[0], pair[1])
-    except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid root data: {exc}") from exc
-    if data.get("suites") is not None:
-        if not isinstance(data["suites"], list):
-            raise ConfigError("suites must be a JSON list of suite names")
-        kwargs["suites"] = tuple(str(s) for s in data["suites"])
+    kwargs = {key: _convert(kind, data[key], key)
+              for key, kind in _SCALAR_KEYS.items() if key in data}
+    lists = {key: data[key] for key in _LIST_KEYS if data.get(key) is not None}
+    for key, value in lists.items():
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a JSON list")
+    if "roots" in lists:
+        kwargs["roots"] = tuple(root_from_json(r) for r in lists["roots"])
+    if "ratio_roots" in lists:
+        kwargs["ratio_roots"] = tuple(root_from_json(r) for r in lists["ratio_roots"])
+        if len(kwargs["ratio_roots"]) != 2:
+            raise ConfigError("ratio_roots must hold exactly two roots")
+    if "suites" in lists:
+        kwargs["suites"] = tuple(str(s) for s in lists["suites"])
     for name, fields in _GRID_KEYS.items():
         if name not in data:
             continue
@@ -83,28 +103,15 @@ def config_from_json(data: dict) -> SuiteConfig:
 
 
 def config_to_json(cfg: SuiteConfig) -> dict:
-    return {
-        "tolerance": cfg.tolerance,
-        "seed": cfg.seed,
-        "repetitions": cfg.repetitions,
-        "truncation": cfg.truncation,
-        "root_count": cfg.root_count,
-        "roots": [root_to_json(r) for r in cfg.roots] if cfg.roots else None,
-        "ratio_roots": ([root_to_json(r) for r in cfg.ratio_roots]
-                        if cfg.ratio_roots else None),
-        "suites": list(cfg.suites) if cfg.suites is not None else None,
-        "massless_grid": {
-            "points_per_side": cfg.massless_points_per_side,
-            "p_min": cfg.massless_p_min,
-            "p_max": cfg.massless_p_max,
-        },
-        "massive_grid": {
-            "mass": cfg.massive_mass,
-            "size": cfg.massive_size,
-            "theta_min": cfg.massive_theta_min,
-            "theta_max": cfg.massive_theta_max,
-        },
-    }
+    """The config document that config_from_json reads back to ``cfg``."""
+    out = {key: getattr(cfg, key) for key in _SCALAR_KEYS}
+    for key in ("roots", "ratio_roots"):
+        roots = getattr(cfg, key)
+        out[key] = [root_to_json(r) for r in roots] if roots else None
+    out["suites"] = list(cfg.suites) if cfg.suites is not None else None
+    for name, fields in _GRID_KEYS.items():
+        out[name] = {key: getattr(cfg, field) for key, (field, _) in fields.items()}
+    return out
 
 
 def report_to_json(report: SuiteReport) -> dict:

@@ -109,25 +109,6 @@ def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
     return _kernel_values(spec, grid.points[:, None], grid.points[None, :])
 
 
-@dataclass(frozen=True)
-class KernelSymmetryReport:
-    max_defect: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_defect <= self.tolerance
-
-
-def kernel_symmetry_check(spec: KernelSpec, sample_pairs,
-                          tolerance: float = 1e-10) -> KernelSymmetryReport:
-    """Max of |K(q,p) K(p,q) - 1| over sampled nonzero pairs."""
-    p, q = np.asarray(sample_pairs, dtype=float).reshape(-1, 2).T
-    defect = np.abs(_kernel_values(spec, q, p) * _kernel_values(spec, p, q) - 1.0)
-    return KernelSymmetryReport(max_defect=float(np.max(defect, initial=0.0)),
-                                tolerance=tolerance)
-
-
 def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
     """Dress every particle with the kernel phase against reference momentum p.
 
@@ -164,8 +145,7 @@ def field_deformed(spec: KernelSpec, fd: TestFunctionData, psi: FockVector) -> F
             + annihilate_deformed(spec, np.conj(fd.fminus), psi))
 
 
-def apply_pair_twist(root_of_unity: Root, psi: FockVector,
-                     tolerance: float = 1e-10) -> FockVector:
+def apply_pair_twist(root_of_unity: Root, psi: FockVector) -> FockVector:
     """Multiply sector n by prod_{i<j} K_r(p_i, p_j) for a +-1-valued root r.
 
     The multiplier is real symmetric, hence a unitary that preserves the
@@ -174,7 +154,7 @@ def apply_pair_twist(root_of_unity: Root, psi: FockVector,
     """
     spec = KernelSpec(root=root_of_unity, mass=psi.grid.mass)
     rmat = kernel_matrix(spec, psi.grid)
-    if np.max(np.abs(rmat * rmat - 1.0)) > tolerance:
+    if np.max(np.abs(rmat * rmat - 1.0)) > 1e-10:
         raise ValueError("root is not +-1-valued on the grid-induced arguments")
     return fock.apply_pair_phase(rmat, psi)
 

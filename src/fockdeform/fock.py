@@ -353,30 +353,18 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     return BoostResult(FockVector(grid, tuple(secs)), truncated)
 
 
-def random_fock_vector(grid: MomentumGrid, truncation: int, rng: np.random.Generator,
-                       top_sector: int | None = None, normalize: bool = True) -> FockVector:
-    """Random symmetric vector, optionally supported only in sectors <= top_sector."""
-    top = truncation if top_sector is None else top_sector
+def random_fock_vector(grid: MomentumGrid, truncation: int,
+                       rng: np.random.Generator) -> FockVector:
+    """Random symmetric vector of unit norm."""
     secs = []
     for n in range(truncation + 1):
         shape = (grid.size,) * n
-        if n > top:
-            secs.append(np.zeros(shape, dtype=complex))
-            continue
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         secs.append(symmetrize(raw))
     psi = FockVector(grid, tuple(secs))
-    if normalize:
-        nrm = norm(psi)
-        if nrm > 0:
-            psi = psi * (1.0 / nrm)
-    return psi
+    return psi * (1.0 / norm(psi))
 
 
-def random_one_particle(grid: MomentumGrid, rng: np.random.Generator,
-                        support: np.ndarray | None = None) -> np.ndarray:
-    """Random one-particle amplitude, optionally restricted to a boolean support mask."""
-    xi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    if support is not None:
-        xi = np.where(support, xi, 0.0)
-    return xi
+def random_one_particle(grid: MomentumGrid, rng: np.random.Generator) -> np.ndarray:
+    """Random one-particle amplitude."""
+    return rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)

@@ -163,12 +163,6 @@ def chiral_pair(points_per_side: int, p_min: float = 0.5,
     return ChiralGridPair(union=grid, n_negative=points_per_side)
 
 
-def split_by_sign(grid: MomentumGrid) -> ChiralGridPair:
-    """View an existing massless grid as a chiral pair."""
-    n_neg = int(np.sum(grid.points < 0.0))
-    return ChiralGridPair(union=grid, n_negative=n_neg)
-
-
 def boost_blocks(grid: MomentumGrid) -> tuple[tuple[int, int], ...]:
     """Index blocks inside which a boost acts as a pure shift.
 

@@ -84,6 +84,8 @@ class SuiteConfig:
         if self.repetitions < 1 or self.root_count < 1:
             raise ConfigError("repetitions and root_count must be >= 1")
         if self.suites is not None:
+            if not self.suites:
+                raise ConfigError("suites must name at least one suite")
             unknown = set(self.suites) - set(SUITE_NAMES)
             if unknown:
                 raise ConfigError(f"unknown suites: {sorted(unknown)}")

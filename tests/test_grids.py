@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fockdeform.grids import (ChiralGridPair, MomentumGrid, boost_blocks, boost_momentum,
-                              chiral_pair, omega, rapidity_grid, split_by_sign)
+                              chiral_pair, omega, rapidity_grid)
 
 
 def test_rapidity_grid_points_and_weights():
@@ -36,6 +36,10 @@ def test_chiral_pair_layout():
     assert np.allclose(pair.union.weights, math.sinh(dlam))
     cell = (pair.positive_points[2] - pair.positive_points[0]) / 2
     assert abs(cell / pair.positive_points[1] - math.sinh(dlam)) < 1e-14
+    with pytest.raises(ValueError):
+        ChiralGridPair(union=pair.union, n_negative=2)
+    with pytest.raises(ValueError):
+        ChiralGridPair(union=rapidity_grid(1.0, 6), n_negative=3)
 
 
 def test_momentum_grid_validation():
@@ -70,13 +74,3 @@ def test_boost_blocks():
     with pytest.raises(ValueError):
         boost_blocks(arb)
 
-
-def test_split_by_sign_roundtrip():
-    pair = chiral_pair(3)
-    again = split_by_sign(pair.union)
-    assert again.n_negative == pair.n_negative
-    with pytest.raises(ValueError):
-        ChiralGridPair(union=pair.union, n_negative=2)
-    massive = rapidity_grid(1.0, 6)
-    with pytest.raises(ValueError):
-        split_by_sign(massive)

@@ -140,15 +140,6 @@ def test_scattering_trivial():
     assert np.all(scattering_from_inner(spec, zeta) == 1.0)
 
 
-def test_scattering_view_callable():
-    from fockdeform.inner import ScatteringView
-    spec = BlaschkeSpec(zeros=(1j,), sign=1)
-    view = ScatteringView(spec)
-    theta = np.array([0.4, -1.1, 2.0])
-    assert np.max(np.abs(view(theta) - scattering_from_inner(spec, theta))) == 0.0
-    assert np.max(np.abs(np.conj(view(theta)) - view(-theta))) < 1e-12
-
-
 def test_root_ratio_same_root():
     r = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
     rep = root_ratio(r, r, [0.5, 1.0, -2.0])

@@ -5,13 +5,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fockdeform import chiral, cli
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
-                                  report_to_json)
-from fockdeform.inner import BlaschkeSpec, make_root
-from fockdeform.serialization import root_to_json
+                                  report_to_json, root_from_json, root_to_json)
+from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
 from fockdeform.suites import (REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
                                _rec, run_suite)
 
@@ -79,6 +79,40 @@ def test_config_from_json_defaults_and_overrides():
     assert cfg.massless_pair().n_positive == 4
     rebuilt = config_from_json(copy.deepcopy(config_to_json(cfg)))
     assert config_to_json(rebuilt) == config_to_json(cfg)
+
+
+def test_config_roundtrip_every_key_non_default():
+    flipped = make_root(BlaschkeSpec(zeros=(0.5 + 1j, -0.5 + 1j), sign=-1),
+                        [(0.3, 0.9), (-0.9, -0.3)])
+    plain = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
+    cfg = SuiteConfig(
+        tolerance=1e-9, seed=13, repetitions=4, truncation=4, root_count=2,
+        roots=(flipped, plain), ratio_roots=(plain, flipped),
+        suites=("chiral", "inner"),
+        massless_points_per_side=4, massless_p_min=0.25, massless_p_max=3.0,
+        massive_mass=2.0, massive_size=8, massive_theta_min=-1.5, massive_theta_max=1.0)
+    defaults = SuiteConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(SuiteConfig))
+    doc = json.loads(json.dumps(config_to_json(cfg)))
+    assert config_from_json(doc) == cfg
+
+
+def test_blaschke_roundtrip():
+    spec = BlaschkeSpec(zeros=(0.5 + 1j, -0.5 + 1j), sign=-1)
+    doc = root_to_json(make_root(spec))
+    assert doc == {"zeros": [[0.5, 1.0], [-0.5, 1.0]], "sign": -1, "flips": []}
+    again = root_from_json(json.loads(json.dumps(doc)))
+    assert again.base == spec
+    assert root_from_json({"zeros": [[0.5, 1.0], [-0.5, 1.0]], "sign": -1}) == again
+
+
+def test_root_roundtrip_preserves_values():
+    spec = random_symmetric_blaschke(np.random.default_rng(0))
+    root = make_root(spec, [(0.3, 0.9), (-0.9, -0.3)])
+    again = root_from_json(json.loads(json.dumps(root_to_json(root))))
+    t = np.array([0.5, 1.5, -0.4, 2.2])
+    assert np.max(np.abs(eval_root(root, t) - eval_root(again, t))) == 0.0
 
 
 def test_config_errors():
@@ -178,8 +212,19 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"massless_grid": 3}',
     '{"seed": -1}',
     '{"tolerance": NaN}',
+    '{"roots": [3]}',
+    '{"ratio_roots": {"a": 1}}',
+    '{"truncation": 2.7}',
+    '{"seed": 7.9}',
+    '{"massless_grid": {"points_per_side": 3.5}}',
+    '{"repetitions": true}',
+    '{"roots": [{"zeros": [], "sign": 1.5}]}',
+    '{"seed": Infinity}',
+    '{"suites": []}',
 ], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
-        "tolerance-nan"])
+        "tolerance-nan", "root-not-object", "ratio-roots-not-list", "truncation-float",
+        "seed-float", "points-per-side-float", "repetitions-bool", "root-sign-float",
+        "seed-infinite", "suites-empty"])
 def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     """Bad types and values are configuration errors (exit 2), not tracebacks."""
     cfg_path = tmp_path / "cfg.json"

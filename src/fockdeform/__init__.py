@@ -18,7 +18,7 @@ from .fock import (BoostResult, FockVector, TestFunctionData, annihilate,
                    apply_boost, apply_reflection, apply_translation, create,
                    exponential_vector, field, norm, random_fock_vector,
                    random_one_particle, real_test_function, symmetrize,
-                   symmetrize_axes, vacuum, zero_vector)
+                   vacuum, zero_vector)
 from .grids import (ChiralGridPair, MomentumGrid, boost_momentum, chiral_pair,
                     omega, rapidity_grid)
 from .inner import (BlaschkeSpec, InnerSymmetryReport, PoleProximityError, Root,

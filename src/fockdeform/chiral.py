@@ -3,12 +3,11 @@
 For mass 0 the one-particle space splits by momentum sign, realizing the
 state space as a tensor product of a positive-half and a negative-half tower.
 The unitary identification with the single tower over the union grid is
-fixed on exponential vectors, merge(e^psi (x) e^phi) = e^(psi (+) phi), and
-acts componentwise by
-
-    [merge Xi]_n = sum_k binom(n, k)^(1/2) Symm_n Xi_{k, n-k}
-
-with the sign-pattern embeddings understood.  The cross twist multiplies each
+fixed on exponential vectors, merge(e^psi (x) e^phi) = e^(psi (+) phi).  It
+is the second quantization of the one-particle identification of the two
+half-lines with the union grid, so it maps occupation-number basis vectors
+to occupation-number basis vectors: the pair of multisets (kappa_+, kappa_-)
+goes to their union, with coefficient 1.  The cross twist multiplies each
 (positive, negative) momentum pair by a root kernel R(-p q); conjugating it
 through the merge gives a sector-diagonal twist on the union tower.  These
 two twists implement the same deformation of the annihilators, which is what
@@ -26,20 +25,22 @@ import numpy as np
 
 from . import fock
 from .deformation import KernelSpec, annihilate_deformed, field_deformed
-from .fock import FockVector, TestFunctionData, symmetrize_axes
+from .fock import FockVector, TestFunctionData
 from .grids import ChiralGridPair
 from .inner import Root, eval_root
 
 
 @dataclass(frozen=True)
 class BiFockVector:
-    """Doubly graded tower over (positive half)^a x (negative half)^b.
+    """Doubly graded coefficients over (positive half)^a x (negative half)^b.
 
-    ``components[(a, b)]`` has shape (P,)*a + (Q,)*b + B, symmetric within
-    each factor, and is present exactly for a + b <= truncation (total
-    particle number), matching the truncation of the merged tower.  B is a
-    trailing batch shape shared by all components, () for a single vector,
-    with the same column-wise contract as :class:`fock.FockVector`.
+    ``components[(a, b)]`` has shape (D_a(P), D_b(Q)) + B: rows are the
+    multisets of a positive-half indices, columns those of b negative-half
+    indices, each in the order of :mod:`fock`.  A component is present
+    exactly for a + b <= truncation (total particle number), matching the
+    truncation of the merged tower.  B is a trailing batch shape shared by
+    all components, () for a single vector, with the same column-wise
+    contract as :class:`fock.FockVector`.
     """
 
     pair: ChiralGridPair
@@ -53,26 +54,26 @@ class BiFockVector:
             if (a, b) not in self.components:
                 raise ValueError(f"missing component {(a, b)}")
             comps[(a, b)] = np.asarray(self.components[(a, b)], dtype=complex)
-        batch = comps[(0, 0)].shape
+        batch = comps[(0, 0)].shape[2:]
         for (a, b), arr in comps.items():
-            if arr.shape != (p,) * a + (q,) * b + batch:
+            if arr.shape != (fock._dim(p, a), fock._dim(q, b)) + batch:
                 raise ValueError(f"component {(a, b)} has shape {arr.shape}")
         object.__setattr__(self, "components", comps)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.components[(0, 0)].shape
+        return self.components[(0, 0)].shape[2:]
 
     def _check_compatible(self, other: "BiFockVector"):
         if self.truncation != other.truncation or not self.pair.union.same_as(other.pair.union):
             raise ValueError("incompatible split-space vectors")
+        if self.batch_shape != other.batch_shape:
+            raise ValueError(f"batch shapes {self.batch_shape} and {other.batch_shape} differ")
 
     def _combine(self, other: "BiFockVector", fn) -> "BiFockVector":
         self._check_compatible(other)
-        return BiFockVector(self.pair, self.truncation, {
-            k: fn(*fock._broadcast_batch(v, self.batch_shape,
-                                         other.components[k], other.batch_shape))
-            for k, v in self.components.items()})
+        return BiFockVector(self.pair, self.truncation,
+                            {k: fn(v, other.components[k]) for k, v in self.components.items()})
 
     def __add__(self, other: "BiFockVector") -> "BiFockVector":
         return self._combine(other, np.add)
@@ -94,28 +95,22 @@ def _component_keys(truncation: int):
 
 def bifock_zero(pair: ChiralGridPair, truncation: int) -> BiFockVector:
     p, q = pair.n_positive, pair.n_negative
-    comps = {(a, b): np.zeros((p,) * a + (q,) * b, dtype=complex)
+    comps = {(a, b): np.zeros((fock._dim(p, a), fock._dim(q, b)), dtype=complex)
              for (a, b) in _component_keys(truncation)}
     return BiFockVector(pair, truncation, comps)
 
 
 def bifock_vacuum(pair: ChiralGridPair, truncation: int) -> BiFockVector:
     out = bifock_zero(pair, truncation)
-    out.components[(0, 0)] = np.array(1.0 + 0.0j)
+    out.components[(0, 0)][0, 0] = 1.0
     return out
 
 
 def bifock_inner(xi: BiFockVector, eta: BiFockVector) -> complex:
-    """Weighted inner product on the split tower; single vectors only."""
+    """Inner product on the split tower; single vectors only."""
     xi._check_compatible(eta)
     fock._refuse_batch(xi.batch_shape)
-    fock._refuse_batch(eta.batch_shape)
-    wp, wn = xi.pair.positive_weights, xi.pair.negative_weights
-    total = 0.0 + 0.0j
-    for (a, b), u in xi.components.items():
-        prod = np.conj(u) * eta.components[(a, b)]
-        total += complex(np.sum(fock._axis_multiply(prod, [wp] * a + [wn] * b)))
-    return total
+    return complex(sum(np.vdot(u, eta.components[k]) for k, u in xi.components.items()))
 
 
 def bifock_norm(xi: BiFockVector) -> float:
@@ -124,14 +119,15 @@ def bifock_norm(xi: BiFockVector) -> float:
 
 def random_bifock(pair: ChiralGridPair, truncation: int,
                   rng: np.random.Generator) -> BiFockVector:
-    """Random split-tower vector of unit norm, symmetric within each factor."""
+    """Random split-tower vector of unit norm: a complex Gaussian tensor per
+    component, symmetrized within each factor."""
     p, q = pair.n_positive, pair.n_negative
     comps = {}
     for (a, b) in _component_keys(truncation):
         shape = (p,) * a + (q,) * b
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        raw = symmetrize_axes(raw, range(a))
-        comps[(a, b)] = symmetrize_axes(raw, range(a, a + b))
+        pos = np.moveaxis(fock.symmetrize(raw, pair.positive_weights, a), 0, -1)
+        comps[(a, b)] = np.moveaxis(fock.symmetrize(pos, pair.negative_weights, b), -1, 0)
     out = BiFockVector(pair, truncation, comps)
     return out * (1.0 / bifock_norm(out))
 
@@ -139,69 +135,47 @@ def random_bifock(pair: ChiralGridPair, truncation: int,
 def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
                      truncation: int) -> BiFockVector:
     """e^psi (x) e^phi with component (a, b) = psi^(x a) (x) phi^(x b) / sqrt(a! b!)."""
-    psi_pos = np.asarray(psi_pos, dtype=complex)
-    phi_neg = np.asarray(phi_neg, dtype=complex)
-    comps = {}
-    for (a, b) in _component_keys(truncation):
-        t = np.array(1.0 + 0.0j)
-        for _ in range(a):
-            t = np.multiply.outer(t, psi_pos)
-        for _ in range(b):
-            t = np.multiply.outer(t, phi_neg)
-        comps[(a, b)] = t / math.sqrt(math.factorial(a) * math.factorial(b))
-    return BiFockVector(pair, truncation, comps)
+    pos = fock._monomials(np.sqrt(pair.positive_weights) * np.asarray(psi_pos, dtype=complex),
+                          truncation)
+    neg = fock._monomials(np.sqrt(pair.negative_weights) * np.asarray(phi_neg, dtype=complex),
+                          truncation)
+    return BiFockVector(pair, truncation, {(a, b): np.multiply.outer(pos[a], neg[b])
+                                           for (a, b) in _component_keys(truncation)})
 
 
 def annihilate_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     """Annihilator on one tensor factor: a(g) (x) 1 for '+', 1 (x) a(g) for '-'."""
-    pair = xi.pair
-    if side == "+":
-        w, size = pair.positive_weights, pair.n_positive
-    elif side == "-":
-        w, size = pair.negative_weights, pair.n_negative
-    else:
-        raise ValueError("side must be '+' or '-'")
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (size,):
-        raise ValueError("amplitude does not match the half-grid")
-    wg = w * np.conj(g)
-    out = {}
-    for (a, b) in _component_keys(xi.truncation):
-        if side == "+":
-            src_key, axis, factor = (a + 1, b), 0, math.sqrt(a + 1)
-        else:
-            src_key, axis, factor = (a, b + 1), a, math.sqrt(b + 1)
-        if src_key in xi.components:
-            out[(a, b)] = factor * np.tensordot(wg, xi.components[src_key], axes=([0], [axis]))
-        else:
-            out[(a, b)] = np.zeros_like(xi.components[(a, b)])
-    return BiFockVector(pair, xi.truncation, out)
+    return _one_factor(side, np.conj(g), xi, fock._lower, 1)
 
 
 def create_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     """Creator on one tensor factor; the weighted adjoint of :func:`annihilate_half`."""
-    pair = xi.pair
-    if side == "+":
-        size = pair.n_positive
-    elif side == "-":
-        size = pair.n_negative
-    else:
+    return _one_factor(side, g, xi, fock._raise, -1)
+
+
+def _one_factor(side: str, g, xi: BiFockVector, ladder, step: int) -> BiFockVector:
+    """A sector ladder of :mod:`fock` with amplitude sqrt(w) g on the rows ('+')
+    or columns ('-') of each component; (a, b) reads (a + step, b), resp.
+    (a, b + step), and is zero where that component does not exist."""
+    if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    w = xi.pair.positive_weights if side == "+" else xi.pair.negative_weights
     g = np.asarray(g, dtype=complex)
-    if g.shape != (size,):
+    if g.shape != w.shape:
         raise ValueError("amplitude does not match the half-grid")
+    amp = np.sqrt(w) * g
+    tables = fock._ladder(w.size, xi.truncation)
     out = {}
     for (a, b) in _component_keys(xi.truncation):
-        if side == "+" and a >= 1:
-            raw = np.multiply.outer(g, xi.components[(a - 1, b)])
-            out[(a, b)] = math.sqrt(a) * fock._coset_step(raw, 0, range(a))
-        elif side == "-" and b >= 1:
-            raw = np.multiply.outer(g, xi.components[(a, b - 1)])
-            raw = np.moveaxis(raw, 0, a)
-            out[(a, b)] = math.sqrt(b) * fock._coset_step(raw, a, range(a, a + b))
-        else:
+        n, src = (a, (a + step, b)) if side == "+" else (b, (a, b + step))
+        if src not in xi.components:
             out[(a, b)] = np.zeros_like(xi.components[(a, b)])
-    return BiFockVector(pair, xi.truncation, out)
+        elif side == "+":
+            out[(a, b)] = ladder(xi.components[src], amp, tables[n])
+        else:
+            comp = np.moveaxis(xi.components[src], 1, 0)
+            out[(a, b)] = np.moveaxis(ladder(comp, amp, tables[n]), 0, 1)
+    return BiFockVector(xi.pair, xi.truncation, out)
 
 
 def chiral_field(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -235,14 +209,42 @@ def cross_matrix(grid, values_fn) -> np.ndarray:
     return smat
 
 
+@functools.lru_cache(maxsize=16)
+def _union_index(n_positive: int, n_negative: int, truncation: int) -> dict:
+    """Per component (a, b), the union-sector index of each label pair, shape (D_a, D_b).
+
+    Union indices below ``n_negative`` are the negative half-line, so the
+    union of (kappa_+, kappa_-) is kappa_- followed by kappa_+ + n_negative,
+    already sorted.  Over all components this is a bijection onto the union
+    labels: the relabelling that merge and split read.
+    """
+    pos = fock._ladder(n_positive, truncation)
+    neg = fock._ladder(n_negative, truncation)
+    union = fock._ladder(n_positive + n_negative, truncation)
+    out = {}
+    for (a, b) in _component_keys(truncation):
+        la, lb = pos[a].labels, neg[b].labels
+        joined = np.concatenate(
+            [np.broadcast_to(lb[None, :, :], (len(la), len(lb), b)),
+             np.broadcast_to(la[:, None, :] + n_negative, (len(la), len(lb), a))], axis=2)
+        out[(a, b)] = union[a + b].index(joined)
+        out[(a, b)].setflags(write=False)
+    return out
+
+
 def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray,
                              xi: BiFockVector) -> BiFockVector:
-    """Diagonal multiplier prod_{i,j} cmat[p_i, q_j] over all cross pairs."""
-    out_components = {}
-    for (a, b), comp in xi.components.items():
-        pairs = [(i, a + j) for i in range(a) for j in range(b)]
-        out_components[(a, b)] = fock._pair_multiply(comp, cmat, pairs)
-    return BiFockVector(xi.pair, xi.truncation, out_components)
+    """Diagonal multiplier prod_{i,j} cmat[p_i, q_j] over all cross pairs.
+
+    ``cmat`` is P x Q; label pair (kappa_+, kappa_-) of component (a, b)
+    takes the product over its a * b cross pairs.
+    """
+    pos = fock._ladder(pair.n_positive, xi.truncation)
+    neg = fock._ladder(pair.n_negative, xi.truncation)
+    return BiFockVector(xi.pair, xi.truncation, {
+        (a, b): fock._scale(comp, np.prod(cmat[pos[a].labels[:, None, :, None],
+                                               neg[b].labels[None, :, None, :]], axis=(2, 3)))
+        for (a, b), comp in xi.components.items()})
 
 
 def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> BiFockVector:
@@ -256,84 +258,43 @@ def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> Bi
     return apply_cross_twist_matrix(xi.pair, np.conj(cmat) if adjoint else cmat, xi)
 
 
-@functools.lru_cache(maxsize=16)
-def _merge_plan(n_positive: int, n_negative: int, truncation: int) -> tuple:
-    """Per sector n, the gather that :func:`merge_chiral` reads through.
-
-    Entry n is (source, factor), both of shape (M,)*n over union
-    multi-indices.  ``source`` is the flat position, in the concatenation of
-    the raveled components (0, n), (1, n-1), ..., (n, 0), of component
-    (a, n-a) read at the positive slots in order, then the negative slots,
-    where a is the number of positive slots; ``factor`` is sqrt(binom(n, a)).
-    Union indices below ``n_negative`` are the negative half-line.
-    """
-    p, q = n_positive, n_negative
-    m = p + q
-    plan = []
-    for n in range(truncation + 1):
-        digits = np.indices((m,) * n).reshape(n, m ** n)
-        positive = digits >= q
-        a = positive.sum(axis=0)
-        # positive slots first, each group in slot order
-        order = np.argsort(~positive, axis=0, kind="stable")
-        local = np.take_along_axis(np.where(positive, digits - q, digits), order, axis=0)
-        flat = np.zeros(m ** n, dtype=np.intp)
-        for i in range(n):
-            flat = flat * np.where(i < a, p, q) + local[i]
-        sizes = [p ** k * q ** (n - k) for k in range(n + 1)]
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        factors = np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])
-        source = (flat + offsets[a]).reshape((m,) * n)
-        factor = factors[a].reshape((m,) * n)
-        source.setflags(write=False)
-        factor.setflags(write=False)
-        plan.append((source, factor))
-    return tuple(plan)
-
-
 def merge_chiral(xi: BiFockVector) -> FockVector:
     """Unitary identification of the split tower with the union-grid tower.
 
     [merge Xi]_n = sum_k binom(n, k)^(1/2) Symm_n(embedded Xi_{k, n-k}); maps
     exponential tensor pairs to exponential vectors of the direct sum.
 
-    The sum collapses by sign pattern: on a union multi-index with a positive
-    slots only the k = a term is nonzero, and Symm_n of the embedded
-    component there equals Xi_{a, n-a}(positive slots, negative slots) /
-    binom(n, a), since a! (n-a)! of the n! permutations carry the pattern
-    back to (positive first) and Xi is symmetric within each factor.  Hence
-
-        [merge Xi]_n(k_1..k_n) = Xi_{a, n-a}(k_pos..., k_neg...) / binom(n, a)^(1/2),
-
-    one gather per sector through :func:`_merge_plan`; a batch rides along
-    on the trailing axes.
+    On basis vectors it is the relabelling (kappa_+, kappa_-) -> kappa_+ u
+    kappa_- with coefficient 1: the two sides have the same multiplicities
+    and weights, and n! / (a! b!) = binom(n, a) rearrangements of the union
+    cancel the binomial.  One scatter per component through
+    :func:`_union_index`; a batch rides along on the trailing axes.
     """
     pair = xi.pair
-    plan = _merge_plan(pair.n_positive, pair.n_negative, xi.truncation)
-    batch = xi.batch_shape
+    index = _union_index(pair.n_positive, pair.n_negative, xi.truncation)
     secs = []
-    for n, (source, factor) in enumerate(plan):
-        flat = np.concatenate([xi.components[(a, n - a)].reshape((-1,) + batch)
-                               for a in range(n + 1)])
-        secs.append(flat[source] / factor.reshape(factor.shape + (1,) * len(batch)))
+    for n in range(xi.truncation + 1):
+        out = np.empty((fock._dim(pair.union.size, n),) + xi.batch_shape, dtype=complex)
+        for a in range(n + 1):
+            out[index[(a, n - a)]] = xi.components[(a, n - a)]
+        secs.append(out)
     return FockVector(pair.union, tuple(secs))
 
 
 def split_chiral(psi: FockVector, pair: ChiralGridPair) -> BiFockVector:
-    """Inverse of :func:`merge_chiral`: sign-pattern slices with binomial unweighting."""
+    """Inverse of :func:`merge_chiral`: one gather per component."""
     if not psi.grid.same_as(pair.union):
         raise ValueError("vector does not live on the pair's union grid")
-    pos, neg = slice(pair.n_negative, pair.union.size), slice(0, pair.n_negative)
-    comps = {(a, b): math.sqrt(math.comb(a + b, a)) * psi.sectors[a + b][(pos,) * a + (neg,) * b]
-             for (a, b) in _component_keys(psi.truncation)}
-    return BiFockVector(pair, psi.truncation, comps)
+    index = _union_index(pair.n_positive, pair.n_negative, psi.truncation)
+    return BiFockVector(pair, psi.truncation, {
+        (a, b): psi.sectors[a + b][idx] for (a, b), idx in index.items()})
 
 
 def apply_cross_twist_fock(root: Root, psi: FockVector, adjoint: bool = False) -> FockVector:
     """The cross twist conjugated through the merge, as a sector-diagonal multiplier.
 
-    Sector n is multiplied by prod_{i<j} S[k_i, k_j] with S from
-    :func:`cross_matrix`; sectors n <= 1 are untouched.
+    Label kappa of sector n is multiplied by prod_{i<j} S[k_i, k_j] with S
+    from :func:`cross_matrix`; sectors n <= 1 are untouched.
     """
     smat = cross_matrix(psi.grid, lambda args: eval_root(root, args))
     return fock.apply_pair_phase(np.conj(smat) if adjoint else smat, psi)
@@ -344,9 +305,12 @@ def apply_translation_bifock(x, xi: BiFockVector) -> BiFockVector:
     x0, x1 = float(x[0]), float(x[1])
     ph_pos = np.exp(1j * xi.pair.positive_points * (x0 - x1))
     ph_neg = np.exp(-1j * xi.pair.negative_points * (x0 + x1))
-    return BiFockVector(xi.pair, xi.truncation,
-                        {(a, b): fock._axis_multiply(comp, [ph_pos] * a + [ph_neg] * b)
-                         for (a, b), comp in xi.components.items()})
+    pos = fock._ladder(xi.pair.n_positive, xi.truncation)
+    neg = fock._ladder(xi.pair.n_negative, xi.truncation)
+    return BiFockVector(xi.pair, xi.truncation, {
+        (a, b): fock._scale(comp, np.multiply.outer(fock._slot_product(ph_pos, pos[a].labels),
+                                                    fock._slot_product(ph_neg, neg[b].labels)))
+        for (a, b), comp in xi.components.items()})
 
 
 def apply_reflection_bifock(xi: BiFockVector) -> BiFockVector:

@@ -5,7 +5,8 @@
 
 Runs the selected suites against the configured grids, roots, and truncation,
 prints one line per check, optionally writes the JSON report, and exits 0 on
-overall pass, 1 on any check failure, 2 on configuration errors.
+overall pass, 1 on any check failure, 2 on configuration errors, including a
+configuration whose dense-matrix oracles would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .cliconfig import config_from_json, emit_report
-from .suites import SUITE_NAMES, ConfigError, run_suite
+from .suites import SUITE_NAMES, ConfigError, check_memory, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,6 +62,7 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
+        check_memory(cfg)
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,9 @@ def root_from_json(data) -> Root:
     """Validated root from its JSON object; bad data is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"a root must be a JSON object, got {data!r}")
+    unknown = set(data) - {"zeros", "sign", "flips"}
+    if unknown:
+        raise ConfigError(f"unknown root keys: {sorted(unknown)}")
     try:
         zeros = tuple(complex(re, im) for re, im in data.get("zeros", []))
         spec = BlaschkeSpec(zeros=zeros, sign=_convert(int, data.get("sign", 1), "sign"))

@@ -17,7 +17,6 @@ exact on the grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,12 +111,13 @@ def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
 def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
     """Dress every particle with the kernel phase against reference momentum p.
 
-    Sector n is multiplied by prod_k K(p, p_{k}); a diagonal unitary fixing
-    the vacuum.
+    Label kappa of sector n is multiplied by prod_i K(p, p_{k_i}); a diagonal
+    unitary fixing the vacuum.
     """
     row = _kernel_values(spec, p, psi.grid.points)
-    return FockVector(psi.grid, tuple(fock._axis_multiply(s, [row] * n)
-                                      for n, s in enumerate(psi.sectors)))
+    tables = fock._ladder(psi.grid.size, psi.truncation)
+    return FockVector(psi.grid, tuple(fock._scale(s, fock._slot_product(row, tab.labels))
+                                      for s, tab in zip(psi.sectors, tables)))
 
 
 def annihilate_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:
@@ -146,7 +146,7 @@ def field_deformed(spec: KernelSpec, fd: TestFunctionData, psi: FockVector) -> F
 
 
 def apply_pair_twist(root_of_unity: Root, psi: FockVector) -> FockVector:
-    """Multiply sector n by prod_{i<j} K_r(p_i, p_j) for a +-1-valued root r.
+    """Multiply label kappa by prod_{i<j} K_r(p_{k_i}, p_{k_j}) for a +-1-valued root r.
 
     The multiplier is real symmetric, hence a unitary that preserves the
     symmetric sectors, fixes the vacuum, and commutes with translations.
@@ -186,41 +186,35 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
                          psi: FockVector, adjoint: bool = False) -> FockVector:
     """Sector-diagonal unitary whose adjoint action turns a(p) into a_K(p).
 
-    Sector n is multiplied by prod_{i<j} of the variant's pair phase; sectors
-    n <= 1 and the vacuum are untouched.
+    Label kappa of sector n is multiplied by prod_{i<j} of the variant's pair
+    phase; sectors n <= 1 and the vacuum are untouched.
     """
     gmat = _sharp_twist_matrix(spec, variant, p, psi.grid)
     return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
 
 
-def _grid_index(grid: MomentumGrid, p: float) -> int:
+def _delta(p: float, grid: MomentumGrid) -> np.ndarray:
+    """delta_p as an amplitude, e_q / w_q at the index q of p: its weighted
+    pairing reads the value at q, so its annihilator is the sharp one."""
     hits = np.nonzero(grid.points == p)[0]
     if hits.size != 1:
         raise ValueError(f"momentum {p} is not a grid point")
-    return int(hits[0])
+    out = np.zeros(grid.size)
+    out[hits[0]] = 1.0 / grid.weights[hits[0]]
+    return out
 
 
 def sharp_annihilate(p: float, psi: FockVector) -> FockVector:
     """Sharp-momentum annihilator a(p): [a(p) Psi]_n = sqrt(n+1) Psi_{n+1}(p, ...).
 
     Distributional normalization (no quadrature weight); p must be a grid
-    point so this is a plain row extraction.
+    point.
     """
-    idx = _grid_index(psi.grid, p)
-    secs = []
-    for n in range(psi.truncation):
-        secs.append(math.sqrt(n + 1) * psi.sectors[n + 1][idx].copy())
-    secs.append(np.zeros_like(psi.sectors[-1]))
-    return FockVector(psi.grid, tuple(secs))
+    return fock.annihilate(_delta(p, psi.grid), psi)
 
 
 def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
     """Sharp deformed annihilator a_K(p) = a(p) dressed with prod_k K(p, p_k)."""
-    grid = psi.grid
-    idx = _grid_index(grid, p)
-    row = _kernel_values(spec, p, grid.points)
-    secs = []
-    for n in range(psi.truncation):
-        secs.append(math.sqrt(n + 1) * fock._axis_multiply(psi.sectors[n + 1][idx], [row] * n))
-    secs.append(np.zeros_like(psi.sectors[-1]))
-    return FockVector(grid, tuple(secs))
+    row = _kernel_values(spec, p, psi.grid.points)
+    return fock._annihilate_with_kernel(_delta(p, psi.grid), psi,
+                                        np.broadcast_to(row, (psi.grid.size,) * 2))

@@ -1,188 +1,104 @@
-"""Dense-matrix oracles over orthonormal bases of the truncated spaces.
+"""Dense-matrix oracles over the orthonormal bases of the truncated spaces.
 
-Multisets of grid indices label an orthogonal basis of each symmetric sector;
-normalizing against the weighted inner product gives an orthonormal basis of
-the whole truncated tower.  Any operator given as a callable can then be
-certified on the entire space by its matrix: adjointness is a conjugate
-transpose, unitarity is A*A = 1, and operator identities are entrywise
-matrix equalities.
+States are stored as coefficients over orthonormal bases: index multisets
+for the tower and multiset pairs for the split tower (see :mod:`fock` and
+:mod:`chiral`).  The coefficient vector of a state is the concatenation of
+its sectors, so any operator given as a callable can be certified on the
+entire space by its matrix, read off its action on identity columns:
+adjointness is a conjugate transpose, unitarity is A*A = 1, and operator
+identities are entrywise matrix equalities.
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
-import math
-from typing import NamedTuple
-
 import numpy as np
 
-from . import chiral
+from . import chiral, fock
 from .chiral import BiFockVector
 from .fock import FockVector
 from .grids import ChiralGridPair, MomentumGrid
 
 
-# Batch entries (columns times tower entries) of one block that
-# operator_matrix applies its operator to; bounds the memory of the block and
-# of the operator's intermediates.
+# Batch entries (columns times basis size) of one block that operator_matrix
+# applies its operator to; bounds the memory of the block and of the
+# operator's intermediates.
 _BLOCK_ENTRIES = 131_072
 
 
-def _multiset_norm(weights: np.ndarray, kappa: tuple[int, ...]) -> float:
-    """Weighted norm of the unit tensor that is 1 on every rearrangement of kappa."""
-    count = math.factorial(len(kappa))
-    for multiplicity in collections.Counter(kappa).values():
-        count //= math.factorial(multiplicity)
-    w = 1.0
-    for k in kappa:
-        w *= weights[k]
-    return math.sqrt(count * w)
+class _Basis:
+    """What the two bases share: ``labels``, and the state ``_vector(c)`` with
+    coefficient vector c (a trailing batch axis gives a batched state)."""
+
+    labels: list
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def block(self, start: int, stop: int):
+        """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
+        return self._vector(np.eye(len(self), stop - start, -start, dtype=complex))
+
+    @property
+    def vectors(self) -> list:
+        """The basis vectors one by one, built on demand."""
+        return [self._vector(column) for column in np.eye(len(self), dtype=complex)]
 
 
-def _index_arrays(labels, n: int) -> tuple[np.ndarray, ...]:
-    """The n index arrays that read entry kappa of an n-index tensor, per label."""
-    return tuple(np.array(labels, dtype=np.intp).reshape(len(labels), n).T)
-
-
-class _Sector(NamedTuple):
-    """The basis vectors of one sector (or split-tower component).
-
-    Label j has the representative entry ``index[.][j]`` and multiset norm
-    ``factors[j]``; its normalized basis tensor equals ``units[j]`` on every
-    rearrangement of that entry within each of the symmetric axis ``groups``
-    and 0 elsewhere.
-    """
-
-    key: object
-    shape: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
-    index: tuple[np.ndarray, ...]
-    factors: np.ndarray
-    units: np.ndarray
-
-
-def _read_coefficients(sectors: list[_Sector], store, batch: tuple[int, ...]) -> np.ndarray:
-    """<b_i, psi> for every label: factor times the representative entry, one
-    gather per sector; a batch of vectors gives one column each."""
-    return np.concatenate([s.factors.reshape(s.factors.shape + (1,) * len(batch))
-                           * store[s.key][s.index] for s in sectors])
-
-
-def _unit_block(sectors: list[_Sector], start: int, stop: int) -> dict:
-    """Basis vectors start..stop-1 as arrays per sector key, columns on a trailing axis.
-
-    Each sector is one scatter of ``units`` over every rearrangement of the
-    labels' representative entries.
-    """
-    out = {}
-    offset = 0
-    for key, shape, groups, index, factors, units in sectors:
-        block = np.zeros(shape + (stop - start,), dtype=complex)
-        lo, hi = max(start, offset), min(stop, offset + len(factors))
-        if lo < hi:
-            sel = slice(lo - offset, hi - offset)
-            orders = [sum(parts, ()) for parts in
-                      itertools.product(*(itertools.permutations(g) for g in groups))]
-            where = tuple(np.stack([index[order[ax]][sel] for order in orders])
-                          for ax in range(len(shape)))
-            block[where + (np.arange(lo - start, hi - start),)] = units[sel]
-        out[key] = block
-        offset += len(factors)
-    return out
-
-
-class FockBasis:
+class FockBasis(_Basis):
     """Orthonormal basis of the truncated tower, labelled by index multisets.
 
-    Basis vectors are not stored; :meth:`block` builds a batch of them and
-    :attr:`vectors` lists them one by one.
+    ``labels[i]`` is (n, kappa) for coefficient i of the concatenated sectors.
     """
 
     def __init__(self, grid: MomentumGrid, truncation: int):
         self.grid = grid
         self.truncation = truncation
-        self.labels: list[tuple[int, tuple[int, ...]]] = []
-        self._sectors: list[_Sector] = []
-        m = grid.size
-        for n in range(truncation + 1):
-            kappas = list(itertools.combinations_with_replacement(range(m), n))
-            factors = np.array([_multiset_norm(grid.weights, kappa) for kappa in kappas])
-            self.labels.extend((n, kappa) for kappa in kappas)
-            self._sectors.append(_Sector(n, (m,) * n, (tuple(range(n)),),
-                                         _index_arrays(kappas, n), factors, 1.0 / factors))
-        self.tower_size = sum(m ** n for n in range(truncation + 1))
+        tables = fock._ladder(grid.size, truncation)
+        self.labels: list[tuple[int, tuple[int, ...]]] = [
+            (n, tuple(kappa)) for n, tab in enumerate(tables) for kappa in tab.labels.tolist()]
+        self._sizes = [len(tab.labels) for tab in tables]
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def block(self, start: int, stop: int) -> FockVector:
-        """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
-        return FockVector(self.grid, tuple(_unit_block(self._sectors, start, stop).values()))
-
-    @property
-    def vectors(self) -> list[FockVector]:
-        """The basis vectors one by one, built on demand."""
-        return [FockVector(self.grid, tuple(s[..., 0] for s in self.block(j, j + 1).sectors))
-                for j in range(len(self))]
+    def _vector(self, flat: np.ndarray) -> FockVector:
+        return FockVector(self.grid, tuple(np.split(flat, np.cumsum(self._sizes)[:-1])))
 
     def coefficients(self, psi: FockVector) -> np.ndarray:
-        """Expansion coefficients <b_i, psi> of a symmetric vector.
+        """Expansion coefficients <b_i, psi>: the concatenated sectors.
 
-        Reads one representative entry per multiset, one gather per sector;
-        equals the weighted inner product because psi's sectors are symmetric.
         A vector of batch shape B gives coefficients of shape (len(self),) + B.
         """
-        return _read_coefficients(self._sectors, psi.sectors, psi.batch_shape)
+        return np.concatenate(psi.sectors)
 
 
-class BiFockBasis:
+class BiFockBasis(_Basis):
     """Orthonormal basis of the split tower, labelled by multiset pairs.
 
-    Like :class:`FockBasis`, it stores no basis vectors.
+    ``labels[i]`` is (kappa_+, kappa_-) for coefficient i of the concatenated,
+    row-major raveled components.
     """
 
     def __init__(self, pair: ChiralGridPair, truncation: int):
         self.pair = pair
         self.truncation = truncation
+        pos = fock._ladder(pair.n_positive, truncation)
+        neg = fock._ladder(pair.n_negative, truncation)
         self.labels: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._sectors: list[_Sector] = []
-        p, q = pair.n_positive, pair.n_negative
-        wp, wn = pair.positive_weights, pair.negative_weights
+        self._shapes = {}
         for (a, b) in chiral._component_keys(truncation):
-            entries, factors, units = [], [], []
-            for kpos in itertools.combinations_with_replacement(range(p), a):
-                npos = _multiset_norm(wp, kpos)
-                for kneg in itertools.combinations_with_replacement(range(q), b):
-                    nneg = _multiset_norm(wn, kneg)
-                    self.labels.append((kpos, kneg))
-                    entries.append(kpos + kneg)
-                    factors.append(npos * nneg)
-                    units.append((1.0 / npos) * (1.0 / nneg))
-            self._sectors.append(_Sector(
-                (a, b), (p,) * a + (q,) * b, (tuple(range(a)), tuple(range(a, a + b))),
-                _index_arrays(entries, a + b), np.array(factors), np.array(units)))
-        self.tower_size = sum(p ** a * q ** b for a, b in chiral._component_keys(truncation))
+            self.labels.extend((tuple(kpos), tuple(kneg)) for kpos in pos[a].labels.tolist()
+                               for kneg in neg[b].labels.tolist())
+            self._shapes[(a, b)] = (len(pos[a].labels), len(neg[b].labels))
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def block(self, start: int, stop: int) -> BiFockVector:
-        """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
-        return BiFockVector(self.pair, self.truncation, _unit_block(self._sectors, start, stop))
-
-    @property
-    def vectors(self) -> list[BiFockVector]:
-        """The basis vectors one by one, built on demand."""
-        return [BiFockVector(self.pair, self.truncation,
-                             {k: v[..., 0] for k, v in self.block(j, j + 1).components.items()})
-                for j in range(len(self))]
+    def _vector(self, flat: np.ndarray) -> BiFockVector:
+        rows = np.split(flat, np.cumsum([p * q for p, q in self._shapes.values()])[:-1])
+        return BiFockVector(self.pair, self.truncation, {
+            key: r.reshape(shape + flat.shape[1:])
+            for (key, shape), r in zip(self._shapes.items(), rows)})
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
-        """Expansion coefficients <b_i, xi> of a factorwise-symmetric vector,
-        one gather per component, with a trailing batch axis as in
-        :meth:`FockBasis.coefficients`."""
-        return _read_coefficients(self._sectors, xi.components, xi.batch_shape)
+        """Expansion coefficients <b_i, xi>: the concatenated raveled components,
+        with a trailing batch axis as in :meth:`FockBasis.coefficients`."""
+        return np.concatenate([c.reshape((-1,) + xi.batch_shape)
+                               for c in xi.components.values()])
 
 
 def operator_matrix(op, domain, codomain=None) -> np.ndarray:
@@ -192,16 +108,15 @@ def operator_matrix(op, domain, codomain=None) -> np.ndarray:
     codomain defaults to the domain.  Since the bases are orthonormal this is
     a genuine matrix representation.
 
-    ``op`` is applied once per block of basis columns: it receives a vector
-    with batch shape (k,) and must be linear and act column by column, so
-    that column j of its result is op(b_j), as every operator in this package
-    does.  A block holds at most ``_BLOCK_ENTRIES`` tower entries over its
-    columns.  Columns are extracted with ``coefficients``, so op must map into
-    (factorwise-)symmetric vectors.
+    ``op`` is applied once per block of identity columns: it receives a
+    vector with batch shape (k,) and must be linear and act column by
+    column, so that column j of its result is op(b_j), as every operator in
+    this package does.  A block holds at most ``_BLOCK_ENTRIES`` coefficients
+    over its columns.
     """
     cod = domain if codomain is None else codomain
     out = np.empty((len(cod), len(domain)), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // max(domain.tower_size, cod.tower_size))
+    step = max(1, _BLOCK_ENTRIES // max(len(domain), len(cod)))
     for start in range(0, len(domain), step):
         stop = min(start + step, len(domain))
         out[:, start:stop] = cod.coefficients(op(domain.block(start, stop)))

@@ -1,35 +1,174 @@
-"""Truncated bosonic state space over a momentum grid.
+"""Truncated bosonic state space over a momentum grid, in occupation numbers.
 
-A state is a finite tower (Psi_0, ..., Psi_N) of totally symmetric complex
-tensors over the grid points; sector n carries n particles, and one-particle
-amplitudes are plain complex arrays of grid length.  Inner products weight
-every tensor factor with the quadrature weights, realizing the measure
-dp/omega_m(p).  Operators act exactly as their untruncated counterparts on
-sectors below the truncation: annihilation reads the (vanishing) sector N+1 as
-zero, and creation out of the top sector is dropped.  All values are treated
-as immutable; every operation returns a fresh vector.
+Sector n is the symmetric n-particle space.  Its orthonormal basis is
+labelled by the sorted multisets kappa = (k_1 <= ... <= k_n) of grid indices,
+in lexicographic order: basis vector kappa is the symmetric tensor equal to
+1/|kappa| on every rearrangement of kappa, with |kappa|^2 = (n! / prod_q m_q!)
+prod_i w_{k_i} (m_q the multiplicity of q, w the quadrature weights of the
+measure dp/omega_m(p)).  A state stores its coefficients over these bases,
+so sector n has D_n = binom(M + n - 1, n) entries and inner products are
+plain sums; the ladder operators read index tables built once per (M, N).
+Operators act exactly as their untruncated counterparts on sectors below the
+truncation: annihilation reads the (vanishing) sector N+1 as zero, and
+creation out of the top sector is dropped.  All values are treated as
+immutable; every operation returns a fresh vector.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grids import MomentumGrid, boost_blocks
 
 
+def _dim(m: int, n: int) -> int:
+    """Number of n-element multisets over m grid points."""
+    return math.comb(m + n - 1, n)
+
+
+def _codes(labels: np.ndarray, m: int) -> np.ndarray:
+    """Base-m value of each sorted label (last axis); ascending in lexicographic order."""
+    n = labels.shape[-1]
+    return labels @ (m ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+class _Sector(NamedTuple):
+    """Index tables of sector n over an m-point grid.
+
+    ``labels[j]`` is basis label j and ``mfact[j]`` is prod_q m_q! over its
+    multiplicities.  ``up[j, q]`` is the index in sector n + 1 of
+    labels[j] + q and ``up_mult[j, q]`` the multiplicity of q there (both
+    None in the top sector).  ``down[j, i]`` is the index in sector n - 1 of
+    labels[j] with slot i removed and ``slot_mult[j, i]`` the multiplicity of
+    labels[j, i] in labels[j] (``down`` is None in sector 0).
+    """
+
+    m: int
+    labels: np.ndarray
+    codes: np.ndarray
+    mfact: np.ndarray
+    up: np.ndarray | None
+    up_mult: np.ndarray | None
+    down: np.ndarray | None
+    slot_mult: np.ndarray
+
+    def index(self, labels: np.ndarray) -> np.ndarray:
+        """Position of each sorted label (last axis) in this sector."""
+        return np.searchsorted(self.codes, _codes(labels, self.m))
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder(m: int, truncation: int) -> tuple[_Sector, ...]:
+    """The index tables of sectors 0..truncation over an m-point grid."""
+    labels = [np.array(list(itertools.combinations_with_replacement(range(m), n)),
+                       dtype=np.intp).reshape(_dim(m, n), n) for n in range(truncation + 1)]
+    codes = [_codes(lab, m) for lab in labels]
+    fact = np.array([math.factorial(k) for k in range(truncation + 1)], dtype=float)
+    out = []
+    for n, lab in enumerate(labels):
+        counts = (lab[:, :, None] == np.arange(m)).sum(axis=1)
+        up = up_mult = down = None
+        if n < truncation:
+            grown = np.concatenate([np.repeat(lab[:, None, :], m, axis=1),
+                                    np.broadcast_to(np.arange(m)[:, None], (len(lab), m, 1))],
+                                   axis=2)
+            up = np.searchsorted(codes[n + 1], _codes(np.sort(grown, axis=2), m))
+            up_mult = counts + 1
+        if n > 0:
+            shrunk = np.stack([np.delete(lab, i, axis=1) for i in range(n)], axis=1)
+            down = np.searchsorted(codes[n - 1], _codes(shrunk, m))
+        sector = _Sector(m, lab, codes[n], np.prod(fact[counts], axis=1), up, up_mult, down,
+                         np.take_along_axis(counts, lab, axis=1))
+        for arr in sector[1:]:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        out.append(sector)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _tensor_ranks(m: int, n: int) -> np.ndarray:
+    """Index in sector n of the sorted multi-index of each (raveled) tensor entry."""
+    digits = np.sort(np.indices((m,) * n).reshape(n, m ** n).T, axis=1)
+    ranks = _ladder(m, n)[n].index(digits)
+    ranks.setflags(write=False)
+    return ranks
+
+
+def _scale(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """arr times vec, vec broadcast over arr's leading axes (the rest is a batch)."""
+    return arr * vec.reshape(vec.shape + (1,) * (arr.ndim - vec.ndim))
+
+
+def _slot_product(vec: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """prod_i vec[k_i] for each label (last axis): a one-body multiplier."""
+    return np.prod(vec[labels], axis=-1)
+
+
+def _pair_product(gmat: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """prod_{i<j} gmat[k_i, k_j] for each label (last axis): a pair phase."""
+    i, j = np.array(list(itertools.combinations(range(labels.shape[-1]), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+    return np.prod(gmat[labels[..., i], labels[..., j]], axis=-1)
+
+
+def _norms(weights: np.ndarray, tab: _Sector, n: int) -> np.ndarray:
+    """|kappa| for every label of sector n."""
+    return np.sqrt(math.factorial(n) / tab.mfact * _slot_product(weights, tab.labels))
+
+
+def _lower(src: np.ndarray, amp: np.ndarray, tab: _Sector,
+           kmat: np.ndarray | None = None) -> np.ndarray:
+    """Annihilation from sector n + 1 (``src``, any trailing batch) into sector n.
+
+    With amp = sqrt(w) conj(xi) and the optional kernel K removing q,
+
+        out[lam] = sum_q amp_q sqrt(m_q(lam + q)) prod_{k in lam} K[q, k] src[lam + q],
+
+    which is [a Psi]_n = sqrt(n+1) sum_q w_q conj(xi_q) prod_k K(q, p_k)
+    Psi_{n+1}(q, p_1..p_n) in the orthonormal coefficients.
+    """
+    coef = np.sqrt(tab.up_mult) * amp
+    if kmat is not None:
+        coef = coef * np.prod(kmat.T[tab.labels], axis=1)
+    return _scale(src[tab.up], coef).sum(axis=1)
+
+
+def _raise(src: np.ndarray, amp: np.ndarray, tab: _Sector,
+           kmat: np.ndarray | None = None) -> np.ndarray:
+    """Creation from sector n - 1 (``src``, any trailing batch) into sector n.
+
+    The adjoint of :func:`_lower`: with amp = sqrt(w) xi, summing over the
+    slots i of kappa (each value q occurs in m_q of them),
+
+        out[kappa] = sum_i amp_{k_i} / sqrt(m_{k_i}) prod_{j != i} K[k_i, k_j] src[kappa - k_i],
+
+    which is [a* Psi]_n = sqrt(n) Symm(xi(p_1) prod_{k>=2} K(p_1, p_k)
+    Psi_{n-1}(p_2..p_n)).
+    """
+    coef = amp[tab.labels] / np.sqrt(tab.slot_mult)
+    if kmat is not None:
+        n = tab.labels.shape[1]
+        pairs = kmat[tab.labels[:, :, None], tab.labels[:, None, :]]
+        coef = coef * np.where(np.eye(n, dtype=bool), 1.0, pairs).prod(axis=2)
+    return _scale(src[tab.down], coef).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class FockVector:
-    """Tower of symmetric complex tensors; sectors[n] has shape (M,)*n + B.
+    """Coefficients over the multiset bases; sectors[n] has shape (D_n,) + B.
 
     B is a trailing batch shape shared by all sectors, () for a single
     vector: a batched vector holds one vector per batch entry, and every
     operator of the package acts on it column by column, since they all
-    address the leading particle axes only.  Adding an unbatched vector to a
-    batched one adds it to every column; reductions (:func:`inner`,
-    :func:`norm`) refuse batches.
+    address the leading label axis only.  Sums need equal batch shapes;
+    reductions (:func:`inner`, :func:`norm`) refuse batches.
     """
 
     grid: MomentumGrid
@@ -38,10 +177,11 @@ class FockVector:
     def __post_init__(self):
         m = self.grid.size
         secs = [np.asarray(s, dtype=complex) for s in self.sectors]
-        batch = secs[0].shape if secs else ()
+        batch = secs[0].shape[1:] if secs else ()
         for n, s in enumerate(secs):
-            if s.shape != (m,) * n + batch:
-                raise ValueError(f"sector {n} has shape {s.shape}, expected {(m,) * n + batch}")
+            if s.shape != (_dim(m, n),) + batch:
+                raise ValueError(f"sector {n} has shape {s.shape}, "
+                                 f"expected {(_dim(m, n),) + batch}")
         object.__setattr__(self, "sectors", tuple(secs))
 
     @property
@@ -50,19 +190,19 @@ class FockVector:
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.sectors[0].shape
+        return self.sectors[0].shape[1:]
 
     def _check_compatible(self, other: "FockVector"):
         if not self.grid.same_as(other.grid):
             raise ValueError("vectors live on different grids")
         if self.truncation != other.truncation:
             raise ValueError("vectors have different truncations")
+        if self.batch_shape != other.batch_shape:
+            raise ValueError(f"batch shapes {self.batch_shape} and {other.batch_shape} differ")
 
     def _combine(self, other: "FockVector", fn) -> "FockVector":
         self._check_compatible(other)
-        return FockVector(self.grid, tuple(
-            fn(*_broadcast_batch(a, self.batch_shape, b, other.batch_shape))
-            for a, b in zip(self.sectors, other.sectors)))
+        return FockVector(self.grid, tuple(fn(a, b) for a, b in zip(self.sectors, other.sectors)))
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return self._combine(other, np.add)
@@ -80,159 +220,98 @@ class FockVector:
         return self * (-1.0)
 
 
-def _broadcast_batch(a: np.ndarray, batch_a: tuple, b: np.ndarray, batch_b: tuple):
-    """Give the unbatched one of two tensors trailing unit axes for the other's batch.
-
-    Two batched tensors must have the same batch shape.
-    """
-    if batch_a and batch_b and batch_a != batch_b:
-        raise ValueError(f"batch shapes {batch_a} and {batch_b} differ")
-    if not batch_a:
-        a = a.reshape(a.shape + (1,) * len(batch_b))
-    if not batch_b:
-        b = b.reshape(b.shape + (1,) * len(batch_a))
-    return a, b
-
-
 def _refuse_batch(batch: tuple):
     if batch:
         raise ValueError(f"reductions take single vectors, not a batch of shape {batch}")
 
 
-def vacuum(grid: MomentumGrid, truncation: int) -> FockVector:
-    secs = [np.zeros((grid.size,) * n, dtype=complex) for n in range(truncation + 1)]
-    secs[0] = np.array(1.0 + 0.0j)
-    return FockVector(grid, tuple(secs))
-
-
 def zero_vector(grid: MomentumGrid, truncation: int) -> FockVector:
-    return FockVector(grid, tuple(np.zeros((grid.size,) * n, dtype=complex)
+    return FockVector(grid, tuple(np.zeros(_dim(grid.size, n), dtype=complex)
                                   for n in range(truncation + 1)))
 
 
+def vacuum(grid: MomentumGrid, truncation: int) -> FockVector:
+    out = zero_vector(grid, truncation)
+    out.sectors[0][0] = 1.0
+    return out
+
+
 def inner(psi: FockVector, phi: FockVector) -> complex:
-    """Weighted inner product, antilinear in the first argument; single vectors only."""
+    """Inner product, antilinear in the first argument; single vectors only."""
     psi._check_compatible(phi)
     _refuse_batch(psi.batch_shape)
-    _refuse_batch(phi.batch_shape)
-    w = psi.grid.weights
-    total = 0.0 + 0.0j
-    for n, (a, b) in enumerate(zip(psi.sectors, phi.sectors)):
-        total += complex(np.sum(_axis_multiply(np.conj(a) * b, [w] * n)))
-    return total
+    return complex(sum(np.vdot(a, b) for a, b in zip(psi.sectors, phi.sectors)))
 
 
 def norm(psi: FockVector) -> float:
     return math.sqrt(max(inner(psi, psi).real, 0.0))
 
 
-def _coset_step(tensor: np.ndarray, axis: int, axes) -> np.ndarray:
-    """Symm over ``axes`` of a tensor already symmetric in ``axes`` minus ``axis``.
+def symmetrize(tensor: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of the symmetric part of a tensor over its leading n axes.
 
-    The permutations of ``axes`` that fix ``axis`` leave the tensor unchanged,
-    and the transpositions (axis b), b in ``axes``, represent their k cosets
-    (b == axis is the identity).  So the average over all k! permutations
-    collapses to k terms:
+    ``tensor`` has shape (M,)*n + B and the result (D_n,) + B; trailing axes
+    are a batch.  Basis vector kappa is 1/|kappa| on each of the
+    n!/prod m_q! rearrangements of kappa, so
 
-        Symm_axes T = (1/k) sum_{b in axes} swapaxes(T, axis, b).
+        c_kappa = |kappa| Symm(T)(kappa) = |kappa| prod_q m_q! / n! * sum_r T(r)
+
+    over the distinct rearrangements r of kappa: one sum per label.
     """
-    axes = tuple(axes)
-    out = np.array(tensor, dtype=complex)
-    for b in axes:
-        if b != axis:
-            out += np.swapaxes(tensor, axis, b)
-    out /= len(axes)
-    return out
+    t = np.asarray(tensor, dtype=complex)
+    m = weights.size
+    sums = np.zeros((_dim(m, n),) + t.shape[n:], dtype=complex)
+    np.add.at(sums, _tensor_ranks(m, n), t.reshape((m ** n,) + t.shape[n:]))
+    tab = _ladder(m, n)[n]
+    return _scale(sums, _norms(weights, tab, n) * tab.mfact / math.factorial(n))
 
 
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Average over all index permutations; projects onto symmetric tensors."""
-    return symmetrize_axes(tensor, range(np.ndim(tensor)))
+def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric tensor, shape (M,)*n + B, whose coefficients are ``sector``.
 
-
-def symmetrize_axes(tensor: np.ndarray, axes) -> np.ndarray:
-    """Average over permutations of a subset of axes, fixing the others.
-
-    Built up one axis at a time: once the first i axes are symmetric, one
-    :func:`_coset_step` makes the first i + 1 symmetric, so k axes take
-    O(k^2) tensor passes instead of k!.
+    :func:`symmetrize` inverts it.
     """
-    t = np.array(tensor, dtype=complex)
-    axes = tuple(axes)
-    for i in range(1, len(axes)):
-        t = _coset_step(t, axes[i], axes[:i + 1])
-    return t
-
-
-def _axis_multiply(tensor: np.ndarray, vecs) -> np.ndarray:
-    """Multiply an n-index tensor by prod_i vecs[i][k_i] (one vector per axis)."""
-    out = tensor
-    n = tensor.ndim
-    for ax, vec in enumerate(vecs):
-        out = out * vec.reshape((1,) * ax + (vec.size,) + (1,) * (n - ax - 1))
-    return out
-
-
-def _pair_multiply(tensor: np.ndarray, mat: np.ndarray, pairs) -> np.ndarray:
-    """Multiply by prod over (i, j) in pairs, i < j, of mat[k_i, k_j].
-
-    ``mat`` may be rectangular when the tensor mixes factor spaces.
-    """
-    out = tensor
-    n = tensor.ndim
-    shape = tensor.shape
-    mat = np.ascontiguousarray(mat)
-    for i, j in pairs:
-        out = out * mat.reshape(
-            (1,) * i + (shape[i],) + (1,) * (j - i - 1) + (shape[j],) + (1,) * (n - j - 1))
-    return out
-
-
-def _row_kernel_multiply(sector: np.ndarray, kmat: np.ndarray, n: int) -> np.ndarray:
-    """Multiply sector(q, p_1..p_n) by prod_k kmat[q, p_k] over the n particle axes after q."""
-    return _pair_multiply(sector, kmat, [(0, ax) for ax in range(1, n + 1)])
+    m = weights.size
+    values = _scale(sector, 1.0 / _norms(weights, _ladder(m, n)[n], n))
+    return values[_tensor_ranks(m, n)].reshape((m,) * n + sector.shape[1:])
 
 
 def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
-    """Sector-diagonal multiplier: sector n times prod_{i<j} gmat[k_i, k_j].
+    """Sector-diagonal multiplier: label kappa of sector n times prod_{i<j} gmat[k_i, k_j].
 
-    The pair twists, the sharp-momentum twists and the union-grid cross twist
-    are all of this form; sectors n <= 1 are untouched.
+    ``gmat`` must be symmetric.  The pair twists, the sharp-momentum twists
+    and the union-grid cross twist are all of this form; sectors n <= 1 are
+    untouched.
     """
-    secs = [psi.sectors[0].copy()]
-    for n in range(1, psi.truncation + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        secs.append(_pair_multiply(psi.sectors[n], gmat, pairs))
-    return FockVector(psi.grid, tuple(secs))
+    tables = _ladder(psi.grid.size, psi.truncation)
+    return FockVector(psi.grid, tuple(
+        _scale(s, _pair_product(gmat, tables[n].labels)) if n > 1 else s.copy()
+        for n, s in enumerate(psi.sectors)))
+
+
+def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:
+    xi = np.asarray(xi, dtype=complex)
+    if xi.shape != grid.points.shape:
+        raise ValueError("one-particle amplitude does not match the grid")
+    return xi
 
 
 def _annihilate_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
     grid = psi.grid
-    wxi = grid.weights * np.conj(np.asarray(xi, dtype=complex))
-    if wxi.shape != grid.points.shape:
-        raise ValueError("one-particle amplitude does not match the grid")
-    secs = []
-    for n in range(psi.truncation):
-        src = psi.sectors[n + 1]
-        if kmat is not None:
-            src = _row_kernel_multiply(src, kmat, n)
-        secs.append(math.sqrt(n + 1) * np.tensordot(wxi, src, axes=([0], [0])))
+    amp = np.sqrt(grid.weights) * np.conj(_one_particle(xi, grid))
+    tables = _ladder(grid.size, psi.truncation)
+    secs = [_lower(psi.sectors[n + 1], amp, tables[n], kmat) for n in range(psi.truncation)]
     secs.append(np.zeros_like(psi.sectors[-1]))
     return FockVector(grid, tuple(secs))
 
 
 def _create_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
     grid = psi.grid
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != grid.points.shape:
-        raise ValueError("one-particle amplitude does not match the grid")
+    amp = np.sqrt(grid.weights) * _one_particle(xi, grid)
+    tables = _ladder(grid.size, psi.truncation)
     secs = [np.zeros_like(psi.sectors[0])]
-    for n in range(1, psi.truncation + 1):
-        raw = np.multiply.outer(xi, psi.sectors[n - 1])
-        if kmat is not None:
-            raw = _row_kernel_multiply(raw, kmat, n - 1)
-        # raw is symmetric in every axis but the new one (axis 0)
-        secs.append(math.sqrt(n) * _coset_step(raw, 0, range(n)))
+    secs.extend(_raise(psi.sectors[n - 1], amp, tables[n], kmat)
+                for n in range(1, psi.truncation + 1))
     return FockVector(grid, tuple(secs))
 
 
@@ -253,15 +332,20 @@ def create(xi, psi: FockVector) -> FockVector:
     return _create_with_kernel(xi, psi, None)
 
 
+def _monomials(amp: np.ndarray, truncation: int) -> list[np.ndarray]:
+    """Coefficients of amp^(x n) / sqrt(n!) for amp = sqrt(w) xi, sectors 0..truncation.
+
+    Label kappa of sector n has |kappa| prod_i xi_{k_i} / sqrt(n!) =
+    prod_i amp_{k_i} / sqrt(prod_q m_q!).
+    """
+    return [_slot_product(amp, tab.labels) / np.sqrt(tab.mfact)
+            for tab in _ladder(amp.size, truncation)]
+
+
 def exponential_vector(grid: MomentumGrid, xi, truncation: int) -> FockVector:
     """Truncated coherent-style vector with sector n = xi^(x n) / sqrt(n!)."""
-    xi = np.asarray(xi, dtype=complex)
-    secs = [np.array(1.0 + 0.0j)]
-    power = np.array(1.0 + 0.0j)
-    for n in range(1, truncation + 1):
-        power = np.multiply.outer(power, xi) if n > 1 else xi.copy()
-        secs.append(power / math.sqrt(math.factorial(n)))
-    return FockVector(grid, tuple(secs))
+    amp = np.sqrt(grid.weights) * np.asarray(xi, dtype=complex)
+    return FockVector(grid, tuple(_monomials(amp, truncation)))
 
 
 @dataclass(frozen=True)
@@ -298,19 +382,23 @@ def field(fd: TestFunctionData, psi: FockVector) -> FockVector:
 
 
 def apply_translation(x, psi: FockVector) -> FockVector:
-    """Spacetime translation: sector n picks up prod_i exp(i(x0*omega - x1*p)).
+    """Spacetime translation: label kappa picks up prod_i exp(i(x0*omega - x1*p)).
 
     A pointwise unimodular multiplier, hence exactly norm preserving; fixes
     the vacuum.
     """
     x0, x1 = float(x[0]), float(x[1])
     phases = np.exp(1j * (x0 * psi.grid.omegas - x1 * psi.grid.points))
-    return FockVector(psi.grid, tuple(_axis_multiply(s, [phases] * n)
-                                      for n, s in enumerate(psi.sectors)))
+    tables = _ladder(psi.grid.size, psi.truncation)
+    return FockVector(psi.grid, tuple(_scale(s, _slot_product(phases, tab.labels))
+                                      for s, tab in zip(psi.sectors, tables)))
 
 
 def apply_reflection(psi: FockVector) -> FockVector:
-    """Antiunitary spacetime reflection: componentwise complex conjugation."""
+    """Antiunitary spacetime reflection: componentwise complex conjugation.
+
+    The basis vectors are real tensors, so this conjugates the tensors too.
+    """
     return FockVector(psi.grid, tuple(np.conj(s) for s in psi.sectors))
 
 
@@ -326,41 +414,36 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     """Exact boost index shift on an adapted grid.
 
     A one-particle basis vector at rapidity slot k moves to slot k - shift
-    (blockwise per sign half-line for the massless geometric layout).
-    Amplitude whose target leaves the grid is dropped and flagged.
+    (blockwise per sign half-line for the massless geometric layout), so
+    label kappa moves to kappa - shift; the adapted layouts have equal
+    weights, so the shift maps basis vectors to basis vectors.  Amplitude
+    whose target leaves the grid is dropped and flagged.
     """
     grid = psi.grid
-    out_ids, src_ids = [], []
+    target = np.full(grid.size, -1)  # the slot each slot moves to, -1 off the grid
     for s, e in boost_blocks(grid):
-        for i in range(s, e):
-            k = i + shift
-            if s <= k < e:
-                out_ids.append(i)
-                src_ids.append(k)
-    kept = np.zeros(grid.size, dtype=bool)
-    kept[src_ids] = True
+        moving = np.arange(max(s, s + shift), min(e, e + shift))
+        target[moving] = moving - shift
     truncated = False
     secs = [psi.sectors[0].copy()]
-    for n in range(1, psi.truncation + 1):
-        src = psi.sectors[n]
-        if not np.all(kept):
-            mask = _axis_multiply(np.ones(src.shape, dtype=bool), [kept] * n)
-            truncated = truncated or bool(np.any(src[~mask] != 0))
+    for tab, src in zip(_ladder(grid.size, psi.truncation)[1:], psi.sectors[1:]):
+        moved = target[tab.labels]  # still sorted: the shift keeps the order
+        kept = np.all(moved >= 0, axis=1)
+        truncated = truncated or bool(np.any(src[~kept] != 0))
         out = np.zeros_like(src)
-        if out_ids:
-            out[np.ix_(*([out_ids] * n))] = src[np.ix_(*([src_ids] * n))]
+        out[tab.index(moved[kept])] = src[kept]
         secs.append(out)
     return BoostResult(FockVector(grid, tuple(secs)), truncated)
 
 
 def random_fock_vector(grid: MomentumGrid, truncation: int,
                        rng: np.random.Generator) -> FockVector:
-    """Random symmetric vector of unit norm."""
+    """Random vector of unit norm: a complex Gaussian tensor per sector, symmetrized."""
     secs = []
     for n in range(truncation + 1):
         shape = (grid.size,) * n
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        secs.append(symmetrize(raw))
+        secs.append(symmetrize(raw, grid.weights, n))
     psi = FockVector(grid, tuple(secs))
     return psi * (1.0 / norm(psi))
 

@@ -14,7 +14,10 @@ suite, so identical configurations reproduce identical numbers.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import os
 import time
 from dataclasses import dataclass
 
@@ -83,6 +86,8 @@ class SuiteConfig:
             raise ConfigError("grids need at least 2 points (per side)")
         if self.repetitions < 1 or self.root_count < 1:
             raise ConfigError("repetitions and root_count must be >= 1")
+        if self.roots is not None and not self.roots:
+            raise ConfigError("roots must hold at least one root")
         if self.suites is not None:
             if not self.suites:
                 raise ConfigError("suites must name at least one suite")
@@ -267,7 +272,7 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
     one = fock.create(xi, vac)
     phases = np.exp(1j * (x[0] * grid.omegas - x[1] * grid.points))
     dev = _worst(dev, np.max(np.abs(
-        fock.apply_translation(x, one).sectors[1] - phases * xi)))
+        fock.apply_translation(x, one).sectors[1] - phases * np.sqrt(grid.weights) * xi)))
     recs.append(_rec("fock", "translation-multiplier", "eq:U1", dev, tol))
 
     dev = 0.0
@@ -302,7 +307,7 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
     mat_field = dense.operator_matrix(lambda v: fock.field(fd, v), basis)
     dev = dense.hermiticity_defect(mat_field)
     phi_vac = fock.field(fd, vac)
-    dev = _worst(dev, np.max(np.abs(phi_vac.sectors[1] - fd.fplus)))
+    dev = _worst(dev, np.max(np.abs(phi_vac.sectors[1] - np.sqrt(grid.weights) * fd.fplus)))
     for n in range(2, n_top + 1):
         dev = _worst(dev, np.max(np.abs(phi_vac.sectors[n])))
     recs.append(_rec("fock", "field-hermitian", "sec1:phi_m", dev, tol))
@@ -315,12 +320,14 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
     recs.append(_rec("fock", "exponential-inner", "sec2:exponential-vectors",
                      abs(lhs - rhs), tol))
 
+    def roundtrip(sec, n, w=grid.weights):  # packed -> tensor -> packed: Symm projects
+        return np.max(np.abs(fock.symmetrize(fock.sector_tensor(sec, w, n), w, n) - sec))
+
     raw = rng.standard_normal((grid.size,) * 3) + 1j * rng.standard_normal((grid.size,) * 3)
-    s1 = fock.symmetrize(raw)
-    dev = float(np.max(np.abs(fock.symmetrize(s1) - s1)))
+    dev = roundtrip(fock.symmetrize(raw, grid.weights, 3), 3)
     probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, rng)))
-    for sec in probe.sectors:
-        dev = _worst(dev, np.max(np.abs(fock.symmetrize(sec) - sec)) if sec.ndim else 0.0)
+    for n, sec in enumerate(probe.sectors):
+        dev = _worst(dev, roundtrip(sec, n))
     recs.append(_rec("fock", "symmetrizer-projects", "eqn_isoexpli", dev, tol))
     return recs
 
@@ -439,11 +446,10 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
             xi = fock.random_one_particle(grid, rng)
 
             def composed(v, spec=spec, xi=xi, grid=grid):
-                out = fock.zero_vector(grid, v.truncation)
-                for idx, q in enumerate(grid.points):
-                    amp = grid.weights[idx] * np.conj(xi[idx])
-                    out = out + amp * sharp_annihilate(q, apply_kernel_phases(spec, q, v))
-                return out
+                return functools.reduce(operator.add, (
+                    grid.weights[idx] * np.conj(xi[idx])
+                    * sharp_annihilate(q, apply_kernel_phases(spec, q, v))
+                    for idx, q in enumerate(grid.points)))
 
             mat_direct = dense.operator_matrix(lambda v: annihilate_deformed(spec, xi, v), basis)
             mat_comp = dense.operator_matrix(composed, basis)
@@ -469,7 +475,7 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
         mat = dense.operator_matrix(lambda v: field_deformed(spec, fd, v), basis)
         dev = _worst(dev, dense.hermiticity_defect(mat))
         out = field_deformed(spec, fd, fock.vacuum(grid, n_top))
-        dev = _worst(dev, np.max(np.abs(out.sectors[1] - fd.fplus)))
+        dev = _worst(dev, np.max(np.abs(out.sectors[1] - np.sqrt(grid.weights) * fd.fplus)))
     recs.append(_rec("deformed", "deformed-field-hermitian", "sec1:phi_Rm", dev, tol))
 
     dev = 0.0
@@ -637,8 +643,8 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
     vac = chiral.bifock_vacuum(pair, n_top)
     dev = _worst(dev, chiral.bifock_norm(chiral.apply_cross_twist(root, vac) - vac))
     one_sided = chiral.bifock_zero(pair, n_top)
-    one_sided.components[(2, 0)][:] = fock.symmetrize(
-        rng.standard_normal((pair.n_positive,) * 2))
+    one_sided.components[(2, 0)][:, 0] = fock.symmetrize(
+        rng.standard_normal((pair.n_positive,) * 2), pair.positive_weights, 2)
     dev = _worst(dev, chiral.bifock_norm(chiral.apply_cross_twist(root, one_sided) - one_sided))
     recs.append(_rec("chiral", "cross-twist-unitary", "eqn_Saction", dev, tol))
 
@@ -778,7 +784,8 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[
     mat = dense.operator_matrix(lambda v: chiral.chiral_field("+", g, v), bbasis)
     dev = dense.hermiticity_defect(mat)
     created = chiral.chiral_field("+", g, chiral.bifock_vacuum(pair, n_top))
-    dev = _worst(dev, np.max(np.abs(created.components[(1, 0)] - g)))
+    dev = _worst(dev, np.max(np.abs(created.components[(1, 0)][:, 0]
+                                    - np.sqrt(pair.positive_weights) * g)))
     dev = _worst(dev, np.max(np.abs(created.components[(0, 1)])))
     recs.append(_rec("field_equivalence", "one-sided-data-realization", "eq:fpm", dev, tol))
     return recs
@@ -887,6 +894,30 @@ SUITES = {
     "sharp": suite_sharp,
 }
 SUITE_NAMES = tuple(SUITES)
+
+
+# D x D complex matrices a dense-oracle suite holds at once, at most: sharp
+# keeps five operator matrices alive and a unitarity defect adds four more
+_ORACLE_MATRICES = 9
+
+
+def check_memory(cfg: SuiteConfig) -> None:
+    """Refuse, before any suite starts, a run whose dense oracles exceed physical memory.
+
+    A basis on M grid points has D = binom(M + N, N) vectors; M is the larger
+    configured grid (the fock suite's 4 points are never larger), and the
+    inner and kernel suites build no basis.
+    """
+    selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
+    if set(selected) <= {"inner", "kernel"}:
+        return
+    m = max(2 * cfg.massless_points_per_side, cfg.massive_size)
+    need = _ORACLE_MATRICES * np.dtype(complex).itemsize * math.comb(m + cfg.truncation, m) ** 2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"the dense-matrix oracles need about {need / 2 ** 30:.3g} GiB at "
+                          f"once, more than the {have / 2 ** 30:.3g} GiB of physical memory; "
+                          "lower truncation or the grid sizes")
 
 
 def _suite_rng(seed: int, suite_name: str) -> np.random.Generator:

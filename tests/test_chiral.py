@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tensor_reference as ref
 from fockdeform import dense, fock
 from fockdeform.chiral import (BiFockVector, EquivalenceReport, _compare_operators,
                                annihilate_half, apply_cross_twist,
@@ -105,10 +106,10 @@ def test_chiral_field_zero_and_vacuum(pair, rng):
     assert bifock_norm(chiral_field("+", np.zeros(3), bifock_vacuum(pair, 3))) == 0.0
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     out = chiral_field("+", g, bifock_vacuum(pair, 3))
-    assert np.max(np.abs(out.components[(1, 0)] - g)) < 1e-14
+    assert np.max(np.abs(out.components[(1, 0)][:, 0] - np.sqrt(pair.positive_weights) * g)) < 1e-14
     assert np.max(np.abs(out.components[(0, 1)])) == 0.0
     out = chiral_field("-", g, bifock_vacuum(pair, 3))
-    assert np.max(np.abs(out.components[(0, 1)] - g)) < 1e-14
+    assert np.max(np.abs(out.components[(0, 1)][0] - np.sqrt(pair.negative_weights) * g)) < 1e-14
 
 
 def test_chiral_field_hermitian(pair, rng):
@@ -144,15 +145,15 @@ def test_cross_matrix_equals_ordered_double_product(pair, root, rng):
     assert np.max(np.abs(smat - bmat * bmat.T)) < 1e-14
     assert abs(smat[q + 1, 0] - eval_root(root, -pts[q + 1] * pts[0])) < 1e-14
     psi = fock.random_fock_vector(grid, 3, rng)
+    labels = dense.FockBasis(grid, 3).labels
     for adjoint in (False, True):
-        twisted = apply_cross_twist_fock(root, psi, adjoint=adjoint)
-        ref = np.conj(bmat) if adjoint else bmat
-        for n, sector in enumerate(psi.sectors):
-            factor = np.ones(sector.shape, dtype=complex)
-            for idx in np.ndindex(*sector.shape):
-                for i, j in itertools.product(range(n), repeat=2):
-                    factor[idx] *= ref[idx[i], idx[j]]
-            assert np.max(np.abs(twisted.sectors[n] - factor * sector), initial=0.0) < 1e-14
+        twisted = np.concatenate(apply_cross_twist_fock(root, psi, adjoint=adjoint).sectors)
+        bref = np.conj(bmat) if adjoint else bmat
+        factor = np.ones(len(labels), dtype=complex)
+        for row, (n, kappa) in enumerate(labels):
+            for i, j in itertools.product(range(n), repeat=2):
+                factor[row] *= bref[kappa[i], kappa[j]]
+        assert np.max(np.abs(twisted - factor * np.concatenate(psi.sectors))) < 1e-14
 
 
 def test_cross_twist_trivial_identity(pair, rng):
@@ -167,7 +168,8 @@ def test_cross_twist_unitary_vacuum_one_sided(pair, root, rng):
     vac = bifock_vacuum(pair, 3)
     assert bifock_norm(apply_cross_twist(root, vac) - vac) == 0.0
     one_sided_vec = bifock_zero(pair, 3)
-    one_sided_vec.components[(0, 2)][:] = fock.symmetrize(rng.standard_normal((3, 3)))
+    one_sided_vec.components[(0, 2)][0] = fock.symmetrize(rng.standard_normal((3, 3)),
+                                                          pair.negative_weights, 2)
     assert bifock_norm(apply_cross_twist(root, one_sided_vec) - one_sided_vec) == 0.0
 
 
@@ -207,16 +209,17 @@ def test_merge_one_one_component_hand_formula(pair, rng):
     psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     xi = bifock_zero(pair, 2)
-    xi.components[(1, 1)][:] = np.multiply.outer(psi, phi)
-    merged = merge_chiral(xi)
+    xi.components[(1, 1)][:] = np.multiply.outer(np.sqrt(pair.positive_weights) * psi,
+                                                 np.sqrt(pair.negative_weights) * phi)
+    merged = ref.tensor(merge_chiral(xi).sectors[2], pair.union.weights, 2)
     embedded = np.zeros((6, 6), dtype=complex)
     full_psi = np.zeros(6, dtype=complex)
     full_psi[3:] = psi
     full_phi = np.zeros(6, dtype=complex)
     full_phi[:3] = phi
     embedded += np.multiply.outer(full_psi, full_phi)
-    expected = math.sqrt(2.0) * fock.symmetrize(embedded)
-    assert np.max(np.abs(merged.sectors[2] - expected)) < 1e-13
+    expected = math.sqrt(2.0) * ref.symmetrize(embedded, range(2))
+    assert np.max(np.abs(merged - expected)) < 1e-13
 
 
 def reference_merge_component(pair, a, b, comp):
@@ -246,23 +249,24 @@ def test_merge_matches_permutation_sum_on_asymmetric_split():
     for (a, b), comp in xi.components.items():
         alone = bifock_zero(pair, n_top)
         alone.components[(a, b)] = comp
-        merged = merge_chiral(alone)
-        expected = reference_merge_component(pair, a, b, comp)
+        merged = ref.tower(merge_chiral(alone))
+        expected = reference_merge_component(
+            pair, a, b, ref.pair_tensor(comp, pair.positive_weights, pair.negative_weights, a, b))
         total[a + b] = total[a + b] + expected
-        for n, sec in enumerate(merged.sectors):
-            ref = expected if n == a + b else 0.0
-            assert np.max(np.abs(sec - ref)) < 1e-14, ((a, b), n)
-    merged = merge_chiral(xi)
+        for n, sec in enumerate(merged):
+            want = expected if n == a + b else 0.0
+            assert np.max(np.abs(sec - want)) < 1e-14, ((a, b), n)
+    merged = ref.tower(merge_chiral(xi))
     for n in range(n_top + 1):
-        assert np.max(np.abs(merged.sectors[n] - total[n])) < 1e-14
+        assert np.max(np.abs(merged[n] - total[n])) < 1e-14
 
 
 def test_merge_vacuum_sector(pair):
     """Sector 0 of the merge is component (0, 0), exactly, and feeds no other sector."""
     xi = bifock_zero(pair, 3)
-    xi.components[(0, 0)] = np.array(0.25 - 1.5j)
+    xi.components[(0, 0)][0, 0] = 0.25 - 1.5j
     merged = merge_chiral(xi)
-    assert merged.sectors[0].shape == () and merged.sectors[0] == 0.25 - 1.5j
+    assert merged.sectors[0].shape == (1,) and merged.sectors[0][0] == 0.25 - 1.5j
     assert all(np.all(sec == 0.0) for sec in merged.sectors[1:])
 
 
@@ -270,7 +274,8 @@ def test_split_one_particle_sign_patterns(pair, rng):
     amp = one_sided(pair, "+", rng)
     psi = fock.create(amp, fock.vacuum(pair.union, 2))
     xi = split_chiral(psi, pair)
-    assert np.max(np.abs(xi.components[(1, 0)] - amp[3:])) < 1e-14
+    assert np.max(np.abs(xi.components[(1, 0)][:, 0]
+                         - np.sqrt(pair.positive_weights) * amp[3:])) < 1e-14
     assert np.max(np.abs(xi.components[(0, 1)])) == 0.0
 
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fockdeform import dense, fock
-from fockdeform.grids import chiral_pair, rapidity_grid
+import tensor_reference as ref
+from fockdeform import chiral, dense, fock
+from fockdeform.grids import MomentumGrid, chiral_pair, rapidity_grid
 
 TOL = 1e-10
 
@@ -49,8 +50,8 @@ def test_inner_grid_mismatch(grid):
 
 
 def batched_vector(grid, truncation, batch):
-    return fock.FockVector(grid, tuple(np.ones((grid.size,) * n + batch, dtype=complex)
-                                       for n in range(truncation + 1)))
+    return fock.FockVector(grid, tuple(np.ones(s.shape + batch, dtype=complex)
+                                       for s in fock.zero_vector(grid, truncation).sectors))
 
 
 def test_inner_refuses_batch(grid):
@@ -66,30 +67,39 @@ def test_norm_refuses_batch(grid):
         fock.norm(batched_vector(grid, 2, (3,)))
 
 
+# unequal weights, so that a weight read at the wrong slot shows
+WEIGHTS = np.array([0.3, 0.5, 0.8])
+
+
 def test_symmetrize_two_indices():
+    """Symm(e_0 (x) e_1) is 1/2 on (0, 1) and (1, 0): coefficient |(0, 1)| / 2."""
     m = 3
     t = np.zeros((m, m), dtype=complex)
     t[0, 1] = 1.0  # e_0 (x) e_1
-    s = fock.symmetrize(t)
-    expected = np.zeros((m, m), dtype=complex)
-    expected[0, 1] = expected[1, 0] = 0.5
-    assert np.allclose(s, expected)
+    s = fock.symmetrize(t, WEIGHTS, 2)
+    expected = np.zeros(6, dtype=complex)  # labels 00 01 02 11 12 22
+    expected[1] = 0.5 * math.sqrt(2 * WEIGHTS[0] * WEIGHTS[1])
+    assert np.max(np.abs(s - expected)) < 1e-15
 
 
 def test_symmetrize_idempotent(rng):
+    """Packed -> symmetric tensor -> packed is the identity, and the tensor is symmetric."""
     t = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    s = fock.symmetrize(t)
-    assert np.max(np.abs(fock.symmetrize(s) - s)) < 1e-14
-    sym = fock.symmetrize(t)
+    s = fock.symmetrize(t, WEIGHTS, 3)
+    sym = fock.sector_tensor(s, WEIGHTS, 3)
+    assert np.max(np.abs(fock.symmetrize(sym, WEIGHTS, 3) - s)) < 1e-14
     for perm in [(1, 0, 2), (2, 1, 0)]:
         assert np.max(np.abs(np.transpose(sym, perm) - sym)) < 1e-14
 
 
 def test_symmetrize_axes_subset(rng):
+    """The leading axes are symmetrized; trailing axes are a batch and stay put."""
     t = rng.standard_normal((2, 3, 3))
-    s = fock.symmetrize_axes(t, [1, 2])
-    assert np.max(np.abs(s - np.transpose(s, (0, 2, 1)))) < 1e-14
-    assert np.max(np.abs(s.sum() - t.sum())) < 1e-12
+    s = fock.symmetrize(np.moveaxis(t, 0, -1), WEIGHTS, 2)
+    assert s.shape == (6, 2)
+    sym = np.moveaxis(fock.sector_tensor(s, WEIGHTS, 2), -1, 0)
+    assert np.max(np.abs(sym - np.transpose(sym, (0, 2, 1)))) < 1e-14
+    assert np.max(np.abs(sym.sum() - t.sum())) < 1e-12
 
 
 def permutation_average(tensor, axes):
@@ -111,32 +121,49 @@ def bounded(rng, shape):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_coset_step_creation_layout(n, rng):
-    """outer(xi, Psi_{n-1}) times a kernel row product: one coset step is Symm_n."""
+    """Creation into sector n with a kernel row product is sqrt(n) Symm_n of
+    outer(xi, Psi_{n-1}) prod_{k>=2} K[p_1, p_k], the permutation sum."""
     m = 3
-    psi = permutation_average(bounded(rng, (m,) * (n - 1)), range(n - 1))
+    src = fock.symmetrize(bounded(rng, (m,) * (n - 1)), WEIGHTS, n - 1)
     kmat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (m, m)))
-    raw = fock._row_kernel_multiply(np.multiply.outer(bounded(rng, m), psi), kmat, n - 1)
-    step = fock._coset_step(raw, 0, range(n))
-    assert np.max(np.abs(step - permutation_average(raw, range(n)))) <= 1e-15
+    xi = bounded(rng, m)
+    out = fock._raise(src, np.sqrt(WEIGHTS) * xi, fock._ladder(m, n)[n], kmat)
+    raw = ref.entrywise(np.multiply.outer(xi, fock.sector_tensor(src, WEIGHTS, n - 1)),
+                        lambda idx: math.prod(kmat[idx[0], k] for k in idx[1:]))
+    expected = math.sqrt(n) * permutation_average(raw, range(n))
+    assert np.max(np.abs(fock.sector_tensor(out, WEIGHTS, n) - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 def test_coset_step_negative_half_layout(b, rng):
-    """The '-' half creator: a positive axes, then the new axis, then b - 1 negative axes."""
+    """The '-' half creator: a positive axes, then the new axis, then b - 1 negative
+    axes, symmetrized over the b negative axes by the permutation sum."""
     a, p, q = 2, 2, 3
+    wp = WEIGHTS[:p]
+    pair = chiral.ChiralGridPair(union=MomentumGrid(np.array([-2.0, -1.0, -0.5, 0.5, 1.5]),
+                                                    np.concatenate([WEIGHTS, wp]), 0.0),
+                                 n_negative=q)
     comp = bounded(rng, (p,) * a + (q,) * (b - 1))
     comp = permutation_average(permutation_average(comp, range(a)), range(a, a + b - 1))
-    raw = np.moveaxis(np.multiply.outer(bounded(rng, q), comp), 0, a)
-    step = fock._coset_step(raw, a, range(a, a + b))
-    assert np.max(np.abs(step - permutation_average(raw, range(a, a + b)))) <= 1e-15
+    g = bounded(rng, q)
+    xi = chiral.bifock_zero(pair, a + b)
+    xi.components[(a, b - 1)][:] = ref.pair_coeffs(comp, wp, WEIGHTS, a, b - 1)
+    out = chiral.create_half("-", g, xi).components[(a, b)]
+    raw = np.moveaxis(np.multiply.outer(g, comp), 0, a)
+    expected = math.sqrt(b) * permutation_average(raw, range(a, a + b))
+    assert np.max(np.abs(ref.pair_tensor(out, wp, WEIGHTS, a, b) - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("axes", [(0, 1, 2, 3), (1, 3), (0, 2, 3), (3, 1, 0)])
 def test_symmetrize_axes_matches_permutation_sum(axes, rng):
-    """Repeated coset steps equal the permutation sum on a tensor with no symmetry."""
+    """Symmetrizing the given axes of a tensor with no symmetry, the others a batch,
+    equals the permutation sum."""
     t = bounded(rng, (3, 3, 3, 3))
-    assert np.max(np.abs(fock.symmetrize_axes(t, axes)
-                         - permutation_average(t, axes))) <= 1e-15
+    n = len(axes)
+    front = np.moveaxis(t, axes, range(n))
+    packed = fock.symmetrize(front, WEIGHTS, n)
+    expected = np.moveaxis(permutation_average(t, axes), axes, range(n))
+    assert np.max(np.abs(fock.sector_tensor(packed, WEIGHTS, n) - expected)) <= 1e-15
 
 
 def test_annihilate_vacuum(grid, rng):
@@ -151,14 +178,14 @@ def test_annihilate_one_particle_gives_pairing(grid, rng):
     vac = fock.vacuum(grid, 3)
     out = fock.annihilate(xi, fock.create(eta, vac))
     expected = complex(weighted_pairing(grid, xi, eta))
-    assert abs(complex(out.sectors[0]) - expected) < 1e-12
+    assert abs(complex(out.sectors[0][0]) - expected) < 1e-12
     assert fock.norm(out - expected * vac) < 1e-12
 
 
 def test_create_vacuum_gives_amplitude(grid, rng):
     xi = fock.random_one_particle(grid, rng)
     out = fock.create(xi, fock.vacuum(grid, 3))
-    assert np.allclose(out.sectors[1], xi)
+    assert np.allclose(out.sectors[1], np.sqrt(grid.weights) * xi)
     assert np.max(np.abs(out.sectors[0])) == 0.0
 
 
@@ -168,7 +195,7 @@ def test_two_particle_creation_hand_formula(grid, rng):
     eta = fock.random_one_particle(grid, rng)
     out = fock.create(xi, fock.create(eta, fock.vacuum(grid, 3)))
     expected = (np.multiply.outer(xi, eta) + np.multiply.outer(eta, xi)) / math.sqrt(2)
-    assert np.max(np.abs(out.sectors[2] - expected)) < 1e-12
+    assert np.max(np.abs(ref.tensor(out.sectors[2], grid.weights, 2) - expected)) < 1e-12
 
 
 def test_adjoint_pairing_explicit_inner(grid, rng):
@@ -218,8 +245,9 @@ def test_exponential_vector_zero_is_vacuum(grid):
 def test_exponential_vector_sectors(grid, rng):
     xi = fock.random_one_particle(grid, rng)
     e = fock.exponential_vector(grid, xi, 3)
-    assert np.allclose(e.sectors[2], np.multiply.outer(xi, xi) / math.sqrt(2))
-    assert np.allclose(e.sectors[3],
+    assert np.allclose(ref.tensor(e.sectors[2], grid.weights, 2),
+                       np.multiply.outer(xi, xi) / math.sqrt(2))
+    assert np.allclose(ref.tensor(e.sectors[3], grid.weights, 3),
                        np.multiply.outer(np.multiply.outer(xi, xi), xi) / math.sqrt(6))
 
 
@@ -246,7 +274,7 @@ def test_translation_one_particle_phase(grid, rng):
     x = (0.37, 1.21)
     out = fock.apply_translation(x, fock.create(xi, fock.vacuum(grid, 2)))
     expected = np.exp(1j * (x[0] * grid.omegas - x[1] * grid.points)) * xi
-    assert np.max(np.abs(out.sectors[1] - expected)) < 1e-14
+    assert np.max(np.abs(out.sectors[1] - np.sqrt(grid.weights) * expected)) < 1e-14
 
 
 def test_boost_identity_and_vacuum(grid, rng):
@@ -336,7 +364,7 @@ def test_field_zero_data(grid):
 def test_field_vacuum_sectors(grid, rng):
     fd = fock.real_test_function(fock.random_one_particle(grid, rng))
     out = fock.field(fd, fock.vacuum(grid, 3))
-    assert np.allclose(out.sectors[1], fd.fplus)
+    assert np.allclose(out.sectors[1], np.sqrt(grid.weights) * fd.fplus)
     assert np.max(np.abs(out.sectors[2])) == 0.0
     assert np.max(np.abs(out.sectors[3])) == 0.0
 

@@ -1,0 +1,175 @@
+"""Every packed operator against the tensor-layout reference, at N = 3 on 6 points."""
+
+import numpy as np
+import pytest
+
+import tensor_reference as ref
+from fockdeform import chiral, dense, fock
+from fockdeform.deformation import (KernelSpec, annihilate_deformed, annihilate_deformed_sharp,
+                                    create_deformed, kernel_matrix, sharp_annihilate)
+from fockdeform.grids import ChiralGridPair, MomentumGrid, boost_blocks, chiral_pair, rapidity_grid
+from fockdeform.inner import make_root, random_symmetric_blaschke
+
+N = 3
+TOL = 1e-14
+# unequal weights, so that a weight read at the wrong slot shows
+GRID = MomentumGrid(np.array([-2.1, -1.2, -0.4, 0.3, 0.9, 1.7]),
+                    np.array([0.35, 0.6, 0.25, 0.5, 0.8, 0.3]), 0.0)
+PAIR = ChiralGridPair(union=GRID, n_negative=3)
+
+
+def rng():
+    return np.random.default_rng(4242)
+
+
+def root():
+    return make_root(random_symmetric_blaschke(np.random.default_rng(17)))
+
+
+def amplitude(size, generator):
+    return generator.uniform(-1, 1, size) + 1j * generator.uniform(-1, 1, size)
+
+
+def worst(got, expected):
+    return max(np.max(np.abs(g - e), initial=0.0) for g, e in zip(got, expected, strict=True))
+
+
+def bi_worst(got, expected):
+    return max(np.max(np.abs(got[k] - expected[k]), initial=0.0) for k in expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_symmetrize_and_sector_tensor_match_reference(n):
+    r = rng()
+    raw = r.standard_normal((6,) * n) + 1j * r.standard_normal((6,) * n)
+    w = GRID.weights
+    packed = fock.symmetrize(raw, w, n)
+    assert np.max(np.abs(packed - ref.coeffs(ref.symmetrize(raw, range(n)), w, n))) <= TOL
+    assert np.max(np.abs(fock.sector_tensor(packed, w, n) - ref.tensor(packed, w, n))) <= TOL
+
+
+@pytest.mark.parametrize("name", ["annihilate", "create", "annihilate_deformed",
+                                  "create_deformed"])
+def test_ladder_matches_reference(name):
+    r = rng()
+    psi = fock.random_fock_vector(GRID, N, r)
+    xi = amplitude(6, r)
+    spec = KernelSpec(root=root(), mass=0.0)
+    kmat = kernel_matrix(spec, GRID)
+    tensors = ref.tower(psi)
+    got, expected = {
+        "annihilate": lambda: (fock.annihilate(xi, psi),
+                               ref.annihilate(xi, tensors, GRID.weights)),
+        "create": lambda: (fock.create(xi, psi), ref.create(xi, tensors)),
+        "annihilate_deformed": lambda: (annihilate_deformed(spec, xi, psi),
+                                        ref.annihilate(xi, tensors, GRID.weights, kmat)),
+        "create_deformed": lambda: (create_deformed(spec, xi, psi),
+                                    ref.create(xi, tensors, np.conj(kmat))),
+    }[name]()
+    assert worst(got.sectors, ref.packed(GRID, expected).sectors) <= TOL
+
+
+@pytest.mark.parametrize("dressed", [False, True])
+def test_sharp_annihilators_match_reference(dressed):
+    psi = fock.random_fock_vector(GRID, N, rng())
+    spec = KernelSpec(root=root(), mass=0.0)
+    tensors = ref.tower(psi)
+    for q, p in enumerate(GRID.points):
+        if dressed:
+            got = annihilate_deformed_sharp(spec, float(p), psi)
+            expected = ref.sharp_annihilate(q, tensors, kernel_matrix(spec, GRID)[q])
+        else:
+            got = sharp_annihilate(float(p), psi)
+            expected = ref.sharp_annihilate(q, tensors)
+        assert worst(got.sectors, ref.packed(GRID, expected).sectors) <= TOL
+
+
+def test_pair_phases_match_reference():
+    """The union pair phase and the split-tower cross twist built from it."""
+    r = rng()
+    gmat = np.exp(1j * r.uniform(0, 2 * np.pi, (6, 6)))
+    gmat = gmat * gmat.T
+    psi = fock.random_fock_vector(GRID, N, r)
+    expected = ref.pair_phase(gmat, ref.tower(psi))
+    assert worst(fock.apply_pair_phase(gmat, psi).sectors,
+                 ref.packed(GRID, expected).sectors) <= TOL
+    xi = chiral.random_bifock(PAIR, N, r)
+    cmat = gmat[3:, :3]
+    tensors = ref.bitower(xi)
+    twisted = {(a, b): ref.entrywise(t, lambda idx, a=a: np.prod(
+        [cmat[i, j] for i in idx[:a] for j in idx[a:]])) for (a, b), t in tensors.items()}
+    got = chiral.apply_cross_twist_matrix(PAIR, cmat, xi)
+    assert bi_worst(got.components, ref.bipacked(PAIR, N, twisted).components) <= TOL
+
+
+def test_translation_and_reflection_match_reference():
+    psi = fock.random_fock_vector(GRID, N, rng())
+    x = (0.7, -1.3)
+    phases = np.exp(1j * (x[0] * GRID.omegas - x[1] * GRID.points))
+    expected = ref.translation(phases, ref.tower(psi))
+    assert worst(fock.apply_translation(x, psi).sectors,
+                 ref.packed(GRID, expected).sectors) <= TOL
+    expected = [np.conj(t) for t in ref.tower(psi)]
+    assert worst(fock.apply_reflection(psi).sectors, ref.packed(GRID, expected).sectors) <= TOL
+
+
+@pytest.mark.parametrize("grid", [rapidity_grid(1.0, 6), chiral_pair(3).union],
+                         ids=["rapidity", "geometric"])
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_boost_matches_reference(grid, shift):
+    psi = fock.random_fock_vector(grid, N, rng())
+    expected = ref.boost(shift, boost_blocks(grid), ref.tower(psi))
+    res = fock.apply_boost(shift, psi)
+    assert worst(res.vector.sectors, ref.packed(grid, expected).sectors) <= TOL
+    # equal weights on the adapted layouts: the shift is an isometry on what it keeps
+    assert res.truncated == (fock.norm(psi) - fock.norm(ref.packed(grid, expected)) > 1e-12)
+
+
+def test_merge_and_split_match_reference():
+    r = rng()
+    xi = chiral.random_bifock(PAIR, N, r)
+    expected = ref.merge(PAIR, ref.bitower(xi), N)
+    assert worst(chiral.merge_chiral(xi).sectors, ref.packed(GRID, expected).sectors) <= TOL
+    psi = fock.random_fock_vector(GRID, N, r)
+    expected = ref.split(PAIR, ref.tower(psi))
+    assert bi_worst(chiral.split_chiral(psi, PAIR).components,
+                    ref.bipacked(PAIR, N, expected).components) <= TOL
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_half_operators_match_reference(side):
+    r = rng()
+    xi = chiral.random_bifock(PAIR, N, r)
+    g = amplitude(3, r)
+    tensors = ref.bitower(xi)
+    got = chiral.annihilate_half(side, g, xi)
+    expected = ref.annihilate_half(side, g, tensors, PAIR)
+    assert bi_worst(got.components, ref.bipacked(PAIR, N, expected).components) <= TOL
+    got = chiral.create_half(side, g, xi)
+    expected = ref.create_half(side, g, tensors)
+    assert bi_worst(got.components, ref.bipacked(PAIR, N, expected).components) <= TOL
+
+
+def test_exponential_vectors_match_reference():
+    r = rng()
+    xi = amplitude(6, r)
+    assert worst(fock.exponential_vector(GRID, xi, N).sectors,
+                 ref.packed(GRID, ref.exponential(xi, N)).sectors) <= TOL
+    psi, phi = amplitude(3, r), amplitude(3, r)
+    pos, neg = ref.exponential(psi, N), ref.exponential(phi, N)
+    expected = {(a, b): np.multiply.outer(pos[a], neg[b]) for (a, b) in chiral._component_keys(N)}
+    assert bi_worst(chiral.exponential_pair(PAIR, psi, phi, N).components,
+                    ref.bipacked(PAIR, N, expected).components) <= TOL
+
+
+def test_merge_matrix_is_a_unit_permutation():
+    mat = dense.operator_matrix(chiral.merge_chiral, dense.BiFockBasis(PAIR, N),
+                                dense.FockBasis(GRID, N))
+    assert np.all((mat == 0.0) | (mat == 1.0))
+    assert np.all(np.sum(mat == 1.0, axis=0) == 1) and np.all(np.sum(mat == 1.0, axis=1) == 1)
+
+
+def test_reference_kernel_is_nontrivial():
+    """The deformed cases above compare against a kernel far from 1."""
+    kmat = kernel_matrix(KernelSpec(root=root(), mass=0.0), GRID)
+    assert np.max(np.abs(kmat - 1.0)) > 0.1

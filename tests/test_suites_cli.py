@@ -4,16 +4,17 @@ import copy
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fockdeform import chiral, cli
+from fockdeform import chiral, cli, suites
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json, root_from_json, root_to_json)
 from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
 from fockdeform.suites import (REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
-                               _rec, run_suite)
+                               _rec, check_memory, run_suite)
 
 FAST = SuiteConfig(suites=("inner", "fock", "kernel"), seed=11)
 
@@ -221,10 +222,12 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"roots": [{"zeros": [], "sign": 1.5}]}',
     '{"seed": Infinity}',
     '{"suites": []}',
+    '{"roots": [{"zeros": [[0.5, 1.0], [-0.5, 1.0]], "flip": [[0.3, 0.9], [-0.9, -0.3]]}]}',
+    '{"roots": []}',
 ], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
         "tolerance-nan", "root-not-object", "ratio-roots-not-list", "truncation-float",
         "seed-float", "points-per-side-float", "repetitions-bool", "root-sign-float",
-        "seed-infinite", "suites-empty"])
+        "seed-infinite", "suites-empty", "root-unknown-key", "roots-empty"])
 def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     """Bad types and values are configuration errors (exit 2), not tracebacks."""
     cfg_path = tmp_path / "cfg.json"
@@ -277,3 +280,22 @@ def test_cli_tolerance_override_can_fail(capsys):
     # an absurdly small tolerance flips roundoff-level checks to FAIL -> exit 1
     rc = cli.main(["--suite", "inner", "--tolerance", "1e-18"])
     assert rc == 1
+
+
+def test_cli_refuses_config_over_memory_before_any_suite(tmp_path, capsys, monkeypatch):
+    """truncation 8 on 16 points per side: D = binom(40, 8), about 7.7e7 basis vectors."""
+    monkeypatch.setattr(suites, "SUITES", {})  # running any suite would raise KeyError
+    doc = {"truncation": 8, "massless_grid": {"points_per_side": 16}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg_path)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    # the same grids are admitted when the selected suites build no dense oracle
+    check_memory(dataclasses.replace(config_from_json(doc), suites=("inner", "kernel")))
+
+
+def test_default_and_deep_tower_configs_are_admitted():
+    deep = json.loads((Path(__file__).parent.parent / "perfbench" / "workloads"
+                       / "deep-tower.json").read_text())
+    for doc in ({}, deep):
+        check_memory(config_from_json(doc))

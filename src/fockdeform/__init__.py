@@ -12,8 +12,8 @@ from .deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
                           apply_pair_twist, create_deformed, field_deformed,
                           kernel, kernel_matrix, sharp_annihilate,
                           sharp_momentum_twist, wedge_invariant)
-from .dense import BiFockBasis, FockBasis, hermiticity_defect, matrix_deviation, \
-    operator_matrix, unitarity_defect
+from .dense import (BiFockBasis, Entries, FockBasis, Pattern, probe_deviation, probe_entries,
+                    probe_image)
 from .fock import (BoostResult, FockVector, TestFunctionData, annihilate,
                    apply_boost, apply_reflection, apply_translation, create,
                    exponential_vector, field, norm, random_fock_vector,

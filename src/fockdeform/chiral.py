@@ -397,31 +397,29 @@ class EquivalenceReport:
         return self.max_deviation <= self.tolerance
 
 
-def _compare_operators(op_a, op_b, pair: ChiralGridPair, truncation: int,
-                       rng: np.random.Generator, n_vectors: int) -> tuple[float, float]:
-    from .dense import FockBasis, operator_matrix
-
-    dev_vec = 0.0
-    for _ in range(n_vectors):
-        probe = fock.random_fock_vector(pair.union, truncation, rng)
-        dev_vec = float(np.maximum(dev_vec, fock.norm(op_a(probe) - op_b(probe))))
-    basis = FockBasis(pair.union, truncation)
-    dev_mat = float(np.max(np.abs(operator_matrix(op_a, basis)
-                                  - operator_matrix(op_b, basis))))
-    return dev_vec, dev_mat
-
-
-def _check_equivalence(side: str, deformed, twisted, pair: ChiralGridPair,
+def _check_equivalence(side: str, deformed, twisted, pattern, pair: ChiralGridPair,
                        truncation: int, rng: np.random.Generator, n_vectors: int,
                        tolerance: float) -> EquivalenceReport:
-    """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes."""
-    vec_d, mat_d = _compare_operators(deformed, lambda v: twisted(v, "direct"),
-                                      pair, truncation, rng, n_vectors)
-    vec_s, mat_s = _compare_operators(deformed, lambda v: twisted(v, "split"),
-                                      pair, truncation, rng, n_vectors)
-    return EquivalenceReport(side=side, max_vector_direct=vec_d, max_vector_split=vec_s,
-                             max_matrix_direct=mat_d, max_matrix_split=mat_s,
-                             tolerance=tolerance)
+    """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes: on
+    ``n_vectors`` random vectors per route, and over the probe image of the
+    operators' ``pattern`` (:mod:`dense`), the deformed one's built once."""
+    from .dense import FockBasis, matrix_deviation, probe_image
+
+    basis = FockBasis(pair.union, truncation)
+    target = probe_image(deformed, pattern, basis)
+    devs = {}
+    for route in ("direct", "split"):
+        dev_vec = 0.0
+        for _ in range(n_vectors):
+            probe = fock.random_fock_vector(pair.union, truncation, rng)
+            diff = deformed(probe) - twisted(probe, route)
+            dev_vec = float(np.maximum(dev_vec, fock.norm(diff)))
+        image = probe_image(lambda v: twisted(v, route), pattern, basis)
+        devs[route] = (dev_vec, matrix_deviation(image, target))
+    return EquivalenceReport(side=side, max_vector_direct=devs["direct"][0],
+                             max_vector_split=devs["split"][0],
+                             max_matrix_direct=devs["direct"][1],
+                             max_matrix_split=devs["split"][1], tolerance=tolerance)
 
 
 def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
@@ -433,13 +431,15 @@ def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
     For an amplitude supported on one half-line the two must agree on the
     whole truncated space; both twist realizations are exercised.
     """
+    from .dense import LOWER
+
     amplitude = np.asarray(amplitude, dtype=complex)
     spec = KernelSpec(root=root, mass=0.0)
     return _check_equivalence(
         _support_side(pair, amplitude),
         lambda v: annihilate_deformed(spec, amplitude, v),
         lambda v, route: twisted_annihilator(root, amplitude, pair, v, route),
-        pair, truncation, rng, n_vectors, tolerance)
+        LOWER, pair, truncation, rng, n_vectors, tolerance)
 
 
 def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
@@ -453,9 +453,11 @@ def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPa
     """
     if not fd.real:
         raise ValueError("field equivalence is formulated for real data")
+    from .dense import FIELD
+
     spec = KernelSpec(root=root, mass=0.0)
     return _check_equivalence(
         _support_side(pair, fd.fplus),
         lambda v: field_deformed(spec, fd, v),
         lambda v, route: twisted_field(root, fd, pair, v, route),
-        pair, truncation, rng, n_vectors, tolerance)
+        FIELD, pair, truncation, rng, n_vectors, tolerance)

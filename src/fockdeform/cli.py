@@ -6,7 +6,8 @@
 Runs the selected suites against the configured grids, roots, and truncation,
 prints one line per check, optionally writes the JSON report, and exits 0 on
 overall pass, 1 on any check failure, 2 on configuration errors, including a
-configuration whose dense-matrix oracles would not fit in physical memory.
+configuration whose probe oracles and random vectors would not fit in physical
+memory.
 """
 
 from __future__ import annotations

@@ -132,12 +132,18 @@ def _lower(src: np.ndarray, amp: np.ndarray, tab: _Sector,
         out[lam] = sum_q amp_q sqrt(m_q(lam + q)) prod_{k in lam} K[q, k] src[lam + q],
 
     which is [a Psi]_n = sqrt(n+1) sum_q w_q conj(xi_q) prod_k K(q, p_k)
-    Psi_{n+1}(q, p_1..p_n) in the orthonormal coefficients.
+    Psi_{n+1}(q, p_1..p_n) in the orthonormal coefficients.  Only the q with
+    amp_q != 0 are read: one for a sharp annihilator, one half-line for a
+    one-sided amplitude.
     """
-    coef = np.sqrt(tab.up_mult) * amp
+    if not src.any():  # e.g. a block of probe columns from another sector
+        return np.zeros((len(tab.labels),) + src.shape[1:], dtype=complex)
+    q = np.flatnonzero(amp)
+    # np.take keeps C order (a[:, q] would not), so the sums run as for all q
+    coef = np.sqrt(np.take(tab.up_mult, q, axis=1)) * amp[q]
     if kmat is not None:
-        coef = coef * np.prod(kmat.T[tab.labels], axis=1)
-    return _scale(src[tab.up], coef).sum(axis=1)
+        coef = coef * np.prod(kmat.T[tab.labels[:, :, None], q], axis=1)
+    return _scale(src[np.take(tab.up, q, axis=1)], coef).sum(axis=1)
 
 
 def _raise(src: np.ndarray, amp: np.ndarray, tab: _Sector,
@@ -152,6 +158,8 @@ def _raise(src: np.ndarray, amp: np.ndarray, tab: _Sector,
     which is [a* Psi]_n = sqrt(n) Symm(xi(p_1) prod_{k>=2} K(p_1, p_k)
     Psi_{n-1}(p_2..p_n)).
     """
+    if not src.any():
+        return np.zeros((len(tab.labels),) + src.shape[1:], dtype=complex)
     coef = amp[tab.labels] / np.sqrt(tab.slot_mult)
     if kmat is not None:
         n = tab.labels.shape[1]

@@ -1,12 +1,13 @@
 """Named verification suites producing machine-readable pass/fail reports.
 
 Every check certifies one operator identity or structural law, two ways where
-it matters: action on seeded random vectors (fast) and a full dense-matrix
-comparison on the truncated space (exhaustive).  Each record carries a stable
-anchor string identifying the identity family, the measured deviation, and
-the tolerance it was held to.  Negative controls (checks that must *detect* a
-mismatch) pass when the deviation exceeds their threshold; the ``passed``
-flag is always authoritative.
+it matters: action on seeded random vectors (fast) and an entrywise comparison
+on the whole truncated space through the probe oracle of :mod:`dense`
+(exhaustive).  Each record carries a stable anchor string identifying the
+identity family, the measured deviation, and the tolerance it was held to.
+Negative controls (checks that must *detect* a mismatch) pass when the
+deviation exceeds their threshold; the ``passed`` flag is always
+authoritative.
 
 All randomness flows from the configured seed through one derived stream per
 suite, so identical configurations reproduce identical numbers.
@@ -241,15 +242,15 @@ def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
 def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
     tol = cfg.tolerance
     n_top = cfg.truncation
-    grid = cfg.massive_grid(size=4)  # dense oracles at the smallest scale
+    grid = cfg.massive_grid(size=4)  # the ccr check reads every basis vector: smallest scale
     basis = dense.FockBasis(grid, n_top)
     xi = fock.random_one_particle(grid, rng)
     eta = fock.random_one_particle(grid, rng)
     recs = []
 
-    mat_create = dense.operator_matrix(lambda v: fock.create(xi, v), basis)
-    mat_annih = dense.operator_matrix(lambda v: fock.annihilate(xi, v), basis)
-    dev = dense.matrix_deviation(mat_create, mat_annih.conj().T)
+    create = dense.probe_entries(lambda v: fock.create(xi, v), dense.RAISE, basis)
+    annih = dense.probe_entries(lambda v: fock.annihilate(xi, v), dense.LOWER, basis)
+    dev = create.deviation(annih.adjoint())
     recs.append(_rec("fock", "creation-is-weighted-adjoint", "sec1:ccr-adjoint", dev, 1e-12))
 
     pairing = complex(np.sum(grid.weights * np.conj(xi) * eta))
@@ -304,8 +305,8 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]:
     recs.append(_rec("fock", "reflection-antiunitary", "eq:U1", dev, tol))
 
     fd = fock.real_test_function(xi)
-    mat_field = dense.operator_matrix(lambda v: fock.field(fd, v), basis)
-    dev = dense.hermiticity_defect(mat_field)
+    field = dense.probe_entries(lambda v: fock.field(fd, v), dense.FIELD, basis)
+    dev = field.deviation(field.adjoint())
     phi_vac = fock.field(fd, vac)
     dev = _worst(dev, np.max(np.abs(phi_vac.sectors[1] - np.sqrt(grid.weights) * fd.fplus)))
     for n in range(2, n_top + 1):
@@ -451,9 +452,8 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
                     * sharp_annihilate(q, apply_kernel_phases(spec, q, v))
                     for idx, q in enumerate(grid.points)))
 
-            mat_direct = dense.operator_matrix(lambda v: annihilate_deformed(spec, xi, v), basis)
-            mat_comp = dense.operator_matrix(composed, basis)
-            dev = _worst(dev, dense.matrix_deviation(mat_direct, mat_comp))
+            dev = _worst(dev, dense.probe_deviation(
+                lambda v: annihilate_deformed(spec, xi, v), composed, dense.LOWER, basis))
     recs.append(_rec("deformed", "annihilator-equals-dressed-sum", "eq:a_R-explicit", dev, tol))
 
     dev = 0.0
@@ -462,9 +462,10 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
         for r in roots[:2]:
             spec = KernelSpec(root=r, mass=grid.mass)
             xi = fock.random_one_particle(grid, rng)
-            mc = dense.operator_matrix(lambda v: create_deformed(spec, xi, v), basis)
-            ma = dense.operator_matrix(lambda v: annihilate_deformed(spec, xi, v), basis)
-            dev = _worst(dev, dense.matrix_deviation(mc, ma.conj().T))
+            mc = dense.probe_entries(lambda v: create_deformed(spec, xi, v), dense.RAISE, basis)
+            ma = dense.probe_entries(lambda v: annihilate_deformed(spec, xi, v), dense.LOWER,
+                                     basis)
+            dev = _worst(dev, mc.deviation(ma.adjoint()))
     recs.append(_rec("deformed", "deformed-adjoint-pair", "sec1:adjoint-aR", dev, 1e-12))
 
     dev = 0.0
@@ -472,8 +473,8 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckReco
         basis = dense.FockBasis(grid, n_top)
         spec = KernelSpec(root=roots[0], mass=grid.mass)
         fd = fock.real_test_function(fock.random_one_particle(grid, rng))
-        mat = dense.operator_matrix(lambda v: field_deformed(spec, fd, v), basis)
-        dev = _worst(dev, dense.hermiticity_defect(mat))
+        field = dense.probe_entries(lambda v: field_deformed(spec, fd, v), dense.FIELD, basis)
+        dev = _worst(dev, field.deviation(field.adjoint()))
         out = field_deformed(spec, fd, fock.vacuum(grid, n_top))
         dev = _worst(dev, np.max(np.abs(out.sectors[1] - np.sqrt(grid.weights) * fd.fplus)))
     recs.append(_rec("deformed", "deformed-field-hermitian", "sec1:phi_Rm", dev, tol))
@@ -531,9 +532,8 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
             return apply_pair_twist(twist, annihilate_deformed(
                 spec2, xi, apply_pair_twist(twist, v)))  # twist is real, self-adjoint
 
-        m_lhs = dense.operator_matrix(conjugated, basis)
-        m_rhs = dense.operator_matrix(lambda v: annihilate_deformed(spec1, xi, v), basis)
-        dev = _worst(dev, dense.matrix_deviation(m_lhs, m_rhs))
+        dev = _worst(dev, dense.probe_deviation(
+            conjugated, lambda v: annihilate_deformed(spec1, xi, v), dense.LOWER, basis))
     recs.append(_rec("root_equivalence", "pair-twist-maps-annihilators",
                      "lemma:RootEquivalence", dev, tol))
 
@@ -547,9 +547,8 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
         def conj_field(v, spec2=spec2, fd=fd):
             return apply_pair_twist(twist, field_deformed(spec2, fd, apply_pair_twist(twist, v)))
 
-        m_lhs = dense.operator_matrix(conj_field, basis)
-        m_rhs = dense.operator_matrix(lambda v: field_deformed(spec1, fd, v), basis)
-        dev = _worst(dev, dense.matrix_deviation(m_lhs, m_rhs))
+        dev = _worst(dev, dense.probe_deviation(
+            conj_field, lambda v: field_deformed(spec1, fd, v), dense.FIELD, basis))
     recs.append(_rec("root_equivalence", "field-conjugation",
                      "eq:UnitaryEquivalenceOfFields", dev, tol))
 
@@ -560,7 +559,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
     spec_a = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     spec_b = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     fd = fock.real_test_function(fock.random_one_particle(grid, rng))
-    m_target = dense.operator_matrix(lambda v: field_deformed(spec_a, fd, v), basis)
+    m_target = dense.probe_image(lambda v: field_deformed(spec_a, fd, v), dense.FIELD, basis)
     candidates = [trivial_root(),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[0]),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[1])]
@@ -569,7 +568,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[C
         def conj_b(v, cand=cand):
             return apply_pair_twist(cand, field_deformed(spec_b, fd, apply_pair_twist(cand, v)))
         min_dev = _worst(min_dev, dense.matrix_deviation(
-            dense.operator_matrix(conj_b, basis), m_target), pick=np.min)
+            dense.probe_image(conj_b, dense.FIELD, basis), m_target), pick=np.min)
     recs.append(_rec("root_equivalence", "detects-square-mismatch",
                      "proposition:ChoiceOfRootDoesntMatter", min_dev, 1e-3,
                      passed=min_dev > 1e-3))
@@ -590,8 +589,9 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
     bbasis = dense.BiFockBasis(pair, n_top)
     recs = []
 
-    m_merge = dense.operator_matrix(chiral.merge_chiral, bbasis, fbasis)
-    dev = dense.unitarity_defect(m_merge)
+    # in union labels the merge is the identity relabelling
+    dev = dense.probe_entries(chiral.merge_chiral, dense.DIAGONAL, bbasis,
+                              fbasis).unitarity_defect()
     dev = _worst(dev, fock.norm(chiral.merge_chiral(chiral.bifock_vacuum(pair, n_top))
                              - fock.vacuum(grid, n_top)))
     for _ in range(cfg.repetitions):
@@ -666,12 +666,11 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord
 
     dev = 0.0
     for r in roots:
-        m_direct = dense.operator_matrix(
-            lambda v, r=r: chiral.apply_cross_twist_fock(r, v), fbasis)
-        m_comp = dense.operator_matrix(
+        dev = _worst(dev, dense.probe_deviation(
+            lambda v, r=r: chiral.apply_cross_twist_fock(r, v),
             lambda v, r=r: chiral.merge_chiral(
-                chiral.apply_cross_twist(r, chiral.split_chiral(v, pair))), fbasis)
-        dev = _worst(dev, dense.matrix_deviation(m_direct, m_comp))
+                chiral.apply_cross_twist(r, chiral.split_chiral(v, pair))),
+            dense.DIAGONAL, fbasis))
     psi = fock.random_fock_vector(grid, n_top, rng)
     low = chiral.apply_cross_twist_fock(roots[0], psi)
     for n in (0, 1):
@@ -741,14 +740,16 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> list[Chec
     spec = KernelSpec(root=triv, mass=0.0)
     dev_exact = 0.0
     dev_round = 0.0
+
+    def image(op):
+        return dense.probe_image(op, dense.LOWER, basis)
+
     for side in ("+", "-"):
         amp = _one_sided_amplitude(pair, side, rng)
-        m_plain = dense.operator_matrix(lambda v: fock.annihilate(amp, v), basis)
-        m_deformed = dense.operator_matrix(lambda v: annihilate_deformed(spec, amp, v), basis)
-        m_direct = dense.operator_matrix(
-            lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"), basis)
-        m_split = dense.operator_matrix(
-            lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"), basis)
+        m_plain = image(lambda v: fock.annihilate(amp, v))
+        m_deformed = image(lambda v: annihilate_deformed(spec, amp, v))
+        m_direct = image(lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"))
+        m_split = image(lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"))
         dev_exact = _worst(dev_exact, dense.matrix_deviation(m_deformed, m_plain))
         dev_exact = _worst(dev_exact, dense.matrix_deviation(m_direct, m_plain))
         dev_round = _worst(dev_round, dense.matrix_deviation(m_split, m_plain))
@@ -781,8 +782,8 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> list[
 
     bbasis = dense.BiFockBasis(pair, n_top)
     g = rng.standard_normal(pair.n_positive) + 1j * rng.standard_normal(pair.n_positive)
-    mat = dense.operator_matrix(lambda v: chiral.chiral_field("+", g, v), bbasis)
-    dev = dense.hermiticity_defect(mat)
+    field = dense.probe_entries(lambda v: chiral.chiral_field("+", g, v), dense.FIELD, bbasis)
+    dev = field.deviation(field.adjoint())
     created = chiral.chiral_field("+", g, chiral.bifock_vacuum(pair, n_top))
     dev = _worst(dev, np.max(np.abs(created.components[(1, 0)][:, 0]
                                     - np.sqrt(pair.positive_weights) * g)))
@@ -816,27 +817,22 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
         basis = dense.FockBasis(grid, n_top)
         for r in grid_roots:
             spec = KernelSpec(root=r, mass=grid.mass)
-            for p in grid.points:
-                p = float(p)
-                m_target = dense.operator_matrix(
-                    lambda v: annihilate_deformed_sharp(spec, p, v), basis)
+            for idx, p in enumerate(grid.points.tolist()):
+                sharp = dense.removal(idx)
+                m_target = dense.probe_image(
+                    lambda v: annihilate_deformed_sharp(spec, p, v), sharp, basis)
                 m_variant = {}
                 for variant in SharpTwistVariant:
-                    m_conj = dense.operator_matrix(conjugation(spec, variant, p), basis)
+                    m_conj = dense.probe_image(conjugation(spec, variant, p), sharp, basis)
                     m_variant[variant] = m_conj
                     devs[variant] = _worst(devs[variant],
                                         dense.matrix_deviation(m_conj, m_target))
+                    twist = dense.probe_entries(
+                        lambda v: sharp_momentum_twist(spec, variant, p, v), dense.DIAGONAL, basis)
+                    dev_unitary = _worst(dev_unitary, twist.unitarity_defect())
                 dev_agree = _worst(dev_agree, dense.matrix_deviation(
                     m_variant[SharpTwistVariant.PAIRWISE_SUM],
                     m_variant[SharpTwistVariant.SIGN_SPLIT]))
-                m_tw1 = dense.operator_matrix(
-                    lambda v: sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, v),
-                    basis)
-                m_tw2 = dense.operator_matrix(
-                    lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v),
-                    basis)
-                dev_unitary = _worst(dev_unitary, dense.unitarity_defect(m_tw1),
-                                  dense.unitarity_defect(m_tw2))
     recs.append(_rec("sharp", "conjugation-pairwise-sum", "sec3:sharp-twist",
                      devs[SharpTwistVariant.PAIRWISE_SUM], tol))
     recs.append(_rec("sharp", "conjugation-sign-split", "sec3:sharp-twist-sign-split",
@@ -852,13 +848,10 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckRecord]
     dev_differ = 0.0
     for p in grid.points:
         p = float(p)
-        m_tw1 = dense.operator_matrix(
+        dev_differ = _worst(dev_differ, dense.probe_deviation(
             lambda v: sharp_momentum_twist(control, SharpTwistVariant.PAIRWISE_SUM, p, v),
-            basis)
-        m_tw2 = dense.operator_matrix(
             lambda v: sharp_momentum_twist(control, SharpTwistVariant.SIGN_SPLIT, p, v),
-            basis)
-        dev_differ = _worst(dev_differ, dense.matrix_deviation(m_tw1, m_tw2))
+            dense.DIAGONAL, basis))
     recs.append(_rec("sharp", "variants-differ-as-operators", "sec3:sharp-twist-sign-split",
                      dev_differ, 1e-3, passed=dev_differ > 1e-3))
 
@@ -896,28 +889,31 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-# D x D complex matrices a dense-oracle suite holds at once, at most: sharp
-# keeps five operator matrices alive and a unitarity defect adds four more
-_ORACLE_MATRICES = 9
-
-
 def check_memory(cfg: SuiteConfig) -> None:
-    """Refuse, before any suite starts, a run whose dense oracles exceed physical memory.
+    """Refuse, before any suite starts, a run whose largest arrays exceed physical memory.
 
-    A basis on M grid points has D = binom(M + N, N) vectors; M is the larger
-    configured grid (the fock suite's 4 points are never larger), and the
-    inner and kernel suites build no basis.
+    The tower on M grid points (the larger configured grid) has D = binom(M +
+    N, N) labels, and a probe oracle on it 1 + N * M columns (:mod:`dense`).
+    Counted in complex entries: two copies of one ladder gather over a block
+    of probe columns, D * M * (columns per block); four probe images, D * (1 +
+    N * M); three copies of the (M,)*N Gaussian tensor that a random vector
+    draws; and the basis vectors of the fock suite's 4-point tower, D_4^2.
+    The inner and kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
         return
-    m = max(2 * cfg.massless_points_per_side, cfg.massive_size)
-    need = _ORACLE_MATRICES * np.dtype(complex).itemsize * math.comb(m + cfg.truncation, m) ** 2
+    m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
+    d = math.comb(m + n, n)
+    columns = 1 + n * m
+    per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
+    entries = 2 * d * m * per_block + 4 * d * columns + 3 * m ** n + math.comb(4 + n, n) ** 2
+    need = np.dtype(complex).itemsize * entries
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"the dense-matrix oracles need about {need / 2 ** 30:.3g} GiB at "
-                          f"once, more than the {have / 2 ** 30:.3g} GiB of physical memory; "
-                          "lower truncation or the grid sizes")
+        raise ConfigError(f"the oracles and random vectors need about {need / 2 ** 30:.3g} GiB "
+                          f"at once, more than the {have / 2 ** 30:.3g} GiB of physical "
+                          "memory; lower truncation or the grid sizes")
 
 
 def _suite_rng(seed: int, suite_name: str) -> np.random.Generator:

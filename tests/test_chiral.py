@@ -8,7 +8,7 @@ import pytest
 
 import tensor_reference as ref
 from fockdeform import dense, fock
-from fockdeform.chiral import (BiFockVector, EquivalenceReport, _compare_operators,
+from fockdeform.chiral import (BiFockVector, EquivalenceReport, _check_equivalence,
                                annihilate_half, apply_cross_twist,
                                apply_cross_twist_fock, apply_cross_twist_matrix,
                                apply_reflection_bifock, apply_translation_bifock,
@@ -448,17 +448,18 @@ def test_equivalence_report_propagates_nan():
         assert not rep.passed
 
 
-def test_compare_operators_keeps_late_nan(pair):
-    """A NaN on a later probe is not dropped by the running maximum."""
+def test_check_equivalence_keeps_late_nan(pair):
+    """A NaN on a later random vector is not dropped by the running maximum."""
     calls = []
 
-    def op_b(v):
-        if v.batch_shape:  # a block of dense-oracle columns, not a probe
+    def twisted(v, route):
+        if v.batch_shape:  # a block of probe columns, not a random vector
             return v
-        calls.append(1)
+        calls.append(route)
         return v * float("nan") if len(calls) == 2 else v
 
-    dev_vec, _ = _compare_operators(lambda v: v, op_b, pair, 2,
-                                    np.random.default_rng(3), 3)
-    assert len(calls) == 3
-    assert math.isnan(dev_vec)
+    rep = _check_equivalence("+", lambda v: v, twisted, dense.DIAGONAL, pair, 2,
+                             np.random.default_rng(3), 3, TOL)
+    assert calls == ["direct"] * 3 + ["split"] * 3
+    assert math.isnan(rep.max_vector_direct)
+    assert not rep.passed

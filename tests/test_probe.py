@@ -1,0 +1,357 @@
+"""The probe oracle against the dense oracle: colouring, equality, faults, exact zeros."""
+
+import functools
+import operator
+
+import numpy as np
+import pytest
+
+from fockdeform import chiral, dense, fock
+from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
+                                    annihilate_deformed_sharp, apply_kernel_phases,
+                                    create_deformed, field_deformed, sharp_annihilate,
+                                    sharp_momentum_twist)
+from fockdeform.grids import ChiralGridPair, MomentumGrid, chiral_pair, rapidity_grid
+from fockdeform.inner import make_root, random_symmetric_blaschke, trivial_root
+
+N = 4
+EPS = 1e-9
+
+
+def half_line_pair(n_positive, n_negative):
+    """A massless pair with unequal half-lines."""
+    pos = 0.4 * 1.5 ** np.arange(n_positive)
+    neg = -0.3 * 1.7 ** np.arange(n_negative)[::-1]
+    points = np.concatenate([neg, pos])
+    return ChiralGridPair(union=MomentumGrid(points, np.full(points.size, 0.4), 0.0),
+                          n_negative=n_negative)
+
+
+def union_multisets(basis):
+    """Each basis label as a multiset over the union grid, by index."""
+    if isinstance(basis, dense.FockBasis):
+        return [kappa for _, kappa in basis.labels]
+    q = basis.pair.n_negative
+    return [tuple(sorted(kneg + tuple(k + q for k in kpos))) for kpos, kneg in basis.labels]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_one_swap_apart_means_different_colours(m):
+    """Exhaustive for M <= 8, N <= 4: same-size multisets one swap apart never share
+    a probe column, on the tower and on every split of its grid."""
+    bases = [dense.FockBasis(rapidity_grid(1.0, m, -1.25, 1.0), N)]
+    bases += [dense.BiFockBasis(half_line_pair(p, m - p), N) for p in range(1, m)]
+    for basis in bases:
+        column = dense._layout(basis.union_size, N).by_colour[basis.union_order]
+        labels = union_multisets(basis)
+        size = np.array([len(k) for k in labels])
+        counts = np.array([np.bincount(np.array(k, dtype=int), minlength=m) for k in labels])
+        for n in range(1, N + 1):
+            idx = np.flatnonzero(size == n)
+            dist = np.abs(counts[idx, None, :] - counts[None, idx, :]).sum(axis=2)
+            i, j = np.nonzero(dist == 2)  # kappa - q + q' for some q != q'
+            assert i.size > 0 or len(idx) == 1
+            assert np.all(column[idx[i]] != column[idx[j]])
+
+
+def test_colour_columns_count():
+    layout = dense._layout(16, 5)
+    assert layout.by_colour.max() + 1 == 1 + 5 * 16
+    assert layout.sector.max() + 1 == 6
+    assert np.allclose(np.abs(layout.phase), 1.0)
+
+
+# --------------------------------------------------------------------------
+# probe deviations equal the dense ones
+# --------------------------------------------------------------------------
+
+def setting():
+    rng = np.random.default_rng(2024)
+    root = make_root(random_symmetric_blaschke(rng))
+    pair = chiral_pair(3)
+    massive = rapidity_grid(1.0, 4)
+    return rng, root, pair, massive
+
+
+def cases():
+    """(name, op_a, op_b, pattern, domain, codomain): pairs the suites compare,
+    and pairs in one pattern that differ."""
+    rng, root, pair, massive = setting()
+    union = dense.FockBasis(pair.union, N)
+    mbasis = dense.FockBasis(massive, N)
+    split = dense.BiFockBasis(pair, N)
+    xi, eta = fock.random_one_particle(massive, rng), fock.random_one_particle(massive, rng)
+    spec = KernelSpec(root=root, mass=massive.mass)
+    fd = fock.real_test_function(xi)
+    amp = np.zeros(pair.union.size, dtype=complex)
+    amp[pair.n_negative:] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    uspec = KernelSpec(root=root, mass=0.0)
+    p = float(massive.points[2])
+
+    def dressed_sum(v):
+        return functools.reduce(operator.add, (
+            massive.weights[idx] * np.conj(xi[idx])
+            * sharp_annihilate(q, apply_kernel_phases(spec, q, v))
+            for idx, q in enumerate(massive.points.tolist())))
+
+    def conjugation(variant):
+        def op(v):
+            out = sharp_momentum_twist(spec, variant, p, v, adjoint=True)
+            return sharp_momentum_twist(spec, variant, p, sharp_annihilate(p, out))
+        return op
+
+    def twist(variant):
+        return lambda v: sharp_momentum_twist(spec, variant, p, v)
+
+    return [
+        ("annihilate", lambda v: fock.annihilate(xi, v), lambda v: fock.annihilate(eta, v),
+         dense.LOWER, mbasis, None),
+        ("create", lambda v: fock.create(xi, v), lambda v: fock.create(eta, v),
+         dense.RAISE, mbasis, None),
+        ("free-vs-deformed-field", lambda v: fock.field(fd, v),
+         lambda v: field_deformed(spec, fd, v), dense.FIELD, mbasis, None),
+        ("twisted-annihilator-direct", lambda v: annihilate_deformed(uspec, amp, v),
+         lambda v: chiral.twisted_annihilator(root, amp, pair, v, "direct"),
+         dense.LOWER, union, None),
+        ("twisted-annihilator-split", lambda v: fock.annihilate(amp, v),
+         lambda v: chiral.twisted_annihilator(root, amp, pair, v, "split"),
+         dense.LOWER, union, None),
+        ("dressed-sum", lambda v: annihilate_deformed(spec, xi, v), dressed_sum,
+         dense.LOWER, mbasis, None),
+        ("dressed-sum-vs-free", lambda v: fock.annihilate(xi, v), dressed_sum,
+         dense.LOWER, mbasis, None),
+        ("sharp-conjugation", lambda v: annihilate_deformed_sharp(spec, p, v),
+         conjugation(SharpTwistVariant.SIGN_SPLIT), dense.removal(2), mbasis, None),
+        ("sharp-conjugation-vs-free", lambda v: sharp_annihilate(p, v),
+         conjugation(SharpTwistVariant.PAIRWISE_SUM), dense.removal(2), mbasis, None),
+        ("sharp-twists", twist(SharpTwistVariant.PAIRWISE_SUM),
+         twist(SharpTwistVariant.SIGN_SPLIT), dense.DIAGONAL, mbasis, None),
+        ("cross-twists", lambda v: chiral.apply_cross_twist_fock(root, v),
+         lambda v: chiral.merge_chiral(
+             chiral.apply_cross_twist(root, chiral.split_chiral(v, pair))),
+         dense.DIAGONAL, union, None),
+        ("cross-twist-vs-identity", lambda v: chiral.apply_cross_twist_fock(root, v),
+         lambda v: v, dense.DIAGONAL, union, None),
+        ("merge", chiral.merge_chiral,
+         lambda v: chiral.merge_chiral(chiral.apply_cross_twist(root, v)),
+         dense.DIAGONAL, split, union),
+    ]
+
+
+CASES = {case[0]: case for case in cases()}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_probe_deviation_equals_dense(name):
+    _, op_a, op_b, pattern, domain, codomain = CASES[name]
+    want = dense.matrix_deviation(dense.operator_matrix(op_a, domain, codomain),
+                                  dense.operator_matrix(op_b, domain, codomain))
+    got = dense.probe_deviation(op_a, op_b, pattern, domain, codomain)
+    assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_entries_reproduce_the_dense_matrix(name):
+    """Scattered back, the COO entries are the dense matrix, with zero residual."""
+    _, op_a, _, pattern, domain, codomain = CASES[name]
+    cod = domain if codomain is None else codomain
+    entries = dense.probe_entries(op_a, pattern, domain, codomain)
+    rebuilt = np.zeros((len(cod), len(domain)), dtype=complex)
+    rebuilt[entries.rows, entries.cols] = entries.values
+    matrix = dense.operator_matrix(op_a, domain, codomain)
+    union = np.zeros_like(matrix)
+    union[np.ix_(cod.union_order, domain.union_order)] = matrix
+    assert np.max(np.abs(rebuilt - union)) <= 1e-14
+    assert entries.residual == 0.0
+
+
+def adjoint_pairs():
+    rng, root, pair, massive = setting()
+    basis = dense.FockBasis(massive, N)
+    xi, eta = fock.random_one_particle(massive, rng), fock.random_one_particle(massive, rng)
+    spec = KernelSpec(root=root, mass=massive.mass)
+    return basis, [
+        (lambda v: fock.create(xi, v), lambda v: fock.annihilate(xi, v)),
+        (lambda v: fock.create(xi, v), lambda v: fock.annihilate(eta, v)),
+        (lambda v: create_deformed(spec, xi, v), lambda v: annihilate_deformed(spec, xi, v)),
+        (lambda v: create_deformed(spec, xi, v), lambda v: fock.annihilate(xi, v)),
+    ]
+
+
+def test_adjoint_defect_equals_dense():
+    basis, pairs = adjoint_pairs()
+    for create, annihilate in pairs:
+        want = dense.matrix_deviation(dense.operator_matrix(create, basis),
+                                      dense.operator_matrix(annihilate, basis).conj().T)
+        got = dense.probe_entries(create, dense.RAISE, basis).deviation(
+            dense.probe_entries(annihilate, dense.LOWER, basis).adjoint())
+        assert abs(got - want) <= 1e-14
+
+
+def test_hermiticity_defect_equals_dense():
+    rng, root, pair, massive = setting()
+    basis = dense.FockBasis(massive, N)
+    xi, eta = fock.random_one_particle(massive, rng), fock.random_one_particle(massive, rng)
+    spec = KernelSpec(root=root, mass=massive.mass)
+    g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    split = dense.BiFockBasis(pair, N)
+    for op, domain in (
+            (lambda v: fock.field(fock.real_test_function(xi), v), basis),
+            (lambda v: field_deformed(spec, fock.real_test_function(xi), v), basis),
+            (lambda v: fock.field(fock.TestFunctionData(xi, eta), v), basis),  # not real
+            (lambda v: chiral.chiral_field("+", g, v), split),
+            (lambda v: chiral.create_half("-", g, v) + chiral.annihilate_half("-", 2 * g, v),
+             split)):
+        want = dense.hermiticity_defect(dense.operator_matrix(op, domain))
+        entries = dense.probe_entries(op, dense.FIELD, domain)
+        assert abs(entries.deviation(entries.adjoint()) - want) <= 1e-14
+
+
+def test_unitarity_defect_equals_dense():
+    _, root, pair, massive = setting()
+    spec = KernelSpec(root=root, mass=massive.mass)
+    p = float(massive.points[1])
+    union = dense.FockBasis(pair.union, N)
+    split = dense.BiFockBasis(pair, N)
+    for op, domain, codomain in (
+            (lambda v: sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, v),
+             dense.FockBasis(massive, N), None),
+            (lambda v: chiral.apply_cross_twist_fock(root, v), union, None),
+            (lambda v: 1.5 * chiral.apply_cross_twist_fock(root, v), union, None),
+            (chiral.merge_chiral, split, union),
+            (lambda v: chiral.merge_chiral(v) * np.exp(0.3j), split, union)):
+        want = dense.unitarity_defect(dense.operator_matrix(op, domain, codomain))
+        got = dense.probe_entries(op, dense.DIAGONAL, domain, codomain).unitarity_defect()
+        assert abs(got - want) <= 1e-14
+
+
+# --------------------------------------------------------------------------
+# faults outside the pattern
+# --------------------------------------------------------------------------
+
+def inject(op, domain, codomain, row, col):
+    """op plus EPS times the map taking basis label ``col`` of the domain to
+    label ``row`` of the codomain."""
+    def faulty(v):
+        out = codomain.coefficients(op(v))
+        out[row] = out[row] + EPS * domain.coefficients(v)[col]
+        return codomain._vector(out)
+    return faulty
+
+
+def fock_index(basis, kappa):
+    return basis.labels.index((len(kappa), tuple(kappa)))
+
+
+@pytest.fixture(scope="module")
+def fault_setting():
+    rng = np.random.default_rng(99)
+    root = make_root(random_symmetric_blaschke(rng))
+    grid = rapidity_grid(1.0, 5, -1.25, 1.0)
+    basis = dense.FockBasis(grid, N)
+    xi = fock.random_one_particle(grid, rng)
+    return rng, root, grid, basis, xi
+
+
+def test_two_particle_move_is_caught(fault_setting):
+    """(0, 1, 2) -> (0, 3): one particle removed and one more swapped."""
+    _, _, grid, basis, xi = fault_setting
+    annihilate = lambda v: fock.annihilate(xi, v)  # noqa: E731
+    faulty = inject(annihilate, basis, basis, fock_index(basis, (0, 3)),
+                    fock_index(basis, (0, 1, 2)))
+    assert dense.probe_deviation(faulty, annihilate, dense.LOWER, basis) >= EPS / 2
+    create = dense.probe_entries(lambda v: fock.create(xi, v), dense.RAISE, basis)
+    assert create.deviation(dense.probe_entries(faulty, dense.LOWER, basis).adjoint()) >= EPS / 2
+
+
+def test_sector_skipping_map_is_caught(fault_setting):
+    """(0, 1, 2) -> (4,): two sectors down."""
+    _, _, grid, basis, xi = fault_setting
+    fd = fock.real_test_function(xi)
+    field = lambda v: fock.field(fd, v)  # noqa: E731
+    faulty = inject(field, basis, basis, fock_index(basis, (4,)),
+                    fock_index(basis, (0, 1, 2)))
+    assert dense.probe_deviation(faulty, field, dense.FIELD, basis) >= EPS / 2
+    entries = dense.probe_entries(faulty, dense.FIELD, basis)
+    assert entries.residual >= EPS / 2
+    assert entries.deviation(entries.adjoint()) >= EPS / 2
+
+
+def test_off_diagonal_twist_entry_is_caught(fault_setting):
+    """The first label of the top sector reads the last one."""
+    _, root, grid, basis, _ = fault_setting
+    spec = KernelSpec(root=root, mass=grid.mass)
+    p = float(grid.points[1])
+    twist = lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v)  # noqa: E731
+    top = [i for i, (n, _) in enumerate(basis.labels) if n == N]
+    faulty = inject(twist, basis, basis, top[0], top[-1])
+    assert dense.probe_deviation(faulty, twist, dense.DIAGONAL, basis) >= EPS / 2
+    assert dense.probe_entries(faulty, dense.DIAGONAL, basis).unitarity_defect() >= EPS / 2
+    # across sectors the entry lands where the pattern says zero
+    across = inject(twist, basis, basis, top[0], fock_index(basis, (1, 2, 3)))
+    assert dense.probe_entries(across, dense.DIAGONAL, basis).residual >= EPS / 2
+
+
+def test_non_injective_merge_is_caught():
+    """Split label of the last union label of the top sector also lands on the first."""
+    pair = chiral_pair(3)
+    union = dense.FockBasis(pair.union, N)
+    split = dense.BiFockBasis(pair, N)
+    top = [i for i, (n, _) in enumerate(union.labels) if n == N]
+    source = int(np.flatnonzero(split.union_order == top[-1])[0])
+    faulty = inject(chiral.merge_chiral, split, union, top[0], source)
+    assert dense.probe_entries(faulty, dense.DIAGONAL, split, union).unitarity_defect() >= EPS / 2
+    assert dense.probe_deviation(faulty, chiral.merge_chiral, dense.DIAGONAL, split,
+                                 union) >= EPS / 2
+
+
+def test_non_finite_entries_propagate(fault_setting):
+    _, _, grid, basis, xi = fault_setting
+    nan_op = lambda v: fock.annihilate(xi, v) * float("nan")  # noqa: E731
+    assert np.isnan(dense.probe_deviation(nan_op, lambda v: fock.annihilate(xi, v),
+                                          dense.LOWER, basis))
+    entries = dense.probe_entries(nan_op, dense.LOWER, basis)
+    assert np.isnan(entries.deviation(entries))
+
+
+def test_entries_with_different_positions_refuse():
+    basis = dense.FockBasis(rapidity_grid(1.0, 4), 2)
+    xi = np.ones(4)
+    lower = dense.probe_entries(lambda v: fock.annihilate(xi, v), dense.LOWER, basis)
+    with pytest.raises(ValueError):
+        lower.deviation(dense.probe_entries(lambda v: v, dense.DIAGONAL, basis))
+
+
+# --------------------------------------------------------------------------
+# exact zeros
+# --------------------------------------------------------------------------
+
+def test_trivial_root_operators_give_exactly_zero():
+    rng = np.random.default_rng(5)
+    triv = trivial_root()
+    pair = chiral_pair(3)
+    basis = dense.FockBasis(pair.union, N)
+    spec = KernelSpec(root=triv, mass=0.0)
+    for side in (slice(pair.n_negative, None), slice(None, pair.n_negative)):
+        amp = np.zeros(pair.union.size, dtype=complex)
+        amp[side] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        plain = lambda v, amp=amp: fock.annihilate(amp, v)  # noqa: E731
+        for op in (lambda v: annihilate_deformed(spec, amp, v),
+                   lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct")):
+            assert dense.probe_deviation(op, plain, dense.LOWER, basis) == 0.0
+    massive = dense.FockBasis(rapidity_grid(1.0, 4), N)
+    mspec = KernelSpec(root=triv, mass=1.0)
+    xi = rng.standard_normal(4)
+    create = dense.probe_entries(lambda v: create_deformed(mspec, xi, v), dense.RAISE, massive)
+    assert create.deviation(dense.probe_entries(
+        lambda v: fock.create(xi, v), dense.RAISE, massive)) == 0.0
+
+
+@pytest.mark.parametrize("name", ["annihilate", "free-vs-deformed-field", "sharp-conjugation",
+                                  "merge"])
+def test_probe_image_does_not_depend_on_the_blocks(name, monkeypatch):
+    """Blocks of 5 columns cut sectors into pieces; the image is the same."""
+    _, op_a, _, pattern, domain, codomain = CASES[name]
+    whole = dense.probe_image(op_a, pattern, domain, codomain)
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * len(domain))
+    assert np.array_equal(dense.probe_image(op_a, pattern, domain, codomain), whole)

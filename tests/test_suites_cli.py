@@ -299,3 +299,9 @@ def test_default_and_deep_tower_configs_are_admitted():
                        / "deep-tower.json").read_text())
     for doc in ({}, deep):
         check_memory(config_from_json(doc))
+
+
+def test_ceiling_config_is_admitted():
+    """N=5 on 8 points per side and 16 massive points: D = 20,349, no D x D matrix."""
+    check_memory(config_from_json({"truncation": 5, "massless_grid": {"points_per_side": 8},
+                                   "massive_grid": {"size": 16}}))

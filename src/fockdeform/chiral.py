@@ -384,7 +384,6 @@ class EquivalenceReport:
     max_vector_split: float
     max_matrix_direct: float
     max_matrix_split: float
-    tolerance: float
 
     @property
     def max_deviation(self) -> float:
@@ -392,14 +391,10 @@ class EquivalenceReport:
         return float(np.max([self.max_vector_direct, self.max_vector_split,
                              self.max_matrix_direct, self.max_matrix_split]))
 
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
 
 def _check_equivalence(side: str, deformed, twisted, pattern, pair: ChiralGridPair,
-                       truncation: int, rng: np.random.Generator, n_vectors: int,
-                       tolerance: float) -> EquivalenceReport:
+                       truncation: int, rng: np.random.Generator,
+                       n_vectors: int) -> EquivalenceReport:
     """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes: on
     ``n_vectors`` random vectors per route, and over the probe image of the
     operators' ``pattern`` (:mod:`dense`), the deformed one's built once."""
@@ -419,13 +414,12 @@ def _check_equivalence(side: str, deformed, twisted, pattern, pair: ChiralGridPa
     return EquivalenceReport(side=side, max_vector_direct=devs["direct"][0],
                              max_vector_split=devs["split"][0],
                              max_matrix_direct=devs["direct"][1],
-                             max_matrix_split=devs["split"][1], tolerance=tolerance)
+                             max_matrix_split=devs["split"][1])
 
 
 def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
                                   truncation: int, rng: np.random.Generator,
-                                  n_vectors: int = 10,
-                                  tolerance: float = 1e-10) -> EquivalenceReport:
+                                  n_vectors: int = 10) -> EquivalenceReport:
     """Compare the kernel-deformed annihilator with its twist conjugation.
 
     For an amplitude supported on one half-line the two must agree on the
@@ -439,13 +433,12 @@ def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
         _support_side(pair, amplitude),
         lambda v: annihilate_deformed(spec, amplitude, v),
         lambda v, route: twisted_annihilator(root, amplitude, pair, v, route),
-        LOWER, pair, truncation, rng, n_vectors, tolerance)
+        LOWER, pair, truncation, rng, n_vectors)
 
 
 def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
                             truncation: int, rng: np.random.Generator,
-                            n_vectors: int = 10,
-                            tolerance: float = 1e-10) -> EquivalenceReport:
+                            n_vectors: int = 10) -> EquivalenceReport:
     """Compare the kernel-deformed field with the twisted one-light-ray field.
 
     Requires real one-sided data, for which both operators are hermitian and
@@ -460,4 +453,4 @@ def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPa
         _support_side(pair, fd.fplus),
         lambda v: field_deformed(spec, fd, v),
         lambda v, route: twisted_field(root, fd, pair, v, route),
-        FIELD, pair, truncation, rng, n_vectors, tolerance)
+        FIELD, pair, truncation, rng, n_vectors)

@@ -49,18 +49,17 @@ _BLOCK_ENTRIES = 524_288
 
 
 class _Basis:
-    """What the two bases share: ``labels``, the state ``_vector(c)`` with
-    coefficient vector c (a trailing batch axis gives a batched state), and
-    ``union_order``: coefficient j is label ``union_order[j]`` of the tower
-    over the ``union_size``-point union grid."""
+    """What the two bases share: ``labels`` (built when first read), the state
+    ``_vector(c)`` with coefficient vector c (a trailing batch axis gives a
+    batched state), and ``union_order``: coefficient j is label
+    ``union_order[j]`` of the tower over the ``union_size``-point union grid."""
 
-    labels: list
     truncation: int
     union_size: int
     union_order: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.union_order)
 
     def block(self, start: int, stop: int):
         """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
@@ -81,12 +80,14 @@ class FockBasis(_Basis):
     def __init__(self, grid: MomentumGrid, truncation: int):
         self.grid = grid
         self.truncation = truncation
-        tables = fock._ladder(grid.size, truncation)
-        self.labels: list[tuple[int, tuple[int, ...]]] = [
-            (n, tuple(kappa)) for n, tab in enumerate(tables) for kappa in tab.labels.tolist()]
-        self._sizes = [len(tab.labels) for tab in tables]
+        self._sizes = [len(tab.labels) for tab in fock._ladder(grid.size, truncation)]
         self.union_size = grid.size
-        self.union_order = np.arange(len(self.labels))
+        self.union_order = np.arange(sum(self._sizes))
+
+    @functools.cached_property
+    def labels(self) -> list[tuple[int, tuple[int, ...]]]:
+        tables = fock._ladder(self.grid.size, self.truncation)
+        return [(n, tuple(kappa)) for n, tab in enumerate(tables) for kappa in tab.labels.tolist()]
 
     def _vector(self, flat: np.ndarray) -> FockVector:
         return FockVector(self.grid, tuple(np.split(flat, np.cumsum(self._sizes)[:-1])))
@@ -111,17 +112,20 @@ class BiFockBasis(_Basis):
         self.truncation = truncation
         pos = fock._ladder(pair.n_positive, truncation)
         neg = fock._ladder(pair.n_negative, truncation)
-        self.labels: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._shapes = {}
-        for (a, b) in chiral._component_keys(truncation):
-            self.labels.extend((tuple(kpos), tuple(kneg)) for kpos in pos[a].labels.tolist()
-                               for kneg in neg[b].labels.tolist())
-            self._shapes[(a, b)] = (len(pos[a].labels), len(neg[b].labels))
+        self._shapes = {(a, b): (len(pos[a].labels), len(neg[b].labels))
+                        for (a, b) in chiral._component_keys(truncation)}
         self.union_size = pair.union.size
         start = _layout(self.union_size, truncation).start
         index = chiral._union_index(pair.n_positive, pair.n_negative, truncation)
         self.union_order = np.concatenate([start[a + b] + index[(a, b)].ravel()
                                            for (a, b) in self._shapes])
+
+    @functools.cached_property
+    def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        pos = fock._ladder(self.pair.n_positive, self.truncation)
+        neg = fock._ladder(self.pair.n_negative, self.truncation)
+        return [(tuple(kpos), tuple(kneg)) for (a, b) in self._shapes
+                for kpos in pos[a].labels.tolist() for kneg in neg[b].labels.tolist()]
 
     def _vector(self, flat: np.ndarray) -> BiFockVector:
         rows = np.split(flat, np.cumsum([p * q for p, q in self._shapes.values()])[:-1])

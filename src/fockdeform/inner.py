@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOLERANCE = 1e-10
 POLE_EPSILON = 1e-8
 
 
@@ -187,16 +186,9 @@ class InnerSymmetryReport:
 
     max_conjugation_defect: float
     max_reflection_defect: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.max_conjugation_defect <= self.tolerance
-                and self.max_reflection_defect <= self.tolerance)
 
 
-def check_symmetric_inner(spec: BlaschkeSpec, samples,
-                          tolerance: float = DEFAULT_TOLERANCE) -> InnerSymmetryReport:
+def check_symmetric_inner(spec: BlaschkeSpec, samples) -> InnerSymmetryReport:
     """Check the defining boundary symmetries of phi on nonzero real samples."""
     t = np.asarray(samples, dtype=float)
     if t.size == 0 or np.any(t == 0.0):
@@ -207,39 +199,32 @@ def check_symmetric_inner(spec: BlaschkeSpec, samples,
     return InnerSymmetryReport(
         max_conjugation_defect=float(np.max(np.abs(np.conj(vals) - inv))),
         max_reflection_defect=float(np.max(np.abs(inv - vals_neg))),
-        tolerance=tolerance,
     )
 
 
 @dataclass(frozen=True)
 class RootRatioReport:
-    """Classification of r(t) = R1(t)/R2(t) on a sample set.
+    """Sampled defects of r(t) = R1(t)/R2(t) from a +-1-valued symmetric function:
+    max |r**2 - 1| and max |r(-t) - r(t)|.
 
-    r is a +-1-valued symmetric function exactly when R1 and R2 are roots of
-    the same inner function, i.e. R1**2 = R2**2 samplewise.
+    Both vanish exactly when R1 and R2 are roots of the same inner function,
+    i.e. R1**2 = R2**2 samplewise.
     """
 
-    is_root_of_unity: bool
     max_sign_defect: float
     max_reflection_defect: float
-    tolerance: float
 
 
-def root_ratio(r1: Root, r2: Root, samples,
-               tolerance: float = DEFAULT_TOLERANCE) -> RootRatioReport:
-    """Classify whether two roots differ only by a +-1-valued symmetric factor."""
+def root_ratio(r1: Root, r2: Root, samples) -> RootRatioReport:
+    """How far two roots are from differing only by a +-1-valued symmetric factor."""
     t = np.asarray(samples, dtype=float)
     if t.size == 0 or np.any(t == 0.0):
         raise ValueError("samples must be nonempty and nonzero")
     ratio = eval_root(r1, t) / eval_root(r2, t)
     ratio_neg = eval_root(r1, -t) / eval_root(r2, -t)
-    sign_defect = float(np.max(np.abs(ratio ** 2 - 1.0)))
-    refl_defect = float(np.max(np.abs(ratio_neg - ratio)))
     return RootRatioReport(
-        is_root_of_unity=bool(sign_defect <= tolerance and refl_defect <= tolerance),
-        max_sign_defect=sign_defect,
-        max_reflection_defect=refl_defect,
-        tolerance=tolerance,
+        max_sign_defect=float(np.max(np.abs(ratio ** 2 - 1.0))),
+        max_reflection_defect=float(np.max(np.abs(ratio_neg - ratio))),
     )
 
 

@@ -378,7 +378,6 @@ def test_annihilator_equivalence(side, pair, root, rng):
     rep = check_annihilator_equivalence(root, one_sided(pair, side, rng),
                                         pair, 3, rng, n_vectors=3)
     assert rep.side == side
-    assert rep.passed
     assert rep.max_deviation < TOL
 
 
@@ -395,7 +394,6 @@ def test_annihilator_equivalence_trivial_root_exact(pair, rng):
 def test_field_equivalence(side, pair, root, rng):
     fd = fock.real_test_function(one_sided(pair, side, rng))
     rep = check_field_equivalence(root, fd, pair, 3, rng, n_vectors=3)
-    assert rep.passed
     assert rep.max_deviation < TOL
 
 
@@ -436,16 +434,16 @@ def test_bifock_component_validation(pair):
 
 
 def test_equivalence_report_propagates_nan():
-    """A NaN deviation in any route fails the report, wherever it sits."""
+    """A NaN deviation in any route reaches max_deviation, wherever it sits."""
     small = 1e-16
     for field in ("max_vector_direct", "max_vector_split",
                   "max_matrix_direct", "max_matrix_split"):
         values = dict(max_vector_direct=small, max_vector_split=small,
                       max_matrix_direct=small, max_matrix_split=small)
         values[field] = float("nan")
-        rep = EquivalenceReport(side="+", tolerance=TOL, **values)
+        rep = EquivalenceReport(side="+", **values)
         assert math.isnan(rep.max_deviation)
-        assert not rep.passed
+        assert not rep.max_deviation <= TOL
 
 
 def test_check_equivalence_keeps_late_nan(pair):
@@ -459,7 +457,7 @@ def test_check_equivalence_keeps_late_nan(pair):
         return v * float("nan") if len(calls) == 2 else v
 
     rep = _check_equivalence("+", lambda v: v, twisted, dense.DIAGONAL, pair, 2,
-                             np.random.default_rng(3), 3, TOL)
+                             np.random.default_rng(3), 3)
     assert calls == ["direct"] * 3 + ["split"] * 3
     assert math.isnan(rep.max_vector_direct)
-    assert not rep.passed
+    assert not rep.max_deviation <= TOL

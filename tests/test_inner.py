@@ -16,6 +16,16 @@ from fockdeform.inner import (BlaschkeSpec, PoleProximityError, check_inversion_
 TOL = 1e-10
 
 
+def symmetric(rep):
+    """The boundary symmetries hold to TOL."""
+    return rep.max_conjugation_defect <= TOL and rep.max_reflection_defect <= TOL
+
+
+def same_square(rep):
+    """The root ratio is a +-1-valued symmetric function to TOL."""
+    return rep.max_sign_defect <= TOL and rep.max_reflection_defect <= TOL
+
+
 def test_eval_inner_single_zero_at_origin():
     # (0 - i)/(0 + i) = -1, the symmetry-forced value at the reflection fixed point
     spec = BlaschkeSpec(zeros=(1j,), sign=1)
@@ -56,7 +66,7 @@ def test_blaschke_rejects_bad_zero_and_sign():
 def test_check_symmetric_inner_passes_for_symmetric_spec():
     spec = BlaschkeSpec(zeros=(1j,), sign=1)
     rep = check_symmetric_inner(spec, np.linspace(-5, 5, 101)[np.linspace(-5, 5, 101) != 0])
-    assert rep.passed
+    assert symmetric(rep)
     assert rep.max_conjugation_defect <= 1e-12
     assert rep.max_reflection_defect <= 1e-12
 
@@ -65,14 +75,14 @@ def test_check_symmetric_inner_fails_for_unpaired_zero():
     # {1+i} is not closed under a -> -conj(a); the reflection law must break
     spec = BlaschkeSpec(zeros=(1 + 1j,), sign=1)
     rep = check_symmetric_inner(spec, [1.0, -1.0, 2.0, -2.0])
-    assert not rep.passed
+    assert not symmetric(rep)
     assert rep.max_reflection_defect > 1e-3
 
 
 def test_check_symmetric_inner_constant_minus_one():
     spec = BlaschkeSpec(zeros=(), sign=-1)
     rep = check_symmetric_inner(spec, [0.5, -0.5, 3.0])
-    assert rep.passed
+    assert symmetric(rep)
 
 
 def test_make_root_trivial_cases():
@@ -143,7 +153,7 @@ def test_scattering_trivial():
 def test_root_ratio_same_root():
     r = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
     rep = root_ratio(r, r, [0.5, 1.0, -2.0])
-    assert rep.is_root_of_unity
+    assert same_square(rep)
     assert rep.max_sign_defect < 1e-14
 
 
@@ -153,7 +163,7 @@ def test_root_ratio_flip_variants():
     r2 = make_root(spec, [(1.3, 2.1), (-2.1, -1.3)])
     t = np.array([0.5, 0.7, 1.5, 3.0, -0.5, -1.7])
     rep = root_ratio(r1, r2, t)
-    assert rep.is_root_of_unity
+    assert same_square(rep)
     # and the ratio is genuinely -1 somewhere on the flip set
     assert abs(eval_root(r1, 0.5) / eval_root(r2, 0.5) - (-1.0)) < 1e-12
 
@@ -162,12 +172,12 @@ def test_root_ratio_distinct_squares():
     r1 = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
     r2 = make_root(BlaschkeSpec(zeros=(0.7 + 1.2j, -0.7 + 1.2j), sign=1))
     rep = root_ratio(r1, r2, np.linspace(0.2, 4.0, 25))
-    assert not rep.is_root_of_unity
+    assert not same_square(rep)
     assert rep.max_sign_defect > 1e-3
 
 
 def test_root_ratio_iff_squares_agree():
-    """is_root_of_unity must match samplewise equality of the squares."""
+    """The ratio's defects vanish exactly when the squares agree samplewise."""
     rng = np.random.default_rng(7)
     t = np.concatenate([np.linspace(0.1, 6.0, 40), -np.linspace(0.1, 6.0, 40)])
     spec = random_symmetric_blaschke(rng)
@@ -178,7 +188,7 @@ def test_root_ratio_iff_squares_agree():
     for r1, r2 in cases:
         rep = root_ratio(r1, r2, t)
         sq_gap = float(np.max(np.abs(eval_root(r1, t) ** 2 - eval_root(r2, t) ** 2)))
-        assert rep.is_root_of_unity == (sq_gap <= TOL)
+        assert same_square(rep) == (sq_gap <= TOL)
 
 
 def test_merge_flip_sets():

@@ -13,8 +13,8 @@ from fockdeform import chiral, cli, suites
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json, root_from_json, root_to_json)
 from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
-from fockdeform.suites import (REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
-                               _rec, check_memory, run_suite)
+from fockdeform.suites import (CHECKS, REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
+                               check_memory, run_suite)
 
 FAST = SuiteConfig(suites=("inner", "fock", "kernel"), seed=11)
 
@@ -22,6 +22,69 @@ FAST = SuiteConfig(suites=("inner", "fock", "kernel"), seed=11)
 def test_suite_names_stable():
     assert SUITE_NAMES == ("inner", "fock", "kernel", "deformed", "root_equivalence",
                            "chiral", "main_relation", "field_equivalence", "sharp")
+
+
+def test_check_table_stable():
+    """The catalogue of checks; a run lists its records in table order."""
+    assert list(CHECKS) == [
+        ("inner", "boundary-symmetry", "def:1.1(i)", None, False),
+        ("inner", "root-reflection-symmetry", "def:1.1(ii)", None, False),
+        ("inner", "root-squaring", "def:1.1(ii)", None, False),
+        ("inner", "scattering-boundary-symmetry", "def:1.1(iii)", None, False),
+        ("inner", "strip-crossing-via-sinh", "sec1:sinh-correspondence", None, False),
+        ("inner", "ratio-classifies-same-square",
+         "proposition:ChoiceOfRootDoesntMatter", None, False),
+        ("inner", "ratio-rejects-distinct-squares",
+         "proposition:ChoiceOfRootDoesntMatter", 1e-3, True),
+        ("fock", "creation-is-weighted-adjoint", "sec1:ccr-adjoint", 1e-12, False),
+        ("fock", "ccr-below-truncation", "sec1:CCR", None, False),
+        ("fock", "translation-multiplier", "eq:U1", None, False),
+        ("fock", "boost-index-shift", "eq:U1", None, False),
+        ("fock", "reflection-antiunitary", "eq:U1", None, False),
+        ("fock", "field-hermitian", "sec1:phi_m", None, False),
+        ("fock", "exponential-inner", "sec2:exponential-vectors", None, False),
+        ("fock", "symmetrizer-projects", "eqn_isoexpli", None, False),
+        ("kernel", "kernel-inverse-symmetry", "sec1:kernel-symmetry", None, False),
+        ("kernel", "kernel-boost-invariance", "sec2:boost-invariance", None, False),
+        ("kernel", "wedge-antisymmetric-invariant", "sec3:wedge", None, False),
+        ("kernel", "massive-kernel-definition", "eq:R_m", None, False),
+        ("kernel", "massless-kernel-values", "eq:R0", None, False),
+        ("kernel", "generalized-kernel-symmetry", "eq:R0-generalized", None, False),
+        ("deformed", "phase-dressing-unitary", "sec1:T_Rm", None, False),
+        ("deformed", "annihilator-equals-dressed-sum", "eq:a_R-explicit", None, False),
+        ("deformed", "deformed-adjoint-pair", "sec1:adjoint-aR", 1e-12, False),
+        ("deformed", "deformed-field-hermitian", "sec1:phi_Rm", None, False),
+        ("deformed", "trivial-root-degeneration", "eq:a_R-explicit", 0.0, False),
+        ("root_equivalence", "pair-twist-unitary", "eq:Yr", None, False),
+        ("root_equivalence", "pair-twist-maps-annihilators", "lemma:RootEquivalence", None, False),
+        ("root_equivalence", "field-conjugation", "eq:UnitaryEquivalenceOfFields", None, False),
+        ("root_equivalence", "detects-square-mismatch",
+         "proposition:ChoiceOfRootDoesntMatter", 1e-3, True),
+        ("chiral", "merge-unitary", "eqn_isoexpli", None, False),
+        ("chiral", "merge-exponentials", "eqn_isoexpo", None, False),
+        ("chiral", "split-roundtrip", "eqn_isoexpli", None, False),
+        ("chiral", "translation-intertwining", "sec1:chiral-splitting", None, False),
+        ("chiral", "cross-twist-unitary", "eqn_Saction", None, False),
+        ("chiral", "twist-square-is-squared-root", "sec2:S-squared", None, False),
+        ("chiral", "merged-twist-lemma", "eq:Shat", None, False),
+        ("chiral", "reflection-compatibility", "sec2:J-compat", None, False),
+        ("chiral", "twist-boost-kernel-invariance", "sec2:boost-invariance", None, False),
+        ("main_relation", "annihilator-equivalence-positive", "eq:Mainrel", None, False),
+        ("main_relation", "annihilator-equivalence-negative", "eq:Mainrel", None, False),
+        ("main_relation", "trivial-root-exact", "eq:Mainrel", 0.0, False),
+        ("main_relation", "trivial-root-roundtrip", "eq:Mainrel", 1e-12, False),
+        ("field_equivalence", "field-equivalence-positive", "thm:Algeq", None, False),
+        ("field_equivalence", "field-equivalence-negative", "thm:Algeq", None, False),
+        ("field_equivalence", "one-sided-data-realization", "eq:fpm", None, False),
+        ("sharp", "conjugation-pairwise-sum", "sec3:sharp-twist", None, False),
+        ("sharp", "conjugation-sign-split", "sec3:sharp-twist-sign-split", None, False),
+        ("sharp", "variants-same-adjoint-action", "sec3:sharp-twist", None, False),
+        ("sharp", "variants-differ-as-operators", "sec3:sharp-twist-sign-split", 1e-3, True),
+        ("sharp", "twist-unitary-low-sectors", "sec3:sharp-twist", None, False),
+    ]
+    assert {c.suite for c in CHECKS} == set(SUITE_NAMES)
+    records = run_suite(SuiteConfig()).records
+    assert [(r.suite, r.check, r.anchor) for r in records] == [c[:3] for c in CHECKS]
 
 
 def test_run_suite_records_and_anchors():
@@ -268,12 +331,80 @@ def test_split_roundtrip_probes_with_one_repetition(monkeypatch):
     assert rec.max_deviation > 0.1 and not rec.passed
 
 
-def test_rec_non_finite_deviation_never_passes():
-    for dev in (float("nan"), math.inf):
-        assert not _rec("s", "c", "a", dev, 1e-10).passed
-        assert not _rec("s", "c", "a", dev, 1e-10, passed=True).passed
-    assert _rec("s", "c", "a", 1e-16, 1e-10).passed
-    assert _rec("s", "c", "a", 1.0, 1e-3, passed=True).passed
+def _stub_records(monkeypatch, *yields) -> dict:
+    """The inner suite's records when the suite yields just these pairs."""
+    monkeypatch.setitem(suites.SUITES, "inner", lambda cfg, rng: iter(yields))
+    return {r.check: r for r in run_suite(SuiteConfig(suites=("inner",))).records}
+
+
+def test_runner_pass_rule(monkeypatch):
+    """At most the bound passes; a control passes only above its bound."""
+    recs = _stub_records(monkeypatch, ("boundary-symmetry", 1e-16), ("boundary-symmetry", 0.0),
+                         ("ratio-rejects-distinct-squares", 1.0))
+    assert recs["boundary-symmetry"].max_deviation == 1e-16
+    assert recs["boundary-symmetry"].passed and recs["boundary-symmetry"].tolerance == 1e-10
+    control = recs["ratio-rejects-distinct-squares"]
+    assert control.passed and control.tolerance == 1e-3
+    recs = _stub_records(monkeypatch, ("boundary-symmetry", 2e-10),
+                         ("ratio-rejects-distinct-squares", 1e-3))
+    assert not recs["boundary-symmetry"].passed
+    assert not recs["ratio-rejects-distinct-squares"].passed
+
+
+def test_runner_late_nan_fails(monkeypatch):
+    recs = _stub_records(monkeypatch, ("boundary-symmetry", 1e-16), ("boundary-symmetry", 1e-17),
+                         ("boundary-symmetry", math.nan), ("boundary-symmetry", 1e-16))
+    assert math.isnan(recs["boundary-symmetry"].max_deviation)
+    assert not recs["boundary-symmetry"].passed
+
+
+def test_runner_infinite_deviation_fails(monkeypatch):
+    recs = _stub_records(monkeypatch, ("boundary-symmetry", math.inf),
+                         ("ratio-rejects-distinct-squares", math.inf))
+    assert recs["boundary-symmetry"].max_deviation == math.inf
+    assert not recs["boundary-symmetry"].passed
+    assert not recs["ratio-rejects-distinct-squares"].passed  # above the bound, but not finite
+
+
+def test_runner_nan_control_fails(monkeypatch):
+    recs = _stub_records(monkeypatch, ("ratio-rejects-distinct-squares", 1.0),
+                         ("ratio-rejects-distinct-squares", math.nan))
+    assert math.isnan(recs["ratio-rejects-distinct-squares"].max_deviation)
+    assert not recs["ratio-rejects-distinct-squares"].passed
+
+
+def test_runner_check_without_yields_records_nan(monkeypatch):
+    """A check that yields nothing fails with NaN; it never reads as a vacuous 0.0."""
+    recs = _stub_records(monkeypatch, ("boundary-symmetry", 0.0))
+    assert list(recs) == [c.name for c in CHECKS if c.suite == "inner"]
+    assert recs["boundary-symmetry"].passed
+    silent = [r for name, r in recs.items() if name != "boundary-symmetry"]
+    assert all(math.isnan(r.max_deviation) and not r.passed for r in silent)
+
+
+def test_runner_rejects_unlisted_check(monkeypatch):
+    with pytest.raises(KeyError):
+        _stub_records(monkeypatch, ("boundary-symmetry", 0.0), ("no-such-check", 0.0))
+    with pytest.raises(KeyError):  # another suite's entry is not this suite's check
+        _stub_records(monkeypatch, ("merge-unitary", 0.0))
+
+
+def test_ratio_check_records_the_reflection_defect(monkeypatch):
+    """A broken reflection law fails the same-square check, and its record says by how much."""
+    real = suites.root_ratio
+    calls = []
+
+    def injected(*args):
+        calls.append(args)
+        rep = real(*args)
+        return dataclasses.replace(rep, max_reflection_defect=1.0) if len(calls) == 1 else rep
+
+    monkeypatch.setattr(suites, "root_ratio", injected)
+    recs = {r.check: r for r in run_suite(SuiteConfig(suites=("inner",))).records}
+    assert len(calls) == 2
+    assert recs["ratio-classifies-same-square"].max_deviation == 1.0
+    assert not recs["ratio-classifies-same-square"].passed
+    assert recs["ratio-rejects-distinct-squares"].passed
 
 
 def test_cli_tolerance_override_can_fail(capsys):

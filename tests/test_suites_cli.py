@@ -358,12 +358,15 @@ def test_runner_late_nan_fails(monkeypatch):
     assert not recs["boundary-symmetry"].passed
 
 
-def test_runner_infinite_deviation_fails(monkeypatch):
-    recs = _stub_records(monkeypatch, ("boundary-symmetry", math.inf),
-                         ("ratio-rejects-distinct-squares", math.inf))
-    assert recs["boundary-symmetry"].max_deviation == math.inf
-    assert not recs["boundary-symmetry"].passed
-    assert not recs["ratio-rejects-distinct-squares"].passed  # above the bound, but not finite
+def test_rec_non_finite_deviation_never_passes(monkeypatch):
+    """A NaN or infinite record fails, for a bounded check and for a control alike."""
+    for dev in (math.nan, math.inf):
+        recs = _stub_records(monkeypatch, ("boundary-symmetry", dev),
+                             ("ratio-rejects-distinct-squares", dev))
+        for rec in recs.values():
+            assert not math.isfinite(rec.max_deviation)
+        assert not recs["boundary-symmetry"].passed
+        assert not recs["ratio-rejects-distinct-squares"].passed  # above the bound, not finite
 
 
 def test_runner_nan_control_fails(monkeypatch):

@@ -117,19 +117,29 @@ def bifock_norm(xi: BiFockVector) -> float:
     return math.sqrt(max(bifock_inner(xi, xi).real, 0.0))
 
 
-def random_bifock(pair: ChiralGridPair, truncation: int,
-                  rng: np.random.Generator) -> BiFockVector:
+def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generator,
+                  count: int | None = None) -> BiFockVector:
     """Random split-tower vector of unit norm: a complex Gaussian tensor per
-    component, symmetrized within each factor."""
+    component, symmetrized within each factor.
+
+    The normals come from one ``standard_normal`` call, component by component
+    in the order of :func:`_component_keys`, as in :func:`fock.random_fock_vector`;
+    with ``count`` column j of the batch is the j-th of ``count`` successive
+    single draws, each column scaled to unit norm.
+    """
     p, q = pair.n_positive, pair.n_negative
+    keys = _component_keys(truncation)
+    raws = fock._gaussian_tensors(rng, [(p,) * a + (q,) * b for a, b in keys], count or 1)
     comps = {}
-    for (a, b) in _component_keys(truncation):
-        shape = (p,) * a + (q,) * b
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for (a, b), raw in zip(keys, raws):
         pos = np.moveaxis(fock.symmetrize(raw, pair.positive_weights, a), 0, -1)
         comps[(a, b)] = np.moveaxis(fock.symmetrize(pos, pair.negative_weights, b), -1, 0)
-    out = BiFockVector(pair, truncation, comps)
-    return out * (1.0 / bifock_norm(out))
+    if count is None:
+        out = BiFockVector(pair, truncation, {k: c[..., 0] for k, c in comps.items()})
+        return out * (1.0 / bifock_norm(out))
+    flat = np.concatenate([c.reshape(-1, count) for c in comps.values()])
+    scale = 1.0 / np.linalg.norm(flat, axis=0)
+    return BiFockVector(pair, truncation, {k: c * scale for k, c in comps.items()})
 
 
 def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
@@ -397,20 +407,33 @@ def _check_equivalence(side: str, deformed, twisted, pattern, pair: ChiralGridPa
                        n_vectors: int) -> EquivalenceReport:
     """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes: on
     ``n_vectors`` random vectors per route, and over the probe image of the
-    operators' ``pattern`` (:mod:`dense`), the deformed one's built once."""
-    from .dense import FockBasis, matrix_deviation, probe_image
+    operators' ``pattern`` (:mod:`dense`), the deformed one's built once.
+
+    The 2 * ``n_vectors`` random vectors are drawn as batches
+    (:func:`dense.random_batches`): the direct route reads the first
+    ``n_vectors``, the split route the rest, and ``deformed`` is applied once
+    per batch.  A route's vector deviation is the largest column norm of the
+    difference, NaN if any column is NaN.
+    """
+    from .dense import FockBasis, matrix_deviation, probe_image, random_batches
 
     basis = FockBasis(pair.union, truncation)
+    vector_devs = {"direct": [], "split": []}
+    drawn = 0
+    for (probe,) in random_batches(basis, 2 * n_vectors, rng):
+        coef = basis.coefficients(probe)
+        want = basis.coefficients(deformed(probe))
+        in_split = np.arange(drawn, drawn + coef.shape[1]) >= n_vectors
+        drawn += coef.shape[1]
+        for route, cols in (("direct", ~in_split), ("split", in_split)):
+            if cols.any():
+                got = basis.coefficients(twisted(basis.columns(probe, cols), route))
+                vector_devs[route].append(np.max(np.linalg.norm(want[:, cols] - got, axis=0)))
     target = probe_image(deformed, pattern, basis)
-    devs = {}
-    for route in ("direct", "split"):
-        dev_vec = 0.0
-        for _ in range(n_vectors):
-            probe = fock.random_fock_vector(pair.union, truncation, rng)
-            diff = deformed(probe) - twisted(probe, route)
-            dev_vec = float(np.maximum(dev_vec, fock.norm(diff)))
-        image = probe_image(lambda v: twisted(v, route), pattern, basis)
-        devs[route] = (dev_vec, matrix_deviation(image, target))
+    devs = {route: (float(np.max(vector_devs[route], initial=0.0)),
+                    matrix_deviation(probe_image(lambda v: twisted(v, route), pattern, basis),
+                                     target))
+            for route in ("direct", "split")}
     return EquivalenceReport(side=side, max_vector_direct=devs["direct"][0],
                              max_vector_split=devs["split"][0],
                              max_matrix_direct=devs["direct"][1],

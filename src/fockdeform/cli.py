@@ -71,8 +71,10 @@ def main(argv=None) -> int:
     report = run_suite(cfg)
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
+        bound = (f"must exceed {rec.tolerance:.1e}" if rec.control
+                 else f"tol={rec.tolerance:.1e}")
         print(f"{status}  {rec.suite}/{rec.check}  [{rec.anchor}]  "
-              f"max_dev={rec.max_deviation:.3e}  tol={rec.tolerance:.1e}")
+              f"max_dev={rec.max_deviation:.3e}  {bound}")
     n_pass = sum(r.passed for r in report.records)
     print(f"{'PASS' if report.overall_pass else 'FAIL'}: "
           f"{n_pass}/{len(report.records)} checks in {report.runtime_seconds:.2f}s "

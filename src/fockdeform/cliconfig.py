@@ -132,6 +132,7 @@ def report_to_json(report: SuiteReport) -> dict:
                 "max_deviation": r.max_deviation,
                 "tolerance": r.tolerance,
                 "pass": r.passed,
+                "control": r.control,
             }
             for r in report.records
         ],

@@ -43,20 +43,24 @@ from .grids import ChiralGridPair, MomentumGrid
 
 
 # Batch entries (columns times basis size) of one block that operator_matrix
-# and probe_image apply their operator to; bounds the memory of the block and
-# of the operator's intermediates.
+# and probe_image apply their operator to, and raw Gaussian entries of one
+# batch that random_batches draws; bounds the memory of the block and of the
+# operator's intermediates.
 _BLOCK_ENTRIES = 524_288
 
 
 class _Basis:
     """What the two bases share: ``labels`` (built when first read), the state
     ``_vector(c)`` with coefficient vector c (a trailing batch axis gives a
-    batched state), and ``union_order``: coefficient j is label
-    ``union_order[j]`` of the tower over the ``union_size``-point union grid."""
+    batched state), ``union_order``: coefficient j is label ``union_order[j]``
+    of the tower over the ``union_size``-point union grid, and
+    ``random(rng, count)``: a batch of ``count`` random unit vectors, drawn from
+    ``raw_entries`` complex Gaussian entries each."""
 
     truncation: int
     union_size: int
     union_order: np.ndarray
+    raw_entries: int
 
     def __len__(self) -> int:
         return len(self.union_order)
@@ -64,6 +68,11 @@ class _Basis:
     def block(self, start: int, stop: int):
         """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
         return self._vector(np.eye(len(self), stop - start, -start, dtype=complex))
+
+    def columns(self, vec, cols):
+        """The columns ``cols`` (a slice, index array or mask) of a vector with
+        batch shape (k,), as one batched vector."""
+        return self._vector(self.coefficients(vec)[:, cols])
 
     @property
     def vectors(self) -> list:
@@ -83,6 +92,7 @@ class FockBasis(_Basis):
         self._sizes = [len(tab.labels) for tab in fock._ladder(grid.size, truncation)]
         self.union_size = grid.size
         self.union_order = np.arange(sum(self._sizes))
+        self.raw_entries = sum(grid.size ** n for n in range(truncation + 1))
 
     @functools.cached_property
     def labels(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -91,6 +101,9 @@ class FockBasis(_Basis):
 
     def _vector(self, flat: np.ndarray) -> FockVector:
         return FockVector(self.grid, tuple(np.split(flat, np.cumsum(self._sizes)[:-1])))
+
+    def random(self, rng: np.random.Generator, count: int) -> FockVector:
+        return fock.random_fock_vector(self.grid, self.truncation, rng, count)
 
     def coefficients(self, psi: FockVector) -> np.ndarray:
         """Expansion coefficients <b_i, psi>: the concatenated sectors.
@@ -119,6 +132,8 @@ class BiFockBasis(_Basis):
         index = chiral._union_index(pair.n_positive, pair.n_negative, truncation)
         self.union_order = np.concatenate([start[a + b] + index[(a, b)].ravel()
                                            for (a, b) in self._shapes])
+        self.raw_entries = sum(pair.n_positive ** a * pair.n_negative ** b
+                               for (a, b) in self._shapes)
 
     @functools.cached_property
     def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -132,6 +147,9 @@ class BiFockBasis(_Basis):
         return BiFockVector(self.pair, self.truncation, {
             key: r.reshape(shape + flat.shape[1:])
             for (key, shape), r in zip(self._shapes.items(), rows)})
+
+    def random(self, rng: np.random.Generator, count: int) -> BiFockVector:
+        return chiral.random_bifock(self.pair, self.truncation, rng, count)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
         """Expansion coefficients <b_i, xi>: the concatenated raveled components,
@@ -279,6 +297,28 @@ def _blocks(sector: np.ndarray, step: int):
             yield first, first + step
             first += step
     yield first, len(sector)
+
+
+def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: int = 1):
+    """``count`` groups of ``group`` successive random unit vectors, batch by batch.
+
+    Each batch is one tuple of ``group`` batched vectors; member i holds vector
+    i of each group of the batch, so reading column 0 of every member, then
+    column 1, and so on gives the vectors in the order that single draws from
+    ``rng`` would.  A batch is one draw of whole groups, at most
+    ``_BLOCK_ENTRIES`` raw Gaussian entries (``basis.raw_entries`` per
+    vector); a group larger than that is drawn one vector at a time.  A vector's raw
+    entries are at least its basis size, so this also bounds the batch's
+    coefficients and the operators' intermediates, as for a probe block.
+    """
+    per = _BLOCK_ENTRIES // (group * basis.raw_entries)
+    step = max(per, 1)
+    for start in range(0, count, step):
+        if per:
+            vec = basis.random(rng, group * min(step, count - start))
+            yield tuple(basis.columns(vec, slice(i, None, group)) for i in range(group))
+        else:
+            yield tuple(basis.random(rng, 1) for _ in range(group))
 
 
 def probe_image(op, pattern: Pattern, domain, codomain=None) -> np.ndarray:

@@ -268,8 +268,14 @@ def symmetrize(tensor: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """
     t = np.asarray(tensor, dtype=complex)
     m = weights.size
-    sums = np.zeros((_dim(m, n),) + t.shape[n:], dtype=complex)
-    np.add.at(sums, _tensor_ranks(m, n), t.reshape((m ** n,) + t.shape[n:]))
+    batch = math.prod(t.shape[n:])
+    ranks = _tensor_ranks(m, n)
+    # np.add.at is fast only on 1-D operands: fold the batch into the index,
+    # which keeps each column's sum in the order of its rearrangements
+    index = ranks if batch == 1 else (ranks[:, None] * batch + np.arange(batch)).reshape(-1)
+    sums = np.zeros(_dim(m, n) * batch, dtype=complex)
+    np.add.at(sums, index, t.reshape(-1))
+    sums = sums.reshape((_dim(m, n),) + t.shape[n:])
     tab = _ladder(m, n)[n]
     return _scale(sums, _norms(weights, tab, n) * tab.mfact / math.factorial(n))
 
@@ -444,16 +450,42 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     return BoostResult(FockVector(grid, tuple(secs)), truncated)
 
 
-def random_fock_vector(grid: MomentumGrid, truncation: int,
-                       rng: np.random.Generator) -> FockVector:
-    """Random vector of unit norm: a complex Gaussian tensor per sector, symmetrized."""
-    secs = []
-    for n in range(truncation + 1):
-        shape = (grid.size,) * n
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        secs.append(symmetrize(raw, grid.weights, n))
-    psi = FockVector(grid, tuple(secs))
-    return psi * (1.0 / norm(psi))
+def _gaussian_tensors(rng: np.random.Generator, shapes: list[tuple[int, ...]],
+                      count: int):
+    """Complex Gaussian tensors of the given shapes, each with a trailing batch axis
+    of ``count``, from one ``standard_normal`` call.
+
+    Column j reads the j-th block of the stream, and a block holds the real and
+    then the imaginary part of each tensor in turn: the normals that ``count``
+    successive single draws of ``rng.standard_normal(shape) + 1j *
+    rng.standard_normal(shape)`` per shape would give.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    raw = rng.standard_normal((count, 2 * sum(sizes)))
+    start = 0
+    for shape, size in zip(shapes, sizes):
+        re, im = raw[:, start:start + size], raw[:, start + size:start + 2 * size]
+        start += 2 * size
+        yield np.moveaxis((re + 1j * im).reshape((count,) + shape), 0, -1)
+
+
+def random_fock_vector(grid: MomentumGrid, truncation: int, rng: np.random.Generator,
+                       count: int | None = None) -> FockVector:
+    """Random vector of unit norm: a complex Gaussian tensor per sector, symmetrized.
+
+    The normals come from one ``standard_normal`` call, sector by sector, real
+    part before imaginary part.  With ``count`` the result is a batch of shape
+    (count,) whose column j is the j-th of ``count`` successive single draws,
+    each column scaled to unit norm.
+    """
+    shapes = [(grid.size,) * n for n in range(truncation + 1)]
+    secs = [symmetrize(raw, grid.weights, n)
+            for n, raw in enumerate(_gaussian_tensors(rng, shapes, count or 1))]
+    if count is None:
+        psi = FockVector(grid, tuple(s[..., 0] for s in secs))
+        return psi * (1.0 / norm(psi))
+    scale = 1.0 / np.linalg.norm(np.concatenate(secs), axis=0)
+    return FockVector(grid, tuple(s * scale for s in secs))
 
 
 def random_one_particle(grid: MomentumGrid, rng: np.random.Generator) -> np.ndarray:

@@ -74,6 +74,20 @@ def test_bifock_norm_refuses_batch(pair):
         bifock_norm(batched_bifock(pair, 2, (4,)))
 
 
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_random_bifock_batch_columns_are_successive_draws(pair, count):
+    """Column j of a batched draw is the j-th of count single draws from the
+    same stream, and the stream ends where the single draws leave it."""
+    batched, single = np.random.default_rng(99), np.random.default_rng(99)
+    batch = random_bifock(pair, 3, batched, count)
+    assert batch.batch_shape == (count,)
+    for j in range(count):
+        xi = random_bifock(pair, 3, single)
+        for key, comp in xi.components.items():
+            assert np.max(np.abs(batch.components[key][..., j] - comp)) <= 1e-15
+    assert batched.random() == single.random()
+
+
 def test_bifock_inner_positive(pair, rng):
     xi = random_bifock(pair, 3, rng)
     val = bifock_inner(xi, xi)
@@ -447,17 +461,20 @@ def test_equivalence_report_propagates_nan():
 
 
 def test_check_equivalence_keeps_late_nan(pair):
-    """A NaN on a later random vector is not dropped by the running maximum."""
+    """A NaN in a later column of the random batch is not dropped by the maximum."""
     calls = []
 
     def twisted(v, route):
-        if v.batch_shape:  # a block of probe columns, not a random vector
+        calls.append((route, v.batch_shape))
+        if len(calls) > 1:  # the split batch, then blocks of probe columns
             return v
-        calls.append(route)
-        return v * float("nan") if len(calls) == 2 else v
+        sectors = tuple(s.copy() for s in v.sectors)
+        for s in sectors:
+            s[:, 1] = np.nan  # column 1 of the direct route's random batch
+        return fock.FockVector(v.grid, sectors)
 
     rep = _check_equivalence("+", lambda v: v, twisted, dense.DIAGONAL, pair, 2,
                              np.random.default_rng(3), 3)
-    assert calls == ["direct"] * 3 + ["split"] * 3
+    assert calls[:2] == [("direct", (3,)), ("split", (3,))]
     assert math.isnan(rep.max_vector_direct)
     assert not rep.max_deviation <= TOL

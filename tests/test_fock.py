@@ -62,6 +62,20 @@ def test_inner_refuses_batch(grid):
         fock.inner(fock.vacuum(grid, 2), psi)
 
 
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_random_batch_columns_are_successive_draws(grid, count):
+    """Column j of a batched draw is the j-th of count single draws from the
+    same stream, and the stream ends where the single draws leave it."""
+    batched, single = np.random.default_rng(99), np.random.default_rng(99)
+    batch = fock.random_fock_vector(grid, 3, batched, count)
+    assert batch.batch_shape == (count,)
+    for j in range(count):
+        psi = fock.random_fock_vector(grid, 3, single)
+        for col, sec in zip(batch.sectors, psi.sectors):
+            assert np.max(np.abs(col[:, j] - sec)) <= 1e-15
+    assert batched.random() == single.random()
+
+
 def test_norm_refuses_batch(grid):
     with pytest.raises(ValueError):
         fock.norm(batched_vector(grid, 2, (3,)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockdeform import chiral, cli, suites
+from fockdeform import chiral, cli, dense, fock, suites
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json, root_from_json, root_to_json)
 from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
@@ -111,11 +111,30 @@ def test_report_json_schema(tmp_path):
     assert isinstance(doc["runtime_seconds"], float)
     for check in doc["checks"]:
         assert set(check) == {"suite", "check", "anchor", "max_deviation",
-                              "tolerance", "pass"}
+                              "tolerance", "pass", "control"}
         assert check["anchor"]
     path = tmp_path / "report.json"
     emit_report(report, path)
     assert json.loads(path.read_text())["schema"] == REPORT_SCHEMA
+
+
+def test_default_run_marks_the_negative_controls(tmp_path, capsys):
+    """The report and the CLI lines tell a negative control from a positive check."""
+    report_path = tmp_path / "report.json"
+    assert cli.main(["--report", str(report_path)]) == 0
+    doc = json.loads(report_path.read_text())
+    controls = {(c["suite"], c["check"]) for c in doc["checks"] if c["control"]}
+    assert controls == {("inner", "ratio-rejects-distinct-squares"),
+                        ("root_equivalence", "detects-square-mismatch"),
+                        ("sharp", "variants-differ-as-operators")}
+    lines = [line for line in capsys.readouterr().out.splitlines() if "max_dev=" in line]
+    assert len(lines) == len(doc["checks"])
+    for line, check in zip(lines, doc["checks"]):
+        assert f"{check['suite']}/{check['check']}" in line
+        if check["control"]:
+            assert "must exceed 1.0e-03" in line and "tol=" not in line
+        else:
+            assert "must exceed" not in line and "tol=" in line
 
 
 def test_report_bit_identical_modulo_runtime(tmp_path):
@@ -329,6 +348,45 @@ def test_split_roundtrip_probes_with_one_repetition(monkeypatch):
     report = run_suite(SuiteConfig(repetitions=1, suites=("chiral",)))
     rec = next(r for r in report.records if r.check == "split-roundtrip")
     assert rec.max_deviation > 0.1 and not rec.passed
+
+
+@pytest.mark.parametrize("block", [600, 200])
+def test_random_batches_under_a_small_budget_keep_the_records(monkeypatch, block):
+    """Drawing the random vectors in several batches (at 200 a merge-unitary pair
+    no longer fits one batch) moves the records by rounding only."""
+    cfg = SuiteConfig(suites=("fock", "chiral"))
+    names = ("translation-multiplier", "merge-unitary")
+    whole = {r.check: r for r in run_suite(cfg).records if r.check in names}
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", block)
+    fock_basis = dense.FockBasis(cfg.massive_grid(size=4), cfg.truncation)
+    bifock_basis = dense.BiFockBasis(cfg.massless_pair(), cfg.truncation)
+    assert len(list(dense.random_batches(fock_basis, cfg.repetitions,
+                                         np.random.default_rng(0)))) > 1
+    assert len(list(dense.random_batches(bifock_basis, cfg.repetitions,
+                                         np.random.default_rng(0), group=2))) > 1
+    batched = {r.check: r for r in run_suite(cfg).records if r.check in names}
+    for name in names:
+        assert batched[name].passed == whole[name].passed
+        assert abs(batched[name].max_deviation - whole[name].max_deviation) <= 1e-15
+
+
+def test_nan_in_a_late_batch_column_fails_the_check(monkeypatch):
+    """A NaN in column 13 of the 20 translated random vectors reaches the record."""
+    real = fock.apply_translation
+
+    def injected(x, psi):
+        out = real(x, psi)
+        if psi.batch_shape != (20,):
+            return out
+        sectors = tuple(s.copy() for s in out.sectors)
+        for s in sectors:
+            s[:, 13] = np.nan
+        return fock.FockVector(out.grid, sectors)
+
+    monkeypatch.setattr(fock, "apply_translation", injected)
+    report = run_suite(SuiteConfig(suites=("fock",)))
+    rec = next(r for r in report.records if r.check == "translation-multiplier")
+    assert math.isnan(rec.max_deviation) and not rec.passed
 
 
 def _stub_records(monkeypatch, *yields) -> dict:

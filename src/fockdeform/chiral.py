@@ -210,12 +210,24 @@ def cross_matrix(grid, values_fn) -> np.ndarray:
     The union twist is therefore the pair phase of S, and the split twist
     reads its (positive, negative) block S[q:, :q].
     """
-    pts = grid.points
+    return _cross_values(grid.points, values_fn)
+
+
+def _cross_values(pts: np.ndarray, values_fn) -> np.ndarray:
     args = -np.multiply.outer(pts, pts)
     mask = args > 0.0
     smat = np.ones(args.shape, dtype=complex)
     if np.any(mask):
         smat[mask] = values_fn(args[mask])
+    return smat
+
+
+@functools.lru_cache(maxsize=16)
+def _root_cross_matrix(root: Root, points: bytes) -> np.ndarray:
+    """:func:`cross_matrix` of the root on the union grid with these points'
+    bytes, built once and read-only."""
+    smat = _cross_values(np.frombuffer(points), lambda args: eval_root(root, args))
+    smat.setflags(write=False)
     return smat
 
 
@@ -264,7 +276,7 @@ def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> Bi
     component; its square is the twist of the squared root.
     """
     q = xi.pair.n_negative
-    cmat = cross_matrix(xi.pair.union, lambda args: eval_root(root, args))[q:, :q]
+    cmat = _root_cross_matrix(root, xi.pair.union.points.tobytes())[q:, :q]
     return apply_cross_twist_matrix(xi.pair, np.conj(cmat) if adjoint else cmat, xi)
 
 
@@ -306,7 +318,7 @@ def apply_cross_twist_fock(root: Root, psi: FockVector, adjoint: bool = False) -
     Label kappa of sector n is multiplied by prod_{i<j} S[k_i, k_j] with S
     from :func:`cross_matrix`; sectors n <= 1 are untouched.
     """
-    smat = cross_matrix(psi.grid, lambda args: eval_root(root, args))
+    smat = _root_cross_matrix(root, psi.grid.points.tobytes())
     return fock.apply_pair_phase(np.conj(smat) if adjoint else smat, psi)
 
 

@@ -7,7 +7,7 @@ Runs the selected suites against the configured grids, roots, and truncation,
 prints one line per check, optionally writes the JSON report, and exits 0 on
 overall pass, 1 on any check failure, 2 on configuration errors, including a
 configuration whose probe oracles and random vectors would not fit in physical
-memory.
+memory and a report path that is a directory or lies in a missing one.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
+        if args.report is not None and not args.report.parent.is_dir():
+            raise ConfigError(f"report directory {args.report.parent} does not exist")
+        if args.report is not None and args.report.is_dir():
+            raise ConfigError(f"report path {args.report} is a directory")
         check_memory(cfg)
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

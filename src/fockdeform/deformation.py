@@ -17,6 +17,7 @@ exact on the grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,11 +102,25 @@ def kernel(spec: KernelSpec, p: float, q: float) -> complex:
     return complex(_kernel_values(spec, p, q))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_table(spec: KernelSpec, points: bytes) -> np.ndarray:
+    pts = np.frombuffer(points)
+    return _read_only(_kernel_values(spec, pts[:, None], pts[None, :]))
+
+
 def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
-    """K evaluated on all ordered grid pairs: K[a, b] = kernel(p_a, p_b)."""
+    """K evaluated on all ordered grid pairs: K[a, b] = kernel(p_a, p_b).
+
+    Built once per (spec, grid points) and shared: the result is read-only.
+    """
     if grid.mass != spec.mass:
         raise ValueError("grid mass does not match the kernel spec")
-    return _kernel_values(spec, grid.points[:, None], grid.points[None, :])
+    return _kernel_table(spec, grid.points.tobytes())
 
 
 def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
@@ -166,9 +181,11 @@ class SharpTwistVariant(Enum):
     SIGN_SPLIT = "sign-split"
 
 
+@functools.lru_cache(maxsize=16)
 def _sharp_twist_matrix(spec: KernelSpec, variant: SharpTwistVariant,
-                        p: float, grid: MomentumGrid) -> np.ndarray:
-    pts = grid.points
+                        p: float, points: bytes) -> np.ndarray:
+    """The variant's pair phase on the grid with these points' bytes; read-only."""
+    pts = np.frombuffer(points)
     if variant is SharpTwistVariant.PAIRWISE_SUM:
         # argument for the pair (p_i, p_j): w(p_i, p) + w(p_j, p), the wedge of
         # the summed on-shell two-momentum against p
@@ -179,7 +196,7 @@ def _sharp_twist_matrix(spec: KernelSpec, variant: SharpTwistVariant,
         wpair = wedge_invariant(pts[:, None], pts[None, :], spec.mass)
         sgn = np.where(np.maximum(pts[:, None], pts[None, :]) - p > 0.0, 1.0, -1.0)
         args = sgn * np.abs(wpair)
-    return np.asarray(eval_root_at_zero_one(spec.root, args))
+    return _read_only(np.asarray(eval_root_at_zero_one(spec.root, args)))
 
 
 def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
@@ -189,7 +206,7 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
     Label kappa of sector n is multiplied by prod_{i<j} of the variant's pair
     phase; sectors n <= 1 and the vacuum are untouched.
     """
-    gmat = _sharp_twist_matrix(spec, variant, p, psi.grid)
+    gmat = _sharp_twist_matrix(spec, variant, float(p), psi.grid.points.tobytes())
     return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
 
 

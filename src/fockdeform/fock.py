@@ -27,6 +27,7 @@ import numpy as np
 from .grids import MomentumGrid, boost_blocks
 
 
+@functools.lru_cache(maxsize=256)
 def _dim(m: int, n: int) -> int:
     """Number of n-element multisets over m grid points."""
     return math.comb(m + n - 1, n)
@@ -290,17 +291,28 @@ def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray
     return values[_tensor_ranks(m, n)].reshape((m,) * n + sector.shape[1:])
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> tuple[np.ndarray, ...]:
+    """prod_{i<j} gmat[k_i, k_j] per label of sectors 2..truncation, read-only;
+    ``gmat`` is the complex m x m matrix as bytes."""
+    g = np.frombuffer(gmat, dtype=complex).reshape(m, m)
+    out = tuple(_pair_product(g, tab.labels) for tab in _ladder(m, truncation)[2:])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
     """Sector-diagonal multiplier: label kappa of sector n times prod_{i<j} gmat[k_i, k_j].
 
     ``gmat`` must be symmetric.  The pair twists, the sharp-momentum twists
     and the union-grid cross twist are all of this form; sectors n <= 1 are
-    untouched.
+    untouched.  The multipliers are built once per (gmat, M, N).
     """
-    tables = _ladder(psi.grid.size, psi.truncation)
-    return FockVector(psi.grid, tuple(
-        _scale(s, _pair_product(gmat, tables[n].labels)) if n > 1 else s.copy()
-        for n, s in enumerate(psi.sectors)))
+    m = psi.grid.size
+    mults = _pair_multipliers(np.asarray(gmat, dtype=complex).tobytes(), m, psi.truncation)
+    return FockVector(psi.grid, tuple(s.copy() for s in psi.sectors[:2])
+                      + tuple(_scale(s, g) for s, g in zip(psi.sectors[2:], mults)))
 
 
 def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:

@@ -656,13 +656,12 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         rhs_b = chiral.apply_cross_twist(r, chiral.apply_reflection_bifock(xi), adjoint=True)
         yield "reflection-compatibility", chiral.bifock_norm(lhs_b - rhs_b)
 
-    root = roots[0]
+    p, q = pair.positive_points[:, None], pair.negative_points[None, :]
+    unboosted = eval_root(roots[0], -p * q)
     for _ in range(20):
         lam = float(rng.uniform(-1.2, 1.2))
-        for p in pair.positive_points:
-            for q in pair.negative_points:
-                lhs = eval_root(root, -(math.exp(-lam) * p) * (math.exp(lam) * q))
-                yield "twist-boost-kernel-invariance", abs(lhs - eval_root(root, -p * q))
+        lhs = eval_root(roots[0], -(math.exp(-lam) * p) * (math.exp(lam) * q))
+        yield "twist-boost-kernel-invariance", np.max(np.abs(lhs - unboosted))
 
 
 def _one_sided_amplitude(pair: ChiralGridPair, side: str,
@@ -802,9 +801,12 @@ def check_memory(cfg: SuiteConfig) -> None:
     of probe columns, D * M * (columns per block); four probe images, D * (1 +
     N * M); three copies of one batch of random vectors' raw Gaussian draw,
     which :func:`dense.random_batches` holds to at most the larger of one
-    vector's raw entries (sum_n M^n) and ``dense._BLOCK_ENTRIES``; and the
-    basis vectors of the fock suite's 4-point tower, D_4^2.  The inner and
-    kernel suites build no tower.
+    vector's raw entries (sum_n M^n) and ``dense._BLOCK_ENTRIES``; the
+    basis vectors of the fock suite's 4-point tower, D_4^2; and a full cache
+    of pair-phase multipliers (:func:`fock.apply_pair_phase`), ``maxsize``
+    times sum_{n=2..N} D_n(M), where D_n(M) = binom(M + n - 1, n).  The
+    cached kernel, twist and cross matrices hold M^2 entries each and are
+    not counted.  The inner and kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
@@ -814,8 +816,10 @@ def check_memory(cfg: SuiteConfig) -> None:
     columns = 1 + n * m
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
     raw_batch = max(sum(m ** k for k in range(n + 1)), dense._BLOCK_ENTRIES)
+    multipliers = (fock._pair_multipliers.cache_parameters()["maxsize"]
+                   * sum(fock._dim(m, k) for k in range(2, n + 1)))
     entries = (2 * d * m * per_block + 4 * d * columns + 3 * raw_batch
-               + math.comb(4 + n, n) ** 2)
+               + math.comb(4 + n, n) ** 2 + multipliers)
     need = np.dtype(complex).itemsize * entries
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

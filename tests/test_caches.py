@@ -1,0 +1,203 @@
+"""The memoized phase tables: keys by value, read-only entries, unchanged records."""
+
+import json
+
+import numpy as np
+import pytest
+
+from fockdeform import chiral, deformation, fock
+from fockdeform.cliconfig import report_to_json
+from fockdeform.deformation import (KernelSpec, SharpTwistVariant, apply_pair_twist,
+                                    kernel, kernel_matrix, sharp_momentum_twist)
+from fockdeform.grids import chiral_pair
+from fockdeform.inner import BlaschkeSpec, make_root, merge_flip_sets
+from fockdeform.suites import FLIP_ATOMS, SuiteConfig, run_suite
+
+CACHES = (deformation._kernel_table, deformation._sharp_twist_matrix,
+          chiral._root_cross_matrix, fock._pair_multipliers)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return SuiteConfig()
+
+
+@pytest.fixture(scope="module")
+def grids(cfg):
+    """The default massive grid and massless union grid: 6 points each."""
+    return cfg.massive_grid(), cfg.massless_pair().union
+
+
+@pytest.fixture(scope="module")
+def base():
+    return BlaschkeSpec(zeros=(0.8 + 0.6j, -0.8 + 0.6j), sign=1)
+
+
+@pytest.fixture(scope="module")
+def root(base):
+    return make_root(base)
+
+
+def probe_vector(grid, truncation=3, seed=3):
+    return fock.random_fock_vector(grid, truncation, np.random.default_rng(seed))
+
+
+def test_default_grids_have_equal_sizes_and_distinct_tables(grids, root):
+    massive, massless = grids
+    assert massive.size == massless.size == 6
+    mats = [kernel_matrix(KernelSpec(root=root, mass=g.mass), g) for g in grids]
+    assert not np.array_equal(*mats)
+    for grid, mat in zip(grids, mats):
+        spec = KernelSpec(root=root, mass=grid.mass)
+        scalar = np.array([[kernel(spec, p, q) for q in grid.points] for p in grid.points])
+        assert np.max(np.abs(mat - scalar)) == 0.0
+    assert deformation._kernel_table.cache_info().currsize == 2
+
+
+def test_equal_size_massless_grids_share_no_entry(root):
+    """Same spec, same size, different points: the key is the points, not M."""
+    narrow, wide = chiral_pair(3, 0.5, 2.0).union, chiral_pair(3, 0.25, 4.0).union
+    spec = KernelSpec(root=root, mass=0.0)
+    p = float(narrow.points[1])
+    warm = []
+    for grid in (narrow, wide):
+        psi = probe_vector(grid)
+        warm.append((kernel_matrix(spec, grid),
+                     sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi),
+                     chiral.apply_cross_twist_fock(root, psi)))
+    assert deformation._kernel_table.cache_info().currsize == 2
+    assert deformation._sharp_twist_matrix.cache_info().currsize == 2
+    assert chiral._root_cross_matrix.cache_info().currsize == 2
+    assert not np.array_equal(warm[0][0], warm[1][0])
+    clear_caches()  # the wide grid alone, cold
+    psi = probe_vector(wide)
+    cold = (kernel_matrix(spec, wide),
+            sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi),
+            chiral.apply_cross_twist_fock(root, psi))
+    assert np.array_equal(warm[1][0], cold[0])
+    for got, want in zip(warm[1][1:], cold[1:]):
+        for a, b in zip(got.sectors, want.sectors):
+            assert np.array_equal(a, b)
+
+
+def test_sharp_suite_grids_get_their_own_twist_tables(grids, root):
+    """The sharp suite twists on both 6-point grids at the same p index."""
+    tables = []
+    for grid in grids:
+        spec = KernelSpec(root=root, mass=grid.mass)
+        sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, float(grid.points[2]),
+                             probe_vector(grid))
+        tables.append(deformation._sharp_twist_matrix(
+            spec, SharpTwistVariant.SIGN_SPLIT, float(grid.points[2]),
+            grid.points.tobytes()))
+    info = deformation._sharp_twist_matrix.cache_info()
+    assert (info.hits, info.currsize) == (2, 2)
+    assert not np.array_equal(*tables)
+
+
+def test_roots_differing_only_in_flips_get_distinct_entries(grids, base):
+    r1, r2 = make_root(base, FLIP_ATOMS[0]), make_root(base, FLIP_ATOMS[1])
+    assert r1 != r2 and r1.base == r2.base
+    for grid in grids:
+        mats = [kernel_matrix(KernelSpec(root=r, mass=grid.mass), grid) for r in (r1, r2)]
+        assert not np.array_equal(*mats)
+    massless = grids[1]
+    crosses = [chiral._root_cross_matrix(r, massless.points.tobytes()) for r in (r1, r2)]
+    assert not np.array_equal(*crosses)
+    psi = probe_vector(massless)
+    outs = [chiral.apply_cross_twist_fock(r, psi) for r in (r1, r2)]
+    assert not np.array_equal(outs[0].sectors[2], outs[1].sectors[2])
+    assert deformation._kernel_table.cache_info().currsize == 4
+    assert chiral._root_cross_matrix.cache_info().currsize == 2
+
+
+def test_adjoint_twists_get_their_own_multipliers(grids, root):
+    grid = grids[0]
+    spec = KernelSpec(root=root, mass=grid.mass)
+    psi = probe_vector(grid)
+    p = float(grid.points[1])
+    twist = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi)
+    adj = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi, adjoint=True)
+    assert deformation._sharp_twist_matrix.cache_info().currsize == 1
+    assert fock._pair_multipliers.cache_info().currsize == 2
+    assert not np.array_equal(twist.sectors[3], adj.sectors[3])
+    back = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, twist, adjoint=True)
+    assert np.max(np.abs(back.sectors[3] - psi.sectors[3])) <= 1e-14
+    union = grids[1]
+    phi = probe_vector(union)
+    cross = chiral.apply_cross_twist_fock(root, phi)
+    cross_adj = chiral.apply_cross_twist_fock(root, phi, adjoint=True)
+    assert chiral._root_cross_matrix.cache_info().currsize == 1
+    assert fock._pair_multipliers.cache_info().currsize == 4
+    assert not np.array_equal(cross.sectors[2], cross_adj.sectors[2])
+
+
+def arrays(result):
+    """The arrays of a cached result: the multipliers are a tuple of them."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def cached_results(grids, root):
+    """One result from each cache, keyed by its cache."""
+    massive, massless = grids
+    spec = KernelSpec(root=root, mass=massive.mass)
+    gmat = chiral._root_cross_matrix(root, massless.points.tobytes())
+    return {
+        deformation._kernel_table: kernel_matrix(spec, massive),
+        deformation._sharp_twist_matrix: deformation._sharp_twist_matrix(
+            spec, SharpTwistVariant.SIGN_SPLIT, float(massive.points[3]),
+            massive.points.tobytes()),
+        chiral._root_cross_matrix: gmat,
+        fock._pair_multipliers: fock._pair_multipliers(gmat.tobytes(), massless.size, 4),
+    }
+
+
+def test_cached_results_equal_a_recompute(grids, root):
+    first = cached_results(grids, root)
+    assert all(cache.cache_info().currsize >= 1 for cache in CACHES)
+    again = cached_results(grids, root)
+    clear_caches()
+    fresh = cached_results(grids, root)
+    for cache in CACHES:
+        assert again[cache] is first[cache]  # a hit returns the entry itself
+        assert fresh[cache] is not first[cache]
+        assert len(arrays(first[cache])) == len(arrays(fresh[cache]))
+        for a, b in zip(arrays(first[cache]), arrays(fresh[cache])):
+            assert np.array_equal(a, b)
+
+
+def test_cached_arrays_are_read_only(grids, root):
+    results = cached_results(grids, root)
+    cached = [arr for result in results.values() for arr in arrays(result)]
+    assert len(cached) == 3 + 3  # the multipliers of sectors 2, 3 and 4
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    twist = make_root(BlaschkeSpec((), 1), merge_flip_sets(FLIP_ATOMS[0], FLIP_ATOMS[1]))
+    psi = probe_vector(grids[1])
+    out = apply_pair_twist(twist, psi)  # a fresh vector, writable, over a cached table
+    out.sectors[2][0] = 0.0
+    with pytest.raises(ValueError):
+        kernel_matrix(KernelSpec(root=twist, mass=0.0), grids[1])[0, 0] = 2.0
+
+
+def test_default_run_is_the_same_with_cold_and_warm_caches(cfg):
+    docs = []
+    for _ in range(2):  # the fixture leaves the caches cold for the first run
+        doc = report_to_json(run_suite(cfg))
+        doc.pop("runtime_seconds")
+        docs.append(json.dumps(doc, sort_keys=True))
+        assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+    assert docs[0] == docs[1]

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -318,6 +319,19 @@ def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_refuses_report_in_missing_directory_before_any_suite(tmp_path, capsys,
+                                                                  monkeypatch):
+    """An unwritable report path is a configuration error, not a traceback after the run."""
+    monkeypatch.setattr(suites, "SUITES", {})  # running any suite would raise KeyError
+    missing = tmp_path / "no-such-dir" / "report.json"
+    assert cli.main(["--report", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "does not exist" in err
+    assert not missing.parent.exists()
+    assert cli.main(["--report", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+
+
 def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(b"\xff\xfe\x7b")
@@ -491,6 +505,16 @@ def test_default_and_deep_tower_configs_are_admitted():
                        / "deep-tower.json").read_text())
     for doc in ({}, deep):
         check_memory(config_from_json(doc))
+
+
+def test_admission_counts_the_pair_multiplier_cache(monkeypatch):
+    """The cache's maxsize enters the estimate: a huge one refuses the default config."""
+    cfg = config_from_json({})
+    check_memory(cfg)
+    monkeypatch.setattr(fock, "_pair_multipliers",
+                        functools.lru_cache(maxsize=10 ** 12)(lambda gmat, m, n: ()))
+    with pytest.raises(ConfigError, match="physical memory"):
+        check_memory(cfg)
 
 
 def test_ceiling_config_is_admitted():

@@ -119,21 +119,21 @@ def bifock_norm(xi: BiFockVector) -> float:
 
 def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generator,
                   count: int | None = None) -> BiFockVector:
-    """Random split-tower vector of unit norm: a complex Gaussian tensor per
-    component, symmetrized within each factor.
+    """Random split-tower vector of unit norm: the coefficients of a complex
+    Gaussian tensor per component, symmetrized within each factor, drawn
+    directly; component (a, b) scales by the outer product of the two halves'
+    :func:`fock._coefficient_scales`.
 
     The normals come from one ``standard_normal`` call, component by component
     in the order of :func:`_component_keys`, as in :func:`fock.random_fock_vector`;
     with ``count`` column j of the batch is the j-th of ``count`` successive
     single draws, each column scaled to unit norm.
     """
-    p, q = pair.n_positive, pair.n_negative
+    pos = fock._coefficient_scales(pair.positive_weights, truncation)
+    neg = fock._coefficient_scales(pair.negative_weights, truncation)
     keys = _component_keys(truncation)
-    raws = fock._gaussian_tensors(rng, [(p,) * a + (q,) * b for a, b in keys], count or 1)
-    comps = {}
-    for (a, b), raw in zip(keys, raws):
-        pos = np.moveaxis(fock.symmetrize(raw, pair.positive_weights, a), 0, -1)
-        comps[(a, b)] = np.moveaxis(fock.symmetrize(pos, pair.negative_weights, b), -1, 0)
+    comps = dict(zip(keys, fock._gaussian_coefficients(
+        rng, [np.multiply.outer(pos[a], neg[b]) for a, b in keys], count or 1)))
     if count is None:
         out = BiFockVector(pair, truncation, {k: c[..., 0] for k, c in comps.items()})
         return out * (1.0 / bifock_norm(out))

@@ -231,7 +231,10 @@ def sharp_annihilate(p: float, psi: FockVector) -> FockVector:
 
 
 def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
-    """Sharp deformed annihilator a_K(p) = a(p) dressed with prod_k K(p, p_k)."""
-    row = _kernel_values(spec, p, psi.grid.points)
+    """Sharp deformed annihilator a_K(p) = a(p) dressed with prod_k K(p, p_k).
+
+    delta_p removes only the grid index q of p, so only row q of the cached
+    :func:`kernel_matrix` is read.
+    """
     return fock._annihilate_with_kernel(_delta(p, psi.grid), psi,
-                                        np.broadcast_to(row, (psi.grid.size,) * 2))
+                                        kernel_matrix(spec, psi.grid))

@@ -43,8 +43,8 @@ from .grids import ChiralGridPair, MomentumGrid
 
 
 # Batch entries (columns times basis size) of one block that operator_matrix
-# and probe_image apply their operator to, and raw Gaussian entries of one
-# batch that random_batches draws; bounds the memory of the block and of the
+# and probe_image apply their operator to, or of one batch of random vectors
+# that random_batches draws; bounds the memory of the block and of the
 # operator's intermediates.
 _BLOCK_ENTRIES = 524_288
 
@@ -54,13 +54,12 @@ class _Basis:
     ``_vector(c)`` with coefficient vector c (a trailing batch axis gives a
     batched state), ``union_order``: coefficient j is label ``union_order[j]``
     of the tower over the ``union_size``-point union grid, and
-    ``random(rng, count)``: a batch of ``count`` random unit vectors, drawn from
-    ``raw_entries`` complex Gaussian entries each."""
+    ``random(rng, count)``: a batch of ``count`` random unit vectors, drawn as
+    ``len(self)`` complex Gaussian coefficients each."""
 
     truncation: int
     union_size: int
     union_order: np.ndarray
-    raw_entries: int
 
     def __len__(self) -> int:
         return len(self.union_order)
@@ -92,7 +91,6 @@ class FockBasis(_Basis):
         self._sizes = [len(tab.labels) for tab in fock._ladder(grid.size, truncation)]
         self.union_size = grid.size
         self.union_order = np.arange(sum(self._sizes))
-        self.raw_entries = sum(grid.size ** n for n in range(truncation + 1))
 
     @functools.cached_property
     def labels(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -132,8 +130,6 @@ class BiFockBasis(_Basis):
         index = chiral._union_index(pair.n_positive, pair.n_negative, truncation)
         self.union_order = np.concatenate([start[a + b] + index[(a, b)].ravel()
                                            for (a, b) in self._shapes])
-        self.raw_entries = sum(pair.n_positive ** a * pair.n_negative ** b
-                               for (a, b) in self._shapes)
 
     @functools.cached_property
     def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -306,19 +302,13 @@ def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: i
     i of each group of the batch, so reading column 0 of every member, then
     column 1, and so on gives the vectors in the order that single draws from
     ``rng`` would.  A batch is one draw of whole groups, at most
-    ``_BLOCK_ENTRIES`` raw Gaussian entries (``basis.raw_entries`` per
-    vector); a group larger than that is drawn one vector at a time.  A vector's raw
-    entries are at least its basis size, so this also bounds the batch's
-    coefficients and the operators' intermediates, as for a probe block.
+    ``_BLOCK_ENTRIES`` coefficients (``len(basis)`` per vector) or one group,
+    which bounds the operators' intermediates as for a probe block.
     """
-    per = _BLOCK_ENTRIES // (group * basis.raw_entries)
-    step = max(per, 1)
+    step = max(_BLOCK_ENTRIES // (group * len(basis)), 1)
     for start in range(0, count, step):
-        if per:
-            vec = basis.random(rng, group * min(step, count - start))
-            yield tuple(basis.columns(vec, slice(i, None, group)) for i in range(group))
-        else:
-            yield tuple(basis.random(rng, 1) for _ in range(group))
+        vec = basis.random(rng, group * min(step, count - start))
+        yield tuple(basis.columns(vec, slice(i, None, group)) for i in range(group))
 
 
 def probe_image(op, pattern: Pattern, domain, codomain=None) -> np.ndarray:

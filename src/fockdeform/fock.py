@@ -462,37 +462,44 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     return BoostResult(FockVector(grid, tuple(secs)), truncated)
 
 
-def _gaussian_tensors(rng: np.random.Generator, shapes: list[tuple[int, ...]],
-                      count: int):
-    """Complex Gaussian tensors of the given shapes, each with a trailing batch axis
-    of ``count``, from one ``standard_normal`` call.
+def _coefficient_scales(weights: np.ndarray, truncation: int) -> list[np.ndarray]:
+    """sqrt(prod_i w_{k_i}) per label of sectors 0..truncation.
 
-    Column j reads the j-th block of the stream, and a block holds the real and
-    then the imaginary part of each tensor in turn: the normals that ``count``
-    successive single draws of ``rng.standard_normal(shape) + 1j *
-    rng.standard_normal(shape)`` per shape would give.
+    Projecting (:func:`symmetrize`) a tensor of independent standard complex
+    Gaussians sums the n!/prod m_q! entries at the rearrangements of label
+    kappa, times |kappa| prod m_q! / n!: independent coefficients of variance
+    2 prod_i w_{k_i}, which these scales draw directly.
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    raw = rng.standard_normal((count, 2 * sum(sizes)))
-    start = 0
-    for shape, size in zip(shapes, sizes):
-        re, im = raw[:, start:start + size], raw[:, start + size:start + 2 * size]
-        start += 2 * size
-        yield np.moveaxis((re + 1j * im).reshape((count,) + shape), 0, -1)
+    amp = np.sqrt(weights)
+    return [_slot_product(amp, tab.labels) for tab in _ladder(weights.size, truncation)]
+
+
+def _gaussian_coefficients(rng: np.random.Generator, scales: list[np.ndarray], count: int):
+    """Complex Gaussians ``scale * (N + iN)``, one array per scale with a trailing
+    batch axis of ``count``, from one ``standard_normal`` call.
+
+    Column j reads row j of the draw, and a row holds the real and then the
+    imaginary part of each array in turn: the normals that ``count``
+    successive single draws would give.
+    """
+    raw = rng.standard_normal((count, 2 * sum(scale.size for scale in scales))).T
+    parts = np.split(raw, np.cumsum(np.repeat([scale.size for scale in scales], 2))[:-1])
+    for scale, re, im in zip(scales, parts[::2], parts[1::2]):
+        yield _scale((re + 1j * im).reshape(scale.shape + (count,)), scale)
 
 
 def random_fock_vector(grid: MomentumGrid, truncation: int, rng: np.random.Generator,
                        count: int | None = None) -> FockVector:
-    """Random vector of unit norm: a complex Gaussian tensor per sector, symmetrized.
+    """Random vector of unit norm: the coefficients of a symmetrized complex
+    Gaussian tensor per sector, drawn directly (:func:`_coefficient_scales`).
 
     The normals come from one ``standard_normal`` call, sector by sector, real
     part before imaginary part.  With ``count`` the result is a batch of shape
     (count,) whose column j is the j-th of ``count`` successive single draws,
     each column scaled to unit norm.
     """
-    shapes = [(grid.size,) * n for n in range(truncation + 1)]
-    secs = [symmetrize(raw, grid.weights, n)
-            for n, raw in enumerate(_gaussian_tensors(rng, shapes, count or 1))]
+    secs = list(_gaussian_coefficients(rng, _coefficient_scales(grid.weights, truncation),
+                                       count or 1))
     if count is None:
         psi = FockVector(grid, tuple(s[..., 0] for s in secs))
         return psi * (1.0 / norm(psi))

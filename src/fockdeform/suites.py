@@ -799,14 +799,18 @@ def check_memory(cfg: SuiteConfig) -> None:
     N, N) labels, and a probe oracle on it 1 + N * M columns (:mod:`dense`).
     Counted in complex entries: two copies of one ladder gather over a block
     of probe columns, D * M * (columns per block); four probe images, D * (1 +
-    N * M); three copies of one batch of random vectors' raw Gaussian draw,
-    which :func:`dense.random_batches` holds to at most the larger of one
-    vector's raw entries (sum_n M^n) and ``dense._BLOCK_ENTRIES``; the
-    basis vectors of the fock suite's 4-point tower, D_4^2; and a full cache
-    of pair-phase multipliers (:func:`fock.apply_pair_phase`), ``maxsize``
-    times sum_{n=2..N} D_n(M), where D_n(M) = binom(M + n - 1, n).  The
-    cached kernel, twist and cross matrices hold M^2 entries each and are
-    not counted.  The inner and kernel suites build no tower.
+    N * M); three copies of one batch of random vectors' coefficients, which
+    :func:`dense.random_batches` holds to at most the larger of one pair of
+    vectors (2 D) and ``dense._BLOCK_ENTRIES``; on the fock suite's 4-point
+    tower, its basis vectors, D_4^2, and the build of its symmetrizer table
+    (:func:`fock._tensor_ranks`), which peaks near (N + 2) * 4^N; and a full
+    cache of pair-phase multipliers (:func:`fock.apply_pair_phase`),
+    ``maxsize`` times sum_{n=2..N} D_n(M), where D_n(M) = binom(M + n - 1, n).
+    No M^n symmetrizer table is counted on the larger grid because none is
+    built there: random vectors are drawn as coefficients, and the one
+    projection there is of a two-particle component.  The cached kernel,
+    twist and cross matrices hold M^2 entries each and are not counted.  The
+    inner and kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
@@ -815,11 +819,10 @@ def check_memory(cfg: SuiteConfig) -> None:
     d = math.comb(m + n, n)
     columns = 1 + n * m
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
-    raw_batch = max(sum(m ** k for k in range(n + 1)), dense._BLOCK_ENTRIES)
     multipliers = (fock._pair_multipliers.cache_parameters()["maxsize"]
                    * sum(fock._dim(m, k) for k in range(2, n + 1)))
-    entries = (2 * d * m * per_block + 4 * d * columns + 3 * raw_batch
-               + math.comb(4 + n, n) ** 2 + multipliers)
+    entries = (2 * d * m * per_block + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
+               + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
     need = np.dtype(complex).itemsize * entries
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

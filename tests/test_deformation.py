@@ -338,6 +338,17 @@ def test_sharp_twist_conjugation_identity(variant, root, massive_grid, rng):
         assert dense.matrix_deviation(m_conj, m_sharp) < TOL
 
 
+def test_deformed_annihilators_reject_a_spec_of_another_mass(root, massive_grid):
+    """Both annihilators read the cached kernel matrix, which refuses a spec
+    whose mass is not the grid's."""
+    spec = KernelSpec(root=root, mass=0.0)
+    vac = fock.vacuum(massive_grid, 2)
+    with pytest.raises(ValueError, match="grid mass"):
+        annihilate_deformed(spec, np.ones(massive_grid.size), vac)
+    with pytest.raises(ValueError, match="grid mass"):
+        annihilate_deformed_sharp(spec, float(massive_grid.points[1]), vac)
+
+
 def test_sharp_twist_variant_flags():
     assert SharpTwistVariant("pairwise-sum") is SharpTwistVariant.PAIRWISE_SUM
     assert SharpTwistVariant("sign-split") is SharpTwistVariant.SIGN_SPLIT

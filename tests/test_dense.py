@@ -232,19 +232,19 @@ def test_operator_matrix_equals_column_loop(name, monkeypatch):
     assert np.max(np.abs(batched - column_loop(op, domain, codomain))) <= 1e-14
 
 
-@pytest.mark.parametrize("block", [dense._BLOCK_ENTRIES, 600, 100])
+@pytest.mark.parametrize("block", [dense._BLOCK_ENTRIES, 600, 100, 50])
 def test_random_batches_follow_the_single_draw_order(monkeypatch, block):
     """Column j of each member, member by member, is the next single draw; a
-    batch stays within the budget unless one pair alone exceeds it (at 100)."""
+    batch stays within the budget unless one pair alone exceeds it (at 50)."""
     grid = rapidity_grid(1.0, 4)
-    basis = dense.FockBasis(grid, 3)  # 1 + 4 + 16 + 64 = 85 raw entries per vector
+    basis = dense.FockBasis(grid, 3)  # 1 + 4 + 10 + 20 = 35 coefficients per vector
     monkeypatch.setattr(dense, "_BLOCK_ENTRIES", block)
     batched, single = np.random.default_rng(5), np.random.default_rng(5)
     drawn = 0
     for a, b in dense.random_batches(basis, 7, batched, group=2):
         width = a.batch_shape[0]
         assert b.batch_shape == (width,)
-        assert 2 * width * basis.raw_entries <= block or width == 1
+        assert 2 * width * len(basis) <= block or width == 1
         for j in range(width):
             for member in (a, b):
                 psi = fock.random_fock_vector(grid, 3, single)

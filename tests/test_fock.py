@@ -180,6 +180,70 @@ def test_symmetrize_axes_matches_permutation_sum(axes, rng):
     assert np.max(np.abs(fock.sector_tensor(packed, WEIGHTS, n) - expected)) <= 1e-15
 
 
+# a 3-point negative and a 2-point positive half-line, both with unequal weights
+UNEQUAL_PAIR = chiral.ChiralGridPair(union=MomentumGrid(np.array([-2.0, -1.0, -0.5, 0.5, 1.5]),
+                                                        np.concatenate([WEIGHTS, WEIGHTS[:2]]),
+                                                        0.0),
+                                     n_negative=3)
+
+
+def draw_scale(weights, n):
+    """sqrt(prod_i w_{k_i}) per label of sector n, labels in lexicographic order."""
+    labels = list(itertools.combinations_with_replacement(range(weights.size), n))
+    return np.sqrt([math.prod(weights[list(kappa)]) for kappa in labels])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_projected_gaussian_tensor_has_independent_coefficients(n):
+    """The projection S, one column per unit tensor, has S S^H = diag(prod_i w_{k_i}):
+    projecting a tensor of independent standard complex Gaussians gives
+    independent coefficients of variance 2 prod_i w_{k_i}, which is how
+    random_fock_vector draws them."""
+    m = WEIGHTS.size
+    proj = fock.symmetrize(np.eye(m ** n).reshape((m,) * n + (m ** n,)), WEIGHTS, n)
+    cov = proj @ proj.conj().T
+    assert np.max(np.abs(cov - np.diag(draw_scale(WEIGHTS, n) ** 2))) <= 1e-14
+
+
+def test_projected_bifock_component_has_independent_coefficients():
+    """Component (a, b), projected over the a positive and then the b negative
+    axes: S S^H is the diagonal of the product of both halves' prod_i w_{k_i}."""
+    pair, a, b = UNEQUAL_PAIR, 2, 2
+    pw, nw = pair.positive_weights, pair.negative_weights
+    k = pw.size ** a * nw.size ** b
+    units = np.eye(k).reshape((pw.size,) * a + (nw.size,) * b + (k,))
+    pos = np.moveaxis(fock.symmetrize(units, pw, a), 0, -1)
+    proj = np.moveaxis(fock.symmetrize(pos, nw, b), -1, 0).reshape(-1, k)
+    scale = np.multiply.outer(draw_scale(pw, a), draw_scale(nw, b)).ravel()
+    assert np.max(np.abs(proj @ proj.conj().T - np.diag(scale ** 2))) <= 1e-14
+
+
+class OnesGenerator:
+    """Stands in for a numpy Generator whose every normal is 1."""
+
+    def standard_normal(self, shape):
+        return np.ones(shape)
+
+
+def test_random_vectors_scale_each_label_by_the_root_of_its_weights():
+    """With all normals 1, a random vector is (1 + i) times the per-label
+    scale sqrt(prod_i w_{k_i}), normalized."""
+    def assert_parallel(coeffs, scale):
+        expected = (1 + 1j) / math.sqrt(2) * scale / np.linalg.norm(scale)
+        assert np.max(np.abs(coeffs - expected)) <= 1e-15
+
+    grid = MomentumGrid(np.array([0.5, 1.0, 1.5]), WEIGHTS, 1.0)
+    psi = fock.random_fock_vector(grid, 3, OnesGenerator())
+    assert_parallel(np.concatenate(psi.sectors),
+                    np.concatenate([draw_scale(WEIGHTS, n) for n in range(4)]))
+    pair = UNEQUAL_PAIR
+    xi = chiral.random_bifock(pair, 3, OnesGenerator())
+    assert_parallel(np.concatenate([c.ravel() for c in xi.components.values()]),
+                    np.concatenate([np.multiply.outer(draw_scale(pair.positive_weights, a),
+                                                      draw_scale(pair.negative_weights, b)).ravel()
+                                    for a, b in xi.components]))
+
+
 def test_annihilate_vacuum(grid, rng):
     vac = fock.vacuum(grid, 3)
     out = fock.annihilate(fock.random_one_particle(grid, rng), vac)

@@ -366,8 +366,8 @@ def test_split_roundtrip_probes_with_one_repetition(monkeypatch):
 
 @pytest.mark.parametrize("block", [600, 200])
 def test_random_batches_under_a_small_budget_keep_the_records(monkeypatch, block):
-    """Drawing the random vectors in several batches (at 200 a merge-unitary pair
-    no longer fits one batch) moves the records by rounding only."""
+    """Drawing the random vectors in several batches (at 200 each batch of a
+    merge-unitary check holds one pair) moves the records by rounding only."""
     cfg = SuiteConfig(suites=("fock", "chiral"))
     names = ("translation-multiplier", "merge-unitary")
     whole = {r.check: r for r in run_suite(cfg).records if r.check in names}
@@ -521,3 +521,15 @@ def test_ceiling_config_is_admitted():
     """N=5 on 8 points per side and 16 massive points: D = 20,349, no D x D matrix."""
     check_memory(config_from_json({"truncation": 5, "massless_grid": {"points_per_side": 8},
                                    "massive_grid": {"size": 16}}))
+
+
+def test_default_run_builds_no_symmetrizer_table_beyond_the_counted_ones(monkeypatch):
+    """Random vectors are drawn as coefficients, so the only symmetrizer tables
+    (fock._tensor_ranks, M^n entries) a run builds are the fock suite's on its
+    4-point tower, which check_memory counts, and two-particle ones."""
+    built = []
+    real = fock._tensor_ranks
+    monkeypatch.setattr(fock, "_tensor_ranks", lambda m, n: built.append((m, n)) or real(m, n))
+    run_suite(SuiteConfig())
+    assert built
+    assert [(m, n) for m, n in built if n >= 3 and m > 4] == []

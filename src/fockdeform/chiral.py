@@ -10,9 +10,9 @@ to occupation-number basis vectors: the pair of multisets (kappa_+, kappa_-)
 goes to their union, with coefficient 1.  The cross twist multiplies each
 (positive, negative) momentum pair by a root kernel R(-p q); conjugating it
 through the merge gives a sector-diagonal twist on the union tower.  These
-two twists implement the same deformation of the annihilators, which is what
-:func:`check_annihilator_equivalence` and :func:`check_field_equivalence`
-machine-check.
+two twists implement the same deformation of the annihilators and fields as
+:mod:`deformation`.  This module never imports that one: the two schemes meet
+only in :mod:`suites`, whose ``_equivalence`` compares them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .deformation import KernelSpec, annihilate_deformed, field_deformed
 from .fock import FockVector, TestFunctionData
 from .grids import ChiralGridPair
 from .inner import Root, eval_root
@@ -198,8 +197,8 @@ def chiral_field(side: str, g, xi: BiFockVector) -> BiFockVector:
     return create_half(side, g, xi) + annihilate_half(side, g, xi)
 
 
-def cross_matrix(grid, values_fn) -> np.ndarray:
-    """Symmetric cross kernel on a union grid: values_fn(-p q) where p q < 0, else 1.
+def cross_matrix(points: np.ndarray, values_fn) -> np.ndarray:
+    """Symmetric cross kernel on union-grid points: values_fn(-p q) where p q < 0, else 1.
 
     This is S = B o B^T for the ordered kernel B (values_fn(-p q) for
     p > 0 > q, else 1).  In prod_{i,j} B[k_i, k_j] each opposite-sign pair
@@ -210,11 +209,7 @@ def cross_matrix(grid, values_fn) -> np.ndarray:
     The union twist is therefore the pair phase of S, and the split twist
     reads its (positive, negative) block S[q:, :q].
     """
-    return _cross_values(grid.points, values_fn)
-
-
-def _cross_values(pts: np.ndarray, values_fn) -> np.ndarray:
-    args = -np.multiply.outer(pts, pts)
+    args = -np.multiply.outer(points, points)
     mask = args > 0.0
     smat = np.ones(args.shape, dtype=complex)
     if np.any(mask):
@@ -226,7 +221,7 @@ def _cross_values(pts: np.ndarray, values_fn) -> np.ndarray:
 def _root_cross_matrix(root: Root, points: bytes) -> np.ndarray:
     """:func:`cross_matrix` of the root on the union grid with these points'
     bytes, built once and read-only."""
-    smat = _cross_values(np.frombuffer(points), lambda args: eval_root(root, args))
+    smat = cross_matrix(np.frombuffer(points), lambda args: eval_root(root, args))
     smat.setflags(write=False)
     return smat
 
@@ -395,97 +390,3 @@ def twisted_field(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
         raise ValueError("field data must be supported on a single half-line")
     return _twist_sandwich(root, fd.fplus, pair, psi, route,
                            lambda v: fock.field(fd, v), chiral_field)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Deviations between a kernel-deformed operator and its twist conjugation."""
-
-    side: str
-    max_vector_direct: float
-    max_vector_split: float
-    max_matrix_direct: float
-    max_matrix_split: float
-
-    @property
-    def max_deviation(self) -> float:
-        """Largest of the four deviations; NaN if any of them is NaN."""
-        return float(np.max([self.max_vector_direct, self.max_vector_split,
-                             self.max_matrix_direct, self.max_matrix_split]))
-
-
-def _check_equivalence(side: str, deformed, twisted, pattern, pair: ChiralGridPair,
-                       truncation: int, rng: np.random.Generator,
-                       n_vectors: int) -> EquivalenceReport:
-    """Compare ``deformed`` with ``twisted(v, route)`` on both twist routes: on
-    ``n_vectors`` random vectors per route, and over the probe image of the
-    operators' ``pattern`` (:mod:`dense`), the deformed one's built once.
-
-    The 2 * ``n_vectors`` random vectors are drawn as batches
-    (:func:`dense.random_batches`): the direct route reads the first
-    ``n_vectors``, the split route the rest, and ``deformed`` is applied once
-    per batch.  A route's vector deviation is the largest column norm of the
-    difference, NaN if any column is NaN.
-    """
-    from .dense import FockBasis, matrix_deviation, probe_image, random_batches
-
-    basis = FockBasis(pair.union, truncation)
-    vector_devs = {"direct": [], "split": []}
-    drawn = 0
-    for (probe,) in random_batches(basis, 2 * n_vectors, rng):
-        coef = basis.coefficients(probe)
-        want = basis.coefficients(deformed(probe))
-        in_split = np.arange(drawn, drawn + coef.shape[1]) >= n_vectors
-        drawn += coef.shape[1]
-        for route, cols in (("direct", ~in_split), ("split", in_split)):
-            if cols.any():
-                got = basis.coefficients(twisted(basis.columns(probe, cols), route))
-                vector_devs[route].append(np.max(np.linalg.norm(want[:, cols] - got, axis=0)))
-    target = probe_image(deformed, pattern, basis)
-    devs = {route: (float(np.max(vector_devs[route], initial=0.0)),
-                    matrix_deviation(probe_image(lambda v: twisted(v, route), pattern, basis),
-                                     target))
-            for route in ("direct", "split")}
-    return EquivalenceReport(side=side, max_vector_direct=devs["direct"][0],
-                             max_vector_split=devs["split"][0],
-                             max_matrix_direct=devs["direct"][1],
-                             max_matrix_split=devs["split"][1])
-
-
-def check_annihilator_equivalence(root: Root, amplitude, pair: ChiralGridPair,
-                                  truncation: int, rng: np.random.Generator,
-                                  n_vectors: int = 10) -> EquivalenceReport:
-    """Compare the kernel-deformed annihilator with its twist conjugation.
-
-    For an amplitude supported on one half-line the two must agree on the
-    whole truncated space; both twist realizations are exercised.
-    """
-    from .dense import LOWER
-
-    amplitude = np.asarray(amplitude, dtype=complex)
-    spec = KernelSpec(root=root, mass=0.0)
-    return _check_equivalence(
-        _support_side(pair, amplitude),
-        lambda v: annihilate_deformed(spec, amplitude, v),
-        lambda v, route: twisted_annihilator(root, amplitude, pair, v, route),
-        LOWER, pair, truncation, rng, n_vectors)
-
-
-def check_field_equivalence(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
-                            truncation: int, rng: np.random.Generator,
-                            n_vectors: int = 10) -> EquivalenceReport:
-    """Compare the kernel-deformed field with the twisted one-light-ray field.
-
-    Requires real one-sided data, for which both operators are hermitian and
-    generate the same deformed observables.
-    """
-    if not fd.real:
-        raise ValueError("field equivalence is formulated for real data")
-    from .dense import FIELD
-
-    spec = KernelSpec(root=root, mass=0.0)
-    return _check_equivalence(
-        _support_side(pair, fd.fplus),
-        lambda v: field_deformed(spec, fd, v),
-        lambda v, route: twisted_field(root, fd, pair, v, route),
-        FIELD, pair, truncation, rng, n_vectors)

@@ -1,7 +1,8 @@
 """Config-file and report JSON for the verification CLI.
 
 A root travels as ``{"zeros": [[re, im], ...], "sign": +-1, "flips": [[a, b],
-...]}``; ``zeros`` defaults to none, ``sign`` to 1 and ``flips`` to none.
+...]}``; ``zeros`` defaults to none, ``sign`` to 1 and ``flips`` to none.  A
+zero and a flip are each exactly two JSON numbers.
 """
 
 from __future__ import annotations
@@ -58,12 +59,21 @@ def root_from_json(data) -> Root:
     unknown = set(data) - {"zeros", "sign", "flips"}
     if unknown:
         raise ConfigError(f"unknown root keys: {sorted(unknown)}")
+    zeros = tuple(complex(re, im) for re, im in _number_pairs(data, "zeros"))
+    flips = _number_pairs(data, "flips")
     try:
-        zeros = tuple(complex(re, im) for re, im in data.get("zeros", []))
         spec = BlaschkeSpec(zeros=zeros, sign=_convert(int, data.get("sign", 1), "sign"))
-        return make_root(spec, tuple(data.get("flips", [])))
-    except (ValueError, KeyError, TypeError) as exc:
+        return make_root(spec, flips)
+    except ValueError as exc:
         raise ConfigError(f"invalid root data: {exc}") from exc
+
+
+def _number_pairs(data: dict, key: str) -> tuple[tuple[float, float], ...]:
+    """A root's ``zeros`` or ``flips``: a list of [x, y], each a JSON number."""
+    items = data.get(key, [])
+    if not (isinstance(items, list) and all(isinstance(i, list) and len(i) == 2 for i in items)):
+        raise ConfigError(f"root {key} must be a list of [x, y] number pairs, got {items!r}")
+    return tuple(tuple(_convert(float, x, f"root {key}") for x in item) for item in items)
 
 
 def config_from_json(data: dict) -> SuiteConfig:

@@ -44,7 +44,7 @@ def boost_momentum(p, rapidity: float, mass: float):
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Strictly increasing nonzero momenta with positive quadrature weights."""
+    """Strictly increasing nonzero momenta with positive, finite weights and energies."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -60,6 +60,10 @@ class MomentumGrid:
             raise ValueError("points must be a nonempty 1-d array")
         if wts.shape != pts.shape:
             raise ValueError("weights must match points in shape")
+        with np.errstate(over="ignore"):  # not finite for a non-finite point or mass
+            omegas = omega(pts, self.mass)
+        if not (np.all(np.isfinite(wts)) and np.all(np.isfinite(omegas) & (omegas > 0.0))):
+            raise ValueError("grid weights and energies omega_m(p) must be finite and > 0")
         if np.any(pts == 0.0):
             raise ValueError("grid points must be nonzero")
         if np.any(np.diff(pts) <= 0.0):
@@ -72,7 +76,7 @@ class MomentumGrid:
             raise ValueError(f"unknown layout {self.layout!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "omegas", omega(pts, self.mass))
+        object.__setattr__(self, "omegas", omegas)
 
     @property
     def size(self) -> int:
@@ -93,16 +97,19 @@ def rapidity_grid(mass: float, size: int, theta_min: float = -1.25,
     The rapidity window must not contain a grid point at theta = 0 (which
     would give p = 0); the default symmetric window with even size avoids it.
     """
-    if mass <= 0.0:
-        raise ValueError("rapidity layout requires mass > 0")
+    if not 0.0 < mass < math.inf:
+        raise ValueError("rapidity layout requires a finite mass > 0")
     if size < 2:
         raise ValueError("need at least 2 points")
-    thetas = np.linspace(theta_min, theta_max, size)
+    with np.errstate(over="ignore", invalid="ignore"):  # MomentumGrid refuses inf and nan
+        points = mass * np.sinh(np.linspace(theta_min, theta_max, size))
     dtheta = (theta_max - theta_min) / (size - 1)
-    points = mass * np.sinh(thetas)
     if np.any(points == 0.0):
         raise ValueError("rapidity window places a grid point at p = 0; shift it")
-    weights = np.full(size, math.sinh(dtheta))
+    try:
+        weights = np.full(size, math.sinh(dtheta))
+    except OverflowError as exc:
+        raise ValueError(f"sinh of the rapidity spacing {dtheta} overflows") from exc
     return MomentumGrid(points, weights, mass, LAYOUT_RAPIDITY, dtheta)
 
 
@@ -153,8 +160,8 @@ def chiral_pair(points_per_side: int, p_min: float = 0.5,
     """Symmetric massless grid with geometric half-lines |p| in [p_min, p_max]."""
     if points_per_side < 2:
         raise ValueError("need at least 2 points per side")
-    if not 0.0 < p_min < p_max:
-        raise ValueError("require 0 < p_min < p_max")
+    if not (0.0 < p_min < p_max and math.isfinite(p_max / p_min)):
+        raise ValueError("require 0 < p_min < p_max and a finite p_max / p_min")
     dlam = math.log(p_max / p_min) / (points_per_side - 1)
     pos = p_min * np.exp(dlam * np.arange(points_per_side))
     points = np.concatenate([-pos[::-1], pos])

@@ -30,10 +30,11 @@ class PoleProximityError(ValueError):
 class BlaschkeSpec:
     """Finite Blaschke product sign * prod_k (z - a_k) / (z - conj(a_k)).
 
-    ``zeros`` must lie in the open upper half plane.  The boundary symmetry
-    phi(-t) = phi(t)**-1 additionally requires the zero multiset to be closed
-    under a -> -conj(a); that closure is *checked*, not enforced, so that
-    defective inputs can be diagnosed by :func:`check_symmetric_inner`.
+    ``zeros`` must be finite points of the open upper half plane.  The
+    boundary symmetry phi(-t) = phi(t)**-1 additionally requires the zero
+    multiset to be closed under a -> -conj(a); that closure is *checked*, not
+    enforced, so that defective inputs can be diagnosed by
+    :func:`check_symmetric_inner`.
     """
 
     zeros: tuple[complex, ...]
@@ -44,8 +45,8 @@ class BlaschkeSpec:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         for a in self.zeros:
-            if not a.imag > 0.0:
-                raise ValueError(f"zero {a} is not in the open upper half plane")
+            if not (math.isfinite(a.real) and 0.0 < a.imag < math.inf):
+                raise ValueError(f"zero {a} is not a finite point of the open upper half plane")
 
     def closure_defect(self) -> float:
         """Max distance from any reflected zero -conj(a) to the zero multiset."""
@@ -124,7 +125,7 @@ def _flip_sign(flips, t):
 def _validate_flips(flips) -> tuple[tuple[float, float], ...]:
     out = []
     for iv in flips:
-        lo, hi = float(iv[0]), float(iv[1])
+        lo, hi = map(float, iv)  # ValueError unless exactly two numbers
         if not lo < hi:
             raise ValueError(f"flip interval {iv!r} is empty or reversed")
         if lo <= 0.0 <= hi:

@@ -624,7 +624,7 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         chiral.apply_cross_twist(root, one_sided) - one_sided)
 
     for r in roots[:3]:
-        smat_sq = chiral.cross_matrix(grid, lambda a, r=r: eval_inner(r.base, a))
+        smat_sq = chiral.cross_matrix(grid.points, lambda a, r=r: eval_inner(r.base, a))
         for (xi,) in dense.random_batches(bbasis, 3, rng):
             twice = chiral.apply_cross_twist(r, chiral.apply_cross_twist(r, xi))
             squared = chiral.apply_cross_twist_matrix(
@@ -672,20 +672,49 @@ def _one_sided_amplitude(pair: ChiralGridPair, side: str,
     return amp
 
 
+def _equivalence(name: str, deformed, twisted, pattern: dense.Pattern, basis: dense.FockBasis,
+                 rng: np.random.Generator, n_vectors: int = 3) -> Deviations:
+    """Compare ``deformed`` with its twist conjugation ``twisted(v, route)`` on
+    both routes, "direct" and "split": the one place where the two schemes meet.
+
+    First on 2 * ``n_vectors`` random vectors drawn as batches
+    (:func:`dense.random_batches`), the direct route reading the first
+    ``n_vectors`` and the split route the rest: per batch and route reached,
+    the largest column norm of the difference.  Then each route's deviation
+    over the probe image of ``pattern`` from the deformed one's, built once.
+    """
+    drawn = 0
+    for (probe,) in dense.random_batches(basis, 2 * n_vectors, rng):
+        want = basis.coefficients(deformed(probe))
+        in_split = np.arange(drawn, drawn + want.shape[1]) >= n_vectors
+        drawn += want.shape[1]
+        for route, cols in (("direct", ~in_split), ("split", in_split)):
+            if cols.any():
+                got = basis.coefficients(twisted(basis.columns(probe, cols), route))
+                yield name, np.max(np.linalg.norm(want[:, cols] - got, axis=0))
+    target = dense.probe_image(deformed, pattern, basis)
+    for route in ("direct", "split"):
+        yield name, dense.matrix_deviation(
+            dense.probe_image(lambda v: twisted(v, route), pattern, basis), target)
+
+
 def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     roots = cfg.resolve_roots(rng)
+    basis = dense.FockBasis(pair.union, n_top)
 
     for side, name in (("+", "annihilator-equivalence-positive"),
                        ("-", "annihilator-equivalence-negative")):
         for r in roots:
-            rep = chiral.check_annihilator_equivalence(
-                r, _one_sided_amplitude(pair, side, rng), pair, n_top, rng, n_vectors=3)
-            yield name, rep.max_deviation
+            spec = KernelSpec(root=r, mass=0.0)
+            amp = _one_sided_amplitude(pair, side, rng)
+            yield from _equivalence(
+                name, lambda v: annihilate_deformed(spec, amp, v),
+                lambda v, route: chiral.twisted_annihilator(r, amp, pair, v, route),
+                dense.LOWER, basis, rng)
 
     triv = trivial_root()
-    basis = dense.FockBasis(pair.union, n_top)
     spec = KernelSpec(root=triv, mass=0.0)
 
     def image(op):
@@ -706,13 +735,17 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Devia
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     roots = cfg.resolve_roots(rng)
+    basis = dense.FockBasis(pair.union, n_top)
 
     for side, name in (("+", "field-equivalence-positive"),
                        ("-", "field-equivalence-negative")):
         for r in roots:
+            spec = KernelSpec(root=r, mass=0.0)
             fd = fock.real_test_function(_one_sided_amplitude(pair, side, rng))
-            rep = chiral.check_field_equivalence(r, fd, pair, n_top, rng, n_vectors=3)
-            yield name, rep.max_deviation
+            yield from _equivalence(
+                name, lambda v: field_deformed(spec, fd, v),
+                lambda v, route: chiral.twisted_field(r, fd, pair, v, route),
+                dense.FIELD, basis, rng)
 
     bbasis = dense.BiFockBasis(pair, n_top)
     g = rng.standard_normal(pair.n_positive) + 1j * rng.standard_normal(pair.n_positive)

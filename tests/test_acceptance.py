@@ -158,16 +158,21 @@ def test_criterion_6_main_relation():
     rng = np.random.default_rng(SEED + 5)
     pair = chiral_pair(3)
     n_top = 3
+    basis = dense.FockBasis(pair.union, n_top)
     dev = 0.0
     for root in _random_roots(rng):
+        spec = KernelSpec(root=root, mass=0.0)
         for side in ("+", "-"):
-            rep = chiral.check_annihilator_equivalence(
-                root, _one_sided(pair, side, rng), pair, n_top, rng, n_vectors=3)
-            dev = _worst(dev, rep.max_deviation)
-    _report(6, "annihilator equivalence, both sign cases, 5 roots", dev, TOL)
+            amp = _one_sided(pair, side, rng)
+            m_deformed = dense.operator_matrix(
+                lambda v: annihilate_deformed(spec, amp, v), basis)
+            for route in ("direct", "split"):
+                m_twisted = dense.operator_matrix(
+                    lambda v: chiral.twisted_annihilator(root, amp, pair, v, route), basis)
+                dev = _worst(dev, dense.matrix_deviation(m_twisted, m_deformed))
+    _report(6, "annihilator equivalence, both sign cases and routes, 5 roots", dev, TOL)
 
     triv = trivial_root()
-    basis = dense.FockBasis(pair.union, n_top)
     spec = KernelSpec(root=triv, mass=0.0)
     dev_exact = 0.0
     dev_round = 0.0
@@ -191,13 +196,18 @@ def test_criterion_6_main_relation():
 def test_criterion_7_field_equivalence():
     rng = np.random.default_rng(SEED + 6)
     pair = chiral_pair(3)
+    basis = dense.FockBasis(pair.union, 3)
     dev = 0.0
     for root in _random_roots(rng):
+        spec = KernelSpec(root=root, mass=0.0)
         for side in ("+", "-"):
             fd = fock.real_test_function(_one_sided(pair, side, rng))
-            rep = chiral.check_field_equivalence(root, fd, pair, 3, rng, n_vectors=3)
-            dev = _worst(dev, rep.max_deviation)
-    _report(7, "twisted one-ray field equals deformed field, dense + vectors", dev, TOL)
+            m_deformed = dense.operator_matrix(lambda v: field_deformed(spec, fd, v), basis)
+            for route in ("direct", "split"):
+                m_twisted = dense.operator_matrix(
+                    lambda v: chiral.twisted_field(root, fd, pair, v, route), basis)
+                dev = _worst(dev, dense.matrix_deviation(m_twisted, m_deformed))
+    _report(7, "twisted one-ray field equals deformed field, both routes, dense", dev, TOL)
 
 
 def test_criterion_8_root_independence():

@@ -8,18 +8,18 @@ import pytest
 
 import tensor_reference as ref
 from fockdeform import dense, fock
-from fockdeform.chiral import (BiFockVector, EquivalenceReport, _check_equivalence,
-                               annihilate_half, apply_cross_twist,
+from fockdeform.chiral import (BiFockVector, annihilate_half, apply_cross_twist,
                                apply_cross_twist_fock, apply_cross_twist_matrix,
                                apply_reflection_bifock, apply_translation_bifock,
                                bifock_inner, bifock_norm, bifock_vacuum, bifock_zero,
-                               check_annihilator_equivalence, check_field_equivalence,
                                chiral_field, create_half, cross_matrix, exponential_pair,
                                merge_chiral, random_bifock, split_chiral,
-                               twisted_annihilator)
+                               twisted_annihilator, twisted_field)
+from fockdeform.deformation import KernelSpec, annihilate_deformed, field_deformed
 from fockdeform.grids import ChiralGridPair, MomentumGrid, chiral_pair
 from fockdeform.inner import (eval_inner, eval_root, make_root,
                               random_symmetric_blaschke, trivial_root)
+from fockdeform.suites import _equivalence
 
 TOL = 1e-10
 
@@ -153,7 +153,7 @@ def test_cross_matrix_equals_ordered_double_product(pair, root, rng):
     for a, b in itertools.product(range(grid.size), repeat=2):
         if pts[a] > 0.0 > pts[b]:
             bmat[a, b] = eval_root(root, -pts[a] * pts[b])
-    smat = cross_matrix(grid, lambda args: eval_root(root, args))
+    smat = cross_matrix(grid.points, lambda args: eval_root(root, args))
     assert np.array_equal(smat, smat.T)
     assert np.all(smat[:q, :q] == 1.0) and np.all(smat[q:, q:] == 1.0)
     assert np.max(np.abs(smat - bmat * bmat.T)) < 1e-14
@@ -387,12 +387,23 @@ def test_twisted_annihilator_requires_one_sided(pair, root, rng):
         twisted_annihilator(root, one_sided(pair, "+", rng), pair, psi, route="bogus")
 
 
+def equivalence_deviations(deformed, twisted, pattern, pair, rng):
+    """The deviations ``suites._equivalence`` yields at N = 3: two per route."""
+    devs = list(_equivalence("check", deformed, twisted, pattern,
+                             dense.FockBasis(pair.union, 3), rng))
+    assert [name for name, _ in devs] == ["check"] * 4
+    return [dev for _, dev in devs]
+
+
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_annihilator_equivalence(side, pair, root, rng):
-    rep = check_annihilator_equivalence(root, one_sided(pair, side, rng),
-                                        pair, 3, rng, n_vectors=3)
-    assert rep.side == side
-    assert rep.max_deviation < TOL
+    amp = one_sided(pair, side, rng)
+    spec = KernelSpec(root=root, mass=0.0)
+    devs = equivalence_deviations(
+        lambda v: annihilate_deformed(spec, amp, v),
+        lambda v, route: twisted_annihilator(root, amp, pair, v, route),
+        dense.LOWER, pair, rng)
+    assert np.max(devs) < TOL
 
 
 def test_annihilator_equivalence_trivial_root_exact(pair, rng):
@@ -407,13 +418,16 @@ def test_annihilator_equivalence_trivial_root_exact(pair, rng):
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_field_equivalence(side, pair, root, rng):
     fd = fock.real_test_function(one_sided(pair, side, rng))
-    rep = check_field_equivalence(root, fd, pair, 3, rng, n_vectors=3)
-    assert rep.max_deviation < TOL
+    spec = KernelSpec(root=root, mass=0.0)
+    devs = equivalence_deviations(
+        lambda v: field_deformed(spec, fd, v),
+        lambda v, route: twisted_field(root, fd, pair, v, route),
+        dense.FIELD, pair, rng)
+    assert np.max(devs) < TOL
 
 
 def test_field_equivalence_trivial_root_exact(pair, rng):
     """With the identity kernel the twisted field degenerates bit for bit."""
-    from fockdeform.chiral import twisted_field
     fd = fock.real_test_function(one_sided(pair, "+", rng))
     psi = fock.random_fock_vector(pair.union, 3, rng)
     direct = twisted_field(trivial_root(), fd, pair, psi, "direct")
@@ -421,17 +435,9 @@ def test_field_equivalence_trivial_root_exact(pair, rng):
     assert all(np.array_equal(a, b) for a, b in zip(direct.sectors, plain.sectors))
 
 
-def test_field_equivalence_requires_real_data(pair, root, rng):
-    amp = one_sided(pair, "+", rng)
-    fd = fock.TestFunctionData(fplus=amp, fminus=np.zeros(6, dtype=complex))
-    with pytest.raises(ValueError):
-        check_field_equivalence(root, fd, pair, 3, rng)
-
-
 def test_wrong_twist_orientation_fails(pair, root, rng):
     """Swapping the twist order between the sign cases must be detectable."""
     amp = one_sided(pair, "+", rng)
-    from fockdeform.deformation import KernelSpec, annihilate_deformed
     spec = KernelSpec(root=root, mass=0.0)
     psi = fock.random_fock_vector(pair.union, 3, rng)
     swapped = apply_cross_twist_fock(
@@ -447,19 +453,6 @@ def test_bifock_component_validation(pair):
                                (0, 1): np.zeros(3, dtype=complex)})
 
 
-def test_equivalence_report_propagates_nan():
-    """A NaN deviation in any route reaches max_deviation, wherever it sits."""
-    small = 1e-16
-    for field in ("max_vector_direct", "max_vector_split",
-                  "max_matrix_direct", "max_matrix_split"):
-        values = dict(max_vector_direct=small, max_vector_split=small,
-                      max_matrix_direct=small, max_matrix_split=small)
-        values[field] = float("nan")
-        rep = EquivalenceReport(side="+", **values)
-        assert math.isnan(rep.max_deviation)
-        assert not rep.max_deviation <= TOL
-
-
 def test_check_equivalence_keeps_late_nan(pair):
     """A NaN in a later column of the random batch is not dropped by the maximum."""
     calls = []
@@ -473,8 +466,9 @@ def test_check_equivalence_keeps_late_nan(pair):
             s[:, 1] = np.nan  # column 1 of the direct route's random batch
         return fock.FockVector(v.grid, sectors)
 
-    rep = _check_equivalence("+", lambda v: v, twisted, dense.DIAGONAL, pair, 2,
-                             np.random.default_rng(3), 3)
+    devs = [dev for _, dev in _equivalence("check", lambda v: v, twisted, dense.DIAGONAL,
+                                            dense.FockBasis(pair.union, 2),
+                                            np.random.default_rng(3))]
     assert calls[:2] == [("direct", (3,)), ("split", (3,))]
-    assert math.isnan(rep.max_vector_direct)
-    assert not rep.max_deviation <= TOL
+    assert math.isnan(devs[0]) and devs[1:] == [0.0, 0.0, 0.0]
+    assert not np.max(devs) <= TOL

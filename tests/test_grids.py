@@ -53,6 +53,38 @@ def test_momentum_grid_validation():
         MomentumGrid(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
 
 
+@pytest.mark.parametrize("points, weights, mass", [
+    ([1.0, math.inf], [1.0, 1.0], 1.0),
+    ([math.nan, 1.0], [1.0, 1.0], 1.0),
+    ([1.0, 2.0], [1.0, math.inf], 1.0),
+    ([1.0, 2.0], [1.0, 1.0], math.inf),
+    ([1.0, 2.0], [1.0, 1.0], math.nan),
+    ([1.0, 1e200], [1.0, 1.0], 1.0),  # omega overflows
+    ([1e-200, 1.0], [1.0, 1.0], 0.0),  # omega underflows to 0
+], ids=["point-inf", "point-nan", "weight-inf", "mass-inf", "mass-nan", "omega-overflows",
+        "omega-underflows"])
+def test_momentum_grid_rejects_non_finite_values(points, weights, mass):
+    with pytest.raises(ValueError):
+        MomentumGrid(np.array(points), np.array(weights), mass)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rapidity_grid(math.inf, 6),
+    lambda: rapidity_grid(math.nan, 6),
+    lambda: rapidity_grid(1.0, 6, -1.25, 1000.0),
+    lambda: rapidity_grid(1.0, 2, -1e308, 1e308),
+    lambda: rapidity_grid(1.0, 2, -355.0, 356.0),  # finite points, sinh(711) overflows
+    lambda: chiral_pair(3, 0.5, 1e308),
+    lambda: chiral_pair(3, 1e-320, 2.0),
+    lambda: chiral_pair(3, 0.5, math.inf),
+], ids=["mass-inf", "mass-nan", "sinh-overflows", "window-overflows", "spacing-overflows",
+        "p-max-ratio-overflows", "p-min-ratio-overflows", "p-max-inf"])
+def test_grid_builders_refuse_overflow_without_warning(make):
+    """A ValueError, not a RuntimeWarning (which Tier-1 turns into an error)."""
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_omega_and_boost_momentum():
     assert omega(3.0, 4.0) == 5.0
     # massless boost contracts positive momenta and dilates negative ones

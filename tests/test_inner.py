@@ -61,6 +61,17 @@ def test_blaschke_rejects_bad_zero_and_sign():
         BlaschkeSpec(zeros=(1.0 + 0.0j,), sign=1)
     with pytest.raises(ValueError):
         BlaschkeSpec(zeros=(1j,), sign=2)
+    for bad in (complex(math.nan, 1.0), complex(0.5, math.inf), complex(math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            BlaschkeSpec(zeros=(bad,), sign=1)
+
+
+def test_flips_must_be_pairs():
+    spec = BlaschkeSpec(zeros=(), sign=1)
+    with pytest.raises(ValueError):
+        make_root(spec, [(0.3,)])
+    with pytest.raises(ValueError):
+        make_root(spec, [(0.3, 0.9, 5.0), (-0.9, -0.3)])
 
 
 def test_check_symmetric_inner_passes_for_symmetric_spec():

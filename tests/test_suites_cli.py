@@ -307,16 +307,30 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"suites": []}',
     '{"roots": [{"zeros": [[0.5, 1.0], [-0.5, 1.0]], "flip": [[0.3, 0.9], [-0.9, -0.3]]}]}',
     '{"roots": []}',
+    '{"massive_grid": {"mass": Infinity}}',
+    '{"massless_grid": {"p_max": 1e308}}',
+    '{"massive_grid": {"theta_max": 1000}}',
+    '{"massless_grid": {"p_min": 1e-320}}',
+    '{"roots": [{"flips": [[0.3]]}]}',
+    '{"roots": [{"flips": [[0.3, 0.9, 5], [-0.9, -0.3]]}]}',
+    '{"roots": [{"zeros": [[NaN, 1.0]]}]}',
+    '{"roots": [{"zeros": [[0.5, Infinity], [-0.5, Infinity]]}]}',
+    '{"roots": [{"zeros": [[true, 1.0], [-1, 1.0]]}]}',
 ], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
         "tolerance-nan", "root-not-object", "ratio-roots-not-list", "truncation-float",
         "seed-float", "points-per-side-float", "repetitions-bool", "root-sign-float",
-        "seed-infinite", "suites-empty", "root-unknown-key", "roots-empty"])
+        "seed-infinite", "suites-empty", "root-unknown-key", "roots-empty",
+        "mass-infinite", "p-max-ratio-overflows", "theta-max-overflows", "p-min-subnormal",
+        "flip-one-number", "flip-three-numbers", "zero-nan", "zero-infinite", "zero-bool"])
 def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
-    """Bad types and values are configuration errors (exit 2), not tracebacks."""
+    """Bad types and values are configuration errors (exit 2) before any suite
+    starts, not tracebacks; grids that overflow are refused with no
+    RuntimeWarning on the way (Tier-1 makes one an error)."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     assert cli.main(["--config", str(cfg_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.err.startswith("configuration error:") and out.out == ""
 
 
 def test_cli_refuses_report_in_missing_directory_before_any_suite(tmp_path, capsys,
@@ -340,17 +354,19 @@ def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
 
 
 def test_late_nan_fails_the_aggregated_check(monkeypatch):
-    """A NaN in the second root's report must fail the check, not vanish in a max."""
-    real = chiral.check_annihilator_equivalence
-    calls = []
+    """A NaN in the second root's split route must fail the check, not vanish in a max."""
+    real = chiral.twisted_annihilator
+    roots = []
 
-    def injected(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        calls.append(rep)
-        return dataclasses.replace(rep, max_vector_direct=math.nan) if len(calls) == 2 else rep
+    def injected(root, amplitude, pair, psi, route="direct"):
+        out = real(root, amplitude, pair, psi, route)
+        if root not in roots:
+            roots.append(root)
+        return out * math.nan if len(roots) == 2 and route == "split" else out
 
-    monkeypatch.setattr(chiral, "check_annihilator_equivalence", injected)
+    monkeypatch.setattr(chiral, "twisted_annihilator", injected)
     report = run_suite(SuiteConfig(root_count=2, suites=("main_relation",)))
+    assert len(roots) == 3  # two random roots, then the trivial one
     rec = next(r for r in report.records if r.check == "annihilator-equivalence-positive")
     assert math.isnan(rec.max_deviation) and not rec.passed
 

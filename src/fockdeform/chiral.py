@@ -7,7 +7,8 @@ fixed on exponential vectors, merge(e^psi (x) e^phi) = e^(psi (+) phi).  It
 is the second quantization of the one-particle identification of the two
 half-lines with the union grid, so it maps occupation-number basis vectors
 to occupation-number basis vectors: the pair of multisets (kappa_+, kappa_-)
-goes to their union, with coefficient 1.  The cross twist multiplies each
+goes to their union, with coefficient 1, so merge and split are one gather
+each through the permutation of :func:`_layout`.  The cross twist multiplies each
 (positive, negative) momentum pair by a root kernel R(-p q); conjugating it
 through the merge gives a sector-diagonal twist on the union tower.  These
 two twists implement the same deformation of the annihilators and fields as
@@ -18,8 +19,9 @@ only in :mod:`suites`, whose ``_equivalence`` compares them.
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,74 +31,87 @@ from .grids import ChiralGridPair
 from .inner import Root, eval_root
 
 
-@dataclass(frozen=True)
-class BiFockVector:
-    """Doubly graded coefficients over (positive half)^a x (negative half)^b.
-
-    ``components[(a, b)]`` has shape (D_a(P), D_b(Q)) + B: rows are the
-    multisets of a positive-half indices, columns those of b negative-half
-    indices, each in the order of :mod:`fock`.  A component is present
-    exactly for a + b <= truncation (total particle number), matching the
-    truncation of the merged tower.  B is a trailing batch shape shared by
-    all components, () for a single vector, with the same column-wise
-    contract as :class:`fock.FockVector`.
-    """
-
-    pair: ChiralGridPair
-    truncation: int
-    components: dict
-
-    def __post_init__(self):
-        p, q = self.pair.n_positive, self.pair.n_negative
-        comps = {}
-        for (a, b) in _component_keys(self.truncation):
-            if (a, b) not in self.components:
-                raise ValueError(f"missing component {(a, b)}")
-            comps[(a, b)] = np.asarray(self.components[(a, b)], dtype=complex)
-        batch = comps[(0, 0)].shape[2:]
-        for (a, b), arr in comps.items():
-            if arr.shape != (fock._dim(p, a), fock._dim(q, b)) + batch:
-                raise ValueError(f"component {(a, b)} has shape {arr.shape}")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.components[(0, 0)].shape[2:]
-
-    def _check_compatible(self, other: "BiFockVector"):
-        if self.truncation != other.truncation or not self.pair.union.same_as(other.pair.union):
-            raise ValueError("incompatible split-space vectors")
-        if self.batch_shape != other.batch_shape:
-            raise ValueError(f"batch shapes {self.batch_shape} and {other.batch_shape} differ")
-
-    def _combine(self, other: "BiFockVector", fn) -> "BiFockVector":
-        self._check_compatible(other)
-        return BiFockVector(self.pair, self.truncation,
-                            {k: fn(v, other.components[k]) for k, v in self.components.items()})
-
-    def __add__(self, other: "BiFockVector") -> "BiFockVector":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "BiFockVector") -> "BiFockVector":
-        return self._combine(other, np.subtract)
-
-    def __mul__(self, scalar) -> "BiFockVector":
-        c = complex(scalar)
-        return BiFockVector(self.pair, self.truncation,
-                            {k: c * v for k, v in self.components.items()})
-
-    __rmul__ = __mul__
-
-
 def _component_keys(truncation: int):
     return [(a, n - a) for n in range(truncation + 1) for a in range(n + 1)]
 
 
+class _Layout(NamedTuple):
+    """The coefficients of the split tower over P positive and Q negative points.
+
+    Component k = (a, b) of :func:`_component_keys` is ``coefficients[start[k]:
+    start[k+1]]`` raveled row-major from ``shapes[k]`` = (D_a(P), D_b(Q)): rows
+    are the multisets of a positive-half indices, columns those of b
+    negative-half indices.  Coefficient j is label ``order[j]`` of the tower
+    over the P + Q union points, whose coefficient u is ``merge[u]`` here.
+    """
+
+    start: tuple
+    shapes: tuple
+    order: np.ndarray
+    merge: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n_positive: int, n_negative: int, truncation: int) -> _Layout:
+    """Built once per (P, Q, N).  Union indices below ``n_negative`` are the
+    negative half-line, so the union of (kappa_+, kappa_-) is kappa_- followed
+    by kappa_+ + n_negative, already sorted."""
+    pos = fock._ladder(n_positive, truncation)
+    neg = fock._ladder(n_negative, truncation)
+    union = fock._ladder(n_positive + n_negative, truncation)
+    start = fock._offsets(n_positive + n_negative, truncation)
+    keys = _component_keys(truncation)
+    shapes = tuple((len(pos[a].labels), len(neg[b].labels)) for a, b in keys)
+    order = np.concatenate([start[a + b] + union[a + b].index(np.concatenate(
+        [np.broadcast_to(neg[b].labels[None, :, :], (rows, cols, b)),
+         np.broadcast_to(pos[a].labels[:, None, :] + n_negative, (rows, cols, a))],
+        axis=2)).ravel() for (a, b), (rows, cols) in zip(keys, shapes)])
+    out = _Layout(tuple(itertools.accumulate((rows * cols for rows, cols in shapes), initial=0)),
+                  shapes, order, np.argsort(order))
+    for arr in out[2:]:
+        arr.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class BiFockVector(fock._Coefficients):
+    """Doubly graded coefficients over (positive half)^a x (negative half)^b,
+    one array of shape (D,) + B in the order of :func:`_layout`.
+
+    ``components[(a, b)]`` is a view of shape (D_a(P), D_b(Q)) + B, present
+    exactly for a + b <= truncation, the truncation of the merged tower: a
+    write to it lands in ``coefficients``.  B is a trailing batch shape with
+    the column-wise contract of :class:`fock.FockVector`.
+    """
+
+    pair: ChiralGridPair
+    truncation: int
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        self._store(self.layout.start[-1])
+
+    @property
+    def layout(self) -> _Layout:
+        return _layout(self.pair.n_positive, self.pair.n_negative, self.truncation)
+
+    @functools.cached_property
+    def components(self) -> dict:
+        start, shapes = self.layout.start, self.layout.shapes
+        return {key: self.coefficients[start[k]:start[k + 1]].reshape(shapes[k] + self.batch_shape)
+                for k, key in enumerate(_component_keys(self.truncation))}
+
+    def _check_compatible(self, other: "BiFockVector"):
+        if self.truncation != other.truncation or not self.pair.union.same_as(other.pair.union):
+            raise ValueError("incompatible split-space vectors")
+
+    def _with(self, coefficients: np.ndarray) -> "BiFockVector":
+        return BiFockVector(self.pair, self.truncation, coefficients)
+
+
 def bifock_zero(pair: ChiralGridPair, truncation: int) -> BiFockVector:
-    p, q = pair.n_positive, pair.n_negative
-    comps = {(a, b): np.zeros((fock._dim(p, a), fock._dim(q, b)), dtype=complex)
-             for (a, b) in _component_keys(truncation)}
-    return BiFockVector(pair, truncation, comps)
+    dim = _layout(pair.n_positive, pair.n_negative, truncation).start[-1]
+    return BiFockVector(pair, truncation, np.zeros(dim, dtype=complex))
 
 
 def bifock_vacuum(pair: ChiralGridPair, truncation: int) -> BiFockVector:
@@ -105,40 +120,35 @@ def bifock_vacuum(pair: ChiralGridPair, truncation: int) -> BiFockVector:
     return out
 
 
-def bifock_inner(xi: BiFockVector, eta: BiFockVector) -> complex:
-    """Inner product on the split tower; single vectors only."""
-    xi._check_compatible(eta)
-    fock._refuse_batch(xi.batch_shape)
-    return complex(sum(np.vdot(u, eta.components[k]) for k, u in xi.components.items()))
+# a sum over the coefficients, as on the union tower
+bifock_inner, bifock_norm = fock.inner, fock.norm
 
 
-def bifock_norm(xi: BiFockVector) -> float:
-    return math.sqrt(max(bifock_inner(xi, xi).real, 0.0))
+def _outer_products(pair: ChiralGridPair, pos_vec, neg_vec, truncation: int) -> np.ndarray:
+    """prod_i pos_vec[k_i] prod_j neg_vec[l_j] per label pair (kappa_+, kappa_-),
+    in coefficient order: a one-body multiplier of each factor."""
+    pos = fock._ladder(pair.n_positive, truncation)
+    neg = fock._ladder(pair.n_negative, truncation)
+    return np.concatenate([np.multiply.outer(fock._slot_product(pos_vec, pos[a].labels),
+                                             fock._slot_product(neg_vec, neg[b].labels)).ravel()
+                           for a, b in _component_keys(truncation)])
 
 
 def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generator,
                   count: int | None = None) -> BiFockVector:
     """Random split-tower vector of unit norm: the coefficients of a complex
     Gaussian tensor per component, symmetrized within each factor, drawn
-    directly; component (a, b) scales by the outer product of the two halves'
-    :func:`fock._coefficient_scales`.
+    directly; label pair (kappa_+, kappa_-) scales by the product of the two
+    halves' scales in :func:`fock.random_fock_vector`.
 
-    The normals come from one ``standard_normal`` call, component by component
-    in the order of :func:`_component_keys`, as in :func:`fock.random_fock_vector`;
-    with ``count`` column j of the batch is the j-th of ``count`` successive
-    single draws, each column scaled to unit norm.
+    The normals come from one ``standard_normal`` call, component by
+    component, and ``count`` works as in :func:`fock.random_fock_vector`.
     """
-    pos = fock._coefficient_scales(pair.positive_weights, truncation)
-    neg = fock._coefficient_scales(pair.negative_weights, truncation)
-    keys = _component_keys(truncation)
-    comps = dict(zip(keys, fock._gaussian_coefficients(
-        rng, [np.multiply.outer(pos[a], neg[b]) for a, b in keys], count or 1)))
-    if count is None:
-        out = BiFockVector(pair, truncation, {k: c[..., 0] for k, c in comps.items()})
-        return out * (1.0 / bifock_norm(out))
-    flat = np.concatenate([c.reshape(-1, count) for c in comps.values()])
-    scale = 1.0 / np.linalg.norm(flat, axis=0)
-    return BiFockVector(pair, truncation, {k: c * scale for k, c in comps.items()})
+    scales = _outer_products(pair, np.sqrt(pair.positive_weights),
+                             np.sqrt(pair.negative_weights), truncation)
+    coefs = fock._unit_gaussians(rng, scales, np.diff(
+        _layout(pair.n_positive, pair.n_negative, truncation).start), count or 1)
+    return BiFockVector(pair, truncation, coefs if count else coefs[:, 0])
 
 
 def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
@@ -148,8 +158,8 @@ def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
                           truncation)
     neg = fock._monomials(np.sqrt(pair.negative_weights) * np.asarray(phi_neg, dtype=complex),
                           truncation)
-    return BiFockVector(pair, truncation, {(a, b): np.multiply.outer(pos[a], neg[b])
-                                           for (a, b) in _component_keys(truncation)})
+    return BiFockVector(pair, truncation, np.concatenate(
+        [np.multiply.outer(pos[a], neg[b]).ravel() for (a, b) in _component_keys(truncation)]))
 
 
 def annihilate_half(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -174,17 +184,14 @@ def _one_factor(side: str, g, xi: BiFockVector, ladder, step: int) -> BiFockVect
         raise ValueError("amplitude does not match the half-grid")
     amp = np.sqrt(w) * g
     tables = fock._ladder(w.size, xi.truncation)
-    out = {}
-    for (a, b) in _component_keys(xi.truncation):
+    axis = 0 if side == "+" else 1
+    out = xi._with(np.zeros_like(xi.coefficients))
+    for (a, b), dst in out.components.items():
         n, src = (a, (a + step, b)) if side == "+" else (b, (a, b + step))
-        if src not in xi.components:
-            out[(a, b)] = np.zeros_like(xi.components[(a, b)])
-        elif side == "+":
-            out[(a, b)] = ladder(xi.components[src], amp, tables[n])
-        else:
-            comp = np.moveaxis(xi.components[src], 1, 0)
-            out[(a, b)] = np.moveaxis(ladder(comp, amp, tables[n]), 0, 1)
-    return BiFockVector(xi.pair, xi.truncation, out)
+        if src in xi.components:  # the factor's labels lead in both views
+            np.moveaxis(dst, axis, 0)[...] = ladder(np.moveaxis(xi.components[src], axis, 0),
+                                                    amp, tables[n])
+    return out
 
 
 def chiral_field(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -227,25 +234,18 @@ def _root_cross_matrix(root: Root, points: bytes) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _union_index(n_positive: int, n_negative: int, truncation: int) -> dict:
-    """Per component (a, b), the union-sector index of each label pair, shape (D_a, D_b).
-
-    Union indices below ``n_negative`` are the negative half-line, so the
-    union of (kappa_+, kappa_-) is kappa_- followed by kappa_+ + n_negative,
-    already sorted.  Over all components this is a bijection onto the union
-    labels: the relabelling that merge and split read.
-    """
+def _cross_multipliers(cmat: bytes, n_positive: int, n_negative: int,
+                       truncation: int) -> np.ndarray:
+    """prod_{i,j} cmat[p_i, q_j] per label pair (kappa_+, kappa_-), in
+    coefficient order and read-only; ``cmat`` is the complex P x Q matrix as
+    bytes."""
+    c = np.frombuffer(cmat, dtype=complex).reshape(n_positive, n_negative)
     pos = fock._ladder(n_positive, truncation)
     neg = fock._ladder(n_negative, truncation)
-    union = fock._ladder(n_positive + n_negative, truncation)
-    out = {}
-    for (a, b) in _component_keys(truncation):
-        la, lb = pos[a].labels, neg[b].labels
-        joined = np.concatenate(
-            [np.broadcast_to(lb[None, :, :], (len(la), len(lb), b)),
-             np.broadcast_to(la[:, None, :] + n_negative, (len(la), len(lb), a))], axis=2)
-        out[(a, b)] = union[a + b].index(joined)
-        out[(a, b)].setflags(write=False)
+    out = np.concatenate([np.prod(c[pos[a].labels[:, None, :, None],
+                                    neg[b].labels[None, :, None, :]], axis=(2, 3)).ravel()
+                          for a, b in _component_keys(truncation)])
+    out.setflags(write=False)
     return out
 
 
@@ -254,14 +254,12 @@ def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray,
     """Diagonal multiplier prod_{i,j} cmat[p_i, q_j] over all cross pairs.
 
     ``cmat`` is P x Q; label pair (kappa_+, kappa_-) of component (a, b)
-    takes the product over its a * b cross pairs.
+    takes the product over its a * b cross pairs.  The multipliers are built
+    once per (cmat, P, Q, N), on the half-line labels.
     """
-    pos = fock._ladder(pair.n_positive, xi.truncation)
-    neg = fock._ladder(pair.n_negative, xi.truncation)
-    return BiFockVector(xi.pair, xi.truncation, {
-        (a, b): fock._scale(comp, np.prod(cmat[pos[a].labels[:, None, :, None],
-                                               neg[b].labels[None, :, None, :]], axis=(2, 3)))
-        for (a, b), comp in xi.components.items()})
+    mults = _cross_multipliers(np.asarray(cmat, dtype=complex).tobytes(), pair.n_positive,
+                               pair.n_negative, xi.truncation)
+    return xi._with(fock._scale(xi.coefficients, mults))
 
 
 def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> BiFockVector:
@@ -284,27 +282,18 @@ def merge_chiral(xi: BiFockVector) -> FockVector:
     On basis vectors it is the relabelling (kappa_+, kappa_-) -> kappa_+ u
     kappa_- with coefficient 1: the two sides have the same multiplicities
     and weights, and n! / (a! b!) = binom(n, a) rearrangements of the union
-    cancel the binomial.  One scatter per component through
-    :func:`_union_index`; a batch rides along on the trailing axes.
+    cancel the binomial.  One gather through the permutation of
+    :func:`_layout`; a batch rides along on the trailing axes.
     """
-    pair = xi.pair
-    index = _union_index(pair.n_positive, pair.n_negative, xi.truncation)
-    secs = []
-    for n in range(xi.truncation + 1):
-        out = np.empty((fock._dim(pair.union.size, n),) + xi.batch_shape, dtype=complex)
-        for a in range(n + 1):
-            out[index[(a, n - a)]] = xi.components[(a, n - a)]
-        secs.append(out)
-    return FockVector(pair.union, tuple(secs))
+    return FockVector(xi.pair.union, xi.coefficients[xi.layout.merge], xi.truncation)
 
 
 def split_chiral(psi: FockVector, pair: ChiralGridPair) -> BiFockVector:
-    """Inverse of :func:`merge_chiral`: one gather per component."""
+    """Inverse of :func:`merge_chiral`: one gather."""
     if not psi.grid.same_as(pair.union):
         raise ValueError("vector does not live on the pair's union grid")
-    index = _union_index(pair.n_positive, pair.n_negative, psi.truncation)
-    return BiFockVector(pair, psi.truncation, {
-        (a, b): psi.sectors[a + b][idx] for (a, b), idx in index.items()})
+    order = _layout(pair.n_positive, pair.n_negative, psi.truncation).order
+    return BiFockVector(pair, psi.truncation, psi.coefficients[order])
 
 
 def apply_cross_twist_fock(root: Root, psi: FockVector, adjoint: bool = False) -> FockVector:
@@ -322,18 +311,11 @@ def apply_translation_bifock(x, xi: BiFockVector) -> BiFockVector:
     x0, x1 = float(x[0]), float(x[1])
     ph_pos = np.exp(1j * xi.pair.positive_points * (x0 - x1))
     ph_neg = np.exp(-1j * xi.pair.negative_points * (x0 + x1))
-    pos = fock._ladder(xi.pair.n_positive, xi.truncation)
-    neg = fock._ladder(xi.pair.n_negative, xi.truncation)
-    return BiFockVector(xi.pair, xi.truncation, {
-        (a, b): fock._scale(comp, np.multiply.outer(fock._slot_product(ph_pos, pos[a].labels),
-                                                    fock._slot_product(ph_neg, neg[b].labels)))
-        for (a, b), comp in xi.components.items()})
+    return xi._with(fock._scale(xi.coefficients,
+                                _outer_products(xi.pair, ph_pos, ph_neg, xi.truncation)))
 
 
-def apply_reflection_bifock(xi: BiFockVector) -> BiFockVector:
-    """Factorized antiunitary reflection: componentwise complex conjugation."""
-    return BiFockVector(xi.pair, xi.truncation,
-                        {k: np.conj(v) for k, v in xi.components.items()})
+apply_reflection_bifock = fock.apply_reflection
 
 
 def _support_side(pair: ChiralGridPair, amplitude: np.ndarray) -> str:

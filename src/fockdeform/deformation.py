@@ -130,9 +130,7 @@ def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVect
     unitary fixing the vacuum.
     """
     row = _kernel_values(spec, p, psi.grid.points)
-    tables = fock._ladder(psi.grid.size, psi.truncation)
-    return FockVector(psi.grid, tuple(fock._scale(s, fock._slot_product(row, tab.labels))
-                                      for s, tab in zip(psi.sectors, tables)))
+    return psi._with(fock._scale(psi.coefficients, fock._slot_products(row, psi.truncation)))
 
 
 def annihilate_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:

@@ -1,10 +1,10 @@
 """Exhaustive operator oracles over the orthonormal bases of the truncated spaces.
 
-States are stored as coefficients over orthonormal bases: index multisets
-for the tower and multiset pairs for the split tower (see :mod:`fock` and
-:mod:`chiral`).  The coefficient vector of a state is the concatenation of
-its sectors, so an operator given as a callable has a matrix, and its
-identities are matrix identities.
+States are stored as one coefficient array over orthonormal bases: index
+multisets for the tower and multiset pairs for the split tower (see
+:mod:`fock` and :mod:`chiral`).  A basis reads that array as it is and wraps
+an array into a state, so an operator given as a callable has a matrix, and
+its identities are matrix identities.
 
 The suites certify them with the probe oracle (column grouping for sparse
 Jacobians, Curtis, Powell & Reid 1974).  Every operator they compare has a
@@ -82,15 +82,14 @@ class _Basis:
 class FockBasis(_Basis):
     """Orthonormal basis of the truncated tower, labelled by index multisets.
 
-    ``labels[i]`` is (n, kappa) for coefficient i of the concatenated sectors.
+    ``labels[i]`` is (n, kappa) for coefficient i of a state.
     """
 
     def __init__(self, grid: MomentumGrid, truncation: int):
         self.grid = grid
         self.truncation = truncation
-        self._sizes = [len(tab.labels) for tab in fock._ladder(grid.size, truncation)]
         self.union_size = grid.size
-        self.union_order = np.arange(sum(self._sizes))
+        self.union_order = np.arange(fock._offsets(grid.size, truncation)[-1])
 
     @functools.cached_property
     def labels(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -98,60 +97,44 @@ class FockBasis(_Basis):
         return [(n, tuple(kappa)) for n, tab in enumerate(tables) for kappa in tab.labels.tolist()]
 
     def _vector(self, flat: np.ndarray) -> FockVector:
-        return FockVector(self.grid, tuple(np.split(flat, np.cumsum(self._sizes)[:-1])))
+        return FockVector(self.grid, flat, self.truncation)
 
     def random(self, rng: np.random.Generator, count: int) -> FockVector:
         return fock.random_fock_vector(self.grid, self.truncation, rng, count)
 
     def coefficients(self, psi: FockVector) -> np.ndarray:
-        """Expansion coefficients <b_i, psi>: the concatenated sectors.
-
-        A vector of batch shape B gives coefficients of shape (len(self),) + B.
-        """
-        return np.concatenate(psi.sectors)
+        """Expansion coefficients <b_i, psi>, shape (len(self),) + B: the state's own array."""
+        return psi.coefficients
 
 
 class BiFockBasis(_Basis):
     """Orthonormal basis of the split tower, labelled by multiset pairs.
 
-    ``labels[i]`` is (kappa_+, kappa_-) for coefficient i of the concatenated,
-    row-major raveled components.
+    ``labels[i]`` is (kappa_+, kappa_-) for coefficient i of a state.
     """
 
     def __init__(self, pair: ChiralGridPair, truncation: int):
         self.pair = pair
         self.truncation = truncation
-        pos = fock._ladder(pair.n_positive, truncation)
-        neg = fock._ladder(pair.n_negative, truncation)
-        self._shapes = {(a, b): (len(pos[a].labels), len(neg[b].labels))
-                        for (a, b) in chiral._component_keys(truncation)}
         self.union_size = pair.union.size
-        start = _layout(self.union_size, truncation).start
-        index = chiral._union_index(pair.n_positive, pair.n_negative, truncation)
-        self.union_order = np.concatenate([start[a + b] + index[(a, b)].ravel()
-                                           for (a, b) in self._shapes])
+        self.union_order = chiral._layout(pair.n_positive, pair.n_negative, truncation).order
 
     @functools.cached_property
     def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         pos = fock._ladder(self.pair.n_positive, self.truncation)
         neg = fock._ladder(self.pair.n_negative, self.truncation)
-        return [(tuple(kpos), tuple(kneg)) for (a, b) in self._shapes
+        return [(tuple(kpos), tuple(kneg)) for (a, b) in chiral._component_keys(self.truncation)
                 for kpos in pos[a].labels.tolist() for kneg in neg[b].labels.tolist()]
 
     def _vector(self, flat: np.ndarray) -> BiFockVector:
-        rows = np.split(flat, np.cumsum([p * q for p, q in self._shapes.values()])[:-1])
-        return BiFockVector(self.pair, self.truncation, {
-            key: r.reshape(shape + flat.shape[1:])
-            for (key, shape), r in zip(self._shapes.items(), rows)})
+        return BiFockVector(self.pair, self.truncation, flat)
 
     def random(self, rng: np.random.Generator, count: int) -> BiFockVector:
         return chiral.random_bifock(self.pair, self.truncation, rng, count)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
-        """Expansion coefficients <b_i, xi>: the concatenated raveled components,
-        with a trailing batch axis as in :meth:`FockBasis.coefficients`."""
-        return np.concatenate([c.reshape((-1,) + xi.batch_shape)
-                               for c in xi.components.values()])
+        """Expansion coefficients <b_i, xi>, as in :meth:`FockBasis.coefficients`."""
+        return xi.coefficients
 
 
 def operator_matrix(op, domain, codomain=None) -> np.ndarray:
@@ -223,11 +206,10 @@ def removal(index: int) -> Pattern:
 
 
 class _Layout(NamedTuple):
-    """Per label of the tower over an m-point grid, concatenated sectors:
-    sector n starts at ``start[n]``; ``sector``, ``by_colour`` (the probe
-    column under the colouring) and the unit ``phase`` it enters with."""
+    """Per label of the tower over an m-point grid, in coefficient order: its
+    ``sector``, ``by_colour`` (the probe column under the colouring) and the
+    unit ``phase`` it enters with."""
 
-    start: np.ndarray
     sector: np.ndarray
     by_colour: np.ndarray
     phase: np.ndarray
@@ -238,14 +220,12 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _layout(m: int, truncation: int) -> _Layout:
-    tables = fock._ladder(m, truncation)
-    sizes = [len(tab.labels) for tab in tables]
-    sector = np.repeat(np.arange(truncation + 1), sizes)
-    colour = np.concatenate([tab.labels.sum(axis=1) % m for tab in tables])
+    sector = np.repeat(np.arange(truncation + 1), np.diff(fock._offsets(m, truncation)))
+    colour = np.concatenate([tab.labels.sum(axis=1) % m for tab in fock._ladder(m, truncation)])
     by_colour = np.unique(sector * m + colour, return_inverse=True)[1].reshape(-1)
     # fixed phases, seeded by the basis alone
     phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(sector.size))
-    out = _Layout(np.cumsum([0] + sizes), sector, by_colour, phase)
+    out = _Layout(sector, by_colour, phase)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -259,7 +239,7 @@ def _positions(m: int, truncation: int, pattern: Pattern) -> tuple[np.ndarray, n
     the ladder's up table; a removal reads one column of it.
     """
     tables = fock._ladder(m, truncation)
-    start = _layout(m, truncation).start
+    start = fock._offsets(m, truncation)
     rows, cols = [], []
     for degree in pattern.degrees:
         if degree == 0:

@@ -5,13 +5,15 @@ labelled by the sorted multisets kappa = (k_1 <= ... <= k_n) of grid indices,
 in lexicographic order: basis vector kappa is the symmetric tensor equal to
 1/|kappa| on every rearrangement of kappa, with |kappa|^2 = (n! / prod_q m_q!)
 prod_i w_{k_i} (m_q the multiplicity of q, w the quadrature weights of the
-measure dp/omega_m(p)).  A state stores its coefficients over these bases,
-so sector n has D_n = binom(M + n - 1, n) entries and inner products are
-plain sums; the ladder operators read index tables built once per (M, N).
-Operators act exactly as their untruncated counterparts on sectors below the
-truncation: annihilation reads the (vanishing) sector N+1 as zero, and
-creation out of the top sector is dropped.  All values are treated as
-immutable; every operation returns a fresh vector.
+measure dp/omega_m(p)).  A state stores its coefficients over these bases in
+one array, sector after sector (offsets from :func:`_offsets`), so sector n
+has D_n = binom(M + n - 1, n) entries, inner products and diagonal
+multipliers are single array operations, and the ladder operators read index
+tables built once per (M, N).  Operators act exactly as their untruncated
+counterparts on sectors below the truncation: annihilation reads the
+(vanishing) sector N+1 as zero, and creation out of the top sector is
+dropped.  All values are treated as immutable; every operation returns a
+fresh vector.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ class _Sector(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
+def _offsets(m: int, truncation: int) -> tuple[int, ...]:
+    """Where each sector 0..truncation starts in the coefficients, then their length D."""
+    return tuple(itertools.accumulate((_dim(m, n) for n in range(truncation + 1)), initial=0))
+
+
+@functools.lru_cache(maxsize=32)
 def _ladder(m: int, truncation: int) -> tuple[_Sector, ...]:
     """The index tables of sectors 0..truncation over an m-point grid."""
     labels = [np.array(list(itertools.combinations_with_replacement(range(m), n)),
@@ -102,14 +110,20 @@ def _tensor_ranks(m: int, n: int) -> np.ndarray:
     return ranks
 
 
-def _scale(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _scale(arr: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """arr times vec, vec broadcast over arr's leading axes (the rest is a batch)."""
-    return arr * vec.reshape(vec.shape + (1,) * (arr.ndim - vec.ndim))
+    return np.multiply(arr, vec.reshape(vec.shape + (1,) * (arr.ndim - vec.ndim)), out=out)
 
 
 def _slot_product(vec: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """prod_i vec[k_i] for each label (last axis): a one-body multiplier."""
     return np.prod(vec[labels], axis=-1)
+
+
+def _slot_products(vec: np.ndarray, truncation: int) -> np.ndarray:
+    """:func:`_slot_product` for every label of sectors 0..truncation over the
+    ``vec.size``-point grid, in coefficient order."""
+    return np.concatenate([_slot_product(vec, tab.labels) for tab in _ladder(vec.size, truncation)])
 
 
 def _pair_product(gmat: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -144,7 +158,8 @@ def _lower(src: np.ndarray, amp: np.ndarray, tab: _Sector,
     coef = np.sqrt(np.take(tab.up_mult, q, axis=1)) * amp[q]
     if kmat is not None:
         coef = coef * np.prod(kmat.T[tab.labels[:, :, None], q], axis=1)
-    return _scale(src[np.take(tab.up, q, axis=1)], coef).sum(axis=1)
+    terms = src[np.take(tab.up, q, axis=1)]
+    return _scale(terms, coef, out=terms).sum(axis=1)
 
 
 def _raise(src: np.ndarray, amp: np.ndarray, tab: _Sector,
@@ -166,14 +181,56 @@ def _raise(src: np.ndarray, amp: np.ndarray, tab: _Sector,
         n = tab.labels.shape[1]
         pairs = kmat[tab.labels[:, :, None], tab.labels[:, None, :]]
         coef = coef * np.where(np.eye(n, dtype=bool), 1.0, pairs).prod(axis=2)
-    return _scale(src[tab.down], coef).sum(axis=1)
+    terms = src[tab.down]
+    return _scale(terms, coef, out=terms).sum(axis=1)
+
+
+class _Coefficients:
+    """The states of both towers: ``coefficients`` of shape (D,) + B, so that a
+    sum, difference or multiple is one array operation; ``_with(c)`` is the
+    state with coefficients c on the same space."""
+
+    coefficients: np.ndarray
+
+    def _store(self, dim: int):
+        """Keep the coefficients as a complex array of length ``dim``, not copied."""
+        coefs = np.asarray(self.coefficients, dtype=complex)
+        if coefs.ndim == 0 or len(coefs) != dim:
+            raise ValueError(f"coefficients have shape {coefs.shape}, expected ({dim},) + batch")
+        object.__setattr__(self, "coefficients", coefs)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.coefficients.shape[1:]
+
+    def _combine(self, other, fn):
+        self._check_compatible(other)
+        if self.batch_shape != other.batch_shape:
+            raise ValueError(f"batch shapes {self.batch_shape} and {other.batch_shape} differ")
+        return self._with(fn(self.coefficients, other.coefficients))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scalar):
+        return self._with(complex(scalar) * self.coefficients)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
 
 
 @dataclass(frozen=True)
-class FockVector:
-    """Coefficients over the multiset bases; sectors[n] has shape (D_n,) + B.
+class FockVector(_Coefficients):
+    """Coefficients over the multiset bases, one array of shape (D,) + B.
 
-    B is a trailing batch shape shared by all sectors, () for a single
+    Sector n is ``coefficients[start[n]:start[n + 1]]`` (:func:`_offsets`),
+    read through the view ``sectors[n]`` of shape (D_n,) + B: a write to it lands
+    in ``coefficients``.  B is a trailing batch shape, () for a single
     vector: a batched vector holds one vector per batch entry, and every
     operator of the package acts on it column by column, since they all
     address the leading label axis only.  Sums need equal batch shapes;
@@ -181,62 +238,30 @@ class FockVector:
     """
 
     grid: MomentumGrid
-    sectors: tuple[np.ndarray, ...]
+    coefficients: np.ndarray
+    truncation: int
 
     def __post_init__(self):
-        m = self.grid.size
-        secs = [np.asarray(s, dtype=complex) for s in self.sectors]
-        batch = secs[0].shape[1:] if secs else ()
-        for n, s in enumerate(secs):
-            if s.shape != (_dim(m, n),) + batch:
-                raise ValueError(f"sector {n} has shape {s.shape}, "
-                                 f"expected {(_dim(m, n),) + batch}")
-        object.__setattr__(self, "sectors", tuple(secs))
+        self._store(_offsets(self.grid.size, self.truncation)[-1])
 
-    @property
-    def truncation(self) -> int:
-        return len(self.sectors) - 1
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.sectors[0].shape[1:]
+    @functools.cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        start = _offsets(self.grid.size, self.truncation)
+        return tuple(self.coefficients[a:b] for a, b in zip(start[:-1], start[1:]))
 
     def _check_compatible(self, other: "FockVector"):
         if not self.grid.same_as(other.grid):
             raise ValueError("vectors live on different grids")
         if self.truncation != other.truncation:
             raise ValueError("vectors have different truncations")
-        if self.batch_shape != other.batch_shape:
-            raise ValueError(f"batch shapes {self.batch_shape} and {other.batch_shape} differ")
 
-    def _combine(self, other: "FockVector", fn) -> "FockVector":
-        self._check_compatible(other)
-        return FockVector(self.grid, tuple(fn(a, b) for a, b in zip(self.sectors, other.sectors)))
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, np.subtract)
-
-    def __mul__(self, scalar) -> "FockVector":
-        c = complex(scalar)
-        return FockVector(self.grid, tuple(c * s for s in self.sectors))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FockVector":
-        return self * (-1.0)
-
-
-def _refuse_batch(batch: tuple):
-    if batch:
-        raise ValueError(f"reductions take single vectors, not a batch of shape {batch}")
+    def _with(self, coefficients: np.ndarray) -> "FockVector":
+        return FockVector(self.grid, coefficients, self.truncation)
 
 
 def zero_vector(grid: MomentumGrid, truncation: int) -> FockVector:
-    return FockVector(grid, tuple(np.zeros(_dim(grid.size, n), dtype=complex)
-                                  for n in range(truncation + 1)))
+    return FockVector(grid, np.zeros(_offsets(grid.size, truncation)[-1], dtype=complex),
+                      truncation)
 
 
 def vacuum(grid: MomentumGrid, truncation: int) -> FockVector:
@@ -245,14 +270,17 @@ def vacuum(grid: MomentumGrid, truncation: int) -> FockVector:
     return out
 
 
-def inner(psi: FockVector, phi: FockVector) -> complex:
-    """Inner product, antilinear in the first argument; single vectors only."""
+def inner(psi: _Coefficients, phi: _Coefficients) -> complex:
+    """Inner product, antilinear in the first argument; single vectors only, of
+    either tower."""
     psi._check_compatible(phi)
-    _refuse_batch(psi.batch_shape)
-    return complex(sum(np.vdot(a, b) for a, b in zip(psi.sectors, phi.sectors)))
+    if psi.batch_shape + phi.batch_shape:
+        raise ValueError("reductions take single vectors, not a batch of shape "
+                         f"{psi.batch_shape or phi.batch_shape}")
+    return complex(np.vdot(psi.coefficients, phi.coefficients))
 
 
-def norm(psi: FockVector) -> float:
+def norm(psi: _Coefficients) -> float:
     return math.sqrt(max(inner(psi, psi).real, 0.0))
 
 
@@ -292,13 +320,13 @@ def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> tuple[np.ndarray, ...]:
-    """prod_{i<j} gmat[k_i, k_j] per label of sectors 2..truncation, read-only;
-    ``gmat`` is the complex m x m matrix as bytes."""
+def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> np.ndarray:
+    """prod_{i<j} gmat[k_i, k_j] per label, in coefficient order and read-only
+    (the empty product 1 on sectors 0 and 1); ``gmat`` is the complex m x m
+    matrix as bytes."""
     g = np.frombuffer(gmat, dtype=complex).reshape(m, m)
-    out = tuple(_pair_product(g, tab.labels) for tab in _ladder(m, truncation)[2:])
-    for arr in out:
-        arr.setflags(write=False)
+    out = np.concatenate([_pair_product(g, tab.labels) for tab in _ladder(m, truncation)])
+    out.setflags(write=False)
     return out
 
 
@@ -309,10 +337,9 @@ def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
     and the union-grid cross twist are all of this form; sectors n <= 1 are
     untouched.  The multipliers are built once per (gmat, M, N).
     """
-    m = psi.grid.size
-    mults = _pair_multipliers(np.asarray(gmat, dtype=complex).tobytes(), m, psi.truncation)
-    return FockVector(psi.grid, tuple(s.copy() for s in psi.sectors[:2])
-                      + tuple(_scale(s, g) for s, g in zip(psi.sectors[2:], mults)))
+    mults = _pair_multipliers(np.asarray(gmat, dtype=complex).tobytes(), psi.grid.size,
+                              psi.truncation)
+    return psi._with(_scale(psi.coefficients, mults))
 
 
 def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:
@@ -323,22 +350,21 @@ def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:
 
 
 def _annihilate_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
-    grid = psi.grid
-    amp = np.sqrt(grid.weights) * np.conj(_one_particle(xi, grid))
-    tables = _ladder(grid.size, psi.truncation)
-    secs = [_lower(psi.sectors[n + 1], amp, tables[n], kmat) for n in range(psi.truncation)]
-    secs.append(np.zeros_like(psi.sectors[-1]))
-    return FockVector(grid, tuple(secs))
+    amp = np.sqrt(psi.grid.weights) * np.conj(_one_particle(xi, psi.grid))
+    tables = _ladder(psi.grid.size, psi.truncation)
+    out = psi._with(np.zeros_like(psi.coefficients))
+    for n in range(psi.truncation):
+        out.sectors[n][...] = _lower(psi.sectors[n + 1], amp, tables[n], kmat)
+    return out
 
 
 def _create_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
-    grid = psi.grid
-    amp = np.sqrt(grid.weights) * _one_particle(xi, grid)
-    tables = _ladder(grid.size, psi.truncation)
-    secs = [np.zeros_like(psi.sectors[0])]
-    secs.extend(_raise(psi.sectors[n - 1], amp, tables[n], kmat)
-                for n in range(1, psi.truncation + 1))
-    return FockVector(grid, tuple(secs))
+    amp = np.sqrt(psi.grid.weights) * _one_particle(xi, psi.grid)
+    tables = _ladder(psi.grid.size, psi.truncation)
+    out = psi._with(np.zeros_like(psi.coefficients))
+    for n in range(1, psi.truncation + 1):
+        out.sectors[n][...] = _raise(psi.sectors[n - 1], amp, tables[n], kmat)
+    return out
 
 
 def annihilate(xi, psi: FockVector) -> FockVector:
@@ -371,7 +397,7 @@ def _monomials(amp: np.ndarray, truncation: int) -> list[np.ndarray]:
 def exponential_vector(grid: MomentumGrid, xi, truncation: int) -> FockVector:
     """Truncated coherent-style vector with sector n = xi^(x n) / sqrt(n!)."""
     amp = np.sqrt(grid.weights) * np.asarray(xi, dtype=complex)
-    return FockVector(grid, tuple(_monomials(amp, truncation)))
+    return FockVector(grid, np.concatenate(_monomials(amp, truncation)), truncation)
 
 
 @dataclass(frozen=True)
@@ -415,17 +441,16 @@ def apply_translation(x, psi: FockVector) -> FockVector:
     """
     x0, x1 = float(x[0]), float(x[1])
     phases = np.exp(1j * (x0 * psi.grid.omegas - x1 * psi.grid.points))
-    tables = _ladder(psi.grid.size, psi.truncation)
-    return FockVector(psi.grid, tuple(_scale(s, _slot_product(phases, tab.labels))
-                                      for s, tab in zip(psi.sectors, tables)))
+    return psi._with(_scale(psi.coefficients, _slot_products(phases, psi.truncation)))
 
 
-def apply_reflection(psi: FockVector) -> FockVector:
+def apply_reflection(psi: _Coefficients) -> _Coefficients:
     """Antiunitary spacetime reflection: componentwise complex conjugation.
 
-    The basis vectors are real tensors, so this conjugates the tensors too.
+    The basis vectors are real tensors, so this conjugates the tensors too;
+    on the split tower it is the factorized reflection.
     """
-    return FockVector(psi.grid, tuple(np.conj(s) for s in psi.sectors))
+    return psi._with(np.conj(psi.coefficients))
 
 
 @dataclass(frozen=True)
@@ -451,60 +476,51 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
         moving = np.arange(max(s, s + shift), min(e, e + shift))
         target[moving] = moving - shift
     truncated = False
-    secs = [psi.sectors[0].copy()]
-    for tab, src in zip(_ladder(grid.size, psi.truncation)[1:], psi.sectors[1:]):
+    out = psi._with(np.zeros_like(psi.coefficients))
+    for tab, src, dst in zip(_ladder(grid.size, psi.truncation), psi.sectors, out.sectors):
         moved = target[tab.labels]  # still sorted: the shift keeps the order
         kept = np.all(moved >= 0, axis=1)
         truncated = truncated or bool(np.any(src[~kept] != 0))
-        out = np.zeros_like(src)
-        out[tab.index(moved[kept])] = src[kept]
-        secs.append(out)
-    return BoostResult(FockVector(grid, tuple(secs)), truncated)
+        dst[tab.index(moved[kept])] = src[kept]
+    return BoostResult(out, truncated)
 
 
-def _coefficient_scales(weights: np.ndarray, truncation: int) -> list[np.ndarray]:
-    """sqrt(prod_i w_{k_i}) per label of sectors 0..truncation.
+def _unit_gaussians(rng: np.random.Generator, scales: np.ndarray, sizes, count: int):
+    """``count`` columns of complex Gaussians ``scales * (N + iN)``, each scaled
+    to unit norm, shape (D, count), from one ``standard_normal`` call.
 
-    Projecting (:func:`symmetrize`) a tensor of independent standard complex
-    Gaussians sums the n!/prod m_q! entries at the rearrangements of label
-    kappa, times |kappa| prod m_q! / n!: independent coefficients of variance
-    2 prod_i w_{k_i}, which these scales draw directly.
+    ``sizes`` cuts the D coefficients into blocks (sectors, or split-tower
+    components).  Column j reads row j of the draw, and a row holds the real
+    and then the imaginary part of each block in turn: the normals that
+    ``count`` successive single draws would give.
     """
-    amp = np.sqrt(weights)
-    return [_slot_product(amp, tab.labels) for tab in _ladder(weights.size, truncation)]
-
-
-def _gaussian_coefficients(rng: np.random.Generator, scales: list[np.ndarray], count: int):
-    """Complex Gaussians ``scale * (N + iN)``, one array per scale with a trailing
-    batch axis of ``count``, from one ``standard_normal`` call.
-
-    Column j reads row j of the draw, and a row holds the real and then the
-    imaginary part of each array in turn: the normals that ``count``
-    successive single draws would give.
-    """
-    raw = rng.standard_normal((count, 2 * sum(scale.size for scale in scales))).T
-    parts = np.split(raw, np.cumsum(np.repeat([scale.size for scale in scales], 2))[:-1])
-    for scale, re, im in zip(scales, parts[::2], parts[1::2]):
-        yield _scale((re + 1j * im).reshape(scale.shape + (count,)), scale)
+    raw = rng.standard_normal((count, 2 * scales.size)).T
+    # coefficient j of the block starting at s reads rows s + j and s + size + j
+    re = np.arange(scales.size) + np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coefs = raw[re] + 1j * raw[re + np.repeat(sizes, sizes)]
+    _scale(coefs, scales, out=coefs)
+    coefs *= 1.0 / np.linalg.norm(coefs, axis=0)
+    return coefs
 
 
 def random_fock_vector(grid: MomentumGrid, truncation: int, rng: np.random.Generator,
                        count: int | None = None) -> FockVector:
     """Random vector of unit norm: the coefficients of a symmetrized complex
-    Gaussian tensor per sector, drawn directly (:func:`_coefficient_scales`).
+    Gaussian tensor per sector, drawn directly.
+
+    Projecting (:func:`symmetrize`) a tensor of independent standard complex
+    Gaussians sums the n!/prod m_q! entries at the rearrangements of label
+    kappa, times |kappa| prod m_q! / n!: independent coefficients of variance
+    2 prod_i w_{k_i}, drawn here with the scale sqrt(prod_i w_{k_i}).
 
     The normals come from one ``standard_normal`` call, sector by sector, real
     part before imaginary part.  With ``count`` the result is a batch of shape
     (count,) whose column j is the j-th of ``count`` successive single draws,
-    each column scaled to unit norm.
+    each column scaled to unit norm; without, column 0 of a batch of one.
     """
-    secs = list(_gaussian_coefficients(rng, _coefficient_scales(grid.weights, truncation),
-                                       count or 1))
-    if count is None:
-        psi = FockVector(grid, tuple(s[..., 0] for s in secs))
-        return psi * (1.0 / norm(psi))
-    scale = 1.0 / np.linalg.norm(np.concatenate(secs), axis=0)
-    return FockVector(grid, tuple(s * scale for s in secs))
+    coefs = _unit_gaussians(rng, _slot_products(np.sqrt(grid.weights), truncation),
+                            np.diff(_offsets(grid.size, truncation)), count or 1)
+    return FockVector(grid, coefs if count else coefs[:, 0], truncation)
 
 
 def random_one_particle(grid: MomentumGrid, rng: np.random.Generator) -> np.ndarray:

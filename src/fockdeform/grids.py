@@ -50,7 +50,6 @@ class MomentumGrid:
     weights: np.ndarray
     mass: float
     layout: str = LAYOUT_ARBITRARY
-    spacing: float | None = None  # dtheta / dlambda for the adapted layouts
     omegas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,7 +109,7 @@ def rapidity_grid(mass: float, size: int, theta_min: float = -1.25,
         weights = np.full(size, math.sinh(dtheta))
     except OverflowError as exc:
         raise ValueError(f"sinh of the rapidity spacing {dtheta} overflows") from exc
-    return MomentumGrid(points, weights, mass, LAYOUT_RAPIDITY, dtheta)
+    return MomentumGrid(points, weights, mass, LAYOUT_RAPIDITY)
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def chiral_pair(points_per_side: int, p_min: float = 0.5,
     pos = p_min * np.exp(dlam * np.arange(points_per_side))
     points = np.concatenate([-pos[::-1], pos])
     weights = np.full(points.size, math.sinh(dlam))
-    grid = MomentumGrid(points, weights, 0.0, LAYOUT_GEOMETRIC, dlam)
+    grid = MomentumGrid(points, weights, 0.0, LAYOUT_GEOMETRIC)
     return ChiralGridPair(union=grid, n_negative=points_per_side)
 
 

@@ -240,14 +240,14 @@ def _nonzero_samples(rng: np.random.Generator, count: int, lo=0.02, hi=30.0) -> 
     return rng.uniform(lo, hi, size=count) * rng.choice([-1.0, 1.0], size=count)
 
 
-def _norms(basis, vec) -> np.ndarray:
+def _norms(vec) -> np.ndarray:
     """The norm of each column of a batched vector."""
-    return np.linalg.norm(basis.coefficients(vec), axis=0)
+    return np.linalg.norm(vec.coefficients, axis=0)
 
 
-def _inners(basis, u, v) -> np.ndarray:
+def _inners(u, v) -> np.ndarray:
     """<u_j, v_j> for each column j of two batched vectors."""
-    return np.sum(np.conj(basis.coefficients(u)) * basis.coefficients(v), axis=0)
+    return np.sum(np.conj(u.coefficients) * v.coefficients, axis=0)
 
 
 def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -319,7 +319,7 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     x = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
     for (psi,) in dense.random_batches(basis, cfg.repetitions, rng):
         yield "translation-multiplier", np.max(np.abs(
-            _norms(basis, fock.apply_translation(x, psi)) - _norms(basis, psi)))
+            _norms(fock.apply_translation(x, psi)) - _norms(psi)))
     vac = fock.vacuum(grid, n_top)
     yield "translation-multiplier", fock.norm(fock.apply_translation(x, vac) - vac)
     one = fock.create(xi, vac)
@@ -341,12 +341,12 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     yield "boost-index-shift", fock.norm(res.vector - mid)
 
     for a, b in dense.random_batches(basis, cfg.repetitions, rng, group=2):
-        lhs = _inners(basis, fock.apply_reflection(a), fock.apply_reflection(b))
-        yield "reflection-antiunitary", np.max(np.abs(lhs - np.conj(_inners(basis, a, b))))
+        lhs = _inners(fock.apply_reflection(a), fock.apply_reflection(b))
+        yield "reflection-antiunitary", np.max(np.abs(lhs - np.conj(_inners(a, b))))
         yield "reflection-antiunitary", np.max(_norms(
-            basis, fock.apply_reflection(fock.apply_reflection(a)) - a))
+            fock.apply_reflection(fock.apply_reflection(a)) - a))
         yield "reflection-antiunitary", np.max(_norms(
-            basis, fock.apply_reflection(1j * a) + 1j * fock.apply_reflection(a)))
+            fock.apply_reflection(1j * a) + 1j * fock.apply_reflection(a)))
 
     fd = fock.real_test_function(xi)
     field = dense.probe_entries(lambda v: fock.field(fd, v), dense.FIELD, basis)
@@ -456,7 +456,7 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         p_ref = float(grid.points[1])
         for (psi,) in dense.random_batches(basis, cfg.repetitions, rng):
             yield "phase-dressing-unitary", np.max(np.abs(
-                _norms(basis, apply_kernel_phases(spec, p_ref, psi)) - _norms(basis, psi)))
+                _norms(apply_kernel_phases(spec, p_ref, psi)) - _norms(psi)))
         vac = fock.vacuum(grid, n_top)
         yield "phase-dressing-unitary", fock.norm(apply_kernel_phases(spec, p_ref, vac) - vac)
         one = fock.create(fock.random_one_particle(grid, rng), vac)
@@ -523,7 +523,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
     for grid, basis in zip(grids, bases):
         for (psi,) in dense.random_batches(basis, cfg.repetitions, rng):
             yield "pair-twist-unitary", np.max(np.abs(
-                _norms(basis, apply_pair_twist(twist, psi)) - _norms(basis, psi)))
+                _norms(apply_pair_twist(twist, psi)) - _norms(psi)))
         vac = fock.vacuum(grid, n_top)
         yield "pair-twist-unitary", fock.norm(apply_pair_twist(twist, vac) - vac)
         x = (0.7, -0.4)
@@ -583,8 +583,7 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
                                      - fock.vacuum(grid, n_top))
     for u, v in dense.random_batches(bbasis, cfg.repetitions, rng, group=2):
         yield "merge-unitary", np.max(np.abs(
-            _inners(fbasis, chiral.merge_chiral(u), chiral.merge_chiral(v))
-            - _inners(bbasis, u, v)))
+            _inners(chiral.merge_chiral(u), chiral.merge_chiral(v)) - _inners(u, v)))
 
     psi_pos = 0.7 * (rng.standard_normal(pair.n_positive)
                      + 1j * rng.standard_normal(pair.n_positive))
@@ -606,15 +605,15 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     for (xi,) in dense.random_batches(bbasis, 5, rng):
         lhs = fock.apply_translation(x, chiral.merge_chiral(xi))
         rhs = chiral.merge_chiral(chiral.apply_translation_bifock(x, xi))
-        yield "translation-intertwining", np.max(_norms(fbasis, lhs - rhs))
+        yield "translation-intertwining", np.max(_norms(lhs - rhs))
 
     root = roots[0]
     for (xi,) in dense.random_batches(bbasis, cfg.repetitions, rng):
         yield "cross-twist-unitary", np.max(np.abs(
-            _norms(bbasis, chiral.apply_cross_twist(root, xi)) - _norms(bbasis, xi)))
+            _norms(chiral.apply_cross_twist(root, xi)) - _norms(xi)))
         twisted = chiral.apply_cross_twist(root, chiral.apply_translation_bifock(x, xi))
         translated = chiral.apply_translation_bifock(x, chiral.apply_cross_twist(root, xi))
-        yield "cross-twist-unitary", np.max(_norms(bbasis, twisted - translated))
+        yield "cross-twist-unitary", np.max(_norms(twisted - translated))
     vac = chiral.bifock_vacuum(pair, n_top)
     yield "cross-twist-unitary", chiral.bifock_norm(chiral.apply_cross_twist(root, vac) - vac)
     one_sided = chiral.bifock_zero(pair, n_top)
@@ -629,11 +628,11 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             twice = chiral.apply_cross_twist(r, chiral.apply_cross_twist(r, xi))
             squared = chiral.apply_cross_twist_matrix(
                 pair, smat_sq[pair.n_negative:, :pair.n_negative], xi)
-            yield "twist-square-is-squared-root", np.max(_norms(bbasis, twice - squared))
+            yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
         for (psi,) in dense.random_batches(fbasis, 3, rng):
             twice = chiral.apply_cross_twist_fock(r, chiral.apply_cross_twist_fock(r, psi))
             squared = fock.apply_pair_phase(smat_sq, psi)
-            yield "twist-square-is-squared-root", np.max(_norms(fbasis, twice - squared))
+            yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
 
     for r in roots:
         yield "merged-twist-lemma", dense.probe_deviation(
@@ -685,12 +684,12 @@ def _equivalence(name: str, deformed, twisted, pattern: dense.Pattern, basis: de
     """
     drawn = 0
     for (probe,) in dense.random_batches(basis, 2 * n_vectors, rng):
-        want = basis.coefficients(deformed(probe))
+        want = deformed(probe).coefficients
         in_split = np.arange(drawn, drawn + want.shape[1]) >= n_vectors
         drawn += want.shape[1]
         for route, cols in (("direct", ~in_split), ("split", in_split)):
             if cols.any():
-                got = basis.coefficients(twisted(basis.columns(probe, cols), route))
+                got = twisted(basis.columns(probe, cols), route).coefficients
                 yield name, np.max(np.linalg.norm(want[:, cols] - got, axis=0))
     target = dense.probe_image(deformed, pattern, basis)
     for route in ("direct", "split"):
@@ -825,8 +824,8 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def check_memory(cfg: SuiteConfig) -> None:
-    """Refuse, before any suite starts, a run whose largest arrays exceed physical memory.
+def memory_estimate(cfg: SuiteConfig) -> int:
+    """Bytes that a run's largest arrays hold at once; 0 when no suite builds a tower.
 
     The tower on M grid points (the larger configured grid) has D = binom(M +
     N, N) labels, and a probe oracle on it 1 + N * M columns (:mod:`dense`).
@@ -836,27 +835,33 @@ def check_memory(cfg: SuiteConfig) -> None:
     :func:`dense.random_batches` holds to at most the larger of one pair of
     vectors (2 D) and ``dense._BLOCK_ENTRIES``; on the fock suite's 4-point
     tower, its basis vectors, D_4^2, and the build of its symmetrizer table
-    (:func:`fock._tensor_ranks`), which peaks near (N + 2) * 4^N; and a full
-    cache of pair-phase multipliers (:func:`fock.apply_pair_phase`),
-    ``maxsize`` times sum_{n=2..N} D_n(M), where D_n(M) = binom(M + n - 1, n).
-    No M^n symmetrizer table is counted on the larger grid because none is
-    built there: random vectors are drawn as coefficients, and the one
-    projection there is of a two-particle component.  The cached kernel,
-    twist and cross matrices hold M^2 entries each and are not counted.  The
-    inner and kernel suites build no tower.
+    (:func:`fock._tensor_ranks`), which peaks near (N + 2) * 4^N; and full
+    caches of pair-phase multipliers (:func:`fock.apply_pair_phase`) and of
+    split-tower cross multipliers (:func:`chiral.apply_cross_twist_matrix`),
+    ``maxsize`` times D each.  No M^n symmetrizer table is counted on the
+    larger grid because none is built there: random vectors are drawn as
+    coefficients, and the one projection there is of a two-particle
+    component.  The cached kernel, twist and cross matrices hold M^2 entries
+    each and are not counted.  The inner and kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
-        return
+        return 0
     m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
     d = math.comb(m + n, n)
     columns = 1 + n * m
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
-    multipliers = (fock._pair_multipliers.cache_parameters()["maxsize"]
-                   * sum(fock._dim(m, k) for k in range(2, n + 1)))
+    multipliers = d * sum(cache.cache_parameters()["maxsize"]
+                          for cache in (fock._pair_multipliers, chiral._cross_multipliers))
     entries = (2 * d * m * per_block + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
-    need = np.dtype(complex).itemsize * entries
+    return np.dtype(complex).itemsize * entries
+
+
+def check_memory(cfg: SuiteConfig) -> None:
+    """Refuse, before any suite starts, a run whose :func:`memory_estimate`
+    exceeds physical memory."""
+    need = memory_estimate(cfg)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(f"the oracles and random vectors need about {need / 2 ** 30:.3g} GiB "

@@ -73,7 +73,8 @@ def tower(psi):
 
 
 def packed(grid, tensors):
-    return fock.FockVector(grid, tuple(coeffs(t, grid.weights, n) for n, t in enumerate(tensors)))
+    return fock.FockVector(grid, np.concatenate([coeffs(t, grid.weights, n)
+                                                 for n, t in enumerate(tensors)]), len(tensors) - 1)
 
 
 def bitower(xi):
@@ -83,8 +84,9 @@ def bitower(xi):
 
 def bipacked(pair, truncation, tensors):
     wp, wn = pair.positive_weights, pair.negative_weights
-    return chiral.BiFockVector(pair, truncation, {
-        (a, b): pair_coeffs(t, wp, wn, a, b) for (a, b), t in tensors.items()})
+    return chiral.BiFockVector(pair, truncation, np.concatenate([
+        pair_coeffs(tensors[(a, b)], wp, wn, a, b).ravel()
+        for (a, b) in chiral._component_keys(truncation)]))
 
 
 def symmetrize(t, axes):

@@ -14,7 +14,7 @@ from fockdeform.inner import BlaschkeSpec, make_root, merge_flip_sets
 from fockdeform.suites import FLIP_ATOMS, SuiteConfig, run_suite
 
 CACHES = (deformation._kernel_table, deformation._sharp_twist_matrix,
-          chiral._root_cross_matrix, fock._pair_multipliers)
+          chiral._root_cross_matrix, fock._pair_multipliers, chiral._cross_multipliers)
 
 
 def clear_caches():
@@ -144,9 +144,31 @@ def test_adjoint_twists_get_their_own_multipliers(grids, root):
     assert not np.array_equal(cross.sectors[2], cross_adj.sectors[2])
 
 
-def arrays(result):
-    """The arrays of a cached result: the multipliers are a tuple of them."""
-    return result if isinstance(result, tuple) else (result,)
+def test_split_route_cross_multipliers_are_cached_per_matrix(root):
+    """The split tower's twist reads one flat multiplier per (cmat, P, Q, N),
+    built from cmat on the half-line labels.  It is not derived from the union
+    twist's pair multipliers, so it matches them through the merge permutation
+    only up to rounding."""
+    pair = chiral_pair(3)
+    q = pair.n_negative
+    xi = chiral.random_bifock(pair, 4, np.random.default_rng(5))
+    twisted = chiral.apply_cross_twist(root, xi)
+    again = chiral.apply_cross_twist(root, xi)
+    adj = chiral.apply_cross_twist(root, xi, adjoint=True)
+    info = chiral._cross_multipliers.cache_info()
+    assert (info.hits, info.currsize) == (1, 2)
+    assert np.array_equal(twisted.coefficients, again.coefficients)
+    assert not np.array_equal(twisted.coefficients, adj.coefficients)
+    smat = chiral._root_cross_matrix(root, pair.union.points.tobytes())
+    split = chiral._cross_multipliers(smat[q:, :q].tobytes(), pair.n_positive, q, 4)
+    assert chiral._cross_multipliers.cache_info().hits == 2
+    # label pair ((0, 1), (2,)) of component (2, 1) meets S[p_0, q_2] and S[p_1, q_2]
+    layout = chiral._layout(pair.n_positive, q, 4)
+    k = chiral._component_keys(4).index((2, 1))
+    assert split[layout.start[k] + 1 * layout.shapes[k][1] + 2] == smat[q, 2] * smat[q + 1, 2]
+    union = fock._pair_multipliers(smat.tobytes(), pair.union.size, 4)
+    assert not np.all(split == 1.0)
+    assert np.max(np.abs(split - union[layout.order])) <= 1e-14
 
 
 def cached_results(grids, root):
@@ -154,6 +176,7 @@ def cached_results(grids, root):
     massive, massless = grids
     spec = KernelSpec(root=root, mass=massive.mass)
     gmat = chiral._root_cross_matrix(root, massless.points.tobytes())
+    q = int(np.sum(massless.points < 0.0))
     return {
         deformation._kernel_table: kernel_matrix(spec, massive),
         deformation._sharp_twist_matrix: deformation._sharp_twist_matrix(
@@ -161,6 +184,8 @@ def cached_results(grids, root):
             massive.points.tobytes()),
         chiral._root_cross_matrix: gmat,
         fock._pair_multipliers: fock._pair_multipliers(gmat.tobytes(), massless.size, 4),
+        chiral._cross_multipliers: chiral._cross_multipliers(gmat[q:, :q].tobytes(),
+                                                             massless.size - q, q, 4),
     }
 
 
@@ -173,15 +198,12 @@ def test_cached_results_equal_a_recompute(grids, root):
     for cache in CACHES:
         assert again[cache] is first[cache]  # a hit returns the entry itself
         assert fresh[cache] is not first[cache]
-        assert len(arrays(first[cache])) == len(arrays(fresh[cache]))
-        for a, b in zip(arrays(first[cache]), arrays(fresh[cache])):
-            assert np.array_equal(a, b)
+        assert np.array_equal(first[cache], fresh[cache])
 
 
 def test_cached_arrays_are_read_only(grids, root):
-    results = cached_results(grids, root)
-    cached = [arr for result in results.values() for arr in arrays(result)]
-    assert len(cached) == 3 + 3  # the multipliers of sectors 2, 3 and 4
+    cached = list(cached_results(grids, root).values())
+    assert len(cached) == len(CACHES)
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tensor_reference as ref
-from fockdeform import dense, fock
+from fockdeform import chiral, dense, fock
 from fockdeform.chiral import (BiFockVector, annihilate_half, apply_cross_twist,
                                apply_cross_twist_fock, apply_cross_twist_matrix,
                                apply_reflection_bifock, apply_translation_bifock,
@@ -56,9 +56,8 @@ def test_bifock_vacuum_normalized(pair):
 
 
 def batched_bifock(pair, truncation, batch):
-    return BiFockVector(pair, truncation, {
-        (a, b): np.ones(comp.shape + batch, dtype=complex)
-        for (a, b), comp in bifock_zero(pair, truncation).components.items()})
+    return BiFockVector(pair, truncation, np.ones(
+        bifock_zero(pair, truncation).coefficients.shape + batch, dtype=complex))
 
 
 def test_bifock_inner_refuses_batch(pair):
@@ -208,6 +207,39 @@ def test_merge_vacuum(pair):
                      - fock.vacuum(pair.union, 3)) == 0.0
 
 
+@pytest.mark.parametrize("n_pos, n_neg, n_top", [(3, 3, 3), (3, 2, 4), (1, 4, 2)])
+def test_union_permutation_is_a_permutation(n_pos, n_neg, n_top):
+    layout = chiral._layout(n_pos, n_neg, n_top)
+    dim = fock._offsets(n_pos + n_neg, n_top)[-1]
+    assert layout.start[-1] == dim
+    assert np.array_equal(np.sort(layout.order), np.arange(dim))
+    assert np.array_equal(layout.order[layout.merge], np.arange(dim))
+
+
+def test_merge_and_split_invert_each_other_exactly_on_batches(pair, rng):
+    xi = random_bifock(pair, 3, rng, count=4)
+    assert np.array_equal(split_chiral(merge_chiral(xi), pair).coefficients, xi.coefficients)
+    psi = fock.random_fock_vector(pair.union, 3, rng, count=4)
+    assert np.array_equal(merge_chiral(split_chiral(psi, pair)).coefficients, psi.coefficients)
+
+
+def test_writes_through_sectors_and_components_land_in_the_coefficients(pair):
+    psi = fock.FockVector(pair.union, np.zeros((fock._offsets(6, 3)[-1], 2)), 3)
+    assert psi.sectors is psi.sectors  # built once per vector
+    psi.sectors[2][4, 1] = 2.0 - 1.0j
+    assert psi.coefficients[fock._offsets(6, 3)[2] + 4, 1] == 2.0 - 1.0j
+    assert np.count_nonzero(psi.coefficients) == 1
+    layout = chiral._layout(pair.n_positive, pair.n_negative, 3)
+    xi = BiFockVector(pair, 3, np.zeros((layout.start[-1], 2)))
+    assert xi.components is xi.components
+    xi.components[(1, 2)][2, 3, 1] = 0.5j
+    k = chiral._component_keys(3).index((1, 2))
+    assert xi.coefficients[layout.start[k] + 2 * layout.shapes[k][1] + 3, 1] == 0.5j
+    assert np.count_nonzero(xi.coefficients) == 1
+    for vac in (fock.vacuum(pair.union, 3), bifock_vacuum(pair, 3)):
+        assert vac.coefficients[0] == 1.0 and np.count_nonzero(vac.coefficients) == 1
+
+
 def test_merge_exponentials(pair, rng):
     psi = 0.6 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     phi = 0.6 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -262,7 +294,7 @@ def test_merge_matches_permutation_sum_on_asymmetric_split():
     total = [np.zeros((5,) * n, dtype=complex) for n in range(n_top + 1)]
     for (a, b), comp in xi.components.items():
         alone = bifock_zero(pair, n_top)
-        alone.components[(a, b)] = comp
+        alone.components[(a, b)][...] = comp
         merged = ref.tower(merge_chiral(alone))
         expected = reference_merge_component(
             pair, a, b, ref.pair_tensor(comp, pair.positive_weights, pair.negative_weights, a, b))
@@ -447,10 +479,11 @@ def test_wrong_twist_orientation_fails(pair, root, rng):
 
 
 def test_bifock_component_validation(pair):
-    with pytest.raises(ValueError):
-        BiFockVector(pair, 1, {(0, 0): np.array(1.0 + 0j),
-                               (1, 0): np.zeros(2, dtype=complex),
-                               (0, 1): np.zeros(3, dtype=complex)})
+    dim = 1 + pair.n_positive + pair.n_negative  # components (0, 0), (1, 0), (0, 1)
+    BiFockVector(pair, 1, np.zeros(dim))
+    for bad in (np.array(1.0 + 0j), np.zeros(dim - 1), np.zeros((dim + 1, 2))):
+        with pytest.raises(ValueError):
+            BiFockVector(pair, 1, bad)
 
 
 def test_check_equivalence_keeps_late_nan(pair):
@@ -461,10 +494,9 @@ def test_check_equivalence_keeps_late_nan(pair):
         calls.append((route, v.batch_shape))
         if len(calls) > 1:  # the split batch, then blocks of probe columns
             return v
-        sectors = tuple(s.copy() for s in v.sectors)
-        for s in sectors:
-            s[:, 1] = np.nan  # column 1 of the direct route's random batch
-        return fock.FockVector(v.grid, sectors)
+        coefs = v.coefficients.copy()
+        coefs[:, 1] = np.nan  # column 1 of the direct route's random batch
+        return fock.FockVector(v.grid, coefs, v.truncation)
 
     devs = [dev for _, dev in _equivalence("check", lambda v: v, twisted, dense.DIAGONAL,
                                             dense.FockBasis(pair.union, 2),

@@ -50,8 +50,8 @@ def test_inner_grid_mismatch(grid):
 
 
 def batched_vector(grid, truncation, batch):
-    return fock.FockVector(grid, tuple(np.ones(s.shape + batch, dtype=complex)
-                                       for s in fock.zero_vector(grid, truncation).sectors))
+    return fock.FockVector(grid, np.ones(fock.zero_vector(grid, truncation).coefficients.shape
+                                         + batch, dtype=complex), truncation)
 
 
 def test_inner_refuses_batch(grid):
@@ -308,8 +308,9 @@ def test_ccr_below_truncation(grid, rng):
     eta = fock.random_one_particle(grid, rng)
     pairing = complex(weighted_pairing(grid, xi, eta))
     full = fock.random_fock_vector(grid, 3, rng)
-    psi = fock.FockVector(grid, full.sectors[:2] + tuple(np.zeros_like(s)
-                                                         for s in full.sectors[2:]))
+    psi = fock.FockVector(grid, full.coefficients.copy(), 3)
+    for sec in psi.sectors[2:]:
+        sec[...] = 0.0
     comm = (fock.annihilate(xi, fock.create(eta, psi))
             - fock.create(eta, fock.annihilate(xi, psi)))
     assert fock.norm(comm - pairing * psi) < TOL

@@ -5,17 +5,21 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockdeform
 from fockdeform import chiral, cli, dense, fock, suites
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json, root_from_json, root_to_json)
 from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
 from fockdeform.suites import (CHECKS, REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
-                               check_memory, run_suite)
+                               check_memory, memory_estimate, run_suite)
 
 FAST = SuiteConfig(suites=("inner", "fock", "kernel"), seed=11)
 
@@ -408,10 +412,9 @@ def test_nan_in_a_late_batch_column_fails_the_check(monkeypatch):
         out = real(x, psi)
         if psi.batch_shape != (20,):
             return out
-        sectors = tuple(s.copy() for s in out.sectors)
-        for s in sectors:
-            s[:, 13] = np.nan
-        return fock.FockVector(out.grid, sectors)
+        coefs = out.coefficients.copy()
+        coefs[:, 13] = np.nan
+        return fock.FockVector(out.grid, coefs, out.truncation)
 
     monkeypatch.setattr(fock, "apply_translation", injected)
     report = run_suite(SuiteConfig(suites=("fock",)))
@@ -531,6 +534,37 @@ def test_admission_counts_the_pair_multiplier_cache(monkeypatch):
                         functools.lru_cache(maxsize=10 ** 12)(lambda gmat, m, n: ()))
     with pytest.raises(ConfigError, match="physical memory"):
         check_memory(cfg)
+
+
+def peak_rss_bytes(statement: str) -> int:
+    """Peak resident set of a fresh Python process that runs ``statement``.
+
+    Read from VmHWM, the high-water mark of the process image: ``ru_maxrss``
+    would also count the forking test process, which it keeps across exec.
+    """
+    code = (f"{statement}\nimport re\nprint(re.search(r'VmHWM:\\s*(\\d+) kB',"
+            " open('/proc/self/status').read()).group(1))")
+    package_root = str(Path(fockdeform.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    return int(out.stdout.split()[-1]) * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_admission_estimate_covers_the_measured_peak(tmp_path):
+    """verify on N=4, 6 points per side, 12 massive points (D = 1,820) in a fresh
+    process: its peak RSS above that of a process that only imports the
+    package is at most :func:`memory_estimate`."""
+    doc = {"truncation": 4, "massless_grid": {"points_per_side": 6},
+           "massive_grid": {"size": 12}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    bare = peak_rss_bytes("import fockdeform")
+    run = peak_rss_bytes("from fockdeform.cli import main\n"
+                         f"assert main(['--config', {str(cfg_path)!r}]) == 0")
+    assert 0 < run - bare <= memory_estimate(config_from_json(doc))
 
 
 def test_ceiling_config_is_admitted():

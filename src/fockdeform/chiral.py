@@ -8,7 +8,10 @@ is the second quantization of the one-particle identification of the two
 half-lines with the union grid, so it maps occupation-number basis vectors
 to occupation-number basis vectors: the pair of multisets (kappa_+, kappa_-)
 goes to their union, with coefficient 1, so merge and split are one gather
-each through the permutation of :func:`_layout`.  The cross twist multiplies each
+each through the permutation of :func:`_layout`.  The one-factor ladders are
+one gather each too, over tables built from the half-line towers and the
+component offsets, not through that permutation, so the split route stays an
+independent check of the union one.  The cross twist multiplies each
 (positive, negative) momentum pair by a root kernel R(-p q); conjugating it
 through the merge gives a sector-diagonal twist on the union tower.  These
 two twists implement the same deformation of the annihilators and fields as
@@ -56,9 +59,8 @@ def _layout(n_positive: int, n_negative: int, truncation: int) -> _Layout:
     """Built once per (P, Q, N).  Union indices below ``n_negative`` are the
     negative half-line, so the union of (kappa_+, kappa_-) is kappa_- followed
     by kappa_+ + n_negative, already sorted."""
-    pos = fock._ladder(n_positive, truncation)
-    neg = fock._ladder(n_negative, truncation)
-    union = fock._ladder(n_positive + n_negative, truncation)
+    pos, neg, union = (fock._ladder(size, truncation)
+                       for size in (n_positive, n_negative, n_positive + n_negative))
     start = fock._offsets(n_positive + n_negative, truncation)
     keys = _component_keys(truncation)
     shapes = tuple((len(pos[a].labels), len(neg[b].labels)) for a, b in keys)
@@ -127,8 +129,7 @@ bifock_inner, bifock_norm = fock.inner, fock.norm
 def _outer_products(pair: ChiralGridPair, pos_vec, neg_vec, truncation: int) -> np.ndarray:
     """prod_i pos_vec[k_i] prod_j neg_vec[l_j] per label pair (kappa_+, kappa_-),
     in coefficient order: a one-body multiplier of each factor."""
-    pos = fock._ladder(pair.n_positive, truncation)
-    neg = fock._ladder(pair.n_negative, truncation)
+    pos, neg = fock._ladder(pair.n_positive, truncation), fock._ladder(pair.n_negative, truncation)
     return np.concatenate([np.multiply.outer(fock._slot_product(pos_vec, pos[a].labels),
                                              fock._slot_product(neg_vec, neg[b].labels)).ravel()
                            for a, b in _component_keys(truncation)])
@@ -164,34 +165,62 @@ def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
 
 def annihilate_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     """Annihilator on one tensor factor: a(g) (x) 1 for '+', 1 (x) a(g) for '-'."""
-    return _one_factor(side, np.conj(g), xi, fock._lower, 1)
+    return _one_factor(side, np.conj(g), xi, -1)
 
 
 def create_half(side: str, g, xi: BiFockVector) -> BiFockVector:
     """Creator on one tensor factor; the weighted adjoint of :func:`annihilate_half`."""
-    return _one_factor(side, g, xi, fock._raise, -1)
+    return _one_factor(side, g, xi, 1)
 
 
-def _one_factor(side: str, g, xi: BiFockVector, ladder, step: int) -> BiFockVector:
-    """A sector ladder of :mod:`fock` with amplitude sqrt(w) g on the rows ('+')
-    or columns ('-') of each component; (a, b) reads (a + step, b), resp.
-    (a, b + step), and is zero where that component does not exist."""
+@functools.lru_cache(maxsize=16)
+def _half_ladder(n_positive: int, n_negative: int, truncation: int, side: str, step: int):
+    """The ``split`` tables (start, index, label_rows) of :func:`fock._ladder_step`
+    for the ladder of ``step`` on the ``side`` factor, built once per (P, Q,
+    N, side, step) from that factor's :func:`fock._tower` and the offsets of
+    :func:`_layout`, never through the merge; read-only.  Component (a, b)
+    reads (a - step, b) on '+', (a, b - step) on '-', and the components of
+    total degree n fill the slice of sector n of the union tower."""
+    layout = _layout(n_positive, n_negative, truncation)
+    keys = _component_keys(truncation)
+    plus = side == "+"
+    factor = fock._tower(n_positive if plus else n_negative, truncation)
+    table = factor.up if step < 0 else factor.down
+    index, label_rows = [], []
+    # lowering reads no component from degree N + 1: it skips the N + 1 of degree N
+    for k, (a, b) in enumerate(keys[:-truncation - 1] if step < 0 else keys):
+        n = a if plus else b
+        src = keys.index((a - step, b) if plus else (a, b - step)) if n >= step else k
+        first, src_cols = layout.start[src], layout.shapes[src][1]
+        rows, cols = layout.shapes[k]
+        labels = np.arange(factor.start[n], factor.start[n + 1])
+        # each slot's label as a row ('+') or column ('-') of the source component
+        moved = table[labels] - factor.start[max(n - step, 0)]
+        pos = (first + moved[:, None, :] * src_cols + np.arange(cols)[:, None] if plus
+               else first + np.arange(rows)[:, None, None] * src_cols + moved)
+        pos = np.where(np.arange(pos.shape[-1]) < n, pos, 0) if step > 0 else pos
+        index.append(pos.reshape(rows * cols, -1))
+        label_rows.append(np.repeat(labels, cols) if plus else np.tile(labels, rows))
+    out = (fock._offsets(n_positive + n_negative, truncation), np.concatenate(index),
+           np.concatenate(label_rows))
+    for arr in out[1:]:
+        arr.setflags(write=False)
+    return out
+
+
+def _one_factor(side: str, g, xi: BiFockVector, step: int) -> BiFockVector:
+    """The ladder of ``step`` (-1 lowers, +1 raises) with amplitude sqrt(w) g
+    on the ``side`` factor, one gather over :func:`_half_ladder`; a component
+    whose source does not exist is zero."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     w = xi.pair.positive_weights if side == "+" else xi.pair.negative_weights
     g = np.asarray(g, dtype=complex)
     if g.shape != w.shape:
         raise ValueError("amplitude does not match the half-grid")
-    amp = np.sqrt(w) * g
-    tables = fock._ladder(w.size, xi.truncation)
-    axis = 0 if side == "+" else 1
-    out = xi._with(np.zeros_like(xi.coefficients))
-    for (a, b), dst in out.components.items():
-        n, src = (a, (a + step, b)) if side == "+" else (b, (a, b + step))
-        if src in xi.components:  # the factor's labels lead in both views
-            np.moveaxis(dst, axis, 0)[...] = ladder(np.moveaxis(xi.components[src], axis, 0),
-                                                    amp, tables[n])
-    return out
+    split = _half_ladder(xi.pair.n_positive, xi.pair.n_negative, xi.truncation, side, step)
+    return xi._with(fock._ladder_step(xi.coefficients, step, np.sqrt(w) * g,
+                                      fock._tower(w.size, xi.truncation), split=split))
 
 
 def chiral_field(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -240,8 +269,7 @@ def _cross_multipliers(cmat: bytes, n_positive: int, n_negative: int,
     coefficient order and read-only; ``cmat`` is the complex P x Q matrix as
     bytes."""
     c = np.frombuffer(cmat, dtype=complex).reshape(n_positive, n_negative)
-    pos = fock._ladder(n_positive, truncation)
-    neg = fock._ladder(n_negative, truncation)
+    pos, neg = fock._ladder(n_positive, truncation), fock._ladder(n_negative, truncation)
     out = np.concatenate([np.prod(c[pos[a].labels[:, None, :, None],
                                     neg[b].labels[None, :, None, :]], axis=(2, 3)).ravel()
                           for a, b in _component_keys(truncation)])

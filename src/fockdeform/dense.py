@@ -235,23 +235,14 @@ def _layout(m: int, truncation: int) -> _Layout:
 def _positions(m: int, truncation: int, pattern: Pattern) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) labels of every entry the pattern allows, in a fixed order.
 
-    A move pairs label lam of sector n with lam + q of sector n + 1 through
-    the ladder's up table; a removal reads one column of it.
+    A move pairs label lam with lam + q through the tower's up table; a
+    removal reads one column of it.
     """
-    tables = fock._ladder(m, truncation)
-    start = fock._offsets(m, truncation)
-    rows, cols = [], []
-    for degree in pattern.degrees:
-        if degree == 0:
-            rows.append(np.arange(start[-1]))
-            cols.append(rows[-1])
-            continue
-        for n, tab in enumerate(tables[:-1]):
-            up = tab.up if pattern.removed is None else tab.up[:, [pattern.removed]]
-            low = np.repeat(np.arange(start[n], start[n + 1]), up.shape[1])
-            high = start[n + 1] + up.ravel()
-            rows.append(low if degree < 0 else high)
-            cols.append(high if degree < 0 else low)
+    tower = fock._tower(m, truncation)
+    up = tower.up if pattern.removed is None else tower.up[:, [pattern.removed]]
+    low, high = np.repeat(np.arange(len(up)), up.shape[1]), up.ravel()
+    pairs = {-1: (low, high), 1: (high, low), 0: (np.arange(tower.start[-1]),) * 2}
+    rows, cols = zip(*(pairs[degree] for degree in pattern.degrees))
     out = (np.concatenate(rows), np.concatenate(cols))
     for arr in out:
         arr.setflags(write=False)
@@ -262,7 +253,7 @@ def _blocks(sector: np.ndarray, step: int):
     """(first, last) ranges over probe columns of the given sectors (ascending):
     whole sectors together while they fit in ``step`` columns, a wider sector
     in pieces of ``step``.  A block of one sector leaves the other sectors of
-    the probe vector zero, and the ladder operators skip zero sectors."""
+    the probe vector zero, and a ladder operator computes only what it reaches."""
     edges = [0, *(np.flatnonzero(np.diff(sector)) + 1).tolist(), len(sector)]
     first = 0
     for low, high in zip(edges[:-1], edges[1:]):

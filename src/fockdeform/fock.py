@@ -8,8 +8,9 @@ prod_i w_{k_i} (m_q the multiplicity of q, w the quadrature weights of the
 measure dp/omega_m(p)).  A state stores its coefficients over these bases in
 one array, sector after sector (offsets from :func:`_offsets`), so sector n
 has D_n = binom(M + n - 1, n) entries, inner products and diagonal
-multipliers are single array operations, and the ladder operators read index
-tables built once per (M, N).  Operators act exactly as their untruncated
+multipliers are single array operations, and each ladder operator is one
+gather over the whole array through index tables built once per (M, N)
+(:func:`_tower`).  Operators act exactly as their untruncated
 counterparts on sectors below the truncation: annihilation reads the
 (vanishing) sector N+1 as zero, and creation out of the top sector is
 dropped.  All values are treated as immutable; every operation returns a
@@ -42,14 +43,13 @@ def _codes(labels: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Sector(NamedTuple):
-    """Index tables of sector n over an m-point grid.
+    """Index tables of sector n over an m-point grid, views of its rows of :func:`_tower`.
 
     ``labels[j]`` is basis label j and ``mfact[j]`` is prod_q m_q! over its
-    multiplicities.  ``up[j, q]`` is the index in sector n + 1 of
-    labels[j] + q and ``up_mult[j, q]`` the multiplicity of q there (both
-    None in the top sector).  ``down[j, i]`` is the index in sector n - 1 of
-    labels[j] with slot i removed and ``slot_mult[j, i]`` the multiplicity of
-    labels[j, i] in labels[j] (``down`` is None in sector 0).
+    multiplicities.  ``up[j, q]`` is the coefficient index of labels[j] + q and
+    ``up_mult[j, q]`` the multiplicity of q there (both None in the top sector).
+    ``down[j, i]`` is the coefficient index of labels[j] with slot i removed,
+    and ``slot_mult[j, i]`` the multiplicity of labels[j, i] in labels[j].
     """
 
     m: int
@@ -58,7 +58,7 @@ class _Sector(NamedTuple):
     mfact: np.ndarray
     up: np.ndarray | None
     up_mult: np.ndarray | None
-    down: np.ndarray | None
+    down: np.ndarray
     slot_mult: np.ndarray
 
     def index(self, labels: np.ndarray) -> np.ndarray:
@@ -72,33 +72,59 @@ def _offsets(m: int, truncation: int) -> tuple[int, ...]:
     return tuple(itertools.accumulate((_dim(m, n) for n in range(truncation + 1)), initial=0))
 
 
+class _Tower(NamedTuple):
+    """The fields of :class:`_Sector` for sectors 0..N over an m-point grid, one
+    row per label in coefficient order (``up`` and ``up_mult``: below N), with
+    the slots padded to N by label m, index 0 and multiplicity 1; ``start``
+    is :func:`_offsets` and ``sectors[n]`` views the rows of sector n."""
+
+    start: tuple
+    labels: np.ndarray
+    up: np.ndarray
+    up_mult: np.ndarray
+    down: np.ndarray
+    slot_mult: np.ndarray
+    sectors: tuple
+
+
 @functools.lru_cache(maxsize=32)
-def _ladder(m: int, truncation: int) -> tuple[_Sector, ...]:
-    """The index tables of sectors 0..truncation over an m-point grid."""
-    labels = [np.array(list(itertools.combinations_with_replacement(range(m), n)),
-                       dtype=np.intp).reshape(_dim(m, n), n) for n in range(truncation + 1)]
-    codes = [_codes(lab, m) for lab in labels]
+def _tower(m: int, truncation: int) -> _Tower:
+    """Built once per (m, truncation).  The up table inverts the down table:
+    kappa less slot i is lam, so lam + k_i is kappa, where k_i has multiplicity m_{k_i}."""
+    start = _offsets(m, truncation)
+    labels = np.full((start[-1], truncation), m, dtype=np.intp)
+    down = np.zeros(labels.shape, dtype=np.intp)
+    slot_mult = np.ones(labels.shape, dtype=np.min_scalar_type(truncation + 1))
+    rows = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
     fact = np.array([math.factorial(k) for k in range(truncation + 1)], dtype=float)
-    out = []
-    for n, lab in enumerate(labels):
+    codes, mfact = [], []
+    for n, r in enumerate(rows):
+        lab = labels[r, :n]
+        lab[...] = np.array(list(itertools.combinations_with_replacement(range(m), n)),
+                            dtype=np.intp).reshape(_dim(m, n), n)
+        codes.append(_codes(lab, m))
         counts = (lab[:, :, None] == np.arange(m)).sum(axis=1)
-        up = up_mult = down = None
-        if n < truncation:
-            grown = np.concatenate([np.repeat(lab[:, None, :], m, axis=1),
-                                    np.broadcast_to(np.arange(m)[:, None], (len(lab), m, 1))],
-                                   axis=2)
-            up = np.searchsorted(codes[n + 1], _codes(np.sort(grown, axis=2), m))
-            up_mult = counts + 1
         if n > 0:
             shrunk = np.stack([np.delete(lab, i, axis=1) for i in range(n)], axis=1)
-            down = np.searchsorted(codes[n - 1], _codes(shrunk, m))
-        sector = _Sector(m, lab, codes[n], np.prod(fact[counts], axis=1), up, up_mult, down,
-                         np.take_along_axis(counts, lab, axis=1))
-        for arr in sector[1:]:
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        out.append(sector)
-    return tuple(out)
+            down[r, :n] = start[n - 1] + np.searchsorted(codes[n - 1], _codes(shrunk, m))
+        slot_mult[r, :n] = np.take_along_axis(counts, lab, axis=1)
+        mfact.append(np.prod(fact[counts], axis=1))
+    slots = labels < m
+    up = np.empty((start[-2], m), dtype=np.intp)
+    up[down[slots], labels[slots]] = np.nonzero(slots)[0]
+    up_mult = np.empty(up.shape, dtype=slot_mult.dtype)
+    up_mult[down[slots], labels[slots]] = slot_mult[slots]
+    for arr in (labels, up, up_mult, down, slot_mult, *codes, *mfact):
+        arr.setflags(write=False)
+    sectors = tuple(_Sector(m, labels[r, :n], codes[n], mfact[n],
+                            *((up[r], up_mult[r]) if n < truncation else (None, None)),
+                            down[r, :n], slot_mult[r, :n]) for n, r in enumerate(rows))
+    return _Tower(start, labels, up, up_mult, down, slot_mult, sectors)
+
+
+def _ladder(m: int, truncation: int) -> tuple[_Sector, ...]:
+    """The index tables of sectors 0..truncation over an m-point grid."""
+    return _tower(m, truncation).sectors
 
 
 @functools.lru_cache(maxsize=16)
@@ -115,6 +141,13 @@ def _scale(arr: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> n
     return np.multiply(arr, vec.reshape(vec.shape + (1,) * (arr.ndim - vec.ndim)), out=out)
 
 
+def _padded(arr: np.ndarray, fill: complex) -> np.ndarray:
+    """``arr`` (a vector or square matrix) with ``fill`` at the pad label m."""
+    out = np.full((len(arr) + 1,) * arr.ndim, fill, dtype=arr.dtype)
+    out[(slice(len(arr)),) * arr.ndim] = arr
+    return out
+
+
 def _slot_product(vec: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """prod_i vec[k_i] for each label (last axis): a one-body multiplier."""
     return np.prod(vec[labels], axis=-1)
@@ -122,15 +155,8 @@ def _slot_product(vec: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _slot_products(vec: np.ndarray, truncation: int) -> np.ndarray:
     """:func:`_slot_product` for every label of sectors 0..truncation over the
-    ``vec.size``-point grid, in coefficient order."""
-    return np.concatenate([_slot_product(vec, tab.labels) for tab in _ladder(vec.size, truncation)])
-
-
-def _pair_product(gmat: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """prod_{i<j} gmat[k_i, k_j] for each label (last axis): a pair phase."""
-    i, j = np.array(list(itertools.combinations(range(labels.shape[-1]), 2)),
-                    dtype=np.intp).reshape(-1, 2).T
-    return np.prod(gmat[labels[..., i], labels[..., j]], axis=-1)
+    ``vec.size``-point grid, in coefficient order, from the padded labels."""
+    return _slot_product(_padded(vec, 1.0), _tower(vec.size, truncation).labels)
 
 
 def _norms(weights: np.ndarray, tab: _Sector, n: int) -> np.ndarray:
@@ -138,51 +164,57 @@ def _norms(weights: np.ndarray, tab: _Sector, n: int) -> np.ndarray:
     return np.sqrt(math.factorial(n) / tab.mfact * _slot_product(weights, tab.labels))
 
 
-def _lower(src: np.ndarray, amp: np.ndarray, tab: _Sector,
-           kmat: np.ndarray | None = None) -> np.ndarray:
-    """Annihilation from sector n + 1 (``src``, any trailing batch) into sector n.
+def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
+                 kmat: np.ndarray | None = None, split: tuple | None = None) -> np.ndarray:
+    """A ladder operator on a coefficient array ``src`` (any trailing batch):
+    one gather, one scale and one sum over the tables of ``tower``.
 
-    With amp = sqrt(w) conj(xi) and the optional kernel K removing q,
+    Lowering (``step`` -1), [a Psi]_n = sqrt(n+1) sum_q w_q conj(xi_q) prod_k
+    K(q, p_k) Psi_{n+1}(q, ...), reads only the q with amp_q != 0:
 
-        out[lam] = sum_q amp_q sqrt(m_q(lam + q)) prod_{k in lam} K[q, k] src[lam + q],
+        out[lam] = sum_q amp_q sqrt(m_q(lam + q)) prod_{k in lam} K[q, k] src[lam + q]
 
-    which is [a Psi]_n = sqrt(n+1) sum_q w_q conj(xi_q) prod_k K(q, p_k)
-    Psi_{n+1}(q, p_1..p_n) in the orthonormal coefficients.  Only the q with
-    amp_q != 0 are read: one for a sharp annihilator, one half-line for a
-    one-sided amplitude.
+    with amp = sqrt(w) conj(xi).  Raising (+1) is its adjoint, [a* Psi]_n =
+    sqrt(n) Symm(xi(p_1) prod_{k>=2} K(p_1, p_k) Psi_{n-1}), with amp = sqrt(w) xi:
+
+        out[kappa] = sum_i amp_{k_i} / sqrt(m_{k_i}) prod_{j != i} K[k_i, k_j] src[kappa - k_i].
+
+    ``split`` = (start, index, label_rows) reads ``index[r]`` into row r of
+    the split tower (degrees at ``start``), labelled by row ``label_rows[r]``
+    of ``tower``.  Only the sectors that the range of nonzero input sectors
+    reaches are computed, their slots padded to the highest of them.
     """
-    if not src.any():  # e.g. a block of probe columns from another sector
-        return np.zeros((len(tab.labels),) + src.shape[1:], dtype=complex)
-    q = np.flatnonzero(amp)
-    # np.take keeps C order (a[:, q] would not), so the sums run as for all q
-    coef = np.sqrt(np.take(tab.up_mult, q, axis=1)) * amp[q]
-    if kmat is not None:
-        coef = coef * np.prod(kmat.T[tab.labels[:, :, None], q], axis=1)
-    terms = src[np.take(tab.up, q, axis=1)]
-    return _scale(terms, coef, out=terms).sum(axis=1)
-
-
-def _raise(src: np.ndarray, amp: np.ndarray, tab: _Sector,
-           kmat: np.ndarray | None = None) -> np.ndarray:
-    """Creation from sector n - 1 (``src``, any trailing batch) into sector n.
-
-    The adjoint of :func:`_lower`: with amp = sqrt(w) xi, summing over the
-    slots i of kappa (each value q occurs in m_q of them),
-
-        out[kappa] = sum_i amp_{k_i} / sqrt(m_{k_i}) prod_{j != i} K[k_i, k_j] src[kappa - k_i],
-
-    which is [a* Psi]_n = sqrt(n) Symm(xi(p_1) prod_{k>=2} K(p_1, p_k)
-    Psi_{n-1}(p_2..p_n)).
-    """
-    if not src.any():
-        return np.zeros((len(tab.labels),) + src.shape[1:], dtype=complex)
-    coef = amp[tab.labels] / np.sqrt(tab.slot_mult)
-    if kmat is not None:
-        n = tab.labels.shape[1]
-        pairs = kmat[tab.labels[:, :, None], tab.labels[:, None, :]]
-        coef = coef * np.where(np.eye(n, dtype=bool), 1.0, pairs).prod(axis=2)
-    terms = src[tab.down]
-    return _scale(terms, coef, out=terms).sum(axis=1)
+    start, index, label_rows = split or (tower.start, tower.up if step < 0 else tower.down, None)
+    out = np.zeros(src.shape, dtype=complex)
+    sectors = range(len(start) - 1)
+    first = next((n for n in sectors if src[start[n]:start[n + 1]].any()), None)
+    if first is None:  # e.g. a block of probe columns from another sector
+        return out
+    last = next(n for n in reversed(sectors) if n == first or src[start[n]:start[n + 1]].any())
+    low, high = max(first + step, 0), min(last + step, len(start) - 2)
+    if low > high:
+        return out
+    rows = slice(start[low], start[high + 1])
+    # per-label coefficients: of these rows, or of the whole factor tower, read per row
+    labelled = rows if label_rows is None else slice(None)
+    labels = tower.labels[labelled, :high]
+    if step < 0:
+        q = np.flatnonzero(amp)
+        # np.take keeps C order (a[:, q] would not), so the sums run as for all q
+        coef = np.sqrt(np.take(tower.up_mult[labelled], q, axis=1), dtype=float) * amp[q]
+        if kmat is not None:
+            coef = coef * np.prod(_padded(kmat, 1.0).T[labels[:, :, None], q], axis=1)
+        index = np.take(index[rows], q, axis=1)
+    else:
+        coef = _padded(amp, 0.0)[labels] / np.sqrt(tower.slot_mult[labelled, :high], dtype=float)
+        if kmat is not None:
+            pairs = _padded(kmat, 1.0)[labels[:, :, None], labels[:, None, :]]
+            coef = coef * np.where(np.eye(high, dtype=bool), 1.0, pairs).prod(axis=2)
+        index = index[rows, :high]
+    coef = coef if label_rows is None else coef[label_rows[rows]]
+    terms = src[index]
+    out[rows] = _scale(terms, coef, out=terms).sum(axis=1)
+    return out
 
 
 class _Coefficients:
@@ -322,10 +354,14 @@ def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray
 @functools.lru_cache(maxsize=16)
 def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> np.ndarray:
     """prod_{i<j} gmat[k_i, k_j] per label, in coefficient order and read-only
-    (the empty product 1 on sectors 0 and 1); ``gmat`` is the complex m x m
-    matrix as bytes."""
-    g = np.frombuffer(gmat, dtype=complex).reshape(m, m)
-    out = np.concatenate([_pair_product(g, tab.labels) for tab in _ladder(m, truncation)])
+    (the empty product 1 on sectors 0 and 1), from the padded labels; ``gmat``
+    is the complex m x m matrix as bytes."""
+    g = _padded(np.frombuffer(gmat, dtype=complex).reshape(m, m), 1.0)
+    slots = _tower(m, truncation).labels.T
+    out = np.ones(slots.shape[1], dtype=complex)
+    # pair by pair in lexicographic order: a (D, N(N-1)/2) factor table is large at scale
+    for i, j in itertools.combinations(range(truncation), 2):
+        out *= g[slots[i], slots[j]]
     out.setflags(write=False)
     return out
 
@@ -351,20 +387,14 @@ def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:
 
 def _annihilate_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
     amp = np.sqrt(psi.grid.weights) * np.conj(_one_particle(xi, psi.grid))
-    tables = _ladder(psi.grid.size, psi.truncation)
-    out = psi._with(np.zeros_like(psi.coefficients))
-    for n in range(psi.truncation):
-        out.sectors[n][...] = _lower(psi.sectors[n + 1], amp, tables[n], kmat)
-    return out
+    return psi._with(_ladder_step(psi.coefficients, -1, amp,
+                                  _tower(psi.grid.size, psi.truncation), kmat))
 
 
 def _create_with_kernel(xi, psi: FockVector, kmat: np.ndarray | None) -> FockVector:
     amp = np.sqrt(psi.grid.weights) * _one_particle(xi, psi.grid)
-    tables = _ladder(psi.grid.size, psi.truncation)
-    out = psi._with(np.zeros_like(psi.coefficients))
-    for n in range(1, psi.truncation + 1):
-        out.sectors[n][...] = _raise(psi.sectors[n - 1], amp, tables[n], kmat)
-    return out
+    return psi._with(_ladder_step(psi.coefficients, 1, amp,
+                                  _tower(psi.grid.size, psi.truncation), kmat))
 
 
 def annihilate(xi, psi: FockVector) -> FockVector:

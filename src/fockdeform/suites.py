@@ -828,34 +828,35 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     """Bytes that a run's largest arrays hold at once; 0 when no suite builds a tower.
 
     The tower on M grid points (the larger configured grid) has D = binom(M +
-    N, N) labels, and a probe oracle on it 1 + N * M columns (:mod:`dense`).
-    Counted in complex entries: two copies of one ladder gather over a block
-    of probe columns, D * M * (columns per block); four probe images, D * (1 +
-    N * M); three copies of one batch of random vectors' coefficients, which
-    :func:`dense.random_batches` holds to at most the larger of one pair of
-    vectors (2 D) and ``dense._BLOCK_ENTRIES``; on the fock suite's 4-point
-    tower, its basis vectors, D_4^2, and the build of its symmetrizer table
-    (:func:`fock._tensor_ranks`), which peaks near (N + 2) * 4^N; and full
-    caches of pair-phase multipliers (:func:`fock.apply_pair_phase`) and of
-    split-tower cross multipliers (:func:`chiral.apply_cross_twist_matrix`),
-    ``maxsize`` times D each.  No M^n symmetrizer table is counted on the
-    larger grid because none is built there: random vectors are drawn as
-    coefficients, and the one projection there is of a two-particle
-    component.  The cached kernel, twist and cross matrices hold M^2 entries
-    each and are not counted.  The inner and kernel suites build no tower.
+    N, N) labels, S = binom(M + N - 1, N - 1) below the top sector, and a
+    probe oracle on it 1 + N * M columns (:mod:`dense`).  Counted in complex
+    entries: two copies of one ladder gather over a block of probe columns,
+    D * M * (columns per block); four probe images, D * (1 + N * M); three
+    copies of one batch of random vectors (:func:`dense.random_batches`), the
+    larger of 2 D and ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis
+    vectors, D_4^2, and symmetrizer build (:func:`fock._tensor_ranks`), (N +
+    2) * 4^N; and full caches of pair-phase and cross multipliers, ``maxsize``
+    times D each.  Counted in 8-byte indices, on each of the two grids: the
+    ladder tables (:func:`fock._tower`), 2 D N + S M, and those of both split
+    factors (:func:`chiral._half_ladder`), 2 (S (M / 2 + 1) + D (N + 1)); the
+    probe positions (:func:`dense._positions`), 8 S M + 2 D, and layout, 4 D.
+    No M^n symmetrizer table is built on the larger grid, and the kernel,
+    twist and cross matrices (M^2 entries) are not counted.  The inner and
+    kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
         return 0
     m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
-    d = math.comb(m + n, n)
+    d, s = math.comb(m + n, n), math.comb(m + n - 1, n - 1)
     columns = 1 + n * m
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
     multipliers = d * sum(cache.cache_parameters()["maxsize"]
                           for cache in (fock._pair_multipliers, chiral._cross_multipliers))
     entries = (2 * d * m * per_block + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
-    return np.dtype(complex).itemsize * entries
+    indices = 2 * (2 * d * n + s * m + 2 * (s * (m // 2 + 1) + d * (n + 1)) + 8 * s * m + 6 * d)
+    return np.dtype(complex).itemsize * entries + 8 * indices
 
 
 def check_memory(cfg: SuiteConfig) -> None:

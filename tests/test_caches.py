@@ -1,4 +1,4 @@
-"""The memoized phase tables: keys by value, read-only entries, unchanged records."""
+"""The memoized phase and index tables: keys by value, read-only entries, unchanged records."""
 
 import json
 
@@ -14,7 +14,8 @@ from fockdeform.inner import BlaschkeSpec, make_root, merge_flip_sets
 from fockdeform.suites import FLIP_ATOMS, SuiteConfig, run_suite
 
 CACHES = (deformation._kernel_table, deformation._sharp_twist_matrix,
-          chiral._root_cross_matrix, fock._pair_multipliers, chiral._cross_multipliers)
+          chiral._root_cross_matrix, fock._pair_multipliers, chiral._cross_multipliers,
+          fock._tower, chiral._half_ladder)
 
 
 def clear_caches():
@@ -186,6 +187,8 @@ def cached_results(grids, root):
         fock._pair_multipliers: fock._pair_multipliers(gmat.tobytes(), massless.size, 4),
         chiral._cross_multipliers: chiral._cross_multipliers(gmat[q:, :q].tobytes(),
                                                              massless.size - q, q, 4),
+        fock._tower: fock._tower(massless.size, 4).up,
+        chiral._half_ladder: chiral._half_ladder(massless.size - q, q, 4, "-", 1)[1],
     }
 
 
@@ -223,3 +226,35 @@ def test_default_run_is_the_same_with_cold_and_warm_caches(cfg):
         docs.append(json.dumps(doc, sort_keys=True))
         assert all(cache.cache_info().currsize > 0 for cache in CACHES)
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("m, truncation", [(6, 4), (3, 1), (4, 0)])
+def test_sector_tables_are_views_of_the_tower(m, truncation):
+    """No index table is held twice: each sector's fields view the flat arrays,
+    and all of them are read-only."""
+    tower = fock._tower(m, truncation)
+    for arr in tower[1:-1]:
+        assert not arr.flags.writeable
+    for n, tab in enumerate(tower.sectors):
+        rows = slice(tower.start[n], tower.start[n + 1])
+        for field in ("labels", "up", "up_mult", "down", "slot_mult"):
+            view = getattr(tab, field)
+            if view is None:  # no up table out of the top sector
+                assert field.startswith("up") and n == truncation
+                continue
+            flat = getattr(tower, field)
+            assert not view.flags.writeable and view.base is flat
+            assert view.size == 0 or np.shares_memory(view, flat)
+        assert np.array_equal(tab.labels, tower.labels[rows, :n])
+        assert np.all(tower.labels[rows, n:] == m)  # the pad label
+    assert fock._ladder(m, truncation) is tower.sectors
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("step", [-1, 1])
+def test_half_ladder_tables_are_read_only(side, step):
+    tables = chiral._half_ladder(3, 2, 3, side, step)
+    for arr in tables[1:]:  # the gather index and the factor's label rows
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert chiral._half_ladder(3, 2, 3, side, step) is tables

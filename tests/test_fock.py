@@ -141,7 +141,9 @@ def test_coset_step_creation_layout(n, rng):
     src = fock.symmetrize(bounded(rng, (m,) * (n - 1)), WEIGHTS, n - 1)
     kmat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (m, m)))
     xi = bounded(rng, m)
-    out = fock._raise(src, np.sqrt(WEIGHTS) * xi, fock._ladder(m, n)[n], kmat)
+    psi = fock.zero_vector(MomentumGrid(np.arange(1.0, m + 1), WEIGHTS, 0.0), n)
+    psi.sectors[n - 1][:] = src
+    out = fock._create_with_kernel(xi, psi, kmat).sectors[n]
     raw = ref.entrywise(np.multiply.outer(xi, fock.sector_tensor(src, WEIGHTS, n - 1)),
                         lambda idx: math.prod(kmat[idx[0], k] for k in idx[1:]))
     expected = math.sqrt(n) * permutation_average(raw, range(n))

@@ -173,3 +173,137 @@ def test_reference_kernel_is_nontrivial():
     """The deformed cases above compare against a kernel far from 1."""
     kmat = kernel_matrix(KernelSpec(root=root(), mass=0.0), GRID)
     assert np.max(np.abs(kmat - 1.0)) > 0.1
+
+
+# Inputs that the ladders' live-range gather treats differently: the sectors
+# (total degrees on the split tower) holding nonzero coefficients, or a batch
+INPUTS = {"sector0": (0,), "sector1": (1,), "sector2": (2,), "sector3": (3,),
+          "sectors1-2": (1, 2), "batch3": None}
+AMPLITUDES = ("point", "half-line")
+
+
+def live_input(vec_fn, kind):
+    """A random vector supported on the sectors of ``kind``, or a batch of 3."""
+    vec = vec_fn(rng(), 3 if INPUTS[kind] is None else None)
+    if INPUTS[kind] is not None:
+        for n, part in parts(vec):
+            if n not in INPUTS[kind]:
+                part[...] = 0.0
+    return vec
+
+
+def parts(vec):
+    """(total degree, view) of each sector or split-tower component."""
+    if isinstance(vec, fock.FockVector):
+        return enumerate(vec.sectors)
+    return ((a + b, comp) for (a, b), comp in vec.components.items())
+
+
+def columns(vec):
+    return [vec._with(vec.coefficients[:, c]) for c in range(vec.batch_shape[0])] \
+        if vec.batch_shape else [vec]
+
+
+def assert_matches_reference(op, reference, vec):
+    got = op(vec)
+    for col, out in zip(columns(vec), columns(got), strict=True):
+        if isinstance(col, fock.FockVector):
+            expected = ref.packed(GRID, reference(ref.tower(col)))
+            assert worst(out.sectors, expected.sectors) <= TOL
+        else:
+            expected = ref.bipacked(PAIR, N, reference(ref.bitower(col)))
+            assert bi_worst(out.components, expected.components) <= TOL
+
+
+def supported(size, kind):
+    """An amplitude on one grid point (the last), or on the first three points:
+    the negative half-line of GRID, the whole of a half-grid."""
+    out = np.zeros(size, dtype=complex)
+    pick = slice(size - 1, size) if kind == "point" else slice(0, 3)
+    out[pick] = amplitude(size, np.random.default_rng(9))[pick]
+    return out
+
+
+def union_operators(xi):
+    """name -> (operator, reference on the tensors) on the union tower."""
+    spec = KernelSpec(root=root(), mass=0.0)
+    kmat = kernel_matrix(spec, GRID)
+    q = int(np.flatnonzero(xi)[-1])
+    p = float(GRID.points[q])
+    w = GRID.weights
+    return {
+        "annihilate": (lambda v: fock.annihilate(xi, v), lambda t: ref.annihilate(xi, t, w)),
+        "create": (lambda v: fock.create(xi, v), lambda t: ref.create(xi, t)),
+        "annihilate_deformed": (lambda v: annihilate_deformed(spec, xi, v),
+                                lambda t: ref.annihilate(xi, t, w, kmat)),
+        "create_deformed": (lambda v: create_deformed(spec, xi, v),
+                            lambda t: ref.create(xi, t, np.conj(kmat))),
+        "sharp_annihilate": (lambda v: sharp_annihilate(p, v),
+                             lambda t: ref.sharp_annihilate(q, t)),
+        "annihilate_deformed_sharp": (lambda v: annihilate_deformed_sharp(spec, p, v),
+                                      lambda t: ref.sharp_annihilate(q, t, kmat[q])),
+    }
+
+
+def half_operators(g):
+    """name -> (operator, reference on the components) on the split tower."""
+    return {f"{name}{side}": pair for side in "+-" for name, pair in {
+        "annihilate_half": (lambda v, s=side: chiral.annihilate_half(s, g, v),
+                            lambda t, s=side: ref.annihilate_half(s, g, t, PAIR)),
+        "create_half": (lambda v, s=side: chiral.create_half(s, g, v),
+                        lambda t, s=side: ref.create_half(s, g, t)),
+    }.items()}
+
+
+UNION_OPS = tuple(union_operators(supported(6, "point")))
+HALF_OPS = tuple(half_operators(supported(3, "point")))
+
+
+def random_union(generator, count):
+    return fock.random_fock_vector(GRID, N, generator, count)
+
+
+def random_split(generator, count):
+    return chiral.random_bifock(PAIR, N, generator, count)
+
+
+@pytest.mark.parametrize("amp", AMPLITUDES)
+@pytest.mark.parametrize("kind", INPUTS)
+@pytest.mark.parametrize("name", UNION_OPS)
+def test_union_ladders_match_reference_on_live_ranges(name, kind, amp):
+    op, reference = union_operators(supported(6, amp))[name]
+    assert_matches_reference(op, reference, live_input(random_union, kind))
+
+
+@pytest.mark.parametrize("amp", AMPLITUDES)
+@pytest.mark.parametrize("kind", INPUTS)
+@pytest.mark.parametrize("name", HALF_OPS)
+def test_half_ladders_match_reference_on_live_ranges(name, kind, amp):
+    op, reference = half_operators(supported(3, amp))[name]
+    assert_matches_reference(op, reference, live_input(random_split, kind))
+
+
+ALL_OPS = [(union_operators, 6, random_union, name) for name in UNION_OPS] + \
+    [(half_operators, 3, random_split, name) for name in HALF_OPS]
+
+
+@pytest.mark.parametrize("operators, size, draw, name", ALL_OPS,
+                         ids=[case[-1] for case in ALL_OPS])
+def test_ladders_map_zero_to_exact_zero(operators, size, draw, name):
+    op, _ = operators(supported(size, "half-line"))[name]
+    for count in (None, 3):
+        vec = draw(rng(), count)
+        out = op(vec._with(np.zeros_like(vec.coefficients)))
+        assert out.coefficients.shape == vec.coefficients.shape
+        assert np.all(out.coefficients == 0.0)
+
+
+@pytest.mark.parametrize("operators, size, draw, name", ALL_OPS,
+                         ids=[case[-1] for case in ALL_OPS])
+def test_ladders_keep_a_nan_in_its_batch_column(operators, size, draw, name):
+    op, _ = operators(supported(size, "half-line"))[name]
+    vec = draw(rng(), 3)
+    vec.coefficients[-1, 1] = np.nan  # a top-sector (or top-degree) coefficient of column 1
+    vec.coefficients[5, 1] = np.nan
+    out = op(vec).coefficients
+    assert np.all(np.isfinite(out[:, [0, 2]]))

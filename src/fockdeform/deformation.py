@@ -208,6 +208,20 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
     return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
 
 
+def _sharp_twist_each(spec: KernelSpec, variant: SharpTwistVariant, indices,
+                      psi: FockVector, adjoint: bool = False) -> FockVector:
+    """Slice j of psi's first batch axis twisted as by :func:`sharp_momentum_twist` at
+    grid point ``indices[j]``, bit for bit: from the same caches, the adjoint from
+    conj(G), whose multipliers differ in the last bit from conjugated ones of G."""
+    points = psi.grid.points
+    mults = []
+    for i in indices:
+        gmat = _sharp_twist_matrix(spec, variant, float(points[i]), points.tobytes())
+        gmat = np.asarray(np.conj(gmat) if adjoint else gmat, dtype=complex)
+        mults.append(fock._pair_multipliers(gmat.tobytes(), psi.grid.size, psi.truncation))
+    return psi._with(fock._scale(psi.coefficients, np.stack(mults, axis=1)))
+
+
 def _delta(p: float, grid: MomentumGrid) -> np.ndarray:
     """delta_p as an amplitude, e_q / w_q at the index q of p: its weighted
     pairing reads the value at q, so its annihilator is the sharp one."""
@@ -236,3 +250,24 @@ def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> Fo
     """
     return fock._annihilate_with_kernel(_delta(p, psi.grid), psi,
                                         kernel_matrix(spec, psi.grid))
+
+
+def _sharp_annihilate_each(indices, psi: FockVector, spec: KernelSpec | None = None) -> FockVector:
+    """Slice j of psi's first batch axis loses a particle at grid point ``indices[j]``:
+    :func:`sharp_annihilate` there, or with ``spec`` :func:`annihilate_deformed_sharp`,
+    bit for bit.  One gather over the up table of :func:`fock._tower`, column
+    ``indices[j]`` for slice j, times sqrt(m_q(lam + q) / w_q), and prod K(p_j, p_k)."""
+    grid, idx = psi.grid, np.asarray(indices)
+    tower = fock._tower(grid.size, psi.truncation)
+    rows = slice(tower.start[-2])
+    # the amplitude sqrt(w) conj(delta_p) of the unbatched annihilators
+    amp = np.sqrt(grid.weights[idx]) * (1.0 / grid.weights[idx]).astype(complex)
+    coef = np.sqrt(tower.up_mult[rows][:, idx], dtype=float) * amp
+    if spec is not None:
+        kmat = fock._padded(kernel_matrix(spec, grid), 1.0)
+        # each row's slots contiguous, as in the unbatched product, which rounds alike
+        coef = coef * np.prod(kmat[idx[:, None], tower.labels[rows, None, :-1]], axis=-1)
+    out = np.zeros(psi.coefficients.shape, dtype=complex)
+    terms = psi.coefficients[tower.up[rows][:, idx], np.arange(idx.size)]
+    out[rows] = fock._scale(terms, coef, out=terms)
+    return psi._with(out)

@@ -24,6 +24,9 @@ hermiticity and unitarity read the entries back as COO arrays
 (:class:`Entries`) and count every image cell the pattern says must vanish.
 That is (N + 1) * M probe columns instead of D basis columns.
 
+The blocks follow a cached O(D) plan (:func:`_plan`).  Random vectors may ride with
+one block, and P operators of one layout may share the columns over a batch axis.
+
 The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
 :func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
 D x D matrix off identity columns; the tests keep it as the reference.
@@ -67,11 +70,6 @@ class _Basis:
     def block(self, start: int, stop: int):
         """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
         return self._vector(np.eye(len(self), stop - start, -start, dtype=complex))
-
-    def columns(self, vec, cols):
-        """The columns ``cols`` (a slice, index array or mask) of a vector with
-        batch shape (k,), as one batched vector."""
-        return self._vector(self.coefficients(vec)[:, cols])
 
     @property
     def vectors(self) -> list:
@@ -279,33 +277,77 @@ def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: i
     step = max(_BLOCK_ENTRIES // (group * len(basis)), 1)
     for start in range(0, count, step):
         vec = basis.random(rng, group * min(step, count - start))
-        yield tuple(basis.columns(vec, slice(i, None, group)) for i in range(group))
+        yield tuple(basis._vector(basis.coefficients(vec)[:, i::group]) for i in range(group))
 
 
-def probe_image(op, pattern: Pattern, domain, codomain=None) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _plan(m: int, truncation: int, coloured: bool, degrees: tuple, order: bytes,
+          step: int) -> tuple:
+    """Per probe block (:func:`_blocks`, at most ``step`` columns) of the domain whose
+    coefficient j is m-point label ``order[j]``: columns first..last-1 and scatter
+    ``rows``, ``cols``, ``phases``.  First comes a block whose image (its sectors
+    plus ``degrees``) spans the most rows: vectors riding with it add the least."""
+    layout = _layout(m, truncation)
+    column = layout.by_colour if coloured else layout.sector
+    column_sector = np.empty(int(column.max()) + 1, dtype=int)
+    column_sector[column] = layout.sector
+    order = np.frombuffer(order, dtype=np.intp)
+    column, phase = column[order], layout.phase[order]
+    sizes = np.bincount(layout.sector)
+    blocks = []
+    for first, last in _blocks(column_sector, step):
+        rows = np.flatnonzero((column >= first) & (column < last))
+        scatter = (rows, column[rows] - first, phase[rows])
+        for arr in scatter:
+            arr.setflags(write=False)
+        image = {n + d for n in column_sector[first:last].tolist() for d in degrees}
+        span = sum(sizes[n] for n in image if 0 <= n <= truncation)
+        blocks.append((-span, first, last, *scatter))
+    return tuple(block[1:] for block in sorted(blocks, key=lambda block: block[0]))
+
+
+def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | None = None,
+                riders: np.ndarray | None = None):
     """op applied to the pattern's probe columns: shape (D, K), rows in union label order.
 
     Probe column k is the sum of the labels of its sector (and colour) times
     their phases.  ``op`` must be linear and act column by column, as for
     :func:`operator_matrix`; it is applied once per block of at most
-    ``_BLOCK_ENTRIES`` coefficients (see :func:`_blocks`).  Domain and
-    codomain are bases over the same union grid and truncation.
+    ``_BLOCK_ENTRIES`` coefficients, built from the cached :func:`_plan`.
+    Domain and codomain are bases over the same union grid and truncation.
+
+    With ``copies`` = P, op gets each block repeated over a leading batch
+    axis (batch shape (P, k)), so that P operators of one column layout
+    share the columns: the image has shape (D, P, K).  ``riders``, domain
+    coefficients of shape (len(domain), r), go with the plan's first block,
+    and the result is the pair (image, codomain coefficients of op(riders)).
     """
     cod = domain if codomain is None else codomain
-    layout = _layout(domain.union_size, domain.truncation)
-    column = layout.column(pattern)
-    width = int(column.max()) + 1
-    column_sector = np.empty(width, dtype=int)
-    column_sector[column] = layout.sector
-    column, phase = column[domain.union_order], layout.phase[domain.union_order]
-    out = np.empty((len(cod), width), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // max(len(domain), len(cod)))
-    for first, last in _blocks(column_sector, step):
+    lead = () if copies is None else (copies,)
+    step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * (copies or 1)))
+    plan = _plan(domain.union_size, domain.truncation, pattern.coloured, pattern.degrees,
+                 np.asarray(domain.union_order, dtype=np.intp).tobytes(), step)
+    out = np.empty((len(cod),) + lead + (max(block[1] for block in plan),), dtype=complex)
+    for k, (first, last, rows, cols, phases) in enumerate(plan):
         probes = np.zeros((len(domain), last - first), dtype=complex)
-        inside = (column >= first) & (column < last)
-        probes[inside, column[inside] - first] = phase[inside]
-        out[cod.union_order, first:last] = cod.coefficients(op(domain._vector(probes)))
-    return out
+        probes[rows, cols] = phases
+        if copies:
+            probes = np.broadcast_to(probes[:, None], (len(domain), copies, last - first))
+        ride = riders is not None and k == 0
+        if ride:
+            probes = np.concatenate([riders, probes], axis=-1)
+        image = cod.coefficients(op(domain._vector(probes)))
+        if ride:
+            ridden, image = image[..., :riders.shape[-1]], image[..., riders.shape[-1]:]
+        out[cod.union_order, ..., first:last] = image
+    return out if riders is None else (out, ridden)
+
+
+def copy_chunks(count: int, domain) -> list[np.ndarray]:
+    """Slots 0..count-1 in runs of P >= 1 (index arrays) whose copies of the N + 1
+    sector probe columns hold at most ``_BLOCK_ENTRIES`` entries, D * P * (N + 1)."""
+    per = max(1, _BLOCK_ENTRIES // (len(domain) * (domain.truncation + 1)))
+    return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
 
 
 def probe_deviation(op_a, op_b, pattern: Pattern, domain, codomain=None) -> float:
@@ -343,17 +385,21 @@ class Entries(NamedTuple):
         return float(np.max([np.max(defect, initial=0.0), self.residual]))
 
 
-def probe_entries(op, pattern: Pattern, domain, codomain=None) -> Entries:
+def probe_entries(op, pattern: Pattern, domain, codomain=None, *,
+                  copies: int | None = None) -> Entries:
     """The entries of op that ``pattern`` allows, read off its probe image.
 
     Inside the pattern each image cell holds one entry times its column
-    label's phase; every other cell counts toward the residual.
+    label's phase; every other cell counts toward the residual.  With
+    ``copies`` (:func:`probe_image`) the values have shape (E, P).
     """
-    image = probe_image(op, pattern, domain, codomain)
+    image = probe_image(op, pattern, domain, codomain, copies=copies)
+    image = image if copies is None else np.moveaxis(image, 1, -1)
     layout = _layout(domain.union_size, domain.truncation)
     rows, cols = _positions(domain.union_size, domain.truncation, pattern)
     probe = layout.column(pattern)[cols]
-    allowed = np.zeros(image.shape, dtype=bool)
+    allowed = np.zeros(image.shape[:2], dtype=bool)
     allowed[rows, probe] = True
-    return Entries(rows, cols, image[rows, probe] / layout.phase[cols],
+    phase = layout.phase[cols] if copies is None else layout.phase[cols, None]
+    return Entries(rows, cols, image[rows, probe] / phase,
                    float(np.max(np.abs(image[~allowed]), initial=0.0)))

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import chiral, dense, fock
 from .deformation import (KernelSpec, SharpTwistVariant, _kernel_values,
-                          annihilate_deformed, annihilate_deformed_sharp,
+                          _sharp_annihilate_each, _sharp_twist_each, annihilate_deformed,
                           apply_kernel_phases, apply_pair_twist, create_deformed,
                           field_deformed, kernel, sharp_annihilate, sharp_momentum_twist,
                           wedge_invariant)
@@ -676,25 +676,18 @@ def _equivalence(name: str, deformed, twisted, pattern: dense.Pattern, basis: de
     """Compare ``deformed`` with its twist conjugation ``twisted(v, route)`` on
     both routes, "direct" and "split": the one place where the two schemes meet.
 
-    First on 2 * ``n_vectors`` random vectors drawn as batches
-    (:func:`dense.random_batches`), the direct route reading the first
-    ``n_vectors`` and the split route the rest: per batch and route reached,
-    the largest column norm of the difference.  Then each route's deviation
-    over the probe image of ``pattern`` from the deformed one's, built once.
+    Each operator runs once, on the probe columns of ``pattern`` with random vectors
+    riding along (:func:`dense.probe_image`): ``deformed`` on 2 * ``n_vectors``, the
+    direct route on the first ``n_vectors``, the split route on the rest.  Per route:
+    the largest column norm of the difference, and the probe-image deviation.
     """
-    drawn = 0
-    for (probe,) in dense.random_batches(basis, 2 * n_vectors, rng):
-        want = deformed(probe).coefficients
-        in_split = np.arange(drawn, drawn + want.shape[1]) >= n_vectors
-        drawn += want.shape[1]
-        for route, cols in (("direct", ~in_split), ("split", in_split)):
-            if cols.any():
-                got = twisted(basis.columns(probe, cols), route).coefficients
-                yield name, np.max(np.linalg.norm(want[:, cols] - got, axis=0))
-    target = dense.probe_image(deformed, pattern, basis)
-    for route in ("direct", "split"):
-        yield name, dense.matrix_deviation(
-            dense.probe_image(lambda v: twisted(v, route), pattern, basis), target)
+    vectors = basis.coefficients(basis.random(rng, 2 * n_vectors))
+    target, want = dense.probe_image(deformed, pattern, basis, riders=vectors)
+    for route, cols in (("direct", slice(n_vectors)), ("split", slice(n_vectors, None))):
+        image, got = dense.probe_image(lambda v: twisted(v, route), pattern, basis,
+                                       riders=vectors[:, cols])
+        yield name, np.max(np.linalg.norm(want[:, cols] - got, axis=0))
+        yield name, dense.matrix_deviation(image, target)
 
 
 def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -761,45 +754,39 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     roots = cfg.resolve_roots(rng)
     grids = (cfg.massive_grid(), cfg.massless_pair().union)
     bases = [dense.FockBasis(grid, n_top) for grid in grids]
-    conjugation_check = {SharpTwistVariant.PAIRWISE_SUM: "conjugation-pairwise-sum",
-                         SharpTwistVariant.SIGN_SPLIT: "conjugation-sign-split"}
-
-    def conjugation(spec, variant, p):
-        def op(v):
-            out = sharp_momentum_twist(spec, variant, p, v, adjoint=True)
-            out = sharp_annihilate(p, out)
-            return sharp_momentum_twist(spec, variant, p, out)
-        return op
 
     for grid, basis, grid_roots in zip(grids, bases, (roots, roots[:2])):
+        chunks = dense.copy_chunks(grid.size, basis)
         for r in grid_roots:
             spec = KernelSpec(root=r, mass=grid.mass)
-            for idx, p in enumerate(grid.points.tolist()):
-                sharp = dense.removal(idx)
-                m_target = dense.probe_image(
-                    lambda v: annihilate_deformed_sharp(spec, p, v), sharp, basis)
+            for idx in chunks:
+                # slot j removes grid point idx[j]; every removal reads the sector columns
+                sharp, copies = dense.removal(int(idx[0])), len(idx)
+                target = dense.probe_image(lambda v: _sharp_annihilate_each(idx, v, spec),
+                                             sharp, basis, copies=copies)
                 images = []
                 for variant in SharpTwistVariant:
-                    images.append(dense.probe_image(conjugation(spec, variant, p), sharp, basis))
-                    yield conjugation_check[variant], dense.matrix_deviation(images[-1], m_target)
-                    twist = dense.probe_entries(
-                        lambda v: sharp_momentum_twist(spec, variant, p, v), dense.DIAGONAL, basis)
-                    yield "twist-unitary-low-sectors", twist.unitarity_defect()
+                    twist = functools.partial(_sharp_twist_each, spec, variant, idx)
+                    images.append(dense.probe_image(
+                        lambda v: twist(_sharp_annihilate_each(idx, twist(v, adjoint=True))),
+                        sharp, basis, copies=copies))
+                    yield f"conjugation-{variant.value}", dense.matrix_deviation(images[-1], target)
+                    entries = dense.probe_entries(twist, dense.DIAGONAL, basis, copies=copies)
+                    yield "twist-unitary-low-sectors", entries.unitarity_defect()
                 yield "variants-same-adjoint-action", dense.matrix_deviation(*images)
 
     # negative control on the construction itself: a generic control root must
     # separate the two variants even when the configured roots are degenerate
     grid, basis = grids[0], bases[0]
     control = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
-    for p in grid.points:
-        p = float(p)
-        yield "variants-differ-as-operators", dense.probe_deviation(
-            lambda v: sharp_momentum_twist(control, SharpTwistVariant.PAIRWISE_SUM, p, v),
-            lambda v: sharp_momentum_twist(control, SharpTwistVariant.SIGN_SPLIT, p, v),
-            dense.DIAGONAL, basis)
+    for idx in dense.copy_chunks(grid.size, basis):
+        yield "variants-differ-as-operators", dense.matrix_deviation(*(
+            dense.probe_image(functools.partial(_sharp_twist_each, control, variant, idx),
+                              dense.DIAGONAL, basis, copies=len(idx))
+            for variant in SharpTwistVariant))
 
     spec = KernelSpec(root=roots[0], mass=grid.mass)
-    p_ref = float(grid.points[2])
+    p_ref = float(grid.points[min(2, grid.size - 1)])
     vac = fock.vacuum(grid, n_top)
     psi = fock.random_fock_vector(grid, n_top, rng)
     for variant in SharpTwistVariant:
@@ -830,8 +817,9 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     The tower on M grid points (the larger configured grid) has D = binom(M +
     N, N) labels, S = binom(M + N - 1, N - 1) below the top sector, and a
     probe oracle on it 1 + N * M columns (:mod:`dense`).  Counted in complex
-    entries: two copies of one ladder gather over a block of probe columns,
-    D * M * (columns per block); four probe images, D * (1 + N * M); three
+    entries: two copies of one ladder gather over a block of probe columns
+    and the 6 random vectors that may ride with it (:func:`_equivalence`),
+    D * M * (columns per block + 6); four probe images, D * (1 + N * M); three
     copies of one batch of random vectors (:func:`dense.random_batches`), the
     larger of 2 D and ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis
     vectors, D_4^2, and symmetrizer build (:func:`fock._tensor_ranks`), (N +
@@ -853,7 +841,8 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
     multipliers = d * sum(cache.cache_parameters()["maxsize"]
                           for cache in (fock._pair_multipliers, chiral._cross_multipliers))
-    entries = (2 * d * m * per_block + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
+    entries = (2 * d * m * (per_block + 6) + 4 * d * columns
+               + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
     indices = 2 * (2 * d * n + s * m + 2 * (s * (m // 2 + 1) + d * (n + 1)) + 8 * s * m + 6 * d)
     return np.dtype(complex).itemsize * entries + 8 * indices

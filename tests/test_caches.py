@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fockdeform import chiral, deformation, fock
+from fockdeform import chiral, dense, deformation, fock
 from fockdeform.cliconfig import report_to_json
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, apply_pair_twist,
                                     kernel, kernel_matrix, sharp_momentum_twist)
@@ -15,7 +15,7 @@ from fockdeform.suites import FLIP_ATOMS, SuiteConfig, run_suite
 
 CACHES = (deformation._kernel_table, deformation._sharp_twist_matrix,
           chiral._root_cross_matrix, fock._pair_multipliers, chiral._cross_multipliers,
-          fock._tower, chiral._half_ladder)
+          fock._tower, chiral._half_ladder, dense._plan)
 
 
 def clear_caches():
@@ -189,6 +189,8 @@ def cached_results(grids, root):
                                                              massless.size - q, q, 4),
         fock._tower: fock._tower(massless.size, 4).up,
         chiral._half_ladder: chiral._half_ladder(massless.size - q, q, 4, "-", 1)[1],
+        dense._plan: dense._plan(massless.size, 4, True, (-1, 1), chiral._layout(
+            massless.size - q, q, 4).order.tobytes(), 7)[1][2],
     }
 
 
@@ -258,3 +260,26 @@ def test_half_ladder_tables_are_read_only(side, step):
         with pytest.raises(ValueError):
             arr[0] = 0
     assert chiral._half_ladder(3, 2, 3, side, step) is tables
+
+
+@pytest.mark.parametrize("pattern", [dense.DIAGONAL, dense.LOWER, dense.FIELD])
+def test_probe_plan_is_read_only_and_keyed_by_the_block_width(grids, pattern):
+    """The plan holds O(D) scatter indices per block, never a probe block, and
+    puts first a block whose image spans the most rows: for a lowering a block
+    of the top sector, for a field one of sector N - 1, which reaches sector N."""
+    basis = dense.FockBasis(grids[1], 3)
+    order = basis.union_order.tobytes()
+    plan = dense._plan(basis.union_size, 3, pattern.coloured, pattern.degrees, order, 3)
+    width = 1 + 3 * 6 if pattern.coloured else 4
+    ranges = sorted((first, last) for first, last, *_ in plan)
+    assert len(plan) > 1 and ranges[0][0] == 0 and ranges[-1][1] == width
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    for first, last, *arrays in plan:
+        assert all(not arr.flags.writeable and arr.shape == arrays[0].shape for arr in arrays)
+        assert arrays[1].max() < last - first
+    assert sum(arrays[0].size for _, _, *arrays in plan) == len(basis)
+    sector = dense._layout(basis.union_size, 3).sector
+    top = {dense.DIAGONAL: 3, dense.LOWER: 3, dense.FIELD: 2}[pattern]
+    assert set(sector[plan[0][2]]) == {top}
+    assert dense._plan(basis.union_size, 3, pattern.coloured, pattern.degrees, order, 3) is plan
+    assert len(dense._plan(basis.union_size, 3, pattern.coloured, pattern.degrees, order, 84)) == 1

@@ -492,15 +492,16 @@ def test_check_equivalence_keeps_late_nan(pair):
 
     def twisted(v, route):
         calls.append((route, v.batch_shape))
-        if len(calls) > 1:  # the split batch, then blocks of probe columns
+        if route == "split":
             return v
         coefs = v.coefficients.copy()
-        coefs[:, 1] = np.nan  # column 1 of the direct route's random batch
+        coefs[:, 1] = np.nan  # the direct route's second random vector
         return fock.FockVector(v.grid, coefs, v.truncation)
 
     devs = [dev for _, dev in _equivalence("check", lambda v: v, twisted, dense.DIAGONAL,
                                             dense.FockBasis(pair.union, 2),
                                             np.random.default_rng(3))]
-    assert calls[:2] == [("direct", (3,)), ("split", (3,))]
+    # one call per route: its 3 random vectors riding with the 3 sector probe columns
+    assert calls == [("direct", (6,)), ("split", (6,))]
     assert math.isnan(devs[0]) and devs[1:] == [0.0, 0.0, 0.0]
     assert not np.max(devs) <= TOL

@@ -5,8 +5,9 @@ import pytest
 
 import tensor_reference as ref
 from fockdeform import chiral, dense, fock
-from fockdeform.deformation import (KernelSpec, annihilate_deformed, annihilate_deformed_sharp,
-                                    create_deformed, kernel_matrix, sharp_annihilate)
+from fockdeform.deformation import (KernelSpec, _sharp_annihilate_each, annihilate_deformed,
+                                    annihilate_deformed_sharp, create_deformed, kernel_matrix,
+                                    sharp_annihilate)
 from fockdeform.grids import ChiralGridPair, MomentumGrid, boost_blocks, chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke
 
@@ -82,6 +83,51 @@ def test_sharp_annihilators_match_reference(dressed):
             got = sharp_annihilate(float(p), psi)
             expected = ref.sharp_annihilate(q, tensors)
         assert worst(got.sectors, ref.packed(GRID, expected).sectors) <= TOL
+
+
+@pytest.mark.parametrize("grid", [GRID, rapidity_grid(1.0, 5, -1.0, 1.2)],
+                         ids=["unequal-weights", "rapidity"])
+@pytest.mark.parametrize("dressed", [False, True])
+@pytest.mark.parametrize("inputs", ["one-sector", "batch"])
+def test_batched_sharp_annihilator_slices(grid, dressed, inputs):
+    """Slice j of the batched sharp annihilator is the unbatched one at p_j, bit
+    for bit, and the tensor reference's up to rounding; slots may repeat a point."""
+    r = rng()
+    spec = KernelSpec(root=root(), mass=grid.mass)
+    psi = fock.random_fock_vector(grid, N, r, 2)
+    if inputs == "one-sector":
+        start = fock._offsets(grid.size, N)
+        coefs = np.zeros(start[-1], dtype=complex)
+        coefs[start[2]:start[3]] = 1.0 - 0.5j  # sector 2 alone
+        psi = fock.FockVector(grid, coefs, N)
+    idx = np.array([grid.size - 1, 0, 2, 2])
+    stacked = np.stack([psi.coefficients] * idx.size, axis=1)
+    got = _sharp_annihilate_each(idx, fock.FockVector(grid, stacked, N), spec if dressed else None)
+    columns = [psi] if inputs == "one-sector" else [
+        fock.FockVector(grid, psi.coefficients[:, k], N) for k in range(2)]
+    for j, q in enumerate(idx):
+        p = float(grid.points[q])
+        want = annihilate_deformed_sharp(spec, p, psi) if dressed else sharp_annihilate(p, psi)
+        assert np.array_equal(got.coefficients[:, j], want.coefficients)
+        row = kernel_matrix(spec, grid)[q] if dressed else None
+        for k, column in enumerate(columns):
+            expected = ref.packed(grid, ref.sharp_annihilate(q, ref.tower(column), row))
+            slot = got.coefficients[:, j] if inputs == "one-sector" else got.coefficients[:, j, k]
+            assert np.max(np.abs(slot - expected.coefficients)) <= TOL
+
+
+@pytest.mark.parametrize("dressed", [False, True])
+def test_batched_sharp_annihilator_zeros_and_nan(dressed):
+    spec = KernelSpec(root=root(), mass=GRID.mass) if dressed else None
+    idx = np.arange(GRID.size)
+    dim = fock._offsets(GRID.size, N)[-1]
+    zero = _sharp_annihilate_each(idx, fock.FockVector(GRID, np.zeros((dim, 6, 3)), N), spec)
+    assert np.all(zero.coefficients == 0.0)
+    coefs = np.stack([fock.random_fock_vector(GRID, N, rng()).coefficients] * 6, axis=1)
+    coefs[:, 3] = np.nan
+    out = _sharp_annihilate_each(idx, fock.FockVector(GRID, coefs, N), spec).coefficients
+    assert np.all(np.isfinite(np.delete(out, 3, axis=1)))
+    assert np.isnan(out[: fock._offsets(GRID.size, N)[-2], 3]).all()
 
 
 def test_pair_phases_match_reference():

@@ -13,6 +13,7 @@ from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_de
                                     sharp_momentum_twist)
 from fockdeform.grids import ChiralGridPair, MomentumGrid, chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke, trivial_root
+from fockdeform.suites import SuiteConfig, run_suite
 
 N = 4
 EPS = 1e-9
@@ -355,3 +356,24 @@ def test_probe_image_does_not_depend_on_the_blocks(name, monkeypatch):
     whole = dense.probe_image(op_a, pattern, domain, codomain)
     monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * len(domain))
     assert np.array_equal(dense.probe_image(op_a, pattern, domain, codomain), whole)
+
+
+@pytest.mark.parametrize("columns", [5, 3])
+@pytest.mark.parametrize("suite", ["main_relation", "field_equivalence", "sharp"])
+def test_batched_checks_do_not_depend_on_the_blocks(suite, columns, monkeypatch):
+    """Budgets of 5 and 3 columns of the default D = 84 tower: the random vectors
+    of an equivalence check ride with one of several probe blocks, and the sharp
+    suite takes its momenta one per chunk, in several blocks at 3.  The records
+    are the same."""
+    cfg = SuiteConfig(suites=(suite,))
+    whole = run_suite(cfg).records
+    basis = dense.FockBasis(cfg.massless_pair().union, cfg.truncation)
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", columns * len(basis))
+    assert len(dense.copy_chunks(basis.union_size, basis)) == basis.union_size
+
+    def blocks(pattern):
+        return len(dense._plan(basis.union_size, basis.truncation, pattern.coloured,
+                               pattern.degrees, basis.union_order.tobytes(), columns))
+
+    assert blocks(dense.LOWER) > 1 and blocks(dense.DIAGONAL) == (1 if columns > 3 else 2)
+    assert run_suite(cfg).records == whole

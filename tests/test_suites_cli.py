@@ -284,6 +284,15 @@ def test_cli_mismatched_ratio_roots_fail_exit_1(tmp_path, capsys):
     assert any(c["check"] == "ratio-classifies-same-square" for c in failed)
 
 
+def test_cli_two_point_massive_grid_exit_0(tmp_path, capsys):
+    """The smallest massive grid that validation admits runs every suite: the
+    sharp suite's low-sector twist reads a momentum of the grid."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"massive_grid": {"size": 2}}))
+    assert cli.main(["--config", str(cfg_path)]) == 0
+    assert "PASS: 51/51" in capsys.readouterr().out
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"unknown_key": True}))

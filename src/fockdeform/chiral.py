@@ -8,15 +8,16 @@ is the second quantization of the one-particle identification of the two
 half-lines with the union grid, so it maps occupation-number basis vectors
 to occupation-number basis vectors: the pair of multisets (kappa_+, kappa_-)
 goes to their union, with coefficient 1, so merge and split are one gather
-each through the permutation of :func:`_layout`.  The one-factor ladders are
-one gather each too, over tables built from the half-line towers and the
-component offsets, not through that permutation, so the split route stays an
-independent check of the union one.  The cross twist multiplies each
-(positive, negative) momentum pair by a root kernel R(-p q); conjugating it
-through the merge gives a sector-diagonal twist on the union tower.  These
-two twists implement the same deformation of the annihilators and fields as
-:mod:`deformation`.  This module never imports that one: the two schemes meet
-only in :mod:`suites`, whose ``_equivalence`` compares them.
+each through the permutation of :func:`_layout`, which also holds each
+coefficient's row in both half-line towers.  Multipliers and one-factor
+ladders on the split tower gather over those rows, never the permutation, so
+the split route stays an independent check of the union one.  The cross
+twist multiplies each (positive, negative) momentum pair by a root kernel
+R(-p q); conjugating it through the merge gives a sector-diagonal twist on
+the union tower.  These two twists implement the same deformation of the
+annihilators and fields as :mod:`deformation`.  This module never imports
+that one: the two schemes meet only in :mod:`suites`, whose ``_equivalence``
+compares them.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ class _Layout(NamedTuple):
     Component k = (a, b) of :func:`_component_keys` is ``coefficients[start[k]:
     start[k+1]]`` raveled row-major from ``shapes[k]`` = (D_a(P), D_b(Q)): rows
     are the multisets of a positive-half indices, columns those of b
-    negative-half indices.  Coefficient j is label ``order[j]`` of the tower
-    over the P + Q union points, whose coefficient u is ``merge[u]`` here.
+    negative-half indices.  Coefficient j is the label pair of rows
+    ``pos_row[j]`` and ``neg_row[j]`` of the two factors' :func:`fock._tower`,
+    and label ``order[j]`` of the tower over the P + Q union points, whose
+    coefficient u is ``merge[u]`` here.
     """
 
     start: tuple
     shapes: tuple
+    pos_row: np.ndarray
+    neg_row: np.ndarray
     order: np.ndarray
     merge: np.ndarray
 
@@ -58,18 +63,22 @@ class _Layout(NamedTuple):
 def _layout(n_positive: int, n_negative: int, truncation: int) -> _Layout:
     """Built once per (P, Q, N).  Union indices below ``n_negative`` are the
     negative half-line, so the union of (kappa_+, kappa_-) is kappa_- followed
-    by kappa_+ + n_negative, already sorted."""
-    pos, neg, union = (fock._ladder(size, truncation)
-                       for size in (n_positive, n_negative, n_positive + n_negative))
-    start = fock._offsets(n_positive + n_negative, truncation)
-    keys = _component_keys(truncation)
-    shapes = tuple((len(pos[a].labels), len(neg[b].labels)) for a, b in keys)
-    order = np.concatenate([start[a + b] + union[a + b].index(np.concatenate(
-        [np.broadcast_to(neg[b].labels[None, :, :], (rows, cols, b)),
-         np.broadcast_to(pos[a].labels[:, None, :] + n_negative, (rows, cols, a))],
-        axis=2)).ravel() for (a, b), (rows, cols) in zip(keys, shapes)])
-    out = _Layout(tuple(itertools.accumulate((rows * cols for rows, cols in shapes), initial=0)),
-                  shapes, order, np.argsort(order))
+    by kappa_+ + n_negative, and the pads (label P + Q) sort last."""
+    pos, neg = fock._tower(n_positive, truncation), fock._tower(n_negative, truncation)
+    a, b = np.array(_component_keys(truncation)).T
+    rows, cols = np.diff(pos.start)[a], np.diff(neg.start)[b]
+    start = tuple(itertools.accumulate((rows * cols).tolist(), initial=0))
+    k = np.repeat(np.arange(len(a)), rows * cols)  # each coefficient's component
+    place = np.arange(start[-1]) - np.array(start)[k]  # row-major within it
+    pos_row = np.array(pos.start)[a[k]] + place // cols[k]
+    neg_row = np.array(neg.start)[b[k]] + place % cols[k]
+    pad = n_positive + n_negative
+    neg_labels = neg.labels[neg_row]
+    union = np.sort(np.concatenate([np.where(neg_labels < n_negative, neg_labels, pad),
+                                    pos.labels[pos_row] + n_negative], axis=1), axis=1)
+    order = fock._tower(pad, truncation).index(union[:, :truncation])
+    out = _Layout(start, tuple(zip(rows.tolist(), cols.tolist())), pos_row, neg_row, order,
+                  np.argsort(order))
     for arr in out[2:]:
         arr.setflags(write=False)
     return out
@@ -129,10 +138,9 @@ bifock_inner, bifock_norm = fock.inner, fock.norm
 def _outer_products(pair: ChiralGridPair, pos_vec, neg_vec, truncation: int) -> np.ndarray:
     """prod_i pos_vec[k_i] prod_j neg_vec[l_j] per label pair (kappa_+, kappa_-),
     in coefficient order: a one-body multiplier of each factor."""
-    pos, neg = fock._ladder(pair.n_positive, truncation), fock._ladder(pair.n_negative, truncation)
-    return np.concatenate([np.multiply.outer(fock._slot_product(pos_vec, pos[a].labels),
-                                             fock._slot_product(neg_vec, neg[b].labels)).ravel()
-                           for a, b in _component_keys(truncation)])
+    layout = _layout(pair.n_positive, pair.n_negative, truncation)
+    return (fock._slot_products(pos_vec, truncation)[layout.pos_row]
+            * fock._slot_products(neg_vec, truncation)[layout.neg_row])
 
 
 def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generator,
@@ -159,8 +167,8 @@ def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
                           truncation)
     neg = fock._monomials(np.sqrt(pair.negative_weights) * np.asarray(phi_neg, dtype=complex),
                           truncation)
-    return BiFockVector(pair, truncation, np.concatenate(
-        [np.multiply.outer(pos[a], neg[b]).ravel() for (a, b) in _component_keys(truncation)]))
+    layout = _layout(pair.n_positive, pair.n_negative, truncation)
+    return BiFockVector(pair, truncation, pos[layout.pos_row] * neg[layout.neg_row])
 
 
 def annihilate_half(side: str, g, xi: BiFockVector) -> BiFockVector:
@@ -177,35 +185,28 @@ def create_half(side: str, g, xi: BiFockVector) -> BiFockVector:
 def _half_ladder(n_positive: int, n_negative: int, truncation: int, side: str, step: int):
     """The ``split`` tables (start, index, label_rows) of :func:`fock._ladder_step`
     for the ladder of ``step`` on the ``side`` factor, built once per (P, Q,
-    N, side, step) from that factor's :func:`fock._tower` and the offsets of
-    :func:`_layout`, never through the merge; read-only.  Component (a, b)
-    reads (a - step, b) on '+', (a, b - step) on '-', and the components of
-    total degree n fill the slice of sector n of the union tower."""
+    N, side, step) from the factors' :func:`fock._tower` and the rows of
+    :func:`_layout`, never through the merge; read-only.  The label rows are
+    ``pos_row`` or ``neg_row``, and the pair (kappa_+, kappa_-) reads the pair
+    with that factor's label moved by its up or down table.  Lowering reads
+    no coefficient of degree N + 1, so it covers the prefix below union
+    sector N."""
     layout = _layout(n_positive, n_negative, truncation)
-    keys = _component_keys(truncation)
-    plus = side == "+"
-    factor = fock._tower(n_positive if plus else n_negative, truncation)
-    table = factor.up if step < 0 else factor.down
-    index, label_rows = [], []
-    # lowering reads no component from degree N + 1: it skips the N + 1 of degree N
-    for k, (a, b) in enumerate(keys[:-truncation - 1] if step < 0 else keys):
-        n = a if plus else b
-        src = keys.index((a - step, b) if plus else (a, b - step)) if n >= step else k
-        first, src_cols = layout.start[src], layout.shapes[src][1]
-        rows, cols = layout.shapes[k]
-        labels = np.arange(factor.start[n], factor.start[n + 1])
-        # each slot's label as a row ('+') or column ('-') of the source component
-        moved = table[labels] - factor.start[max(n - step, 0)]
-        pos = (first + moved[:, None, :] * src_cols + np.arange(cols)[:, None] if plus
-               else first + np.arange(rows)[:, None, None] * src_cols + moved)
-        pos = np.where(np.arange(pos.shape[-1]) < n, pos, 0) if step > 0 else pos
-        index.append(pos.reshape(rows * cols, -1))
-        label_rows.append(np.repeat(labels, cols) if plus else np.tile(labels, rows))
-    out = (fock._offsets(n_positive + n_negative, truncation), np.concatenate(index),
-           np.concatenate(label_rows))
-    for arr in out[1:]:
-        arr.setflags(write=False)
-    return out
+    pos, neg = fock._tower(n_positive, truncation), fock._tower(n_negative, truncation)
+    start = fock._offsets(n_positive + n_negative, truncation)
+    rows = slice(start[-2] if step < 0 else start[-1])
+    pos_row, neg_row = layout.pos_row[rows], layout.neg_row[rows]
+    factor, label_rows = (pos, pos_row) if side == "+" else (neg, neg_row)
+    moved = (factor.up if step < 0 else factor.down)[label_rows]
+    r, s = (moved, neg_row[:, None]) if side == "+" else (pos_row[:, None], moved)
+    # the coefficient of the pair in rows (r, s), in component n (n + 1) / 2 + a, n = a + b
+    a, b = pos.sector[r], neg.sector[s]
+    index = (np.array(layout.start[:-1])[(a + b) * (a + b + 1) // 2 + a]
+             + (r - np.array(pos.start)[a]) * np.diff(neg.start)[b] + s - np.array(neg.start)[b])
+    if step > 0:  # a pad slot reads coefficient 0
+        index = np.where(factor.labels[label_rows] < factor.m, index, 0)
+    index.setflags(write=False)
+    return start, index, label_rows
 
 
 def _one_factor(side: str, g, xi: BiFockVector, step: int) -> BiFockVector:
@@ -268,11 +269,15 @@ def _cross_multipliers(cmat: bytes, n_positive: int, n_negative: int,
     """prod_{i,j} cmat[p_i, q_j] per label pair (kappa_+, kappa_-), in
     coefficient order and read-only; ``cmat`` is the complex P x Q matrix as
     bytes."""
-    c = np.frombuffer(cmat, dtype=complex).reshape(n_positive, n_negative)
-    pos, neg = fock._ladder(n_positive, truncation), fock._ladder(n_negative, truncation)
-    out = np.concatenate([np.prod(c[pos[a].labels[:, None, :, None],
-                                    neg[b].labels[None, :, None, :]], axis=(2, 3)).ravel()
-                          for a, b in _component_keys(truncation)])
+    c = fock._padded(np.frombuffer(cmat, dtype=complex).reshape(n_positive, n_negative), 1.0)
+    layout = _layout(n_positive, n_negative, truncation)
+    pos, neg = fock._tower(n_positive, truncation), fock._tower(n_negative, truncation)
+    # a b <= floor(N/2) ceil(N/2) cross pairs per label pair, pair t at slots (t // b, t % b)
+    # (row-major, as the product over the a x b block rounds); the rest read the pad's 1
+    i, j = np.divmod(np.arange(truncation // 2 * (truncation - truncation // 2)),
+                     np.maximum(neg.sector[layout.neg_row, None], 1))
+    out = np.prod(c[pos.labels[layout.pos_row[:, None], np.minimum(i, truncation - 1)],
+                    neg.labels[layout.neg_row[:, None], j]], axis=1)
     out.setflags(write=False)
     return out
 

@@ -77,6 +77,12 @@ class _Basis:
         return [self._vector(column) for column in np.eye(len(self), dtype=complex)]
 
 
+def _multisets(m: int, truncation: int) -> list[tuple[int, ...]]:
+    """The label of each row of :func:`fock._tower`, without its pads."""
+    tower = fock._tower(m, truncation)
+    return [tuple(row[:n]) for row, n in zip(tower.labels.tolist(), tower.sector.tolist())]
+
+
 class FockBasis(_Basis):
     """Orthonormal basis of the truncated tower, labelled by index multisets.
 
@@ -91,8 +97,7 @@ class FockBasis(_Basis):
 
     @functools.cached_property
     def labels(self) -> list[tuple[int, tuple[int, ...]]]:
-        tables = fock._ladder(self.grid.size, self.truncation)
-        return [(n, tuple(kappa)) for n, tab in enumerate(tables) for kappa in tab.labels.tolist()]
+        return [(len(kappa), kappa) for kappa in _multisets(self.grid.size, self.truncation)]
 
     def _vector(self, flat: np.ndarray) -> FockVector:
         return FockVector(self.grid, flat, self.truncation)
@@ -119,10 +124,10 @@ class BiFockBasis(_Basis):
 
     @functools.cached_property
     def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        pos = fock._ladder(self.pair.n_positive, self.truncation)
-        neg = fock._ladder(self.pair.n_negative, self.truncation)
-        return [(tuple(kpos), tuple(kneg)) for (a, b) in chiral._component_keys(self.truncation)
-                for kpos in pos[a].labels.tolist() for kneg in neg[b].labels.tolist()]
+        pos = _multisets(self.pair.n_positive, self.truncation)
+        neg = _multisets(self.pair.n_negative, self.truncation)
+        layout = chiral._layout(self.pair.n_positive, self.pair.n_negative, self.truncation)
+        return [(pos[r], neg[s]) for r, s in zip(layout.pos_row.tolist(), layout.neg_row.tolist())]
 
     def _vector(self, flat: np.ndarray) -> BiFockVector:
         return BiFockVector(self.pair, self.truncation, flat)
@@ -218,12 +223,12 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _layout(m: int, truncation: int) -> _Layout:
-    sector = np.repeat(np.arange(truncation + 1), np.diff(fock._offsets(m, truncation)))
-    colour = np.concatenate([tab.labels.sum(axis=1) % m for tab in fock._ladder(m, truncation)])
-    by_colour = np.unique(sector * m + colour, return_inverse=True)[1].reshape(-1)
+    tower = fock._tower(m, truncation)
+    colour = tower.labels.sum(axis=1) % m  # the pad label m adds nothing mod m
+    by_colour = np.unique(tower.sector * m + colour, return_inverse=True)[1].reshape(-1)
     # fixed phases, seeded by the basis alone
-    phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(sector.size))
-    out = _Layout(sector, by_colour, phase)
+    phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(len(colour)))
+    out = _Layout(tower.sector, by_colour, phase)
     for arr in out:
         arr.setflags(write=False)
     return out

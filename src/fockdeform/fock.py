@@ -9,12 +9,13 @@ measure dp/omega_m(p)).  A state stores its coefficients over these bases in
 one array, sector after sector (offsets from :func:`_offsets`), so sector n
 has D_n = binom(M + n - 1, n) entries, inner products and diagonal
 multipliers are single array operations, and each ladder operator is one
-gather over the whole array through index tables built once per (M, N)
-(:func:`_tower`).  Operators act exactly as their untruncated
-counterparts on sectors below the truncation: annihilation reads the
-(vanishing) sector N+1 as zero, and creation out of the top sector is
-dropped.  All values are treated as immutable; every operation returns a
-fresh vector.
+gather over the whole array.  The layout is held once per (M, N), as flat
+tables with one row per label in coefficient order and the slots padded to
+N (:func:`_tower`), so no operation loops over sectors.  Operators act
+exactly as their untruncated counterparts on sectors below the truncation:
+annihilation reads the (vanishing) sector N+1 as zero, and creation out of
+the top sector is dropped.  All values are treated as immutable; every
+operation returns a fresh vector.
 """
 
 from __future__ import annotations
@@ -30,61 +31,49 @@ import numpy as np
 from .grids import MomentumGrid, boost_blocks
 
 
-@functools.lru_cache(maxsize=256)
-def _dim(m: int, n: int) -> int:
-    """Number of n-element multisets over m grid points."""
-    return math.comb(m + n - 1, n)
-
-
 def _codes(labels: np.ndarray, m: int) -> np.ndarray:
-    """Base-m value of each sorted label (last axis); ascending in lexicographic order."""
+    """Sector, then base-(m + 1) value of each label (last axis) padded by label
+    m: ascending in coefficient order over all sectors."""
     n = labels.shape[-1]
-    return labels @ (m ** np.arange(n - 1, -1, -1, dtype=np.int64))
-
-
-class _Sector(NamedTuple):
-    """Index tables of sector n over an m-point grid, views of its rows of :func:`_tower`.
-
-    ``labels[j]`` is basis label j and ``mfact[j]`` is prod_q m_q! over its
-    multiplicities.  ``up[j, q]`` is the coefficient index of labels[j] + q and
-    ``up_mult[j, q]`` the multiplicity of q there (both None in the top sector).
-    ``down[j, i]`` is the coefficient index of labels[j] with slot i removed,
-    and ``slot_mult[j, i]`` the multiplicity of labels[j, i] in labels[j].
-    """
-
-    m: int
-    labels: np.ndarray
-    codes: np.ndarray
-    mfact: np.ndarray
-    up: np.ndarray | None
-    up_mult: np.ndarray | None
-    down: np.ndarray
-    slot_mult: np.ndarray
-
-    def index(self, labels: np.ndarray) -> np.ndarray:
-        """Position of each sorted label (last axis) in this sector."""
-        return np.searchsorted(self.codes, _codes(labels, self.m))
+    digits = (m + 1) ** np.arange(n, -1, -1, dtype=np.int64)
+    return np.sum(labels < m, axis=-1) * digits[0] + labels @ digits[1:]
 
 
 @functools.lru_cache(maxsize=32)
 def _offsets(m: int, truncation: int) -> tuple[int, ...]:
-    """Where each sector 0..truncation starts in the coefficients, then their length D."""
-    return tuple(itertools.accumulate((_dim(m, n) for n in range(truncation + 1)), initial=0))
+    """Where each sector 0..truncation starts in the coefficients, then their length D;
+    sector n holds the binom(m + n - 1, n) multisets of n of the m grid points."""
+    return tuple(itertools.accumulate((math.comb(m + n - 1, n) for n in range(truncation + 1)),
+                                      initial=0))
 
 
 class _Tower(NamedTuple):
-    """The fields of :class:`_Sector` for sectors 0..N over an m-point grid, one
-    row per label in coefficient order (``up`` and ``up_mult``: below N), with
-    the slots padded to N by label m, index 0 and multiplicity 1; ``start``
-    is :func:`_offsets` and ``sectors[n]`` views the rows of sector n."""
+    """Index tables of sectors 0..N over an m-point grid, one row per label in
+    coefficient order, its slots padded to N by label m; ``start`` is
+    :func:`_offsets`.
 
+    ``labels[j]`` is basis label j, ``sector[j]`` its size n, ``codes[j]`` its
+    :func:`_codes` and ``mfact[j]`` prod_q m_q! over its multiplicities.  Below
+    the top sector, ``up[j, q]`` is the coefficient index of labels[j] + q and
+    ``up_mult[j, q]`` the multiplicity of q there.  ``down[j, i]`` is the
+    coefficient index of labels[j] with slot i removed and ``slot_mult[j, i]``
+    the multiplicity of labels[j, i] in labels[j]: 0 and 1 on a pad slot.
+    """
+
+    m: int
     start: tuple
     labels: np.ndarray
+    sector: np.ndarray
+    codes: np.ndarray
+    mfact: np.ndarray
     up: np.ndarray
     up_mult: np.ndarray
     down: np.ndarray
     slot_mult: np.ndarray
-    sectors: tuple
+
+    def index(self, labels: np.ndarray) -> np.ndarray:
+        """Coefficient index of each sorted label (last axis, padded to N by label m)."""
+        return np.searchsorted(self.codes, _codes(labels, self.m))
 
 
 @functools.lru_cache(maxsize=32)
@@ -93,45 +82,38 @@ def _tower(m: int, truncation: int) -> _Tower:
     kappa less slot i is lam, so lam + k_i is kappa, where k_i has multiplicity m_{k_i}."""
     start = _offsets(m, truncation)
     labels = np.full((start[-1], truncation), m, dtype=np.intp)
-    down = np.zeros(labels.shape, dtype=np.intp)
-    slot_mult = np.ones(labels.shape, dtype=np.min_scalar_type(truncation + 1))
-    rows = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
-    fact = np.array([math.factorial(k) for k in range(truncation + 1)], dtype=float)
-    codes, mfact = [], []
-    for n, r in enumerate(rows):
-        lab = labels[r, :n]
-        lab[...] = np.array(list(itertools.combinations_with_replacement(range(m), n)),
-                            dtype=np.intp).reshape(_dim(m, n), n)
-        codes.append(_codes(lab, m))
-        counts = (lab[:, :, None] == np.arange(m)).sum(axis=1)
-        if n > 0:
-            shrunk = np.stack([np.delete(lab, i, axis=1) for i in range(n)], axis=1)
-            down[r, :n] = start[n - 1] + np.searchsorted(codes[n - 1], _codes(shrunk, m))
-        slot_mult[r, :n] = np.take_along_axis(counts, lab, axis=1)
-        mfact.append(np.prod(fact[counts], axis=1))
+    for n in range(1, truncation + 1):
+        labels[start[n]:start[n + 1], :n] = list(
+            itertools.combinations_with_replacement(range(m), n))
+    codes = _codes(labels, m)
     slots = labels < m
+    # counts[j, q]: the multiplicity of q in labels[j], with the pads at q = m
+    counts = np.bincount((np.arange(start[-1])[:, None] * (m + 1) + labels).ravel(),
+                         minlength=start[-1] * (m + 1)).reshape(start[-1], m + 1)
+    slot_mult = np.where(slots, np.take_along_axis(counts, labels, axis=1), 1).astype(
+        np.min_scalar_type(truncation + 1))
+    fact = np.array([math.factorial(k) for k in range(truncation + 1)], dtype=float)
+    mfact = np.prod(fact[counts[:, :m]], axis=1)
+    down = np.zeros(labels.shape, dtype=np.intp)
+    for i in range(truncation):
+        shrunk = np.pad(np.delete(labels, i, axis=1), ((0, 0), (0, 1)), constant_values=m)
+        down[slots[:, i], i] = np.searchsorted(codes, _codes(shrunk[slots[:, i]], m))
     up = np.empty((start[-2], m), dtype=np.intp)
     up[down[slots], labels[slots]] = np.nonzero(slots)[0]
     up_mult = np.empty(up.shape, dtype=slot_mult.dtype)
     up_mult[down[slots], labels[slots]] = slot_mult[slots]
-    for arr in (labels, up, up_mult, down, slot_mult, *codes, *mfact):
+    sector = np.repeat(np.arange(truncation + 1), np.diff(start))
+    out = _Tower(m, start, labels, sector, codes, mfact, up, up_mult, down, slot_mult)
+    for arr in out[2:]:
         arr.setflags(write=False)
-    sectors = tuple(_Sector(m, labels[r, :n], codes[n], mfact[n],
-                            *((up[r], up_mult[r]) if n < truncation else (None, None)),
-                            down[r, :n], slot_mult[r, :n]) for n, r in enumerate(rows))
-    return _Tower(start, labels, up, up_mult, down, slot_mult, sectors)
-
-
-def _ladder(m: int, truncation: int) -> tuple[_Sector, ...]:
-    """The index tables of sectors 0..truncation over an m-point grid."""
-    return _tower(m, truncation).sectors
+    return out
 
 
 @functools.lru_cache(maxsize=16)
 def _tensor_ranks(m: int, n: int) -> np.ndarray:
     """Index in sector n of the sorted multi-index of each (raveled) tensor entry."""
     digits = np.sort(np.indices((m,) * n).reshape(n, m ** n).T, axis=1)
-    ranks = _ladder(m, n)[n].index(digits)
+    ranks = _tower(m, n).index(digits) - _offsets(m, n)[n]
     ranks.setflags(write=False)
     return ranks
 
@@ -142,9 +124,9 @@ def _scale(arr: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> n
 
 
 def _padded(arr: np.ndarray, fill: complex) -> np.ndarray:
-    """``arr`` (a vector or square matrix) with ``fill`` at the pad label m."""
-    out = np.full((len(arr) + 1,) * arr.ndim, fill, dtype=arr.dtype)
-    out[(slice(len(arr)),) * arr.ndim] = arr
+    """``arr`` (a vector or matrix) with ``fill`` at the pad label of each axis."""
+    out = np.full(tuple(size + 1 for size in arr.shape), fill, dtype=arr.dtype)
+    out[tuple(slice(size) for size in arr.shape)] = arr
     return out
 
 
@@ -159,9 +141,12 @@ def _slot_products(vec: np.ndarray, truncation: int) -> np.ndarray:
     return _slot_product(_padded(vec, 1.0), _tower(vec.size, truncation).labels)
 
 
-def _norms(weights: np.ndarray, tab: _Sector, n: int) -> np.ndarray:
-    """|kappa| for every label of sector n."""
-    return np.sqrt(math.factorial(n) / tab.mfact * _slot_product(weights, tab.labels))
+def _norms(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|kappa| and prod_q m_q! for every label of sector n, the top rows of its tower."""
+    tower = _tower(weights.size, n)
+    top = slice(tower.start[n], None)
+    mfact = tower.mfact[top]
+    return np.sqrt(math.factorial(n) / mfact * _slot_product(weights, tower.labels[top])), mfact
 
 
 def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
@@ -334,11 +319,11 @@ def symmetrize(tensor: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     # np.add.at is fast only on 1-D operands: fold the batch into the index,
     # which keeps each column's sum in the order of its rearrangements
     index = ranks if batch == 1 else (ranks[:, None] * batch + np.arange(batch)).reshape(-1)
-    sums = np.zeros(_dim(m, n) * batch, dtype=complex)
+    norms, mfact = _norms(weights, n)
+    sums = np.zeros(len(norms) * batch, dtype=complex)
     np.add.at(sums, index, t.reshape(-1))
-    sums = sums.reshape((_dim(m, n),) + t.shape[n:])
-    tab = _ladder(m, n)[n]
-    return _scale(sums, _norms(weights, tab, n) * tab.mfact / math.factorial(n))
+    sums = sums.reshape((len(norms),) + t.shape[n:])
+    return _scale(sums, norms * mfact / math.factorial(n))
 
 
 def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -347,7 +332,7 @@ def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray
     :func:`symmetrize` inverts it.
     """
     m = weights.size
-    values = _scale(sector, 1.0 / _norms(weights, _ladder(m, n)[n], n))
+    values = _scale(sector, 1.0 / _norms(weights, n)[0])
     return values[_tensor_ranks(m, n)].reshape((m,) * n + sector.shape[1:])
 
 
@@ -414,20 +399,19 @@ def create(xi, psi: FockVector) -> FockVector:
     return _create_with_kernel(xi, psi, None)
 
 
-def _monomials(amp: np.ndarray, truncation: int) -> list[np.ndarray]:
+def _monomials(amp: np.ndarray, truncation: int) -> np.ndarray:
     """Coefficients of amp^(x n) / sqrt(n!) for amp = sqrt(w) xi, sectors 0..truncation.
 
     Label kappa of sector n has |kappa| prod_i xi_{k_i} / sqrt(n!) =
     prod_i amp_{k_i} / sqrt(prod_q m_q!).
     """
-    return [_slot_product(amp, tab.labels) / np.sqrt(tab.mfact)
-            for tab in _ladder(amp.size, truncation)]
+    return _slot_products(amp, truncation) / np.sqrt(_tower(amp.size, truncation).mfact)
 
 
 def exponential_vector(grid: MomentumGrid, xi, truncation: int) -> FockVector:
     """Truncated coherent-style vector with sector n = xi^(x n) / sqrt(n!)."""
     amp = np.sqrt(grid.weights) * np.asarray(xi, dtype=complex)
-    return FockVector(grid, np.concatenate(_monomials(amp, truncation)), truncation)
+    return FockVector(grid, _monomials(amp, truncation), truncation)
 
 
 @dataclass(frozen=True)
@@ -501,18 +485,17 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     whose target leaves the grid is dropped and flagged.
     """
     grid = psi.grid
-    target = np.full(grid.size, -1)  # the slot each slot moves to, -1 off the grid
+    target = np.append(np.full(grid.size, -1), grid.size)  # each slot's, -1 off the grid
     for s, e in boost_blocks(grid):
         moving = np.arange(max(s, s + shift), min(e, e + shift))
         target[moving] = moving - shift
-    truncated = False
-    out = psi._with(np.zeros_like(psi.coefficients))
-    for tab, src, dst in zip(_ladder(grid.size, psi.truncation), psi.sectors, out.sectors):
-        moved = target[tab.labels]  # still sorted: the shift keeps the order
-        kept = np.all(moved >= 0, axis=1)
-        truncated = truncated or bool(np.any(src[~kept] != 0))
-        dst[tab.index(moved[kept])] = src[kept]
-    return BoostResult(out, truncated)
+    tower = _tower(grid.size, psi.truncation)
+    moved = target[tower.labels]  # still sorted: the shift keeps the order
+    kept = np.all(moved >= 0, axis=1)
+    src = psi.coefficients
+    out = np.zeros_like(src)
+    out[tower.index(moved[kept])] = src[kept]
+    return BoostResult(psi._with(out), bool(np.any(src[~kept] != 0)))
 
 
 def _unit_gaussians(rng: np.random.Generator, scales: np.ndarray, sizes, count: int):

@@ -671,19 +671,23 @@ def _one_sided_amplitude(pair: ChiralGridPair, side: str,
     return amp
 
 
+_ROUTE_VECTORS = 3  # random vectors per route of each equivalence check
+
+
 def _equivalence(name: str, deformed, twisted, pattern: dense.Pattern, basis: dense.FockBasis,
-                 rng: np.random.Generator, n_vectors: int = 3) -> Deviations:
+                 rng: np.random.Generator) -> Deviations:
     """Compare ``deformed`` with its twist conjugation ``twisted(v, route)`` on
     both routes, "direct" and "split": the one place where the two schemes meet.
 
     Each operator runs once, on the probe columns of ``pattern`` with random vectors
-    riding along (:func:`dense.probe_image`): ``deformed`` on 2 * ``n_vectors``, the
-    direct route on the first ``n_vectors``, the split route on the rest.  Per route:
-    the largest column norm of the difference, and the probe-image deviation.
+    riding along (:func:`dense.probe_image`): ``deformed`` on 2 * ``_ROUTE_VECTORS``,
+    the direct route on the first ``_ROUTE_VECTORS``, the split route on the rest.
+    Per route: the largest column norm of the difference, and the probe-image deviation.
     """
-    vectors = basis.coefficients(basis.random(rng, 2 * n_vectors))
+    vectors = basis.coefficients(basis.random(rng, 2 * _ROUTE_VECTORS))
     target, want = dense.probe_image(deformed, pattern, basis, riders=vectors)
-    for route, cols in (("direct", slice(n_vectors)), ("split", slice(n_vectors, None))):
+    for route, cols in (("direct", slice(_ROUTE_VECTORS)),
+                        ("split", slice(_ROUTE_VECTORS, None))):
         image, got = dense.probe_image(lambda v: twisted(v, route), pattern, basis,
                                        riders=vectors[:, cols])
         yield name, np.max(np.linalg.norm(want[:, cols] - got, axis=0))
@@ -824,10 +828,12 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     larger of 2 D and ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis
     vectors, D_4^2, and symmetrizer build (:func:`fock._tensor_ranks`), (N +
     2) * 4^N; and full caches of pair-phase and cross multipliers, ``maxsize``
-    times D each.  Counted in 8-byte indices, on each of the two grids: the
-    ladder tables (:func:`fock._tower`), 2 D N + S M, and those of both split
-    factors (:func:`chiral._half_ladder`), 2 (S (M / 2 + 1) + D (N + 1)); the
-    probe positions (:func:`dense._positions`), 8 S M + 2 D, and layout, 4 D.
+    times D each.  Counted in 8-byte entries, on each of the two grids: the
+    flat tower (:func:`fock._tower`), 2 D N + S M + 3 D; the split layout
+    (:func:`chiral._layout`), 4 D, and its ladders' gather indices
+    (:func:`chiral._half_ladder`, label rows read from the layout), 2 (S M / 2
+    + D N); the probe positions (:func:`dense._positions`), 8 S M + 2 D, and
+    layout beyond the tower's sectors, 3 D.
     No M^n symmetrizer table is built on the larger grid, and the kernel,
     twist and cross matrices (M^2 entries) are not counted.  The inner and
     kernel suites build no tower.
@@ -841,10 +847,10 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
     multipliers = d * sum(cache.cache_parameters()["maxsize"]
                           for cache in (fock._pair_multipliers, chiral._cross_multipliers))
-    entries = (2 * d * m * (per_block + 6) + 4 * d * columns
+    entries = (2 * d * m * (per_block + 2 * _ROUTE_VECTORS) + 4 * d * columns
                + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
-    indices = 2 * (2 * d * n + s * m + 2 * (s * (m // 2 + 1) + d * (n + 1)) + 8 * s * m + 6 * d)
+    indices = 2 * (4 * d * n + 9 * s * m + 2 * s * (m // 2) + 12 * d)
     return np.dtype(complex).itemsize * entries + 8 * indices
 
 

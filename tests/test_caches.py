@@ -230,26 +230,27 @@ def test_default_run_is_the_same_with_cold_and_warm_caches(cfg):
     assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("m, truncation", [(6, 4), (3, 1), (4, 0)])
-def test_sector_tables_are_views_of_the_tower(m, truncation):
-    """No index table is held twice: each sector's fields view the flat arrays,
-    and all of them are read-only."""
+@pytest.mark.parametrize("m, truncation", [(6, 4), (3, 1), (4, 0), (1, 3)])
+def test_tower_tables_are_flat_and_consistent(m, truncation):
+    """One flat table per tower: codes sort the rows of all sectors, index
+    finds every label, the up and down tables invert each other, and every
+    field is read-only."""
     tower = fock._tower(m, truncation)
-    for arr in tower[1:-1]:
-        assert not arr.flags.writeable
-    for n, tab in enumerate(tower.sectors):
-        rows = slice(tower.start[n], tower.start[n + 1])
-        for field in ("labels", "up", "up_mult", "down", "slot_mult"):
-            view = getattr(tab, field)
-            if view is None:  # no up table out of the top sector
-                assert field.startswith("up") and n == truncation
-                continue
-            flat = getattr(tower, field)
-            assert not view.flags.writeable and view.base is flat
-            assert view.size == 0 or np.shares_memory(view, flat)
-        assert np.array_equal(tab.labels, tower.labels[rows, :n])
-        assert np.all(tower.labels[rows, n:] == m)  # the pad label
-    assert fock._ladder(m, truncation) is tower.sectors
+    dim = tower.start[-1]
+    assert np.all(np.diff(tower.codes) > 0)
+    assert np.array_equal(tower.index(tower.labels), np.arange(dim))
+    slots = tower.labels < m
+    assert np.array_equal(np.sum(slots, axis=1), tower.sector)
+    assert np.all(tower.down[~slots] == 0) and np.all(tower.slot_mult[~slots] == 1)
+    # a label less slot i, plus the label of slot i, is the label again ...
+    assert np.array_equal(tower.up[tower.down[slots], tower.labels[slots]], np.nonzero(slots)[0])
+    # ... and lam + q, less a slot that holds q, is lam
+    lam = np.arange(tower.start[-2])[:, None, None]
+    hit = (tower.labels[tower.up] == np.arange(m)[:, None]) & (tower.down[tower.up] == lam)
+    assert np.all(hit.any(axis=-1))
+    for name, arr in tower._asdict().items():
+        if isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable, name
 
 
 @pytest.mark.parametrize("side", ["+", "-"])

@@ -216,6 +216,70 @@ def test_union_permutation_is_a_permutation(n_pos, n_neg, n_top):
     assert np.array_equal(layout.order[layout.merge], np.arange(dim))
 
 
+def multisets(m, n_top):
+    """The labels of the tower over m points, sector by sector, in coefficient order."""
+    return [k for n in range(n_top + 1)
+            for k in itertools.combinations_with_replacement(range(m), n)]
+
+
+def split_pairs(n_pos, n_neg, n_top):
+    """The label pairs of the split tower, component by component, rows then columns."""
+    return [(kp, kn) for n in range(n_top + 1) for a in range(n + 1)
+            for kp in itertools.combinations_with_replacement(range(n_pos), a)
+            for kn in itertools.combinations_with_replacement(range(n_neg), n - a)]
+
+
+ASYMMETRIC = (3, 2, 3)  # P != Q: the default grids split symmetrically
+
+
+def test_asymmetric_split_rows_order_and_merge_match_an_enumeration():
+    """Each split coefficient is the pair of factor rows pos_row and neg_row,
+    and union label order; merge takes each union label to the pair whose
+    labels it is the sorted union of."""
+    n_pos, n_neg, n_top = ASYMMETRIC
+    layout = chiral._layout(n_pos, n_neg, n_top)
+    pos, neg = multisets(n_pos, n_top), multisets(n_neg, n_top)
+    union, pairs = multisets(n_pos + n_neg, n_top), split_pairs(*ASYMMETRIC)
+    assert len(pairs) == layout.start[-1] == len(union)
+    assert [pos[r] for r in layout.pos_row] == [kp for kp, _ in pairs]
+    assert [neg[r] for r in layout.neg_row] == [kn for _, kn in pairs]
+
+    def joined(kp, kn):
+        return tuple(sorted(kn + tuple(k + n_neg for k in kp)))
+
+    assert [union[u] for u in layout.order] == [joined(*p) for p in pairs]
+    assert union == [joined(*pairs[j]) for j in layout.merge]
+
+
+def test_asymmetric_split_ladders_and_cross_multipliers_match_an_enumeration():
+    """The half ladders' gather index and label rows, and the cross
+    multipliers, against the label pairs enumerated one by one."""
+    n_pos, n_neg, n_top = ASYMMETRIC
+    layout = chiral._layout(n_pos, n_neg, n_top)
+    pairs = split_pairs(*ASYMMETRIC)
+    where = {p: j for j, p in enumerate(pairs)}
+    low = [p for p in pairs if len(p[0]) + len(p[1]) < n_top]
+    for f, side, size in ((0, "+", n_pos), (1, "-", n_neg)):
+        def moved(p, label):
+            return where[(label, p[1]) if f == 0 else (p[0], label)]
+
+        rows = layout.pos_row if f == 0 else layout.neg_row
+        _, index, label_rows = chiral._half_ladder(*ASYMMETRIC, side, -1)
+        assert np.array_equal(label_rows, rows[:len(low)])
+        assert index.tolist() == [[moved(p, tuple(sorted(p[f] + (q,)))) for q in range(size)]
+                                  for p in low]
+        _, index, label_rows = chiral._half_ladder(*ASYMMETRIC, side, 1)
+        assert np.array_equal(label_rows, rows)
+        assert index.tolist() == [[moved(p, p[f][:i] + p[f][i + 1:]) if i < len(p[f]) else 0
+                                   for i in range(n_top)] for p in pairs]
+    rng = np.random.default_rng(4)
+    cmat = rng.standard_normal((n_pos, n_neg)) + 1j * rng.standard_normal((n_pos, n_neg))
+    mults = chiral._cross_multipliers(cmat.tobytes(), *ASYMMETRIC)
+    want = [np.prod(np.array([cmat[i, j] for i in kp for j in kn], dtype=complex))
+            for kp, kn in pairs]
+    assert np.array_equal(mults, want)
+
+
 def test_merge_and_split_invert_each_other_exactly_on_batches(pair, rng):
     xi = random_bifock(pair, 3, rng, count=4)
     assert np.array_equal(split_chiral(merge_chiral(xi), pair).coefficients, xi.coefficients)

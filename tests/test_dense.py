@@ -99,9 +99,10 @@ def test_multiset_norm_matches_tensor_norm():
     raw_sq = 0.0
     for idx in np.ndindex(t.shape):
         raw_sq += (w[idx[0]] * w[idx[1]] * w[idx[2]]) * abs(t[idx]) ** 2
-    tab = fock._ladder(3, 3)[3]
-    norms = fock._norms(w, tab, 3)
-    assert abs(math.sqrt(raw_sq) - norms[tab.labels.tolist().index([0, 0, 2])]) < 1e-13
+    tower = fock._tower(3, 3)
+    norms = fock._norms(w, 3)[0]
+    row = tower.index(np.array([0, 0, 2])) - tower.start[3]
+    assert abs(math.sqrt(raw_sq) - norms[row]) < 1e-13
 
 
 def loop_coefficients(basis, vec):

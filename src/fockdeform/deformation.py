@@ -13,6 +13,10 @@ massless pairs); the root's value there is not determined by its defining
 relations, and K uses the fixed convention R(0) := 1, which keeps the kernel
 symmetry K(q, p) K(p, q) = 1 and the sharp-momentum conjugation identities
 exact on the grid.
+
+Tables that depend on a reference momentum are built for a stack of momenta
+from one root or kernel evaluation (:func:`_sharp_twist_tables`,
+:func:`apply_kernel_phases`), slot j bit for bit the table of momentum j alone.
 """
 
 from __future__ import annotations
@@ -123,14 +127,17 @@ def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
     return _kernel_table(spec, grid.points.tobytes())
 
 
-def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
+def apply_kernel_phases(spec: KernelSpec, p, psi: FockVector) -> FockVector:
     """Dress every particle with the kernel phase against reference momentum p.
 
     Label kappa of sector n is multiplied by prod_i K(p, p_{k_i}); a diagonal
-    unitary fixing the vacuum.
+    unitary fixing the vacuum.  An array of P momenta gives a leading batch axis
+    of P dressings, slice j bit for bit the dressing by p[j] alone.
     """
-    row = _kernel_values(spec, p, psi.grid.points)
-    return psi._with(fock._scale(psi.coefficients, fock._slot_products(row, psi.truncation)))
+    p = np.asarray(p, dtype=float)
+    rows = _kernel_values(spec, p[..., None], psi.grid.points)
+    coefs = psi.coefficients if p.ndim == 0 else psi.coefficients[:, None]
+    return psi._with(fock._scale(coefs, fock._slot_products(rows, psi.truncation)))
 
 
 def annihilate_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:
@@ -180,19 +187,21 @@ class SharpTwistVariant(Enum):
 
 
 @functools.lru_cache(maxsize=16)
-def _sharp_twist_matrix(spec: KernelSpec, variant: SharpTwistVariant,
-                        p: float, points: bytes) -> np.ndarray:
-    """The variant's pair phase on the grid with these points' bytes; read-only."""
-    pts = np.frombuffer(points)
+def _sharp_twist_tables(spec: KernelSpec, variant: SharpTwistVariant, momenta: bytes,
+                        points: bytes) -> np.ndarray:
+    """The variant's pair phases G[j] at each of the P ``momenta`` on the grid with
+    these points, shape (P, M, M) and read-only, from one root evaluation; slot j
+    is bit for bit the table of momentum j alone."""
+    pts, ps = np.frombuffer(points), np.frombuffer(momenta)[:, None]
     if variant is SharpTwistVariant.PAIRWISE_SUM:
         # argument for the pair (p_i, p_j): w(p_i, p) + w(p_j, p), the wedge of
         # the summed on-shell two-momentum against p
-        wvec = wedge_invariant(pts, p, spec.mass)
-        args = wvec[:, None] + wvec[None, :]
+        wvec = wedge_invariant(pts, ps, spec.mass)
+        args = wvec[:, :, None] + wvec[:, None, :]
     else:
         # sign-split: sgn(max(p_i, p_j) - p) * |w(p_i, p_j)| with sgn(0) := -1
         wpair = wedge_invariant(pts[:, None], pts[None, :], spec.mass)
-        sgn = np.where(np.maximum(pts[:, None], pts[None, :]) - p > 0.0, 1.0, -1.0)
+        sgn = np.where(np.maximum(pts[:, None], pts[None, :]) - ps[:, :, None] > 0.0, 1.0, -1.0)
         args = sgn * np.abs(wpair)
     return _read_only(np.asarray(eval_root_at_zero_one(spec.root, args)))
 
@@ -204,22 +213,23 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
     Label kappa of sector n is multiplied by prod_{i<j} of the variant's pair
     phase; sectors n <= 1 and the vacuum are untouched.
     """
-    gmat = _sharp_twist_matrix(spec, variant, float(p), psi.grid.points.tobytes())
+    gmat = _sharp_twist_tables(spec, variant, np.array([float(p)]).tobytes(),
+                               psi.grid.points.tobytes())[0]
     return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
 
 
 def _sharp_twist_each(spec: KernelSpec, variant: SharpTwistVariant, indices,
                       psi: FockVector, adjoint: bool = False) -> FockVector:
     """Slice j of psi's first batch axis twisted as by :func:`sharp_momentum_twist` at
-    grid point ``indices[j]``, bit for bit: from the same caches, the adjoint from
-    conj(G), whose multipliers differ in the last bit from conjugated ones of G."""
+    grid point ``indices[j]``, bit for bit: one stack of :func:`_sharp_twist_tables`
+    and its stacked :func:`fock._pair_multipliers`, the adjoint's from conj(G),
+    whose multipliers differ in the last bit from conjugated ones of G."""
     points = psi.grid.points
-    mults = []
-    for i in indices:
-        gmat = _sharp_twist_matrix(spec, variant, float(points[i]), points.tobytes())
-        gmat = np.asarray(np.conj(gmat) if adjoint else gmat, dtype=complex)
-        mults.append(fock._pair_multipliers(gmat.tobytes(), psi.grid.size, psi.truncation))
-    return psi._with(fock._scale(psi.coefficients, np.stack(mults, axis=1)))
+    gmats = _sharp_twist_tables(spec, variant, points[np.asarray(indices)].tobytes(),
+                                points.tobytes())
+    mults = fock._pair_multipliers((np.conj(gmats) if adjoint else gmats).tobytes(),
+                                   psi.grid.size, psi.truncation)
+    return psi._with(fock._scale(psi.coefficients, mults))
 
 
 def _delta(p: float, grid: MomentumGrid) -> np.ndarray:
@@ -259,7 +269,10 @@ def _sharp_annihilate_each(indices, psi: FockVector, spec: KernelSpec | None = N
     ``indices[j]`` for slice j, times sqrt(m_q(lam + q) / w_q), and prod K(p_j, p_k)."""
     grid, idx = psi.grid, np.asarray(indices)
     tower = fock._tower(grid.size, psi.truncation)
-    rows = slice(tower.start[-2])
+    # only the sectors below a nonzero one: a block of probe columns holds few sectors
+    start, coefs = tower.start, psi.coefficients
+    live = [n for n in range(psi.truncation) if coefs[start[n + 1]:start[n + 2]].any()]
+    rows = slice(start[live[0]], start[live[-1] + 1]) if live else slice(0)
     # the amplitude sqrt(w) conj(delta_p) of the unbatched annihilators
     amp = np.sqrt(grid.weights[idx]) * (1.0 / grid.weights[idx]).astype(complex)
     coef = np.sqrt(tower.up_mult[rows][:, idx], dtype=float) * amp

@@ -124,21 +124,20 @@ def _scale(arr: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> n
 
 
 def _padded(arr: np.ndarray, fill: complex) -> np.ndarray:
-    """``arr`` (a vector or matrix) with ``fill`` at the pad label of each axis."""
+    """``arr`` with ``fill`` at the pad label (one past the end) of each axis."""
     out = np.full(tuple(size + 1 for size in arr.shape), fill, dtype=arr.dtype)
     out[tuple(slice(size) for size in arr.shape)] = arr
     return out
 
 
-def _slot_product(vec: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """prod_i vec[k_i] for each label (last axis): a one-body multiplier."""
-    return np.prod(vec[labels], axis=-1)
-
-
 def _slot_products(vec: np.ndarray, truncation: int) -> np.ndarray:
-    """:func:`_slot_product` for every label of sectors 0..truncation over the
-    ``vec.size``-point grid, in coefficient order, from the padded labels."""
-    return _slot_product(_padded(vec, 1.0), _tower(vec.size, truncation).labels)
+    """prod_i vec[k_i], a one-body multiplier, per label of sectors 0..truncation
+    over the m-point grid, in coefficient order, from the padded labels: shape (D,)
+    for a vec of shape (m,), (D, P) for a stack of shape (P, m), column p from row p."""
+    padded = np.concatenate([vec, np.ones(vec.shape[:-1] + (1,), dtype=vec.dtype)], axis=-1)
+    # take keeps C order (padded[:, labels] would not), so each row rounds as alone
+    slots = padded.take(_tower(vec.shape[-1], truncation).labels, axis=-1)
+    return np.prod(slots, axis=-1).T
 
 
 def _norms(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +145,7 @@ def _norms(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     tower = _tower(weights.size, n)
     top = slice(tower.start[n], None)
     mfact = tower.mfact[top]
-    return np.sqrt(math.factorial(n) / mfact * _slot_product(weights, tower.labels[top])), mfact
+    return np.sqrt(math.factorial(n) / mfact * _slot_products(weights, n)[top]), mfact
 
 
 def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
@@ -339,14 +338,18 @@ def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray
 @functools.lru_cache(maxsize=16)
 def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> np.ndarray:
     """prod_{i<j} gmat[k_i, k_j] per label, in coefficient order and read-only
-    (the empty product 1 on sectors 0 and 1), from the padded labels; ``gmat``
-    is the complex m x m matrix as bytes."""
-    g = _padded(np.frombuffer(gmat, dtype=complex).reshape(m, m), 1.0)
+    (the empty product 1 on sectors 0 and 1), from the padded labels.  ``gmat``
+    is the bytes of one complex m x m matrix, giving shape (D,), or of a stack of
+    P > 1, giving shape (D, P), column p bit for bit that of matrix p alone."""
+    # the stack axis last, each matrix padded by 1.0, so a gather is (D, P)
+    g = _padded(np.moveaxis(np.frombuffer(gmat, dtype=complex).reshape(-1, m, m), 0, -1),
+                1.0)[..., :-1]
     slots = _tower(m, truncation).labels.T
-    out = np.ones(slots.shape[1], dtype=complex)
+    out = np.ones((slots.shape[1], g.shape[-1]), dtype=complex)
     # pair by pair in lexicographic order: a (D, N(N-1)/2) factor table is large at scale
     for i, j in itertools.combinations(range(truncation), 2):
         out *= g[slots[i], slots[j]]
+    out = out[:, 0] if out.shape[1] == 1 else out
     out.setflags(write=False)
     return out
 

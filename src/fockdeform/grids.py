@@ -31,15 +31,20 @@ def omega(p, mass: float):
     return np.sqrt(mass * mass + np.asarray(p, dtype=float) ** 2)
 
 
-def boost_momentum(p, rapidity: float, mass: float):
+def boost_momentum(p, rapidity, mass: float):
     """Spatial part of the boosted on-shell two-momentum.
 
     p -> -sinh(rapidity)*omega_m(p) + cosh(rapidity)*p.  For m = 0 this is
     p*exp(-rapidity) on the positive half-line and p*exp(+rapidity) on the
-    negative one.
+    negative one.  An array of rapidities boosts elementwise (broadcast with
+    p), bit for bit as one rapidity at a time: sinh and cosh come from
+    math.sinh and math.cosh per value, which differ from numpy's in the last bit.
     """
     p = np.asarray(p, dtype=float)
-    return -math.sinh(rapidity) * omega(p, mass) + math.cosh(rapidity) * p
+    lam = np.asarray(rapidity, dtype=float)
+    sinh, cosh = (np.fromiter(map(fn, lam.ravel().tolist()), float, lam.size).reshape(lam.shape)
+                  for fn in (math.sinh, math.cosh))
+    return -sinh * omega(p, mass) + cosh * p
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import time
 from collections.abc import Iterator
@@ -41,7 +40,7 @@ from . import chiral, dense, fock
 from .deformation import (KernelSpec, SharpTwistVariant, _kernel_values,
                           _sharp_annihilate_each, _sharp_twist_each, annihilate_deformed,
                           apply_kernel_phases, apply_pair_twist, create_deformed,
-                          field_deformed, kernel, sharp_annihilate, sharp_momentum_twist,
+                          field_deformed, kernel, sharp_momentum_twist,
                           wedge_invariant)
 from .grids import ChiralGridPair, MomentumGrid, boost_momentum, chiral_pair, rapidity_grid
 from .inner import (BlaschkeSpec, Root, check_symmetric_inner, eval_inner, eval_root,
@@ -260,10 +259,10 @@ def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         yield "boundary-symmetry", rep.max_reflection_defect
 
     for r in roots:
-        vals = eval_root(r, t)
+        vals, reflected = eval_root(r, t), eval_root(r, -t)
         yield "root-reflection-symmetry", np.max(np.abs(np.abs(vals) - 1.0))
-        yield "root-reflection-symmetry", np.max(np.abs(vals * eval_root(r, -t) - 1.0))
-        yield "root-reflection-symmetry", np.max(np.abs(np.conj(vals) - eval_root(r, -t)))
+        yield "root-reflection-symmetry", np.max(np.abs(vals * reflected - 1.0))
+        yield "root-reflection-symmetry", np.max(np.abs(np.conj(vals) - reflected))
 
     for r in roots:
         bare = make_root(r.base)  # principal branch, no flips
@@ -385,11 +384,6 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     def worst_abs(values):
         return np.max(np.abs(values))
 
-    def boosted(x, lam, mass):
-        # boost_momentum's scalar math.sinh/cosh differ from numpy's array
-        # sinh/cosh in the last bit, which the boost-invariance records amplify
-        return np.array([boost_momentum(xi, li, mass) for xi, li in zip(x, lam)])
-
     for mass in masses:
         for r in roots:
             spec = KernelSpec(root=r, mass=mass)
@@ -402,7 +396,7 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             spec = KernelSpec(root=r, mass=mass)
             p, q = sample_pairs(100)
             lam = rng.uniform(-1.5, 1.5, size=p.size)
-            pb, qb = boosted(p, lam, mass), boosted(q, lam, mass)
+            pb, qb = boost_momentum(p, lam, mass), boost_momentum(q, lam, mass)
             yield "kernel-boost-invariance", worst_abs(
                 _kernel_values(spec, pb, qb) - _kernel_values(spec, p, q))
 
@@ -414,7 +408,7 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         yield "wedge-antisymmetric-invariant", worst_abs(
             wedge_invariant(p, q, mass) + wedge_invariant(q, p, mass))
         yield "wedge-antisymmetric-invariant", worst_abs(
-            wedge_invariant(boosted(p, lam, mass), boosted(q, lam, mass), mass)
+            wedge_invariant(boost_momentum(p, lam, mass), boost_momentum(q, lam, mass), mass)
             - wedge_invariant(p, q, mass))
 
     spec = KernelSpec(root=roots[0], mass=cfg.massive_mass)
@@ -438,11 +432,28 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
                         extra_neg=make_root(BlaschkeSpec((), 1), RECIPROCAL_ATOMS[1]))
     p, q = sample_pairs(100)
     lam = rng.uniform(-1.0, 1.0, size=p.size)
-    pb, qb = boosted(p, lam, 0.0), boosted(q, lam, 0.0)
+    pb, qb = boost_momentum(p, lam, 0.0), boost_momentum(q, lam, 0.0)
     yield "generalized-kernel-symmetry", worst_abs(
         _kernel_values(extras, q, p) * _kernel_values(extras, p, q) - 1.0)
     yield "generalized-kernel-symmetry", worst_abs(
         _kernel_values(extras, pb, qb) - _kernel_values(extras, p, q))
+
+
+def _dressed_sum(spec: KernelSpec, xi, psi: fock.FockVector) -> fock.FockVector:
+    """sum_q w_q conj(xi_q) a(q) K_q psi, K_q the dressing against q and a(q) the
+    sharp annihilator, added in q order: the dressed-sum reference, which never
+    reads the kernel table of :func:`annihilate_deformed`.  A run of momenta is one
+    stacked dressing and one :func:`_sharp_annihilate_each`, of at most
+    ``dense._BLOCK_ENTRIES`` entries."""
+    points, amp = psi.grid.points, psi.grid.weights * np.conj(xi)
+    per = max(1, dense._BLOCK_ENTRIES // psi.coefficients.size)
+    out = None
+    for idx in np.split(np.arange(len(points)), range(per, len(points), per)):
+        terms = _sharp_annihilate_each(idx, apply_kernel_phases(spec, points[idx], psi))
+        for j, q in enumerate(idx):
+            term = amp[q] * terms.coefficients[:, j]
+            out = term if out is None else out + term
+    return psi._with(out)
 
 
 def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -468,15 +479,9 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         for r in roots[:2]:
             spec = KernelSpec(root=r, mass=grid.mass)
             xi = fock.random_one_particle(grid, rng)
-
-            def composed(v, spec=spec, xi=xi, grid=grid):
-                return functools.reduce(operator.add, (
-                    grid.weights[idx] * np.conj(xi[idx])
-                    * sharp_annihilate(q, apply_kernel_phases(spec, q, v))
-                    for idx, q in enumerate(grid.points)))
-
             yield "annihilator-equals-dressed-sum", dense.probe_deviation(
-                lambda v: annihilate_deformed(spec, xi, v), composed, dense.LOWER, basis)
+                lambda v: annihilate_deformed(spec, xi, v),
+                lambda v: _dressed_sum(spec, xi, v), dense.LOWER, basis)
 
     for grid, basis in zip(grids, bases):
         for r in roots[:2]:
@@ -657,10 +662,12 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
 
     p, q = pair.positive_points[:, None], pair.negative_points[None, :]
     unboosted = eval_root(roots[0], -p * q)
-    for _ in range(20):
-        lam = float(rng.uniform(-1.2, 1.2))
-        lhs = eval_root(roots[0], -(math.exp(-lam) * p) * (math.exp(lam) * q))
-        yield "twist-boost-kernel-invariance", np.max(np.abs(lhs - unboosted))
+    lam = np.array([float(rng.uniform(-1.2, 1.2)) for _ in range(20)])[:, None, None]
+    # the boost factors by scalar math.exp, as for one sample; one root evaluation
+    shrink, grow = (np.vectorize(math.exp)(sign * lam) for sign in (-1.0, 1.0))
+    boosted = eval_root(roots[0], -(shrink * p) * (grow * q))
+    for dev in np.max(np.abs(boosted - unboosted), axis=(1, 2)):
+        yield "twist-boost-kernel-invariance", dev
 
 
 def _one_sided_amplitude(pair: ChiralGridPair, side: str,
@@ -820,23 +827,24 @@ def memory_estimate(cfg: SuiteConfig) -> int:
 
     The tower on M grid points (the larger configured grid) has D = binom(M +
     N, N) labels, S = binom(M + N - 1, N - 1) below the top sector, and a
-    probe oracle on it 1 + N * M columns (:mod:`dense`).  Counted in complex
-    entries: two copies of one ladder gather over a block of probe columns
-    and the 6 random vectors that may ride with it (:func:`_equivalence`),
-    D * M * (columns per block + 6); four probe images, D * (1 + N * M); three
-    copies of one batch of random vectors (:func:`dense.random_batches`), the
-    larger of 2 D and ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis
-    vectors, D_4^2, and symmetrizer build (:func:`fock._tensor_ranks`), (N +
-    2) * 4^N; and full caches of pair-phase and cross multipliers, ``maxsize``
-    times D each.  Counted in 8-byte entries, on each of the two grids: the
-    flat tower (:func:`fock._tower`), 2 D N + S M + 3 D; the split layout
+    probe oracle on it 1 + N * M columns (:mod:`dense`), k per block.  Counted
+    in complex entries: two copies of the widest ladder gather over a block,
+    D * max(M * k, max(M / 2, N) * (k + 6)) (a full amplitude lowers at M
+    momenta, the equivalence ladders with 6 riders at M / 2 or N); four probe images,
+    D * (1 + N * M); three copies of one batch of random vectors
+    (:func:`dense.random_batches`), the larger of 2 D and ``dense._BLOCK_ENTRIES``;
+    the fock suite's 4-point basis vectors, D_4^2, and symmetrizer build
+    (:func:`fock._tensor_ranks`), (N + 2) * 4^N; full caches of cross
+    multipliers, ``maxsize`` times D, and of pair-phase multipliers, ``maxsize``
+    times D P for the sharp twists of P <= M momenta, D P (N + 1) <=
+    ``dense._BLOCK_ENTRIES`` unless P = 1 (:func:`dense.copy_chunks`).  Counted
+    in 8-byte entries, on each of the two grids: the flat tower
+    (:func:`fock._tower`), 2 D N + S M + 3 D; the split layout
     (:func:`chiral._layout`), 4 D, and its ladders' gather indices
-    (:func:`chiral._half_ladder`, label rows read from the layout), 2 (S M / 2
-    + D N); the probe positions (:func:`dense._positions`), 8 S M + 2 D, and
-    layout beyond the tower's sectors, 3 D.
-    No M^n symmetrizer table is built on the larger grid, and the kernel,
-    twist and cross matrices (M^2 entries) are not counted.  The inner and
-    kernel suites build no tower.
+    (:func:`chiral._half_ladder`), 2 (S M / 2 + D N); the probe positions
+    (:func:`dense._positions`), 8 S M + 2 D, and layout, 3 D.  No M^n table is
+    built on the larger grid, and the (stacked) kernel, cross and twist matrices,
+    P M^2 entries, are not counted.  The inner and kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
@@ -845,10 +853,11 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     d, s = math.comb(m + n, n), math.comb(m + n - 1, n - 1)
     columns = 1 + n * m
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
-    multipliers = d * sum(cache.cache_parameters()["maxsize"]
-                          for cache in (fock._pair_multipliers, chiral._cross_multipliers))
-    entries = (2 * d * m * (per_block + 2 * _ROUTE_VECTORS) + 4 * d * columns
-               + 3 * max(2 * d, dense._BLOCK_ENTRIES)
+    gather = max(m * per_block, max(m // 2, n) * (per_block + 2 * _ROUTE_VECTORS))
+    multipliers = (min(m * d, max(d, dense._BLOCK_ENTRIES // (n + 1)))
+                   * fock._pair_multipliers.cache_parameters()["maxsize"]
+                   + d * chiral._cross_multipliers.cache_parameters()["maxsize"])
+    entries = (2 * d * gather + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
     indices = 2 * (4 * d * n + 9 * s * m + 2 * s * (m // 2) + 12 * d)
     return np.dtype(complex).itemsize * entries + 8 * indices

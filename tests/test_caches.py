@@ -13,7 +13,7 @@ from fockdeform.grids import chiral_pair
 from fockdeform.inner import BlaschkeSpec, make_root, merge_flip_sets
 from fockdeform.suites import FLIP_ATOMS, SuiteConfig, run_suite
 
-CACHES = (deformation._kernel_table, deformation._sharp_twist_matrix,
+CACHES = (deformation._kernel_table, deformation._sharp_twist_tables,
           chiral._root_cross_matrix, fock._pair_multipliers, chiral._cross_multipliers,
           fock._tower, chiral._half_ladder, dense._plan)
 
@@ -79,7 +79,7 @@ def test_equal_size_massless_grids_share_no_entry(root):
                      sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi),
                      chiral.apply_cross_twist_fock(root, psi)))
     assert deformation._kernel_table.cache_info().currsize == 2
-    assert deformation._sharp_twist_matrix.cache_info().currsize == 2
+    assert deformation._sharp_twist_tables.cache_info().currsize == 2
     assert chiral._root_cross_matrix.cache_info().currsize == 2
     assert not np.array_equal(warm[0][0], warm[1][0])
     clear_caches()  # the wide grid alone, cold
@@ -100,10 +100,10 @@ def test_sharp_suite_grids_get_their_own_twist_tables(grids, root):
         spec = KernelSpec(root=root, mass=grid.mass)
         sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, float(grid.points[2]),
                              probe_vector(grid))
-        tables.append(deformation._sharp_twist_matrix(
-            spec, SharpTwistVariant.SIGN_SPLIT, float(grid.points[2]),
+        tables.append(deformation._sharp_twist_tables(
+            spec, SharpTwistVariant.SIGN_SPLIT, grid.points[2:3].tobytes(),
             grid.points.tobytes()))
-    info = deformation._sharp_twist_matrix.cache_info()
+    info = deformation._sharp_twist_tables.cache_info()
     assert (info.hits, info.currsize) == (2, 2)
     assert not np.array_equal(*tables)
 
@@ -131,7 +131,7 @@ def test_adjoint_twists_get_their_own_multipliers(grids, root):
     p = float(grid.points[1])
     twist = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi)
     adj = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi, adjoint=True)
-    assert deformation._sharp_twist_matrix.cache_info().currsize == 1
+    assert deformation._sharp_twist_tables.cache_info().currsize == 1
     assert fock._pair_multipliers.cache_info().currsize == 2
     assert not np.array_equal(twist.sectors[3], adj.sectors[3])
     back = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, twist, adjoint=True)
@@ -180,8 +180,8 @@ def cached_results(grids, root):
     q = int(np.sum(massless.points < 0.0))
     return {
         deformation._kernel_table: kernel_matrix(spec, massive),
-        deformation._sharp_twist_matrix: deformation._sharp_twist_matrix(
-            spec, SharpTwistVariant.SIGN_SPLIT, float(massive.points[3]),
+        deformation._sharp_twist_tables: deformation._sharp_twist_tables(
+            spec, SharpTwistVariant.SIGN_SPLIT, massive.points[3:4].tobytes(),
             massive.points.tobytes()),
         chiral._root_cross_matrix: gmat,
         fock._pair_multipliers: fock._pair_multipliers(gmat.tobytes(), massless.size, 4),

@@ -1,0 +1,113 @@
+"""Golden records: every check of the default config and of the deep-tower
+workload on seeds 0-9, as (suite, check, anchor, pass, max_deviation) rows in
+``tests/data/records.json``.
+
+A run matches its golden rows when the suites, checks, anchors and pass flags
+are equal and each deviation lies within 1e-14 + 1e-12 |golden| of the golden
+one; the exact-zero checks read exactly 0.0.  Tier-1 runs default seeds 0-2
+and deep seed 0 in process.  A written report compares with
+
+    python3 tests/test_records.py default 3 report.json
+
+which exits 1 and lists the mismatches.  Regenerate the file only for a
+change that moves records on purpose, and say which and why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_records.py --write
+"""
+
+import dataclasses
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from fockdeform.cliconfig import config_from_json, report_to_json
+from fockdeform.suites import run_suite
+
+GOLDEN = Path(__file__).parent / "data" / "records.json"
+CONFIGS = {
+    "default": {},
+    "deep": json.loads((Path(__file__).parent.parent / "perfbench" / "workloads"
+                        / "deep-tower.json").read_text()),
+}
+SEEDS = range(10)
+EXACT_ZERO = {"trivial-root-exact", "trivial-root-degeneration"}
+
+
+def records(doc: dict) -> list[list]:
+    """The golden fields of each check of a report document, in report order."""
+    return [[r["suite"], r["check"], r["anchor"], r["pass"], r["max_deviation"]]
+            for r in doc["checks"]]
+
+
+def run_records(name: str, seed: int) -> list[list]:
+    cfg = dataclasses.replace(config_from_json(CONFIGS[name]), seed=seed)
+    return records(report_to_json(run_suite(cfg)))
+
+
+def mismatches(got: list[list], want: list[list]) -> list[str]:
+    """Each row of ``got`` that does not match its golden row, as a message."""
+    if [row[:4] for row in got] != [row[:4] for row in want]:
+        return [f"checks or pass flags differ: {[row[:4] for row in got]}"]
+    out = []
+    for (suite, check, _, _, dev), (*_, golden) in zip(got, want):
+        exact = check in EXACT_ZERO
+        if not (dev == 0.0 if exact else
+                math.isfinite(dev) and abs(dev - golden) <= 1e-14 + 1e-12 * abs(golden)):
+            out.append(f"{suite}/{check}: {dev!r}, golden {golden!r}")
+    return out
+
+
+def golden(name: str, seed: int) -> list[list]:
+    return json.loads(GOLDEN.read_text())[name][str(seed)]
+
+
+@pytest.mark.parametrize("name, seed", [("default", 0), ("default", 1), ("default", 2),
+                                        ("deep", 0)])
+def test_records_match_the_golden_file(name, seed):
+    assert mismatches(run_records(name, seed), golden(name, seed)) == []
+
+
+def test_golden_file_covers_both_configs_on_seeds_0_to_9():
+    doc = json.loads(GOLDEN.read_text())
+    assert sorted(doc) == sorted(CONFIGS)
+    for name, by_seed in doc.items():
+        assert sorted(by_seed, key=int) == [str(s) for s in SEEDS]
+        assert all(row[3] for rows in by_seed.values() for row in rows)
+        assert all(row[4] == 0.0 for rows in by_seed.values() for row in rows
+                   if row[1] in EXACT_ZERO)
+
+
+def test_a_moved_deviation_is_reported():
+    want = golden("deep", 0)
+    moved = [row[:4] + [row[4] * (1 + 1e-9) + 1e-13] for row in want]
+    assert len(mismatches(moved, want)) == len(want)
+    assert mismatches(want, want) == []
+
+
+def write_golden() -> None:
+    doc = {name: {str(s): run_records(name, s) for s in SEEDS} for name in CONFIGS}
+    lines = ["{"]
+    for i, (name, by_seed) in enumerate(doc.items()):
+        lines.append(f"  {json.dumps(name)}: {{")
+        for j, (seed, rows) in enumerate(by_seed.items()):
+            lines.append(f"    {json.dumps(seed)}: [")
+            lines.extend(f"      {json.dumps(row)}" + ("," if k < len(rows) - 1 else "")
+                         for k, row in enumerate(rows))
+            lines.append("    ]" + ("," if j < len(by_seed) - 1 else ""))
+        lines.append("  }" + ("," if i < len(doc) - 1 else ""))
+    lines.append("}")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        write_golden()
+    else:
+        name, seed, report = sys.argv[1:]
+        found = mismatches(records(json.loads(Path(report).read_text())), golden(name, seed))
+        print("\n".join(found) or f"{name} seed {seed}: records match {GOLDEN.name}")
+        sys.exit(1 if found else 0)

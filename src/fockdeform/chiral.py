@@ -18,6 +18,12 @@ the union tower.  These two twists implement the same deformation of the
 annihilators and fields as :mod:`deformation`.  This module never imports
 that one: the two schemes meet only in :mod:`suites`, whose ``_equivalence``
 compares them.
+
+Every twist and twisted operator that takes a root also takes a tuple of P
+roots, one per slot of the state's first batch axis (of length P), with a
+(P, M) stack of amplitudes where it takes one: slot j is then the operator
+of root j applied to slot j, through (D, P) multipliers whose column j is bit
+for bit that of root j alone.
 """
 
 from __future__ import annotations
@@ -217,7 +223,7 @@ def _one_factor(side: str, g, xi: BiFockVector, step: int) -> BiFockVector:
         raise ValueError("side must be '+' or '-'")
     w = xi.pair.positive_weights if side == "+" else xi.pair.negative_weights
     g = np.asarray(g, dtype=complex)
-    if g.shape != w.shape:
+    if g.ndim not in (1, 2) or g.shape[-1:] != w.shape:
         raise ValueError("amplitude does not match the half-grid")
     split = _half_ladder(xi.pair.n_positive, xi.pair.n_negative, xi.truncation, side, step)
     return xi._with(fock._ladder_step(xi.coefficients, step, np.sqrt(w) * g,
@@ -263,21 +269,32 @@ def _root_cross_matrix(root: Root, points: bytes) -> np.ndarray:
     return smat
 
 
+def _cross_matrices(root, points: np.ndarray) -> np.ndarray:
+    """:func:`_root_cross_matrix` of a root, or the (P, M, M) stack of a tuple of P roots."""
+    if isinstance(root, tuple):
+        return np.array([_root_cross_matrix(r, points.tobytes()) for r in root])
+    return _root_cross_matrix(root, points.tobytes())
+
+
 @functools.lru_cache(maxsize=16)
 def _cross_multipliers(cmat: bytes, n_positive: int, n_negative: int,
                        truncation: int) -> np.ndarray:
     """prod_{i,j} cmat[p_i, q_j] per label pair (kappa_+, kappa_-), in
-    coefficient order and read-only; ``cmat`` is the complex P x Q matrix as
-    bytes."""
-    c = fock._padded(np.frombuffer(cmat, dtype=complex).reshape(n_positive, n_negative), 1.0)
+    coefficient order and read-only.  ``cmat`` is the bytes of one complex P x Q
+    matrix, giving shape (D,), or of a stack of S > 1, giving shape (D, S), column
+    s bit for bit that of matrix s alone."""
+    c = fock._padded(np.frombuffer(cmat, dtype=complex).reshape(-1, n_positive, n_negative),
+                     1.0, 2)
     layout = _layout(n_positive, n_negative, truncation)
     pos, neg = fock._tower(n_positive, truncation), fock._tower(n_negative, truncation)
     # a b <= floor(N/2) ceil(N/2) cross pairs per label pair, pair t at slots (t // b, t % b)
     # (row-major, as the product over the a x b block rounds); the rest read the pad's 1
     i, j = np.divmod(np.arange(truncation // 2 * (truncation - truncation // 2)),
                      np.maximum(neg.sector[layout.neg_row, None], 1))
-    out = np.prod(c[pos.labels[layout.pos_row[:, None], np.minimum(i, truncation - 1)],
-                    neg.labels[layout.neg_row[:, None], j]], axis=1)
+    rows = pos.labels[layout.pos_row[:, None], np.minimum(i, truncation - 1)][:, None]
+    cols = neg.labels[layout.neg_row[:, None], j][:, None]
+    out = np.prod(c[np.arange(len(c))[:, None], rows, cols], axis=-1)  # (D, S, pairs)
+    out = out[:, 0] if out.shape[1] == 1 else out
     out.setflags(write=False)
     return out
 
@@ -288,21 +305,23 @@ def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray,
 
     ``cmat`` is P x Q; label pair (kappa_+, kappa_-) of component (a, b)
     takes the product over its a * b cross pairs.  The multipliers are built
-    once per (cmat, P, Q, N), on the half-line labels.
+    once per (cmat, P, Q, N), on the half-line labels.  A stack of S matrices
+    acts slot by slot on the first batch axis, of length S.
     """
     mults = _cross_multipliers(np.asarray(cmat, dtype=complex).tobytes(), pair.n_positive,
                                pair.n_negative, xi.truncation)
     return xi._with(fock._scale(xi.coefficients, mults))
 
 
-def apply_cross_twist(root: Root, xi: BiFockVector, adjoint: bool = False) -> BiFockVector:
+def apply_cross_twist(root: Root | tuple, xi: BiFockVector,
+                      adjoint: bool = False) -> BiFockVector:
     """Cross twist: component (a, b) is multiplied by prod_{i,j} R(-p_i q_j).
 
     A sector-diagonal unitary fixing the vacuum and every one-sided
     component; its square is the twist of the squared root.
     """
     q = xi.pair.n_negative
-    cmat = _root_cross_matrix(root, xi.pair.union.points.tobytes())[q:, :q]
+    cmat = _cross_matrices(root, xi.pair.union.points)[..., q:, :q]
     return apply_cross_twist_matrix(xi.pair, np.conj(cmat) if adjoint else cmat, xi)
 
 
@@ -329,13 +348,14 @@ def split_chiral(psi: FockVector, pair: ChiralGridPair) -> BiFockVector:
     return BiFockVector(pair, psi.truncation, psi.coefficients[order])
 
 
-def apply_cross_twist_fock(root: Root, psi: FockVector, adjoint: bool = False) -> FockVector:
+def apply_cross_twist_fock(root: Root | tuple, psi: FockVector,
+                           adjoint: bool = False) -> FockVector:
     """The cross twist conjugated through the merge, as a sector-diagonal multiplier.
 
     Label kappa of sector n is multiplied by prod_{i<j} S[k_i, k_j] with S
     from :func:`cross_matrix`; sectors n <= 1 are untouched.
     """
-    smat = _root_cross_matrix(root, psi.grid.points.tobytes())
+    smat = _cross_matrices(root, psi.grid.points)
     return fock.apply_pair_phase(np.conj(smat) if adjoint else smat, psi)
 
 
@@ -354,14 +374,14 @@ apply_reflection_bifock = fock.apply_reflection
 def _support_side(pair: ChiralGridPair, amplitude: np.ndarray) -> str:
     amp = np.asarray(amplitude, dtype=complex)
     q = pair.n_negative
-    on_neg = bool(np.any(amp[:q] != 0.0))
-    on_pos = bool(np.any(amp[q:] != 0.0))
+    on_neg = bool(np.any(amp[..., :q] != 0.0))
+    on_pos = bool(np.any(amp[..., q:] != 0.0))
     if on_pos == on_neg:
         raise ValueError("amplitude must be supported on exactly one half-line")
     return "+" if on_pos else "-"
 
 
-def _twist_sandwich(root: Root, amplitude, pair: ChiralGridPair, psi: FockVector,
+def _twist_sandwich(root: Root | tuple, amplitude, pair: ChiralGridPair, psi: FockVector,
                     route: str, union_op, half_op) -> FockVector:
     """Conjugate an operator by the cross twist, sign-adapted.
 
@@ -378,14 +398,14 @@ def _twist_sandwich(root: Root, amplitude, pair: ChiralGridPair, psi: FockVector
         return apply_cross_twist_fock(root, out, adjoint=outer_adjoint)
     if route == "split":
         q = pair.n_negative
-        g = amplitude[q:] if side == "+" else amplitude[:q]
+        g = amplitude[..., q:] if side == "+" else amplitude[..., :q]
         xi = apply_cross_twist(root, split_chiral(psi, pair), adjoint=not outer_adjoint)
         xi = half_op(side, g, xi)
         return merge_chiral(apply_cross_twist(root, xi, adjoint=outer_adjoint))
     raise ValueError("route must be 'direct' or 'split'")
 
 
-def twisted_annihilator(root: Root, amplitude, pair: ChiralGridPair,
+def twisted_annihilator(root: Root | tuple, amplitude, pair: ChiralGridPair,
                         psi: FockVector, route: str = "direct") -> FockVector:
     """Undeformed annihilator conjugated by the cross twist, sign-adapted.
 
@@ -397,7 +417,7 @@ def twisted_annihilator(root: Root, amplitude, pair: ChiralGridPair,
                            lambda v: fock.annihilate(amplitude, v), annihilate_half)
 
 
-def twisted_field(root: Root, fd: TestFunctionData, pair: ChiralGridPair,
+def twisted_field(root: Root | tuple, fd: TestFunctionData, pair: ChiralGridPair,
                   psi: FockVector, route: str = "direct") -> FockVector:
     """One-light-ray field conjugated by the cross twist, sign-adapted like
     :func:`twisted_annihilator`."""

@@ -7,7 +7,8 @@ Runs the selected suites against the configured grids, roots, and truncation,
 prints one line per check, optionally writes the JSON report, and exits 0 on
 overall pass, 1 on any check failure, 2 on configuration errors, including a
 configuration whose probe oracles and random vectors would not fit in physical
-memory and a report path that is a directory or lies in a missing one.
+memory, a grid too extreme for absolute deviations, and a report path that is a
+directory or lies in a missing one.
 """
 
 from __future__ import annotations

@@ -14,14 +14,22 @@ relations, and K uses the fixed convention R(0) := 1, which keeps the kernel
 symmetry K(q, p) K(p, q) = 1 and the sharp-momentum conjugation identities
 exact on the grid.
 
-Tables that depend on a reference momentum are built for a stack of momenta
-from one root or kernel evaluation (:func:`_sharp_twist_tables`,
-:func:`apply_kernel_phases`), slot j bit for bit the table of momentum j alone.
+The sharp-momentum twist tables are built for a stack of momenta from one root
+evaluation (:func:`_sharp_twist_tables`), slot j bit for bit the table of
+momentum j alone.
+
+Every operator that takes a :class:`KernelSpec` also takes a tuple of P specs,
+one per slot of the state's first batch axis (of length P), with a (P, M)
+stack of amplitudes where it takes one: slot j is then the operator of spec j
+(and amplitude j) applied to slot j, from the (P, M, M) stack of the cached
+kernel matrices (:func:`_kernels`).  So the operators of several roots share
+one application to the probe columns (:mod:`dense`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -127,39 +135,43 @@ def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
     return _kernel_table(spec, grid.points.tobytes())
 
 
-def apply_kernel_phases(spec: KernelSpec, p, psi: FockVector) -> FockVector:
+def _kernels(spec, grid: MomentumGrid) -> np.ndarray:
+    """:func:`kernel_matrix` of a spec, or the (P, M, M) stack of a tuple of P specs."""
+    if isinstance(spec, tuple):
+        return np.array([kernel_matrix(s, grid) for s in spec])
+    return kernel_matrix(spec, grid)
+
+
+def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
     """Dress every particle with the kernel phase against reference momentum p.
 
     Label kappa of sector n is multiplied by prod_i K(p, p_{k_i}); a diagonal
-    unitary fixing the vacuum.  An array of P momenta gives a leading batch axis
-    of P dressings, slice j bit for bit the dressing by p[j] alone.
+    unitary fixing the vacuum.
     """
-    p = np.asarray(p, dtype=float)
-    rows = _kernel_values(spec, p[..., None], psi.grid.points)
-    coefs = psi.coefficients if p.ndim == 0 else psi.coefficients[:, None]
-    return psi._with(fock._scale(coefs, fock._slot_products(rows, psi.truncation)))
+    row = _kernel_values(spec, p, psi.grid.points)
+    return psi._with(fock._scale(psi.coefficients, fock._slot_products(row, psi.truncation)))
 
 
-def annihilate_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:
+def annihilate_deformed(spec: KernelSpec | tuple, xi, psi: FockVector) -> FockVector:
     """Deformed annihilator: the removed momentum q contributes prod_k K(q, p_k).
 
     [a_K Psi]_n(p_1..p_n) = sqrt(n+1) sum_q w_q conj(xi_q) prod_k K(q, p_k)
     Psi_{n+1}(q, p_1..p_n).  Coincides with :func:`fock.annihilate` bit for
     bit when K is identically 1.
     """
-    return fock._annihilate_with_kernel(xi, psi, kernel_matrix(spec, psi.grid))
+    return fock._annihilate_with_kernel(xi, psi, _kernels(spec, psi.grid))
 
 
-def create_deformed(spec: KernelSpec, xi, psi: FockVector) -> FockVector:
+def create_deformed(spec: KernelSpec | tuple, xi, psi: FockVector) -> FockVector:
     """Weighted adjoint of :func:`annihilate_deformed` with the same amplitude.
 
     Closed form: [a_K* Psi]_n = sqrt(n) Symm(xi(p_1) prod_{k>=2}
     conj(K(p_1, p_k)) Psi_{n-1}(p_2..p_n)); creates xi from the vacuum.
     """
-    return fock._create_with_kernel(xi, psi, np.conj(kernel_matrix(spec, psi.grid)))
+    return fock._create_with_kernel(xi, psi, np.conj(_kernels(spec, psi.grid)))
 
 
-def field_deformed(spec: KernelSpec, fd: TestFunctionData, psi: FockVector) -> FockVector:
+def field_deformed(spec: KernelSpec | tuple, fd: TestFunctionData, psi: FockVector) -> FockVector:
     """Deformed field create_deformed(fplus) + annihilate_deformed(conj(fminus))."""
     return (create_deformed(spec, fd.fplus, psi)
             + annihilate_deformed(spec, np.conj(fd.fminus), psi))
@@ -218,15 +230,18 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
     return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
 
 
-def _sharp_twist_each(spec: KernelSpec, variant: SharpTwistVariant, indices,
-                      psi: FockVector, adjoint: bool = False) -> FockVector:
+def _sharp_twist_each(spec, variant: SharpTwistVariant, indices, psi: FockVector,
+                      adjoint: bool = False) -> FockVector:
     """Slice j of psi's first batch axis twisted as by :func:`sharp_momentum_twist` at
-    grid point ``indices[j]``, bit for bit: one stack of :func:`_sharp_twist_tables`
-    and its stacked :func:`fock._pair_multipliers`, the adjoint's from conj(G),
-    whose multipliers differ in the last bit from conjugated ones of G."""
-    points = psi.grid.points
-    gmats = _sharp_twist_tables(spec, variant, points[np.asarray(indices)].tobytes(),
-                                points.tobytes())
+    grid point ``indices[j]``, with ``spec`` or its j-th entry, bit for bit: per run of
+    slots with one spec a stack of :func:`_sharp_twist_tables`, and one stacked
+    :func:`fock._pair_multipliers`, the adjoint's from conj(G), whose multipliers
+    differ in the last bit from conjugated ones of G."""
+    points, idx = psi.grid.points, np.asarray(indices)
+    specs = spec if isinstance(spec, tuple) else (spec,) * idx.size
+    runs = [list(run) for _, run in itertools.groupby(range(idx.size), key=specs.__getitem__)]
+    gmats = np.concatenate([_sharp_twist_tables(specs[run[0]], variant, points[idx[run]].tobytes(),
+                                                points.tobytes()) for run in runs])
     mults = fock._pair_multipliers((np.conj(gmats) if adjoint else gmats).tobytes(),
                                    psi.grid.size, psi.truncation)
     return psi._with(fock._scale(psi.coefficients, mults))
@@ -262,11 +277,12 @@ def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> Fo
                                         kernel_matrix(spec, psi.grid))
 
 
-def _sharp_annihilate_each(indices, psi: FockVector, spec: KernelSpec | None = None) -> FockVector:
+def _sharp_annihilate_each(indices, psi: FockVector, spec=None) -> FockVector:
     """Slice j of psi's first batch axis loses a particle at grid point ``indices[j]``:
-    :func:`sharp_annihilate` there, or with ``spec`` :func:`annihilate_deformed_sharp`,
-    bit for bit.  One gather over the up table of :func:`fock._tower`, column
-    ``indices[j]`` for slice j, times sqrt(m_q(lam + q) / w_q), and prod K(p_j, p_k)."""
+    :func:`sharp_annihilate` there, or with ``spec`` (or its j-th entry)
+    :func:`annihilate_deformed_sharp`, bit for bit.  One gather over the up table of
+    :func:`fock._tower`, column ``indices[j]`` for slice j, times sqrt(m_q(lam + q) /
+    w_q), and prod K(p_j, p_k) from slot j of the kernel stack."""
     grid, idx = psi.grid, np.asarray(indices)
     tower = fock._tower(grid.size, psi.truncation)
     # only the sectors below a nonzero one: a block of probe columns holds few sectors
@@ -277,9 +293,11 @@ def _sharp_annihilate_each(indices, psi: FockVector, spec: KernelSpec | None = N
     amp = np.sqrt(grid.weights[idx]) * (1.0 / grid.weights[idx]).astype(complex)
     coef = np.sqrt(tower.up_mult[rows][:, idx], dtype=float) * amp
     if spec is not None:
-        kmat = fock._padded(kernel_matrix(spec, grid), 1.0)
+        kmats = fock._padded(_kernels(spec, grid), 1.0, 2).reshape(-1, grid.size + 1, grid.size + 1)
+        slot = np.arange(idx.size) % len(kmats)  # all 0 for one spec
         # each row's slots contiguous, as in the unbatched product, which rounds alike
-        coef = coef * np.prod(kmat[idx[:, None], tower.labels[rows, None, :-1]], axis=-1)
+        coef = coef * np.prod(kmats[slot[:, None], idx[:, None], tower.labels[rows, None, :-1]],
+                              axis=-1)
     out = np.zeros(psi.coefficients.shape, dtype=complex)
     terms = psi.coefficients[tower.up[rows][:, idx], np.arange(idx.size)]
     out[rows] = fock._scale(terms, coef, out=terms)

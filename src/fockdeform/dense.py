@@ -25,7 +25,8 @@ hermiticity and unitarity read the entries back as COO arrays
 That is (N + 1) * M probe columns instead of D basis columns.
 
 The blocks follow a cached O(D) plan (:func:`_plan`).  Random vectors may ride with
-one block, and P operators of one layout may share the columns over a batch axis.
+one block, and P operators of one layout (P roots, or P (root, momentum) pairs)
+may share the columns over a batch axis, in runs of :func:`copy_chunks`.
 
 The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
 :func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
@@ -324,8 +325,10 @@ def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | No
     With ``copies`` = P, op gets each block repeated over a leading batch
     axis (batch shape (P, k)), so that P operators of one column layout
     share the columns: the image has shape (D, P, K).  ``riders``, domain
-    coefficients of shape (len(domain), r), go with the plan's first block,
-    and the result is the pair (image, codomain coefficients of op(riders)).
+    coefficients of shape (len(domain), r), or (len(domain), P, r) with
+    ``copies``, r vectors per slot, go with the plan's first block, and the
+    result is the pair (image, codomain coefficients of op(riders)), of the
+    riders' shape.
     """
     cod = domain if codomain is None else codomain
     lead = () if copies is None else (copies,)
@@ -334,10 +337,8 @@ def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | No
                  np.asarray(domain.union_order, dtype=np.intp).tobytes(), step)
     out = np.empty((len(cod),) + lead + (max(block[1] for block in plan),), dtype=complex)
     for k, (first, last, rows, cols, phases) in enumerate(plan):
-        probes = np.zeros((len(domain), last - first), dtype=complex)
-        probes[rows, cols] = phases
-        if copies:
-            probes = np.broadcast_to(probes[:, None], (len(domain), copies, last - first))
+        probes = np.zeros((len(domain),) + lead + (last - first,), dtype=complex)
+        probes[rows, ..., cols] = phases[:, None] if copies else phases
         ride = riders is not None and k == 0
         if ride:
             probes = np.concatenate([riders, probes], axis=-1)
@@ -348,18 +349,22 @@ def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | No
     return out if riders is None else (out, ridden)
 
 
-def copy_chunks(count: int, domain) -> list[np.ndarray]:
-    """Slots 0..count-1 in runs of P >= 1 (index arrays) whose copies of the N + 1
-    sector probe columns hold at most ``_BLOCK_ENTRIES`` entries, D * P * (N + 1)."""
-    per = max(1, _BLOCK_ENTRIES // (len(domain) * (domain.truncation + 1)))
+def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
+    """Slots 0..count-1 in runs of P >= 1 (index arrays) whose copies of the
+    pattern's K probe columns hold at most ``_BLOCK_ENTRIES`` entries, D * P * K:
+    K is N + 1 sector columns, or 1 + N M for a coloured pattern."""
+    columns = int(_layout(domain.union_size, domain.truncation).column(pattern).max()) + 1
+    per = max(1, _BLOCK_ENTRIES // (len(domain) * columns))
     return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
 
 
-def probe_deviation(op_a, op_b, pattern: Pattern, domain, codomain=None) -> float:
+def probe_deviation(op_a, op_b, pattern: Pattern, domain, codomain=None, *,
+                    copies: int | None = None) -> float:
     """Max |A R - B R| over the probe image; equals the dense max |A - B| up to
-    rounding when both operators fit the pattern."""
-    return matrix_deviation(probe_image(op_a, pattern, domain, codomain),
-                            probe_image(op_b, pattern, domain, codomain))
+    rounding when both operators fit the pattern.  ``copies`` as for
+    :func:`probe_image`: the maximum over the P slots."""
+    return matrix_deviation(probe_image(op_a, pattern, domain, codomain, copies=copies),
+                            probe_image(op_b, pattern, domain, codomain, copies=copies))
 
 
 class Entries(NamedTuple):
@@ -399,12 +404,14 @@ def probe_entries(op, pattern: Pattern, domain, codomain=None, *,
     ``copies`` (:func:`probe_image`) the values have shape (E, P).
     """
     image = probe_image(op, pattern, domain, codomain, copies=copies)
-    image = image if copies is None else np.moveaxis(image, 1, -1)
     layout = _layout(domain.union_size, domain.truncation)
     rows, cols = _positions(domain.union_size, domain.truncation, pattern)
     probe = layout.column(pattern)[cols]
-    allowed = np.zeros(image.shape[:2], dtype=bool)
+    allowed = np.zeros((len(image), image.shape[-1]), dtype=bool)
     allowed[rows, probe] = True
-    phase = layout.phase[cols] if copies is None else layout.phase[cols, None]
-    return Entries(rows, cols, image[rows, probe] / phase,
-                   float(np.max(np.abs(image[~allowed]), initial=0.0)))
+    slot = (1,) * (image.ndim - 2)  # the copies axis stays between rows and columns
+    values = image[(rows,) + (slice(None),) * len(slot) + (probe,)]
+    # the residual is a reduction under a mask: no gather of the cells
+    outside = ~allowed.reshape((len(image),) + slot + (-1,))
+    return Entries(rows, cols, values / layout.phase[cols].reshape((-1,) + slot),
+                   float(np.max(np.abs(image), where=outside, initial=0.0)))

@@ -123,9 +123,12 @@ def _scale(arr: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> n
     return np.multiply(arr, vec.reshape(vec.shape + (1,) * (arr.ndim - vec.ndim)), out=out)
 
 
-def _padded(arr: np.ndarray, fill: complex) -> np.ndarray:
-    """``arr`` with ``fill`` at the pad label (one past the end) of each axis."""
-    out = np.full(tuple(size + 1 for size in arr.shape), fill, dtype=arr.dtype)
+def _padded(arr: np.ndarray, fill: complex, axes: int | None = None) -> np.ndarray:
+    """``arr`` with ``fill`` at the pad label (one past the end) of each of its
+    last ``axes`` axes, all by default: a stack's leading axis stays as it is."""
+    lead = 0 if axes is None else arr.ndim - axes
+    out = np.full(arr.shape[:lead] + tuple(size + 1 for size in arr.shape[lead:]), fill,
+                  dtype=arr.dtype)
     out[tuple(slice(size) for size in arr.shape)] = arr
     return out
 
@@ -163,6 +166,12 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
 
         out[kappa] = sum_i amp_{k_i} / sqrt(m_{k_i}) prod_{j != i} K[k_i, k_j] src[kappa - k_i].
 
+    An amplitude of shape (m,) (and kernel (m, m)) acts on every column.  A stack
+    of shape (P, m) (and (P, m, m)) holds one operator per slot of src's first
+    batch axis, of length P: slot j is amp[j] (and kmat[j]) applied to slot j,
+    bit for bit as alone when each slot's amplitude has two or more nonzero
+    entries (lowering sums over the q nonzero in any slot).
+
     ``split`` = (start, index, label_rows) reads ``index[r]`` into row r of
     the split tower (degrees at ``start``), labelled by row ``label_rows[r]``
     of ``tower``.  Only the sectors that the range of nonzero input sectors
@@ -182,18 +191,27 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
     # per-label coefficients: of these rows, or of the whole factor tower, read per row
     labelled = rows if label_rows is None else slice(None)
     labels = tower.labels[labelled, :high]
+    # the slot axis of a stack goes after the label and term axes, as in src: .T
+    # moves it last (amplitudes [q, slot], a padded kernel [k, q, slot])
+    slot = (1,) * (amp.ndim - 1)
     if step < 0:
-        q = np.flatnonzero(amp)
+        q = np.flatnonzero(amp.any(axis=0) if slot else amp)  # nonzero in any slot
         # np.take keeps C order (a[:, q] would not), so the sums run as for all q
-        coef = np.sqrt(np.take(tower.up_mult[labelled], q, axis=1), dtype=float) * amp[q]
+        mult = np.sqrt(np.take(tower.up_mult[labelled], q, axis=1), dtype=float)
+        coef = mult.reshape(mult.shape + slot) * amp.take(q, axis=-1).T
         if kmat is not None:
-            coef = coef * np.prod(_padded(kmat, 1.0).T[labels[:, :, None], q], axis=1)
+            coef = coef * np.prod(_padded(kmat, 1.0, 2).T[labels[:, :, None], q], axis=1)
         index = np.take(index[rows], q, axis=1)
     else:
-        coef = _padded(amp, 0.0)[labels] / np.sqrt(tower.slot_mult[labelled, :high], dtype=float)
+        mult = np.sqrt(tower.slot_mult[labelled, :high], dtype=float)
+        coef = _padded(amp, 0.0, 1).T[labels] / mult.reshape(mult.shape + slot)
         if kmat is not None:
-            pairs = _padded(kmat, 1.0)[labels[:, :, None], labels[:, None, :]]
-            coef = coef * np.where(np.eye(high, dtype=bool), 1.0, pairs).prod(axis=2)
+            # K[k_i, k_j] at [lam, i, (slot,) j], 1 at j = i: each product runs over
+            # contiguous j, so a slot rounds as one kernel alone
+            at = ((np.arange(len(kmat))[:, None], labels[:, :, None, None], labels[:, None, None])
+                  if slot else (labels[:, :, None], labels[:, None, :]))
+            eye = np.eye(high, dtype=bool).reshape((high,) + slot + (high,))
+            coef = coef * np.where(eye, 1.0, _padded(kmat, 1.0, 2)[at]).prod(axis=-1)
         index = index[rows, :high]
     coef = coef if label_rows is None else coef[label_rows[rows]]
     terms = src[index]
@@ -359,7 +377,8 @@ def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
 
     ``gmat`` must be symmetric.  The pair twists, the sharp-momentum twists
     and the union-grid cross twist are all of this form; sectors n <= 1 are
-    untouched.  The multipliers are built once per (gmat, M, N).
+    untouched.  The multipliers are built once per (gmat, M, N).  A stack of P
+    matrices acts slot by slot on psi's first batch axis, of length P.
     """
     mults = _pair_multipliers(np.asarray(gmat, dtype=complex).tobytes(), psi.grid.size,
                               psi.truncation)
@@ -367,8 +386,9 @@ def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
 
 
 def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:
+    """An amplitude over the grid, or a stack of them, one per slot (shape (P, M))."""
     xi = np.asarray(xi, dtype=complex)
-    if xi.shape != grid.points.shape:
+    if xi.ndim not in (1, 2) or xi.shape[-1:] != grid.points.shape:
         raise ValueError("one-particle amplitude does not match the grid")
     return xi
 

@@ -64,6 +64,14 @@ RECIPROCAL_ATOMS = (
 )
 
 
+# admitted grid scales (SuiteConfig): the massive grid's mass and rapidity window, the
+# massless grid's momenta |p| and quadrature weight sinh(log(p_max / p_min) / (points - 1))
+MASS_RANGE = (1e-4, 100.0)
+THETA_BOUND = 4.0
+MOMENTUM_RANGE = (1e-4, 1e4)
+WEIGHT_BOUND = 500.0
+
+
 class ConfigError(ValueError):
     """Invalid suite configuration."""
 
@@ -108,11 +116,24 @@ class SuiteConfig:
             if unknown:
                 raise ConfigError(f"unknown suites: {sorted(unknown)}")
         try:  # fail fast on grid parameters instead of mid-run
-            self.massless_pair()
+            massless_weight = float(self.massless_pair().union.weights[0])
             self.massive_grid()
             self.massive_grid(size=4)
         except ValueError as exc:
             raise ConfigError(f"invalid grid parameters: {exc}") from exc
+        # every deviation is absolute, and the weights, momenta and kernel arguments
+        # scale it: beyond these bounds correct code was measured to fail checks
+        # (README, "Admission")
+        scales = (("massive_grid.mass", self.massive_mass, *MASS_RANGE),
+                  ("massive_grid rapidity", max(abs(self.massive_theta_min),
+                                                abs(self.massive_theta_max)), 0.0, THETA_BOUND),
+                  ("massless_grid.p_min", self.massless_p_min, *MOMENTUM_RANGE),
+                  ("massless_grid.p_max", self.massless_p_max, *MOMENTUM_RANGE),
+                  ("massless_grid weight", massless_weight, 0.0, WEIGHT_BOUND))
+        for what, value, low, high in scales:
+            if not low <= value <= high:
+                raise ConfigError(f"grid too extreme for absolute deviations: {what} {value:.4g} "
+                                  f"outside [{low:g}, {high:g}]")
 
     def massless_pair(self) -> ChiralGridPair:
         return chiral_pair(self.massless_points_per_side,
@@ -258,16 +279,19 @@ def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         yield "boundary-symmetry", rep.max_conjugation_defect
         yield "boundary-symmetry", rep.max_reflection_defect
 
-    for r in roots:
-        vals, reflected = eval_root(r, t), eval_root(r, -t)
+    values = [eval_root(r, t) for r in roots]
+    for r, vals in zip(roots, values):
+        reflected = eval_root(r, -t)
         yield "root-reflection-symmetry", np.max(np.abs(np.abs(vals) - 1.0))
         yield "root-reflection-symmetry", np.max(np.abs(vals * reflected - 1.0))
         yield "root-reflection-symmetry", np.max(np.abs(np.conj(vals) - reflected))
 
-    for r in roots:
+    for r, vals in zip(roots, values):
         bare = make_root(r.base)  # principal branch, no flips
-        yield "root-squaring", np.max(np.abs(eval_root(bare, t) ** 2 - eval_inner(r.base, t)))
-        yield "root-squaring", np.max(np.abs(eval_root(r, t) ** 2 - eval_inner(r.base, t)))
+        phi = eval_inner(r.base, t)
+        yield "root-squaring", np.max(np.abs((vals if bare == r else eval_root(bare, t)) ** 2
+                                             - phi))
+        yield "root-squaring", np.max(np.abs(vals ** 2 - phi))
 
     theta = _nonzero_samples(rng, 200, 0.05, 3.0)
     for r in roots:
@@ -384,12 +408,17 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     def worst_abs(values):
         return np.max(np.abs(values))
 
+    def kernels(spec, *pairs):
+        """K(p, q) for each (p, q) of ``pairs``, from one evaluation on the joined arguments."""
+        values = _kernel_values(spec, *(np.concatenate(args) for args in zip(*pairs)))
+        return np.split(values, np.cumsum([p.size for p, _ in pairs])[:-1])
+
     for mass in masses:
         for r in roots:
             spec = KernelSpec(root=r, mass=mass)
             p, q = sample_pairs(100)
-            yield "kernel-inverse-symmetry", worst_abs(
-                _kernel_values(spec, q, p) * _kernel_values(spec, p, q) - 1.0)
+            kqp, kpq = kernels(spec, (q, p), (p, q))
+            yield "kernel-inverse-symmetry", worst_abs(kqp * kpq - 1.0)
 
     for mass in masses:
         for r in roots[:3]:
@@ -397,8 +426,8 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             p, q = sample_pairs(100)
             lam = rng.uniform(-1.5, 1.5, size=p.size)
             pb, qb = boost_momentum(p, lam, mass), boost_momentum(q, lam, mass)
-            yield "kernel-boost-invariance", worst_abs(
-                _kernel_values(spec, pb, qb) - _kernel_values(spec, p, q))
+            boosted, plain = kernels(spec, (pb, qb), (p, q))
+            yield "kernel-boost-invariance", worst_abs(boosted - plain)
 
     # hand value (|q|p - |p|q)/2
     yield "wedge-antisymmetric-invariant", abs(wedge_invariant(2.0, -3.0, 0.0) - 6.0)
@@ -433,25 +462,63 @@ def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     p, q = sample_pairs(100)
     lam = rng.uniform(-1.0, 1.0, size=p.size)
     pb, qb = boost_momentum(p, lam, 0.0), boost_momentum(q, lam, 0.0)
-    yield "generalized-kernel-symmetry", worst_abs(
-        _kernel_values(extras, q, p) * _kernel_values(extras, p, q) - 1.0)
-    yield "generalized-kernel-symmetry", worst_abs(
-        _kernel_values(extras, pb, qb) - _kernel_values(extras, p, q))
+    kqp, kpq, boosted = kernels(extras, (q, p), (p, q), (pb, qb))
+    yield "generalized-kernel-symmetry", worst_abs(kqp * kpq - 1.0)
+    yield "generalized-kernel-symmetry", worst_abs(boosted - kpq)
 
 
-def _dressed_sum(spec: KernelSpec, xi, psi: fock.FockVector) -> fock.FockVector:
+def _root_chunks(roots, basis, pattern: dense.Pattern) -> list[tuple[Root, ...]]:
+    """The roots in the runs of :func:`dense.copy_chunks` for ``pattern`` on ``basis``:
+    each run shares one application of its operators, one root per slot."""
+    return [tuple(roots[j] for j in chunk)
+            for chunk in dense.copy_chunks(len(roots), basis, pattern)]
+
+
+@functools.lru_cache(maxsize=1)
+def _dressings(spec: KernelSpec, points: bytes, truncation: int) -> np.ndarray:
+    """Column q: the dressing K_q of :func:`apply_kernel_phases` against grid point q,
+    prod_i K(p_q, p_{k_i}) per label in coefficient order, bit for bit; shape (D, M)
+    and read-only.  From its own kernel evaluation, never the kernel table of
+    :func:`annihilate_deformed`, in runs of momenta whose slot gather holds at most
+    ``dense._BLOCK_ENTRIES`` / M entries: all at once at the default scale, one
+    momentum at a time at scale.  One entry: a probe image reads its slots'
+    tables on every block."""
+    pts = np.frombuffer(points)
+    rows = _kernel_values(spec, pts[:, None], pts)
+    out = np.empty((fock._offsets(pts.size, truncation)[-1], pts.size), dtype=complex)
+    per = max(1, dense._BLOCK_ENTRIES // (out.size * truncation))
+    for first in range(0, pts.size, per):
+        out[:, first:first + per] = fock._slot_products(rows[first:first + per], truncation)
+    out.setflags(write=False)
+    return out
+
+
+def _dressed_sum(spec, xi, psi: fock.FockVector) -> fock.FockVector:
     """sum_q w_q conj(xi_q) a(q) K_q psi, K_q the dressing against q and a(q) the
     sharp annihilator, added in q order: the dressed-sum reference, which never
-    reads the kernel table of :func:`annihilate_deformed`.  A run of momenta is one
-    stacked dressing and one :func:`_sharp_annihilate_each`, of at most
-    ``dense._BLOCK_ENTRIES`` entries."""
-    points, amp = psi.grid.points, psi.grid.weights * np.conj(xi)
-    per = max(1, dense._BLOCK_ENTRIES // psi.coefficients.size)
+    reads the kernel table of :func:`annihilate_deformed`.  ``spec`` and ``xi`` may
+    be a tuple of P specs and a (P, M) stack, one per slot of psi's first batch
+    axis.  A run of momenta dresses every slot from the cached :func:`_dressings`
+    and is one :func:`_sharp_annihilate_each` over its (slot, momentum) pairs, of at
+    most ``dense._BLOCK_ENTRIES`` entries."""
+    grid, coefs = psi.grid, psi.coefficients
+    amp = grid.weights * np.conj(xi)
+    lead = amp.ndim - 1  # 1 for a stack of specs
+    tables = [_dressings(s, grid.points.tobytes(), psi.truncation)
+              for s in (spec if lead else (spec,))]
+    factors = amp.reshape(amp.shape[:-1] + (1,) * (coefs.ndim - 1 - lead) + amp.shape[-1:])
+    per = max(1, dense._BLOCK_ENTRIES // coefs.size)
     out = None
-    for idx in np.split(np.arange(len(points)), range(per, len(points), per)):
-        terms = _sharp_annihilate_each(idx, apply_kernel_phases(spec, points[idx], psi))
+    for idx in np.split(np.arange(grid.size), range(per, grid.size, per)):
+        dressing = np.stack([t[:, idx] for t in tables], axis=1) if lead else tables[0][:, idx]
+        shape = dressing.shape + coefs.shape[1 + lead:]  # (D,) + slots + (momenta,) + batch
+        dressed = fock._scale(np.expand_dims(coefs, 1 + lead), dressing,
+                              out=np.empty(shape, dtype=complex))
+        pairs = dressed.reshape((len(coefs), -1) + coefs.shape[1 + lead:])
+        terms = _sharp_annihilate_each(np.tile(idx, pairs.shape[1] // idx.size),
+                                       psi._with(pairs)).coefficients.reshape(dressed.shape)
         for j, q in enumerate(idx):
-            term = amp[q] * terms.coefficients[:, j]
+            term = factors[..., q] * terms[(slice(None),) * (1 + lead) + (j,)]
             out = term if out is None else out + term
     return psi._with(out)
 
@@ -475,21 +542,24 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         yield "phase-dressing-unitary", np.max(np.abs(
             apply_kernel_phases(spec, p_ref, one).sectors[1] - row * one.sectors[1]))
 
+    # the first two roots, one slot each: per run, each root's amplitude in turn
     for grid, basis in zip(grids, bases):
-        for r in roots[:2]:
-            spec = KernelSpec(root=r, mass=grid.mass)
-            xi = fock.random_one_particle(grid, rng)
+        for chunk in _root_chunks(roots[:2], basis, dense.LOWER):
+            spec = tuple(KernelSpec(root=r, mass=grid.mass) for r in chunk)
+            xi = np.stack([fock.random_one_particle(grid, rng) for _ in chunk])
             yield "annihilator-equals-dressed-sum", dense.probe_deviation(
                 lambda v: annihilate_deformed(spec, xi, v),
-                lambda v: _dressed_sum(spec, xi, v), dense.LOWER, basis)
+                lambda v: _dressed_sum(spec, xi, v), dense.LOWER, basis, copies=len(chunk))
+    _dressings.cache_clear()  # D x M tables that no later check reads
 
     for grid, basis in zip(grids, bases):
-        for r in roots[:2]:
-            spec = KernelSpec(root=r, mass=grid.mass)
-            xi = fock.random_one_particle(grid, rng)
-            mc = dense.probe_entries(lambda v: create_deformed(spec, xi, v), dense.RAISE, basis)
+        for chunk in _root_chunks(roots[:2], basis, dense.LOWER):
+            spec = tuple(KernelSpec(root=r, mass=grid.mass) for r in chunk)
+            xi = np.stack([fock.random_one_particle(grid, rng) for _ in chunk])
+            mc = dense.probe_entries(lambda v: create_deformed(spec, xi, v), dense.RAISE, basis,
+                                     copies=len(chunk))
             ma = dense.probe_entries(lambda v: annihilate_deformed(spec, xi, v), dense.LOWER,
-                                     basis)
+                                     basis, copies=len(chunk))
             yield "deformed-adjoint-pair", mc.deviation(ma.adjoint())
 
     for grid, basis in zip(grids, bases):
@@ -639,12 +709,12 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             squared = fock.apply_pair_phase(smat_sq, psi)
             yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
 
-    for r in roots:
+    for chunk in _root_chunks(roots, fbasis, dense.DIAGONAL):
         yield "merged-twist-lemma", dense.probe_deviation(
-            lambda v: chiral.apply_cross_twist_fock(r, v),
+            lambda v: chiral.apply_cross_twist_fock(chunk, v),
             lambda v: chiral.merge_chiral(
-                chiral.apply_cross_twist(r, chiral.split_chiral(v, pair))),
-            dense.DIAGONAL, fbasis)
+                chiral.apply_cross_twist(chunk, chiral.split_chiral(v, pair))),
+            dense.DIAGONAL, fbasis, copies=len(chunk))
     psi = fock.random_fock_vector(grid, n_top, rng)
     low = chiral.apply_cross_twist_fock(roots[0], psi)
     for n in (0, 1):
@@ -678,27 +748,54 @@ def _one_sided_amplitude(pair: ChiralGridPair, side: str,
     return amp
 
 
-_ROUTE_VECTORS = 3  # random vectors per route of each equivalence check
+_ROUTE_VECTORS = 3  # random vectors per route and root of each equivalence check
 
 
-def _equivalence(name: str, deformed, twisted, pattern: dense.Pattern, basis: dense.FockBasis,
-                 rng: np.random.Generator) -> Deviations:
-    """Compare ``deformed`` with its twist conjugation ``twisted(v, route)`` on
-    both routes, "direct" and "split": the one place where the two schemes meet.
+def _equivalence(name: str, roots, draw, deformed, twisted, pattern: dense.Pattern,
+                 basis: dense.FockBasis, rng: np.random.Generator) -> Deviations:
+    """Compare, for each root, a deformed operator with its twist conjugation on both
+    routes, "direct" and "split": the one place where the two schemes meet.
 
-    Each operator runs once, on the probe columns of ``pattern`` with random vectors
-    riding along (:func:`dense.probe_image`): ``deformed`` on 2 * ``_ROUTE_VECTORS``,
-    the direct route on the first ``_ROUTE_VECTORS``, the split route on the rest.
-    Per route: the largest column norm of the difference, and the probe-image deviation.
+    The roots go in runs of :func:`_root_chunks`, one slot each.  For each root of a
+    run in turn, ``draw()`` gives its one-particle data, then 2 * ``_ROUTE_VECTORS``
+    random vectors are drawn.  The run's operators are ``deformed(chunk, data, v)`` and
+    ``twisted(chunk, data, v, route)``, with the data stacked (one row per slot).
+    Each runs once, on the probe columns of ``pattern`` with the vectors riding along
+    (:func:`dense.probe_image`): ``deformed`` on all 2 * ``_ROUTE_VECTORS`` of each
+    slot, the direct route on the first ``_ROUTE_VECTORS``, the split route on the
+    rest.  Per run and route: the largest column norm of the difference, and the
+    probe-image deviation.
     """
-    vectors = basis.coefficients(basis.random(rng, 2 * _ROUTE_VECTORS))
-    target, want = dense.probe_image(deformed, pattern, basis, riders=vectors)
-    for route, cols in (("direct", slice(_ROUTE_VECTORS)),
-                        ("split", slice(_ROUTE_VECTORS, None))):
+    for chunk in _root_chunks(roots, basis, pattern):
+        data, vectors = _draw_run(len(chunk), draw, basis, rng)
+        # a generator per run, so that its images are freed before the next run's
+        yield from _compare_routes(name, lambda v: deformed(chunk, data, v),
+                                   lambda v, route: twisted(chunk, data, v, route),
+                                   pattern, basis, vectors)
+
+
+def _draw_run(count: int, draw, basis: dense.FockBasis, rng: np.random.Generator):
+    """For each of ``count`` roots in turn its data, then 2 * ``_ROUTE_VECTORS`` random
+    vectors: the data stacked (P, ...) and the vectors (D, P, 2 * ``_ROUTE_VECTORS``)."""
+    draws = [(draw(), basis.coefficients(basis.random(rng, 2 * _ROUTE_VECTORS)))
+             for _ in range(count)]
+    return np.stack([d for d, _ in draws]), np.stack([v for _, v in draws], axis=1)
+
+
+def _compare_routes(name: str, deformed, twisted, pattern: dense.Pattern,
+                    basis: dense.FockBasis, vectors: np.ndarray) -> Deviations:
+    """The deviations of :func:`_equivalence` for one run of roots, with its vectors."""
+    copies = vectors.shape[1]
+    target, want = dense.probe_image(deformed, pattern, basis, copies=copies, riders=vectors)
+    for route, cols in (("direct", slice(_ROUTE_VECTORS)), ("split", slice(_ROUTE_VECTORS, None))):
         image, got = dense.probe_image(lambda v: twisted(v, route), pattern, basis,
-                                       riders=vectors[:, cols])
-        yield name, np.max(np.linalg.norm(want[:, cols] - got, axis=0))
+                                       copies=copies, riders=vectors[..., cols])
+        yield name, np.max(np.linalg.norm(want[..., cols] - got, axis=0))
         yield name, dense.matrix_deviation(image, target)
+
+
+def _massless_specs(chunk) -> tuple[KernelSpec, ...]:
+    return tuple(KernelSpec(root=r, mass=0.0) for r in chunk)
 
 
 def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -709,13 +806,11 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviation
 
     for side, name in (("+", "annihilator-equivalence-positive"),
                        ("-", "annihilator-equivalence-negative")):
-        for r in roots:
-            spec = KernelSpec(root=r, mass=0.0)
-            amp = _one_sided_amplitude(pair, side, rng)
-            yield from _equivalence(
-                name, lambda v: annihilate_deformed(spec, amp, v),
-                lambda v, route: chiral.twisted_annihilator(r, amp, pair, v, route),
-                dense.LOWER, basis, rng)
+        yield from _equivalence(
+            name, roots, lambda: _one_sided_amplitude(pair, side, rng),
+            lambda chunk, amp, v: annihilate_deformed(_massless_specs(chunk), amp, v),
+            lambda chunk, amp, v, route: chiral.twisted_annihilator(chunk, amp, pair, v, route),
+            dense.LOWER, basis, rng)
 
     triv = trivial_root()
     spec = KernelSpec(root=triv, mass=0.0)
@@ -742,13 +837,13 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Devia
 
     for side, name in (("+", "field-equivalence-positive"),
                        ("-", "field-equivalence-negative")):
-        for r in roots:
-            spec = KernelSpec(root=r, mass=0.0)
-            fd = fock.real_test_function(_one_sided_amplitude(pair, side, rng))
-            yield from _equivalence(
-                name, lambda v: field_deformed(spec, fd, v),
-                lambda v, route: chiral.twisted_field(r, fd, pair, v, route),
-                dense.FIELD, basis, rng)
+        yield from _equivalence(
+            name, roots, lambda: _one_sided_amplitude(pair, side, rng),
+            lambda chunk, amp, v: field_deformed(_massless_specs(chunk),
+                                                 fock.real_test_function(amp), v),
+            lambda chunk, amp, v, route: chiral.twisted_field(
+                chunk, fock.real_test_function(amp), pair, v, route),
+            dense.FIELD, basis, rng)
 
     bbasis = dense.BiFockBasis(pair, n_top)
     g = rng.standard_normal(pair.n_positive) + 1j * rng.standard_normal(pair.n_positive)
@@ -767,30 +862,31 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     bases = [dense.FockBasis(grid, n_top) for grid in grids]
 
     for grid, basis, grid_roots in zip(grids, bases, (roots, roots[:2])):
-        chunks = dense.copy_chunks(grid.size, basis)
-        for r in grid_roots:
-            spec = KernelSpec(root=r, mass=grid.mass)
-            for idx in chunks:
-                # slot j removes grid point idx[j]; every removal reads the sector columns
-                sharp, copies = dense.removal(int(idx[0])), len(idx)
-                target = dense.probe_image(lambda v: _sharp_annihilate_each(idx, v, spec),
-                                             sharp, basis, copies=copies)
-                images = []
-                for variant in SharpTwistVariant:
-                    twist = functools.partial(_sharp_twist_each, spec, variant, idx)
-                    images.append(dense.probe_image(
-                        lambda v: twist(_sharp_annihilate_each(idx, twist(v, adjoint=True))),
-                        sharp, basis, copies=copies))
-                    yield f"conjugation-{variant.value}", dense.matrix_deviation(images[-1], target)
-                    entries = dense.probe_entries(twist, dense.DIAGONAL, basis, copies=copies)
-                    yield "twist-unitary-low-sectors", entries.unitarity_defect()
-                yield "variants-same-adjoint-action", dense.matrix_deviation(*images)
+        # slot (r, j) removes grid point j under root r; every removal reads the sector columns
+        slots = [(KernelSpec(root=r, mass=grid.mass), j) for r in grid_roots
+                 for j in range(grid.size)]
+        for chunk in dense.copy_chunks(len(slots), basis, dense.DIAGONAL):
+            spec = tuple(slots[k][0] for k in chunk)
+            idx = np.array([slots[k][1] for k in chunk])
+            sharp, copies = dense.removal(int(idx[0])), len(idx)
+            target = dense.probe_image(lambda v: _sharp_annihilate_each(idx, v, spec),
+                                       sharp, basis, copies=copies)
+            images = []
+            for variant in SharpTwistVariant:
+                twist = functools.partial(_sharp_twist_each, spec, variant, idx)
+                images.append(dense.probe_image(
+                    lambda v: twist(_sharp_annihilate_each(idx, twist(v, adjoint=True))),
+                    sharp, basis, copies=copies))
+                yield f"conjugation-{variant.value}", dense.matrix_deviation(images[-1], target)
+                entries = dense.probe_entries(twist, dense.DIAGONAL, basis, copies=copies)
+                yield "twist-unitary-low-sectors", entries.unitarity_defect()
+            yield "variants-same-adjoint-action", dense.matrix_deviation(*images)
 
     # negative control on the construction itself: a generic control root must
     # separate the two variants even when the configured roots are degenerate
     grid, basis = grids[0], bases[0]
     control = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
-    for idx in dense.copy_chunks(grid.size, basis):
+    for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
         yield "variants-differ-as-operators", dense.matrix_deviation(*(
             dense.probe_image(functools.partial(_sharp_twist_each, control, variant, idx),
                               dense.DIAGONAL, basis, copies=len(idx))
@@ -827,19 +923,22 @@ def memory_estimate(cfg: SuiteConfig) -> int:
 
     The tower on M grid points (the larger configured grid) has D = binom(M +
     N, N) labels, S = binom(M + N - 1, N - 1) below the top sector, and a
-    probe oracle on it 1 + N * M columns (:mod:`dense`), k per block.  Counted
-    in complex entries: two copies of the widest ladder gather over a block,
-    D * max(M * k, max(M / 2, N) * (k + 6)) (a full amplitude lowers at M
-    momenta, the equivalence ladders with 6 riders at M / 2 or N); four probe images,
-    D * (1 + N * M); three copies of one batch of random vectors
-    (:func:`dense.random_batches`), the larger of 2 D and ``dense._BLOCK_ENTRIES``;
-    the fock suite's 4-point basis vectors, D_4^2, and symmetrizer build
-    (:func:`fock._tensor_ranks`), (N + 2) * 4^N; full caches of cross
-    multipliers, ``maxsize`` times D, and of pair-phase multipliers, ``maxsize``
-    times D P for the sharp twists of P <= M momenta, D P (N + 1) <=
-    ``dense._BLOCK_ENTRIES`` unless P = 1 (:func:`dense.copy_chunks`).  Counted
-    in 8-byte entries, on each of the two grids: the flat tower
-    (:func:`fock._tower`), 2 D N + S M + 3 D; the split layout
+    probe oracle on it K = 1 + N * M columns (:mod:`dense`).  A run of R' of
+    the R roots shares one application (:func:`dense.copy_chunks`: R' = 1 unless
+    D R' K <= ``dense._BLOCK_ENTRIES``), and a probe block holds k columns in
+    each of its R' slots.  Counted in complex entries: two copies of the widest
+    ladder gather over a block, D * max(M * R' k, max(M / 2, N) * R' (k + 6)) (a
+    full amplitude lowers at M momenta, the equivalence ladders with 6 riders per
+    root at M / 2 or N); four probe images, D * (1 + N * M); three copies of one
+    batch of random vectors (:func:`dense.random_batches`), the larger of 2 D and
+    ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis vectors, D_4^2, and
+    symmetrizer build (:func:`fock._tensor_ranks`), (N + 2) * 4^N; full caches of
+    cross multipliers and of pair-phase multipliers, ``maxsize`` times D P each
+    for twists stacked over P slots (P roots, or P (root, momentum) pairs of the
+    sharp twists, P <= R M), D P (N + 1) <= ``dense._BLOCK_ENTRIES`` unless P = 1;
+    and a full cache of dressing tables (:func:`_dressings`) with one more being
+    built, ``maxsize`` + 1 times D M.  Counted in 8-byte entries, on each of the
+    two grids: the flat tower (:func:`fock._tower`), 2 D N + S M + 3 D; the split layout
     (:func:`chiral._layout`), 4 D, and its ladders' gather indices
     (:func:`chiral._half_ladder`), 2 (S M / 2 + D N); the probe positions
     (:func:`dense._positions`), 8 S M + 2 D, and layout, 3 D.  No M^n table is
@@ -850,13 +949,16 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     if set(selected) <= {"inner", "kernel"}:
         return 0
     m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
+    r = len(cfg.roots) if cfg.roots else cfg.root_count
     d, s = math.comb(m + n, n), math.comb(m + n - 1, n - 1)
     columns = 1 + n * m
-    per_block = min(columns, max(1, dense._BLOCK_ENTRIES // d))
-    gather = max(m * per_block, max(m // 2, n) * (per_block + 2 * _ROUTE_VECTORS))
-    multipliers = (min(m * d, max(d, dense._BLOCK_ENTRIES // (n + 1)))
-                   * fock._pair_multipliers.cache_parameters()["maxsize"]
-                   + d * chiral._cross_multipliers.cache_parameters()["maxsize"])
+    copies = max(1, min(r, dense._BLOCK_ENTRIES // (d * columns)))
+    per_block = min(columns, max(1, dense._BLOCK_ENTRIES // (d * copies)))
+    gather = copies * max(m * per_block, max(m // 2, n) * (per_block + 2 * _ROUTE_VECTORS))
+    stacked = min(r * m * d, max(d, dense._BLOCK_ENTRIES // (n + 1)))
+    multipliers = (stacked * (fock._pair_multipliers.cache_parameters()["maxsize"]
+                              + chiral._cross_multipliers.cache_parameters()["maxsize"])
+                   + d * m * (_dressings.cache_parameters()["maxsize"] + 1))
     entries = (2 * d * gather + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
     indices = 2 * (4 * d * n + 9 * s * m + 2 * s * (m // 2) + 12 * d)

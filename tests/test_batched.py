@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fockdeform import deformation, dense, fock, grids, suites
+from fockdeform import chiral, deformation, dense, fock, grids, suites
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_each,
                                     annihilate_deformed, apply_kernel_phases, sharp_annihilate,
                                     sharp_momentum_twist)
@@ -53,18 +53,6 @@ def test_stacked_pair_multipliers_are_the_columns_of_single_ones():
     for j, gmat in enumerate(gmats):
         assert np.array_equal(stacked[:, j],
                               fock._pair_multipliers(gmat.tobytes(), grid.size, N))
-
-
-@pytest.mark.parametrize("name", GRIDS)
-def test_stacked_kernel_phases_equal_the_per_momentum_dressings(name):
-    grid = GRIDS[name]
-    spec = spec_on(grid)
-    psi = batch(grid, 3)
-    momenta = np.concatenate([grid.points, [0.37, -1.9]])
-    got = apply_kernel_phases(spec, momenta, psi).coefficients
-    assert got.shape == (len(psi.coefficients), momenta.size, 3)
-    for j, p in enumerate(momenta):
-        assert np.array_equal(got[:, j], apply_kernel_phases(spec, p, psi).coefficients)
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0])
@@ -135,12 +123,17 @@ def test_sharp_suite_evaluates_each_root_once_per_variant_and_chunk(monkeypatch)
                      lambda root, t: (root, in_twist_tables()))
     list(suites.suite_sharp(CFG, suites._suite_rng(CFG.seed, "sharp")))
     twist_calls = [root for root, twist in calls if twist]
-    chunks = {name: len(dense.copy_chunks(grid.size, dense.FockBasis(grid, CFG.truncation)))
-              for name, grid in GRIDS.items()}
-    variants = len(SharpTwistVariant)
+
+    def root_runs(grid, roots):
+        """(root, run) pairs over the runs of (root, momentum) slots of the grid."""
+        chunks = dense.copy_chunks(roots * grid.size, dense.FockBasis(grid, CFG.truncation),
+                                   dense.DIAGONAL)
+        return sum(len({int(k) // grid.size for k in chunk}) for chunk in chunks)
+
     # the configured roots on each grid, the control root and the one-point twists
-    keys = variants * (CFG.root_count * chunks["massive"] + 2 * chunks["massless"]
-                       + chunks["massive"] + 1)
+    keys = len(SharpTwistVariant) * (root_runs(GRIDS["massive"], CFG.root_count)
+                                     + root_runs(GRIDS["massless"], 2)
+                                     + root_runs(GRIDS["massive"], 1) + 1)
     assert 0 < len(twist_calls) <= keys
     assert len(twist_calls) < len(calls)  # the kernel tables are counted apart
 
@@ -151,3 +144,156 @@ def test_kernel_suite_boosts_whole_sample_arrays(monkeypatch):
     list(suites.suite_kernel(CFG, suites._suite_rng(CFG.seed, "kernel")))
     assert calls and min(calls) >= 50
     assert len(calls) <= 18
+
+
+# ---- the roots axis: P roots share one application, slot j as root j alone
+
+ROOTS = tuple(make_root(random_symmetric_blaschke(np.random.default_rng(seed)), flips)
+              for seed, flips in ((17, ()), (23, suites.FLIP_ATOMS[0]), (31, suites.FLIP_ATOMS[1])))
+PAIR = CFG.massless_pair()
+
+
+def slots(psi, count):
+    """psi repeated over a leading slot axis of length count."""
+    return psi._with(np.stack([psi.coefficients] * count, axis=1))
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_stacked_kernel_slots_equal_the_single_root_tables(name):
+    grid = GRIDS[name]
+    specs = tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS)
+    stack = deformation._kernels(specs, grid)
+    assert stack.shape == (len(specs), grid.size, grid.size)
+    for j, spec in enumerate(specs):
+        assert np.array_equal(stack[j], deformation.kernel_matrix(spec, grid))
+
+
+@pytest.mark.parametrize("variant", list(SharpTwistVariant))
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_sharp_twist_slots_over_roots_and_momenta_equal_the_one_point_twists(variant, adjoint):
+    """Slots (root, momentum) as the sharp suite lays them out, a run cutting a root."""
+    grid = GRIDS["massive"]
+    specs = [KernelSpec(root=r, mass=grid.mass) for r in ROOTS]
+    layout = [(spec, q) for spec in specs for q in range(grid.size)][4:15]
+    psi = batch(grid, 2)
+    got = _sharp_twist_each(tuple(spec for spec, _ in layout), variant,
+                            np.array([q for _, q in layout]), slots(psi, len(layout)),
+                            adjoint=adjoint).coefficients
+    for j, (spec, q) in enumerate(layout):
+        want = sharp_momentum_twist(spec, variant, grid.points[q], psi, adjoint=adjoint)
+        assert np.array_equal(got[:, j], want.coefficients)
+
+
+def test_stacked_cross_multipliers_are_the_columns_of_single_ones():
+    q = PAIR.n_negative
+    smats = [chiral._root_cross_matrix(r, PAIR.union.points.tobytes()) for r in ROOTS]
+    cmats = np.stack(smats)[:, q:, :q]
+    split = chiral._cross_multipliers(cmats.tobytes(), PAIR.n_positive, q, N)
+    union = fock._pair_multipliers(np.stack(smats).tobytes(), PAIR.union.size, N)
+    for j, smat in enumerate(smats):
+        assert np.array_equal(split[:, j], chiral._cross_multipliers(
+            np.ascontiguousarray(smat[q:, :q]).tobytes(), PAIR.n_positive, q, N))
+        assert np.array_equal(union[:, j], fock._pair_multipliers(smat.tobytes(),
+                                                                  PAIR.union.size, N))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_stacked_cross_twists_equal_the_single_root_twists(adjoint):
+    psi = batch(PAIR.union, 3)
+    xi = chiral.random_bifock(PAIR, N, np.random.default_rng(4), 3)
+    union = chiral.apply_cross_twist_fock(ROOTS, slots(psi, len(ROOTS)), adjoint=adjoint)
+    split = chiral.apply_cross_twist(ROOTS, slots(xi, len(ROOTS)), adjoint=adjoint)
+    for j, r in enumerate(ROOTS):
+        assert np.array_equal(union.coefficients[:, j],
+                              chiral.apply_cross_twist_fock(r, psi, adjoint).coefficients)
+        assert np.array_equal(split.coefficients[:, j],
+                              chiral.apply_cross_twist(r, xi, adjoint).coefficients)
+
+
+def one_sided_stack(side, count, seed=6):
+    rng = np.random.default_rng(seed)
+    return np.stack([suites._one_sided_amplitude(PAIR, side, rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("route", ["direct", "split"])
+def test_stacked_operators_equal_the_single_root_operators(side, route):
+    """Deformed and twisted annihilators, creators and fields, slot j bit for bit
+    root j's operator with amplitude j, on a batch riding in every slot."""
+    specs = tuple(KernelSpec(root=r, mass=0.0) for r in ROOTS)
+    amp = one_sided_stack(side, len(ROOTS))
+    psi = batch(PAIR.union, 4)
+    stacked = slots(psi, len(ROOTS))
+    fd = fock.real_test_function(amp)
+    got = {"annihilate": annihilate_deformed(specs, amp, stacked),
+           "create": deformation.create_deformed(specs, amp, stacked),
+           "field": deformation.field_deformed(specs, fd, stacked),
+           "twisted": chiral.twisted_annihilator(ROOTS, amp, PAIR, stacked, route),
+           "twisted-field": chiral.twisted_field(ROOTS, fd, PAIR, stacked, route)}
+    for j, (spec, r) in enumerate(zip(specs, ROOTS)):
+        one = fock.real_test_function(amp[j])
+        want = {"annihilate": annihilate_deformed(spec, amp[j], psi),
+                "create": deformation.create_deformed(spec, amp[j], psi),
+                "field": deformation.field_deformed(spec, one, psi),
+                "twisted": chiral.twisted_annihilator(r, amp[j], PAIR, psi, route),
+                "twisted-field": chiral.twisted_field(r, one, PAIR, psi, route)}
+        for key, vec in want.items():
+            assert np.array_equal(got[key].coefficients[:, j], vec.coefficients), key
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_stacked_sharp_annihilators_and_dressed_sums_equal_the_single_root_ones(name):
+    grid = GRIDS[name]
+    specs = tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS)
+    psi = batch(grid, 3)
+    idx = np.array([4, 1, 1])
+    xi = np.stack([fock.random_one_particle(grid, np.random.default_rng(s)) for s in range(3)])
+    sharp = deformation._sharp_annihilate_each(idx, slots(psi, 3), specs).coefficients
+    dressed = suites._dressed_sum(specs, xi, slots(psi, 3)).coefficients
+    for j, spec in enumerate(specs):
+        alone = deformation._sharp_annihilate_each(idx[j:j + 1], slots(psi, 1), spec)
+        assert np.array_equal(sharp[:, j], alone.coefficients[:, 0])
+        assert np.array_equal(dressed[:, j], suites._dressed_sum(spec, xi[j], psi).coefficients)
+
+
+def test_dressing_tables_are_cached_read_only_and_column_exact():
+    grid = GRIDS["massless"]
+    spec = spec_on(grid)
+    suites._dressings.cache_clear()
+    table = suites._dressings(spec, grid.points.tobytes(), N)
+    assert suites._dressings(spec, grid.points.tobytes(), N) is table
+    assert not table.flags.writeable
+    ones = fock.FockVector(grid, np.ones(len(table)), N)
+    for q, p in enumerate(grid.points):
+        assert np.array_equal(table[:, q], apply_kernel_phases(spec, p, ones).coefficients)
+
+
+def test_default_run_batches_the_root_loops(monkeypatch):
+    """Each operator family runs once per run of roots: a default run makes at most
+    70 probe images (counting those of probe_entries and probe_deviation)."""
+    calls = counting(monkeypatch, dense, "probe_image", lambda *args: None)
+    suites.run_suite(CFG)
+    assert 0 < len(calls) <= 70
+
+
+def test_inner_suite_evaluates_each_sample_set_once(monkeypatch):
+    """No root or inner function is evaluated twice on one sample array by the suite
+    itself (a root without flips is its own principal branch)."""
+    def key(fn, t):
+        return fn, np.asarray(t).tobytes()
+
+    roots = counting(monkeypatch, suites, "eval_root", key)
+    phis = counting(monkeypatch, suites, "eval_inner", key)
+    list(suites.suite_inner(CFG, suites._suite_rng(CFG.seed, "inner")))
+    assert len(roots) >= 2 * CFG.root_count and len(set(roots)) == len(roots)
+    assert len(phis) >= CFG.root_count and len(set(phis)) == len(phis)
+
+
+def test_kernel_suite_evaluates_each_pair_family_in_one_call(monkeypatch):
+    calls = counting(monkeypatch, suites, "_kernel_values", lambda spec, p, q: np.size(p))
+    list(suites.suite_kernel(CFG, suites._suite_rng(CFG.seed, "kernel")))
+    roots = CFG.root_count
+    # inverse symmetry per (mass, root), boost invariance per (mass, first 3 roots), the
+    # massive definition, the 4 massless values and the generalized kernel's 3 families
+    assert len(calls) == 2 * roots + 2 * min(roots, 3) + 1 + 4 + 1
+    assert sorted(set(calls)) == [50, 200, 300]

@@ -19,7 +19,7 @@ from fockdeform.deformation import KernelSpec, annihilate_deformed, field_deform
 from fockdeform.grids import ChiralGridPair, MomentumGrid, chiral_pair
 from fockdeform.inner import (eval_inner, eval_root, make_root,
                               random_symmetric_blaschke, trivial_root)
-from fockdeform.suites import _equivalence
+from fockdeform.suites import FLIP_ATOMS, _equivalence
 
 TOL = 1e-10
 
@@ -483,22 +483,26 @@ def test_twisted_annihilator_requires_one_sided(pair, root, rng):
         twisted_annihilator(root, one_sided(pair, "+", rng), pair, psi, route="bogus")
 
 
-def equivalence_deviations(deformed, twisted, pattern, pair, rng):
-    """The deviations ``suites._equivalence`` yields at N = 3: two per route."""
-    devs = list(_equivalence("check", deformed, twisted, pattern,
-                             dense.FockBasis(pair.union, 3), rng))
+def equivalence_deviations(side, deformed, twisted, pattern, pair, root, rng):
+    """The deviations ``suites._equivalence`` yields at N = 3 for two roots of one
+    square, which share one run: two per route."""
+    roots = (root, make_root(root.base, FLIP_ATOMS[0]))
+    devs = list(_equivalence("check", roots, lambda: one_sided(pair, side, rng), deformed,
+                             twisted, pattern, dense.FockBasis(pair.union, 3), rng))
     assert [name for name, _ in devs] == ["check"] * 4
     return [dev for _, dev in devs]
 
 
+def massless_specs(chunk):
+    return tuple(KernelSpec(root=r, mass=0.0) for r in chunk)
+
+
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_annihilator_equivalence(side, pair, root, rng):
-    amp = one_sided(pair, side, rng)
-    spec = KernelSpec(root=root, mass=0.0)
     devs = equivalence_deviations(
-        lambda v: annihilate_deformed(spec, amp, v),
-        lambda v, route: twisted_annihilator(root, amp, pair, v, route),
-        dense.LOWER, pair, rng)
+        side, lambda chunk, amp, v: annihilate_deformed(massless_specs(chunk), amp, v),
+        lambda chunk, amp, v, route: twisted_annihilator(chunk, amp, pair, v, route),
+        dense.LOWER, pair, root, rng)
     assert np.max(devs) < TOL
 
 
@@ -513,12 +517,12 @@ def test_annihilator_equivalence_trivial_root_exact(pair, rng):
 
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_field_equivalence(side, pair, root, rng):
-    fd = fock.real_test_function(one_sided(pair, side, rng))
-    spec = KernelSpec(root=root, mass=0.0)
     devs = equivalence_deviations(
-        lambda v: field_deformed(spec, fd, v),
-        lambda v, route: twisted_field(root, fd, pair, v, route),
-        dense.FIELD, pair, rng)
+        side, lambda chunk, amp, v: field_deformed(massless_specs(chunk),
+                                                   fock.real_test_function(amp), v),
+        lambda chunk, amp, v, route: twisted_field(chunk, fock.real_test_function(amp), pair, v,
+                                                   route),
+        dense.FIELD, pair, root, rng)
     assert np.max(devs) < TOL
 
 
@@ -554,18 +558,19 @@ def test_check_equivalence_keeps_late_nan(pair):
     """A NaN in a later column of the random batch is not dropped by the maximum."""
     calls = []
 
-    def twisted(v, route):
+    def twisted(chunk, data, v, route):
         calls.append((route, v.batch_shape))
         if route == "split":
             return v
         coefs = v.coefficients.copy()
-        coefs[:, 1] = np.nan  # the direct route's second random vector
+        coefs[:, 0, 1] = np.nan  # the direct route's second random vector
         return fock.FockVector(v.grid, coefs, v.truncation)
 
-    devs = [dev for _, dev in _equivalence("check", lambda v: v, twisted, dense.DIAGONAL,
+    devs = [dev for _, dev in _equivalence("check", (trivial_root(),), lambda: np.zeros(1),
+                                            lambda chunk, data, v: v, twisted, dense.DIAGONAL,
                                             dense.FockBasis(pair.union, 2),
                                             np.random.default_rng(3))]
-    # one call per route: its 3 random vectors riding with the 3 sector probe columns
-    assert calls == [("direct", (6,)), ("split", (6,))]
+    # one call per route, one slot: its 3 random vectors riding with the 3 sector probe columns
+    assert calls == [("direct", (1, 6)), ("split", (1, 6))]
     assert math.isnan(devs[0]) and devs[1:] == [0.0, 0.0, 0.0]
     assert not np.max(devs) <= TOL

@@ -369,7 +369,7 @@ def test_batched_checks_do_not_depend_on_the_blocks(suite, columns, monkeypatch)
     whole = run_suite(cfg).records
     basis = dense.FockBasis(cfg.massless_pair().union, cfg.truncation)
     monkeypatch.setattr(dense, "_BLOCK_ENTRIES", columns * len(basis))
-    assert len(dense.copy_chunks(basis.union_size, basis)) == basis.union_size
+    assert len(dense.copy_chunks(basis.union_size, basis, dense.DIAGONAL)) == basis.union_size
 
     def blocks(pattern):
         return len(dense._plan(basis.union_size, basis.truncation, pattern.coloured,

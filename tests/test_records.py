@@ -9,12 +9,20 @@ and deep seed 0 in process.  A written report compares with
 
     python3 tests/test_records.py default 3 report.json
 
-which exits 1 and lists the mismatches.  Regenerate the file only for a
-change that moves records on purpose, and say which and why in CHANGES.md:
+which exits 1 and lists the mismatches.  With ``--one-slot-runs`` it also runs
+that config and seed in process with every run of roots (and of (root, momentum)
+pairs in the sharp suite) cut to one slot, and requires the same records, every
+deviation bit for bit:
+
+    PYTHONPATH=src python3 tests/test_records.py --one-slot-runs default 3 report.json
+
+Regenerate the file only for a change that moves records on purpose, and say
+which and why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_records.py --write
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -23,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from fockdeform import dense
 from fockdeform.cliconfig import config_from_json, report_to_json
 from fockdeform.suites import run_suite
 
@@ -45,6 +54,29 @@ def records(doc: dict) -> list[list]:
 def run_records(name: str, seed: int) -> list[list]:
     cfg = dataclasses.replace(config_from_json(CONFIGS[name]), seed=seed)
     return records(report_to_json(run_suite(cfg)))
+
+
+@contextlib.contextmanager
+def one_slot_runs():
+    """Every :func:`dense.copy_chunks` run holds one slot: the chunk rule runs under
+    a budget of D (N + 1) entries, the sector columns of one slot.  Probe blocks and
+    random batches keep the normal budget (random batches of another size round
+    differently, which is no property of the root runs)."""
+    real = dense.copy_chunks
+
+    def chunks(count, domain, pattern):
+        budget = dense._BLOCK_ENTRIES
+        dense._BLOCK_ENTRIES = len(domain) * (domain.truncation + 1)
+        try:
+            return real(count, domain, pattern)
+        finally:
+            dense._BLOCK_ENTRIES = budget
+
+    dense.copy_chunks = chunks
+    try:
+        yield
+    finally:
+        dense.copy_chunks = real
 
 
 def mismatches(got: list[list], want: list[list]) -> list[str]:
@@ -80,6 +112,20 @@ def test_golden_file_covers_both_configs_on_seeds_0_to_9():
                    if row[1] in EXACT_ZERO)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_records_do_not_depend_on_the_root_runs(seed):
+    """The batched suites (deformed, chiral, main_relation, field_equivalence, sharp)
+    give the same records, bit for bit, with one root per run as with all roots in
+    one run; the exact-zero checks read 0.0 both ways."""
+    whole = run_records("default", seed)
+    with one_slot_runs():
+        assert len(dense.copy_chunks(5, dense.FockBasis(config_from_json({}).massive_grid(), 3),
+                                     dense.LOWER)) == 5
+        single = run_records("default", seed)
+    assert single == whole
+    assert all(row[4] == 0.0 for row in whole if row[1] in EXACT_ZERO)
+
+
 def test_a_moved_deviation_is_reported():
     want = golden("deep", 0)
     moved = [row[:4] + [row[4] * (1 + 1e-9) + 1e-13] for row in want]
@@ -104,10 +150,20 @@ def write_golden() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
+    args = sys.argv[1:]
+    if args == ["--write"]:
         write_golden()
     else:
-        name, seed, report = sys.argv[1:]
-        found = mismatches(records(json.loads(Path(report).read_text())), golden(name, seed))
-        print("\n".join(found) or f"{name} seed {seed}: records match {GOLDEN.name}")
+        one_slot = args[0] == "--one-slot-runs"
+        name, seed, report = args[one_slot:]
+        got = records(json.loads(Path(report).read_text()))
+        found = mismatches(got, golden(name, seed))
+        if one_slot:
+            with one_slot_runs():
+                single = run_records(name, int(seed))
+            found += [f"one slot per run: {row!r}, report {want!r}"
+                      for row, want in zip(single, got) if row != want]
+            found += [] if len(single) == len(got) else ["one slot per run: record count"]
+        print("\n".join(found) or f"{name} seed {seed}: records match {GOLDEN.name}"
+                                   + (" and the one-slot runs" if one_slot else ""))
         sys.exit(1 if found else 0)

@@ -346,6 +346,44 @@ def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     assert out.err.startswith("configuration error:") and out.out == ""
 
 
+@pytest.mark.parametrize("text", [
+    '{"massive_grid": {"theta_max": 300}}',
+    '{"massless_grid": {"p_max": 1e150}}',
+    '{"massless_grid": {"p_min": 1e-150}}',
+    '{"massive_grid": {"mass": 1e100}}',
+    '{"massive_grid": {"mass": 1e-8}}',
+    '{"massive_grid": {"theta_min": -6, "theta_max": 6}}',
+    '{"massless_grid": {"p_max": 1e6}}',
+    '{"massless_grid": {"p_min": 1e-8}}',
+    '{"massless_grid": {"points_per_side": 2, "p_min": 1.0, "p_max": 1e4}}',
+], ids=["theta-max-300", "p-max-1e150", "p-min-1e-150", "mass-1e100", "mass-1e-8",
+        "theta-6", "p-max-1e6", "p-min-1e-8", "weight-5000"])
+def test_cli_refuses_grids_too_extreme_for_absolute_deviations(text, tmp_path, capsys,
+                                                                monkeypatch):
+    """Finite grids at scales where correct code was measured to fail checks exit 2
+    before any suite starts."""
+    monkeypatch.setattr(suites, "SUITES", {})  # running any suite would raise KeyError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["--config", str(cfg_path)]) == 2
+    assert "too extreme for absolute deviations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"truncation": 5, "massless_grid": {"points_per_side": 8}, "massive_grid": {"size": 16}},
+    {"truncation": 6, "massless_grid": {"points_per_side": 8}, "massive_grid": {"size": 16}},
+    {"massive_grid": {"mass": 100.0, "theta_min": -4.0, "theta_max": 4.0, "size": 2}},
+    {"massive_grid": {"mass": 1e-4}},
+    {"massless_grid": {"p_min": 1e-2, "p_max": 1e4}},
+    {"massless_grid": {"points_per_side": 2, "p_min": 10.0, "p_max": 1e4}},
+], ids=["default", "ceiling", "n6", "heavy-wide-massive", "light-massive", "wide-massless",
+        "two-point-massless"])
+def test_grids_inside_the_scale_bounds_are_admitted(doc):
+    """The bounds admit the default, ceiling and N=6 configs and their own corners."""
+    config_from_json(doc)
+
+
 def test_cli_refuses_report_in_missing_directory_before_any_suite(tmp_path, capsys,
                                                                   monkeypatch):
     """An unwritable report path is a configuration error, not a traceback after the run."""
@@ -375,11 +413,14 @@ def test_late_nan_fails_the_aggregated_check(monkeypatch):
         out = real(root, amplitude, pair, psi, route)
         if root not in roots:
             roots.append(root)
-        return out * math.nan if len(roots) == 2 and route == "split" else out
+        if isinstance(root, tuple) and route == "split":
+            out.coefficients[:, 1] = math.nan  # the second root's slot
+        return out
 
     monkeypatch.setattr(chiral, "twisted_annihilator", injected)
     report = run_suite(SuiteConfig(root_count=2, suites=("main_relation",)))
-    assert len(roots) == 3  # two random roots, then the trivial one
+    # the two random roots share one run, then the trivial one
+    assert [len(r) if isinstance(r, tuple) else None for r in roots] == [2, None]
     rec = next(r for r in report.records if r.check == "annihilator-equivalence-positive")
     assert math.isnan(rec.max_deviation) and not rec.passed
 

@@ -14,16 +14,14 @@ relations, and K uses the fixed convention R(0) := 1, which keeps the kernel
 symmetry K(q, p) K(p, q) = 1 and the sharp-momentum conjugation identities
 exact on the grid.
 
-The sharp-momentum twist tables are built for a stack of momenta from one root
-evaluation (:func:`_sharp_twist_tables`), slot j bit for bit the table of
-momentum j alone.
-
 Every operator that takes a :class:`KernelSpec` also takes a tuple of P specs,
 one per slot of the state's first batch axis (of length P), with a (P, M)
 stack of amplitudes where it takes one: slot j is then the operator of spec j
 (and amplitude j) applied to slot j, from the (P, M, M) stack of the cached
-kernel matrices (:func:`_kernels`).  So the operators of several roots share
-one application to the probe columns (:mod:`dense`).
+kernel matrices (:func:`_kernels`).  So the operators of several roots, or at
+a stack of sharp momenta (:func:`_delta`, twist tables from one root
+evaluation in :func:`_sharp_twist_tables`), share one application to the
+probe columns (:mod:`dense`).
 """
 
 from __future__ import annotations
@@ -233,29 +231,25 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
 def _sharp_twist_each(spec, variant: SharpTwistVariant, indices, psi: FockVector,
                       adjoint: bool = False) -> FockVector:
     """Slice j of psi's first batch axis twisted as by :func:`sharp_momentum_twist` at
-    grid point ``indices[j]``, with ``spec`` or its j-th entry, bit for bit: per run of
-    slots with one spec a stack of :func:`_sharp_twist_tables`, and one stacked
-    :func:`fock._pair_multipliers`, the adjoint's from conj(G), whose multipliers
-    differ in the last bit from conjugated ones of G."""
+    grid point ``indices[j]``, with ``spec`` or its j-th entry, bit for bit: one stacked
+    :func:`fock.apply_pair_phase` of a :func:`_sharp_twist_tables` stack per run of slots
+    with one spec, of conj(G) for the adjoint (not the conjugate multipliers of G)."""
     points, idx = psi.grid.points, np.asarray(indices)
     specs = spec if isinstance(spec, tuple) else (spec,) * idx.size
     runs = [list(run) for _, run in itertools.groupby(range(idx.size), key=specs.__getitem__)]
     gmats = np.concatenate([_sharp_twist_tables(specs[run[0]], variant, points[idx[run]].tobytes(),
                                                 points.tobytes()) for run in runs])
-    mults = fock._pair_multipliers((np.conj(gmats) if adjoint else gmats).tobytes(),
-                                   psi.grid.size, psi.truncation)
-    return psi._with(fock._scale(psi.coefficients, mults))
+    return fock.apply_pair_phase(np.conj(gmats) if adjoint else gmats, psi)
 
 
-def _delta(p: float, grid: MomentumGrid) -> np.ndarray:
-    """delta_p as an amplitude, e_q / w_q at the index q of p: its weighted
-    pairing reads the value at q, so its annihilator is the sharp one."""
-    hits = np.nonzero(grid.points == p)[0]
-    if hits.size != 1:
-        raise ValueError(f"momentum {p} is not a grid point")
-    out = np.zeros(grid.size)
-    out[hits[0]] = 1.0 / grid.weights[hits[0]]
-    return out
+def _delta(momenta, grid: MomentumGrid) -> np.ndarray:
+    """delta_p as an amplitude, e_q / w_q at the index q of p, per grid momentum p of
+    ``momenta``: shape (M,) for one, (P, M) for P.  Its weighted pairing reads the
+    value at q, so its annihilator is the sharp one at p (a stack's, one per slot)."""
+    hits = grid.points == np.asarray(momenta, dtype=float)[..., None]
+    if not np.all(np.count_nonzero(hits, axis=-1) == 1):
+        raise ValueError(f"momenta {momenta} are not all grid points")
+    return np.where(hits, 1.0 / grid.weights, 0.0)
 
 
 def sharp_annihilate(p: float, psi: FockVector) -> FockVector:
@@ -273,32 +267,4 @@ def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> Fo
     delta_p removes only the grid index q of p, so only row q of the cached
     :func:`kernel_matrix` is read.
     """
-    return fock._annihilate_with_kernel(_delta(p, psi.grid), psi,
-                                        kernel_matrix(spec, psi.grid))
-
-
-def _sharp_annihilate_each(indices, psi: FockVector, spec=None) -> FockVector:
-    """Slice j of psi's first batch axis loses a particle at grid point ``indices[j]``:
-    :func:`sharp_annihilate` there, or with ``spec`` (or its j-th entry)
-    :func:`annihilate_deformed_sharp`, bit for bit.  One gather over the up table of
-    :func:`fock._tower`, column ``indices[j]`` for slice j, times sqrt(m_q(lam + q) /
-    w_q), and prod K(p_j, p_k) from slot j of the kernel stack."""
-    grid, idx = psi.grid, np.asarray(indices)
-    tower = fock._tower(grid.size, psi.truncation)
-    # only the sectors below a nonzero one: a block of probe columns holds few sectors
-    start, coefs = tower.start, psi.coefficients
-    live = [n for n in range(psi.truncation) if coefs[start[n + 1]:start[n + 2]].any()]
-    rows = slice(start[live[0]], start[live[-1] + 1]) if live else slice(0)
-    # the amplitude sqrt(w) conj(delta_p) of the unbatched annihilators
-    amp = np.sqrt(grid.weights[idx]) * (1.0 / grid.weights[idx]).astype(complex)
-    coef = np.sqrt(tower.up_mult[rows][:, idx], dtype=float) * amp
-    if spec is not None:
-        kmats = fock._padded(_kernels(spec, grid), 1.0, 2).reshape(-1, grid.size + 1, grid.size + 1)
-        slot = np.arange(idx.size) % len(kmats)  # all 0 for one spec
-        # each row's slots contiguous, as in the unbatched product, which rounds alike
-        coef = coef * np.prod(kmats[slot[:, None], idx[:, None], tower.labels[rows, None, :-1]],
-                              axis=-1)
-    out = np.zeros(psi.coefficients.shape, dtype=complex)
-    terms = psi.coefficients[tower.up[rows][:, idx], np.arange(idx.size)]
-    out[rows] = fock._scale(terms, coef, out=terms)
-    return psi._with(out)
+    return annihilate_deformed(spec, _delta(p, psi.grid), psi)

@@ -349,12 +349,18 @@ def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | No
     return out if riders is None else (out, ridden)
 
 
+def _run_length(dim: int, m: int, truncation: int, coloured: bool) -> int:
+    """Slots per run of :func:`copy_chunks`, at least 1: P copies of the K probe columns,
+    each charged the widest gather g behind it, hold at most ``_BLOCK_ENTRIES`` entries,
+    D * P * K * g, with K = N + 1, g = 1 for a removal or diagonal operator, and
+    K = 1 + N m, g = max(m, N) for a free move (m momenta or N slots per label)."""
+    per_slot = (1 + truncation * m) * max(m, truncation) if coloured else truncation + 1
+    return max(1, _BLOCK_ENTRIES // (dim * per_slot))
+
+
 def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
-    """Slots 0..count-1 in runs of P >= 1 (index arrays) whose copies of the
-    pattern's K probe columns hold at most ``_BLOCK_ENTRIES`` entries, D * P * K:
-    K is N + 1 sector columns, or 1 + N M for a coloured pattern."""
-    columns = int(_layout(domain.union_size, domain.truncation).column(pattern).max()) + 1
-    per = max(1, _BLOCK_ENTRIES // (len(domain) * columns))
+    """Slots 0..count-1 in runs of :func:`_run_length` (index arrays)."""
+    per = _run_length(len(domain), domain.union_size, domain.truncation, pattern.coloured)
     return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
 
 

@@ -169,8 +169,9 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
     An amplitude of shape (m,) (and kernel (m, m)) acts on every column.  A stack
     of shape (P, m) (and (P, m, m)) holds one operator per slot of src's first
     batch axis, of length P: slot j is amp[j] (and kmat[j]) applied to slot j,
-    bit for bit as alone when each slot's amplitude has two or more nonzero
-    entries (lowering sums over the q nonzero in any slot).
+    bit for bit as alone on finite input.  Lowering sums over the q nonzero in any
+    slot, or, when every slot has exactly one nonzero entry q_j (sharp
+    annihilators), gathers column q_j for slot j alone: a (rows, P) index, no sum.
 
     ``split`` = (start, index, label_rows) reads ``index[r]`` into row r of
     the split tower (degrees at ``start``), labelled by row ``label_rows[r]``
@@ -194,7 +195,15 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
     # the slot axis of a stack goes after the label and term axes, as in src: .T
     # moves it last (amplitudes [q, slot], a padded kernel [k, q, slot])
     slot = (1,) * (amp.ndim - 1)
-    if step < 0:
+    removal = step < 0 and amp.ndim > 1 and bool(np.all(np.count_nonzero(amp, axis=-1) == 1))
+    if removal:  # K_j[q_j, k] at [lam, j, k]: contiguous in k, as alone
+        q, each = np.argmax(amp != 0, axis=-1), np.arange(len(amp))
+        coef = np.sqrt(tower.up_mult[labelled][:, q], dtype=float) * amp[each, q]
+        if kmat is not None:
+            kernel = _padded(kmat, 1.0, 2)[each[:, None], q[:, None], labels[:, None]]
+            coef = coef * np.prod(kernel, axis=-1)
+        index = (index[rows][:, q], each)
+    elif step < 0:
         q = np.flatnonzero(amp.any(axis=0) if slot else amp)  # nonzero in any slot
         # np.take keeps C order (a[:, q] would not), so the sums run as for all q
         mult = np.sqrt(np.take(tower.up_mult[labelled], q, axis=1), dtype=float)
@@ -215,7 +224,8 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
         index = index[rows, :high]
     coef = coef if label_rows is None else coef[label_rows[rows]]
     terms = src[index]
-    out[rows] = _scale(terms, coef, out=terms).sum(axis=1)
+    _scale(terms, coef, out=terms)
+    out[rows] = terms if removal else terms.sum(axis=1)
     return out
 
 

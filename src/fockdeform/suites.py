@@ -38,7 +38,7 @@ import numpy as np
 
 from . import chiral, dense, fock
 from .deformation import (KernelSpec, SharpTwistVariant, _kernel_values,
-                          _sharp_annihilate_each, _sharp_twist_each, annihilate_deformed,
+                          _delta, _sharp_twist_each, annihilate_deformed,
                           apply_kernel_phases, apply_pair_twist, create_deformed,
                           field_deformed, kernel, sharp_momentum_twist,
                           wedge_invariant)
@@ -477,12 +477,10 @@ def _root_chunks(roots, basis, pattern: dense.Pattern) -> list[tuple[Root, ...]]
 @functools.lru_cache(maxsize=1)
 def _dressings(spec: KernelSpec, points: bytes, truncation: int) -> np.ndarray:
     """Column q: the dressing K_q of :func:`apply_kernel_phases` against grid point q,
-    prod_i K(p_q, p_{k_i}) per label in coefficient order, bit for bit; shape (D, M)
-    and read-only.  From its own kernel evaluation, never the kernel table of
-    :func:`annihilate_deformed`, in runs of momenta whose slot gather holds at most
-    ``dense._BLOCK_ENTRIES`` / M entries: all at once at the default scale, one
-    momentum at a time at scale.  One entry: a probe image reads its slots'
-    tables on every block."""
+    prod_i K(p_q, p_{k_i}) per label in coefficient order, bit for bit; shape (D, M),
+    read-only, from its own kernel evaluation (never :func:`annihilate_deformed`'s
+    table), in runs of momenta whose slot gather holds ``dense._BLOCK_ENTRIES`` / M.
+    One entry: a probe image reads its slots' tables on every block."""
     pts = np.frombuffer(points)
     rows = _kernel_values(spec, pts[:, None], pts)
     out = np.empty((fock._offsets(pts.size, truncation)[-1], pts.size), dtype=complex)
@@ -498,28 +496,21 @@ def _dressed_sum(spec, xi, psi: fock.FockVector) -> fock.FockVector:
     sharp annihilator, added in q order: the dressed-sum reference, which never
     reads the kernel table of :func:`annihilate_deformed`.  ``spec`` and ``xi`` may
     be a tuple of P specs and a (P, M) stack, one per slot of psi's first batch
-    axis.  A run of momenta dresses every slot from the cached :func:`_dressings`
-    and is one :func:`_sharp_annihilate_each` over its (slot, momentum) pairs, of at
-    most ``dense._BLOCK_ENTRIES`` entries."""
-    grid, coefs = psi.grid, psi.coefficients
-    amp = grid.weights * np.conj(xi)
-    lead = amp.ndim - 1  # 1 for a stack of specs
-    tables = [_dressings(s, grid.points.tobytes(), psi.truncation)
-              for s in (spec if lead else (spec,))]
-    factors = amp.reshape(amp.shape[:-1] + (1,) * (coefs.ndim - 1 - lead) + amp.shape[-1:])
-    per = max(1, dense._BLOCK_ENTRIES // coefs.size)
-    out = None
-    for idx in np.split(np.arange(grid.size), range(per, grid.size, per)):
-        dressing = np.stack([t[:, idx] for t in tables], axis=1) if lead else tables[0][:, idx]
-        shape = dressing.shape + coefs.shape[1 + lead:]  # (D,) + slots + (momenta,) + batch
-        dressed = fock._scale(np.expand_dims(coefs, 1 + lead), dressing,
-                              out=np.empty(shape, dtype=complex))
-        pairs = dressed.reshape((len(coefs), -1) + coefs.shape[1 + lead:])
-        terms = _sharp_annihilate_each(np.tile(idx, pairs.shape[1] // idx.size),
-                                       psi._with(pairs)).coefficients.reshape(dressed.shape)
-        for j, q in enumerate(idx):
-            term = factors[..., q] * terms[(slice(None),) * (1 + lead) + (j,)]
-            out = term if out is None else out + term
+    axis.  [a(q) K_q psi](lam) is sqrt(m_q(lam + q)) sqrt(w_q) / w_q times the
+    dressed coefficient at lam + q: one gather of psi and of :func:`_dressings`
+    through the up table, multiplied in the per-momentum route's operand order
+    (a complex product's rounding depends on it)."""
+    grid, coefs, w = psi.grid, psi.coefficients, psi.grid.weights
+    tower, q = fock._tower(grid.size, psi.truncation), np.arange(grid.size)
+    tables = [_dressings(s, grid.points.tobytes(), psi.truncation)[tower.up, q]
+              for s in (spec if isinstance(spec, tuple) else (spec,))]
+    terms = coefs[tower.up]  # [lam, q] + batch, a stack's slot axis first in the batch
+    fock._scale(terms, np.stack(tables, -1) if isinstance(spec, tuple) else tables[0], out=terms)
+    fock._scale(terms, np.sqrt(tower.up_mult, dtype=float) * (np.sqrt(w) * (1.0 / w)), out=terms)
+    factors = np.expand_dims((w * np.conj(xi)).T, tuple(range(np.ndim(xi), terms.ndim - 1)))
+    out = np.zeros(coefs.shape, dtype=complex)
+    for j in q:
+        out[:len(terms)] += factors[j] * terms[:, j]
     return psi._with(out)
 
 
@@ -862,20 +853,19 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     bases = [dense.FockBasis(grid, n_top) for grid in grids]
 
     for grid, basis, grid_roots in zip(grids, bases, (roots, roots[:2])):
-        # slot (r, j) removes grid point j under root r; every removal reads the sector columns
-        slots = [(KernelSpec(root=r, mass=grid.mass), j) for r in grid_roots
-                 for j in range(grid.size)]
-        for chunk in dense.copy_chunks(len(slots), basis, dense.DIAGONAL):
-            spec = tuple(slots[k][0] for k in chunk)
-            idx = np.array([slots[k][1] for k in chunk])
+        # slot r M + j removes grid point j under root r; every removal reads the sector columns
+        specs = [KernelSpec(root=r, mass=grid.mass) for r in grid_roots]
+        for chunk in dense.copy_chunks(len(specs) * grid.size, basis, dense.DIAGONAL):
+            spec, idx = tuple(specs[k // grid.size] for k in chunk), chunk % grid.size
+            deltas = _delta(grid.points[idx], grid)
             sharp, copies = dense.removal(int(idx[0])), len(idx)
-            target = dense.probe_image(lambda v: _sharp_annihilate_each(idx, v, spec),
+            target = dense.probe_image(lambda v: annihilate_deformed(spec, deltas, v),
                                        sharp, basis, copies=copies)
             images = []
             for variant in SharpTwistVariant:
                 twist = functools.partial(_sharp_twist_each, spec, variant, idx)
                 images.append(dense.probe_image(
-                    lambda v: twist(_sharp_annihilate_each(idx, twist(v, adjoint=True))),
+                    lambda v: twist(fock.annihilate(deltas, twist(v, adjoint=True))),
                     sharp, basis, copies=copies))
                 yield f"conjugation-{variant.value}", dense.matrix_deviation(images[-1], target)
                 entries = dense.probe_entries(twist, dense.DIAGONAL, basis, copies=copies)
@@ -924,9 +914,9 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     The tower on M grid points (the larger configured grid) has D = binom(M +
     N, N) labels, S = binom(M + N - 1, N - 1) below the top sector, and a
     probe oracle on it K = 1 + N * M columns (:mod:`dense`).  A run of R' of
-    the R roots shares one application (:func:`dense.copy_chunks`: R' = 1 unless
-    D R' K <= ``dense._BLOCK_ENTRIES``), and a probe block holds k columns in
-    each of its R' slots.  Counted in complex entries: two copies of the widest
+    the R roots shares one application (the chunk rule :func:`dense._run_length`
+    of a coloured pattern), and a probe block holds k columns in each of its R'
+    slots.  Counted in complex entries: two copies of the widest
     ladder gather over a block, D * max(M * R' k, max(M / 2, N) * R' (k + 6)) (a
     full amplitude lowers at M momenta, the equivalence ladders with 6 riders per
     root at M / 2 or N); four probe images, D * (1 + N * M); three copies of one
@@ -952,7 +942,7 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     r = len(cfg.roots) if cfg.roots else cfg.root_count
     d, s = math.comb(m + n, n), math.comb(m + n - 1, n - 1)
     columns = 1 + n * m
-    copies = max(1, min(r, dense._BLOCK_ENTRIES // (d * columns)))
+    copies = min(r, dense._run_length(d, m, n, coloured=True))
     per_block = min(columns, max(1, dense._BLOCK_ENTRIES // (d * copies)))
     gather = copies * max(m * per_block, max(m // 2, n) * (per_block + 2 * _ROUTE_VECTORS))
     stacked = min(r * m * d, max(d, dense._BLOCK_ENTRIES // (n + 1)))

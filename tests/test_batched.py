@@ -10,8 +10,8 @@ import pytest
 
 from fockdeform import chiral, deformation, dense, fock, grids, suites
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_each,
-                                    annihilate_deformed, apply_kernel_phases, sharp_annihilate,
-                                    sharp_momentum_twist)
+                                    annihilate_deformed, annihilate_deformed_sharp,
+                                    apply_kernel_phases, sharp_annihilate, sharp_momentum_twist)
 from fockdeform.inner import make_root, random_symmetric_blaschke
 from fockdeform.suites import SuiteConfig
 
@@ -76,8 +76,8 @@ def per_momentum_dressed_sum(spec, xi, v):
 @pytest.mark.parametrize("name", GRIDS)
 @pytest.mark.parametrize("budget", [dense._BLOCK_ENTRIES, 1])
 def test_dressed_sum_keeps_its_own_route(monkeypatch, name, budget):
-    """It reads no kernel table, equals the per-momentum sum bit for bit, also in
-    runs of one momentum, and agrees with the deformed annihilator."""
+    """It reads no kernel table, equals the per-momentum sum bit for bit at any
+    block budget, and agrees with the deformed annihilator."""
     grid = GRIDS[name]
     spec = spec_on(grid)
     xi = fock.random_one_particle(grid, np.random.default_rng(2))
@@ -248,12 +248,56 @@ def test_stacked_sharp_annihilators_and_dressed_sums_equal_the_single_root_ones(
     psi = batch(grid, 3)
     idx = np.array([4, 1, 1])
     xi = np.stack([fock.random_one_particle(grid, np.random.default_rng(s)) for s in range(3)])
-    sharp = deformation._sharp_annihilate_each(idx, slots(psi, 3), specs).coefficients
+    deltas = deformation._delta(grid.points[idx], grid)
+    sharp = annihilate_deformed(specs, deltas, slots(psi, 3)).coefficients
     dressed = suites._dressed_sum(specs, xi, slots(psi, 3)).coefficients
     for j, spec in enumerate(specs):
-        alone = deformation._sharp_annihilate_each(idx[j:j + 1], slots(psi, 1), spec)
-        assert np.array_equal(sharp[:, j], alone.coefficients[:, 0])
+        alone = annihilate_deformed_sharp(spec, grid.points[idx[j]], psi)
+        assert np.array_equal(sharp[:, j], alone.coefficients)
         assert np.array_equal(dressed[:, j], suites._dressed_sum(spec, xi[j], psi).coefficients)
+
+
+def test_delta_of_an_array_stacks_the_single_deltas():
+    grid = GRIDS["massive"]
+    idx = np.array([4, 1, 1, 0])
+    stack = deformation._delta(grid.points[idx], grid)
+    assert stack.shape == (idx.size, grid.size)
+    for j, q in enumerate(idx):
+        assert np.array_equal(stack[j], deformation._delta(grid.points[q], grid))
+        assert np.flatnonzero(stack[j]).tolist() == [q]
+    with pytest.raises(ValueError):
+        deformation._delta(np.append(grid.points[:2], 0.5 * (grid.points[0] + grid.points[1])),
+                           grid)
+
+
+@pytest.mark.parametrize("name", GRIDS)
+@pytest.mark.parametrize("kernel", [False, True])
+def test_one_removal_per_slot_equals_each_slot_alone(name, kernel):
+    """A stack whose slots each have one nonzero amplitude lowers slot j as
+    amplitude j alone, bit for bit: slot 0 reads only labels holding its own
+    momentum, so a NaN at a label that only another slot's momentum reaches stays
+    out of it."""
+    grid = GRIDS[name]
+    rng = np.random.default_rng(8)
+    q = np.array([0, 3, 3, grid.size - 1])
+    xi = np.zeros((q.size, grid.size), dtype=complex)
+    xi[np.arange(q.size), q] = rng.standard_normal(q.size) + 1j * rng.standard_normal(q.size)
+    stacked = slots(batch(grid, 2), q.size)
+    tower = fock._tower(grid.size, N)
+    poisoned = np.flatnonzero((tower.sector == 2) & np.all(tower.labels != q[0], axis=1)
+                              & np.any(tower.labels == q[1], axis=1))[0]
+    stacked.coefficients[poisoned, 0] = np.nan
+    specs = tuple(spec_on(grid, seed) for seed in range(q.size))
+    if kernel:
+        got = annihilate_deformed(specs, xi, stacked)
+    else:
+        got = fock.annihilate(xi, stacked)
+    for j in range(q.size):
+        column = stacked._with(stacked.coefficients[:, j])
+        alone = annihilate_deformed(specs[j], xi[j], column) if kernel else fock.annihilate(
+            xi[j], column)
+        assert np.array_equal(got.coefficients[:, j], alone.coefficients)
+    assert np.all(np.isfinite(got.coefficients[:, 0]))
 
 
 def test_dressing_tables_are_cached_read_only_and_column_exact():

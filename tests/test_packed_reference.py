@@ -5,7 +5,7 @@ import pytest
 
 import tensor_reference as ref
 from fockdeform import chiral, dense, fock
-from fockdeform.deformation import (KernelSpec, _sharp_annihilate_each, annihilate_deformed,
+from fockdeform.deformation import (KernelSpec, _delta, annihilate_deformed,
                                     annihilate_deformed_sharp, create_deformed, kernel_matrix,
                                     sharp_annihilate)
 from fockdeform.grids import ChiralGridPair, MomentumGrid, boost_blocks, chiral_pair, rapidity_grid
@@ -85,6 +85,15 @@ def test_sharp_annihilators_match_reference(dressed):
         assert worst(got.sectors, ref.packed(GRID, expected).sectors) <= TOL
 
 
+def sharp_each(idx, psi, spec=None):
+    """Slot j of psi's first batch axis loses a particle at grid point idx[j], through
+    the stacked (deformed) annihilator of the delta amplitudes."""
+    deltas = _delta(psi.grid.points[idx], psi.grid)
+    if spec is None:
+        return fock.annihilate(deltas, psi)
+    return annihilate_deformed((spec,) * len(idx), deltas, psi)
+
+
 @pytest.mark.parametrize("grid", [GRID, rapidity_grid(1.0, 5, -1.0, 1.2)],
                          ids=["unequal-weights", "rapidity"])
 @pytest.mark.parametrize("dressed", [False, True])
@@ -102,7 +111,7 @@ def test_batched_sharp_annihilator_slices(grid, dressed, inputs):
         psi = fock.FockVector(grid, coefs, N)
     idx = np.array([grid.size - 1, 0, 2, 2])
     stacked = np.stack([psi.coefficients] * idx.size, axis=1)
-    got = _sharp_annihilate_each(idx, fock.FockVector(grid, stacked, N), spec if dressed else None)
+    got = sharp_each(idx, fock.FockVector(grid, stacked, N), spec if dressed else None)
     columns = [psi] if inputs == "one-sector" else [
         fock.FockVector(grid, psi.coefficients[:, k], N) for k in range(2)]
     for j, q in enumerate(idx):
@@ -121,11 +130,11 @@ def test_batched_sharp_annihilator_zeros_and_nan(dressed):
     spec = KernelSpec(root=root(), mass=GRID.mass) if dressed else None
     idx = np.arange(GRID.size)
     dim = fock._offsets(GRID.size, N)[-1]
-    zero = _sharp_annihilate_each(idx, fock.FockVector(GRID, np.zeros((dim, 6, 3)), N), spec)
+    zero = sharp_each(idx, fock.FockVector(GRID, np.zeros((dim, 6, 3)), N), spec)
     assert np.all(zero.coefficients == 0.0)
     coefs = np.stack([fock.random_fock_vector(GRID, N, rng()).coefficients] * 6, axis=1)
     coefs[:, 3] = np.nan
-    out = _sharp_annihilate_each(idx, fock.FockVector(GRID, coefs, N), spec).coefficients
+    out = sharp_each(idx, fock.FockVector(GRID, coefs, N), spec).coefficients
     assert np.all(np.isfinite(np.delete(out, 3, axis=1)))
     assert np.isnan(out[: fock._offsets(GRID.size, N)[-2], 3]).all()
 

@@ -221,24 +221,24 @@ def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
     """Sector-diagonal unitary whose adjoint action turns a(p) into a_K(p).
 
     Label kappa of sector n is multiplied by prod_{i<j} of the variant's pair
-    phase; sectors n <= 1 and the vacuum are untouched.
+    phase; sectors n <= 1 and the vacuum are untouched.  The one-slot
+    :func:`_sharp_twist_each`: a (1, M, M) stack has the bytes of the table
+    alone, so it acts on every column of psi.
     """
-    gmat = _sharp_twist_tables(spec, variant, np.array([float(p)]).tobytes(),
-                               psi.grid.points.tobytes())[0]
-    return fock.apply_pair_phase(np.conj(gmat) if adjoint else gmat, psi)
+    return _sharp_twist_each(spec, variant, [float(p)], psi, adjoint)
 
 
-def _sharp_twist_each(spec, variant: SharpTwistVariant, indices, psi: FockVector,
+def _sharp_twist_each(spec, variant: SharpTwistVariant, momenta, psi: FockVector,
                       adjoint: bool = False) -> FockVector:
     """Slice j of psi's first batch axis twisted as by :func:`sharp_momentum_twist` at
-    grid point ``indices[j]``, with ``spec`` or its j-th entry, bit for bit: one stacked
+    ``momenta[j]``, with ``spec`` or its j-th entry, bit for bit: one stacked
     :func:`fock.apply_pair_phase` of a :func:`_sharp_twist_tables` stack per run of slots
     with one spec, of conj(G) for the adjoint (not the conjugate multipliers of G)."""
-    points, idx = psi.grid.points, np.asarray(indices)
-    specs = spec if isinstance(spec, tuple) else (spec,) * idx.size
-    runs = [list(run) for _, run in itertools.groupby(range(idx.size), key=specs.__getitem__)]
-    gmats = np.concatenate([_sharp_twist_tables(specs[run[0]], variant, points[idx[run]].tobytes(),
-                                                points.tobytes()) for run in runs])
+    momenta = np.asarray(momenta, dtype=float)
+    specs = spec if isinstance(spec, tuple) else (spec,) * momenta.size
+    runs = [list(run) for _, run in itertools.groupby(range(momenta.size), key=specs.__getitem__)]
+    gmats = np.concatenate([_sharp_twist_tables(specs[run[0]], variant, momenta[run].tobytes(),
+                                                psi.grid.points.tobytes()) for run in runs])
     return fock.apply_pair_phase(np.conj(gmats) if adjoint else gmats, psi)
 
 

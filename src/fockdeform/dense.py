@@ -25,8 +25,8 @@ hermiticity and unitarity read the entries back as COO arrays
 That is (N + 1) * M probe columns instead of D basis columns.
 
 The blocks follow a cached O(D) plan (:func:`_plan`).  Random vectors may ride with
-one block, and P operators of one layout (P roots, or P (root, momentum) pairs)
-may share the columns over a batch axis, in runs of :func:`copy_chunks`.
+one block, and P operators of one layout (P roots, or P (root, momentum) pairs,
+one slot each of the image's copies axis) share the columns (:func:`copy_chunks`).
 
 The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
 :func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
@@ -67,10 +67,6 @@ class _Basis:
 
     def __len__(self) -> int:
         return len(self.union_order)
-
-    def block(self, start: int, stop: int):
-        """Basis vectors start..stop-1 as one vector with batch shape (stop - start,)."""
-        return self._vector(np.eye(len(self), stop - start, -start, dtype=complex))
 
     @property
     def vectors(self) -> list:
@@ -158,8 +154,8 @@ def operator_matrix(op, domain, codomain=None) -> np.ndarray:
     out = np.empty((len(cod), len(domain)), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // max(len(domain), len(cod)))
     for start in range(0, len(domain), step):
-        stop = min(start + step, len(domain))
-        out[:, start:stop] = cod.coefficients(op(domain.block(start, stop)))
+        eye = np.eye(len(domain), min(step, len(domain) - start), -start, dtype=complex)
+        out[:, start:start + step] = cod.coefficients(op(domain._vector(eye)))
     return out
 
 
@@ -185,7 +181,9 @@ class Pattern(NamedTuple):
     particle, +1 adds one, 0 keeps the label (diagonal operators, and
     relabellings such as the merge).  ``removed`` pins the grid index that a
     removal takes out (the sharp annihilators); a free move may add or
-    remove any index.
+    remove any index.  A removal's probe columns are the N + 1 sector columns
+    whatever its index, so one image may hold slots that remove different
+    momenta: only :func:`probe_entries` reads ``removed``.
     """
 
     degrees: tuple[int, ...]
@@ -205,7 +203,8 @@ DIAGONAL = Pattern((0,))
 
 
 def removal(index: int) -> Pattern:
-    """The pattern of an annihilator at the one grid point ``index``."""
+    """The pattern of an annihilator at the one grid point ``index``; its probe
+    image is that of a removal at any other index (:class:`Pattern`)."""
     return Pattern((-1,), index)
 
 
@@ -312,9 +311,9 @@ def _plan(m: int, truncation: int, coloured: bool, degrees: tuple, order: bytes,
     return tuple(block[1:] for block in sorted(blocks, key=lambda block: block[0]))
 
 
-def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | None = None,
+def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int = 1,
                 riders: np.ndarray | None = None):
-    """op applied to the pattern's probe columns: shape (D, K), rows in union label order.
+    """op applied to the pattern's probe columns: shape (D, P, K), rows in union label order.
 
     Probe column k is the sum of the labels of its sector (and colour) times
     their phases.  ``op`` must be linear and act column by column, as for
@@ -322,30 +321,28 @@ def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int | No
     ``_BLOCK_ENTRIES`` coefficients, built from the cached :func:`_plan`.
     Domain and codomain are bases over the same union grid and truncation.
 
-    With ``copies`` = P, op gets each block repeated over a leading batch
-    axis (batch shape (P, k)), so that P operators of one column layout
-    share the columns: the image has shape (D, P, K).  ``riders``, domain
-    coefficients of shape (len(domain), r), or (len(domain), P, r) with
-    ``copies``, r vectors per slot, go with the plan's first block, and the
-    result is the pair (image, codomain coefficients of op(riders)), of the
-    riders' shape.
+    op gets each block repeated over a leading batch axis of ``copies`` = P
+    slots (batch shape (P, k)), so that P operators of one column layout share
+    the columns; an operator that is not stacked acts on every slot alike.
+    ``riders``, domain coefficients of shape (len(domain), P, r), r vectors per
+    slot, go with the plan's first block, and the result is the pair (image,
+    codomain coefficients of op(riders), of the riders' shape).
     """
     cod = domain if codomain is None else codomain
-    lead = () if copies is None else (copies,)
-    step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * (copies or 1)))
+    step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * copies))
     plan = _plan(domain.union_size, domain.truncation, pattern.coloured, pattern.degrees,
                  np.asarray(domain.union_order, dtype=np.intp).tobytes(), step)
-    out = np.empty((len(cod),) + lead + (max(block[1] for block in plan),), dtype=complex)
+    out = np.empty((len(cod), copies, max(block[1] for block in plan)), dtype=complex)
     for k, (first, last, rows, cols, phases) in enumerate(plan):
-        probes = np.zeros((len(domain),) + lead + (last - first,), dtype=complex)
-        probes[rows, ..., cols] = phases[:, None] if copies else phases
+        probes = np.zeros((len(domain), copies, last - first), dtype=complex)
+        probes[rows, :, cols] = phases[:, None]
         ride = riders is not None and k == 0
         if ride:
             probes = np.concatenate([riders, probes], axis=-1)
         image = cod.coefficients(op(domain._vector(probes)))
         if ride:
             ridden, image = image[..., :riders.shape[-1]], image[..., riders.shape[-1]:]
-        out[cod.union_order, ..., first:last] = image
+        out[cod.union_order, :, first:last] = image
     return out if riders is None else (out, ridden)
 
 
@@ -365,10 +362,9 @@ def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
 
 
 def probe_deviation(op_a, op_b, pattern: Pattern, domain, codomain=None, *,
-                    copies: int | None = None) -> float:
-    """Max |A R - B R| over the probe image; equals the dense max |A - B| up to
-    rounding when both operators fit the pattern.  ``copies`` as for
-    :func:`probe_image`: the maximum over the P slots."""
+                    copies: int = 1) -> float:
+    """Max |A R - B R| over the probe images (:func:`probe_image`) of all P slots;
+    equals the dense max |A - B| up to rounding when both operators fit the pattern."""
     return matrix_deviation(probe_image(op_a, pattern, domain, codomain, copies=copies),
                             probe_image(op_b, pattern, domain, codomain, copies=copies))
 
@@ -401,23 +397,19 @@ class Entries(NamedTuple):
         return float(np.max([np.max(defect, initial=0.0), self.residual]))
 
 
-def probe_entries(op, pattern: Pattern, domain, codomain=None, *,
-                  copies: int | None = None) -> Entries:
+def probe_entries(op, pattern: Pattern, domain, codomain=None, *, copies: int = 1) -> Entries:
     """The entries of op that ``pattern`` allows, read off its probe image.
 
     Inside the pattern each image cell holds one entry times its column
-    label's phase; every other cell counts toward the residual.  With
-    ``copies`` (:func:`probe_image`) the values have shape (E, P).
+    label's phase; every other cell counts toward the residual.  The values
+    have shape (E, P), one column per slot of :func:`probe_image`.
     """
     image = probe_image(op, pattern, domain, codomain, copies=copies)
     layout = _layout(domain.union_size, domain.truncation)
     rows, cols = _positions(domain.union_size, domain.truncation, pattern)
     probe = layout.column(pattern)[cols]
-    allowed = np.zeros((len(image), image.shape[-1]), dtype=bool)
-    allowed[rows, probe] = True
-    slot = (1,) * (image.ndim - 2)  # the copies axis stays between rows and columns
-    values = image[(rows,) + (slice(None),) * len(slot) + (probe,)]
+    outside = np.ones((len(image), 1, image.shape[-1]), dtype=bool)
+    outside[rows, 0, probe] = False
     # the residual is a reduction under a mask: no gather of the cells
-    outside = ~allowed.reshape((len(image),) + slot + (-1,))
-    return Entries(rows, cols, values / layout.phase[cols].reshape((-1,) + slot),
+    return Entries(rows, cols, image[rows, :, probe] / layout.phase[cols, None],
                    float(np.max(np.abs(image), where=outside, initial=0.0)))

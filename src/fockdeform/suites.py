@@ -393,7 +393,7 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     raw = rng.standard_normal((grid.size,) * 3) + 1j * rng.standard_normal((grid.size,) * 3)
     yield "symmetrizer-projects", roundtrip(fock.symmetrize(raw, grid.weights, 3), 3)
     probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, rng)))
-    for n, sec in enumerate(probe.sectors):
+    for n, sec in enumerate(probe.sectors[:4]):  # up to the raw tensor's degree: M^n entries
         yield "symmetrizer-projects", roundtrip(sec, n)
 
 
@@ -474,14 +474,13 @@ def _root_chunks(roots, basis, pattern: dense.Pattern) -> list[tuple[Root, ...]]
             for chunk in dense.copy_chunks(len(roots), basis, pattern)]
 
 
-@functools.lru_cache(maxsize=1)
-def _dressings(spec: KernelSpec, points: bytes, truncation: int) -> np.ndarray:
+def _dressings(spec: KernelSpec, grid: MomentumGrid, truncation: int) -> np.ndarray:
     """Column q: the dressing K_q of :func:`apply_kernel_phases` against grid point q,
     prod_i K(p_q, p_{k_i}) per label in coefficient order, bit for bit; shape (D, M),
     read-only, from its own kernel evaluation (never :func:`annihilate_deformed`'s
     table), in runs of momenta whose slot gather holds ``dense._BLOCK_ENTRIES`` / M.
-    One entry: a probe image reads its slots' tables on every block."""
-    pts = np.frombuffer(points)
+    Built once per run of roots, which holds at most two."""
+    pts = grid.points
     rows = _kernel_values(spec, pts[:, None], pts)
     out = np.empty((fock._offsets(pts.size, truncation)[-1], pts.size), dtype=complex)
     per = max(1, dense._BLOCK_ENTRIES // (out.size * truncation))
@@ -491,23 +490,21 @@ def _dressings(spec: KernelSpec, points: bytes, truncation: int) -> np.ndarray:
     return out
 
 
-def _dressed_sum(spec, xi, psi: fock.FockVector) -> fock.FockVector:
+def _dressed_sum(dressings, xi, psi: fock.FockVector) -> fock.FockVector:
     """sum_q w_q conj(xi_q) a(q) K_q psi, K_q the dressing against q and a(q) the
     sharp annihilator, added in q order: the dressed-sum reference, which never
-    reads the kernel table of :func:`annihilate_deformed`.  ``spec`` and ``xi`` may
-    be a tuple of P specs and a (P, M) stack, one per slot of psi's first batch
-    axis.  [a(q) K_q psi](lam) is sqrt(m_q(lam + q)) sqrt(w_q) / w_q times the
-    dressed coefficient at lam + q: one gather of psi and of :func:`_dressings`
-    through the up table, multiplied in the per-momentum route's operand order
-    (a complex product's rounding depends on it)."""
+    reads the kernel table of :func:`annihilate_deformed`.  ``dressings`` holds the
+    :func:`_dressings` table of each of P slots and ``xi`` the (P, M) stack of their
+    amplitudes, one per slot of psi's first batch axis.  [a(q) K_q psi](lam) is
+    sqrt(m_q(lam + q)) sqrt(w_q) / w_q times the dressed coefficient at lam + q: one
+    gather of psi and of the tables through the up table, multiplied in the
+    per-momentum route's operand order (a complex product's rounding depends on it)."""
     grid, coefs, w = psi.grid, psi.coefficients, psi.grid.weights
     tower, q = fock._tower(grid.size, psi.truncation), np.arange(grid.size)
-    tables = [_dressings(s, grid.points.tobytes(), psi.truncation)[tower.up, q]
-              for s in (spec if isinstance(spec, tuple) else (spec,))]
-    terms = coefs[tower.up]  # [lam, q] + batch, a stack's slot axis first in the batch
-    fock._scale(terms, np.stack(tables, -1) if isinstance(spec, tuple) else tables[0], out=terms)
+    terms = coefs[tower.up]  # [lam, q, slot] + batch
+    fock._scale(terms, np.stack([table[tower.up, q] for table in dressings], -1), out=terms)
     fock._scale(terms, np.sqrt(tower.up_mult, dtype=float) * (np.sqrt(w) * (1.0 / w)), out=terms)
-    factors = np.expand_dims((w * np.conj(xi)).T, tuple(range(np.ndim(xi), terms.ndim - 1)))
+    factors = np.expand_dims((w * np.conj(xi)).T, tuple(range(2, terms.ndim - 1)))
     out = np.zeros(coefs.shape, dtype=complex)
     for j in q:
         out[:len(terms)] += factors[j] * terms[:, j]
@@ -538,10 +535,11 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         for chunk in _root_chunks(roots[:2], basis, dense.LOWER):
             spec = tuple(KernelSpec(root=r, mass=grid.mass) for r in chunk)
             xi = np.stack([fock.random_one_particle(grid, rng) for _ in chunk])
+            # no name holds the run's dressing tables: they are freed when the comparison returns
             yield "annihilator-equals-dressed-sum", dense.probe_deviation(
                 lambda v: annihilate_deformed(spec, xi, v),
-                lambda v: _dressed_sum(spec, xi, v), dense.LOWER, basis, copies=len(chunk))
-    _dressings.cache_clear()  # D x M tables that no later check reads
+                functools.partial(_dressed_sum, [_dressings(s, grid, n_top) for s in spec], xi),
+                dense.LOWER, basis, copies=len(chunk))
 
     for grid, basis in zip(grids, bases):
         for chunk in _root_chunks(roots[:2], basis, dense.LOWER):
@@ -857,13 +855,13 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         specs = [KernelSpec(root=r, mass=grid.mass) for r in grid_roots]
         for chunk in dense.copy_chunks(len(specs) * grid.size, basis, dense.DIAGONAL):
             spec, idx = tuple(specs[k // grid.size] for k in chunk), chunk % grid.size
-            deltas = _delta(grid.points[idx], grid)
+            momenta, deltas = grid.points[idx], _delta(grid.points[idx], grid)
             sharp, copies = dense.removal(int(idx[0])), len(idx)
             target = dense.probe_image(lambda v: annihilate_deformed(spec, deltas, v),
                                        sharp, basis, copies=copies)
             images = []
             for variant in SharpTwistVariant:
-                twist = functools.partial(_sharp_twist_each, spec, variant, idx)
+                twist = functools.partial(_sharp_twist_each, spec, variant, momenta)
                 images.append(dense.probe_image(
                     lambda v: twist(fock.annihilate(deltas, twist(v, adjoint=True))),
                     sharp, basis, copies=copies))
@@ -878,7 +876,8 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     control = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
         yield "variants-differ-as-operators", dense.matrix_deviation(*(
-            dense.probe_image(functools.partial(_sharp_twist_each, control, variant, idx),
+            dense.probe_image(functools.partial(_sharp_twist_each, control, variant,
+                                                grid.points[idx]),
                               dense.DIAGONAL, basis, copies=len(idx))
             for variant in SharpTwistVariant))
 
@@ -911,29 +910,28 @@ SUITE_NAMES = tuple(SUITES)
 def memory_estimate(cfg: SuiteConfig) -> int:
     """Bytes that a run's largest arrays hold at once; 0 when no suite builds a tower.
 
-    The tower on M grid points (the larger configured grid) has D = binom(M +
-    N, N) labels, S = binom(M + N - 1, N - 1) below the top sector, and a
-    probe oracle on it K = 1 + N * M columns (:mod:`dense`).  A run of R' of
-    the R roots shares one application (the chunk rule :func:`dense._run_length`
-    of a coloured pattern), and a probe block holds k columns in each of its R'
-    slots.  Counted in complex entries: two copies of the widest
-    ladder gather over a block, D * max(M * R' k, max(M / 2, N) * R' (k + 6)) (a
-    full amplitude lowers at M momenta, the equivalence ladders with 6 riders per
-    root at M / 2 or N); four probe images, D * (1 + N * M); three copies of one
-    batch of random vectors (:func:`dense.random_batches`), the larger of 2 D and
-    ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis vectors, D_4^2, and
-    symmetrizer build (:func:`fock._tensor_ranks`), (N + 2) * 4^N; full caches of
-    cross multipliers and of pair-phase multipliers, ``maxsize`` times D P each
-    for twists stacked over P slots (P roots, or P (root, momentum) pairs of the
-    sharp twists, P <= R M), D P (N + 1) <= ``dense._BLOCK_ENTRIES`` unless P = 1;
-    and a full cache of dressing tables (:func:`_dressings`) with one more being
-    built, ``maxsize`` + 1 times D M.  Counted in 8-byte entries, on each of the
-    two grids: the flat tower (:func:`fock._tower`), 2 D N + S M + 3 D; the split layout
-    (:func:`chiral._layout`), 4 D, and its ladders' gather indices
-    (:func:`chiral._half_ladder`), 2 (S M / 2 + D N); the probe positions
-    (:func:`dense._positions`), 8 S M + 2 D, and layout, 3 D.  No M^n table is
-    built on the larger grid, and the (stacked) kernel, cross and twist matrices,
-    P M^2 entries, are not counted.  The inner and kernel suites build no tower.
+    The tower on M grid points (the larger configured grid) has D = binom(M + N, N)
+    labels, S = binom(M + N - 1, N - 1) below the top sector, and a probe oracle on
+    it K = 1 + N * M columns (:mod:`dense`).  A run of R' of the R roots shares one
+    application (the chunk rule :func:`dense._run_length` of a coloured pattern), and
+    a probe block holds k columns in each of its R' slots.  Counted in complex
+    entries: two copies of the widest ladder gather over a block,
+    D * max(M * R' k, max(M / 2, N) * R' (k + 6)) (a full amplitude lowers at M
+    momenta, the equivalence ladders with 6 riders per root at M / 2 or N); four
+    probe images, D * (1 + N * M); three copies of one batch of random vectors
+    (:func:`dense.random_batches`), the larger of 2 D and ``dense._BLOCK_ENTRIES``;
+    the fock suite's 4-point basis vectors, D_4^2; full caches of cross multipliers
+    and of pair-phase multipliers, ``maxsize`` times D P each for twists stacked over
+    P slots (P roots, or P (root, momentum) pairs of the sharp twists, P <= R M),
+    D P (N + 1) <= ``dense._BLOCK_ENTRIES`` unless P = 1; and the dressing tables
+    (:func:`_dressings`) of a run of at most two roots, 2 D M.  Counted in 8-byte
+    entries, on each of the two grids: the flat tower (:func:`fock._tower`),
+    2 D N + S M + 3 D; the split layout (:func:`chiral._layout`), 4 D, and its
+    ladders' gather indices (:func:`chiral._half_ladder`), 2 (S M / 2 + D N); the
+    probe positions (:func:`dense._positions`), 8 S M + 2 D, and layout, 3 D.  Not
+    counted: M^n symmetrizer tables (none on the larger grid, n <= 3 on the fock
+    suite's 4 points) and the (stacked) kernel, cross and twist matrices, P M^2
+    entries.  The inner and kernel suites build no tower.
     """
     selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
     if set(selected) <= {"inner", "kernel"}:
@@ -948,9 +946,9 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     stacked = min(r * m * d, max(d, dense._BLOCK_ENTRIES // (n + 1)))
     multipliers = (stacked * (fock._pair_multipliers.cache_parameters()["maxsize"]
                               + chiral._cross_multipliers.cache_parameters()["maxsize"])
-                   + d * m * (_dressings.cache_parameters()["maxsize"] + 1))
+                   + 2 * d * m)
     entries = (2 * d * gather + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
-               + math.comb(4 + n, n) ** 2 + (n + 2) * 4 ** n + multipliers)
+               + math.comb(4 + n, n) ** 2 + multipliers)
     indices = 2 * (4 * d * n + 9 * s * m + 2 * s * (m // 2) + 12 * d)
     return np.dtype(complex).itemsize * entries + 8 * indices
 

@@ -38,7 +38,8 @@ def test_stacked_sharp_twist_slots_equal_the_one_point_twists(name, variant, adj
     psi = batch(grid, 2)
     for idx in (np.arange(grid.size), np.array([4, 1, 1])):
         stacked = psi._with(np.stack([psi.coefficients] * idx.size, axis=1))
-        got = _sharp_twist_each(spec, variant, idx, stacked, adjoint=adjoint).coefficients
+        got = _sharp_twist_each(spec, variant, grid.points[idx], stacked,
+                                adjoint=adjoint).coefficients
         for j, q in enumerate(idx):
             want = sharp_momentum_twist(spec, variant, grid.points[q], psi, adjoint=adjoint)
             assert np.array_equal(got[:, j], want.coefficients)
@@ -91,9 +92,10 @@ def test_dressed_sum_keeps_its_own_route(monkeypatch, name, budget):
     monkeypatch.setattr(deformation, "kernel_matrix", refuse)
     monkeypatch.setattr(deformation, "_kernel_table", refuse)
     monkeypatch.setattr(dense, "_BLOCK_ENTRIES", budget)
-    got = suites._dressed_sum(spec, xi, v)
-    assert np.array_equal(got.coefficients, want.coefficients)
-    assert np.max(np.abs(got.coefficients - deformed.coefficients)) <= 1e-13
+    tables = [suites._dressings(spec, grid, N)]
+    got = suites._dressed_sum(tables, xi[None], slots(v, 1)).coefficients[:, 0]
+    assert np.array_equal(got, want.coefficients)
+    assert np.max(np.abs(got - deformed.coefficients)) <= 1e-13
 
 
 def counting(monkeypatch, module, name, record):
@@ -177,7 +179,7 @@ def test_sharp_twist_slots_over_roots_and_momenta_equal_the_one_point_twists(var
     layout = [(spec, q) for spec in specs for q in range(grid.size)][4:15]
     psi = batch(grid, 2)
     got = _sharp_twist_each(tuple(spec for spec, _ in layout), variant,
-                            np.array([q for _, q in layout]), slots(psi, len(layout)),
+                            grid.points[[q for _, q in layout]], slots(psi, len(layout)),
                             adjoint=adjoint).coefficients
     for j, (spec, q) in enumerate(layout):
         want = sharp_momentum_twist(spec, variant, grid.points[q], psi, adjoint=adjoint)
@@ -250,11 +252,13 @@ def test_stacked_sharp_annihilators_and_dressed_sums_equal_the_single_root_ones(
     xi = np.stack([fock.random_one_particle(grid, np.random.default_rng(s)) for s in range(3)])
     deltas = deformation._delta(grid.points[idx], grid)
     sharp = annihilate_deformed(specs, deltas, slots(psi, 3)).coefficients
-    dressed = suites._dressed_sum(specs, xi, slots(psi, 3)).coefficients
+    tables = [suites._dressings(spec, grid, N) for spec in specs]
+    dressed = suites._dressed_sum(tables, xi, slots(psi, 3)).coefficients
     for j, spec in enumerate(specs):
         alone = annihilate_deformed_sharp(spec, grid.points[idx[j]], psi)
         assert np.array_equal(sharp[:, j], alone.coefficients)
-        assert np.array_equal(dressed[:, j], suites._dressed_sum(spec, xi[j], psi).coefficients)
+        one = suites._dressed_sum(tables[j:j + 1], xi[j:j + 1], slots(psi, 1))
+        assert np.array_equal(dressed[:, j], one.coefficients[:, 0])
 
 
 def test_delta_of_an_array_stacks_the_single_deltas():
@@ -300,12 +304,27 @@ def test_one_removal_per_slot_equals_each_slot_alone(name, kernel):
     assert np.all(np.isfinite(got.coefficients[:, 0]))
 
 
-def test_dressing_tables_are_cached_read_only_and_column_exact():
+@pytest.mark.parametrize("name", GRIDS)
+def test_removals_of_different_momenta_share_one_probe_image(name):
+    """A removal's probe columns do not depend on its index: one image whose slots
+    remove different momenta is, slot by slot, each slot's own removal(q) image."""
+    grid = GRIDS[name]
+    basis = dense.FockBasis(grid, N)
+    specs = tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS + ROOTS[:1])
+    idx = np.array([4, 1, 1, 0])
+    deltas = deformation._delta(grid.points[idx], grid)
+    image = dense.probe_image(lambda v: annihilate_deformed(specs, deltas, v),
+                              dense.removal(int(idx[0])), basis, copies=idx.size)
+    for j, (spec, q) in enumerate(zip(specs, idx)):
+        own = dense.probe_image(lambda v: annihilate_deformed(spec, deltas[j], v),
+                                dense.removal(int(q)), basis)
+        assert np.array_equal(image[:, j], own[:, 0])
+
+
+def test_dressing_tables_are_read_only_and_column_exact():
     grid = GRIDS["massless"]
     spec = spec_on(grid)
-    suites._dressings.cache_clear()
-    table = suites._dressings(spec, grid.points.tobytes(), N)
-    assert suites._dressings(spec, grid.points.tobytes(), N) is table
+    table = suites._dressings(spec, grid, N)
     assert not table.flags.writeable
     ones = fock.FockVector(grid, np.ones(len(table)), N)
     for q, p in enumerate(grid.points):

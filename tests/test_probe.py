@@ -158,7 +158,8 @@ def test_entries_reproduce_the_dense_matrix(name):
     cod = domain if codomain is None else codomain
     entries = dense.probe_entries(op_a, pattern, domain, codomain)
     rebuilt = np.zeros((len(cod), len(domain)), dtype=complex)
-    rebuilt[entries.rows, entries.cols] = entries.values
+    assert entries.values.shape == (len(entries.rows), 1)
+    rebuilt[entries.rows, entries.cols] = entries.values[:, 0]
     matrix = dense.operator_matrix(op_a, domain, codomain)
     union = np.zeros_like(matrix)
     union[np.ix_(cod.union_order, domain.union_order)] = matrix

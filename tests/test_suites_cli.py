@@ -626,10 +626,22 @@ def test_ceiling_config_is_admitted():
 def test_default_run_builds_no_symmetrizer_table_beyond_the_counted_ones(monkeypatch):
     """Random vectors are drawn as coefficients, so the only symmetrizer tables
     (fock._tensor_ranks, M^n entries) a run builds are the fock suite's on its
-    4-point tower, which check_memory counts, and two-particle ones."""
+    4-point tower and two-particle ones."""
     built = []
     real = fock._tensor_ranks
     monkeypatch.setattr(fock, "_tensor_ranks", lambda m, n: built.append((m, n)) or real(m, n))
     run_suite(SuiteConfig())
     assert built
     assert [(m, n) for m, n in built if n >= 3 and m > 4] == []
+
+
+def test_fock_suite_builds_no_symmetrizer_table_above_the_raw_tensor_degree(monkeypatch):
+    """At N=6 the fock suite round-trips the sectors up to degree 3 only, so its
+    memory does not grow as 4^N."""
+    built = []
+    real = fock._tensor_ranks
+    monkeypatch.setattr(fock, "_tensor_ranks", lambda m, n: built.append((m, n)) or real(m, n))
+    cfg = SuiteConfig(truncation=6, suites=("fock",))
+    list(suites.suite_fock(cfg, suites._suite_rng(cfg.seed, "fock")))
+    assert (4, 3) in built
+    assert [(m, n) for m, n in built if n > 3] == []

@@ -17,16 +17,19 @@ multisets of one size that share a row of a move differ by one swap
 q -> q', so their colours differ by q' - q != 0 mod M.  Every other pattern
 gets one column per sector.  Each label enters its column with a fixed unit
 phase, so inside the pattern every entry of the probe image is exactly one
-matrix entry times a unit phase (:func:`probe_image`), and an entry outside
-the pattern lands in a cell the pattern leaves empty or mixes into a read
-one.  Comparisons take max |A R - B R| over the image; adjointness,
-hermiticity and unitarity read the entries back as COO arrays
-(:class:`Entries`) and count every image cell the pattern says must vanish.
-That is (N + 1) * M probe columns instead of D basis columns.
+matrix entry times a unit phase, and an entry outside the pattern lands in a
+cell the pattern leaves empty or mixes into a read one.  Comparisons take
+max |A R - B R| over the image; adjointness, hermiticity and unitarity read
+the entries back as COO arrays (:class:`Entries`) and count every image cell
+the pattern says must vanish.  That is (N + 1) * M probe columns instead of
+D basis columns.
 
-The blocks follow a cached O(D) plan (:func:`_plan`).  Random vectors may ride with
-one block, and P operators of one layout (P roots, or P (root, momentum) pairs,
-one slot each of the image's copies axis) share the columns (:func:`copy_chunks`).
+No full image is held: :func:`probe_blocks` applies several operators to each
+block of columns of a cached O(D) plan (:func:`_plan`) in turn, and every consumer
+reduces block by block (a maximum of block maxima, NaN if any is NaN).  Random
+vectors may ride with the first block, and P operators of one layout (P roots, or
+P (root, momentum) pairs, one slot each of the copies axis) share the columns
+(:func:`copy_chunks`).
 
 The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
 :func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
@@ -47,7 +50,7 @@ from .grids import ChiralGridPair, MomentumGrid
 
 
 # Batch entries (columns times basis size) of one block that operator_matrix
-# and probe_image apply their operator to, or of one batch of random vectors
+# and probe_blocks apply their operators to, or of one batch of random vectors
 # that random_batches draws; bounds the memory of the block and of the
 # operator's intermediates.
 _BLOCK_ENTRIES = 524_288
@@ -311,39 +314,36 @@ def _plan(m: int, truncation: int, coloured: bool, degrees: tuple, order: bytes,
     return tuple(block[1:] for block in sorted(blocks, key=lambda block: block[0]))
 
 
-def probe_image(op, pattern: Pattern, domain, codomain=None, *, copies: int = 1,
-                riders: np.ndarray | None = None):
-    """op applied to the pattern's probe columns: shape (D, P, K), rows in union label order.
+def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 1,
+                 riders: list[np.ndarray] | None = None):
+    """Per block of the cached :func:`_plan`, (first, images): images[i] is ops[i] applied
+    to probe columns first..first+k-1, shape (D, P, k), rows in union label order.
 
     Probe column k is the sum of the labels of its sector (and colour) times
-    their phases.  ``op`` must be linear and act column by column, as for
-    :func:`operator_matrix`; it is applied once per block of at most
-    ``_BLOCK_ENTRIES`` coefficients, built from the cached :func:`_plan`.
+    their phases.  Each op must be linear and act column by column, as for
+    :func:`operator_matrix`; a block holds at most ``_BLOCK_ENTRIES`` coefficients.
     Domain and codomain are bases over the same union grid and truncation.
 
-    op gets each block repeated over a leading batch axis of ``copies`` = P
+    Each op gets the block repeated over a leading batch axis of ``copies`` = P
     slots (batch shape (P, k)), so that P operators of one column layout share
     the columns; an operator that is not stacked acts on every slot alike.
-    ``riders``, domain coefficients of shape (len(domain), P, r), r vectors per
-    slot, go with the plan's first block, and the result is the pair (image,
-    codomain coefficients of op(riders), of the riders' shape).
+    ``riders[i]``, domain coefficients of shape (len(domain), P, r_i), lead op i's
+    first block: its image there has r_i + k columns, the riders' images first.
     """
     cod = domain if codomain is None else codomain
     step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * copies))
     plan = _plan(domain.union_size, domain.truncation, pattern.coloured, pattern.degrees,
                  np.asarray(domain.union_order, dtype=np.intp).tobytes(), step)
-    out = np.empty((len(cod), copies, max(block[1] for block in plan)), dtype=complex)
+    rank = np.argsort(cod.union_order)  # codomain row of each union label
     for k, (first, last, rows, cols, phases) in enumerate(plan):
         probes = np.zeros((len(domain), copies, last - first), dtype=complex)
         probes[rows, :, cols] = phases[:, None]
-        ride = riders is not None and k == 0
-        if ride:
-            probes = np.concatenate([riders, probes], axis=-1)
-        image = cod.coefficients(op(domain._vector(probes)))
-        if ride:
-            ridden, image = image[..., :riders.shape[-1]], image[..., riders.shape[-1]:]
-        out[cod.union_order, :, first:last] = image
-    return out if riders is None else (out, ridden)
+        probes.setflags(write=False)  # the ops share it
+        images = []
+        for i, op in enumerate(ops):
+            block = probes if riders is None or k else np.concatenate([riders[i], probes], -1)
+            images.append(cod.coefficients(op(domain._vector(block)))[rank])
+        yield first, images
 
 
 def _run_length(dim: int, m: int, truncation: int, coloured: bool) -> int:
@@ -363,10 +363,11 @@ def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
 
 def probe_deviation(op_a, op_b, pattern: Pattern, domain, codomain=None, *,
                     copies: int = 1) -> float:
-    """Max |A R - B R| over the probe images (:func:`probe_image`) of all P slots;
-    equals the dense max |A - B| up to rounding when both operators fit the pattern."""
-    return matrix_deviation(probe_image(op_a, pattern, domain, codomain, copies=copies),
-                            probe_image(op_b, pattern, domain, codomain, copies=copies))
+    """Max |A R - B R| over the probe blocks (:func:`probe_blocks`) of all P slots, NaN
+    if any is NaN; equals the dense max |A - B| up to rounding when both operators fit
+    the pattern."""
+    return float(np.max([matrix_deviation(a, b) for _, (a, b) in probe_blocks(
+        (op_a, op_b), pattern, domain, codomain, copies=copies)]))
 
 
 class Entries(NamedTuple):
@@ -398,18 +399,21 @@ class Entries(NamedTuple):
 
 
 def probe_entries(op, pattern: Pattern, domain, codomain=None, *, copies: int = 1) -> Entries:
-    """The entries of op that ``pattern`` allows, read off its probe image.
+    """The entries of op that ``pattern`` allows, read off its probe blocks.
 
     Inside the pattern each image cell holds one entry times its column
     label's phase; every other cell counts toward the residual.  The values
-    have shape (E, P), one column per slot of :func:`probe_image`.
+    have shape (E, P), one column per slot of :func:`probe_blocks`.
     """
-    image = probe_image(op, pattern, domain, codomain, copies=copies)
     layout = _layout(domain.union_size, domain.truncation)
     rows, cols = _positions(domain.union_size, domain.truncation, pattern)
     probe = layout.column(pattern)[cols]
-    outside = np.ones((len(image), 1, image.shape[-1]), dtype=bool)
-    outside[rows, 0, probe] = False
-    # the residual is a reduction under a mask: no gather of the cells
-    return Entries(rows, cols, image[rows, :, probe] / layout.phase[cols, None],
-                   float(np.max(np.abs(image), where=outside, initial=0.0)))
+    values, residuals = np.empty((len(rows), copies), dtype=complex), []
+    for first, (image,) in probe_blocks((op,), pattern, domain, codomain, copies=copies):
+        mine = np.flatnonzero((probe >= first) & (probe < first + image.shape[-1]))
+        values[mine] = image[rows[mine], :, probe[mine] - first]
+        outside = np.ones((len(image), 1, image.shape[-1]), dtype=bool)
+        outside[rows[mine], 0, probe[mine] - first] = False
+        # the residual is a reduction under a mask: no gather of the cells
+        residuals.append(np.max(np.abs(image), where=outside, initial=0.0))
+    return Entries(rows, cols, values / layout.phase[cols, None], float(np.max(residuals)))

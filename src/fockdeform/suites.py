@@ -618,18 +618,15 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
     spec_a = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     spec_b = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     fd = fock.real_test_function(fock.random_one_particle(grid, rng))
-    m_target = dense.probe_image(lambda v: field_deformed(spec_a, fd, v), dense.FIELD, basis)
     candidates = [trivial_root(),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[0]),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[1])]
-
-    def mismatch(cand):
-        image = dense.probe_image(conjugated(cand, lambda v: field_deformed(spec_b, fd, v)),
-                                  dense.FIELD, basis)
-        return dense.matrix_deviation(image, m_target)
-
-    # the closest candidate must still miss: a minimum, NaN if any is NaN
-    yield "detects-square-mismatch", np.min([mismatch(cand) for cand in candidates])
+    ops = [lambda v: field_deformed(spec_a, fd, v)]
+    ops += [conjugated(cand, lambda v: field_deformed(spec_b, fd, v)) for cand in candidates]
+    mismatches = [[dense.matrix_deviation(image, target) for image in images]
+                  for _, (target, *images) in dense.probe_blocks(ops, dense.FIELD, basis)]
+    # the closest candidate must still miss: a minimum of block maxima, NaN if any is NaN
+    yield "detects-square-mismatch", np.min(np.max(mismatches, axis=0))
 
 
 def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -749,18 +746,29 @@ def _equivalence(name: str, roots, draw, deformed, twisted, pattern: dense.Patte
     run in turn, ``draw()`` gives its one-particle data, then 2 * ``_ROUTE_VECTORS``
     random vectors are drawn.  The run's operators are ``deformed(chunk, data, v)`` and
     ``twisted(chunk, data, v, route)``, with the data stacked (one row per slot).
-    Each runs once, on the probe columns of ``pattern`` with the vectors riding along
-    (:func:`dense.probe_image`): ``deformed`` on all 2 * ``_ROUTE_VECTORS`` of each
-    slot, the direct route on the first ``_ROUTE_VECTORS``, the split route on the
-    rest.  Per run and route: the largest column norm of the difference, and the
-    probe-image deviation.
+    The three run together, block by block, on the probe columns of ``pattern``
+    (:func:`dense.probe_blocks`), with the vectors riding along: ``deformed`` on all
+    2 * ``_ROUTE_VECTORS`` of each slot, the direct route on the first
+    ``_ROUTE_VECTORS``, the split route on the rest.  Per run and route: the largest
+    column norm of the difference, and the probe deviation.
     """
+    r = _ROUTE_VECTORS
+    routes = (("direct", slice(r)), ("split", slice(r, 2 * r)))
     for chunk in _root_chunks(roots, basis, pattern):
         data, vectors = _draw_run(len(chunk), draw, basis, rng)
-        # a generator per run, so that its images are freed before the next run's
-        yield from _compare_routes(name, lambda v: deformed(chunk, data, v),
-                                   lambda v, route: twisted(chunk, data, v, route),
-                                   pattern, basis, vectors)
+        ops = [lambda v: deformed(chunk, data, v)]
+        ops += [lambda v, route=route: twisted(chunk, data, v, route) for route, _ in routes]
+        riders = [vectors] + [vectors[..., cols] for _, cols in routes]
+        devs, blocks = [], dense.probe_blocks(ops, pattern, basis, copies=len(chunk), riders=riders)
+        for k, (_, (target, *images)) in enumerate(blocks):
+            if not k:  # the riders' images lead the first block
+                ridden = [np.max(np.linalg.norm(target[..., cols] - image[..., :r], axis=0))
+                          for (_, cols), image in zip(routes, images)]
+                target, images = target[..., 2 * r:], [image[..., r:] for image in images]
+            devs.append([dense.matrix_deviation(image, target) for image in images])
+        for ride, dev in zip(ridden, np.max(devs, axis=0).tolist()):
+            yield name, ride
+            yield name, dev
 
 
 def _draw_run(count: int, draw, basis: dense.FockBasis, rng: np.random.Generator):
@@ -769,18 +777,6 @@ def _draw_run(count: int, draw, basis: dense.FockBasis, rng: np.random.Generator
     draws = [(draw(), basis.coefficients(basis.random(rng, 2 * _ROUTE_VECTORS)))
              for _ in range(count)]
     return np.stack([d for d, _ in draws]), np.stack([v for _, v in draws], axis=1)
-
-
-def _compare_routes(name: str, deformed, twisted, pattern: dense.Pattern,
-                    basis: dense.FockBasis, vectors: np.ndarray) -> Deviations:
-    """The deviations of :func:`_equivalence` for one run of roots, with its vectors."""
-    copies = vectors.shape[1]
-    target, want = dense.probe_image(deformed, pattern, basis, copies=copies, riders=vectors)
-    for route, cols in (("direct", slice(_ROUTE_VECTORS)), ("split", slice(_ROUTE_VECTORS, None))):
-        image, got = dense.probe_image(lambda v: twisted(v, route), pattern, basis,
-                                       copies=copies, riders=vectors[..., cols])
-        yield name, np.max(np.linalg.norm(want[..., cols] - got, axis=0))
-        yield name, dense.matrix_deviation(image, target)
 
 
 def _massless_specs(chunk) -> tuple[KernelSpec, ...]:
@@ -804,18 +800,16 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviation
     triv = trivial_root()
     spec = KernelSpec(root=triv, mass=0.0)
 
-    def image(op):
-        return dense.probe_image(op, dense.LOWER, basis)
-
     for side in ("+", "-"):
         amp = _one_sided_amplitude(pair, side, rng)
-        m_plain = image(lambda v: fock.annihilate(amp, v))
-        m_deformed = image(lambda v: annihilate_deformed(spec, amp, v))
-        m_direct = image(lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"))
-        m_split = image(lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"))
-        yield "trivial-root-exact", dense.matrix_deviation(m_deformed, m_plain)
-        yield "trivial-root-exact", dense.matrix_deviation(m_direct, m_plain)
-        yield "trivial-root-roundtrip", dense.matrix_deviation(m_split, m_plain)
+        ops = (lambda v: fock.annihilate(amp, v),
+               lambda v: annihilate_deformed(spec, amp, v),
+               lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"),
+               lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"))
+        devs = np.max([[dense.matrix_deviation(m, m_plain) for m in images] for _, (
+            m_plain, *images) in dense.probe_blocks(ops, dense.LOWER, basis)], axis=0)
+        for name, dev in zip(("trivial-root-exact",) * 2 + ("trivial-root-roundtrip",), devs):
+            yield name, float(dev)
 
 
 def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -857,29 +851,29 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             spec, idx = tuple(specs[k // grid.size] for k in chunk), chunk % grid.size
             momenta, deltas = grid.points[idx], _delta(grid.points[idx], grid)
             sharp, copies = dense.removal(int(idx[0])), len(idx)
-            target = dense.probe_image(lambda v: annihilate_deformed(spec, deltas, v),
-                                       sharp, basis, copies=copies)
-            images = []
-            for variant in SharpTwistVariant:
-                twist = functools.partial(_sharp_twist_each, spec, variant, momenta)
-                images.append(dense.probe_image(
-                    lambda v: twist(fock.annihilate(deltas, twist(v, adjoint=True))),
-                    sharp, basis, copies=copies))
-                yield f"conjugation-{variant.value}", dense.matrix_deviation(images[-1], target)
+            twists = [functools.partial(_sharp_twist_each, spec, variant, momenta)
+                      for variant in SharpTwistVariant]
+            ops = [lambda v: annihilate_deformed(spec, deltas, v)]
+            ops += [lambda v, twist=twist: twist(fock.annihilate(deltas, twist(v, adjoint=True)))
+                    for twist in twists]
+            devs = np.max([[dense.matrix_deviation(image, target) for image in images]
+                           + [dense.matrix_deviation(*images)] for _, (target, *images)
+                           in dense.probe_blocks(ops, sharp, basis, copies=copies)],
+                          axis=0).tolist()
+            for variant, twist, dev in zip(SharpTwistVariant, twists, devs):
+                yield f"conjugation-{variant.value}", dev
                 entries = dense.probe_entries(twist, dense.DIAGONAL, basis, copies=copies)
                 yield "twist-unitary-low-sectors", entries.unitarity_defect()
-            yield "variants-same-adjoint-action", dense.matrix_deviation(*images)
+            yield "variants-same-adjoint-action", devs[-1]
 
     # negative control on the construction itself: a generic control root must
     # separate the two variants even when the configured roots are degenerate
     grid, basis = grids[0], bases[0]
     control = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
-        yield "variants-differ-as-operators", dense.matrix_deviation(*(
-            dense.probe_image(functools.partial(_sharp_twist_each, control, variant,
-                                                grid.points[idx]),
-                              dense.DIAGONAL, basis, copies=len(idx))
-            for variant in SharpTwistVariant))
+        yield "variants-differ-as-operators", dense.probe_deviation(*(
+            functools.partial(_sharp_twist_each, control, variant, grid.points[idx])
+            for variant in SharpTwistVariant), dense.DIAGONAL, basis, copies=len(idx))
 
     spec = KernelSpec(root=roots[0], mass=grid.mass)
     p_ref = float(grid.points[min(2, grid.size - 1)])
@@ -917,13 +911,13 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     a probe block holds k columns in each of its R' slots.  Counted in complex
     entries: two copies of the widest ladder gather over a block,
     D * max(M * R' k, max(M / 2, N) * R' (k + 6)) (a full amplitude lowers at M
-    momenta, the equivalence ladders with 6 riders per root at M / 2 or N); four
-    probe images, D * (1 + N * M); three copies of one batch of random vectors
-    (:func:`dense.random_batches`), the larger of 2 D and ``dense._BLOCK_ENTRIES``;
-    the fock suite's 4-point basis vectors, D_4^2; full caches of cross multipliers
-    and of pair-phase multipliers, ``maxsize`` times D P each for twists stacked over
-    P slots (P roots, or P (root, momentum) pairs of the sharp twists, P <= R M),
-    D P (N + 1) <= ``dense._BLOCK_ENTRIES`` unless P = 1; and the dressing tables
+    momenta, the equivalence ladders with 6 riders per root at M / 2 or N); three
+    copies of one batch of random vectors (:func:`dense.random_batches`), the larger
+    of 2 D and ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis vectors,
+    D_4^2; full caches of cross multipliers and of pair-phase multipliers,
+    ``maxsize`` times D P each for twists stacked over P slots (P roots, or P (root,
+    momentum) pairs of the sharp twists, P <= R M), D P (N + 1) <=
+    ``dense._BLOCK_ENTRIES`` unless P = 1; and the dressing tables
     (:func:`_dressings`) of a run of at most two roots, 2 D M.  Counted in 8-byte
     entries, on each of the two grids: the flat tower (:func:`fock._tower`),
     2 D N + S M + 3 D; the split layout (:func:`chiral._layout`), 4 D, and its
@@ -947,7 +941,7 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     multipliers = (stacked * (fock._pair_multipliers.cache_parameters()["maxsize"]
                               + chiral._cross_multipliers.cache_parameters()["maxsize"])
                    + 2 * d * m)
-    entries = (2 * d * gather + 4 * d * columns + 3 * max(2 * d, dense._BLOCK_ENTRIES)
+    entries = (2 * d * gather + 3 * max(2 * d, dense._BLOCK_ENTRIES)
                + math.comb(4 + n, n) ** 2 + multipliers)
     indices = 2 * (4 * d * n + 9 * s * m + 2 * s * (m // 2) + 12 * d)
     return np.dtype(complex).itemsize * entries + 8 * indices

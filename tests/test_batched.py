@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dense_reference import probe_image
 from fockdeform import chiral, deformation, dense, fock, grids, suites
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_each,
                                     annihilate_deformed, annihilate_deformed_sharp,
@@ -313,11 +314,11 @@ def test_removals_of_different_momenta_share_one_probe_image(name):
     specs = tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS + ROOTS[:1])
     idx = np.array([4, 1, 1, 0])
     deltas = deformation._delta(grid.points[idx], grid)
-    image = dense.probe_image(lambda v: annihilate_deformed(specs, deltas, v),
-                              dense.removal(int(idx[0])), basis, copies=idx.size)
+    image = probe_image(lambda v: annihilate_deformed(specs, deltas, v),
+                        dense.removal(int(idx[0])), basis, copies=idx.size)
     for j, (spec, q) in enumerate(zip(specs, idx)):
-        own = dense.probe_image(lambda v: annihilate_deformed(spec, deltas[j], v),
-                                dense.removal(int(q)), basis)
+        own = probe_image(lambda v: annihilate_deformed(spec, deltas[j], v),
+                          dense.removal(int(q)), basis)
         assert np.array_equal(image[:, j], own[:, 0])
 
 
@@ -332,9 +333,16 @@ def test_dressing_tables_are_read_only_and_column_exact():
 
 
 def test_default_run_batches_the_root_loops(monkeypatch):
-    """Each operator family runs once per run of roots: a default run makes at most
-    70 probe images (counting those of probe_entries and probe_deviation)."""
-    calls = counting(monkeypatch, dense, "probe_image", lambda *args: None)
+    """Each operator family runs once per run of roots: a default run applies operators
+    to probe blocks at most 70 times (counting those of probe_entries and
+    probe_deviation)."""
+    calls, real = [], dense.probe_blocks
+
+    def probe_blocks(ops, *args, **kwargs):
+        return real([lambda v, op=op: calls.append(None) or op(v) for op in ops],
+                    *args, **kwargs)
+
+    monkeypatch.setattr(dense, "probe_blocks", probe_blocks)
     suites.run_suite(CFG)
     assert 0 < len(calls) <= 70
 

@@ -6,6 +6,7 @@ import operator
 import numpy as np
 import pytest
 
+from dense_reference import probe_image
 from fockdeform import chiral, dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
                                     annihilate_deformed_sharp, apply_kernel_phases,
@@ -307,11 +308,35 @@ def test_non_injective_merge_is_caught():
                                  union) >= EPS / 2
 
 
-def test_non_finite_entries_propagate(fault_setting):
+def late_nan(basis, annihilate):
+    """annihilate with a NaN in the columns of one label of a sector that the plan's
+    first block does not hold, under blocks of 5 columns (several of them)."""
+    plan = dense._plan(basis.union_size, N, True, (-1,), basis.union_order.tobytes(), 5)
+    assert len(plan) > 2
+    sector = dense._layout(basis.union_size, N).sector
+    held = set(sector[plan[0][2]].tolist())
+    label = np.flatnonzero(sector == min(set(range(N + 1)) - held))[0]
+
+    def op(v):
+        out = annihilate(v)
+        coefficients = out.coefficients.copy()
+        coefficients[0][v.coefficients[label] != 0] = np.nan
+        return out._with(coefficients)
+
+    return op
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_non_finite_entries_propagate(fault_setting, late, monkeypatch):
+    """NaN in every cell, or (late) only in a block after the first: a maximum over
+    the blocks must not drop it."""
     _, _, grid, basis, xi = fault_setting
-    nan_op = lambda v: fock.annihilate(xi, v) * float("nan")  # noqa: E731
-    assert np.isnan(dense.probe_deviation(nan_op, lambda v: fock.annihilate(xi, v),
-                                          dense.LOWER, basis))
+    annihilate = lambda v: fock.annihilate(xi, v)  # noqa: E731
+    nan_op = lambda v: annihilate(v) * float("nan")  # noqa: E731
+    if late:
+        monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * len(basis))
+        nan_op = late_nan(basis, annihilate)
+    assert np.isnan(dense.probe_deviation(nan_op, annihilate, dense.LOWER, basis))
     entries = dense.probe_entries(nan_op, dense.LOWER, basis)
     assert np.isnan(entries.deviation(entries))
 
@@ -354,9 +379,9 @@ def test_trivial_root_operators_give_exactly_zero():
 def test_probe_image_does_not_depend_on_the_blocks(name, monkeypatch):
     """Blocks of 5 columns cut sectors into pieces; the image is the same."""
     _, op_a, _, pattern, domain, codomain = CASES[name]
-    whole = dense.probe_image(op_a, pattern, domain, codomain)
+    whole = probe_image(op_a, pattern, domain, codomain)
     monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * len(domain))
-    assert np.array_equal(dense.probe_image(op_a, pattern, domain, codomain), whole)
+    assert np.array_equal(probe_image(op_a, pattern, domain, codomain), whole)
 
 
 @pytest.mark.parametrize("columns", [5, 3])

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -615,6 +616,27 @@ def test_admission_estimate_covers_the_measured_peak(tmp_path):
     run = peak_rss_bytes("from fockdeform.cli import main\n"
                          f"assert main(['--config', {str(cfg_path)!r}]) == 0")
     assert 0 < run - bare <= memory_estimate(config_from_json(doc))
+
+
+@pytest.mark.parametrize("suite", ["main_relation", "field_equivalence", "deformed",
+                                   "root_equivalence"])
+def test_probe_oracle_memory_is_block_sized(suite, monkeypatch):
+    """N=4 on 6 points per side and 12 massive points (D = 1,820) under blocks of 5
+    columns, caches warm: the suite's traced peak stays below three full probe
+    images of a coloured pattern, 3 D (1 + N M) complex entries.  A consumer that
+    assembled whole images would hold up to four."""
+    cfg = config_from_json({"truncation": 4, "massless_grid": {"points_per_side": 6},
+                            "massive_grid": {"size": 12}, "suites": [suite]})
+    d = math.comb(12 + 4, 4)
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * d)
+    run_suite(cfg)
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * d * (1 + 4 * 12) * np.dtype(complex).itemsize
 
 
 def test_ceiling_config_is_admitted():

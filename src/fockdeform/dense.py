@@ -72,9 +72,9 @@ class _Basis:
         return len(self.union_order)
 
     @property
-    def vectors(self) -> list:
-        """The basis vectors one by one, built on demand."""
-        return [self._vector(column) for column in np.eye(len(self), dtype=complex)]
+    def vectors(self):
+        """The basis vectors one by one, each built when it is reached: no D x D array."""
+        return (self._vector(np.eye(1, len(self), j, dtype=complex)[0]) for j in range(len(self)))
 
 
 def _multisets(m: int, truncation: int) -> list[tuple[int, ...]]:
@@ -346,18 +346,14 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
         yield first, images
 
 
-def _run_length(dim: int, m: int, truncation: int, coloured: bool) -> int:
-    """Slots per run of :func:`copy_chunks`, at least 1: P copies of the K probe columns,
-    each charged the widest gather g behind it, hold at most ``_BLOCK_ENTRIES`` entries,
-    D * P * K * g, with K = N + 1, g = 1 for a removal or diagonal operator, and
-    K = 1 + N m, g = max(m, N) for a free move (m momenta or N slots per label)."""
-    per_slot = (1 + truncation * m) * max(m, truncation) if coloured else truncation + 1
-    return max(1, _BLOCK_ENTRIES // (dim * per_slot))
-
-
 def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
-    """Slots 0..count-1 in runs of :func:`_run_length` (index arrays)."""
-    per = _run_length(len(domain), domain.union_size, domain.truncation, pattern.coloured)
+    """Slots 0..count-1 in runs (index arrays) of at least one slot, whose P copies of the
+    K probe columns, each charged the widest gather g behind it, hold at most
+    ``_BLOCK_ENTRIES`` entries, D * P * K * g: K = N + 1, g = 1 for a removal or diagonal
+    operator, and K = 1 + N m, g = max(m, N) for a free move (m momenta or N slots per label)."""
+    m, n = domain.union_size, domain.truncation
+    per_slot = (1 + n * m) * max(m, n) if pattern.coloured else n + 1
+    per = max(1, _BLOCK_ENTRIES // (len(domain) * per_slot))
     return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
 
 

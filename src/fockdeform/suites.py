@@ -902,49 +902,31 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def memory_estimate(cfg: SuiteConfig) -> int:
-    """Bytes that a run's largest arrays hold at once; 0 when no suite builds a tower.
+    """Bytes of a run's tables and blocks, its only arrays; 0 when no suite builds a tower.
 
-    The tower on M grid points (the larger configured grid) has D = binom(M + N, N)
-    labels, S = binom(M + N - 1, N - 1) below the top sector, and a probe oracle on
-    it K = 1 + N * M columns (:mod:`dense`).  A run of R' of the R roots shares one
-    application (the chunk rule :func:`dense._run_length` of a coloured pattern), and
-    a probe block holds k columns in each of its R' slots.  Counted in complex
-    entries: two copies of the widest ladder gather over a block,
-    D * max(M * R' k, max(M / 2, N) * R' (k + 6)) (a full amplitude lowers at M
-    momenta, the equivalence ladders with 6 riders per root at M / 2 or N); three
-    copies of one batch of random vectors (:func:`dense.random_batches`), the larger
-    of 2 D and ``dense._BLOCK_ENTRIES``; the fock suite's 4-point basis vectors,
-    D_4^2; full caches of cross multipliers and of pair-phase multipliers,
-    ``maxsize`` times D P each for twists stacked over P slots (P roots, or P (root,
-    momentum) pairs of the sharp twists, P <= R M), D P (N + 1) <=
-    ``dense._BLOCK_ENTRIES`` unless P = 1; and the dressing tables
-    (:func:`_dressings`) of a run of at most two roots, 2 D M.  Counted in 8-byte
-    entries, on each of the two grids: the flat tower (:func:`fock._tower`),
-    2 D N + S M + 3 D; the split layout (:func:`chiral._layout`), 4 D, and its
-    ladders' gather indices (:func:`chiral._half_ladder`), 2 (S M / 2 + D N); the
-    probe positions (:func:`dense._positions`), 8 S M + 2 D, and layout, 3 D.  Not
-    counted: M^n symmetrizer tables (none on the larger grid, n <= 3 on the fock
-    suite's 4 points) and the (stacked) kernel, cross and twist matrices, P M^2
-    entries.  The inner and kernel suites build no tower.
+    A table holds a fixed number of bytes per label of the tower on the larger grid: M points,
+    D = binom(M + N, N) labels, u = M N / (M + N) up-table entries per label.  Per label:
+    the tower (:func:`fock._tower`), 8 (2 N + 3 + u) + N + u bytes;
+    the split layout and half-ladder indices (:mod:`chiral`), 32 + 8 (u + 2 N) bytes;
+    the probe layout, 4 patterns' positions, ``maxsize`` plans (:mod:`dense`), 40 + 64 u + 40 each;
+    one root's dressing table and its gather (:func:`_dressings`), M + 2 u complex entries;
+    a ladder step's kernel factors (:func:`fock._ladder_step`), N max(u, 2 N) entries;
+    the ``maxsize`` pair and cross multipliers, P entries each (P <= R M: a diagonal run).
+    Blocks: two ``dense._BLOCK_ENTRIES`` budgets, each charged the widest gather g = max(M, N)
+    (:func:`dense.copy_chunks`), at most the largest block: R roots' 1 + N M probe columns or
+    2 ``repetitions`` vectors.  Not counted: the P M^2 kernel, cross and twist matrices.
     """
-    selected = cfg.suites if cfg.suites is not None else SUITE_NAMES
-    if set(selected) <= {"inner", "kernel"}:
+    if set(cfg.suites or SUITE_NAMES) <= {"inner", "kernel"}:
         return 0
     m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
-    r = len(cfg.roots) if cfg.roots else cfg.root_count
-    d, s = math.comb(m + n, n), math.comb(m + n - 1, n - 1)
-    columns = 1 + n * m
-    copies = min(r, dense._run_length(d, m, n, coloured=True))
-    per_block = min(columns, max(1, dense._BLOCK_ENTRIES // (d * copies)))
-    gather = copies * max(m * per_block, max(m // 2, n) * (per_block + 2 * _ROUTE_VECTORS))
-    stacked = min(r * m * d, max(d, dense._BLOCK_ENTRIES // (n + 1)))
-    multipliers = (stacked * (fock._pair_multipliers.cache_parameters()["maxsize"]
-                              + chiral._cross_multipliers.cache_parameters()["maxsize"])
-                   + 2 * d * m)
-    entries = (2 * d * gather + 3 * max(2 * d, dense._BLOCK_ENTRIES)
-               + math.comb(4 + n, n) ** 2 + multipliers)
-    indices = 2 * (4 * d * n + 9 * s * m + 2 * s * (m // 2) + 12 * d)
-    return np.dtype(complex).itemsize * entries + 8 * indices
+    d, u, r = math.comb(m + n, n), m * n / (m + n), len(cfg.roots or ()) or cfg.root_count
+    block = min(dense._BLOCK_ENTRIES, d * max(r * (1 + n * m), 2 * cfg.repetitions))
+    slots = min(r * m, max(1, dense._BLOCK_ENTRIES // (d * (n + 1))))
+    pairs, cross, plans = (cache.cache_parameters()["maxsize"] for cache in (
+        fock._pair_multipliers, chiral._cross_multipliers, dense._plan))
+    index = 8 * (2 * n + 3 + u) + n + u + 32 + 8 * (u + 2 * n) + 40 + 64 * u + 40 * plans
+    entries = m + 2 * u + n * max(u, 2 * n) + slots * (pairs + cross)
+    return math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
 
 
 def check_memory(cfg: SuiteConfig) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fockdeform
-from fockdeform import chiral, cli, dense, fock, suites
+from fockdeform import chiral, cli, deformation, dense, fock, grids, inner, suites
 from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json, root_from_json, root_to_json)
 from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
@@ -618,25 +618,53 @@ def test_admission_estimate_covers_the_measured_peak(tmp_path):
     assert 0 < run - bare <= memory_estimate(config_from_json(doc))
 
 
-@pytest.mark.parametrize("suite", ["main_relation", "field_equivalence", "deformed",
-                                   "root_equivalence"])
-def test_probe_oracle_memory_is_block_sized(suite, monkeypatch):
-    """N=4 on 6 points per side and 12 massive points (D = 1,820) under blocks of 5
-    columns, caches warm: the suite's traced peak stays below three full probe
-    images of a coloured pattern, 3 D (1 + N M) complex entries.  A consumer that
+def traced_peak(cfg: SuiteConfig) -> int:
+    """Traced peak bytes of one :func:`run_suite` of ``cfg``, from the first allocation."""
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def clear_package_caches():
+    for module in (chiral, dense, deformation, fock, grids, inner, suites):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.mark.parametrize("columns", [5, 50])
+@pytest.mark.parametrize("suite", ["fock", "deformed", "root_equivalence", "chiral",
+                                   "main_relation", "field_equivalence", "sharp"])
+def test_probe_oracle_memory_is_block_sized(suite, columns, monkeypatch):
+    """The memory rule: every array of a run is a table or a block.  N=4 on 6 points per
+    side and 12 massive points (D = 1,820) under blocks of 5 and 50 columns: the suite's
+    traced peak, cold (every cache empty) and warm, is at most :func:`memory_estimate` under
+    the same block budget.  Under blocks of 5 columns the warm peak also stays below three
+    full probe images of a coloured pattern, 3 D (1 + N M) complex entries: a consumer that
     assembled whole images would hold up to four."""
     cfg = config_from_json({"truncation": 4, "massless_grid": {"points_per_side": 6},
                             "massive_grid": {"size": 12}, "suites": [suite]})
     d = math.comb(12 + 4, 4)
-    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * d)
-    run_suite(cfg)
-    tracemalloc.start()
-    try:
-        run_suite(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * d * (1 + 4 * 12) * np.dtype(complex).itemsize
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", columns * d)
+    clear_package_caches()
+    cold = traced_peak(cfg)
+    warm = traced_peak(cfg)
+    assert max(cold, warm) <= memory_estimate(cfg)
+    if columns == 5:
+        assert warm < 3 * d * (1 + 4 * 12) * np.dtype(complex).itemsize
+
+
+def test_fock_suite_holds_no_square_array():
+    """N=12 on 2 points per side and 2 massive points: the ccr check reads each of the
+    D_4 = 1,820 basis vectors of the 4-point tower in turn, so the fock suite's traced peak
+    stays below one D_4 x D_4 complex array (50.5 MiB)."""
+    cfg = config_from_json({"truncation": 12, "massless_grid": {"points_per_side": 2},
+                            "massive_grid": {"size": 2}, "suites": ["fock"]})
+    clear_package_caches()
+    assert traced_peak(cfg) < math.comb(4 + 12, 12) ** 2 * np.dtype(complex).itemsize
 
 
 def test_ceiling_config_is_admitted():
@@ -647,8 +675,9 @@ def test_ceiling_config_is_admitted():
 
 def test_default_run_builds_no_symmetrizer_table_beyond_the_counted_ones(monkeypatch):
     """Random vectors are drawn as coefficients, so the only symmetrizer tables
-    (fock._tensor_ranks, M^n entries) a run builds are the fock suite's on its
-    4-point tower and two-particle ones."""
+    (fock._tensor_ranks, M^n entries) a run builds are small: the fock suite's on its
+    4-point tower and two-particle ones, M^2 entries like the kernel matrices, which
+    memory_estimate does not count."""
     built = []
     real = fock._tensor_ranks
     monkeypatch.setattr(fock, "_tensor_ranks", lambda m, n: built.append((m, n)) or real(m, n))

@@ -348,9 +348,11 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
 
 def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
     """Slots 0..count-1 in runs (index arrays) of at least one slot, whose P copies of the
-    K probe columns, each charged the widest gather g behind it, hold at most
+    K probe columns, each charged the widest term count g behind it, hold at most
     ``_BLOCK_ENTRIES`` entries, D * P * K * g: K = N + 1, g = 1 for a removal or diagonal
-    operator, and K = 1 + N m, g = max(m, N) for a free move (m momenta or N slots per label)."""
+    operator, and K = 1 + N m, g = max(m, N) for a free move (m momenta or N slots per label).
+    A ladder step streams its g terms (:func:`fock._ladder_step`): g charges its (rows, g, P)
+    coefficient and (rows, N, g, P) kernel-factor tables, not a gather of g terms."""
     m, n = domain.union_size, domain.truncation
     per_slot = (1 + n * m) * max(m, n) if pattern.coloured else n + 1
     per = max(1, _BLOCK_ENTRIES // (len(domain) * per_slot))

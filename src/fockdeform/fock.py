@@ -8,10 +8,10 @@ prod_i w_{k_i} (m_q the multiplicity of q, w the quadrature weights of the
 measure dp/omega_m(p)).  A state stores its coefficients over these bases in
 one array, sector after sector (offsets from :func:`_offsets`), so sector n
 has D_n = binom(M + n - 1, n) entries, inner products and diagonal
-multipliers are single array operations, and each ladder operator is one
-gather over the whole array.  The layout is held once per (M, N), as flat
-tables with one row per label in coefficient order and the slots padded to
-N (:func:`_tower`), so no operation loops over sectors.  Operators act
+multipliers are single array operations, and each ladder operator is a sum of
+gathers over the whole array, streamed term by term.  The layout is held once
+per (M, N), as flat tables with one row per label in coefficient order and the
+slots padded to N (:func:`_tower`), so no operation loops over sectors.  Operators act
 exactly as their untruncated counterparts on sectors below the truncation:
 annihilation reads the (vanishing) sector N+1 as zero, and creation out of
 the top sector is dropped.  All values are treated as immutable; every
@@ -151,10 +151,16 @@ def _norms(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(math.factorial(n) / mfact * _slot_products(weights, n)[top]), mfact
 
 
-def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
-                 kmat: np.ndarray | None = None, split: tuple | None = None) -> np.ndarray:
-    """A ladder operator on a coefficient array ``src`` (any trailing batch):
-    one gather, one scale and one sum over the tables of ``tower``.
+def _ladder_terms(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
+                  kmat: np.ndarray | None = None, split: tuple | None = None):
+    """The terms of a ladder operator on a coefficient array ``src`` (any trailing
+    batch), read from the tables of ``tower``: ``(rows, index, coef)``, so that
+
+        out[rows] = sum_j coef[:, j] src[index[:, j]]
+
+    over the g term columns of ``index`` (g = the momenta q read, or N slots), or,
+    for a removal, ``index`` a pair of index arrays and out[rows] = coef src[index]
+    with no sum; None when src reaches no output sector.
 
     Lowering (``step`` -1), [a Psi]_n = sqrt(n+1) sum_q w_q conj(xi_q) prod_k
     K(q, p_k) Psi_{n+1}(q, ...), reads only the q with amp_q != 0:
@@ -179,15 +185,14 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
     reaches are computed, their slots padded to the highest of them.
     """
     start, index, label_rows = split or (tower.start, tower.up if step < 0 else tower.down, None)
-    out = np.zeros(src.shape, dtype=complex)
     sectors = range(len(start) - 1)
     first = next((n for n in sectors if src[start[n]:start[n + 1]].any()), None)
     if first is None:  # e.g. a block of probe columns from another sector
-        return out
+        return None
     last = next(n for n in reversed(sectors) if n == first or src[start[n]:start[n + 1]].any())
     low, high = max(first + step, 0), min(last + step, len(start) - 2)
     if low > high:
-        return out
+        return None
     rows = slice(start[low], start[high + 1])
     # per-label coefficients: of these rows, or of the whole factor tower, read per row
     labelled = rows if label_rows is None else slice(None)
@@ -222,10 +227,33 @@ def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
             eye = np.eye(high, dtype=bool).reshape((high,) + slot + (high,))
             coef = coef * np.where(eye, 1.0, _padded(kmat, 1.0, 2)[at]).prod(axis=-1)
         index = index[rows, :high]
-    coef = coef if label_rows is None else coef[label_rows[rows]]
-    terms = src[index]
-    _scale(terms, coef, out=terms)
-    out[rows] = terms if removal else terms.sum(axis=1)
+    return rows, index, coef if label_rows is None else coef[label_rows[rows]]
+
+
+def _ladder_step(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
+                 kmat: np.ndarray | None = None, split: tuple | None = None) -> np.ndarray:
+    """The ladder operator of :func:`_ladder_terms` on ``src``, streamed term by
+    term: each term column is gathered, scaled in place and added into the output
+    rows, the first assigned, so a batched step adds its terms in the order of a
+    sum over the term axis and each slot stays bit for bit as alone.  A step holds
+    src, its output, two terms and its coefficient tables, never the g terms at once.
+    """
+    out = np.zeros(src.shape, dtype=complex)
+    terms = _ladder_terms(src, step, amp, tower, kmat, split)
+    if terms is None:
+        return out
+    rows, index, coef = terms
+    if isinstance(index, tuple):  # a removal: one term per slot, no sum
+        term = src[index]
+        out[rows] = _scale(term, coef, out=term)
+        return out
+    for j in range(index.shape[1]):
+        term = src[index[:, j]]
+        _scale(term, coef[:, j], out=term)
+        if j:
+            out[rows] += term
+        else:
+            out[rows] = term
     return out
 
 

@@ -71,6 +71,10 @@ THETA_BOUND = 4.0
 MOMENTUM_RANGE = (1e-4, 1e4)
 WEIGHT_BOUND = 500.0
 
+# bytes per grid point while a grid is built: its momenta, weights and energies and the
+# temporaries of building them (traced: 37 per massless and 33 per massive point)
+GRID_POINT_BYTES = 40
+
 
 class ConfigError(ValueError):
     """Invalid suite configuration."""
@@ -115,6 +119,8 @@ class SuiteConfig:
             unknown = set(self.suites) - set(SUITE_NAMES)
             if unknown:
                 raise ConfigError(f"unknown suites: {sorted(unknown)}")
+        # refused before it is built: a grid whose own arrays do not fit
+        _refuse_over_memory(grid_bytes(self), "the grids", "the grid sizes")
         try:  # fail fast on grid parameters instead of mid-run
             massless_weight = float(self.massless_pair().union.weights[0])
             self.massive_grid()
@@ -901,8 +907,15 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
+def grid_bytes(cfg: SuiteConfig) -> int:
+    """Bytes of building the grids, ``GRID_POINT_BYTES`` per point: the massless union
+    grid, the massive grid and the fock suite's 4-point massive grid."""
+    return GRID_POINT_BYTES * (2 * cfg.massless_points_per_side + cfg.massive_size + 4)
+
+
 def memory_estimate(cfg: SuiteConfig) -> int:
-    """Bytes of a run's tables and blocks, its only arrays; 0 when no suite builds a tower.
+    """Bytes of a run's grids (:func:`grid_bytes`), tables and blocks, its only arrays; only
+    the grids when no suite builds a tower.
 
     A table holds a fixed number of bytes per label of the tower on the larger grid: M points,
     D = binom(M + N, N) labels, u = M N / (M + N) up-table entries per label.  Per label:
@@ -910,14 +923,17 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     the split layout and half-ladder indices (:mod:`chiral`), 32 + 8 (u + 2 N) bytes;
     the probe layout, 4 patterns' positions, ``maxsize`` plans (:mod:`dense`), 40 + 64 u + 40 each;
     one root's dressing table and its gather (:func:`_dressings`), M + 2 u complex entries;
-    a ladder step's kernel factors (:func:`fock._ladder_step`), N max(u, 2 N) entries;
+    a ladder step's kernel factors (:func:`fock._ladder_terms`), N max(u, 2 N) entries;
     the ``maxsize`` pair and cross multipliers, P entries each (P <= R M: a diagonal run).
-    Blocks: two ``dense._BLOCK_ENTRIES`` budgets, each charged the widest gather g = max(M, N)
-    (:func:`dense.copy_chunks`), at most the largest block: R roots' 1 + N M probe columns or
-    2 ``repetitions`` vectors.  Not counted: the P M^2 kernel, cross and twist matrices.
+    Blocks: two ``dense._BLOCK_ENTRIES`` budgets, each charged g = max(M, N) as
+    :func:`dense.copy_chunks` charges it for the step's (rows, g, P) coefficient and
+    (rows, N, g, P) kernel-factor tables, at most the largest block: R roots' 1 + N M probe
+    columns or 2 ``repetitions`` vectors.  Not counted: the P M^2 kernel, cross and twist
+    matrices.
     """
+    grids = grid_bytes(cfg)
     if set(cfg.suites or SUITE_NAMES) <= {"inner", "kernel"}:
-        return 0
+        return grids
     m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
     d, u, r = math.comb(m + n, n), m * n / (m + n), len(cfg.roots or ()) or cfg.root_count
     block = min(dense._BLOCK_ENTRIES, d * max(r * (1 + n * m), 2 * cfg.repetitions))
@@ -926,18 +942,21 @@ def memory_estimate(cfg: SuiteConfig) -> int:
         fock._pair_multipliers, chiral._cross_multipliers, dense._plan))
     index = 8 * (2 * n + 3 + u) + n + u + 32 + 8 * (u + 2 * n) + 40 + 64 * u + 40 * plans
     entries = m + 2 * u + n * max(u, 2 * n) + slots * (pairs + cross)
-    return math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
+    return grids + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
+
+
+def _refuse_over_memory(need: int, what: str, lower: str) -> None:
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"{what} need about {need / 2 ** 30:.3g} GiB at once, more than the "
+                          f"{have / 2 ** 30:.3g} GiB of physical memory; lower {lower}")
 
 
 def check_memory(cfg: SuiteConfig) -> None:
     """Refuse, before any suite starts, a run whose :func:`memory_estimate`
     exceeds physical memory."""
-    need = memory_estimate(cfg)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"the oracles and random vectors need about {need / 2 ** 30:.3g} GiB "
-                          f"at once, more than the {have / 2 ** 30:.3g} GiB of physical "
-                          "memory; lower truncation or the grid sizes")
+    _refuse_over_memory(memory_estimate(cfg), "the oracles and random vectors",
+                        "truncation or the grid sizes")
 
 
 def _suite_rng(seed: int, suite_name: str) -> np.random.Generator:

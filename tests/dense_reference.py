@@ -1,13 +1,15 @@
-"""Whole-image reference for the block-by-block probe oracle of :mod:`fockdeform.dense`.
+"""References for the streamed kernels of :mod:`fockdeform`.
 
 The package never holds a full probe image: every consumer reduces block by
 block.  The tests assemble one here, to compare images across block budgets
-and slot by slot.
+and slot by slot.  Nor does a ladder step hold all of its terms: it adds them
+into the output one term column at a time.  The tests gather them all here and
+sum them over the term axis, to compare the two.
 """
 
 import numpy as np
 
-from fockdeform import dense
+from fockdeform import dense, fock
 
 
 def probe_image(op, pattern, domain, codomain=None, *, copies=1):
@@ -19,3 +21,17 @@ def probe_image(op, pattern, domain, codomain=None, *, copies=1):
     widths = [image.shape[-1] for _, image in blocks]
     assert [first for first, _ in blocks] == np.cumsum([0] + widths[:-1]).tolist()
     return np.concatenate([image for _, image in blocks], axis=-1)
+
+
+def ladder_step_gathered(src, step, amp, tower, kmat=None, split=None):
+    """:func:`fock._ladder_step` as one gather of all its terms, (rows, g) + batch,
+    one scale and one sum over the term axis."""
+    out = np.zeros(src.shape, dtype=complex)
+    found = fock._ladder_terms(src, step, amp, tower, kmat, split)
+    if found is None:
+        return out
+    rows, index, coef = found
+    terms = src[index]
+    fock._scale(terms, coef, out=terms)
+    out[rows] = terms if isinstance(index, tuple) else terms.sum(axis=1)
+    return out

@@ -1,14 +1,17 @@
 """Batched root-derived tables against their one-momentum or one-sample forms, bit
-for bit, and the number of root evaluations and boosts a suite makes."""
+for bit, the number of root evaluations and boosts a suite makes, and the streamed
+ladder step against its gathered sum."""
 
 import functools
+import math
 import operator
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dense_reference import probe_image
+from dense_reference import ladder_step_gathered, probe_image
 from fockdeform import chiral, deformation, dense, fock, grids, suites
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_each,
                                     annihilate_deformed, annihilate_deformed_sharp,
@@ -368,3 +371,84 @@ def test_kernel_suite_evaluates_each_pair_family_in_one_call(monkeypatch):
     # massive definition, the 4 massless values and the generalized kernel's 3 families
     assert len(calls) == 2 * roots + 2 * min(roots, 3) + 1 + 4 + 1
     assert sorted(set(calls)) == [50, 200, 300]
+
+
+def ladder_cases(src, amp, kmat):
+    """(step, amp, kmat) of the lowering and raising steps on ``src``, undeformed and
+    deformed (creation with the conjugate kernel, as create_deformed), each with the
+    one-slot amplitude and the stacked amplitudes when src has a slot axis."""
+    stacks = [(amp[0], kmat[0])] + ([(amp, kmat)] if src.ndim > 2 else [])
+    return [(step, a, k) for step in (-1, 1) for a, km in stacks
+            for k in (None, km if step < 0 else np.conj(km))]
+
+
+def assert_streamed_equals_gathered(src, cases, tower, split=None):
+    for step, amp, kmat in cases:
+        got = fock._ladder_step(src, step, amp, tower, kmat, split)
+        want = ladder_step_gathered(src, step, amp, tower, kmat, split)
+        if src.ndim > 1:
+            assert np.array_equal(got, want), (step, amp.ndim, kmat is None)
+        else:  # the sum over the term axis of a 1-D src is numpy's pairwise sum
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), step
+
+
+@pytest.mark.parametrize("name", GRIDS)
+@pytest.mark.parametrize("batch_shape", [(), (4,), (3, 2)])
+def test_streamed_ladder_steps_equal_the_gathered_sum(name, batch_shape):
+    """Lowering and raising, with and without kernels, one amplitude or a stack of
+    three: the streamed step equals the gather-then-sum reference bit for bit on a
+    batch, and within 1e-15 of the largest entry on one vector."""
+    grid = GRIDS[name]
+    rng = np.random.default_rng(9)
+    count = math.prod(batch_shape) or None
+    src = fock.random_fock_vector(grid, N, rng, count).coefficients.reshape((-1,) + batch_shape)
+    xi = np.stack([fock.random_one_particle(grid, rng) for _ in range(3)])
+    amp = np.sqrt(grid.weights) * xi
+    kmat = deformation._kernels(tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS), grid)
+    assert_streamed_equals_gathered(src, ladder_cases(src, amp, kmat), fock._tower(grid.size, N))
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("batch_shape", [(), (4,)])
+def test_streamed_split_tower_steps_equal_the_gathered_sum(side, batch_shape):
+    """The half-line ladders of the split tower (chiral._half_ladder), as above."""
+    rng = np.random.default_rng(10)
+    count = math.prod(batch_shape) or None
+    src = chiral.random_bifock(PAIR, N, rng, count).coefficients
+    w = PAIR.positive_weights if side == "+" else PAIR.negative_weights
+    amp = np.sqrt(w) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
+    tower = fock._tower(w.size, N)
+    for step in (-1, 1):
+        split = chiral._half_ladder(PAIR.n_positive, PAIR.n_negative, N, side, step)
+        assert_streamed_equals_gathered(src, [(step, amp, None)], tower, split)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_a_ladder_step_holds_two_terms_not_all_of_them(step):
+    """N=4 on 12 massive points (D = 1,820): one lowering or raising step with a stack
+    of two kernels on the coloured probe block of a field (49 columns in 2 slots).  Its
+    traced peak stays below src + out + two terms + the step's coefficient tables,
+    (rows, g, P) coefficients and (rows, N, g, P) kernel factors: gathering all g terms
+    at once (g = 12 momenta, or N = 4 slots) would not."""
+    truncation, grid = 4, SuiteConfig(truncation=4, massive_size=12).massive_grid()
+    blocks = []
+    for _ in dense.probe_blocks((lambda v: blocks.append(v.coefficients) or v,), dense.FIELD,
+                                dense.FockBasis(grid, truncation), copies=2):
+        pass
+    src, = blocks
+    assert src.shape == (math.comb(12 + 4, 4), 2, 1 + 4 * 12)
+    rng = np.random.default_rng(11)
+    amp = np.sqrt(grid.weights) * np.stack([fock.random_one_particle(grid, rng) for _ in ROOTS[:2]])
+    kmat = deformation._kernels(tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS[:2]), grid)
+    tower = fock._tower(grid.size, truncation)
+    rows, index, coef = fock._ladder_terms(src, step, amp, tower, kmat)
+    term = (rows.stop - rows.start) * src[0].nbytes
+    tables = coef.nbytes * (1 + truncation)
+    tracemalloc.start()
+    try:
+        fock._ladder_step(src, step, amp, tower, kmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * src.nbytes + 2 * term + tables  # src and out, two terms, the tables
+    assert index.shape[1] * term > src.nbytes + 2 * term + tables  # all terms would not fit

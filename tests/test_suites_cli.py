@@ -570,6 +570,32 @@ def test_cli_refuses_config_over_memory_before_any_suite(tmp_path, capsys, monke
     check_memory(dataclasses.replace(config_from_json(doc), suites=("inner", "kernel")))
 
 
+@pytest.mark.parametrize("grid", [{"massive_grid": {"size": 10 ** 12}},
+                                  {"massless_grid": {"points_per_side": 10 ** 12}}])
+def test_cli_refuses_an_oversized_grid_before_building_it(grid, tmp_path, capsys):
+    """A grid of 1e12 points, whatever suites are selected, is refused (exit 2) by the
+    config itself: config_from_json traces under 1 MiB on its way to the refusal."""
+    for doc in (grid, {**grid, "suites": ["inner", "kernel"]}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="the grids need"):
+                config_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_memory_estimate_counts_the_grids():
+    cfg = config_from_json({"suites": ["inner", "kernel"]})
+    assert memory_estimate(cfg) == suites.grid_bytes(cfg) > 0
+    assert memory_estimate(config_from_json({})) > suites.grid_bytes(cfg)
+
+
 def test_default_and_deep_tower_configs_are_admitted():
     deep = json.loads((Path(__file__).parent.parent / "perfbench" / "workloads"
                        / "deep-tower.json").read_text())

@@ -74,6 +74,8 @@ WEIGHT_BOUND = 500.0
 # bytes per grid point while a grid is built: its momenta, weights and energies and the
 # temporaries of building them (traced: 37 per massless and 33 per massive point)
 GRID_POINT_BYTES = 40
+# memory_estimate counts grid sizes, N and D up to here: 2**64 of any is more than memory holds
+COUNT_CAP = 2 ** 64
 
 
 class ConfigError(ValueError):
@@ -119,8 +121,13 @@ class SuiteConfig:
             unknown = set(self.suites) - set(SUITE_NAMES)
             if unknown:
                 raise ConfigError(f"unknown suites: {sorted(unknown)}")
-        # refused before it is built: a grid whose own arrays do not fit
-        _refuse_over_memory(grid_bytes(self), "the grids", "the grid sizes")
+        # refused before any grid is built: a run that does not fit in physical memory
+        need = memory_estimate(self)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError(f"the run needs about {need / 2 ** 30:.3g} GiB at once, more than "
+                              f"the {have / 2 ** 30:.3g} GiB of physical memory; lower truncation "
+                              "or the grid sizes")
         try:  # fail fast on grid parameters instead of mid-run
             massless_weight = float(self.massless_pair().union.weights[0])
             self.massive_grid()
@@ -907,18 +914,14 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def grid_bytes(cfg: SuiteConfig) -> int:
-    """Bytes of building the grids, ``GRID_POINT_BYTES`` per point: the massless union
-    grid, the massive grid and the fock suite's 4-point massive grid."""
-    return GRID_POINT_BYTES * (2 * cfg.massless_points_per_side + cfg.massive_size + 4)
-
-
 def memory_estimate(cfg: SuiteConfig) -> int:
-    """Bytes of a run's grids (:func:`grid_bytes`), tables and blocks, its only arrays; only
-    the grids when no suite builds a tower.
+    """Bytes of a run's grids, tables and blocks, its only arrays; only the grids when no suite
+    builds a tower.  :class:`SuiteConfig` refuses a run whose estimate exceeds physical memory.
 
-    A table holds a fixed number of bytes per label of the tower on the larger grid: M points,
-    D = binom(M + N, N) labels, u = M N / (M + N) up-table entries per label.  Per label:
+    The grids take ``GRID_POINT_BYTES`` per point of the massless union grid, the massive grid
+    and the fock suite's 4-point massive grid.  A table holds a fixed number of bytes per label
+    of the tower on the larger grid: M points, D = binom(M + N, N) labels, u = M N / (M + N)
+    up-table entries per label.  Per label:
     the tower (:func:`fock._tower`), 8 (2 N + 3 + u) + N + u bytes;
     the split layout and half-ladder indices (:mod:`chiral`), 32 + 8 (u + 2 N) bytes;
     the probe layout, 4 patterns' positions, ``maxsize`` plans (:mod:`dense`), 40 + 64 u + 40 each;
@@ -930,12 +933,19 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     (rows, N, g, P) kernel-factor tables, at most the largest block: R roots' 1 + N M probe
     columns or 2 ``repetitions`` vectors.  Not counted: the P M^2 kernel, cross and twist
     matrices.
+
+    The estimate grows with each count, so grid sizes, N and D past ``COUNT_CAP`` count as
+    ``COUNT_CAP``: the refusal stands and the arithmetic stays finite and cheap (D >= 2^min(M, N),
+    so binom is taken only below min(M, N) = 64).
     """
-    grids = grid_bytes(cfg)
+    side, size, n = (min(count, COUNT_CAP) for count in (
+        cfg.massless_points_per_side, cfg.massive_size, cfg.truncation))
+    grids = GRID_POINT_BYTES * (2 * side + size + 4)
     if set(cfg.suites or SUITE_NAMES) <= {"inner", "kernel"}:
         return grids
-    m, n = max(2 * cfg.massless_points_per_side, cfg.massive_size), cfg.truncation
-    d, u, r = math.comb(m + n, n), m * n / (m + n), len(cfg.roots or ()) or cfg.root_count
+    m = max(2 * side, size)
+    d = min(math.comb(m + n, n), COUNT_CAP) if min(m, n) < 64 else COUNT_CAP
+    u, r = m * n / (m + n), len(cfg.roots or ()) or cfg.root_count
     block = min(dense._BLOCK_ENTRIES, d * max(r * (1 + n * m), 2 * cfg.repetitions))
     slots = min(r * m, max(1, dense._BLOCK_ENTRIES // (d * (n + 1))))
     pairs, cross, plans = (cache.cache_parameters()["maxsize"] for cache in (
@@ -943,20 +953,6 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     index = 8 * (2 * n + 3 + u) + n + u + 32 + 8 * (u + 2 * n) + 40 + 64 * u + 40 * plans
     entries = m + 2 * u + n * max(u, 2 * n) + slots * (pairs + cross)
     return grids + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
-
-
-def _refuse_over_memory(need: int, what: str, lower: str) -> None:
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"{what} need about {need / 2 ** 30:.3g} GiB at once, more than the "
-                          f"{have / 2 ** 30:.3g} GiB of physical memory; lower {lower}")
-
-
-def check_memory(cfg: SuiteConfig) -> None:
-    """Refuse, before any suite starts, a run whose :func:`memory_estimate`
-    exceeds physical memory."""
-    _refuse_over_memory(memory_estimate(cfg), "the oracles and random vectors",
-                        "truncation or the grid sizes")
 
 
 def _suite_rng(seed: int, suite_name: str) -> np.random.Generator:

@@ -20,7 +20,7 @@ from fockdeform.cliconfig import (config_from_json, config_to_json, emit_report,
                                   report_to_json, root_from_json, root_to_json)
 from fockdeform.inner import BlaschkeSpec, eval_root, make_root, random_symmetric_blaschke
 from fockdeform.suites import (CHECKS, REPORT_SCHEMA, SUITE_NAMES, ConfigError, SuiteConfig,
-                               check_memory, memory_estimate, run_suite)
+                               memory_estimate, run_suite)
 
 FAST = SuiteConfig(suites=("inner", "fock", "kernel"), seed=11)
 
@@ -330,12 +330,14 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"roots": [{"zeros": [[NaN, 1.0]]}]}',
     '{"roots": [{"zeros": [[0.5, Infinity], [-0.5, Infinity]]}]}',
     '{"roots": [{"zeros": [[true, 1.0], [-1, 1.0]]}]}',
+    '{"seed": 1' + '0' * 5000 + '}',
 ], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
         "tolerance-nan", "root-not-object", "ratio-roots-not-list", "truncation-float",
         "seed-float", "points-per-side-float", "repetitions-bool", "root-sign-float",
         "seed-infinite", "suites-empty", "root-unknown-key", "roots-empty",
         "mass-infinite", "p-max-ratio-overflows", "theta-max-overflows", "p-min-subnormal",
-        "flip-one-number", "flip-three-numbers", "zero-nan", "zero-infinite", "zero-bool"])
+        "flip-one-number", "flip-three-numbers", "zero-nan", "zero-infinite", "zero-bool",
+        "seed-over-4300-digits"])
 def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     """Bad types and values are configuration errors (exit 2) before any suite
     starts, not tracebacks; grids that overflow are refused with no
@@ -566,51 +568,72 @@ def test_cli_refuses_config_over_memory_before_any_suite(tmp_path, capsys, monke
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["--config", str(cfg_path)]) == 2
     assert "physical memory" in capsys.readouterr().err
-    # the same grids are admitted when the selected suites build no dense oracle
-    check_memory(dataclasses.replace(config_from_json(doc), suites=("inner", "kernel")))
+    with pytest.raises(ConfigError, match="physical memory"):
+        config_from_json(doc)
+    # the same grids are admitted when the selected suites build no dense oracle, also
+    # when the selection comes from the command line
+    config_from_json({**doc, "suites": ["inner", "kernel"]})
+    ran = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda cfg: ran.append(cfg) or suites.SuiteReport((), 0.0, 0, {}))
+    assert cli.main(["--config", str(cfg_path), "--suite", "inner", "--suite", "kernel"]) == 0
+    assert [cfg.suites for cfg in ran] == [("inner", "kernel")]
 
 
-@pytest.mark.parametrize("grid", [{"massive_grid": {"size": 10 ** 12}},
-                                  {"massless_grid": {"points_per_side": 10 ** 12}}])
-def test_cli_refuses_an_oversized_grid_before_building_it(grid, tmp_path, capsys):
-    """A grid of 1e12 points, whatever suites are selected, is refused (exit 2) by the
-    config itself: config_from_json traces under 1 MiB on its way to the refusal."""
-    for doc in (grid, {**grid, "suites": ["inner", "kernel"]}):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        assert cli.main(["--config", str(cfg_path)]) == 2
-        assert "physical memory" in capsys.readouterr().err
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match="the grids need"):
-                config_from_json(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+@pytest.mark.parametrize("doc", [
+    {"massive_grid": {"size": 10 ** 12}},
+    {"massless_grid": {"points_per_side": 10 ** 12}},
+    {"massive_grid": {"size": 10 ** 12}, "suites": ["inner", "kernel"]},
+    {"massless_grid": {"points_per_side": 10 ** 12}, "suites": ["inner", "kernel"]},
+    {"massive_grid": {"size": 4_000_000}},  # the grid fits, the run does not
+    {"truncation": 10 ** 39},
+    {"massive_grid": {"size": 10 ** 400}},
+], ids=["massive-1e12", "massless-1e12", "massive-1e12-inner", "massless-1e12-inner",
+        "massive-4e6", "truncation-1e39", "massive-1e400"])
+def test_cli_refuses_an_oversized_grid_before_building_it(doc, tmp_path, capsys, monkeypatch):
+    """A run that does not fit in physical memory is refused (exit 2, one line, no
+    traceback) by the config itself, before any grid is built: config_from_json traces
+    under 1 MiB on its way to the refusal."""
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(suites, "rapidity_grid", no_grid)
+    monkeypatch.setattr(suites, "chiral_pair", no_grid)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and err.count("\n") == 1 and "Traceback" not in err
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="physical memory"):
+            config_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_memory_estimate_counts_the_grids():
     cfg = config_from_json({"suites": ["inner", "kernel"]})
-    assert memory_estimate(cfg) == suites.grid_bytes(cfg) > 0
-    assert memory_estimate(config_from_json({})) > suites.grid_bytes(cfg)
+    assert memory_estimate(cfg) == suites.GRID_POINT_BYTES * (2 * 3 + 6 + 4) > 0
+    assert memory_estimate(config_from_json({})) > memory_estimate(cfg)
 
 
 def test_default_and_deep_tower_configs_are_admitted():
     deep = json.loads((Path(__file__).parent.parent / "perfbench" / "workloads"
                        / "deep-tower.json").read_text())
     for doc in ({}, deep):
-        check_memory(config_from_json(doc))
+        config_from_json(doc)
 
 
 def test_admission_counts_the_pair_multiplier_cache(monkeypatch):
     """The cache's maxsize enters the estimate: a huge one refuses the default config."""
-    cfg = config_from_json({})
-    check_memory(cfg)
+    config_from_json({})
     monkeypatch.setattr(fock, "_pair_multipliers",
                         functools.lru_cache(maxsize=10 ** 12)(lambda gmat, m, n: ()))
     with pytest.raises(ConfigError, match="physical memory"):
-        check_memory(cfg)
+        config_from_json({})
 
 
 def peak_rss_bytes(statement: str) -> int:
@@ -695,8 +718,8 @@ def test_fock_suite_holds_no_square_array():
 
 def test_ceiling_config_is_admitted():
     """N=5 on 8 points per side and 16 massive points: D = 20,349, no D x D matrix."""
-    check_memory(config_from_json({"truncation": 5, "massless_grid": {"points_per_side": 8},
-                                   "massive_grid": {"size": 16}}))
+    config_from_json({"truncation": 5, "massless_grid": {"points_per_side": 8},
+                      "massive_grid": {"size": 16}})
 
 
 def test_default_run_builds_no_symmetrizer_table_beyond_the_counted_ones(monkeypatch):

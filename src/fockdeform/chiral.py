@@ -276,7 +276,7 @@ def _cross_matrices(root, points: np.ndarray) -> np.ndarray:
     return _root_cross_matrix(root, points.tobytes())
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)
 def _cross_multipliers(cmat: bytes, n_positive: int, n_negative: int,
                        truncation: int) -> np.ndarray:
     """prod_{i,j} cmat[p_i, q_j] per label pair (kappa_+, kappa_-), in
@@ -299,18 +299,19 @@ def _cross_multipliers(cmat: bytes, n_positive: int, n_negative: int,
     return out
 
 
-def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray,
-                             xi: BiFockVector) -> BiFockVector:
+def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray, xi: BiFockVector,
+                             adjoint: bool = False) -> BiFockVector:
     """Diagonal multiplier prod_{i,j} cmat[p_i, q_j] over all cross pairs.
 
     ``cmat`` is P x Q; label pair (kappa_+, kappa_-) of component (a, b)
     takes the product over its a * b cross pairs.  The multipliers are built
-    once per (cmat, P, Q, N), on the half-line labels.  A stack of S matrices
-    acts slot by slot on the first batch axis, of length S.
+    once per (cmat, P, Q, N), on the half-line labels; the adjoint multiplies
+    by their conjugate, as :func:`fock.apply_pair_phase` does.  A stack of S
+    matrices acts slot by slot on the first batch axis, of length S.
     """
     mults = _cross_multipliers(np.asarray(cmat, dtype=complex).tobytes(), pair.n_positive,
                                pair.n_negative, xi.truncation)
-    return xi._with(fock._scale(xi.coefficients, mults))
+    return xi._with(fock._scale(xi.coefficients, np.conj(mults) if adjoint else mults))
 
 
 def apply_cross_twist(root: Root | tuple, xi: BiFockVector,
@@ -322,7 +323,7 @@ def apply_cross_twist(root: Root | tuple, xi: BiFockVector,
     """
     q = xi.pair.n_negative
     cmat = _cross_matrices(root, xi.pair.union.points)[..., q:, :q]
-    return apply_cross_twist_matrix(xi.pair, np.conj(cmat) if adjoint else cmat, xi)
+    return apply_cross_twist_matrix(xi.pair, cmat, xi, adjoint)
 
 
 def merge_chiral(xi: BiFockVector) -> FockVector:
@@ -356,7 +357,7 @@ def apply_cross_twist_fock(root: Root | tuple, psi: FockVector,
     from :func:`cross_matrix`; sectors n <= 1 are untouched.
     """
     smat = _cross_matrices(root, psi.grid.points)
-    return fock.apply_pair_phase(np.conj(smat) if adjoint else smat, psi)
+    return fock.apply_pair_phase(smat, psi, adjoint)
 
 
 def apply_translation_bifock(x, xi: BiFockVector) -> BiFockVector:

@@ -233,13 +233,13 @@ def _sharp_twist_each(spec, variant: SharpTwistVariant, momenta, psi: FockVector
     """Slice j of psi's first batch axis twisted as by :func:`sharp_momentum_twist` at
     ``momenta[j]``, with ``spec`` or its j-th entry, bit for bit: one stacked
     :func:`fock.apply_pair_phase` of a :func:`_sharp_twist_tables` stack per run of slots
-    with one spec, of conj(G) for the adjoint (not the conjugate multipliers of G)."""
+    with one spec."""
     momenta = np.asarray(momenta, dtype=float)
     specs = spec if isinstance(spec, tuple) else (spec,) * momenta.size
     runs = [list(run) for _, run in itertools.groupby(range(momenta.size), key=specs.__getitem__)]
     gmats = np.concatenate([_sharp_twist_tables(specs[run[0]], variant, momenta[run].tobytes(),
                                                 psi.grid.points.tobytes()) for run in runs])
-    return fock.apply_pair_phase(np.conj(gmats) if adjoint else gmats, psi)
+    return fock.apply_pair_phase(gmats, psi, adjoint)
 
 
 def _delta(momenta, grid: MomentumGrid) -> np.ndarray:
@@ -251,20 +251,3 @@ def _delta(momenta, grid: MomentumGrid) -> np.ndarray:
         raise ValueError(f"momenta {momenta} are not all grid points")
     return np.where(hits, 1.0 / grid.weights, 0.0)
 
-
-def sharp_annihilate(p: float, psi: FockVector) -> FockVector:
-    """Sharp-momentum annihilator a(p): [a(p) Psi]_n = sqrt(n+1) Psi_{n+1}(p, ...).
-
-    Distributional normalization (no quadrature weight); p must be a grid
-    point.
-    """
-    return fock.annihilate(_delta(p, psi.grid), psi)
-
-
-def annihilate_deformed_sharp(spec: KernelSpec, p: float, psi: FockVector) -> FockVector:
-    """Sharp deformed annihilator a_K(p) = a(p) dressed with prod_k K(p, p_k).
-
-    delta_p removes only the grid index q of p, so only row q of the cached
-    :func:`kernel_matrix` is read.
-    """
-    return annihilate_deformed(spec, _delta(p, psi.grid), psi)

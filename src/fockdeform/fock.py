@@ -391,7 +391,7 @@ def sector_tensor(sector: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray
     return values[_tensor_ranks(m, n)].reshape((m,) * n + sector.shape[1:])
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)
 def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> np.ndarray:
     """prod_{i<j} gmat[k_i, k_j] per label, in coefficient order and read-only
     (the empty product 1 on sectors 0 and 1), from the padded labels.  ``gmat``
@@ -410,17 +410,19 @@ def _pair_multipliers(gmat: bytes, m: int, truncation: int) -> np.ndarray:
     return out
 
 
-def apply_pair_phase(gmat: np.ndarray, psi: FockVector) -> FockVector:
+def apply_pair_phase(gmat: np.ndarray, psi: FockVector, adjoint: bool = False) -> FockVector:
     """Sector-diagonal multiplier: label kappa of sector n times prod_{i<j} gmat[k_i, k_j].
 
     ``gmat`` must be symmetric.  The pair twists, the sharp-momentum twists
     and the union-grid cross twist are all of this form; sectors n <= 1 are
-    untouched.  The multipliers are built once per (gmat, M, N).  A stack of P
-    matrices acts slot by slot on psi's first batch axis, of length P.
+    untouched.  The multipliers are built once per (gmat, M, N); the adjoint
+    multiplies by their conjugate, which equals the multipliers of conj(gmat)
+    up to the sign of a zero.  A stack of P matrices acts slot by slot on psi's
+    first batch axis, of length P.
     """
     mults = _pair_multipliers(np.asarray(gmat, dtype=complex).tobytes(), psi.grid.size,
                               psi.truncation)
-    return psi._with(_scale(psi.coefficients, mults))
+    return psi._with(_scale(psi.coefficients, np.conj(mults) if adjoint else mults))
 
 
 def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:

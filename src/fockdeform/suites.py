@@ -74,7 +74,11 @@ WEIGHT_BOUND = 500.0
 # bytes per grid point while a grid is built: its momenta, weights and energies and the
 # temporaries of building them (traced: 37 per massless and 33 per massive point)
 GRID_POINT_BYTES = 40
-# memory_estimate counts grid sizes, N and D up to here: 2**64 of any is more than memory holds
+# bytes per root: suite_inner holds eval_root on its 1,000 samples for every root at once,
+# plus the Root itself (traced: 16.4 kB per root at 1,000 and 4,000 roots)
+ROOT_BYTES = 16_500
+# memory_estimate counts grid sizes, roots, N and D up to here: 2**64 of any is more than memory
+# holds
 COUNT_CAP = 2 ** 64
 
 
@@ -126,8 +130,8 @@ class SuiteConfig:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ConfigError(f"the run needs about {need / 2 ** 30:.3g} GiB at once, more than "
-                              f"the {have / 2 ** 30:.3g} GiB of physical memory; lower truncation "
-                              "or the grid sizes")
+                              f"the {have / 2 ** 30:.3g} GiB of physical memory; lower truncation, "
+                              "the grid sizes or root_count")
         try:  # fail fast on grid parameters instead of mid-run
             massless_weight = float(self.massless_pair().union.weights[0])
             self.massive_grid()
@@ -915,13 +919,14 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def memory_estimate(cfg: SuiteConfig) -> int:
-    """Bytes of a run's grids, tables and blocks, its only arrays; only the grids when no suite
-    builds a tower.  :class:`SuiteConfig` refuses a run whose estimate exceeds physical memory.
+    """Bytes of a run's grids, roots, tables and blocks, its only arrays; only the grids and
+    roots when no suite builds a tower.  :class:`SuiteConfig` refuses a run whose estimate
+    exceeds physical memory.
 
     The grids take ``GRID_POINT_BYTES`` per point of the massless union grid, the massive grid
-    and the fock suite's 4-point massive grid.  A table holds a fixed number of bytes per label
-    of the tower on the larger grid: M points, D = binom(M + N, N) labels, u = M N / (M + N)
-    up-table entries per label.  Per label:
+    and the fock suite's 4-point massive grid, and each of the R roots ``ROOT_BYTES``.  A table
+    holds a fixed number of bytes per label of the tower on the larger grid: M points,
+    D = binom(M + N, N) labels, u = M N / (M + N) up-table entries per label.  Per label:
     the tower (:func:`fock._tower`), 8 (2 N + 3 + u) + N + u bytes;
     the split layout and half-ladder indices (:mod:`chiral`), 32 + 8 (u + 2 N) bytes;
     the probe layout, 4 patterns' positions, ``maxsize`` plans (:mod:`dense`), 40 + 64 u + 40 each;
@@ -934,25 +939,26 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     columns or 2 ``repetitions`` vectors.  Not counted: the P M^2 kernel, cross and twist
     matrices.
 
-    The estimate grows with each count, so grid sizes, N and D past ``COUNT_CAP`` count as
+    The estimate grows with each count, so grid sizes, R, N and D past ``COUNT_CAP`` count as
     ``COUNT_CAP``: the refusal stands and the arithmetic stays finite and cheap (D >= 2^min(M, N),
     so binom is taken only below min(M, N) = 64).
     """
-    side, size, n = (min(count, COUNT_CAP) for count in (
-        cfg.massless_points_per_side, cfg.massive_size, cfg.truncation))
-    grids = GRID_POINT_BYTES * (2 * side + size + 4)
+    side, size, n, r = (min(count, COUNT_CAP) for count in (
+        cfg.massless_points_per_side, cfg.massive_size, cfg.truncation,
+        len(cfg.roots or ()) or cfg.root_count))
+    held = GRID_POINT_BYTES * (2 * side + size + 4) + ROOT_BYTES * r
     if set(cfg.suites or SUITE_NAMES) <= {"inner", "kernel"}:
-        return grids
+        return held
     m = max(2 * side, size)
     d = min(math.comb(m + n, n), COUNT_CAP) if min(m, n) < 64 else COUNT_CAP
-    u, r = m * n / (m + n), len(cfg.roots or ()) or cfg.root_count
+    u = m * n / (m + n)
     block = min(dense._BLOCK_ENTRIES, d * max(r * (1 + n * m), 2 * cfg.repetitions))
     slots = min(r * m, max(1, dense._BLOCK_ENTRIES // (d * (n + 1))))
     pairs, cross, plans = (cache.cache_parameters()["maxsize"] for cache in (
         fock._pair_multipliers, chiral._cross_multipliers, dense._plan))
     index = 8 * (2 * n + 3 + u) + n + u + 32 + 8 * (u + 2 * n) + 40 + 64 * u + 40 * plans
     entries = m + 2 * u + n * max(u, 2 * n) + slots * (pairs + cross)
-    return grids + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
+    return held + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
 
 
 def _suite_rng(seed: int, suite_name: str) -> np.random.Generator:

@@ -9,7 +9,19 @@ sum them over the term axis, to compare the two.
 
 import numpy as np
 
-from fockdeform import dense, fock
+from fockdeform import deformation, dense, fock
+
+
+def sharp_annihilate(p, psi):
+    """Sharp-momentum annihilator a(p): [a(p) Psi]_n = sqrt(n+1) Psi_{n+1}(p, ...),
+    in distributional normalization (no quadrature weight); p must be a grid point."""
+    return fock.annihilate(deformation._delta(p, psi.grid), psi)
+
+
+def annihilate_deformed_sharp(spec, p, psi):
+    """Sharp deformed annihilator a_K(p) = a(p) dressed with prod_k K(p, p_k): delta_p
+    removes only the grid index q of p, so only row q of the kernel matrix is read."""
+    return deformation.annihilate_deformed(spec, deformation._delta(p, psi.grid), psi)
 
 
 def probe_image(op, pattern, domain, codomain=None, *, copies=1):

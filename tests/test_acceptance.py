@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
+from dense_reference import annihilate_deformed_sharp, sharp_annihilate
 from fockdeform import chiral, cli, dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
-                                    annihilate_deformed_sharp, apply_pair_twist,
-                                    field_deformed, kernel, sharp_annihilate,
+                                    apply_pair_twist, field_deformed, kernel,
                                     sharp_momentum_twist)
 from fockdeform.grids import boost_momentum, chiral_pair, rapidity_grid
 from fockdeform.inner import (BlaschkeSpec, eval_inner, eval_root, make_root,

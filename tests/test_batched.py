@@ -11,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import ladder_step_gathered, probe_image
+from dense_reference import (annihilate_deformed_sharp, ladder_step_gathered, probe_image,
+                             sharp_annihilate)
 from fockdeform import chiral, deformation, dense, fock, grids, suites
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_each,
-                                    annihilate_deformed, annihilate_deformed_sharp,
-                                    apply_kernel_phases, sharp_annihilate, sharp_momentum_twist)
+                                    annihilate_deformed, apply_kernel_phases,
+                                    sharp_momentum_twist)
 from fockdeform.inner import make_root, random_symmetric_blaschke
 from fockdeform.suites import SuiteConfig
 

@@ -124,7 +124,7 @@ def test_roots_differing_only_in_flips_get_distinct_entries(grids, base):
     assert chiral._root_cross_matrix.cache_info().currsize == 2
 
 
-def test_adjoint_twists_get_their_own_multipliers(grids, root):
+def test_adjoint_twists_share_the_twists_multipliers(grids, root):
     grid = grids[0]
     spec = KernelSpec(root=root, mass=grid.mass)
     psi = probe_vector(grid)
@@ -132,7 +132,7 @@ def test_adjoint_twists_get_their_own_multipliers(grids, root):
     twist = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi)
     adj = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, psi, adjoint=True)
     assert deformation._sharp_twist_tables.cache_info().currsize == 1
-    assert fock._pair_multipliers.cache_info().currsize == 2
+    assert fock._pair_multipliers.cache_info().currsize == 1
     assert not np.array_equal(twist.sectors[3], adj.sectors[3])
     back = sharp_momentum_twist(spec, SharpTwistVariant.PAIRWISE_SUM, p, twist, adjoint=True)
     assert np.max(np.abs(back.sectors[3] - psi.sectors[3])) <= 1e-14
@@ -141,15 +141,15 @@ def test_adjoint_twists_get_their_own_multipliers(grids, root):
     cross = chiral.apply_cross_twist_fock(root, phi)
     cross_adj = chiral.apply_cross_twist_fock(root, phi, adjoint=True)
     assert chiral._root_cross_matrix.cache_info().currsize == 1
-    assert fock._pair_multipliers.cache_info().currsize == 4
+    assert fock._pair_multipliers.cache_info().currsize == 2
     assert not np.array_equal(cross.sectors[2], cross_adj.sectors[2])
 
 
 def test_split_route_cross_multipliers_are_cached_per_matrix(root):
     """The split tower's twist reads one flat multiplier per (cmat, P, Q, N),
-    built from cmat on the half-line labels.  It is not derived from the union
-    twist's pair multipliers, so it matches them through the merge permutation
-    only up to rounding."""
+    built from cmat on the half-line labels; its adjoint reads the same one.  It
+    is not derived from the union twist's pair multipliers, so it matches them
+    through the merge permutation only up to rounding."""
     pair = chiral_pair(3)
     q = pair.n_negative
     xi = chiral.random_bifock(pair, 4, np.random.default_rng(5))
@@ -157,12 +157,12 @@ def test_split_route_cross_multipliers_are_cached_per_matrix(root):
     again = chiral.apply_cross_twist(root, xi)
     adj = chiral.apply_cross_twist(root, xi, adjoint=True)
     info = chiral._cross_multipliers.cache_info()
-    assert (info.hits, info.currsize) == (1, 2)
+    assert (info.hits, info.currsize) == (2, 1)
     assert np.array_equal(twisted.coefficients, again.coefficients)
     assert not np.array_equal(twisted.coefficients, adj.coefficients)
     smat = chiral._root_cross_matrix(root, pair.union.points.tobytes())
     split = chiral._cross_multipliers(smat[q:, :q].tobytes(), pair.n_positive, q, 4)
-    assert chiral._cross_multipliers.cache_info().hits == 2
+    assert chiral._cross_multipliers.cache_info().hits == 3
     # label pair ((0, 1), (2,)) of component (2, 1) meets S[p_0, q_2] and S[p_1, q_2]
     layout = chiral._layout(pair.n_positive, q, 4)
     k = chiral._component_keys(4).index((2, 1))
@@ -170,6 +170,43 @@ def test_split_route_cross_multipliers_are_cached_per_matrix(root):
     union = fock._pair_multipliers(smat.tobytes(), pair.union.size, 4)
     assert not np.all(split == 1.0)
     assert np.max(np.abs(split - union[layout.order])) <= 1e-14
+
+
+def test_adjoint_of_a_stacked_twist_conjugates_its_one_table(cfg, grids, base):
+    """Twist and adjoint cost one multiplier miss per twist, and the adjoint equals,
+    under ==, the multipliers built from conj(G) on a batch with a slot axis: a union
+    pair-phase stack, a split cross matrix and a sharp-twist stack of two slots."""
+    massive, union = grids
+    pair, roots = cfg.massless_pair(), (make_root(base), make_root(base, FLIP_ATOMS[0]))
+    q, rng = pair.n_negative, np.random.default_rng(8)
+    smats = np.stack([chiral._root_cross_matrix(r, union.points.tobytes()) for r in roots])
+    spec = KernelSpec(root=roots[0], mass=massive.mass)
+    momenta = massive.points[[1, 4]]
+    gmats = deformation._sharp_twist_tables(spec, SharpTwistVariant.SIGN_SPLIT,
+                                            momenta.tobytes(), massive.points.tobytes())
+
+    def slots(vec):
+        return vec._with(np.stack([vec.coefficients] * 2, axis=1))
+
+    psi, phi = (slots(fock.random_fock_vector(g, 3, rng, 3)) for g in (union, massive))
+    xi = slots(chiral.random_bifock(pair, 3, rng, 3))
+    cases = [
+        (fock._pair_multipliers, psi, smats, (union.size, 3),
+         lambda adj: chiral.apply_cross_twist_fock(roots, psi, adj)),
+        (chiral._cross_multipliers, xi, smats[:, q:, :q], (pair.n_positive, q, 3),
+         lambda adj: chiral.apply_cross_twist(roots, xi, adj)),
+        (fock._pair_multipliers, phi, gmats, (massive.size, 3),
+         lambda adj: deformation._sharp_twist_each(spec, SharpTwistVariant.SIGN_SPLIT,
+                                                   momenta, phi, adj)),
+    ]
+    for cache, vec, mats, shape, twist in cases:
+        cache.cache_clear()
+        twist(False)
+        adj = twist(True)
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        want = fock._scale(vec.coefficients, cache.__wrapped__(np.conj(mats).tobytes(), *shape))
+        assert np.all(adj.coefficients == want)
 
 
 def cached_results(grids, root):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import tensor_reference as ref
+from dense_reference import annihilate_deformed_sharp, sharp_annihilate
 from fockdeform import dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
-                                    annihilate_deformed_sharp, apply_kernel_phases,
-                                    apply_pair_twist, create_deformed, field_deformed,
-                                    kernel, kernel_matrix, sharp_annihilate,
+                                    apply_kernel_phases, apply_pair_twist, create_deformed,
+                                    field_deformed, kernel, kernel_matrix,
                                     sharp_momentum_twist, wedge_invariant)
 from fockdeform.grids import boost_momentum, chiral_pair, rapidity_grid
 from fockdeform.inner import (BlaschkeSpec, eval_root, make_root,

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import tensor_reference as ref
+from dense_reference import sharp_annihilate
 from fockdeform import chiral, dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
-                                    apply_kernel_phases, sharp_annihilate,
-                                    sharp_momentum_twist)
+                                    apply_kernel_phases, sharp_momentum_twist)
 from fockdeform.grids import chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import tensor_reference as ref
+from dense_reference import annihilate_deformed_sharp, sharp_annihilate
 from fockdeform import chiral, dense, fock
-from fockdeform.deformation import (KernelSpec, _delta, annihilate_deformed,
-                                    annihilate_deformed_sharp, create_deformed, kernel_matrix,
-                                    sharp_annihilate)
+from fockdeform.deformation import (KernelSpec, _delta, annihilate_deformed, create_deformed,
+                                    kernel_matrix)
 from fockdeform.grids import ChiralGridPair, MomentumGrid, boost_blocks, chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke
 

@@ -6,11 +6,10 @@ import operator
 import numpy as np
 import pytest
 
-from dense_reference import probe_image
+from dense_reference import annihilate_deformed_sharp, probe_image, sharp_annihilate
 from fockdeform import chiral, dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
-                                    annihilate_deformed_sharp, apply_kernel_phases,
-                                    create_deformed, field_deformed, sharp_annihilate,
+                                    apply_kernel_phases, create_deformed, field_deformed,
                                     sharp_momentum_twist)
 from fockdeform.grids import ChiralGridPair, MomentumGrid, chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke, trivial_root

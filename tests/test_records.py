@@ -1,11 +1,11 @@
-"""Golden records: every check of the default config and of the deep-tower
-workload on seeds 0-9, as (suite, check, anchor, pass, max_deviation) rows in
-``tests/data/records.json``.
+"""Golden records: every check of the default config, of the deep-tower workload
+and of N=4 on 6 points per side and 12 massive points ("n4") on seeds 0-9, as
+(suite, check, anchor, pass, max_deviation) rows in ``tests/data/records.json``.
 
 A run matches its golden rows when the suites, checks, anchors and pass flags
 are equal and each deviation lies within 1e-14 + 1e-12 |golden| of the golden
-one; the exact-zero checks read exactly 0.0.  Tier-1 runs default seeds 0-2
-and deep seed 0 in process.  A written report compares with
+one; the exact-zero checks read exactly 0.0.  Tier-1 runs default seeds 0-2,
+deep seed 0 and n4 seed 0 in process.  A written report compares with
 
     python3 tests/test_records.py default 3 report.json
 
@@ -40,6 +40,7 @@ CONFIGS = {
     "default": {},
     "deep": json.loads((Path(__file__).parent.parent / "perfbench" / "workloads"
                         / "deep-tower.json").read_text()),
+    "n4": {"truncation": 4, "massless_grid": {"points_per_side": 6}, "massive_grid": {"size": 12}},
 }
 SEEDS = range(10)
 EXACT_ZERO = {"trivial-root-exact", "trivial-root-degeneration"}
@@ -97,12 +98,12 @@ def golden(name: str, seed: int) -> list[list]:
 
 
 @pytest.mark.parametrize("name, seed", [("default", 0), ("default", 1), ("default", 2),
-                                        ("deep", 0)])
+                                        ("deep", 0), ("n4", 0)])
 def test_records_match_the_golden_file(name, seed):
     assert mismatches(run_records(name, seed), golden(name, seed)) == []
 
 
-def test_golden_file_covers_both_configs_on_seeds_0_to_9():
+def test_golden_file_covers_every_config_on_seeds_0_to_9():
     doc = json.loads(GOLDEN.read_text())
     assert sorted(doc) == sorted(CONFIGS)
     for name, by_seed in doc.items():

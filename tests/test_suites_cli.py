@@ -588,8 +588,10 @@ def test_cli_refuses_config_over_memory_before_any_suite(tmp_path, capsys, monke
     {"massive_grid": {"size": 4_000_000}},  # the grid fits, the run does not
     {"truncation": 10 ** 39},
     {"massive_grid": {"size": 10 ** 400}},
+    {"root_count": 10 ** 9},  # each root's 1,000 samples in suite_inner
+    {"root_count": 10 ** 400},
 ], ids=["massive-1e12", "massless-1e12", "massive-1e12-inner", "massless-1e12-inner",
-        "massive-4e6", "truncation-1e39", "massive-1e400"])
+        "massive-4e6", "truncation-1e39", "massive-1e400", "roots-1e9", "roots-1e400"])
 def test_cli_refuses_an_oversized_grid_before_building_it(doc, tmp_path, capsys, monkeypatch):
     """A run that does not fit in physical memory is refused (exit 2, one line, no
     traceback) by the config itself, before any grid is built: config_from_json traces
@@ -616,7 +618,8 @@ def test_cli_refuses_an_oversized_grid_before_building_it(doc, tmp_path, capsys,
 
 def test_memory_estimate_counts_the_grids():
     cfg = config_from_json({"suites": ["inner", "kernel"]})
-    assert memory_estimate(cfg) == suites.GRID_POINT_BYTES * (2 * 3 + 6 + 4) > 0
+    assert memory_estimate(cfg) == (suites.GRID_POINT_BYTES * (2 * 3 + 6 + 4)
+                                    + suites.ROOT_BYTES * 5) > 0
     assert memory_estimate(config_from_json({})) > memory_estimate(cfg)
 
 

@@ -26,10 +26,9 @@ D basis columns.
 
 No full image is held: :func:`probe_blocks` applies several operators to each
 block of columns of a cached O(D) plan (:func:`_plan`) in turn, and every consumer
-reduces block by block (a maximum of block maxima, NaN if any is NaN).  Random
-vectors may ride with the first block, and P operators of one layout (P roots, or
-P (root, momentum) pairs, one slot each of the copies axis) share the columns
-(:func:`copy_chunks`).
+reduces block by block (a maximum of block maxima, NaN if any is NaN).  P operators
+of one layout (P roots, or P (root, momentum) pairs, one slot each of the copies axis)
+share the columns (:func:`copy_chunks`).
 
 The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
 :func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
@@ -289,33 +288,27 @@ def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: i
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(m: int, truncation: int, coloured: bool, degrees: tuple, order: bytes,
-          step: int) -> tuple:
-    """Per probe block (:func:`_blocks`, at most ``step`` columns) of the domain whose
-    coefficient j is m-point label ``order[j]``: columns first..last-1 and scatter
-    ``rows``, ``cols``, ``phases``.  First comes a block whose image (its sectors
-    plus ``degrees``) spans the most rows: vectors riding with it add the least."""
+def _plan(m: int, truncation: int, coloured: bool, order: bytes, step: int) -> tuple:
+    """Per probe block (:func:`_blocks`, at most ``step`` columns, in column order) of the
+    domain whose coefficient j is m-point label ``order[j]``: columns first..last-1 and
+    scatter ``rows``, ``cols``, ``phases``.  Patterns of one colouring share the plan."""
     layout = _layout(m, truncation)
     column = layout.by_colour if coloured else layout.sector
     column_sector = np.empty(int(column.max()) + 1, dtype=int)
     column_sector[column] = layout.sector
     order = np.frombuffer(order, dtype=np.intp)
     column, phase = column[order], layout.phase[order]
-    sizes = np.bincount(layout.sector)
     blocks = []
     for first, last in _blocks(column_sector, step):
         rows = np.flatnonzero((column >= first) & (column < last))
         scatter = (rows, column[rows] - first, phase[rows])
         for arr in scatter:
             arr.setflags(write=False)
-        image = {n + d for n in column_sector[first:last].tolist() for d in degrees}
-        span = sum(sizes[n] for n in image if 0 <= n <= truncation)
-        blocks.append((-span, first, last, *scatter))
-    return tuple(block[1:] for block in sorted(blocks, key=lambda block: block[0]))
+        blocks.append((first, last, *scatter))
+    return tuple(blocks)
 
 
-def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 1,
-                 riders: list[np.ndarray] | None = None):
+def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 1):
     """Per block of the cached :func:`_plan`, (first, images): images[i] is ops[i] applied
     to probe columns first..first+k-1, shape (D, P, k), rows in union label order.
 
@@ -327,23 +320,17 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
     Each op gets the block repeated over a leading batch axis of ``copies`` = P
     slots (batch shape (P, k)), so that P operators of one column layout share
     the columns; an operator that is not stacked acts on every slot alike.
-    ``riders[i]``, domain coefficients of shape (len(domain), P, r_i), lead op i's
-    first block: its image there has r_i + k columns, the riders' images first.
     """
     cod = domain if codomain is None else codomain
     step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * copies))
-    plan = _plan(domain.union_size, domain.truncation, pattern.coloured, pattern.degrees,
+    plan = _plan(domain.union_size, domain.truncation, pattern.coloured,
                  np.asarray(domain.union_order, dtype=np.intp).tobytes(), step)
     rank = np.argsort(cod.union_order)  # codomain row of each union label
-    for k, (first, last, rows, cols, phases) in enumerate(plan):
+    for first, last, rows, cols, phases in plan:
         probes = np.zeros((len(domain), copies, last - first), dtype=complex)
         probes[rows, :, cols] = phases[:, None]
         probes.setflags(write=False)  # the ops share it
-        images = []
-        for i, op in enumerate(ops):
-            block = probes if riders is None or k else np.concatenate([riders[i], probes], -1)
-            images.append(cod.coefficients(op(domain._vector(block)))[rank])
-        yield first, images
+        yield first, [cod.coefficients(op(domain._vector(probes)))[rank] for op in ops]
 
 
 def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:

@@ -1,9 +1,9 @@
 """Named verification suites producing machine-readable pass/fail reports.
 
-Every check certifies one operator identity or structural law, two ways where
-it matters: action on seeded random vectors (fast) and an entrywise comparison
-on the whole truncated space through the probe oracle of :mod:`dense`
-(exhaustive).
+Every check certifies one operator identity or structural law, by its action on
+seeded random vectors or by an entrywise comparison on the whole truncated space
+through the probe oracle of :mod:`dense` (exhaustive).  The two schemes meet in
+the main relation and its field form, which the probe oracle alone certifies.
 
 :data:`CHECKS` lists every check once, as a :class:`Check`: its suite, name,
 the anchor naming the identity family it certifies, and its bound (``None``
@@ -514,16 +514,19 @@ def _dressed_sum(dressings, xi, psi: fock.FockVector) -> fock.FockVector:
     :func:`_dressings` table of each of P slots and ``xi`` the (P, M) stack of their
     amplitudes, one per slot of psi's first batch axis.  [a(q) K_q psi](lam) is
     sqrt(m_q(lam + q)) sqrt(w_q) / w_q times the dressed coefficient at lam + q: one
-    gather of psi and of the tables through the up table, multiplied in the
-    per-momentum route's operand order (a complex product's rounding depends on it)."""
-    grid, coefs, w = psi.grid, psi.coefficients, psi.grid.weights
-    tower, q = fock._tower(grid.size, psi.truncation), np.arange(grid.size)
-    terms = coefs[tower.up]  # [lam, q, slot] + batch
-    fock._scale(terms, np.stack([table[tower.up, q] for table in dressings], -1), out=terms)
-    fock._scale(terms, np.sqrt(tower.up_mult, dtype=float) * (np.sqrt(w) * (1.0 / w)), out=terms)
-    factors = np.expand_dims((w * np.conj(xi)).T, tuple(range(2, terms.ndim - 1)))
+    gather of psi and of the tables through the up table, over the q that some slot's
+    amplitude reads, multiplied in the per-momentum route's operand order (a complex
+    product's rounding depends on it)."""
+    coefs, w = psi.coefficients, psi.grid.weights
+    tower, q = fock._tower(w.size, psi.truncation), np.flatnonzero(np.any(xi != 0, axis=0))
+    up, w = tower.up[:, q], w[q]
+    terms = coefs[up]  # [lam, q, slot] + batch
+    fock._scale(terms, np.stack([table[up, q] for table in dressings], -1), out=terms)
+    fock._scale(terms, np.sqrt(tower.up_mult[:, q], dtype=float) * (np.sqrt(w) * (1.0 / w)),
+                out=terms)
+    factors = np.expand_dims((w * np.conj(xi[:, q])).T, tuple(range(2, terms.ndim - 1)))
     out = np.zeros(coefs.shape, dtype=complex)
-    for j in q:
+    for j in range(q.size):
         out[:len(terms)] += factors[j] * terms[:, j]
     return psi._with(out)
 
@@ -547,16 +550,25 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         yield "phase-dressing-unitary", np.max(np.abs(
             apply_kernel_phases(spec, p_ref, one).sectors[1] - row * one.sectors[1]))
 
-    # the first two roots, one slot each: per run, each root's amplitude in turn
+    # the first two roots, one slot each: per run, each root's amplitude in turn, then
+    # root by root the delta_p amplitudes of every grid point (no draw), one slot each
     for grid, basis in zip(grids, bases):
         for chunk in _root_chunks(roots[:2], basis, dense.LOWER):
             spec = tuple(KernelSpec(root=r, mass=grid.mass) for r in chunk)
             xi = np.stack([fock.random_one_particle(grid, rng) for _ in chunk])
-            # no name holds the run's dressing tables: they are freed when the comparison returns
+            tables = [_dressings(s, grid, n_top) for s in spec]
             yield "annihilator-equals-dressed-sum", dense.probe_deviation(
                 lambda v: annihilate_deformed(spec, xi, v),
-                functools.partial(_dressed_sum, [_dressings(s, grid, n_top) for s in spec], xi),
-                dense.LOWER, basis, copies=len(chunk))
+                functools.partial(_dressed_sum, tables, xi), dense.LOWER, basis,
+                copies=len(chunk))
+            for root_spec, table in zip(spec, tables):
+                for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
+                    deltas = _delta(grid.points[idx], grid)
+                    yield "annihilator-equals-dressed-sum", dense.probe_deviation(
+                        lambda v: annihilate_deformed((root_spec,) * len(idx), deltas, v),
+                        functools.partial(_dressed_sum, [table] * len(idx), deltas),
+                        dense.removal(int(idx[0])), basis, copies=len(idx))
+            del tables, table  # freed before the next run builds its own
 
     for grid, basis in zip(grids, bases):
         for chunk in _root_chunks(roots[:2], basis, dense.LOWER):
@@ -751,49 +763,27 @@ def _one_sided_amplitude(pair: ChiralGridPair, side: str,
     return amp
 
 
-_ROUTE_VECTORS = 3  # random vectors per route and root of each equivalence check
-
-
 def _equivalence(name: str, roots, draw, deformed, twisted, pattern: dense.Pattern,
-                 basis: dense.FockBasis, rng: np.random.Generator) -> Deviations:
+                 basis: dense.FockBasis) -> Deviations:
     """Compare, for each root, a deformed operator with its twist conjugation on both
     routes, "direct" and "split": the one place where the two schemes meet.
 
-    The roots go in runs of :func:`_root_chunks`, one slot each.  For each root of a
-    run in turn, ``draw()`` gives its one-particle data, then 2 * ``_ROUTE_VECTORS``
-    random vectors are drawn.  The run's operators are ``deformed(chunk, data, v)`` and
-    ``twisted(chunk, data, v, route)``, with the data stacked (one row per slot).
-    The three run together, block by block, on the probe columns of ``pattern``
-    (:func:`dense.probe_blocks`), with the vectors riding along: ``deformed`` on all
-    2 * ``_ROUTE_VECTORS`` of each slot, the direct route on the first
-    ``_ROUTE_VECTORS``, the split route on the rest.  Per run and route: the largest
-    column norm of the difference, and the probe deviation.
+    The roots go in runs of :func:`_root_chunks`, one slot each, and ``draw()`` gives
+    each root's one-particle data in turn.  The run's operators are
+    ``deformed(chunk, data, v)`` and ``twisted(chunk, data, v, route)``, with the data
+    stacked (one row per slot).  The three run together, block by block, on the probe
+    columns of ``pattern`` (:func:`dense.probe_blocks`): per run and route, the probe
+    deviation.
     """
-    r = _ROUTE_VECTORS
-    routes = (("direct", slice(r)), ("split", slice(r, 2 * r)))
     for chunk in _root_chunks(roots, basis, pattern):
-        data, vectors = _draw_run(len(chunk), draw, basis, rng)
+        data = np.stack([draw() for _ in chunk])
         ops = [lambda v: deformed(chunk, data, v)]
-        ops += [lambda v, route=route: twisted(chunk, data, v, route) for route, _ in routes]
-        riders = [vectors] + [vectors[..., cols] for _, cols in routes]
-        devs, blocks = [], dense.probe_blocks(ops, pattern, basis, copies=len(chunk), riders=riders)
-        for k, (_, (target, *images)) in enumerate(blocks):
-            if not k:  # the riders' images lead the first block
-                ridden = [np.max(np.linalg.norm(target[..., cols] - image[..., :r], axis=0))
-                          for (_, cols), image in zip(routes, images)]
-                target, images = target[..., 2 * r:], [image[..., r:] for image in images]
-            devs.append([dense.matrix_deviation(image, target) for image in images])
-        for ride, dev in zip(ridden, np.max(devs, axis=0).tolist()):
-            yield name, ride
+        ops += [lambda v, route=route: twisted(chunk, data, v, route)
+                for route in ("direct", "split")]
+        devs = [[dense.matrix_deviation(image, target) for image in images] for _, (
+            target, *images) in dense.probe_blocks(ops, pattern, basis, copies=len(chunk))]
+        for dev in np.max(devs, axis=0).tolist():
             yield name, dev
-
-
-def _draw_run(count: int, draw, basis: dense.FockBasis, rng: np.random.Generator):
-    """For each of ``count`` roots in turn its data, then 2 * ``_ROUTE_VECTORS`` random
-    vectors: the data stacked (P, ...) and the vectors (D, P, 2 * ``_ROUTE_VECTORS``)."""
-    draws = [(draw(), basis.coefficients(basis.random(rng, 2 * _ROUTE_VECTORS)))
-             for _ in range(count)]
-    return np.stack([d for d, _ in draws]), np.stack([v for _, v in draws], axis=1)
 
 
 def _massless_specs(chunk) -> tuple[KernelSpec, ...]:
@@ -812,7 +802,7 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviation
             name, roots, lambda: _one_sided_amplitude(pair, side, rng),
             lambda chunk, amp, v: annihilate_deformed(_massless_specs(chunk), amp, v),
             lambda chunk, amp, v, route: chiral.twisted_annihilator(chunk, amp, pair, v, route),
-            dense.LOWER, basis, rng)
+            dense.LOWER, basis)
 
     triv = trivial_root()
     spec = KernelSpec(root=triv, mass=0.0)
@@ -843,7 +833,7 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Devia
                                                  fock.real_test_function(amp), v),
             lambda chunk, amp, v, route: chiral.twisted_field(
                 chunk, fock.real_test_function(amp), pair, v, route),
-            dense.FIELD, basis, rng)
+            dense.FIELD, basis)
 
     bbasis = dense.BiFockBasis(pair, n_top)
     g = rng.standard_normal(pair.n_positive) + 1j * rng.standard_normal(pair.n_positive)

@@ -226,7 +226,7 @@ def cached_results(grids, root):
                                                              massless.size - q, q, 4),
         fock._tower: fock._tower(massless.size, 4).up,
         chiral._half_ladder: chiral._half_ladder(massless.size - q, q, 4, "-", 1)[1],
-        dense._plan: dense._plan(massless.size, 4, True, (-1, 1), chiral._layout(
+        dense._plan: dense._plan(massless.size, 4, True, chiral._layout(
             massless.size - q, q, 4).order.tobytes(), 7)[1][2],
     }
 
@@ -302,22 +302,21 @@ def test_half_ladder_tables_are_read_only(side, step):
 
 @pytest.mark.parametrize("pattern", [dense.DIAGONAL, dense.LOWER, dense.FIELD])
 def test_probe_plan_is_read_only_and_keyed_by_the_block_width(grids, pattern):
-    """The plan holds O(D) scatter indices per block, never a probe block, and
-    puts first a block whose image spans the most rows: for a lowering a block
-    of the top sector, for a field one of sector N - 1, which reaches sector N."""
+    """The plan holds O(D) scatter indices per block, never a probe block, in
+    ascending column order; the patterns of one colouring share one plan."""
     basis = dense.FockBasis(grids[1], 3)
     order = basis.union_order.tobytes()
-    plan = dense._plan(basis.union_size, 3, pattern.coloured, pattern.degrees, order, 3)
+    plan = dense._plan(basis.union_size, 3, pattern.coloured, order, 3)
     width = 1 + 3 * 6 if pattern.coloured else 4
-    ranges = sorted((first, last) for first, last, *_ in plan)
+    ranges = [(first, last) for first, last, *_ in plan]
     assert len(plan) > 1 and ranges[0][0] == 0 and ranges[-1][1] == width
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     for first, last, *arrays in plan:
         assert all(not arr.flags.writeable and arr.shape == arrays[0].shape for arr in arrays)
         assert arrays[1].max() < last - first
     assert sum(arrays[0].size for _, _, *arrays in plan) == len(basis)
-    sector = dense._layout(basis.union_size, 3).sector
-    top = {dense.DIAGONAL: 3, dense.LOWER: 3, dense.FIELD: 2}[pattern]
-    assert set(sector[plan[0][2]]) == {top}
-    assert dense._plan(basis.union_size, 3, pattern.coloured, pattern.degrees, order, 3) is plan
-    assert len(dense._plan(basis.union_size, 3, pattern.coloured, pattern.degrees, order, 84)) == 1
+    lower, raising, field = (dense._plan(basis.union_size, 3, p.coloured, order, 3)
+                             for p in (dense.LOWER, dense.RAISE, dense.FIELD))
+    assert lower is raising is field and (plan is lower) == pattern.coloured
+    assert dense._plan(basis.union_size, 3, pattern.coloured, order, 3) is plan
+    assert len(dense._plan(basis.union_size, 3, pattern.coloured, order, 84)) == 1

@@ -310,7 +310,7 @@ def test_non_injective_merge_is_caught():
 def late_nan(basis, annihilate):
     """annihilate with a NaN in the columns of one label of a sector that the plan's
     first block does not hold, under blocks of 5 columns (several of them)."""
-    plan = dense._plan(basis.union_size, N, True, (-1,), basis.union_order.tobytes(), 5)
+    plan = dense._plan(basis.union_size, N, True, basis.union_order.tobytes(), 5)
     assert len(plan) > 2
     sector = dense._layout(basis.union_size, N).sector
     held = set(sector[plan[0][2]].tolist())
@@ -386,10 +386,9 @@ def test_probe_image_does_not_depend_on_the_blocks(name, monkeypatch):
 @pytest.mark.parametrize("columns", [5, 3])
 @pytest.mark.parametrize("suite", ["main_relation", "field_equivalence", "sharp"])
 def test_batched_checks_do_not_depend_on_the_blocks(suite, columns, monkeypatch):
-    """Budgets of 5 and 3 columns of the default D = 84 tower: the random vectors
-    of an equivalence check ride with one of several probe blocks, and the sharp
-    suite takes its momenta one per chunk, in several blocks at 3.  The records
-    are the same."""
+    """Budgets of 5 and 3 columns of the default D = 84 tower: an equivalence
+    check's probe columns come in several blocks, and the sharp suite takes its
+    momenta one per chunk, in several blocks at 3.  The records are the same."""
     cfg = SuiteConfig(suites=(suite,))
     whole = run_suite(cfg).records
     basis = dense.FockBasis(cfg.massless_pair().union, cfg.truncation)
@@ -398,7 +397,7 @@ def test_batched_checks_do_not_depend_on_the_blocks(suite, columns, monkeypatch)
 
     def blocks(pattern):
         return len(dense._plan(basis.union_size, basis.truncation, pattern.coloured,
-                               pattern.degrees, basis.union_order.tobytes(), columns))
+                               basis.union_order.tobytes(), columns))
 
     assert blocks(dense.LOWER) > 1 and blocks(dense.DIAGONAL) == (1 if columns > 3 else 2)
     assert run_suite(cfg).records == whole

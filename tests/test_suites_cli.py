@@ -554,6 +554,20 @@ def test_ratio_check_records_the_reflection_defect(monkeypatch):
     assert recs["ratio-rejects-distinct-squares"].passed
 
 
+def test_dressed_sum_check_reads_the_sharp_annihilators(monkeypatch):
+    """A sharp annihilator that removes nothing, as one that reads the wrong grid point
+    does, fails the dressed-sum check: its reference never takes the removal path."""
+    real = fock._ladder_terms
+
+    def no_removal(src, step, amp, *args, **kwargs):
+        terms = real(src, step, amp, *args, **kwargs)
+        return None if terms is not None and isinstance(terms[1], tuple) else terms
+
+    monkeypatch.setattr(fock, "_ladder_terms", no_removal)
+    recs = {r.check: r for r in run_suite(SuiteConfig(suites=("deformed",))).records}
+    assert not recs["annihilator-equals-dressed-sum"].passed
+
+
 def test_cli_tolerance_override_can_fail(capsys):
     # an absurdly small tolerance flips roundoff-level checks to FAIL -> exit 1
     rc = cli.main(["--suite", "inner", "--tolerance", "1e-18"])

@@ -2,9 +2,9 @@
 
 States are stored as one coefficient array over orthonormal bases: index
 multisets for the tower and multiset pairs for the split tower (see
-:mod:`fock` and :mod:`chiral`).  A basis reads that array as it is and wraps
-an array into a state, so an operator given as a callable has a matrix, and
-its identities are matrix identities.
+:mod:`fock` and :mod:`chiral`).  A basis reads and writes coefficients in
+union-label order (the split basis gathers through the merge), so an operator
+given as a callable has a matrix, and its identities are matrix identities.
 
 The suites certify them with the probe oracle (column grouping for sparse
 Jacobians, Curtis, Powell & Reid 1974).  Every operator they compare has a
@@ -26,9 +26,10 @@ D basis columns.
 
 No full image is held: :func:`probe_blocks` applies several operators to each
 block of columns of a cached O(D) plan (:func:`_plan`) in turn, and every consumer
-reduces block by block (a maximum of block maxima, NaN if any is NaN).  P operators
-of one layout (P roots, or P (root, momentum) pairs, one slot each of the copies axis)
-share the columns (:func:`copy_chunks`).
+reduces block by block (a maximum of block maxima, NaN if any is NaN: for a
+comparison, :func:`probe_deviations`).  P operators of one layout (P roots, or P
+(root, momentum) pairs, one slot each of the copies axis) share the columns
+(:func:`copy_chunks`).
 
 The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
 :func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
@@ -58,17 +59,16 @@ _BLOCK_ENTRIES = 524_288
 class _Basis:
     """What the two bases share: ``labels`` (built when first read), the state
     ``_vector(c)`` with coefficient vector c (a trailing batch axis gives a
-    batched state), ``union_order``: coefficient j is label ``union_order[j]``
-    of the tower over the ``union_size``-point union grid, and
-    ``random(rng, count)``: a batch of ``count`` random unit vectors, drawn as
-    ``len(self)`` complex Gaussian coefficients each."""
+    batched state) and its inverse ``coefficients(v)``, both in union-label
+    order: coefficient j is label j of the tower over the ``union_size``-point
+    union grid.  ``random(rng, count)`` is a batch of ``count`` random unit
+    vectors, drawn as ``len(self)`` complex Gaussian coefficients each."""
 
     truncation: int
     union_size: int
-    union_order: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.union_order)
+        return fock._offsets(self.union_size, self.truncation)[-1]
 
     @property
     def vectors(self):
@@ -92,7 +92,6 @@ class FockBasis(_Basis):
         self.grid = grid
         self.truncation = truncation
         self.union_size = grid.size
-        self.union_order = np.arange(fock._offsets(grid.size, truncation)[-1])
 
     @functools.cached_property
     def labels(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -112,31 +111,32 @@ class FockBasis(_Basis):
 class BiFockBasis(_Basis):
     """Orthonormal basis of the split tower, labelled by multiset pairs.
 
-    ``labels[i]`` is (kappa_+, kappa_-) for coefficient i of a state.
+    ``labels[i]`` is (kappa_+, kappa_-) for coefficient i, whose union is union label i.
     """
 
     def __init__(self, pair: ChiralGridPair, truncation: int):
         self.pair = pair
         self.truncation = truncation
         self.union_size = pair.union.size
-        self.union_order = chiral._layout(pair.n_positive, pair.n_negative, truncation).order
+        self.layout = chiral._layout(pair.n_positive, pair.n_negative, truncation)
 
     @functools.cached_property
     def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         pos = _multisets(self.pair.n_positive, self.truncation)
         neg = _multisets(self.pair.n_negative, self.truncation)
-        layout = chiral._layout(self.pair.n_positive, self.pair.n_negative, self.truncation)
-        return [(pos[r], neg[s]) for r, s in zip(layout.pos_row.tolist(), layout.neg_row.tolist())]
+        rows = self.layout.pos_row[self.layout.merge], self.layout.neg_row[self.layout.merge]
+        return [(pos[r], neg[s]) for r, s in zip(*(row.tolist() for row in rows))]
 
     def _vector(self, flat: np.ndarray) -> BiFockVector:
-        return BiFockVector(self.pair, self.truncation, flat)
+        """The state of union-label coefficients ``flat``: one gather, as in a split."""
+        return BiFockVector(self.pair, self.truncation, flat[self.layout.order])
 
     def random(self, rng: np.random.Generator, count: int) -> BiFockVector:
         return chiral.random_bifock(self.pair, self.truncation, rng, count)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
-        """Expansion coefficients <b_i, xi>, as in :meth:`FockBasis.coefficients`."""
-        return xi.coefficients
+        """Expansion coefficients <b_i, xi> in union-label order: one gather, as in a merge."""
+        return xi.coefficients[self.layout.merge]
 
 
 def operator_matrix(op, domain, codomain=None) -> np.ndarray:
@@ -284,24 +284,22 @@ def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: i
     step = max(_BLOCK_ENTRIES // (group * len(basis)), 1)
     for start in range(0, count, step):
         vec = basis.random(rng, group * min(step, count - start))
-        yield tuple(basis._vector(basis.coefficients(vec)[:, i::group]) for i in range(group))
+        yield tuple(vec._with(vec.coefficients[:, i::group]) for i in range(group))
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(m: int, truncation: int, coloured: bool, order: bytes, step: int) -> tuple:
+def _plan(m: int, truncation: int, coloured: bool, step: int) -> tuple:
     """Per probe block (:func:`_blocks`, at most ``step`` columns, in column order) of the
-    domain whose coefficient j is m-point label ``order[j]``: columns first..last-1 and
-    scatter ``rows``, ``cols``, ``phases``.  Patterns of one colouring share the plan."""
+    m-point union labels: columns first..last-1 and scatter ``rows``, ``cols``,
+    ``phases``.  Patterns of one colouring share the plan."""
     layout = _layout(m, truncation)
     column = layout.by_colour if coloured else layout.sector
     column_sector = np.empty(int(column.max()) + 1, dtype=int)
     column_sector[column] = layout.sector
-    order = np.frombuffer(order, dtype=np.intp)
-    column, phase = column[order], layout.phase[order]
     blocks = []
     for first, last in _blocks(column_sector, step):
         rows = np.flatnonzero((column >= first) & (column < last))
-        scatter = (rows, column[rows] - first, phase[rows])
+        scatter = (rows, column[rows] - first, layout.phase[rows])
         for arr in scatter:
             arr.setflags(write=False)
         blocks.append((first, last, *scatter))
@@ -309,8 +307,8 @@ def _plan(m: int, truncation: int, coloured: bool, order: bytes, step: int) -> t
 
 
 def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 1):
-    """Per block of the cached :func:`_plan`, (first, images): images[i] is ops[i] applied
-    to probe columns first..first+k-1, shape (D, P, k), rows in union label order.
+    """Per block of the cached :func:`_plan`, (first, images): images[i], shape (D, P, k), is
+    the codomain's coefficients (:class:`_Basis`) of ops[i] on probe columns first..first+k-1.
 
     Probe column k is the sum of the labels of its sector (and colour) times
     their phases.  Each op must be linear and act column by column, as for
@@ -323,14 +321,12 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
     """
     cod = domain if codomain is None else codomain
     step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * copies))
-    plan = _plan(domain.union_size, domain.truncation, pattern.coloured,
-                 np.asarray(domain.union_order, dtype=np.intp).tobytes(), step)
-    rank = np.argsort(cod.union_order)  # codomain row of each union label
-    for first, last, rows, cols, phases in plan:
+    for first, last, rows, cols, phases in _plan(domain.union_size, domain.truncation,
+                                                 pattern.coloured, step):
         probes = np.zeros((len(domain), copies, last - first), dtype=complex)
         probes[rows, :, cols] = phases[:, None]
         probes.setflags(write=False)  # the ops share it
-        yield first, [cod.coefficients(op(domain._vector(probes)))[rank] for op in ops]
+        yield first, [cod.coefficients(op(domain._vector(probes))) for op in ops]
 
 
 def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
@@ -346,13 +342,12 @@ def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
     return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
 
 
-def probe_deviation(op_a, op_b, pattern: Pattern, domain, codomain=None, *,
-                    copies: int = 1) -> float:
-    """Max |A R - B R| over the probe blocks (:func:`probe_blocks`) of all P slots, NaN
-    if any is NaN; equals the dense max |A - B| up to rounding when both operators fit
-    the pattern."""
-    return float(np.max([matrix_deviation(a, b) for _, (a, b) in probe_blocks(
-        (op_a, op_b), pattern, domain, codomain, copies=copies)]))
+def probe_deviations(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 1) -> list:
+    """Per op after the first, max |op R - ops[0] R| over the probe blocks (:func:`probe_blocks`)
+    of all P slots, NaN if any is NaN; equals the dense max |A - B| up to rounding when both
+    operators fit the pattern."""
+    return np.max([[matrix_deviation(image, target) for image in images] for _, (target, *images)
+                   in probe_blocks(ops, pattern, domain, codomain, copies=copies)], axis=0).tolist()
 
 
 class Entries(NamedTuple):
@@ -386,9 +381,9 @@ class Entries(NamedTuple):
 def probe_entries(op, pattern: Pattern, domain, codomain=None, *, copies: int = 1) -> Entries:
     """The entries of op that ``pattern`` allows, read off its probe blocks.
 
-    Inside the pattern each image cell holds one entry times its column
-    label's phase; every other cell counts toward the residual.  The values
-    have shape (E, P), one column per slot of :func:`probe_blocks`.
+    Inside the pattern each image cell holds one entry times its column label's phase;
+    every other cell counts toward the residual.  Rows and columns are union labels;
+    the values have shape (E, P), one column per slot of :func:`probe_blocks`.
     """
     layout = _layout(domain.union_size, domain.truncation)
     rows, cols = _positions(domain.union_size, domain.truncation, pattern)

@@ -557,17 +557,17 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             spec = tuple(KernelSpec(root=r, mass=grid.mass) for r in chunk)
             xi = np.stack([fock.random_one_particle(grid, rng) for _ in chunk])
             tables = [_dressings(s, grid, n_top) for s in spec]
-            yield "annihilator-equals-dressed-sum", dense.probe_deviation(
+            yield "annihilator-equals-dressed-sum", dense.probe_deviations((
                 lambda v: annihilate_deformed(spec, xi, v),
-                functools.partial(_dressed_sum, tables, xi), dense.LOWER, basis,
-                copies=len(chunk))
+                functools.partial(_dressed_sum, tables, xi)), dense.LOWER, basis,
+                copies=len(chunk))[0]
             for root_spec, table in zip(spec, tables):
                 for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
                     deltas = _delta(grid.points[idx], grid)
-                    yield "annihilator-equals-dressed-sum", dense.probe_deviation(
+                    yield "annihilator-equals-dressed-sum", dense.probe_deviations((
                         lambda v: annihilate_deformed((root_spec,) * len(idx), deltas, v),
-                        functools.partial(_dressed_sum, [table] * len(idx), deltas),
-                        dense.removal(int(idx[0])), basis, copies=len(idx))
+                        functools.partial(_dressed_sum, [table] * len(idx), deltas)),
+                        dense.removal(int(idx[0])), basis, copies=len(idx))[0]
             del tables, table  # freed before the next run builds its own
 
     for grid, basis in zip(grids, bases):
@@ -629,17 +629,17 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
         spec2 = KernelSpec(root=r2, mass=grid.mass)
         spec1 = KernelSpec(root=r1, mass=grid.mass)
         xi = fock.random_one_particle(grid, rng)
-        yield "pair-twist-maps-annihilators", dense.probe_deviation(
+        yield "pair-twist-maps-annihilators", dense.probe_deviations((
             conjugated(twist, lambda v: annihilate_deformed(spec2, xi, v)),
-            lambda v: annihilate_deformed(spec1, xi, v), dense.LOWER, basis)
+            lambda v: annihilate_deformed(spec1, xi, v)), dense.LOWER, basis)[0]
 
     for grid, basis in zip(grids, bases):
         spec2 = KernelSpec(root=r2, mass=grid.mass)
         spec1 = KernelSpec(root=r1, mass=grid.mass)
         fd = fock.real_test_function(fock.random_one_particle(grid, rng))
-        yield "field-conjugation", dense.probe_deviation(
+        yield "field-conjugation", dense.probe_deviations((
             conjugated(twist, lambda v: field_deformed(spec2, fd, v)),
-            lambda v: field_deformed(spec1, fd, v), dense.FIELD, basis)
+            lambda v: field_deformed(spec1, fd, v)), dense.FIELD, basis)[0]
 
     # negative control: roots of different squares are not related by any
     # candidate +-1 twist from the atom pool
@@ -652,10 +652,8 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[1])]
     ops = [lambda v: field_deformed(spec_a, fd, v)]
     ops += [conjugated(cand, lambda v: field_deformed(spec_b, fd, v)) for cand in candidates]
-    mismatches = [[dense.matrix_deviation(image, target) for image in images]
-                  for _, (target, *images) in dense.probe_blocks(ops, dense.FIELD, basis)]
-    # the closest candidate must still miss: a minimum of block maxima, NaN if any is NaN
-    yield "detects-square-mismatch", np.min(np.max(mismatches, axis=0))
+    # the closest candidate must still miss: NaN if any deviation is NaN
+    yield "detects-square-mismatch", np.min(dense.probe_deviations(ops, dense.FIELD, basis))
 
 
 def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -725,11 +723,11 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
 
     for chunk in _root_chunks(roots, fbasis, dense.DIAGONAL):
-        yield "merged-twist-lemma", dense.probe_deviation(
+        yield "merged-twist-lemma", dense.probe_deviations((
             lambda v: chiral.apply_cross_twist_fock(chunk, v),
             lambda v: chiral.merge_chiral(
-                chiral.apply_cross_twist(chunk, chiral.split_chiral(v, pair))),
-            dense.DIAGONAL, fbasis, copies=len(chunk))
+                chiral.apply_cross_twist(chunk, chiral.split_chiral(v, pair)))),
+            dense.DIAGONAL, fbasis, copies=len(chunk))[0]
     psi = fock.random_fock_vector(grid, n_top, rng)
     low = chiral.apply_cross_twist_fock(roots[0], psi)
     for n in (0, 1):
@@ -772,7 +770,7 @@ def _equivalence(name: str, roots, draw, deformed, twisted, pattern: dense.Patte
     each root's one-particle data in turn.  The run's operators are
     ``deformed(chunk, data, v)`` and ``twisted(chunk, data, v, route)``, with the data
     stacked (one row per slot).  The three run together, block by block, on the probe
-    columns of ``pattern`` (:func:`dense.probe_blocks`): per run and route, the probe
+    columns of ``pattern`` (:func:`dense.probe_deviations`): per run and route, the probe
     deviation.
     """
     for chunk in _root_chunks(roots, basis, pattern):
@@ -780,9 +778,7 @@ def _equivalence(name: str, roots, draw, deformed, twisted, pattern: dense.Patte
         ops = [lambda v: deformed(chunk, data, v)]
         ops += [lambda v, route=route: twisted(chunk, data, v, route)
                 for route in ("direct", "split")]
-        devs = [[dense.matrix_deviation(image, target) for image in images] for _, (
-            target, *images) in dense.probe_blocks(ops, pattern, basis, copies=len(chunk))]
-        for dev in np.max(devs, axis=0).tolist():
+        for dev in dense.probe_deviations(ops, pattern, basis, copies=len(chunk)):
             yield name, dev
 
 
@@ -813,10 +809,8 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviation
                lambda v: annihilate_deformed(spec, amp, v),
                lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct"),
                lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "split"))
-        devs = np.max([[dense.matrix_deviation(m, m_plain) for m in images] for _, (
-            m_plain, *images) in dense.probe_blocks(ops, dense.LOWER, basis)], axis=0)
-        for name, dev in zip(("trivial-root-exact",) * 2 + ("trivial-root-roundtrip",), devs):
-            yield name, float(dev)
+        devs = dense.probe_deviations(ops, dense.LOWER, basis)
+        yield from zip(("trivial-root-exact",) * 2 + ("trivial-root-roundtrip",), devs)
 
 
 def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
@@ -878,9 +872,9 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     grid, basis = grids[0], bases[0]
     control = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
-        yield "variants-differ-as-operators", dense.probe_deviation(*(
+        yield "variants-differ-as-operators", dense.probe_deviations([
             functools.partial(_sharp_twist_each, control, variant, grid.points[idx])
-            for variant in SharpTwistVariant), dense.DIAGONAL, basis, copies=len(idx))
+            for variant in SharpTwistVariant], dense.DIAGONAL, basis, copies=len(idx))[0]
 
     spec = KernelSpec(root=roots[0], mass=grid.mass)
     p_ref = float(grid.points[min(2, grid.size - 1)])

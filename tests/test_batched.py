@@ -339,7 +339,7 @@ def test_dressing_tables_are_read_only_and_column_exact():
 def test_default_run_batches_the_root_loops(monkeypatch):
     """Each operator family runs once per run of roots: a default run applies operators
     to probe blocks at most 70 times (counting those of probe_entries and
-    probe_deviation)."""
+    probe_deviations)."""
     calls, real = [], dense.probe_blocks
 
     def probe_blocks(ops, *args, **kwargs):

@@ -59,6 +59,16 @@ def test_bifock_basis_orthonormal_and_coefficients():
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
+def test_bifock_coefficients_are_in_union_label_order():
+    """The split basis reads a state as its merge does, and writes it back."""
+    pair = chiral_pair(3)
+    basis = dense.BiFockBasis(pair, 3)
+    xi = chiral.random_bifock(pair, 3, np.random.default_rng(9), 2)
+    coefficients = basis.coefficients(xi)
+    assert np.array_equal(coefficients, chiral.merge_chiral(xi).coefficients)
+    assert np.array_equal(basis._vector(coefficients).coefficients, xi.coefficients)
+
+
 def test_operator_matrix_identity_and_defects():
     grid = rapidity_grid(1.0, 3, -0.8, 1.2)
     basis = dense.FockBasis(grid, 2)

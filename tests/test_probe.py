@@ -43,7 +43,7 @@ def test_one_swap_apart_means_different_colours(m):
     bases = [dense.FockBasis(rapidity_grid(1.0, m, -1.25, 1.0), N)]
     bases += [dense.BiFockBasis(half_line_pair(p, m - p), N) for p in range(1, m)]
     for basis in bases:
-        column = dense._layout(basis.union_size, N).by_colour[basis.union_order]
+        column = dense._layout(basis.union_size, N).by_colour
         labels = union_multisets(basis)
         size = np.array([len(k) for k in labels])
         counts = np.array([np.bincount(np.array(k, dtype=int), minlength=m) for k in labels])
@@ -147,7 +147,7 @@ def test_probe_deviation_equals_dense(name):
     _, op_a, op_b, pattern, domain, codomain = CASES[name]
     want = dense.matrix_deviation(dense.operator_matrix(op_a, domain, codomain),
                                   dense.operator_matrix(op_b, domain, codomain))
-    got = dense.probe_deviation(op_a, op_b, pattern, domain, codomain)
+    got, = dense.probe_deviations((op_a, op_b), pattern, domain, codomain)
     assert abs(got - want) <= 1e-14
 
 
@@ -161,9 +161,7 @@ def test_entries_reproduce_the_dense_matrix(name):
     assert entries.values.shape == (len(entries.rows), 1)
     rebuilt[entries.rows, entries.cols] = entries.values[:, 0]
     matrix = dense.operator_matrix(op_a, domain, codomain)
-    union = np.zeros_like(matrix)
-    union[np.ix_(cod.union_order, domain.union_order)] = matrix
-    assert np.max(np.abs(rebuilt - union)) <= 1e-14
+    assert np.max(np.abs(rebuilt - matrix)) <= 1e-14
     assert entries.residual == 0.0
 
 
@@ -261,7 +259,7 @@ def test_two_particle_move_is_caught(fault_setting):
     annihilate = lambda v: fock.annihilate(xi, v)  # noqa: E731
     faulty = inject(annihilate, basis, basis, fock_index(basis, (0, 3)),
                     fock_index(basis, (0, 1, 2)))
-    assert dense.probe_deviation(faulty, annihilate, dense.LOWER, basis) >= EPS / 2
+    assert dense.probe_deviations((annihilate, faulty), dense.LOWER, basis)[0] >= EPS / 2
     create = dense.probe_entries(lambda v: fock.create(xi, v), dense.RAISE, basis)
     assert create.deviation(dense.probe_entries(faulty, dense.LOWER, basis).adjoint()) >= EPS / 2
 
@@ -273,7 +271,7 @@ def test_sector_skipping_map_is_caught(fault_setting):
     field = lambda v: fock.field(fd, v)  # noqa: E731
     faulty = inject(field, basis, basis, fock_index(basis, (4,)),
                     fock_index(basis, (0, 1, 2)))
-    assert dense.probe_deviation(faulty, field, dense.FIELD, basis) >= EPS / 2
+    assert dense.probe_deviations((field, faulty), dense.FIELD, basis)[0] >= EPS / 2
     entries = dense.probe_entries(faulty, dense.FIELD, basis)
     assert entries.residual >= EPS / 2
     assert entries.deviation(entries.adjoint()) >= EPS / 2
@@ -287,7 +285,7 @@ def test_off_diagonal_twist_entry_is_caught(fault_setting):
     twist = lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v)  # noqa: E731
     top = [i for i, (n, _) in enumerate(basis.labels) if n == N]
     faulty = inject(twist, basis, basis, top[0], top[-1])
-    assert dense.probe_deviation(faulty, twist, dense.DIAGONAL, basis) >= EPS / 2
+    assert dense.probe_deviations((twist, faulty), dense.DIAGONAL, basis)[0] >= EPS / 2
     assert dense.probe_entries(faulty, dense.DIAGONAL, basis).unitarity_defect() >= EPS / 2
     # across sectors the entry lands where the pattern says zero
     across = inject(twist, basis, basis, top[0], fock_index(basis, (1, 2, 3)))
@@ -300,17 +298,16 @@ def test_non_injective_merge_is_caught():
     union = dense.FockBasis(pair.union, N)
     split = dense.BiFockBasis(pair, N)
     top = [i for i, (n, _) in enumerate(union.labels) if n == N]
-    source = int(np.flatnonzero(split.union_order == top[-1])[0])
-    faulty = inject(chiral.merge_chiral, split, union, top[0], source)
+    faulty = inject(chiral.merge_chiral, split, union, top[0], top[-1])
     assert dense.probe_entries(faulty, dense.DIAGONAL, split, union).unitarity_defect() >= EPS / 2
-    assert dense.probe_deviation(faulty, chiral.merge_chiral, dense.DIAGONAL, split,
-                                 union) >= EPS / 2
+    assert dense.probe_deviations((chiral.merge_chiral, faulty), dense.DIAGONAL, split,
+                                  union)[0] >= EPS / 2
 
 
 def late_nan(basis, annihilate):
     """annihilate with a NaN in the columns of one label of a sector that the plan's
     first block does not hold, under blocks of 5 columns (several of them)."""
-    plan = dense._plan(basis.union_size, N, True, basis.union_order.tobytes(), 5)
+    plan = dense._plan(basis.union_size, N, True, 5)
     assert len(plan) > 2
     sector = dense._layout(basis.union_size, N).sector
     held = set(sector[plan[0][2]].tolist())
@@ -328,14 +325,16 @@ def late_nan(basis, annihilate):
 @pytest.mark.parametrize("late", [False, True])
 def test_non_finite_entries_propagate(fault_setting, late, monkeypatch):
     """NaN in every cell, or (late) only in a block after the first: a maximum over
-    the blocks must not drop it."""
+    the blocks must not drop it, in the reference image or only in a later one."""
     _, _, grid, basis, xi = fault_setting
     annihilate = lambda v: fock.annihilate(xi, v)  # noqa: E731
     nan_op = lambda v: annihilate(v) * float("nan")  # noqa: E731
     if late:
         monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * len(basis))
         nan_op = late_nan(basis, annihilate)
-    assert np.isnan(dense.probe_deviation(nan_op, annihilate, dense.LOWER, basis))
+    assert np.isnan(dense.probe_deviations((nan_op, annihilate), dense.LOWER, basis)[0])
+    devs = dense.probe_deviations((annihilate, annihilate, nan_op), dense.LOWER, basis)
+    assert devs[0] == 0.0 and np.isnan(devs[1])
     entries = dense.probe_entries(nan_op, dense.LOWER, basis)
     assert np.isnan(entries.deviation(entries))
 
@@ -361,16 +360,30 @@ def test_trivial_root_operators_give_exactly_zero():
     for side in (slice(pair.n_negative, None), slice(None, pair.n_negative)):
         amp = np.zeros(pair.union.size, dtype=complex)
         amp[side] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        plain = lambda v, amp=amp: fock.annihilate(amp, v)  # noqa: E731
-        for op in (lambda v: annihilate_deformed(spec, amp, v),
-                   lambda v: chiral.twisted_annihilator(triv, amp, pair, v, "direct")):
-            assert dense.probe_deviation(op, plain, dense.LOWER, basis) == 0.0
+        assert dense.probe_deviations((
+            lambda v, amp=amp: fock.annihilate(amp, v),
+            lambda v, amp=amp: annihilate_deformed(spec, amp, v),
+            lambda v, amp=amp: chiral.twisted_annihilator(triv, amp, pair, v, "direct")),
+            dense.LOWER, basis) == [0.0, 0.0]
     massive = dense.FockBasis(rapidity_grid(1.0, 4), N)
     mspec = KernelSpec(root=triv, mass=1.0)
     xi = rng.standard_normal(4)
     create = dense.probe_entries(lambda v: create_deformed(mspec, xi, v), dense.RAISE, massive)
     assert create.deviation(dense.probe_entries(
         lambda v: fock.create(xi, v), dense.RAISE, massive)) == 0.0
+
+
+def test_tower_probe_images_are_the_operators_own_arrays():
+    """On the tower an image is the operator's output array itself: no copy, no row gather."""
+    basis = dense.FockBasis(rapidity_grid(1.0, 4), N)
+    outputs = []
+
+    def op(v):
+        outputs.append(2.0 * v)
+        return outputs[-1]
+
+    for _, (image,) in dense.probe_blocks((op,), dense.FIELD, basis):
+        assert image is outputs[-1].coefficients
 
 
 @pytest.mark.parametrize("name", ["annihilate", "free-vs-deformed-field", "sharp-conjugation",
@@ -396,8 +409,7 @@ def test_batched_checks_do_not_depend_on_the_blocks(suite, columns, monkeypatch)
     assert len(dense.copy_chunks(basis.union_size, basis, dense.DIAGONAL)) == basis.union_size
 
     def blocks(pattern):
-        return len(dense._plan(basis.union_size, basis.truncation, pattern.coloured,
-                               basis.union_order.tobytes(), columns))
+        return len(dense._plan(basis.union_size, basis.truncation, pattern.coloured, columns))
 
     assert blocks(dense.LOWER) > 1 and blocks(dense.DIAGONAL) == (1 if columns > 3 else 2)
     assert run_suite(cfg).records == whole

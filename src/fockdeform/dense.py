@@ -31,9 +31,11 @@ comparison, :func:`probe_deviations`).  P operators of one layout (P roots, or P
 (root, momentum) pairs, one slot each of the copies axis) share the columns
 (:func:`copy_chunks`).
 
-The dense oracle (:func:`operator_matrix` with :func:`unitarity_defect`,
-:func:`hermiticity_defect` and :func:`matrix_deviation`) reads the full
-D x D matrix off identity columns; the tests keep it as the reference.
+The dense oracle :func:`operator_matrix` reads the full D x D matrix off blocks
+of identity columns (``_vector(np.eye(D, k, -first))``); the tests keep it as
+the reference, beside the basis labels, the basis vectors and the matrix
+defects of ``tests/dense_reference.py``.  No suite holds a basis vector alone:
+the fock suite's CCR check applies its commutator to such identity blocks.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ _BLOCK_ENTRIES = 524_288
 
 
 class _Basis:
-    """What the two bases share: ``labels`` (built when first read), the state
-    ``_vector(c)`` with coefficient vector c (a trailing batch axis gives a
-    batched state) and its inverse ``coefficients(v)``, both in union-label
-    order: coefficient j is label j of the tower over the ``union_size``-point
-    union grid.  ``random(rng, count)`` is a batch of ``count`` random unit
-    vectors, drawn as ``len(self)`` complex Gaussian coefficients each."""
+    """What the two bases share: the state ``_vector(c)`` with coefficient vector c
+    (a trailing batch axis gives a batched state) and its inverse ``coefficients(v)``,
+    both in union-label order: coefficient j is label j of the tower over the
+    ``union_size``-point union grid (:func:`fock._tower`).  ``random(rng, count)`` is
+    a batch of ``count`` random unit vectors, drawn as ``len(self)`` complex Gaussian
+    coefficients each."""
 
     truncation: int
     union_size: int
@@ -70,32 +72,15 @@ class _Basis:
     def __len__(self) -> int:
         return fock._offsets(self.union_size, self.truncation)[-1]
 
-    @property
-    def vectors(self):
-        """The basis vectors one by one, each built when it is reached: no D x D array."""
-        return (self._vector(np.eye(1, len(self), j, dtype=complex)[0]) for j in range(len(self)))
-
-
-def _multisets(m: int, truncation: int) -> list[tuple[int, ...]]:
-    """The label of each row of :func:`fock._tower`, without its pads."""
-    tower = fock._tower(m, truncation)
-    return [tuple(row[:n]) for row, n in zip(tower.labels.tolist(), tower.sector.tolist())]
-
 
 class FockBasis(_Basis):
-    """Orthonormal basis of the truncated tower, labelled by index multisets.
-
-    ``labels[i]`` is (n, kappa) for coefficient i of a state.
-    """
+    """Orthonormal basis of the truncated tower, labelled by index multisets: coefficient
+    i of a state is the label in row i of :func:`fock._tower`."""
 
     def __init__(self, grid: MomentumGrid, truncation: int):
         self.grid = grid
         self.truncation = truncation
         self.union_size = grid.size
-
-    @functools.cached_property
-    def labels(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [(len(kappa), kappa) for kappa in _multisets(self.grid.size, self.truncation)]
 
     def _vector(self, flat: np.ndarray) -> FockVector:
         return FockVector(self.grid, flat, self.truncation)
@@ -109,23 +94,14 @@ class FockBasis(_Basis):
 
 
 class BiFockBasis(_Basis):
-    """Orthonormal basis of the split tower, labelled by multiset pairs.
-
-    ``labels[i]`` is (kappa_+, kappa_-) for coefficient i, whose union is union label i.
-    """
+    """Orthonormal basis of the split tower, labelled by multiset pairs (kappa_+, kappa_-):
+    coefficient i is the pair whose union is union label i (:func:`chiral._layout`)."""
 
     def __init__(self, pair: ChiralGridPair, truncation: int):
         self.pair = pair
         self.truncation = truncation
         self.union_size = pair.union.size
         self.layout = chiral._layout(pair.n_positive, pair.n_negative, truncation)
-
-    @functools.cached_property
-    def labels(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        pos = _multisets(self.pair.n_positive, self.truncation)
-        neg = _multisets(self.pair.n_negative, self.truncation)
-        rows = self.layout.pos_row[self.layout.merge], self.layout.neg_row[self.layout.merge]
-        return [(pos[r], neg[s]) for r, s in zip(*(row.tolist() for row in rows))]
 
     def _vector(self, flat: np.ndarray) -> BiFockVector:
         """The state of union-label coefficients ``flat``: one gather, as in a split."""
@@ -159,16 +135,6 @@ def operator_matrix(op, domain, codomain=None) -> np.ndarray:
         eye = np.eye(len(domain), min(step, len(domain) - start), -start, dtype=complex)
         out[:, start:start + step] = cod.coefficients(op(domain._vector(eye)))
     return out
-
-
-def unitarity_defect(a: np.ndarray) -> float:
-    """Max entry of |A* A - 1|."""
-    eye = np.eye(a.shape[1])
-    return float(np.max(np.abs(a.conj().T @ a - eye)))
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def matrix_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,11 +5,47 @@ block.  The tests assemble one here, to compare images across block budgets
 and slot by slot.  Nor does a ladder step hold all of its terms: it adds them
 into the output one term column at a time.  The tests gather them all here and
 sum them over the term axis, to compare the two.
+
+Nor does the package name a basis label or build a basis vector alone: the
+tests enumerate them here, with the defects of dense matrices from
+:func:`dense.operator_matrix`.
 """
 
 import numpy as np
 
 from fockdeform import deformation, dense, fock
+
+
+def multisets(m, truncation):
+    """The label of each row of :func:`fock._tower`, without its pads."""
+    tower = fock._tower(m, truncation)
+    return [tuple(row[:n]) for row, n in zip(tower.labels.tolist(), tower.sector.tolist())]
+
+
+def basis_labels(basis):
+    """Label i of a basis, for coefficient i: (n, kappa) on the tower, and on the
+    split tower the pair (kappa_+, kappa_-) whose union is union label i."""
+    if isinstance(basis, dense.FockBasis):
+        return [(len(kappa), kappa) for kappa in multisets(basis.grid.size, basis.truncation)]
+    pos = multisets(basis.pair.n_positive, basis.truncation)
+    neg = multisets(basis.pair.n_negative, basis.truncation)
+    rows = basis.layout.pos_row[basis.layout.merge], basis.layout.neg_row[basis.layout.merge]
+    return [(pos[r], neg[s]) for r, s in zip(*(row.tolist() for row in rows))]
+
+
+def basis_vectors(basis):
+    """The basis vectors one by one, each built when it is reached: no D x D array."""
+    return (basis._vector(np.eye(1, len(basis), j, dtype=complex)[0]) for j in range(len(basis)))
+
+
+def unitarity_defect(a):
+    """Max entry of |A* A - 1|."""
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))))
+
+
+def hermiticity_defect(a):
+    """Max entry of |A - A*|."""
+    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def sharp_annihilate(p, psi):

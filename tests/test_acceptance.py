@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from dense_reference import annihilate_deformed_sharp, sharp_annihilate
+from dense_reference import (annihilate_deformed_sharp, basis_labels, basis_vectors,
+                             sharp_annihilate, unitarity_defect)
 from fockdeform import chiral, cli, dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
                                     apply_pair_twist, field_deformed, kernel,
@@ -86,7 +87,7 @@ def test_criterion_2_ccr_adjointness():
     dev_adj = dense.matrix_deviation(mc, ma.conj().T)
     pairing = complex(np.sum(grid.weights * np.conj(xi) * eta))
     dev_ccr = 0.0
-    for (n, _), vec in zip(basis.labels, basis.vectors):
+    for (n, _), vec in zip(basis_labels(basis), basis_vectors(basis)):
         if n > n_top - 2:
             continue
         comm = (fock.annihilate(xi, fock.create(eta, vec))
@@ -127,7 +128,7 @@ def test_criterion_4_chiral_isomorphism():
     fb = dense.FockBasis(pair.union, n_top)
     bb = dense.BiFockBasis(pair, n_top)
     mat = dense.operator_matrix(chiral.merge_chiral, bb, fb)
-    dev_uni = dense.unitarity_defect(mat)
+    dev_uni = unitarity_defect(mat)
     psi = 0.7 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     phi = 0.7 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     merged = chiral.merge_chiral(chiral.exponential_pair(pair, psi, phi, n_top))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tensor_reference as ref
+from dense_reference import basis_labels, hermiticity_defect, unitarity_defect
 from fockdeform import chiral, dense, fock
 from fockdeform.chiral import (BiFockVector, annihilate_half, apply_cross_twist,
                                apply_cross_twist_fock, apply_cross_twist_matrix,
@@ -130,7 +131,7 @@ def test_chiral_field_hermitian(pair, rng):
     basis = dense.BiFockBasis(pair, 3)
     for side in ("+", "-"):
         mat = dense.operator_matrix(lambda v: chiral_field(side, g, v), basis)
-        assert dense.hermiticity_defect(mat) < 1e-12
+        assert hermiticity_defect(mat) < 1e-12
 
 
 def test_chiral_field_support_validation(pair, rng):
@@ -158,7 +159,7 @@ def test_cross_matrix_equals_ordered_double_product(pair, root, rng):
     assert np.max(np.abs(smat - bmat * bmat.T)) < 1e-14
     assert abs(smat[q + 1, 0] - eval_root(root, -pts[q + 1] * pts[0])) < 1e-14
     psi = fock.random_fock_vector(grid, 3, rng)
-    labels = dense.FockBasis(grid, 3).labels
+    labels = basis_labels(dense.FockBasis(grid, 3))
     for adjoint in (False, True):
         twisted = np.concatenate(apply_cross_twist_fock(root, psi, adjoint=adjoint).sectors)
         bref = np.conj(bmat) if adjoint else bmat
@@ -401,7 +402,7 @@ def test_merge_unitary_on_basis(pair):
     bb = dense.BiFockBasis(pair, 3)
     assert len(fb) == len(bb)
     mat = dense.operator_matrix(merge_chiral, bb, fb)
-    assert dense.unitarity_defect(mat) < 1e-12
+    assert unitarity_defect(mat) < 1e-12
 
 
 def test_merge_preserves_inner_products(pair, rng):

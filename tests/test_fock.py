@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tensor_reference as ref
+from dense_reference import basis_vectors
 from fockdeform import chiral, dense, fock
 from fockdeform.grids import MomentumGrid, chiral_pair, rapidity_grid
 
@@ -296,10 +297,10 @@ def test_adjoint_matrices_conjugate_transpose(grid, rng):
     dim = len(basis)
     mc = np.empty((dim, dim), dtype=complex)
     ma = np.empty((dim, dim), dtype=complex)
-    for j, v in enumerate(basis.vectors):
+    for j, v in enumerate(basis_vectors(basis)):
         cv = fock.create(xi, v)
         av = fock.annihilate(xi, v)
-        for i, b in enumerate(basis.vectors):
+        for i, b in enumerate(basis_vectors(basis)):
             mc[i, j] = fock.inner(b, cv)
             ma[i, j] = fock.inner(b, av)
     assert np.max(np.abs(mc - ma.conj().T)) < 1e-12

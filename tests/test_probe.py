@@ -6,7 +6,8 @@ import operator
 import numpy as np
 import pytest
 
-from dense_reference import annihilate_deformed_sharp, probe_image, sharp_annihilate
+from dense_reference import (annihilate_deformed_sharp, basis_labels, hermiticity_defect,
+                             probe_image, sharp_annihilate, unitarity_defect)
 from fockdeform import chiral, dense, fock
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
                                     apply_kernel_phases, create_deformed, field_deformed,
@@ -31,9 +32,10 @@ def half_line_pair(n_positive, n_negative):
 def union_multisets(basis):
     """Each basis label as a multiset over the union grid, by index."""
     if isinstance(basis, dense.FockBasis):
-        return [kappa for _, kappa in basis.labels]
+        return [kappa for _, kappa in basis_labels(basis)]
     q = basis.pair.n_negative
-    return [tuple(sorted(kneg + tuple(k + q for k in kpos))) for kpos, kneg in basis.labels]
+    return [tuple(sorted(kneg + tuple(k + q for k in kpos)))
+            for kpos, kneg in basis_labels(basis)]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -202,7 +204,7 @@ def test_hermiticity_defect_equals_dense():
             (lambda v: chiral.chiral_field("+", g, v), split),
             (lambda v: chiral.create_half("-", g, v) + chiral.annihilate_half("-", 2 * g, v),
              split)):
-        want = dense.hermiticity_defect(dense.operator_matrix(op, domain))
+        want = hermiticity_defect(dense.operator_matrix(op, domain))
         entries = dense.probe_entries(op, dense.FIELD, domain)
         assert abs(entries.deviation(entries.adjoint()) - want) <= 1e-14
 
@@ -220,7 +222,7 @@ def test_unitarity_defect_equals_dense():
             (lambda v: 1.5 * chiral.apply_cross_twist_fock(root, v), union, None),
             (chiral.merge_chiral, split, union),
             (lambda v: chiral.merge_chiral(v) * np.exp(0.3j), split, union)):
-        want = dense.unitarity_defect(dense.operator_matrix(op, domain, codomain))
+        want = unitarity_defect(dense.operator_matrix(op, domain, codomain))
         got = dense.probe_entries(op, dense.DIAGONAL, domain, codomain).unitarity_defect()
         assert abs(got - want) <= 1e-14
 
@@ -240,7 +242,7 @@ def inject(op, domain, codomain, row, col):
 
 
 def fock_index(basis, kappa):
-    return basis.labels.index((len(kappa), tuple(kappa)))
+    return basis_labels(basis).index((len(kappa), tuple(kappa)))
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +285,7 @@ def test_off_diagonal_twist_entry_is_caught(fault_setting):
     spec = KernelSpec(root=root, mass=grid.mass)
     p = float(grid.points[1])
     twist = lambda v: sharp_momentum_twist(spec, SharpTwistVariant.SIGN_SPLIT, p, v)  # noqa: E731
-    top = [i for i, (n, _) in enumerate(basis.labels) if n == N]
+    top = [i for i, (n, _) in enumerate(basis_labels(basis)) if n == N]
     faulty = inject(twist, basis, basis, top[0], top[-1])
     assert dense.probe_deviations((twist, faulty), dense.DIAGONAL, basis)[0] >= EPS / 2
     assert dense.probe_entries(faulty, dense.DIAGONAL, basis).unitarity_defect() >= EPS / 2
@@ -297,7 +299,7 @@ def test_non_injective_merge_is_caught():
     pair = chiral_pair(3)
     union = dense.FockBasis(pair.union, N)
     split = dense.BiFockBasis(pair, N)
-    top = [i for i, (n, _) in enumerate(union.labels) if n == N]
+    top = [i for i, (n, _) in enumerate(basis_labels(union)) if n == N]
     faulty = inject(chiral.merge_chiral, split, union, top[0], top[-1])
     assert dense.probe_entries(faulty, dense.DIAGONAL, split, union).unitarity_defect() >= EPS / 2
     assert dense.probe_deviations((chiral.merge_chiral, faulty), dense.DIAGONAL, split,

@@ -724,13 +724,57 @@ def test_probe_oracle_memory_is_block_sized(suite, columns, monkeypatch):
 
 
 def test_fock_suite_holds_no_square_array():
-    """N=12 on 2 points per side and 2 massive points: the ccr check reads each of the
-    D_4 = 1,820 basis vectors of the 4-point tower in turn, so the fock suite's traced peak
-    stays below one D_4 x D_4 complex array (50.5 MiB)."""
+    """N=12 on 2 points per side and 2 massive points: the ccr check reads the 1,001 labels
+    of sectors 0..10 of the D_4 = 1,820-label 4-point tower in identity blocks of 24 columns,
+    so the fock suite's traced peak stays below one D_4 x D_4 complex array (50.5 MiB)."""
     cfg = config_from_json({"truncation": 12, "massless_grid": {"points_per_side": 2},
                             "massive_grid": {"size": 2}, "suites": ["fock"]})
     clear_package_caches()
     assert traced_peak(cfg) < math.comb(4 + 12, 12) ** 2 * np.dtype(complex).itemsize
+
+
+def ccr_yields(cfg: SuiteConfig) -> list[float]:
+    """The deviations that the fock suite yields for ccr-below-truncation, one per block."""
+    return [dev for name, dev in suites.suite_fock(cfg, suites._suite_rng(cfg.seed, "fock"))
+            if name == "ccr-below-truncation"]
+
+
+@pytest.mark.parametrize("truncation", [3, 4])
+def test_ccr_check_reads_the_last_label_of_sector_n_minus_2(truncation, monkeypatch):
+    """A creator that misreads only the last label of sector N-2, the top sector that
+    [a(xi), a*(eta)] = <xi, eta> holds on below the truncation, fails the check."""
+    cfg = SuiteConfig(truncation=truncation, suites=("fock",))
+    last = fock._offsets(4, truncation)[truncation - 1] - 1
+    real = fock.create
+
+    def create(amp, psi):
+        coefficients = psi.coefficients.copy()
+        coefficients[last] *= 1.0 + 1e-6
+        return real(amp, psi._with(coefficients))
+
+    monkeypatch.setattr(fock, "create", create)
+    rec = next(r for r in run_suite(cfg).records if r.check == "ccr-below-truncation")
+    assert rec.max_deviation > 1e-8 and not rec.passed
+
+
+def test_ccr_blocks_keep_the_record_bit_for_bit(monkeypatch):
+    """At N=4 the check covers the 15 labels of sectors 0..2 of the 4-point tower (D = 70);
+    in blocks of 4 columns it yields 4 block maxima, whose maximum is the one-block record."""
+    cfg = SuiteConfig(truncation=4, suites=("fock",))
+    whole = ccr_yields(cfg)
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 4 * 70 * 4)  # D max(M, N) per column
+    blocks = ccr_yields(cfg)
+    assert len(whole) == 1 and len(blocks) == 4
+    assert max(blocks) == whole[0]
+
+
+def test_square_mismatch_control_detects_at_an_extreme_mass():
+    """At mass 100 the grid's wedge arguments lie far above the control roots' drawn zeros
+    (|a| about 0.3-3); with both zero sets scaled to the grid, the two roots still differ
+    there.  Unscaled, seed 5 read 1.3e-4, below the control's 1e-3 bound."""
+    cfg = SuiteConfig(seed=5, massive_mass=100.0, suites=("root_equivalence",))
+    rec = next(r for r in run_suite(cfg).records if r.check == "detects-square-mismatch")
+    assert rec.passed and rec.max_deviation > 0.5
 
 
 def test_ceiling_config_is_admitted():

@@ -311,7 +311,7 @@ def apply_cross_twist_matrix(pair: ChiralGridPair, cmat: np.ndarray, xi: BiFockV
     """
     mults = _cross_multipliers(np.asarray(cmat, dtype=complex).tobytes(), pair.n_positive,
                                pair.n_negative, xi.truncation)
-    return xi._with(fock._scale(xi.coefficients, np.conj(mults) if adjoint else mults))
+    return xi._with((fock._scale_adjoint if adjoint else fock._scale)(xi.coefficients, mults))
 
 
 def apply_cross_twist(root: Root | tuple, xi: BiFockVector,

@@ -11,18 +11,21 @@ Jacobians, Curtis, Powell & Reid 1974).  Every operator they compare has a
 declared :class:`Pattern`: a one-particle move (sector degree -1, +1 or
 +-1), a removal at one fixed momentum, or a diagonal operator or label
 bijection.  Labels are read as multisets over the union grid (split-tower
-pairs through the merge relabelling).  A free move gets one probe column per
-sector and colour, the colour of label kappa being sum(kappa) mod M: two
-multisets of one size that share a row of a move differ by one swap
-q -> q', so their colours differ by q' - q != 0 mod M.  Every other pattern
-gets one column per sector.  Each label enters its column with a fixed unit
-phase, so inside the pattern every entry of the probe image is exactly one
-matrix entry times a unit phase, and an entry outside the pattern lands in a
-cell the pattern leaves empty or mixes into a read one.  Comparisons take
-max |A R - B R| over the image; adjointness, hermiticity and unitarity read
-the entries back as COO arrays (:class:`Entries`) and count every image cell
-the pattern says must vanish.  That is (N + 1) * M probe columns instead of
-D basis columns.
+pairs through the merge relabelling), of colour sum(kappa) mod M.  The probe
+columns (:meth:`Pattern.width`, instead of D basis columns): M for a move of
+one degree, one per colour across all sectors, since it reaches row lam from
+lam + q (or lam less one q) alone, whose colour fixes q mod M; 1 + N M for a
+field, one per sector and colour, since two multisets of one size that share
+a row differ by one swap q -> q', of colour q' - q != 0 mod M; N + 1, one per
+sector, for every other pattern.  Each label enters its column with a fixed
+unit phase, so inside the pattern every entry of the probe image is exactly
+one matrix entry times a unit phase.  An entry outside the pattern lands in a
+cell the pattern leaves empty, or mixes into a read one: a lowering entry
+kappa -> lam that drops two sectors shares its cell with lam + q -> lam, of
+kappa's colour.  Comparisons take max |A R - B R| over the image; adjointness,
+hermiticity and unitarity read the entries back as COO arrays (:class:`Entries`)
+with a residual, the largest image cell the pattern says must vanish: a fault
+of the first kind shows there, one of the second in the entries.
 
 No full image is held: :func:`probe_blocks` applies several operators to each
 block of columns of a cached O(D) plan (:func:`_plan`) in turn, and every consumer
@@ -149,19 +152,22 @@ class Pattern(NamedTuple):
     particle, +1 adds one, 0 keeps the label (diagonal operators, and
     relabellings such as the merge).  ``removed`` pins the grid index that a
     removal takes out (the sharp annihilators); a free move may add or
-    remove any index.  A removal's probe columns are the N + 1 sector columns
-    whatever its index, so one image may hold slots that remove different
-    momenta: only :func:`probe_entries` reads ``removed``.
+    remove any index.  A removal's probe columns are the sector columns, so only
+    :func:`probe_entries` reads ``removed``, and one image may remove several momenta.
     """
 
     degrees: tuple[int, ...]
     removed: int | None = None
 
     @property
-    def coloured(self) -> bool:
-        """Whether the probe columns split each sector by colour: only a free
-        move maps several labels of one sector to a row."""
-        return self.removed is None and self.degrees != (0,)
+    def columns(self) -> str:
+        """The :class:`_Layout` field that numbers the probe columns (module docstring)."""
+        free = self.removed is None and self.degrees != (0,)
+        return ("colour" if len(self.degrees) == 1 else "by_colour") if free else "sector"
+
+    def width(self, m: int, n: int) -> int:
+        """The number of probe columns over an m-point grid at truncation n: m, 1 + n m or n + 1."""
+        return {"colour": m, "by_colour": 1 + n * m, "sector": n + 1}[self.columns]
 
 
 LOWER = Pattern((-1,))
@@ -171,22 +177,18 @@ DIAGONAL = Pattern((0,))
 
 
 def removal(index: int) -> Pattern:
-    """The pattern of an annihilator at the one grid point ``index``; its probe
-    image is that of a removal at any other index (:class:`Pattern`)."""
+    """The pattern of an annihilator at the one grid point ``index`` (:class:`Pattern`)."""
     return Pattern((-1,), index)
 
 
 class _Layout(NamedTuple):
-    """Per label of the tower over an m-point grid, in coefficient order: its
-    ``sector``, ``by_colour`` (the probe column under the colouring) and the
-    unit ``phase`` it enters with."""
+    """Per label of the m-point tower, in coefficient order: its ``sector``, ``colour``, their
+    pair ``by_colour`` (numbered in order) and the unit ``phase`` it enters with."""
 
     sector: np.ndarray
+    colour: np.ndarray
     by_colour: np.ndarray
     phase: np.ndarray
-
-    def column(self, pattern: Pattern) -> np.ndarray:
-        return self.by_colour if pattern.coloured else self.sector
 
 
 @functools.lru_cache(maxsize=16)
@@ -196,7 +198,7 @@ def _layout(m: int, truncation: int) -> _Layout:
     by_colour = np.unique(tower.sector * m + colour, return_inverse=True)[1].reshape(-1)
     # fixed phases, seeded by the basis alone
     phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(len(colour)))
-    out = _Layout(tower.sector, by_colour, phase)
+    out = _Layout(tower.sector, colour, by_colour, phase)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -254,14 +256,14 @@ def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: i
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(m: int, truncation: int, coloured: bool, step: int) -> tuple:
+def _plan(m: int, truncation: int, columns: str, step: int) -> tuple:
     """Per probe block (:func:`_blocks`, at most ``step`` columns, in column order) of the
     m-point union labels: columns first..last-1 and scatter ``rows``, ``cols``,
-    ``phases``.  Patterns of one colouring share the plan."""
+    ``phases``.  Patterns of one :attr:`Pattern.columns` share the plan."""
     layout = _layout(m, truncation)
-    column = layout.by_colour if coloured else layout.sector
+    column = getattr(layout, columns)
     column_sector = np.empty(int(column.max()) + 1, dtype=int)
-    column_sector[column] = layout.sector
+    column_sector[column] = layout.sector if columns != "colour" else 0  # spans every sector
     blocks = []
     for first, last in _blocks(column_sector, step):
         rows = np.flatnonzero((column >= first) & (column < last))
@@ -288,7 +290,7 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
     cod = domain if codomain is None else codomain
     step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * copies))
     for first, last, rows, cols, phases in _plan(domain.union_size, domain.truncation,
-                                                 pattern.coloured, step):
+                                                 pattern.columns, step):
         probes = np.zeros((len(domain), copies, last - first), dtype=complex)
         probes[rows, :, cols] = phases[:, None]
         probes.setflags(write=False)  # the ops share it
@@ -297,14 +299,14 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
 
 def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
     """Slots 0..count-1 in runs (index arrays) of at least one slot, whose P copies of the
-    K probe columns, each charged the widest term count g behind it, hold at most
-    ``_BLOCK_ENTRIES`` entries, D * P * K * g: K = N + 1, g = 1 for a removal or diagonal
-    operator, and K = 1 + N m, g = max(m, N) for a free move (m momenta or N slots per label).
-    A ladder step streams its g terms (:func:`fock._ladder_step`): g charges its (rows, g, P)
-    coefficient and (rows, N, g, P) kernel-factor tables, not a gather of g terms."""
+    K = ``pattern.width`` probe columns, each charged the widest term count g behind it, hold
+    at most ``_BLOCK_ENTRIES`` entries, D * P * K * g: g = 1 for a removal or diagonal
+    operator, g = max(m, N) for a free move (m momenta or N slots per label).  A ladder step
+    streams its g terms (:func:`fock._ladder_step`): g charges its (rows, g, P) coefficient
+    and (rows, N, g, P) kernel-factor tables, not a gather of g terms."""
     m, n = domain.union_size, domain.truncation
-    per_slot = (1 + n * m) * max(m, n) if pattern.coloured else n + 1
-    per = max(1, _BLOCK_ENTRIES // (len(domain) * per_slot))
+    terms = 1 if pattern.columns == "sector" else max(m, n)
+    per = max(1, _BLOCK_ENTRIES // (len(domain) * pattern.width(m, n) * terms))
     return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
 
 
@@ -353,7 +355,7 @@ def probe_entries(op, pattern: Pattern, domain, codomain=None, *, copies: int = 
     """
     layout = _layout(domain.union_size, domain.truncation)
     rows, cols = _positions(domain.union_size, domain.truncation, pattern)
-    probe = layout.column(pattern)[cols]
+    probe = getattr(layout, pattern.columns)[cols]
     values, residuals = np.empty((len(rows), copies), dtype=complex), []
     for first, (image,) in probe_blocks((op,), pattern, domain, codomain, copies=copies):
         mine = np.flatnonzero((probe >= first) & (probe < first + image.shape[-1]))

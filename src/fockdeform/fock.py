@@ -123,6 +123,12 @@ def _scale(arr: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> n
     return np.multiply(arr, vec.reshape(vec.shape + (1,) * (arr.ndim - vec.ndim)), out=out)
 
 
+def _scale_adjoint(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """:func:`_scale` by conj(vec), as conj(conj(arr) vec): no conjugate of vec is held."""
+    out = np.conj(arr)
+    return np.conj(_scale(out, vec, out=out), out=out)
+
+
 def _padded(arr: np.ndarray, fill: complex, axes: int | None = None) -> np.ndarray:
     """``arr`` with ``fill`` at the pad label (one past the end) of each of its
     last ``axes`` axes, all by default: a stack's leading axis stays as it is."""
@@ -220,12 +226,14 @@ def _ladder_terms(src: np.ndarray, step: int, amp: np.ndarray, tower: _Tower,
         mult = np.sqrt(tower.slot_mult[labelled, :high], dtype=float)
         coef = _padded(amp, 0.0, 1).T[labels] / mult.reshape(mult.shape + slot)
         if kmat is not None:
-            # K[k_i, k_j] at [lam, i, (slot,) j], 1 at j = i: each product runs over
-            # contiguous j, so a slot rounds as one kernel alone
-            at = ((np.arange(len(kmat))[:, None], labels[:, :, None, None], labels[:, None, None])
-                  if slot else (labels[:, :, None], labels[:, None, :]))
-            eye = np.eye(high, dtype=bool).reshape((high,) + slot + (high,))
-            coef = coef * np.where(eye, 1.0, _padded(kmat, 1.0, 2)[at]).prod(axis=-1)
+            # K[k_i, k_j] at [lam, (slot,) j], 1 at j = i, gathered for one i at a time; each
+            # product runs over contiguous j (a slot rounds as alone), and all stay one
+            # temporary, which numpy multiplies coef into (coef[:, i] *= rounds otherwise)
+            padded, eye = _padded(kmat, 1.0, 2), np.eye(high, dtype=bool)
+            at = [(np.arange(len(kmat))[:, None], labels[:, i, None, None], labels[:, None])
+                  if slot else (labels[:, i, None], labels) for i in range(high)]
+            coef = coef * np.stack([np.where(eye[i], 1.0, padded[at[i]]).prod(axis=-1)
+                                    for i in range(high)], axis=1)
         index = index[rows, :high]
     return rows, index, coef if label_rows is None else coef[label_rows[rows]]
 
@@ -422,7 +430,7 @@ def apply_pair_phase(gmat: np.ndarray, psi: FockVector, adjoint: bool = False) -
     """
     mults = _pair_multipliers(np.asarray(gmat, dtype=complex).tobytes(), psi.grid.size,
                               psi.truncation)
-    return psi._with(_scale(psi.coefficients, np.conj(mults) if adjoint else mults))
+    return psi._with((_scale_adjoint if adjoint else _scale)(psi.coefficients, mults))
 
 
 def _one_particle(xi, grid: MomentumGrid) -> np.ndarray:

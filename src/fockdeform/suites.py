@@ -923,15 +923,15 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     D = binom(M + N, N) labels, u = M N / (M + N) up-table entries per label.  Per label:
     the tower (:func:`fock._tower`), 8 (2 N + 3 + u) + N + u bytes;
     the split layout and half-ladder indices (:mod:`chiral`), 32 + 8 (u + 2 N) bytes;
-    the probe layout, 4 patterns' positions, ``maxsize`` plans (:mod:`dense`), 40 + 64 u + 40 each;
+    the probe layout, 4 patterns' positions, ``maxsize`` plans (:mod:`dense`), 48 + 64 u + 40 each;
     one root's dressing table and its gather (:func:`_dressings`), M + 2 u complex entries;
     a ladder step's kernel factors (:func:`fock._ladder_terms`), N max(u, 2 N) entries;
     the ``maxsize`` pair and cross multipliers, P entries each (P <= R M: a diagonal run).
     Blocks: two ``dense._BLOCK_ENTRIES`` budgets, each charged g = max(M, N) as
     :func:`dense.copy_chunks` charges it for the step's (rows, g, P) coefficient and
-    (rows, N, g, P) kernel-factor tables, at most the largest block: R roots' 1 + N M probe
-    columns or 2 ``repetitions`` vectors.  Not counted: the P M^2 kernel, cross and twist
-    matrices.
+    (rows, N, g, P) kernel-factor tables, at most the largest block: R roots' probe columns of
+    a field (``dense.FIELD.width``, the widest pattern) or 2 ``repetitions`` vectors.  Not
+    counted: the P M^2 kernel, cross and twist matrices.
 
     The estimate grows with each count, so grid sizes, R, N and D past ``COUNT_CAP`` count as
     ``COUNT_CAP``: the refusal stands and the arithmetic stays finite and cheap (D >= 2^min(M, N),
@@ -946,11 +946,11 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     m = max(2 * side, size)
     d = min(math.comb(m + n, n), COUNT_CAP) if min(m, n) < 64 else COUNT_CAP
     u = m * n / (m + n)
-    block = min(dense._BLOCK_ENTRIES, d * max(r * (1 + n * m), 2 * cfg.repetitions))
-    slots = min(r * m, max(1, dense._BLOCK_ENTRIES // (d * (n + 1))))
+    block = min(dense._BLOCK_ENTRIES, d * max(r * dense.FIELD.width(m, n), 2 * cfg.repetitions))
+    slots = min(r * m, max(1, dense._BLOCK_ENTRIES // (d * dense.DIAGONAL.width(m, n))))
     pairs, cross, plans = (cache.cache_parameters()["maxsize"] for cache in (
         fock._pair_multipliers, chiral._cross_multipliers, dense._plan))
-    index = 8 * (2 * n + 3 + u) + n + u + 32 + 8 * (u + 2 * n) + 40 + 64 * u + 40 * plans
+    index = 8 * (2 * n + 3 + u) + n + u + 32 + 8 * (u + 2 * n) + 48 + 64 * u + 40 * plans
     entries = m + 2 * u + n * max(u, 2 * n) + slots * (pairs + cross)
     return held + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
 

@@ -71,6 +71,21 @@ def probe_image(op, pattern, domain, codomain=None, *, copies=1):
     return np.concatenate([image for _, image in blocks], axis=-1)
 
 
+def raising_coefficients_gathered(amp, tower, kmat, rows):
+    """The raising coefficients of :func:`fock._ladder_terms` on ``rows`` of ``tower``,
+    amp[k_i] / sqrt(m_{k_i}) prod_{j != i} K[k_i, k_j] per label and slot i, from one
+    gather of all the kernel factors, shape (rows, N, (P,) N)."""
+    high = tower.labels.shape[1]
+    labels = tower.labels[rows]
+    slot = (1,) * (amp.ndim - 1)
+    mult = np.sqrt(tower.slot_mult[rows], dtype=float)
+    coef = fock._padded(amp, 0.0, 1).T[labels] / mult.reshape(mult.shape + slot)
+    at = ((np.arange(len(kmat))[:, None], labels[:, :, None, None], labels[:, None, None])
+          if slot else (labels[:, :, None], labels[:, None, :]))
+    eye = np.eye(high, dtype=bool).reshape((high,) + slot + (high,))
+    return coef * np.where(eye, 1.0, fock._padded(kmat, 1.0, 2)[at]).prod(axis=-1)
+
+
 def ladder_step_gathered(src, step, amp, tower, kmat=None, split=None):
     """:func:`fock._ladder_step` as one gather of all its terms, (rows, g) + batch,
     one scale and one sum over the term axis."""

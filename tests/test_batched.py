@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (annihilate_deformed_sharp, ladder_step_gathered, probe_image,
-                             sharp_annihilate)
+                             raising_coefficients_gathered, sharp_annihilate)
 from fockdeform import chiral, deformation, dense, fock, grids, suites
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_each,
                                     annihilate_deformed, apply_kernel_phases,
@@ -422,6 +422,27 @@ def test_streamed_split_tower_steps_equal_the_gathered_sum(side, batch_shape):
     for step in (-1, 1):
         split = chiral._half_ladder(PAIR.n_positive, PAIR.n_negative, N, side, step)
         assert_streamed_equals_gathered(src, [(step, amp, None)], tower, split)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_raising_kernel_factors_equal_one_gather_of_all(stacked):
+    """N=5 on 16 massive points (D = 20,349): a raising step into every sector gathers
+    its kernel factors one slot at a time, and its coefficients equal those from one
+    gather of all the factors bit for bit, at a size where numpy multiplies the
+    coefficients into the temporary product."""
+    grid = SuiteConfig(truncation=5, massive_size=16).massive_grid()
+    tower = fock._tower(grid.size, 5)
+    rng = np.random.default_rng(12)
+    specs = tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS[:2])
+    amp = np.sqrt(grid.weights) * np.stack([fock.random_one_particle(grid, rng) for _ in specs])
+    kmat = np.conj(deformation._kernels(specs, grid))
+    if not stacked:
+        amp, kmat = amp[0], kmat[0]
+    src = np.zeros((tower.start[-1],) + amp.shape[:-1] + (1,), dtype=complex)
+    src[:tower.start[-2]] = 1.0
+    rows, _, coef = fock._ladder_terms(src, 1, amp, tower, kmat)
+    assert rows == slice(1, tower.start[-1])
+    assert np.array_equal(coef, raising_coefficients_gathered(amp, tower, kmat, rows))
 
 
 @pytest.mark.parametrize("step", [-1, 1])

@@ -226,7 +226,7 @@ def cached_results(grids, root):
                                                              massless.size - q, q, 4),
         fock._tower: fock._tower(massless.size, 4).up,
         chiral._half_ladder: chiral._half_ladder(massless.size - q, q, 4, "-", 1)[1],
-        dense._plan: dense._plan(massless.size, 4, True, 7)[1][2],
+        dense._plan: dense._plan(massless.size, 4, dense.FIELD.columns, 7)[1][2],
     }
 
 
@@ -302,10 +302,10 @@ def test_half_ladder_tables_are_read_only(side, step):
 @pytest.mark.parametrize("pattern", [dense.DIAGONAL, dense.LOWER, dense.FIELD])
 def test_probe_plan_is_read_only_and_keyed_by_the_block_width(grids, pattern):
     """The plan holds O(D) scatter indices per block, never a probe block, in
-    ascending column order; the patterns of one colouring share one plan."""
+    ascending column order; the patterns of one column kind share one plan."""
     basis = dense.FockBasis(grids[1], 3)
-    plan = dense._plan(basis.union_size, 3, pattern.coloured, 3)
-    width = 1 + 3 * 6 if pattern.coloured else 4
+    plan = dense._plan(basis.union_size, 3, pattern.columns, 3)
+    width = {dense.DIAGONAL: 4, dense.LOWER: 6, dense.FIELD: 1 + 3 * 6}[pattern]
     ranges = [(first, last) for first, last, *_ in plan]
     assert len(plan) > 1 and ranges[0][0] == 0 and ranges[-1][1] == width
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -313,8 +313,10 @@ def test_probe_plan_is_read_only_and_keyed_by_the_block_width(grids, pattern):
         assert all(not arr.flags.writeable and arr.shape == arrays[0].shape for arr in arrays)
         assert arrays[1].max() < last - first
     assert sum(arrays[0].size for _, _, *arrays in plan) == len(basis)
-    lower, raising, field = (dense._plan(basis.union_size, 3, p.coloured, 3)
+    lower, raising, field = (dense._plan(basis.union_size, 3, p.columns, 3)
                              for p in (dense.LOWER, dense.RAISE, dense.FIELD))
-    assert lower is raising is field and (plan is lower) == pattern.coloured
-    assert dense._plan(basis.union_size, 3, pattern.coloured, 3) is plan
-    assert len(dense._plan(basis.union_size, 3, pattern.coloured, 84)) == 1
+    assert lower is raising and lower is not field
+    assert (plan is lower) == (pattern == dense.LOWER)
+    assert (plan is field) == (pattern == dense.FIELD)
+    assert dense._plan(basis.union_size, 3, pattern.columns, 3) is plan
+    assert len(dense._plan(basis.union_size, 3, pattern.columns, 84)) == 1

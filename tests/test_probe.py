@@ -38,30 +38,47 @@ def union_multisets(basis):
             for kpos, kneg in basis_labels(basis)]
 
 
+def reached(kappa, degrees, m, truncation):
+    """The rows that one-particle moves of the given degrees reach from multiset kappa."""
+    rows = set()
+    if -1 in degrees:
+        rows |= {kappa[:i] + kappa[i + 1:] for i in range(len(kappa))}
+    if 1 in degrees and len(kappa) < truncation:
+        rows |= {tuple(sorted(kappa + (q,))) for q in range(m)}
+    return rows
+
+
 @pytest.mark.parametrize("m", range(2, 9))
-def test_one_swap_apart_means_different_colours(m):
-    """Exhaustive for M <= 8, N <= 4: same-size multisets one swap apart never share
-    a probe column, on the tower and on every split of its grid."""
-    bases = [dense.FockBasis(rapidity_grid(1.0, m, -1.25, 1.0), N)]
-    bases += [dense.BiFockBasis(half_line_pair(p, m - p), N) for p in range(1, m)]
-    for basis in bases:
-        column = dense._layout(basis.union_size, N).by_colour
-        labels = union_multisets(basis)
-        size = np.array([len(k) for k in labels])
-        counts = np.array([np.bincount(np.array(k, dtype=int), minlength=m) for k in labels])
-        for n in range(1, N + 1):
-            idx = np.flatnonzero(size == n)
-            dist = np.abs(counts[idx, None, :] - counts[None, idx, :]).sum(axis=2)
-            i, j = np.nonzero(dist == 2)  # kappa - q + q' for some q != q'
-            assert i.size > 0 or len(idx) == 1
-            assert np.all(column[idx[i]] != column[idx[j]])
+def test_no_row_is_reached_twice_from_one_probe_column(m):
+    """Exhaustive for M <= 8, N <= 5: under LOWER, RAISE and FIELD no row is reached
+    from two labels of one probe column, across all sectors, on the tower and on every
+    split of its grid, so each image cell of a move holds one matrix entry.  A colour
+    column holds every sector: a +-1 move reaches a row from one sector, and there
+    from the one colour colour(row) + q mod M."""
+    for n in range(1, 6):
+        layout = dense._layout(m, n)
+        bases = [dense.FockBasis(rapidity_grid(1.0, m, -1.25, 1.0), n)]
+        bases += [dense.BiFockBasis(half_line_pair(p, m - p), n) for p in range(1, m)]
+        for basis in bases:
+            labels = union_multisets(basis)
+            index = {kappa: j for j, kappa in enumerate(labels)}
+            for pattern in (dense.LOWER, dense.RAISE, dense.FIELD):
+                column = getattr(layout, pattern.columns).tolist()
+                cells = [(index[row], column[j]) for j, kappa in enumerate(labels)
+                         for row in reached(kappa, pattern.degrees, m, n)]
+                assert len(cells) > 0 and len(set(cells)) == len(cells)
 
 
 def test_colour_columns_count():
-    layout = dense._layout(16, 5)
-    assert layout.by_colour.max() + 1 == 1 + 5 * 16
-    assert layout.sector.max() + 1 == 6
-    assert np.allclose(np.abs(layout.phase), 1.0)
+    """M colour columns, 1 + N M (sector, colour) columns, N + 1 sector columns:
+    ``Pattern.width`` counts the columns of the layout."""
+    for m, n in ((2, 2), (6, 3), (16, 5)):
+        layout = dense._layout(m, n)
+        for pattern, width in ((dense.LOWER, m), (dense.RAISE, m), (dense.FIELD, 1 + n * m),
+                               (dense.DIAGONAL, n + 1), (dense.removal(1), n + 1)):
+            assert pattern.width(m, n) == width == getattr(layout, pattern.columns).max() + 1
+            assert np.unique(getattr(layout, pattern.columns)).size == width
+        assert np.allclose(np.abs(layout.phase), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -266,6 +283,21 @@ def test_two_particle_move_is_caught(fault_setting):
     assert create.deviation(dense.probe_entries(faulty, dense.LOWER, basis).adjoint()) >= EPS / 2
 
 
+def test_two_sector_drop_in_an_annihilator_is_caught(fault_setting):
+    """(0, 1, 2) -> (3,): a degree -2 entry.  Its colour-3 probe column also holds
+    (0, 3), which lowers to (3,), so the fault mixes into a read cell: the comparisons
+    see it, and the residual does not."""
+    _, _, grid, basis, xi = fault_setting
+    annihilate = lambda v: fock.annihilate(xi, v)  # noqa: E731
+    faulty = inject(annihilate, basis, basis, fock_index(basis, (3,)),
+                    fock_index(basis, (0, 1, 2)))
+    assert dense.probe_deviations((annihilate, faulty), dense.LOWER, basis)[0] >= EPS / 2
+    lowered = dense.probe_entries(faulty, dense.LOWER, basis)
+    create = dense.probe_entries(lambda v: fock.create(xi, v), dense.RAISE, basis)
+    assert create.deviation(lowered.adjoint()) >= EPS / 2
+    assert lowered.residual == 0.0
+
+
 def test_sector_skipping_map_is_caught(fault_setting):
     """(0, 1, 2) -> (4,): two sectors down."""
     _, _, grid, basis, xi = fault_setting
@@ -307,13 +339,11 @@ def test_non_injective_merge_is_caught():
 
 
 def late_nan(basis, annihilate):
-    """annihilate with a NaN in the columns of one label of a sector that the plan's
-    first block does not hold, under blocks of 5 columns (several of them)."""
-    plan = dense._plan(basis.union_size, N, True, 5)
+    """annihilate with a NaN in the column of one label of the plan's last block,
+    under blocks of 2 columns (several of them)."""
+    plan = dense._plan(basis.union_size, N, dense.LOWER.columns, 2)
     assert len(plan) > 2
-    sector = dense._layout(basis.union_size, N).sector
-    held = set(sector[plan[0][2]].tolist())
-    label = np.flatnonzero(sector == min(set(range(N + 1)) - held))[0]
+    label = plan[-1][2][0]
 
     def op(v):
         out = annihilate(v)
@@ -332,7 +362,7 @@ def test_non_finite_entries_propagate(fault_setting, late, monkeypatch):
     annihilate = lambda v: fock.annihilate(xi, v)  # noqa: E731
     nan_op = lambda v: annihilate(v) * float("nan")  # noqa: E731
     if late:
-        monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 5 * len(basis))
+        monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 2 * len(basis))
         nan_op = late_nan(basis, annihilate)
     assert np.isnan(dense.probe_deviations((nan_op, annihilate), dense.LOWER, basis)[0])
     devs = dense.probe_deviations((annihilate, annihilate, nan_op), dense.LOWER, basis)
@@ -411,7 +441,7 @@ def test_batched_checks_do_not_depend_on_the_blocks(suite, columns, monkeypatch)
     assert len(dense.copy_chunks(basis.union_size, basis, dense.DIAGONAL)) == basis.union_size
 
     def blocks(pattern):
-        return len(dense._plan(basis.union_size, basis.truncation, pattern.coloured, columns))
+        return len(dense._plan(basis.union_size, basis.truncation, pattern.columns, columns))
 
     assert blocks(dense.LOWER) > 1 and blocks(dense.DIAGONAL) == (1 if columns > 3 else 2)
     assert run_suite(cfg).records == whole

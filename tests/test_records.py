@@ -1,6 +1,8 @@
 """Golden records: every check of the default config, of the deep-tower workload
-and of N=4 on 6 points per side and 12 massive points ("n4") on seeds 0-9, as
-(suite, check, anchor, pass, max_deviation) rows in ``tests/data/records.json``.
+and of N=4 on 6 points per side and 12 massive points ("n4") on seeds 0-9, and of
+N=5 on 8 points per side and 16 massive points ("ceiling", where the probe blocks
+of a move are cut into several) on seeds 0-2, as (suite, check, anchor, pass,
+max_deviation) rows in ``tests/data/records.json``.
 
 A run matches its golden rows when the suites, checks, anchors and pass flags
 are equal and each deviation lies within 1e-14 + 1e-12 |golden| of the golden
@@ -41,8 +43,10 @@ CONFIGS = {
     "deep": json.loads((Path(__file__).parent.parent / "perfbench" / "workloads"
                         / "deep-tower.json").read_text()),
     "n4": {"truncation": 4, "massless_grid": {"points_per_side": 6}, "massive_grid": {"size": 12}},
+    "ceiling": {"truncation": 5, "massless_grid": {"points_per_side": 8},
+                "massive_grid": {"size": 16}},
 }
-SEEDS = range(10)
+SEEDS = {name: range(3 if name == "ceiling" else 10) for name in CONFIGS}
 EXACT_ZERO = {"trivial-root-exact", "trivial-root-degeneration"}
 
 
@@ -104,10 +108,11 @@ def test_records_match_the_golden_file(name, seed):
 
 
 def test_golden_file_covers_every_config_on_seeds_0_to_9():
+    """Seeds 0-9 of each config, 0-2 of the ceiling."""
     doc = json.loads(GOLDEN.read_text())
-    assert sorted(doc) == sorted(CONFIGS)
+    assert list(doc) == list(CONFIGS)
     for name, by_seed in doc.items():
-        assert sorted(by_seed, key=int) == [str(s) for s in SEEDS]
+        assert sorted(by_seed, key=int) == [str(s) for s in SEEDS[name]]
         assert all(row[3] for rows in by_seed.values() for row in rows)
         assert all(row[4] == 0.0 for rows in by_seed.values() for row in rows
                    if row[1] in EXACT_ZERO)
@@ -135,7 +140,7 @@ def test_a_moved_deviation_is_reported():
 
 
 def write_golden() -> None:
-    doc = {name: {str(s): run_records(name, s) for s in SEEDS} for name in CONFIGS}
+    doc = {name: {str(s): run_records(name, s) for s in SEEDS[name]} for name in CONFIGS}
     lines = ["{"]
     for i, (name, by_seed) in enumerate(doc.items()):
         lines.append(f"  {json.dumps(name)}: {{")

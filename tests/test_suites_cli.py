@@ -709,7 +709,7 @@ def test_probe_oracle_memory_is_block_sized(suite, columns, monkeypatch):
     side and 12 massive points (D = 1,820) under blocks of 5 and 50 columns: the suite's
     traced peak, cold (every cache empty) and warm, is at most :func:`memory_estimate` under
     the same block budget.  Under blocks of 5 columns the warm peak also stays below three
-    full probe images of a coloured pattern, 3 D (1 + N M) complex entries: a consumer that
+    full probe images of a field, 3 D (1 + N M) complex entries: a consumer that
     assembled whole images would hold up to four."""
     cfg = config_from_json({"truncation": 4, "massless_grid": {"points_per_side": 6},
                             "massive_grid": {"size": 12}, "suites": [suite]})

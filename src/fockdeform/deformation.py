@@ -98,12 +98,14 @@ def _kernel_values(spec: KernelSpec, p, q) -> np.ndarray:
     if spec.mass > 0.0:
         return np.asarray(eval_root_at_zero_one(spec.root, wedge_invariant(p, q, spec.mass)))
     out = np.ones(p.shape, dtype=complex)
-    for root, mask, args in ((spec.root, (p > 0.0) & (q < 0.0), -p * q),
-                             (spec.root, (p < 0.0) & (q > 0.0), p * q),
-                             (spec.extra_pos, (p > 0.0) & (q > 0.0), p / q),
-                             (spec.extra_neg, (p < 0.0) & (q < 0.0), -p / q)):
-        if root is not None and np.any(mask):
-            out[mask] = eval_root(root, args[mask])
+    p_pos, same_side = p > 0.0, (p > 0.0) == (q > 0.0)
+    # R(-p q) and R(p q) on opposite sides, R_+(p / q), R_-(-p / q): |p q|, |p / q| signed as p
+    for root, ratio, p_side in ((spec.root, False, None), (spec.extra_pos, True, True),
+                                (spec.extra_neg, True, False)):
+        mask = root is not None and (same_side & (p_pos == p_side) if ratio else ~same_side)
+        if np.any(mask):
+            pm, qm = p[mask], q[mask]
+            out[mask] = eval_root(root, np.copysign(pm / qm if ratio else pm * qm, pm))
     return out
 
 

@@ -195,7 +195,8 @@ class _Layout(NamedTuple):
 def _layout(m: int, truncation: int) -> _Layout:
     tower = fock._tower(m, truncation)
     colour = tower.labels.sum(axis=1) % m  # the pad label m adds nothing mod m
-    by_colour = np.unique(tower.sector * m + colour, return_inverse=True)[1].reshape(-1)
+    pair = tower.sector * m + colour
+    by_colour = np.cumsum(np.bincount(pair) > 0)[pair] - 1  # rank among the pairs present
     # fixed phases, seeded by the basis alone
     phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(len(colour)))
     out = _Layout(tower.sector, colour, by_colour, phase)

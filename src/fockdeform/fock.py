@@ -78,26 +78,35 @@ class _Tower(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _tower(m: int, truncation: int) -> _Tower:
-    """Built once per (m, truncation).  The up table inverts the down table:
-    kappa less slot i is lam, so lam + k_i is kappa, where k_i has multiplicity m_{k_i}."""
+    """Built once per (m, truncation), sector by sector.  Label kappa of sector n is a
+    label lam of sector n - 1 followed by q >= last(lam), in lexicographic order (lam,
+    then q), so kappa less its last slot is lam, and kappa less an earlier slot i is
+    mu = lam less slot i followed by q: child q - last(mu) of mu.  The up table inverts
+    the down table: kappa less slot i is lam, so lam + k_i is kappa, where k_i has
+    multiplicity m_{k_i}."""
     start = _offsets(m, truncation)
     labels = np.full((start[-1], truncation), m, dtype=np.intp)
+    down = np.zeros(labels.shape, dtype=np.intp)
+    slot_mult = np.ones(labels.shape, dtype=np.min_scalar_type(truncation + 1))
+    mfact = np.ones(start[-1])
+    last = np.zeros(start[-1], dtype=np.intp)  # last(lam), 0 for the vacuum
+    child = np.zeros(start[-1], dtype=np.intp)  # index of lam followed by last(lam)
     for n in range(1, truncation + 1):
-        labels[start[n]:start[n + 1], :n] = list(
-            itertools.combinations_with_replacement(range(m), n))
+        lams, kappas = slice(start[n - 1], start[n]), slice(start[n], start[n + 1])
+        count = m - last[lams]
+        child[lams] = start[n] + np.cumsum(count) - count
+        lam = np.repeat(np.arange(start[n - 1], start[n]), count)
+        q = last[kappas] = np.arange(start[n], start[n + 1]) - child[lam] + last[lam]
+        labels[kappas, :n - 1] = labels[lam, :n - 1]
+        labels[kappas, n - 1] = q
+        shorter = down[lam, :n - 1]
+        down[kappas, :n] = np.column_stack((child[shorter] + (q[:, None] - last[shorter]), lam))
+        same = labels[kappas, :n] == q[:, None]
+        slot_mult[kappas, :n - 1] = slot_mult[lam, :n - 1] + same[:, :n - 1]
+        slot_mult[kappas, n - 1] = mult = same.sum(axis=1)
+        mfact[kappas] = mfact[lam] * mult
     codes = _codes(labels, m)
     slots = labels < m
-    # counts[j, q]: the multiplicity of q in labels[j], with the pads at q = m
-    counts = np.bincount((np.arange(start[-1])[:, None] * (m + 1) + labels).ravel(),
-                         minlength=start[-1] * (m + 1)).reshape(start[-1], m + 1)
-    slot_mult = np.where(slots, np.take_along_axis(counts, labels, axis=1), 1).astype(
-        np.min_scalar_type(truncation + 1))
-    fact = np.array([math.factorial(k) for k in range(truncation + 1)], dtype=float)
-    mfact = np.prod(fact[counts[:, :m]], axis=1)
-    down = np.zeros(labels.shape, dtype=np.intp)
-    for i in range(truncation):
-        shrunk = np.pad(np.delete(labels, i, axis=1), ((0, 0), (0, 1)), constant_values=m)
-        down[slots[:, i], i] = np.searchsorted(codes, _codes(shrunk[slots[:, i]], m))
     up = np.empty((start[-2], m), dtype=np.intp)
     up[down[slots], labels[slots]] = np.nonzero(slots)[0]
     up_mult = np.empty(up.shape, dtype=slot_mult.dtype)

@@ -16,6 +16,7 @@ every grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,8 +59,8 @@ class MomentumGrid:
     omegas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
+        pts = np.array(self.points, dtype=float)  # copies: the grid owns its read-only arrays
+        wts = np.array(self.weights, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("points must be a nonempty 1-d array")
         if wts.shape != pts.shape:
@@ -78,9 +79,9 @@ class MomentumGrid:
             raise ValueError("mass must be >= 0")
         if self.layout not in (LAYOUT_RAPIDITY, LAYOUT_GEOMETRIC, LAYOUT_ARBITRARY):
             raise ValueError(f"unknown layout {self.layout!r}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "omegas", omegas)
+        for name, arr in (("points", pts), ("weights", wts), ("omegas", omegas)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -100,7 +101,13 @@ def rapidity_grid(mass: float, size: int, theta_min: float = -1.25,
 
     The rapidity window must not contain a grid point at theta = 0 (which
     would give p = 0); the default symmetric window with even size avoids it.
+    Memoized on the arguments taken as floats: equal arguments share one grid.
     """
+    return _rapidity_grid(float(mass), size, float(theta_min), float(theta_max))
+
+
+@functools.lru_cache(maxsize=8)
+def _rapidity_grid(mass: float, size: int, theta_min: float, theta_max: float) -> MomentumGrid:
     if not 0.0 < mass < math.inf:
         raise ValueError("rapidity layout requires a finite mass > 0")
     if size < 2:
@@ -161,7 +168,13 @@ class ChiralGridPair:
 
 def chiral_pair(points_per_side: int, p_min: float = 0.5,
                 p_max: float = 2.0) -> ChiralGridPair:
-    """Symmetric massless grid with geometric half-lines |p| in [p_min, p_max]."""
+    """Symmetric massless grid with geometric half-lines |p| in [p_min, p_max], memoized
+    as :func:`rapidity_grid` is: equal arguments share one pair."""
+    return _chiral_pair(points_per_side, float(p_min), float(p_max))
+
+
+@functools.lru_cache(maxsize=8)
+def _chiral_pair(points_per_side: int, p_min: float, p_max: float) -> ChiralGridPair:
     if points_per_side < 2:
         raise ValueError("need at least 2 points per side")
     if not (0.0 < p_min < p_max and math.isfinite(p_max / p_min)):

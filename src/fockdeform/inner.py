@@ -57,7 +57,7 @@ class BlaschkeSpec:
         for a in self.zeros:
             target = -a.conjugate()
             dists = [abs(b - target) for b in remaining]
-            k = int(np.argmin(dists))
+            k = min(range(len(dists)), key=dists.__getitem__)  # the first nearest, as argmin
             worst = max(worst, dists[k])
             remaining.pop(k)
         return worst

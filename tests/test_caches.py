@@ -1,9 +1,11 @@
 """The memoized phase and index tables: keys by value, read-only entries, unchanged records."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+import table_reference
 
 from fockdeform import chiral, dense, deformation, fock
 from fockdeform.cliconfig import report_to_json
@@ -287,6 +289,17 @@ def test_tower_tables_are_flat_and_consistent(m, truncation):
     for name, arr in tower._asdict().items():
         if isinstance(arr, np.ndarray):
             assert not arr.flags.writeable, name
+
+
+@pytest.mark.parametrize("m, truncation", [*itertools.product(range(2, 9), range(2, 7)), (16, 5)])
+def test_tower_and_layout_tables_equal_the_direct_build(m, truncation):
+    """The tower built sector by sector and the (sector, colour) pairs numbered by a
+    cumulative count equal the direct build of :mod:`table_reference`, array and dtype."""
+    for built, reference in ((fock._tower(m, truncation), table_reference.tower),
+                             (dense._layout(m, truncation), table_reference.layout)):
+        for name, want in reference(m, truncation).items():
+            got = getattr(built, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("side", ["+", "-"])

@@ -53,6 +53,25 @@ def test_momentum_grid_validation():
         MomentumGrid(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
 
 
+def test_equal_arguments_share_one_read_only_grid():
+    """Grids are memoized on their arguments taken as floats: an int or a float mass
+    gives the same grid, whose mass is a float whichever call came first."""
+    grid = rapidity_grid(2, 6)
+    assert rapidity_grid(2.0, 6, -1.25, 1.25) is grid and type(grid.mass) is float
+    pair = chiral_pair(3, 1, 4)
+    assert chiral_pair(3, 1.0, 4.0) is pair and type(pair.union.mass) is float
+    for arr in (grid.points, grid.weights, grid.omegas, pair.union.points, pair.positive_weights):
+        assert not arr.flags.writeable
+
+
+def test_a_grid_copies_the_arrays_it_is_given():
+    points, weights = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+    grid = MomentumGrid(points, weights, 1.0)
+    assert points.flags.writeable and weights.flags.writeable
+    points[0] = 0.5
+    assert grid.points[0] == 1.0 and not grid.points.flags.writeable
+
+
 @pytest.mark.parametrize("points, weights, mass", [
     ([1.0, math.inf], [1.0, 1.0], 1.0),
     ([math.nan, 1.0], [1.0, 1.0], 1.0),

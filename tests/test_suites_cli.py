@@ -653,20 +653,47 @@ def test_admission_counts_the_pair_multiplier_cache(monkeypatch):
         config_from_json({})
 
 
+def fresh_python(code: str) -> str:
+    """What a fresh Python process that runs ``code`` on this package prints."""
+    package_root = str(Path(fockdeform.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=300).stdout
+
+
 def peak_rss_bytes(statement: str) -> int:
     """Peak resident set of a fresh Python process that runs ``statement``.
 
     Read from VmHWM, the high-water mark of the process image: ``ru_maxrss``
     would also count the forking test process, which it keeps across exec.
     """
-    code = (f"{statement}\nimport re\nprint(re.search(r'VmHWM:\\s*(\\d+) kB',"
-            " open('/proc/self/status').read()).group(1))")
-    package_root = str(Path(fockdeform.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=300)
-    return int(out.stdout.split()[-1]) * 1024
+    return int(fresh_python(f"{statement}\nimport re\nprint(re.search(r'VmHWM:\\s*(\\d+) kB',"
+                            " open('/proc/self/status').read()).group(1))").split()[-1]) * 1024
+
+
+def test_importing_the_cli_leaves_numpy_random_and_ma_unloaded():
+    """numpy.random is the slowest import of a run (about 11 ms on a 2-core machine): a run
+    imports it at its first draw, and importing the CLI, the config reader and the runner
+    imports neither it nor numpy.ma."""
+    out = fresh_python("import sys\n"
+                       "import fockdeform.cli, fockdeform.cliconfig, fockdeform.suites\n"
+                       "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))")
+    assert out.split() == ["[]"]
+
+
+def test_a_config_per_suite_builds_no_grid(monkeypatch):
+    """Grids are shared values: a config per suite from ``dataclasses.replace``, as
+    ``perfbench/child.py`` builds them, and the suites' own grid calls build none."""
+    cfg = SuiteConfig()
+    built = []
+    post_init = grids.MomentumGrid.__post_init__
+    monkeypatch.setattr(grids.MomentumGrid, "__post_init__",
+                        lambda grid: built.append(grid) or post_init(grid))
+    for name in SUITE_NAMES:
+        one = dataclasses.replace(cfg, suites=(name,))
+        one.massless_pair(), one.massive_grid(), one.massive_grid(size=4)
+    assert built == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -78,12 +78,11 @@ class _Tower(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _tower(m: int, truncation: int) -> _Tower:
-    """Built once per (m, truncation), sector by sector.  Label kappa of sector n is a
-    label lam of sector n - 1 followed by q >= last(lam), in lexicographic order (lam,
-    then q), so kappa less its last slot is lam, and kappa less an earlier slot i is
-    mu = lam less slot i followed by q: child q - last(mu) of mu.  The up table inverts
-    the down table: kappa less slot i is lam, so lam + k_i is kappa, where k_i has
-    multiplicity m_{k_i}."""
+    """Built once per (m, truncation), sector by sector: label kappa of sector n is a label
+    lam of sector n - 1 followed by q >= last(lam), in lexicographic order (lam, then q).
+    Kappa less its last slot is lam; less an earlier slot i it is mu = lam less slot i
+    followed by q, child q - last(mu) of mu.  The up table inverts the down table: kappa
+    less slot i is lam, so lam + k_i is kappa, where k_i has multiplicity m_{k_i}."""
     start = _offsets(m, truncation)
     labels = np.full((start[-1], truncation), m, dtype=np.intp)
     down = np.zeros(labels.shape, dtype=np.intp)

@@ -59,8 +59,8 @@ class MomentumGrid:
     omegas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)  # copies: the grid owns its read-only arrays
-        wts = np.array(self.weights, dtype=float)
+        pts = np.asarray(self.points, dtype=float)
+        wts = np.asarray(self.weights, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("points must be a nonempty 1-d array")
         if wts.shape != pts.shape:
@@ -79,7 +79,8 @@ class MomentumGrid:
             raise ValueError("mass must be >= 0")
         if self.layout not in (LAYOUT_RAPIDITY, LAYOUT_GEOMETRIC, LAYOUT_ARBITRARY):
             raise ValueError(f"unknown layout {self.layout!r}")
-        for name, arr in (("points", pts), ("weights", wts), ("omegas", omegas)):
+        # copied once valid: the grid owns its read-only arrays, and a caller's stays writeable
+        for name, arr in (("points", pts.copy()), ("weights", wts.copy()), ("omegas", omegas)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -71,9 +71,9 @@ THETA_BOUND = 4.0
 MOMENTUM_RANGE = (1e-4, 1e4)
 WEIGHT_BOUND = 500.0
 
-# bytes per grid point while a grid is built: its momenta, weights and energies and the
-# temporaries of building them (traced: 37 per massless and 33 per massive point)
-GRID_POINT_BYTES = 40
+# bytes per grid point while a grid is built: the builder's momenta and weights, the grid's
+# copies, energies and temporaries (traced: 45 per massless and 40 per massive point)
+GRID_POINT_BYTES = 48
 # bytes per root: suite_inner holds eval_root on its 1,000 samples for every root at once,
 # plus the Root itself (traced: 16.4 kB per root at 1,000 and 4,000 roots)
 ROOT_BYTES = 16_500

@@ -1,12 +1,13 @@
-"""The memoized phase and index tables: keys by value, read-only entries, unchanged records."""
+"""The memoized phase and index tables: keys by value, read-only entries, tables equal to a
+direct build, unchanged records."""
 
 import itertools
 import json
 
 import numpy as np
 import pytest
-import table_reference
 
+import table_reference
 from fockdeform import chiral, dense, deformation, fock
 from fockdeform.cliconfig import report_to_json
 from fockdeform.deformation import (KernelSpec, SharpTwistVariant, apply_pair_twist,

@@ -149,7 +149,7 @@ def _outer_products(pair: ChiralGridPair, pos_vec, neg_vec, truncation: int) -> 
             * fock._slot_products(neg_vec, truncation)[layout.neg_row])
 
 
-def random_bifock(pair: ChiralGridPair, truncation: int, rng: np.random.Generator,
+def random_bifock(pair: ChiralGridPair, truncation: int, rng: fock.Draws,
                   count: int | None = None) -> BiFockVector:
     """Random split-tower vector of unit norm: the coefficients of a complex
     Gaussian tensor per component, symmetrized within each factor, drawn

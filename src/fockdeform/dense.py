@@ -25,7 +25,9 @@ kappa -> lam that drops two sectors shares its cell with lam + q -> lam, of
 kappa's colour.  Comparisons take max |A R - B R| over the image; adjointness,
 hermiticity and unitarity read the entries back as COO arrays (:class:`Entries`)
 with a residual, the largest image cell the pattern says must vanish: a fault
-of the first kind shows there, one of the second in the entries.
+of the first kind shows there, one of the second in the entries.  A fault eps kappa' -> kappa
+within a diagonal sector shares a read cell: a comparison (``merged-twist-lemma``) reads eps,
+a unitarity defect only 2 eps Re(conj(phi_kappa) phi_kappa'), which the phases can make small.
 
 No full image is held: :func:`probe_blocks` applies several operators to each
 block of columns of a cached O(D) plan (:func:`_plan`) in turn, and every consumer
@@ -88,7 +90,7 @@ class FockBasis(_Basis):
     def _vector(self, flat: np.ndarray) -> FockVector:
         return FockVector(self.grid, flat, self.truncation)
 
-    def random(self, rng: np.random.Generator, count: int) -> FockVector:
+    def random(self, rng: fock.Draws, count: int) -> FockVector:
         return fock.random_fock_vector(self.grid, self.truncation, rng, count)
 
     def coefficients(self, psi: FockVector) -> np.ndarray:
@@ -110,7 +112,7 @@ class BiFockBasis(_Basis):
         """The state of union-label coefficients ``flat``: one gather, as in a split."""
         return BiFockVector(self.pair, self.truncation, flat[self.layout.order])
 
-    def random(self, rng: np.random.Generator, count: int) -> BiFockVector:
+    def random(self, rng: fock.Draws, count: int) -> BiFockVector:
         return chiral.random_bifock(self.pair, self.truncation, rng, count)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
@@ -198,7 +200,7 @@ def _layout(m: int, truncation: int) -> _Layout:
     pair = tower.sector * m + colour
     by_colour = np.cumsum(np.bincount(pair) > 0)[pair] - 1  # rank among the pairs present
     # fixed phases, seeded by the basis alone
-    phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(len(colour)))
+    phase = np.exp(2j * np.pi * fock.Draws(f"phase/{m}/{truncation}").random(len(colour)))
     out = _Layout(tower.sector, colour, by_colour, phase)
     for arr in out:
         arr.setflags(write=False)
@@ -240,7 +242,7 @@ def _blocks(sector: np.ndarray, step: int):
     yield first, len(sector)
 
 
-def random_batches(basis: _Basis, count: int, rng: np.random.Generator, group: int = 1):
+def random_batches(basis: _Basis, count: int, rng: fock.Draws, group: int = 1):
     """``count`` groups of ``group`` successive random unit vectors, batch by batch.
 
     Each batch is one tuple of ``group`` batched vectors; member i holds vector

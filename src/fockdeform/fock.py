@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -577,7 +578,44 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     return BoostResult(psi._with(out), bool(np.any(src[~kept] != 0)))
 
 
-def _unit_gaussians(rng: np.random.Generator, scales: np.ndarray, sizes, count: int):
+class Draws:
+    """Seeded draws in numpy's call forms (``size`` None: a scalar) from the standard library's
+    Mersenne Twister (Matsumoto & Nishimura 1998).  A uniform is a 53-bit double in [0, 1)
+    from a 64-bit word of one ``getrandbits`` call, a normal takes two (the cosine branch of
+    Box & Muller 1958), so n draws then m give the n + m draws of one call, per method."""
+
+    def __init__(self, key: str):
+        self._mt = random.Random(key)
+
+    def _draw(self, size, per: int, transform):
+        """``transform`` of the (per, n) uniforms, n = prod(size), shaped to ``size``."""
+        n = per * (1 if size is None else math.prod(size) if isinstance(size, tuple) else size)
+        words = np.frombuffer(self._mt.getrandbits(64 * n).to_bytes(8 * n, "little"), np.uint64)
+        out = transform((words >> 11).reshape(-1, per).T * 2.0 ** -53)
+        return out[0] if size is None else out.reshape(size)
+
+    def random(self, size=None):
+        return self._draw(size, 1, lambda u: u[0])
+
+    def uniform(self, low: float, high: float, size=None):
+        return self._draw(size, 1, lambda u: low + (high - low) * u[0])
+
+    def standard_normal(self, size=None):
+        return self._draw(size, 2, lambda u: np.sqrt(-2.0 * np.log1p(-u[0]))
+                          * np.cos(2 * np.pi * u[1]))
+
+    def integers(self, low: int, high: int) -> int:
+        return self._mt.randrange(low, high)
+
+    def choice(self, a, size=None, replace: bool = True):
+        """Entries of ``a``, or of ``range(a)`` for an int."""
+        pool = np.arange(a) if isinstance(a, int) else np.asarray(a)
+        if not replace:
+            return pool[self._mt.sample(range(len(pool)), size)]
+        return self._draw(size, 1, lambda u: pool[(u[0] * len(pool)).astype(np.intp)])
+
+
+def _unit_gaussians(rng: Draws, scales: np.ndarray, sizes, count: int):
     """``count`` columns of complex Gaussians ``scales * (N + iN)``, each scaled
     to unit norm, shape (D, count), from one ``standard_normal`` call.
 
@@ -595,7 +633,7 @@ def _unit_gaussians(rng: np.random.Generator, scales: np.ndarray, sizes, count: 
     return coefs
 
 
-def random_fock_vector(grid: MomentumGrid, truncation: int, rng: np.random.Generator,
+def random_fock_vector(grid: MomentumGrid, truncation: int, rng: Draws,
                        count: int | None = None) -> FockVector:
     """Random vector of unit norm: the coefficients of a symmetrized complex
     Gaussian tensor per sector, drawn directly.
@@ -615,6 +653,6 @@ def random_fock_vector(grid: MomentumGrid, truncation: int, rng: np.random.Gener
     return FockVector(grid, coefs if count else coefs[:, 0], truncation)
 
 
-def random_one_particle(grid: MomentumGrid, rng: np.random.Generator) -> np.ndarray:
+def random_one_particle(grid: MomentumGrid, rng: Draws) -> np.ndarray:
     """Random one-particle amplitude."""
     return rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import Draws
+
 POLE_EPSILON = 1e-8
 
 
@@ -271,7 +273,7 @@ def merge_flip_sets(flips_a, flips_b) -> tuple[tuple[float, float], ...]:
     return tuple(sorted(out))
 
 
-def random_symmetric_blaschke(rng: np.random.Generator) -> BlaschkeSpec:
+def random_symmetric_blaschke(rng: Draws) -> BlaschkeSpec:
     """Draw a random spec whose zero set is closed under a -> -conj(a).
 
     One to three zero pairs (alpha + i beta, -alpha + i beta) with beta

@@ -20,8 +20,9 @@ deviation is finite and at most its bound, or, for a negative control (a
 check that must *detect* a mismatch), finite and above it.  The deviation a
 record carries is the one that decided it.
 
-All randomness flows from the configured seed through one derived stream per
-suite, so identical configurations reproduce identical numbers.
+All randomness flows from the configured seed through two :class:`fock.Draws` streams
+per suite (:func:`_suite_streams`), one for roots, samples and amplitudes and its child
+for random vectors, so identical configurations reproduce identical numbers.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class SuiteConfig:
         return rapidity_grid(self.massive_mass, size or self.massive_size,
                              self.massive_theta_min, self.massive_theta_max)
 
-    def resolve_roots(self, rng: np.random.Generator) -> list[Root]:
+    def resolve_roots(self, rng: fock.Draws) -> list[Root]:
         if self.roots:
             return list(self.roots)
         return [_random_root(rng) for _ in range(self.root_count)]
@@ -263,7 +264,7 @@ CHECKS = (
 Deviations = Iterator[tuple[str, float]]
 
 
-def _random_root(rng: np.random.Generator) -> Root:
+def _random_root(rng: fock.Draws) -> Root:
     spec = random_symmetric_blaschke(rng)
     n_atoms = int(rng.integers(0, 3))
     flips = ()
@@ -273,7 +274,7 @@ def _random_root(rng: np.random.Generator) -> Root:
     return make_root(spec, flips)
 
 
-def _nonzero_samples(rng: np.random.Generator, count: int, lo=0.02, hi=30.0) -> np.ndarray:
+def _nonzero_samples(rng: fock.Draws, count: int, lo=0.02, hi=30.0) -> np.ndarray:
     return rng.uniform(lo, hi, size=count) * rng.choice([-1.0, 1.0], size=count)
 
 
@@ -287,7 +288,7 @@ def _inners(u, v) -> np.ndarray:
     return np.sum(np.conj(u.coefficients) * v.coefficients, axis=0)
 
 
-def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_inner(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     roots = cfg.resolve_roots(rng)
     t = _nonzero_samples(rng, 1000)
 
@@ -337,7 +338,7 @@ def suite_inner(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     yield "ratio-rejects-distinct-squares", rep.max_sign_defect
 
 
-def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     grid = cfg.massive_grid(size=4)  # the ccr check reads sectors 0..N-2 whole: smallest scale
     basis = dense.FockBasis(grid, n_top)
@@ -360,7 +361,7 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
         yield "ccr-below-truncation", np.max(_norms(comm - pairing * vec))
 
     x = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-    for (psi,) in dense.random_batches(basis, cfg.repetitions, rng):
+    for (psi,) in dense.random_batches(basis, cfg.repetitions, vectors):
         yield "translation-multiplier", np.max(np.abs(
             _norms(fock.apply_translation(x, psi)) - _norms(psi)))
     vac = fock.vacuum(grid, n_top)
@@ -379,11 +380,11 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             else:
                 yield "boost-index-shift", fock.norm(res.vector)
                 yield "boost-index-shift", 0.0 if res.truncated else 1.0
-    mid = fock.random_fock_vector(grid, n_top, rng)
+    mid = fock.random_fock_vector(grid, n_top, vectors)
     res = fock.apply_boost(0, mid)
     yield "boost-index-shift", fock.norm(res.vector - mid)
 
-    for a, b in dense.random_batches(basis, cfg.repetitions, rng, group=2):
+    for a, b in dense.random_batches(basis, cfg.repetitions, vectors, group=2):
         lhs = _inners(fock.apply_reflection(a), fock.apply_reflection(b))
         yield "reflection-antiunitary", np.max(np.abs(lhs - np.conj(_inners(a, b))))
         yield "reflection-antiunitary", np.max(_norms(
@@ -412,12 +413,12 @@ def suite_fock(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
 
     raw = rng.standard_normal((grid.size,) * 3) + 1j * rng.standard_normal((grid.size,) * 3)
     yield "symmetrizer-projects", roundtrip(fock.symmetrize(raw, grid.weights, 3), 3)
-    probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, rng)))
+    probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, vectors)))
     for n, sec in enumerate(probe.sectors[:4]):  # up to the raw tensor's degree: M^n entries
         yield "symmetrizer-projects", roundtrip(sec, n)
 
 
-def suite_kernel(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_kernel(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     roots = cfg.resolve_roots(rng)
     masses = (0.0, cfg.massive_mass)
 
@@ -534,7 +535,17 @@ def _dressed_sum(dressings, xi, psi: fock.FockVector) -> fock.FockVector:
     return psi._with(out)
 
 
-def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def _control_spec(grid: MomentumGrid, spec: BlaschkeSpec) -> KernelSpec:
+    """A control root on ``grid``, its zeros scaled (a -> -conj(a) stays closed) by the median
+    |w(p_i, p_j)| over distinct pairs: at any admitted mass, away from its limits on the grid."""
+    i, j = np.triu_indices(grid.size, 1)
+    args = np.sort(np.abs(wedge_invariant(grid.points[i], grid.points[j], grid.mass)))
+    scale = float(args[(len(args) - 1) // 2] + args[len(args) // 2]) / 2  # np.median: numpy.ma
+    return KernelSpec(root=make_root(BlaschkeSpec(tuple(scale * a for a in spec.zeros),
+                                                  spec.sign)), mass=grid.mass)
+
+
+def suite_deformed(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     roots = cfg.resolve_roots(rng)
     grids = (cfg.massive_grid(), cfg.massless_pair().union)
@@ -543,7 +554,7 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     for grid, basis in zip(grids, bases):
         spec = KernelSpec(root=roots[0], mass=grid.mass)
         p_ref = float(grid.points[1])
-        for (psi,) in dense.random_batches(basis, cfg.repetitions, rng):
+        for (psi,) in dense.random_batches(basis, cfg.repetitions, vectors):
             yield "phase-dressing-unitary", np.max(np.abs(
                 _norms(apply_kernel_phases(spec, p_ref, psi)) - _norms(psi)))
         vac = fock.vacuum(grid, n_top)
@@ -596,14 +607,14 @@ def suite_deformed(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     for grid, basis in zip(grids, bases):
         spec = KernelSpec(root=triv, mass=grid.mass)
         xi = fock.random_one_particle(grid, rng)
-        for (psi,) in dense.random_batches(basis, 3, rng):
+        for (psi,) in dense.random_batches(basis, 3, vectors):
             diff_a = annihilate_deformed(spec, xi, psi) - fock.annihilate(xi, psi)
             diff_c = create_deformed(spec, xi, psi) - fock.create(xi, psi)
             for sec in diff_a.sectors + diff_c.sectors:
                 yield "trivial-root-degeneration", np.max(np.abs(sec))
 
 
-def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_root_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     roots = cfg.resolve_roots(rng)
     base_spec = roots[0].base
@@ -617,13 +628,13 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
         return lambda v: apply_pair_twist(y, op(apply_pair_twist(y, v)))
 
     for grid, basis in zip(grids, bases):
-        for (psi,) in dense.random_batches(basis, cfg.repetitions, rng):
+        for (psi,) in dense.random_batches(basis, cfg.repetitions, vectors):
             yield "pair-twist-unitary", np.max(np.abs(
                 _norms(apply_pair_twist(twist, psi)) - _norms(psi)))
         vac = fock.vacuum(grid, n_top)
         yield "pair-twist-unitary", fock.norm(apply_pair_twist(twist, vac) - vac)
         x = (0.7, -0.4)
-        psi = fock.random_fock_vector(grid, n_top, rng)
+        psi = fock.random_fock_vector(grid, n_top, vectors)
         yield "pair-twist-unitary", fock.norm(
             apply_pair_twist(twist, fock.apply_translation(x, psi))
             - fock.apply_translation(x, apply_pair_twist(twist, psi)))
@@ -645,17 +656,9 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
             lambda v: field_deformed(spec1, fd, v)), dense.FIELD, basis)[0]
 
     # negative control: roots of different squares are not related by any
-    # candidate +-1 twist from the atom pool.  Both roots' zeros are scaled by the median
-    # |w(p_i, p_j)| over distinct grid pairs (a positive scale keeps a -> -conj(a) closed),
-    # so that at any admitted mass the grid reads both away from their common limits.
-    # (np.median would import numpy.ma, 10 ms and 1.8 MB.)
+    # candidate +-1 twist from the atom pool
     grid, basis = grids[0], bases[0]
-    i, j = np.triu_indices(grid.size, 1)
-    args = np.sort(np.abs(wedge_invariant(grid.points[i], grid.points[j], grid.mass)))
-    scale = float(args[(len(args) - 1) // 2] + args[len(args) // 2]) / 2
-    spec_a, spec_b = (KernelSpec(root=make_root(BlaschkeSpec(tuple(scale * a for a in s.zeros),
-                                                             s.sign)), mass=grid.mass)
-                      for s in [random_symmetric_blaschke(rng) for _ in range(2)])
+    spec_a, spec_b = (_control_spec(grid, random_symmetric_blaschke(rng)) for _ in range(2))
     fd = fock.real_test_function(fock.random_one_particle(grid, rng))
     candidates = [trivial_root(),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[0]),
@@ -666,7 +669,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviat
     yield "detects-square-mismatch", np.min(dense.probe_deviations(ops, dense.FIELD, basis))
 
 
-def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_chiral(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     grid = pair.union
@@ -679,7 +682,7 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
                                                fbasis).unitarity_defect()
     yield "merge-unitary", fock.norm(chiral.merge_chiral(chiral.bifock_vacuum(pair, n_top))
                                      - fock.vacuum(grid, n_top))
-    for u, v in dense.random_batches(bbasis, cfg.repetitions, rng, group=2):
+    for u, v in dense.random_batches(bbasis, cfg.repetitions, vectors, group=2):
         yield "merge-unitary", np.max(np.abs(
             _inners(chiral.merge_chiral(u), chiral.merge_chiral(v)) - _inners(u, v)))
 
@@ -692,21 +695,21 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     yield "merge-exponentials", fock.norm(merged - expected)
 
     for _ in range(max(1, cfg.repetitions // 2)):
-        psi = fock.random_fock_vector(grid, n_top, rng)
+        psi = fock.random_fock_vector(grid, n_top, vectors)
         yield "split-roundtrip", fock.norm(chiral.merge_chiral(chiral.split_chiral(psi, pair))
                                            - psi)
-        xi = chiral.random_bifock(pair, n_top, rng)
+        xi = chiral.random_bifock(pair, n_top, vectors)
         yield "split-roundtrip", chiral.bifock_norm(
             chiral.split_chiral(chiral.merge_chiral(xi), pair) - xi)
 
     x = (0.9, -0.3)
-    for (xi,) in dense.random_batches(bbasis, 5, rng):
+    for (xi,) in dense.random_batches(bbasis, 5, vectors):
         lhs = fock.apply_translation(x, chiral.merge_chiral(xi))
         rhs = chiral.merge_chiral(chiral.apply_translation_bifock(x, xi))
         yield "translation-intertwining", np.max(_norms(lhs - rhs))
 
     root = roots[0]
-    for (xi,) in dense.random_batches(bbasis, cfg.repetitions, rng):
+    for (xi,) in dense.random_batches(bbasis, cfg.repetitions, vectors):
         yield "cross-twist-unitary", np.max(np.abs(
             _norms(chiral.apply_cross_twist(root, xi)) - _norms(xi)))
         twisted = chiral.apply_cross_twist(root, chiral.apply_translation_bifock(x, xi))
@@ -722,12 +725,12 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
 
     for r in roots[:3]:
         smat_sq = chiral.cross_matrix(grid.points, lambda a, r=r: eval_inner(r.base, a))
-        for (xi,) in dense.random_batches(bbasis, 3, rng):
+        for (xi,) in dense.random_batches(bbasis, 3, vectors):
             twice = chiral.apply_cross_twist(r, chiral.apply_cross_twist(r, xi))
             squared = chiral.apply_cross_twist_matrix(
                 pair, smat_sq[pair.n_negative:, :pair.n_negative], xi)
             yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
-        for (psi,) in dense.random_batches(fbasis, 3, rng):
+        for (psi,) in dense.random_batches(fbasis, 3, vectors):
             twice = chiral.apply_cross_twist_fock(r, chiral.apply_cross_twist_fock(r, psi))
             squared = fock.apply_pair_phase(smat_sq, psi)
             yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
@@ -738,17 +741,17 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
             lambda v: chiral.merge_chiral(
                 chiral.apply_cross_twist(chunk, chiral.split_chiral(v, pair)))),
             dense.DIAGONAL, fbasis, copies=len(chunk))[0]
-    psi = fock.random_fock_vector(grid, n_top, rng)
+    psi = fock.random_fock_vector(grid, n_top, vectors)
     low = chiral.apply_cross_twist_fock(roots[0], psi)
     for n in (0, 1):
         yield "merged-twist-lemma", np.max(np.abs(low.sectors[n] - psi.sectors[n]))
 
     for r in roots[:3]:
-        psi = fock.random_fock_vector(grid, n_top, rng)
+        psi = fock.random_fock_vector(grid, n_top, vectors)
         lhs = fock.apply_reflection(chiral.apply_cross_twist_fock(r, psi))
         rhs = chiral.apply_cross_twist_fock(r, fock.apply_reflection(psi), adjoint=True)
         yield "reflection-compatibility", fock.norm(lhs - rhs)
-        xi = chiral.random_bifock(pair, n_top, rng)
+        xi = chiral.random_bifock(pair, n_top, vectors)
         lhs_b = chiral.apply_reflection_bifock(chiral.apply_cross_twist(r, xi))
         rhs_b = chiral.apply_cross_twist(r, chiral.apply_reflection_bifock(xi), adjoint=True)
         yield "reflection-compatibility", chiral.bifock_norm(lhs_b - rhs_b)
@@ -764,7 +767,7 @@ def suite_chiral(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
 
 
 def _one_sided_amplitude(pair: ChiralGridPair, side: str,
-                         rng: np.random.Generator) -> np.ndarray:
+                         rng: fock.Draws) -> np.ndarray:
     amp = np.zeros(pair.union.size, dtype=complex)
     half = slice(pair.n_negative, None) if side == "+" else slice(pair.n_negative)
     amp[half] = rng.standard_normal(amp[half].size) + 1j * rng.standard_normal(amp[half].size)
@@ -796,7 +799,7 @@ def _massless_specs(chunk) -> tuple[KernelSpec, ...]:
     return tuple(KernelSpec(root=r, mass=0.0) for r in chunk)
 
 
-def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_main_relation(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     roots = cfg.resolve_roots(rng)
@@ -823,7 +826,7 @@ def suite_main_relation(cfg: SuiteConfig, rng: np.random.Generator) -> Deviation
         yield from zip(("trivial-root-exact",) * 2 + ("trivial-root-roundtrip",), devs)
 
 
-def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_field_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     roots = cfg.resolve_roots(rng)
@@ -849,7 +852,7 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: np.random.Generator) -> Devia
     yield "one-sided-data-realization", np.max(np.abs(created.components[(0, 1)]))
 
 
-def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
+def suite_sharp(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     roots = cfg.resolve_roots(rng)
     grids = (cfg.massive_grid(), cfg.massless_pair().union)
@@ -880,7 +883,7 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     # negative control on the construction itself: a generic control root must
     # separate the two variants even when the configured roots are degenerate
     grid, basis = grids[0], bases[0]
-    control = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
+    control = _control_spec(grid, random_symmetric_blaschke(rng))
     for idx in dense.copy_chunks(grid.size, basis, dense.DIAGONAL):
         yield "variants-differ-as-operators", dense.probe_deviations([
             functools.partial(_sharp_twist_each, control, variant, grid.points[idx])
@@ -889,7 +892,7 @@ def suite_sharp(cfg: SuiteConfig, rng: np.random.Generator) -> Deviations:
     spec = KernelSpec(root=roots[0], mass=grid.mass)
     p_ref = float(grid.points[min(2, grid.size - 1)])
     vac = fock.vacuum(grid, n_top)
-    psi = fock.random_fock_vector(grid, n_top, rng)
+    psi = fock.random_fock_vector(grid, n_top, vectors)
     for variant in SharpTwistVariant:
         out = sharp_momentum_twist(spec, variant, p_ref, vac)
         yield "twist-unitary-low-sectors", fock.norm(out - vac)
@@ -955,15 +958,15 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     return held + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
 
 
-def _suite_rng(seed: int, suite_name: str) -> np.random.Generator:
-    index = SUITE_NAMES.index(suite_name)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _suite_streams(seed: int, suite_name: str) -> tuple[fock.Draws, fock.Draws]:
+    key = f"{seed}/{SUITE_NAMES.index(suite_name)}"
+    return fock.Draws(key), fock.Draws(f"{key}/vectors")
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run the selected suites and fold each check's yields into its record.
 
-    Each suite draws from its own seed-derived stream, so the records do not
+    Each suite draws from its own seed-derived streams, so the records do not
     depend on which other suites run alongside.  This is the only place a
     check passes or fails (see the module docstring).
     """
@@ -974,7 +977,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     devs = {(c.suite, c.name): [] for c in CHECKS if c.suite in selected}
     for suite in SUITE_NAMES:
         if suite in selected:
-            for name, dev in SUITES[suite](cfg, _suite_rng(cfg.seed, suite)):
+            for name, dev in SUITES[suite](cfg, *_suite_streams(cfg.seed, suite)):
                 devs[suite, name].append(dev)  # KeyError: a check CHECKS does not list
     records = []
     for c in CHECKS:

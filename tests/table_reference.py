@@ -49,5 +49,5 @@ def layout(m, truncation):
     table = tower(m, truncation)
     colour = table["labels"].sum(axis=1) % m
     by_colour = np.unique(table["sector"] * m + colour, return_inverse=True)[1].reshape(-1)
-    phase = np.exp(2j * np.pi * np.random.default_rng((m, truncation)).random(len(colour)))
+    phase = np.exp(2j * np.pi * fock.Draws(f"phase/{m}/{truncation}").random(len(colour)))
     return {"sector": table["sector"], "colour": colour, "by_colour": by_colour, "phase": phase}

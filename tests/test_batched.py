@@ -128,7 +128,7 @@ def test_sharp_suite_evaluates_each_root_once_per_variant_and_chunk(monkeypatch)
         cache.cache_clear()
     calls = counting(monkeypatch, deformation, "eval_root",
                      lambda root, t: (root, in_twist_tables()))
-    list(suites.suite_sharp(CFG, suites._suite_rng(CFG.seed, "sharp")))
+    list(suites.suite_sharp(CFG, *suites._suite_streams(CFG.seed, "sharp")))
     twist_calls = [root for root, twist in calls if twist]
 
     def root_runs(grid, roots):
@@ -148,7 +148,7 @@ def test_sharp_suite_evaluates_each_root_once_per_variant_and_chunk(monkeypatch)
 def test_kernel_suite_boosts_whole_sample_arrays(monkeypatch):
     calls = counting(monkeypatch, suites, "boost_momentum",
                      lambda p, rapidity, mass: np.size(rapidity))
-    list(suites.suite_kernel(CFG, suites._suite_rng(CFG.seed, "kernel")))
+    list(suites.suite_kernel(CFG, *suites._suite_streams(CFG.seed, "kernel")))
     assert calls and min(calls) >= 50
     assert len(calls) <= 18
 
@@ -359,14 +359,14 @@ def test_inner_suite_evaluates_each_sample_set_once(monkeypatch):
 
     roots = counting(monkeypatch, suites, "eval_root", key)
     phis = counting(monkeypatch, suites, "eval_inner", key)
-    list(suites.suite_inner(CFG, suites._suite_rng(CFG.seed, "inner")))
+    list(suites.suite_inner(CFG, *suites._suite_streams(CFG.seed, "inner")))
     assert len(roots) >= 2 * CFG.root_count and len(set(roots)) == len(roots)
     assert len(phis) >= CFG.root_count and len(set(phis)) == len(phis)
 
 
 def test_kernel_suite_evaluates_each_pair_family_in_one_call(monkeypatch):
     calls = counting(monkeypatch, suites, "_kernel_values", lambda spec, p, q: np.size(p))
-    list(suites.suite_kernel(CFG, suites._suite_rng(CFG.seed, "kernel")))
+    list(suites.suite_kernel(CFG, *suites._suite_streams(CFG.seed, "kernel")))
     roots = CFG.root_count
     # inverse symmetry per (mass, root), boost invariance per (mass, first 3 roots), the
     # massive definition, the 4 massless values and the generalized kernel's 3 families

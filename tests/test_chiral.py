@@ -78,7 +78,7 @@ def test_bifock_norm_refuses_batch(pair):
 def test_random_bifock_batch_columns_are_successive_draws(pair, count):
     """Column j of a batched draw is the j-th of count single draws from the
     same stream, and the stream ends where the single draws leave it."""
-    batched, single = np.random.default_rng(99), np.random.default_rng(99)
+    batched, single = fock.Draws("99"), fock.Draws("99")
     batch = random_bifock(pair, 3, batched, count)
     assert batch.batch_shape == (count,)
     for j in range(count):

@@ -254,7 +254,7 @@ def test_random_batches_follow_the_single_draw_order(monkeypatch, block):
     grid = rapidity_grid(1.0, 4)
     basis = dense.FockBasis(grid, 3)  # 1 + 4 + 10 + 20 = 35 coefficients per vector
     monkeypatch.setattr(dense, "_BLOCK_ENTRIES", block)
-    batched, single = np.random.default_rng(5), np.random.default_rng(5)
+    batched, single = fock.Draws("5"), fock.Draws("5")
     drawn = 0
     for a, b in dense.random_batches(basis, 7, batched, group=2):
         width = a.batch_shape[0]

@@ -67,7 +67,7 @@ def test_inner_refuses_batch(grid):
 def test_random_batch_columns_are_successive_draws(grid, count):
     """Column j of a batched draw is the j-th of count single draws from the
     same stream, and the stream ends where the single draws leave it."""
-    batched, single = np.random.default_rng(99), np.random.default_rng(99)
+    batched, single = fock.Draws("99"), fock.Draws("99")
     batch = fock.random_fock_vector(grid, 3, batched, count)
     assert batch.batch_shape == (count,)
     for j in range(count):

@@ -327,13 +327,21 @@ def test_off_diagonal_twist_entry_is_caught(fault_setting):
 
 
 def test_non_injective_merge_is_caught():
-    """Split label of the last union label of the top sector also lands on the first."""
+    """Split label of the last union label of the top sector also lands on the first.
+
+    Both labels share the top sector's probe column, so the fault adds EPS phi_col to
+    the cell of entry (row, row), phi the labels' phases: the unitarity defect reads
+    only 2 EPS Re(conj(phi_row) phi_col) + EPS^2, which the phases alone decide, and the
+    comparison with the merge reads EPS whatever they are."""
     pair = chiral_pair(3)
     union = dense.FockBasis(pair.union, N)
     split = dense.BiFockBasis(pair, N)
     top = [i for i, (n, _) in enumerate(basis_labels(union)) if n == N]
     faulty = inject(chiral.merge_chiral, split, union, top[0], top[-1])
-    assert dense.probe_entries(faulty, dense.DIAGONAL, split, union).unitarity_defect() >= EPS / 2
+    phase = dense._layout(union.union_size, N).phase
+    predicted = abs(2 * EPS * (np.conj(phase[top[0]]) * phase[top[-1]]).real + EPS ** 2)
+    assert dense.probe_entries(faulty, dense.DIAGONAL, split, union).unitarity_defect() \
+        == pytest.approx(predicted, rel=1e-6)
     assert dense.probe_deviations((chiral.merge_chiral, faulty), dense.DIAGONAL, split,
                                   union)[0] >= EPS / 2
 

@@ -477,7 +477,7 @@ def test_nan_in_a_late_batch_column_fails_the_check(monkeypatch):
 
 def _stub_records(monkeypatch, *yields) -> dict:
     """The inner suite's records when the suite yields just these pairs."""
-    monkeypatch.setitem(suites.SUITES, "inner", lambda cfg, rng: iter(yields))
+    monkeypatch.setitem(suites.SUITES, "inner", lambda cfg, rng, vectors: iter(yields))
     return {r.check: r for r in run_suite(SuiteConfig(suites=("inner",))).records}
 
 
@@ -673,13 +673,17 @@ def peak_rss_bytes(statement: str) -> int:
 
 
 def test_importing_the_cli_leaves_numpy_random_and_ma_unloaded():
-    """numpy.random is the slowest import of a run (about 11 ms on a 2-core machine): a run
-    imports it at its first draw, and importing the CLI, the config reader and the runner
-    imports neither it nor numpy.ma."""
+    """numpy.random would be the slowest import of a run (about 15 ms on a 2-core machine),
+    and numpy.ma about 10 ms: importing the CLI, the config reader and the runner imports
+    neither, and neither does a full default ``verify`` run, which draws from
+    ``fock.Draws``."""
     out = fresh_python("import sys\n"
                        "import fockdeform.cli, fockdeform.cliconfig, fockdeform.suites\n"
-                       "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))")
-    assert out.split() == ["[]"]
+                       "loaded = lambda: sorted({'numpy.random', 'numpy.ma'} & set(sys.modules))\n"
+                       "before = loaded()\n"
+                       "rc = fockdeform.cli.main([])\n"
+                       "print(before, rc, loaded())").splitlines()
+    assert out[-1] == "[] 0 []"
 
 
 def test_a_config_per_suite_builds_no_grid(monkeypatch):
@@ -762,7 +766,7 @@ def test_fock_suite_holds_no_square_array():
 
 def ccr_yields(cfg: SuiteConfig) -> list[float]:
     """The deviations that the fock suite yields for ccr-below-truncation, one per block."""
-    return [dev for name, dev in suites.suite_fock(cfg, suites._suite_rng(cfg.seed, "fock"))
+    return [dev for name, dev in suites.suite_fock(cfg, *suites._suite_streams(cfg.seed, "fock"))
             if name == "ccr-below-truncation"]
 
 
@@ -830,6 +834,6 @@ def test_fock_suite_builds_no_symmetrizer_table_above_the_raw_tensor_degree(monk
     real = fock._tensor_ranks
     monkeypatch.setattr(fock, "_tensor_ranks", lambda m, n: built.append((m, n)) or real(m, n))
     cfg = SuiteConfig(truncation=6, suites=("fock",))
-    list(suites.suite_fock(cfg, suites._suite_rng(cfg.seed, "fock")))
+    list(suites.suite_fock(cfg, *suites._suite_streams(cfg.seed, "fock")))
     assert (4, 3) in built
     assert [(m, n) for m, n in built if n > 3] == []

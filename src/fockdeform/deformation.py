@@ -1,12 +1,11 @@
 """Kernel-deformed creation/annihilation operators and momentum twists.
 
 The deformation is driven by a unimodular two-momentum kernel built from a
-root R:
-
-* m > 0:  K(p, q) = R(w(p, q)) with the invariant w(p, q) = (omega(q) p -
-  omega(p) q) / 2,
-* m = 0:  K(p, q) = R(-pq) for p > 0 > q, R(pq) for p < 0 < q, and 1 for
-  equal signs (optionally replaced by same-sign extras R1(p/q), R2(-p/q)).
+root R, K(p, q) = R(w(p, q)) with the invariant w(p, q) = (omega(q) p -
+omega(p) q) / 2 at every mass m >= 0.  At m = 0, w is exactly -pq for
+p > 0 > q, pq for p < 0 < q and 0 for equal signs (sqrt(p^2) = |p| and
+(-q) p = -(p q) in floating point), whose kernel 1 may be replaced by
+same-sign extras R1(p/q) (p, q > 0) and R2(-p/q) (p, q < 0).
 
 The wedge argument vanishes on the diagonal p = q (and for equal-sign
 massless pairs); the root's value there is not determined by its defining
@@ -57,7 +56,7 @@ def eval_root_at_zero_one(root: Root, args):
     mask = args != 0.0
     if np.any(mask):
         out[mask] = eval_root(root, args[mask])
-    return out if out.shape else complex(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,24 +87,18 @@ class KernelSpec:
 
 
 def _kernel_values(spec: KernelSpec, p, q) -> np.ndarray:
-    """K(p, q) on broadcast momentum arrays; the one copy of the case analysis.
-
-    Raises if any momentum is zero.
-    """
+    """K(p, q) = R(w(p, q)) on broadcast momentum arrays, R(0) := 1, for every mass;
+    the m = 0 same-sign extras overwrite their pairs.  Raises if any momentum is zero."""
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     if np.any(p == 0.0) or np.any(q == 0.0):
         raise ValueError("kernel arguments must be nonzero")
-    if spec.mass > 0.0:
-        return np.asarray(eval_root_at_zero_one(spec.root, wedge_invariant(p, q, spec.mass)))
-    out = np.ones(p.shape, dtype=complex)
-    p_pos, same_side = p > 0.0, (p > 0.0) == (q > 0.0)
-    # R(-p q) and R(p q) on opposite sides, R_+(p / q), R_-(-p / q): |p q|, |p / q| signed as p
-    for root, ratio, p_side in ((spec.root, False, None), (spec.extra_pos, True, True),
-                                (spec.extra_neg, True, False)):
-        mask = root is not None and (same_side & (p_pos == p_side) if ratio else ~same_side)
+    out = eval_root_at_zero_one(spec.root, wedge_invariant(p, q, spec.mass))
+    # R_+(p / q) on p, q > 0 and R_-(-p / q) on p, q < 0: |p / q| signed as p
+    for root, positive in ((spec.extra_pos, True), (spec.extra_neg, False)):
+        mask = root is not None and ((p > 0.0) == positive) & ((q > 0.0) == positive)
         if np.any(mask):
-            pm, qm = p[mask], q[mask]
-            out[mask] = eval_root(root, np.copysign(pm / qm if ratio else pm * qm, pm))
+            pm = p[mask]
+            out[mask] = eval_root(root, np.copysign(pm / q[mask], pm))
     return out
 
 
@@ -125,14 +118,19 @@ def _kernel_table(spec: KernelSpec, points: bytes) -> np.ndarray:
     return _read_only(_kernel_values(spec, pts[:, None], pts[None, :]))
 
 
+def _points(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
+    """The grid's points, where the kernel of ``spec`` is read: raises unless the masses agree."""
+    if grid.mass != spec.mass:
+        raise ValueError("grid mass does not match the kernel spec")
+    return grid.points
+
+
 def kernel_matrix(spec: KernelSpec, grid: MomentumGrid) -> np.ndarray:
     """K evaluated on all ordered grid pairs: K[a, b] = kernel(p_a, p_b).
 
     Built once per (spec, grid points) and shared: the result is read-only.
     """
-    if grid.mass != spec.mass:
-        raise ValueError("grid mass does not match the kernel spec")
-    return _kernel_table(spec, grid.points.tobytes())
+    return _kernel_table(spec, _points(spec, grid).tobytes())
 
 
 def _kernels(spec, grid: MomentumGrid) -> np.ndarray:
@@ -148,7 +146,7 @@ def apply_kernel_phases(spec: KernelSpec, p: float, psi: FockVector) -> FockVect
     Label kappa of sector n is multiplied by prod_i K(p, p_{k_i}); a diagonal
     unitary fixing the vacuum.
     """
-    row = _kernel_values(spec, p, psi.grid.points)
+    row = _kernel_values(spec, p, _points(spec, psi.grid))
     return psi._with(fock._scale(psi.coefficients, fock._slot_products(row, psi.truncation)))
 
 
@@ -215,7 +213,7 @@ def _sharp_twist_tables(spec: KernelSpec, variant: SharpTwistVariant, momenta: b
         wpair = wedge_invariant(pts[:, None], pts[None, :], spec.mass)
         sgn = np.where(np.maximum(pts[:, None], pts[None, :]) - ps[:, :, None] > 0.0, 1.0, -1.0)
         args = sgn * np.abs(wpair)
-    return _read_only(np.asarray(eval_root_at_zero_one(spec.root, args)))
+    return _read_only(eval_root_at_zero_one(spec.root, args))
 
 
 def sharp_momentum_twist(spec: KernelSpec, variant: SharpTwistVariant, p: float,
@@ -240,7 +238,8 @@ def _sharp_twist_each(spec, variant: SharpTwistVariant, momenta, psi: FockVector
     specs = spec if isinstance(spec, tuple) else (spec,) * momenta.size
     runs = [list(run) for _, run in itertools.groupby(range(momenta.size), key=specs.__getitem__)]
     gmats = np.concatenate([_sharp_twist_tables(specs[run[0]], variant, momenta[run].tobytes(),
-                                                psi.grid.points.tobytes()) for run in runs])
+                                                _points(specs[run[0]], psi.grid).tobytes())
+                            for run in runs])
     return fock.apply_pair_phase(gmats, psi, adjoint)
 
 

@@ -56,11 +56,13 @@ from .fock import FockVector
 from .grids import ChiralGridPair, MomentumGrid
 
 
-# Batch entries (columns times basis size) of one block that operator_matrix
-# and probe_blocks apply their operators to, or of one batch of random vectors
-# that random_batches draws; bounds the memory of the block and of the
-# operator's intermediates.
 _BLOCK_ENTRIES = 524_288
+
+
+def block_width(entries: int) -> int:
+    """Items (columns, vectors, slots) of ``entries`` batch entries each in one block: at most
+    ``_BLOCK_ENTRIES`` entries or one item, a bound on the memory of the operators' temporaries."""
+    return max(1, _BLOCK_ENTRIES // entries)
 
 
 class _Basis:
@@ -131,14 +133,13 @@ def operator_matrix(op, domain, codomain=None) -> np.ndarray:
     vector with batch shape (k,) and must be linear and act column by
     column, so that column j of its result is op(b_j), as every operator in
     this package does.  A block holds at most ``_BLOCK_ENTRIES`` coefficients
-    over its columns.
+    over its columns (:func:`block_width`).
     """
     cod = domain if codomain is None else codomain
     out = np.empty((len(cod), len(domain)), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // max(len(domain), len(cod)))
-    for start in range(0, len(domain), step):
-        eye = np.eye(len(domain), min(step, len(domain) - start), -start, dtype=complex)
-        out[:, start:start + step] = cod.coefficients(op(domain._vector(eye)))
+    for first, last in block_runs(len(domain), block_width(max(len(domain), len(cod)))):
+        eye = np.eye(len(domain), last - first, -first, dtype=complex)
+        out[:, first:last] = cod.coefficients(op(domain._vector(eye)))
     return out
 
 
@@ -225,21 +226,22 @@ def _positions(m: int, truncation: int, pattern: Pattern) -> tuple[np.ndarray, n
     return out
 
 
-def _blocks(sector: np.ndarray, step: int):
-    """(first, last) ranges over probe columns of the given sectors (ascending):
-    whole sectors together while they fit in ``step`` columns, a wider sector
-    in pieces of ``step``.  A block of one sector leaves the other sectors of
-    the probe vector zero, and a ladder operator computes only what it reaches."""
-    edges = [0, *(np.flatnonzero(np.diff(sector)) + 1).tolist(), len(sector)]
+def block_runs(count: int, width: int, sector=None):
+    """(first, last) runs over items 0..count-1, in order, of at most ``width`` items each.
+    Items of the given ``sector``s (ascending) go whole sectors together while they fit, a
+    wider sector in pieces of ``width``: a probe block of one sector leaves the other sectors
+    of the probe vector zero, and a ladder operator computes only what it reaches."""
+    edges = [] if sector is None else (np.flatnonzero(np.diff(sector)) + 1).tolist()
     first = 0
-    for low, high in zip(edges[:-1], edges[1:]):
-        if high - first > step and low > first:
+    for low, high in zip([0, *edges], [*edges, count]):
+        if high - first > width and low > first:
             yield first, low
             first = low
-        while high - first > step:
-            yield first, first + step
-            first += step
-    yield first, len(sector)
+        while high - first > width:
+            yield first, first + width
+            first += width
+    if first < count:
+        yield first, count
 
 
 def random_batches(basis: _Basis, count: int, rng: fock.Draws, group: int = 1):
@@ -249,18 +251,17 @@ def random_batches(basis: _Basis, count: int, rng: fock.Draws, group: int = 1):
     i of each group of the batch, so reading column 0 of every member, then
     column 1, and so on gives the vectors in the order that single draws from
     ``rng`` would.  A batch is one draw of whole groups, at most
-    ``_BLOCK_ENTRIES`` coefficients (``len(basis)`` per vector) or one group,
-    which bounds the operators' intermediates as for a probe block.
+    ``_BLOCK_ENTRIES`` coefficients (``len(basis)`` per vector) or one group
+    (:func:`block_width`), as for a probe block.
     """
-    step = max(_BLOCK_ENTRIES // (group * len(basis)), 1)
-    for start in range(0, count, step):
-        vec = basis.random(rng, group * min(step, count - start))
+    for first, last in block_runs(count, block_width(group * len(basis))):
+        vec = basis.random(rng, group * (last - first))
         yield tuple(vec._with(vec.coefficients[:, i::group]) for i in range(group))
 
 
 @functools.lru_cache(maxsize=32)
 def _plan(m: int, truncation: int, columns: str, step: int) -> tuple:
-    """Per probe block (:func:`_blocks`, at most ``step`` columns, in column order) of the
+    """Per probe block (:func:`block_runs`, at most ``step`` columns, in column order) of the
     m-point union labels: columns first..last-1 and scatter ``rows``, ``cols``,
     ``phases``.  Patterns of one :attr:`Pattern.columns` share the plan."""
     layout = _layout(m, truncation)
@@ -268,7 +269,7 @@ def _plan(m: int, truncation: int, columns: str, step: int) -> tuple:
     column_sector = np.empty(int(column.max()) + 1, dtype=int)
     column_sector[column] = layout.sector if columns != "colour" else 0  # spans every sector
     blocks = []
-    for first, last in _blocks(column_sector, step):
+    for first, last in block_runs(len(column_sector), step, column_sector):
         rows = np.flatnonzero((column >= first) & (column < last))
         scatter = (rows, column[rows] - first, layout.phase[rows])
         for arr in scatter:
@@ -291,7 +292,7 @@ def probe_blocks(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 
     the columns; an operator that is not stacked acts on every slot alike.
     """
     cod = domain if codomain is None else codomain
-    step = max(1, _BLOCK_ENTRIES // (max(len(domain), len(cod)) * copies))
+    step = block_width(max(len(domain), len(cod)) * copies)
     for first, last, rows, cols, phases in _plan(domain.union_size, domain.truncation,
                                                  pattern.columns, step):
         probes = np.zeros((len(domain), copies, last - first), dtype=complex)
@@ -309,8 +310,8 @@ def copy_chunks(count: int, domain, pattern: Pattern) -> list[np.ndarray]:
     and (rows, N, g, P) kernel-factor tables, not a gather of g terms."""
     m, n = domain.union_size, domain.truncation
     terms = 1 if pattern.columns == "sector" else max(m, n)
-    per = max(1, _BLOCK_ENTRIES // (len(domain) * pattern.width(m, n) * terms))
-    return [np.arange(first, min(first + per, count)) for first in range(0, count, per)]
+    runs = block_runs(count, block_width(len(domain) * pattern.width(m, n) * terms))
+    return [np.arange(first, last) for first, last in runs]
 
 
 def probe_deviations(ops, pattern: Pattern, domain, codomain=None, *, copies: int = 1) -> list:

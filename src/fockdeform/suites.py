@@ -353,9 +353,9 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviat
     # a ladder step
     pairing = complex(np.sum(grid.weights * np.conj(xi) * eta))
     below = fock._offsets(grid.size, n_top)[n_top - 1]
-    width = max(1, dense._BLOCK_ENTRIES // (len(basis) * max(grid.size, n_top)))
-    for first in range(0, below, width):
-        vec = basis._vector(np.eye(len(basis), min(width, below - first), -first, dtype=complex))
+    width = dense.block_width(len(basis) * max(grid.size, n_top))
+    for first, last in dense.block_runs(below, width):
+        vec = basis._vector(np.eye(len(basis), last - first, -first, dtype=complex))
         comm = (fock.annihilate(xi, fock.create(eta, vec))
                 - fock.create(eta, fock.annihilate(xi, vec)))
         yield "ccr-below-truncation", np.max(_norms(comm - pairing * vec))
@@ -499,14 +499,13 @@ def _dressings(spec: KernelSpec, grid: MomentumGrid, truncation: int) -> np.ndar
     """Column q: the dressing K_q of :func:`apply_kernel_phases` against grid point q,
     prod_i K(p_q, p_{k_i}) per label in coefficient order, bit for bit; shape (D, M),
     read-only, from its own kernel evaluation (never :func:`annihilate_deformed`'s
-    table), in runs of momenta whose slot gather holds ``dense._BLOCK_ENTRIES`` / M.
+    table), in runs of momenta whose slot gather is one block (:func:`dense.block_width`).
     Built once per run of roots, which holds at most two."""
     pts = grid.points
     rows = _kernel_values(spec, pts[:, None], pts)
     out = np.empty((fock._offsets(pts.size, truncation)[-1], pts.size), dtype=complex)
-    per = max(1, dense._BLOCK_ENTRIES // (out.size * truncation))
-    for first in range(0, pts.size, per):
-        out[:, first:first + per] = fock._slot_products(rows[first:first + per], truncation)
+    for first, last in dense.block_runs(pts.size, dense.block_width(out.size * truncation)):
+        out[:, first:last] = fock._slot_products(rows[first:last], truncation)
     out.setflags(write=False)
     return out
 

@@ -12,7 +12,8 @@ import tensor_reference as ref
 from dense_reference import (annihilate_deformed_sharp, hermiticity_defect, sharp_annihilate,
                              unitarity_defect)
 from fockdeform import dense, fock
-from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_deformed,
+from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _kernel_values,
+                                    _sharp_twist_each, annihilate_deformed,
                                     apply_kernel_phases, apply_pair_twist, create_deformed,
                                     field_deformed, kernel, kernel_matrix,
                                     sharp_momentum_twist, wedge_invariant)
@@ -108,6 +109,52 @@ def test_kernel_massless_limit(root):
     from fockdeform.inner import eval_inner
     limit = kernel(KernelSpec(root=root, mass=1e-8), 0.5, 0.9)  # same-sign pair
     assert abs(limit ** 2 - eval_inner(root.base, 0.0)) < 1e-6
+
+
+def case_analysis_kernel(spec, p, q):
+    """The massless kernel as a case analysis, the reference for the one formula: R(-pq)
+    for p > 0 > q, R(pq) for p < 0 < q, and 1 for equal signs, or the extras R_+(p / q)
+    for p, q > 0 and R_-(-p / q) for p, q < 0 (|p q| and |p / q| signed as p)."""
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    out = np.ones(p.shape, dtype=complex)
+    p_pos, same_side = p > 0.0, (p > 0.0) == (q > 0.0)
+    for root, ratio, p_side in ((spec.root, False, None), (spec.extra_pos, True, True),
+                                (spec.extra_neg, True, False)):
+        mask = root is not None and (same_side & (p_pos == p_side) if ratio else ~same_side)
+        if np.any(mask):
+            pm, qm = p[mask], q[mask]
+            out[mask] = eval_root(root, np.copysign(pm / qm if ratio else pm * qm, pm))
+    return out
+
+
+def extreme_momenta(rng, count):
+    """``count`` momenta log-uniform over +-[1e-4, 1e4], the admitted magnitudes, with
+    both ends of the range on each side."""
+    mags = np.concatenate([[1e-4, 1e4], 10.0 ** rng.uniform(-4.0, 4.0, count - 2)])
+    return np.concatenate([mags, -mags])
+
+
+@pytest.mark.parametrize("extras", ["none", "pos", "neg", "both"])
+def test_massless_kernel_is_the_case_analysis_bit_for_bit(rng, extras):
+    """At m = 0, R(w(p, q)) with R(0) := 1 is the case analysis bit for bit: w is exactly
+    -pq, pq or 0 there, since sqrt(p^2) = |p| and (-q) p = -(p q) in floating point."""
+    extra = make_root(BlaschkeSpec((), 1), [(0.5, 2.0), (-2.0, -0.5)])
+    pts = extreme_momenta(rng, 150)
+    for flips in ((), [(0.3, 40.0), (-40.0, -0.3)]):
+        for _ in range(3):
+            spec = KernelSpec(root=make_root(random_symmetric_blaschke(rng), flips), mass=0.0,
+                              extra_pos=extra if extras in ("pos", "both") else None,
+                              extra_neg=extra if extras in ("neg", "both") else None)
+            got = _kernel_values(spec, pts[:, None], pts[None, :])
+            assert np.array_equal(got, case_analysis_kernel(spec, pts[:, None], pts[None, :]))
+            assert kernel(spec, pts[0], pts[-1]) == got[0, -1]
+
+
+@pytest.mark.parametrize("mass", [1e-4, 1.0, 100.0])
+def test_massive_kernel_diagonal_reads_exactly_one(rng, root, mass):
+    pts = extreme_momenta(rng, 50)
+    values = _kernel_values(KernelSpec(root=root, mass=mass), pts[:, None], pts[None, :])
+    assert np.all(np.diagonal(values) == 1.0 + 0.0j)
 
 
 def test_kernel_matrix_invariant_under_index_shift(root, massive_grid):
@@ -348,6 +395,23 @@ def test_deformed_annihilators_reject_a_spec_of_another_mass(root, massive_grid)
         annihilate_deformed(spec, np.ones(massive_grid.size), vac)
     with pytest.raises(ValueError, match="grid mass"):
         annihilate_deformed_sharp(spec, float(massive_grid.points[1]), vac)
+
+
+@pytest.mark.parametrize("apply", [
+    lambda spec, p, psi: apply_kernel_phases(spec[1], p[1], psi),
+    lambda spec, p, psi: sharp_momentum_twist(spec[1], SharpTwistVariant.PAIRWISE_SUM, p[1], psi),
+    lambda spec, p, psi: sharp_momentum_twist(spec[1], SharpTwistVariant.SIGN_SPLIT, p[1], psi),
+    lambda spec, p, psi: _sharp_twist_each(spec, SharpTwistVariant.SIGN_SPLIT, p, psi)],
+    ids=["dressing", "pairwise-sum", "sign-split", "stack"])
+def test_dressing_and_sharp_twists_reject_a_spec_of_another_mass(apply, root, massive_grid,
+                                                                  massless_grid):
+    """The phase dressing and the sharp twists read their kernel on psi's grid under the
+    one mass check of :func:`kernel_matrix`: a spec of another mass raises, also as one
+    entry of a stack of specs."""
+    for grid, mass in ((massive_grid, 0.0), (massless_grid, 1.0)):
+        specs = (KernelSpec(root=root, mass=grid.mass), KernelSpec(root=root, mass=mass))
+        with pytest.raises(ValueError, match="grid mass"):
+            apply(specs, grid.points[:2], fock.vacuum(grid, 2))
 
 
 def test_sharp_twist_variant_flags():

@@ -247,6 +247,18 @@ def test_operator_matrix_equals_column_loop(name, monkeypatch):
     assert np.max(np.abs(batched - column_loop(op, domain, codomain))) <= 1e-14
 
 
+@pytest.mark.parametrize("entries", [1, 2, 5, 13])
+def test_block_runs_without_sectors_are_strided_ranges(entries, monkeypatch):
+    """The one block rule: a run holds block_width(entries) items, at most _BLOCK_ENTRIES
+    entries or one item, and without sectors the runs are the ranges of that stride."""
+    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", 12)
+    width = dense.block_width(entries)
+    assert width == max(1, 12 // entries)
+    for count in (0, 1, 5, 12, 13, 30):
+        assert list(dense.block_runs(count, width)) == [
+            (first, min(first + width, count)) for first in range(0, count, width)]
+
+
 @pytest.mark.parametrize("block", [dense._BLOCK_ENTRIES, 600, 100, 50])
 def test_random_batches_follow_the_single_draw_order(monkeypatch, block):
     """Column j of each member, member by member, is the next single draw; a

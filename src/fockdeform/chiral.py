@@ -38,7 +38,7 @@ import numpy as np
 from . import fock
 from .fock import FockVector, TestFunctionData
 from .grids import ChiralGridPair
-from .inner import Root, eval_root
+from .inner import Root, eval_root_at_zero_one
 
 
 def _component_keys(truncation: int):
@@ -263,8 +263,10 @@ def cross_matrix(points: np.ndarray, values_fn) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _root_cross_matrix(root: Root, points: bytes) -> np.ndarray:
     """:func:`cross_matrix` of the root on the union grid with these points'
-    bytes, built once and read-only."""
-    smat = cross_matrix(np.frombuffer(points), lambda args: eval_root(root, args))
+    bytes, built once and read-only: R(0) := 1 stands for the 1 where p q > 0."""
+    pts = np.frombuffer(points)
+    args = -np.multiply.outer(pts, pts)
+    smat = eval_root_at_zero_one(root, np.where(args > 0.0, args, 0.0))
     smat.setflags(write=False)
     return smat
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .inner import BlaschkeSpec, Root, make_root
+from .inner import POLE_EPSILON, BlaschkeSpec, Root, make_root
 from .suites import REPORT_SCHEMA, ConfigError, SuiteConfig, SuiteReport
 
 # top-level scalar key -> type; the key is also the SuiteConfig field
@@ -60,6 +60,9 @@ def root_from_json(data) -> Root:
     if unknown:
         raise ConfigError(f"unknown root keys: {sorted(unknown)}")
     zeros = tuple(complex(re, im) for re, im in _number_pairs(data, "zeros"))
+    # |z - conj a| >= Im a for Im z >= 0, so no evaluation comes within POLE_EPSILON of a pole
+    if any(a.imag < POLE_EPSILON for a in zeros):
+        raise ConfigError(f"root zeros need Im a >= {POLE_EPSILON}, got {zeros!r}")
     flips = _number_pairs(data, "flips")
     try:
         spec = BlaschkeSpec(zeros=zeros, sign=_convert(int, data.get("sign", 1), "sign"))

@@ -35,7 +35,7 @@ import numpy as np
 from . import fock
 from .fock import FockVector, TestFunctionData
 from .grids import MomentumGrid, omega
-from .inner import Root, check_inversion_symmetry, eval_root
+from .inner import Root, check_inversion_symmetry, eval_root, eval_root_at_zero_one
 
 _g = np.geomspace(0.05, 20.0, 33)
 _EXTRA_SYMMETRY_SAMPLES = np.concatenate([_g, -_g])
@@ -47,16 +47,6 @@ def wedge_invariant(p, q, mass: float):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return 0.5 * (omega(q, mass) * p - omega(p, mass) * q)
-
-
-def eval_root_at_zero_one(root: Root, args):
-    """Evaluate a root elementwise with the fixed convention R(0) := 1."""
-    args = np.asarray(args, dtype=float)
-    out = np.ones(args.shape, dtype=complex)
-    mask = args != 0.0
-    if np.any(mask):
-        out[mask] = eval_root(root, args[mask])
-    return out
 
 
 @dataclass(frozen=True)
@@ -89,11 +79,14 @@ class KernelSpec:
 def _kernel_values(spec: KernelSpec, p, q) -> np.ndarray:
     """K(p, q) = R(w(p, q)) on broadcast momentum arrays, R(0) := 1, for every mass;
     the m = 0 same-sign extras overwrite their pairs.  Raises if any momentum is zero."""
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    if np.any(p == 0.0) or np.any(q == 0.0):
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if (p == 0.0).any() or (q == 0.0).any():
         raise ValueError("kernel arguments must be nonzero")
     out = eval_root_at_zero_one(spec.root, wedge_invariant(p, q, spec.mass))
+    if spec.extra_pos is None and spec.extra_neg is None:
+        return out
     # R_+(p / q) on p, q > 0 and R_-(-p / q) on p, q < 0: |p / q| signed as p
+    p, q = np.broadcast_arrays(p, q)
     for root, positive in ((spec.extra_pos, True), (spec.extra_neg, False)):
         mask = root is not None and ((p > 0.0) == positive) & ((q > 0.0) == positive)
         if np.any(mask):

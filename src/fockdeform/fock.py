@@ -594,10 +594,16 @@ class Draws:
         out = transform((words >> 11).reshape(-1, per).T * 2.0 ** -53)
         return out[0] if size is None else out.reshape(size)
 
+    def _uniform(self) -> float:
+        """One uniform as a Python float, by the same operations as :meth:`_draw`."""
+        return (self._mt.getrandbits(64) >> 11) * 2.0 ** -53
+
     def random(self, size=None):
-        return self._draw(size, 1, lambda u: u[0])
+        return self._uniform() if size is None else self._draw(size, 1, lambda u: u[0])
 
     def uniform(self, low: float, high: float, size=None):
+        if size is None:
+            return low + (high - low) * self._uniform()
         return self._draw(size, 1, lambda u: low + (high - low) * u[0])
 
     def standard_normal(self, size=None):
@@ -612,6 +618,8 @@ class Draws:
         pool = np.arange(a) if isinstance(a, int) else np.asarray(a)
         if not replace:
             return pool[self._mt.sample(range(len(pool)), size)]
+        if size is None:
+            return pool[int(self._uniform() * len(pool))]
         return self._draw(size, 1, lambda u: pool[(u[0] * len(pool)).astype(np.intp)])
 
 

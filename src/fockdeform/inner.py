@@ -100,30 +100,6 @@ def eval_inner(spec: BlaschkeSpec, z):
     return out if out.shape else complex(out)
 
 
-def _continuous_phase(spec: BlaschkeSpec, t):
-    """Continuous argument of phi along the real line.
-
-    Each factor contributes -2*atan2(Im a, t - Re a), continuous in t and
-    increasing from -2pi to 0, so the total phase has no branch cuts at
-    finite t.
-    """
-    t = np.asarray(t, dtype=float)
-    phase = np.zeros(t.shape)
-    if spec.sign == -1:
-        phase += math.pi
-    for a in spec.zeros:
-        phase += -2.0 * np.arctan2(a.imag, t - a.real)
-    return phase
-
-
-def _flip_sign(flips, t):
-    t = np.asarray(t, dtype=float)
-    sign = np.ones(t.shape)
-    for lo, hi in flips:
-        sign = np.where((t >= lo) & (t <= hi), -sign, sign)
-    return sign
-
-
 def _validate_flips(flips) -> tuple[tuple[float, float], ...]:
     out = []
     for iv in flips:
@@ -159,15 +135,33 @@ def make_root(spec: BlaschkeSpec, flips=()) -> Root:
     return Root(base=spec, flips=_validate_flips(flips))
 
 
+def eval_root_at_zero_one(root: Root, t) -> np.ndarray:
+    """Evaluate the root elementwise at real t with the fixed convention R(0) := 1; always
+    an array (0-d for a scalar t), the one evaluation of every root table.
+
+    Each zero a adds -2*atan2(Im a, |t| - Re a) to the continuous phase of phi at |t|,
+    which increases from -2pi to 0 without branch cuts; R is the exponential of half the
+    phase for t > 0, its conjugate for t < 0, and -1 times that on each flip interval.
+    """
+    t = np.asarray(t, dtype=float)
+    tpos = np.abs(t)
+    phase = np.full(t.shape, math.pi if root.base.sign == -1 else 0.0)
+    for a in root.base.zeros:
+        phase += -2.0 * np.arctan2(a.imag, tpos - a.real)
+    out = np.asarray(np.exp(0.5j * phase))
+    np.conjugate(out, out=out, where=t < 0.0)
+    for lo, hi in root.flips:
+        np.negative(out, out=out, where=(t >= lo) & (t <= hi))
+    out[t == 0.0] = 1.0
+    return out
+
+
 def eval_root(root: Root, t):
     """Evaluate the root at real t != 0 (scalar or array); result is unimodular."""
     t = np.asarray(t, dtype=float)
-    if np.any(t == 0.0):
+    if (t == 0.0).any():
         raise ValueError("root evaluation is undefined at t = 0")
-    tpos = np.abs(t)
-    base = np.exp(0.5j * _continuous_phase(root.base, tpos))
-    out = np.where(t > 0.0, base, np.conj(base))
-    out = out * _flip_sign(root.flips, t)
+    out = eval_root_at_zero_one(root, t)
     return out if out.shape else complex(out)
 
 

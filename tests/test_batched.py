@@ -126,7 +126,7 @@ def test_sharp_suite_evaluates_each_root_once_per_variant_and_chunk(monkeypatch)
     for cache in (deformation._sharp_twist_tables, deformation._kernel_table,
                   fock._pair_multipliers):
         cache.cache_clear()
-    calls = counting(monkeypatch, deformation, "eval_root",
+    calls = counting(monkeypatch, deformation, "eval_root_at_zero_one",
                      lambda root, t: (root, in_twist_tables()))
     list(suites.suite_sharp(CFG, *suites._suite_streams(CFG.seed, "sharp")))
     twist_calls = [root for root, twist in calls if twist]

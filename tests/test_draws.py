@@ -2,6 +2,7 @@
 moments and ranges of its draws, and the suites' child streams for vectors."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,52 @@ def test_choice_without_replacement_is_distinct(n, size):
         picked = Draws(f"sample/{k}").choice(n, size=size, replace=False)
         assert len(picked) == size and len(set(picked.tolist())) == size
         assert 0 <= picked.min() and picked.max() < n
+
+
+class ArrayDraws(Draws):
+    """Reference: every draw, scalar ones too, through one ``getrandbits`` call read as
+    an array of 64-bit words, as :meth:`Draws._draw` makes the vector draws."""
+
+    def _draw(self, size, per: int, transform):
+        n = per * (1 if size is None else math.prod(size) if isinstance(size, tuple) else size)
+        words = np.frombuffer(self._mt.getrandbits(64 * n).to_bytes(8 * n, "little"), np.uint64)
+        out = transform((words >> 11).reshape(-1, per).T * 2.0 ** -53)
+        return out[0] if size is None else out.reshape(size)
+
+    def random(self, size=None):
+        return self._draw(size, 1, lambda u: u[0])
+
+    def uniform(self, low, high, size=None):
+        return self._draw(size, 1, lambda u: low + (high - low) * u[0])
+
+    def choice(self, a, size=None, replace=True):
+        pool = np.arange(a) if isinstance(a, int) else np.asarray(a)
+        if not replace:
+            return pool[self._mt.sample(range(len(pool)), size)]
+        return self._draw(size, 1, lambda u: pool[(u[0] * len(pool)).astype(np.intp)])
+
+
+CALLS = [("random", (), {}), ("uniform", (0.2, 2.0), {}), ("uniform", (-2, 2), {}),
+         ("choice", ([-1, 1],), {}), ("choice", (7,), {}), ("choice", ([-1.0, 1.0],), {}),
+         ("integers", (1, 4), {}), ("standard_normal", (), {}),
+         ("random", (), {"size": 5}), ("uniform", (-1.5, 1.5), {"size": (2, 3)}),
+         ("standard_normal", (), {"size": (3, 4)}), ("choice", ([-1.0, 1.0],), {"size": 6}),
+         ("choice", (5,), {"size": 3, "replace": False})]
+
+
+@pytest.mark.parametrize("key", ["0/3", "7/1", "scalars"])
+def test_scalar_draws_equal_the_array_path_bit_for_bit(key):
+    """Scalar ``random``, ``uniform`` and ``choice`` read one word as a Python float; an
+    interleaved stream of scalar and vector draws gives the reference's values and
+    entry types, and leaves both streams at the same place."""
+    draws, reference = Draws(key), ArrayDraws(key)
+    order = ArrayDraws(f"order/{key}").choice(len(CALLS), size=300)
+    for name, args, kwargs in (CALLS[k] for k in order):
+        got = getattr(draws, name)(*args, **kwargs)
+        want = getattr(reference, name)(*args, **kwargs)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert draws.random() == reference.random()
 
 
 # checks that read no random vector, drawn in their suite after some that do

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import root_reference
+from fockdeform.fock import Draws
 from fockdeform.inner import (BlaschkeSpec, PoleProximityError, check_inversion_symmetry,
-                              check_symmetric_inner, eval_inner, eval_root, make_root,
-                              merge_flip_sets, random_symmetric_blaschke, root_ratio,
+                              check_symmetric_inner, eval_inner, eval_root, eval_root_at_zero_one,
+                              make_root, merge_flip_sets, random_symmetric_blaschke, root_ratio,
                               scattering_from_inner, trivial_root)
+from fockdeform.suites import FLIP_ATOMS
 
 TOL = 1e-10
 
@@ -260,3 +263,53 @@ def test_package_attribute_inner_is_the_module():
     import fockdeform
     assert isinstance(fockdeform.inner, types.ModuleType)
     assert fockdeform.inner.eval_root is eval_root
+
+
+# ---- one evaluator, bit for bit the reference's separate passes and mask path
+
+def reference_roots():
+    """Random roots of both signs with no flips, each FLIP_ATOMS set and two sets at
+    once, a root with zeros 1e-3 from the real axis, and the trivial root."""
+    flip_sets = ((),) + FLIP_ATOMS + (FLIP_ATOMS[0] + FLIP_ATOMS[2],)
+    roots = [trivial_root(), make_root(BlaschkeSpec((complex(2, 1e-3), complex(-2, 1e-3))))]
+    for k, flips in enumerate(flip_sets):
+        spec = random_symmetric_blaschke(Draws(f"reference-root/{k}"))
+        roots += [make_root(BlaschkeSpec(spec.zeros, sign), flips) for sign in (1, -1)]
+    return roots
+
+
+ROOTS = reference_roots()
+
+
+def log_uniform_args(key: str, shape) -> np.ndarray:
+    """Arguments of both signs with |t| log-uniform over [1e-9, 1e4], about one in ten
+    exactly 0, and the flip-atom ends exactly."""
+    rng = Draws(key)
+    t = np.exp(rng.uniform(math.log(1e-9), math.log(1e4), shape)) * rng.choice([-1.0, 1.0], shape)
+    t[rng.random(shape) < 0.1] = 0.0
+    ends = np.ravel(FLIP_ATOMS)
+    t.flat[:ends.size] = ends[:t.size]
+    return t
+
+
+@pytest.mark.parametrize("k", range(len(ROOTS)))
+def test_root_evaluator_equals_the_reference_bit_for_bit(k):
+    """On vectors, products of a column and a row, a stride-0 broadcast, a transposed
+    view and 0-d arguments, the one-pass evaluator and eval_root give the reference's
+    values bit for bit, with R(0) = 1 exactly."""
+    root = ROOTS[k]
+    vector = log_uniform_args(f"args/{k}", 400)
+    rows, cols = log_uniform_args("rows", (30, 1)), log_uniform_args("cols", (1, 20))
+    for t in (vector, rows * cols, np.broadcast_to(rows, (30, 20)), vector.reshape(20, 20).T):
+        got = eval_root_at_zero_one(root, t)
+        assert got.shape == t.shape and got.dtype == complex
+        assert np.array_equal(got, root_reference.eval_root_at_zero_one(root, t))
+        assert np.all(got[t == 0.0] == 1.0)
+        nonzero = t[t != 0.0]
+        assert np.array_equal(eval_root(root, nonzero), root_reference.eval_root(root, nonzero))
+    for t in vector[:40]:
+        got = eval_root_at_zero_one(root, t)
+        assert got.shape == () and got == root_reference.eval_root_at_zero_one(root, t)
+        if t != 0.0:
+            value = eval_root(root, t)
+            assert type(value) is complex and value == root_reference.eval_root(root, t)

@@ -330,6 +330,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"roots": [{"zeros": [[NaN, 1.0]]}]}',
     '{"roots": [{"zeros": [[0.5, Infinity], [-0.5, Infinity]]}]}',
     '{"roots": [{"zeros": [[true, 1.0], [-1, 1.0]]}]}',
+    '{"roots": [{"zeros": [[1, 1e-9], [-1, 1e-9]]}]}',
     '{"seed": 1' + '0' * 5000 + '}',
 ], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
         "tolerance-nan", "root-not-object", "ratio-roots-not-list", "truncation-float",
@@ -337,7 +338,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "seed-infinite", "suites-empty", "root-unknown-key", "roots-empty",
         "mass-infinite", "p-max-ratio-overflows", "theta-max-overflows", "p-min-subnormal",
         "flip-one-number", "flip-three-numbers", "zero-nan", "zero-infinite", "zero-bool",
-        "seed-over-4300-digits"])
+        "zero-within-pole-margin", "seed-over-4300-digits"])
 def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     """Bad types and values are configuration errors (exit 2) before any suite
     starts, not tracebacks; grids that overflow are refused with no
@@ -347,6 +348,15 @@ def test_cli_malformed_config_exit_2(text, tmp_path, capsys):
     assert cli.main(["--config", str(cfg_path)]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("configuration error:") and out.out == ""
+
+
+def test_a_zero_within_the_pole_margin_is_refused_and_one_at_it_admitted():
+    """Im a < POLE_EPSILON is refused for ratio roots too; at Im a = POLE_EPSILON,
+    |t - conj a| >= Im a keeps every real t outside the margin, so phi evaluates."""
+    with pytest.raises(ConfigError, match="Im a"):
+        config_from_json({"ratio_roots": [{"zeros": [[1.0, 1e-9], [-1.0, 1e-9]]}] * 2})
+    edge = root_from_json({"zeros": [[1.0, inner.POLE_EPSILON], [-1.0, inner.POLE_EPSILON]]})
+    assert np.all(np.isfinite(inner.eval_inner(edge.base, np.array([-1.0, 1.0]))))
 
 
 @pytest.mark.parametrize("text", [

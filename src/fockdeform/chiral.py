@@ -156,13 +156,12 @@ def random_bifock(pair: ChiralGridPair, truncation: int, rng: fock.Draws,
     directly; label pair (kappa_+, kappa_-) scales by the product of the two
     halves' scales in :func:`fock.random_fock_vector`.
 
-    The normals come from one ``standard_normal`` call, component by
-    component, and ``count`` works as in :func:`fock.random_fock_vector`.
+    The coefficients come from one :func:`fock.complex_normals` draw, and ``count``
+    works as in :func:`fock.random_fock_vector`.
     """
     scales = _outer_products(pair, np.sqrt(pair.positive_weights),
                              np.sqrt(pair.negative_weights), truncation)
-    coefs = fock._unit_gaussians(rng, scales, np.diff(
-        _layout(pair.n_positive, pair.n_negative, truncation).start), count or 1)
+    coefs = fock._unit_gaussians(rng, scales, count or 1)
     return BiFockVector(pair, truncation, coefs if count else coefs[:, 0])
 
 

@@ -587,28 +587,29 @@ class Draws:
     def __init__(self, key: str):
         self._mt = random.Random(key)
 
-    def _draw(self, size, per: int, transform):
-        """``transform`` of the (per, n) uniforms, n = prod(size), shaped to ``size``."""
+    def _uniforms(self, size, per: int = 1) -> np.ndarray:
+        """``per`` uniforms for each entry of ``size`` (None: one entry), flat, in stream
+        order, from the 64-bit words of one ``getrandbits`` call."""
         n = per * (1 if size is None else math.prod(size) if isinstance(size, tuple) else size)
         words = np.frombuffer(self._mt.getrandbits(64 * n).to_bytes(8 * n, "little"), np.uint64)
-        out = transform((words >> 11).reshape(-1, per).T * 2.0 ** -53)
-        return out[0] if size is None else out.reshape(size)
+        return (words >> 11) * 2.0 ** -53
 
     def _uniform(self) -> float:
-        """One uniform as a Python float, by the same operations as :meth:`_draw`."""
+        """One uniform as a Python float, by the same operations as :meth:`_uniforms`."""
         return (self._mt.getrandbits(64) >> 11) * 2.0 ** -53
 
     def random(self, size=None):
-        return self._uniform() if size is None else self._draw(size, 1, lambda u: u[0])
+        return self._uniform() if size is None else self._uniforms(size).reshape(size)
 
     def uniform(self, low: float, high: float, size=None):
         if size is None:
             return low + (high - low) * self._uniform()
-        return self._draw(size, 1, lambda u: low + (high - low) * u[0])
+        return (low + (high - low) * self._uniforms(size)).reshape(size)
 
     def standard_normal(self, size=None):
-        return self._draw(size, 2, lambda u: np.sqrt(-2.0 * np.log1p(-u[0]))
-                          * np.cos(2 * np.pi * u[1]))
+        u = self._uniforms(size, 2).reshape(-1, 2).T
+        out = np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2 * np.pi * u[1])
+        return out[0] if size is None else out.reshape(size)
 
     def integers(self, low: int, high: int) -> int:
         return self._mt.randrange(low, high)
@@ -620,25 +621,28 @@ class Draws:
             return pool[self._mt.sample(range(len(pool)), size)]
         if size is None:
             return pool[int(self._uniform() * len(pool))]
-        return self._draw(size, 1, lambda u: pool[(u[0] * len(pool)).astype(np.intp)])
+        return pool[(self._uniforms(size) * len(pool)).astype(np.intp)].reshape(size)
 
 
-def _unit_gaussians(rng: Draws, scales: np.ndarray, sizes, count: int):
-    """``count`` columns of complex Gaussians ``scales * (N + iN)``, each scaled
-    to unit norm, shape (D, count), from one ``standard_normal`` call.
+def complex_normals(rng: Draws, size) -> np.ndarray:
+    """Complex Gaussians of shape ``size``, real and imaginary parts standard normals, each
+    from one pair of uniforms (Box & Muller 1958): radius sqrt(-2 log(1 - u0)), phase
+    2 pi u1.  The pair's two words lie next to each other in one ``rng.random`` draw, so
+    n coefficients then m give the n + m of one call."""
+    u = rng.random(((size,) if isinstance(size, int) else tuple(size)) + (2,))
+    return np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
 
-    ``sizes`` cuts the D coefficients into blocks (sectors, or split-tower
-    components).  Column j reads row j of the draw, and a row holds the real
-    and then the imaginary part of each block in turn: the normals that
-    ``count`` successive single draws would give.
+
+def _unit_gaussians(rng: Draws, scales: np.ndarray, count: int):
+    """``count`` columns of complex Gaussians ``scales * z``, each scaled to unit norm,
+    shape (D, count), from one :func:`complex_normals` draw in coefficient order: column j
+    holds the coefficients that the j-th of ``count`` successive single draws would give.
     """
-    raw = rng.standard_normal((count, 2 * scales.size)).T
-    # coefficient j of the block starting at s reads rows s + j and s + size + j
-    re = np.arange(scales.size) + np.repeat(np.cumsum(sizes) - sizes, sizes)
-    coefs = raw[re] + 1j * raw[re + np.repeat(sizes, sizes)]
-    _scale(coefs, scales, out=coefs)
+    coefs = _scale(complex_normals(rng, (count, scales.size)).T, scales)
+    # each norm sums one contiguous column, as for a single vector: the batch is the
+    # single draws bit for bit
     coefs *= 1.0 / np.linalg.norm(coefs, axis=0)
-    return coefs
+    return np.ascontiguousarray(coefs)
 
 
 def random_fock_vector(grid: MomentumGrid, truncation: int, rng: Draws,
@@ -651,16 +655,15 @@ def random_fock_vector(grid: MomentumGrid, truncation: int, rng: Draws,
     kappa, times |kappa| prod m_q! / n!: independent coefficients of variance
     2 prod_i w_{k_i}, drawn here with the scale sqrt(prod_i w_{k_i}).
 
-    The normals come from one ``standard_normal`` call, sector by sector, real
-    part before imaginary part.  With ``count`` the result is a batch of shape
-    (count,) whose column j is the j-th of ``count`` successive single draws,
-    each column scaled to unit norm; without, column 0 of a batch of one.
+    The coefficients come from one :func:`complex_normals` draw.  With ``count`` the
+    result is a batch of shape (count,) whose column j is the j-th of ``count``
+    successive single draws, each column scaled to unit norm; without, column 0 of a
+    batch of one.
     """
-    coefs = _unit_gaussians(rng, _slot_products(np.sqrt(grid.weights), truncation),
-                            np.diff(_offsets(grid.size, truncation)), count or 1)
+    coefs = _unit_gaussians(rng, _slot_products(np.sqrt(grid.weights), truncation), count or 1)
     return FockVector(grid, coefs if count else coefs[:, 0], truncation)
 
 
 def random_one_particle(grid: MomentumGrid, rng: Draws) -> np.ndarray:
     """Random one-particle amplitude."""
-    return rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    return complex_normals(rng, grid.size)

@@ -275,7 +275,10 @@ def _random_root(rng: fock.Draws) -> Root:
 
 
 def _nonzero_samples(rng: fock.Draws, count: int, lo=0.02, hi=30.0) -> np.ndarray:
-    return rng.uniform(lo, hi, size=count) * rng.choice([-1.0, 1.0], size=count)
+    """``count`` values of random sign and magnitude uniform in [lo, hi), from one draw:
+    the magnitudes' uniforms, then the signs'."""
+    u = rng.random(2 * count)
+    return (lo + (hi - lo) * u[:count]) * np.where(u[count:] < 0.5, -1.0, 1.0)
 
 
 def _norms(vec) -> np.ndarray:
@@ -411,7 +414,7 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviat
     def roundtrip(sec, n, w=grid.weights):  # packed -> tensor -> packed: Symm projects
         return np.max(np.abs(fock.symmetrize(fock.sector_tensor(sec, w, n), w, n) - sec))
 
-    raw = rng.standard_normal((grid.size,) * 3) + 1j * rng.standard_normal((grid.size,) * 3)
+    raw = fock.complex_normals(rng, (grid.size,) * 3)
     yield "symmetrizer-projects", roundtrip(fock.symmetrize(raw, grid.weights, 3), 3)
     probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, vectors)))
     for n, sec in enumerate(probe.sectors[:4]):  # up to the raw tensor's degree: M^n entries
@@ -685,10 +688,10 @@ def suite_chiral(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Devi
         yield "merge-unitary", np.max(np.abs(
             _inners(chiral.merge_chiral(u), chiral.merge_chiral(v)) - _inners(u, v)))
 
-    psi_pos = 0.7 * (rng.standard_normal(pair.n_positive)
-                     + 1j * rng.standard_normal(pair.n_positive))
-    phi_neg = 0.7 * (rng.standard_normal(pair.n_negative)
-                     + 1j * rng.standard_normal(pair.n_negative))
+    # amplitudes over the root of each half-line's weights: the exponential vectors'
+    # norms do not grow with the weight
+    psi_pos = 0.7 * fock.complex_normals(rng, pair.n_positive) / np.sqrt(pair.positive_weights)
+    phi_neg = 0.7 * fock.complex_normals(rng, pair.n_negative) / np.sqrt(pair.negative_weights)
     merged = chiral.merge_chiral(chiral.exponential_pair(pair, psi_pos, phi_neg, n_top))
     expected = fock.exponential_vector(grid, np.concatenate([phi_neg, psi_pos]), n_top)
     yield "merge-exponentials", fock.norm(merged - expected)
@@ -769,7 +772,7 @@ def _one_sided_amplitude(pair: ChiralGridPair, side: str,
                          rng: fock.Draws) -> np.ndarray:
     amp = np.zeros(pair.union.size, dtype=complex)
     half = slice(pair.n_negative, None) if side == "+" else slice(pair.n_negative)
-    amp[half] = rng.standard_normal(amp[half].size) + 1j * rng.standard_normal(amp[half].size)
+    amp[half] = fock.complex_normals(rng, amp[half].size)
     return amp
 
 
@@ -842,7 +845,7 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Dra
             dense.FIELD, basis)
 
     bbasis = dense.BiFockBasis(pair, n_top)
-    g = rng.standard_normal(pair.n_positive) + 1j * rng.standard_normal(pair.n_positive)
+    g = fock.complex_normals(rng, pair.n_positive)
     field = dense.probe_entries(lambda v: chiral.chiral_field("+", g, v), dense.FIELD, bbasis)
     yield "one-sided-data-realization", field.deviation(field.adjoint())
     created = chiral.chiral_field("+", g, chiral.bifock_vacuum(pair, n_top))

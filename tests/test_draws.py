@@ -1,5 +1,6 @@
 """The seeded draws of :class:`fock.Draws`: keyed streams, prefix consistency, the
-moments and ranges of its draws, and the suites' child streams for vectors."""
+moments and ranges of its draws, the complex normals of :func:`fock.complex_normals`
+and the random vectors drawn from them, and the suites' child streams for vectors."""
 
 import dataclasses
 import math
@@ -7,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from fockdeform import chiral, fock
 from fockdeform.cliconfig import config_from_json
-from fockdeform.fock import Draws
+from fockdeform.fock import Draws, complex_normals
 from fockdeform.suites import SuiteConfig, run_suite
 
 SIZE = 100_000
@@ -66,9 +68,62 @@ def test_choice_without_replacement_is_distinct(n, size):
         assert 0 <= picked.min() and picked.max() < n
 
 
+def test_complex_normals_have_the_moments_of_a_standard_complex_gaussian():
+    """E|z|^2 = 2, E z = 0 and E z^2 = 0, each within 5 sigma over 10^5 draws: |z|^2 = 2X
+    with X ~ Exp(1) has variance 4, z variance 2 and z^2 variance E|z|^4 = 8."""
+    z = complex_normals(Draws("complex moments"), SIZE)
+    assert z.shape == (SIZE,) and np.all(np.isfinite(z))
+    assert abs(np.mean(np.abs(z) ** 2) - 2.0) < 5 * 2 / np.sqrt(SIZE)
+    assert abs(np.mean(z)) < 5 * np.sqrt(2 / SIZE)
+    assert abs(np.mean(z ** 2)) < 5 * np.sqrt(8 / SIZE)
+
+
+@pytest.mark.parametrize("first", [0, 1, 7])
+def test_n_complex_normals_then_m_equal_n_plus_m(first):
+    """Each coefficient reads one adjacent pair of words: the stream is read in order,
+    whatever the shapes, and two uniforms per coefficient."""
+    split, whole = Draws("complex prefix"), Draws("complex prefix")
+    head = complex_normals(split, first)
+    tail = complex_normals(split, (3, 4)).ravel()
+    assert np.array_equal(np.concatenate([head, tail]), complex_normals(whole, first + 12))
+    assert split.random() == whole.random()
+    counted, words = Draws("words"), Draws("words")
+    complex_normals(counted, 5)
+    words.random(10)
+    assert counted.random() == words.random()
+
+
+@pytest.mark.parametrize("count", [1, 4, 9])
+def test_vector_batches_equal_their_single_draws_bit_for_bit(count):
+    """A batch of ``count`` random vectors, Fock or split tower, is the ``count`` single
+    draws from the same stream, bit for bit, and leaves the stream where they do."""
+    cfg = SuiteConfig()
+    grid, pair = cfg.massive_grid(), cfg.massless_pair()
+    draws = {"fock": lambda rng, n=None: fock.random_fock_vector(grid, 3, rng, n),
+             "bifock": lambda rng, n=None: chiral.random_bifock(pair, 3, rng, n)}
+    for name, draw in draws.items():
+        batched, single = Draws(f"{name}/batch"), Draws(f"{name}/batch")
+        batch = draw(batched, count).coefficients
+        singles = np.stack([draw(single).coefficients for _ in range(count)], axis=1)
+        assert np.array_equal(batch, singles), name
+        assert batched.random() == single.random()
+
+
+def test_a_numpy_generator_serves_the_complex_draws():
+    """Tests may pass a numpy Generator as ``rng``: its ``random`` gives the uniform pairs."""
+    z = complex_normals(np.random.default_rng(3), (2, 5))
+    u = np.random.default_rng(3).random((2, 5, 2))
+    assert np.array_equal(z, np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1]))
+    cfg = SuiteConfig()
+    psi = fock.random_fock_vector(cfg.massive_grid(), 3, np.random.default_rng(4), 3)
+    xi = chiral.random_bifock(cfg.massless_pair(), 3, np.random.default_rng(4))
+    assert np.allclose(np.linalg.norm(psi.coefficients, axis=0), 1.0)
+    assert math.isclose(chiral.bifock_norm(xi), 1.0)
+
+
 class ArrayDraws(Draws):
     """Reference: every draw, scalar ones too, through one ``getrandbits`` call read as
-    an array of 64-bit words, as :meth:`Draws._draw` makes the vector draws."""
+    an array of 64-bit words, as :class:`Draws` makes the vector draws."""
 
     def _draw(self, size, per: int, transform):
         n = per * (1 if size is None else math.prod(size) if isinstance(size, tuple) else size)

@@ -222,15 +222,16 @@ def test_projected_bifock_component_has_independent_coefficients():
 
 
 class OnesGenerator:
-    """Stands in for a numpy Generator whose every normal is 1."""
+    """Stands in for a numpy Generator whose every uniform pair is (1/2, 1/8): every
+    complex normal is sqrt(2 log 2) e^{i pi/4}, a positive multiple of 1 + i."""
 
-    def standard_normal(self, shape):
-        return np.ones(shape)
+    def random(self, shape):
+        return np.broadcast_to([0.5, 0.125], shape)
 
 
 def test_random_vectors_scale_each_label_by_the_root_of_its_weights():
-    """With all normals 1, a random vector is (1 + i) times the per-label
-    scale sqrt(prod_i w_{k_i}), normalized."""
+    """With every complex normal a positive multiple of 1 + i, a random vector is
+    (1 + i) times the per-label scale sqrt(prod_i w_{k_i}), normalized."""
     def assert_parallel(coeffs, scale):
         expected = (1 + 1j) / math.sqrt(2) * scale / np.linalg.norm(scale)
         assert np.max(np.abs(coeffs - expected)) <= 1e-15

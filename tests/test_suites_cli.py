@@ -397,6 +397,20 @@ def test_grids_inside_the_scale_bounds_are_admitted(doc):
     config_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"truncation": 4, "massless_grid": {"points_per_side": 2, "p_min": 0.5, "p_max": 380.0}},
+    {"truncation": 4, "massless_grid": {"points_per_side": 4, "p_min": 1e-4, "p_max": 1e4}},
+], ids=["n4-weight-380", "n4-wide-massless"])
+def test_admitted_n4_grids_with_a_large_massless_weight_pass_every_check(doc):
+    """Admitted N=4 grids of massless weight about 380: every check passes on seeds 0-9.
+    With amplitudes unscaled by the weight, merge-exponentials read up to 1.6e-10 here."""
+    cfg = config_from_json(doc)
+    for seed in range(10):
+        failed = [(r.check, r.max_deviation)
+                  for r in run_suite(dataclasses.replace(cfg, seed=seed)).records if not r.passed]
+        assert failed == [], seed
+
+
 def test_cli_refuses_report_in_missing_directory_before_any_suite(tmp_path, capsys,
                                                                   monkeypatch):
     """An unwritable report path is a configuration error, not a traceback after the run."""

@@ -149,22 +149,6 @@ def _outer_products(pair: ChiralGridPair, pos_vec, neg_vec, truncation: int) -> 
             * fock._slot_products(neg_vec, truncation)[layout.neg_row])
 
 
-def random_bifock(pair: ChiralGridPair, truncation: int, rng: fock.Draws,
-                  count: int | None = None) -> BiFockVector:
-    """Random split-tower vector of unit norm: the coefficients of a complex
-    Gaussian tensor per component, symmetrized within each factor, drawn
-    directly; label pair (kappa_+, kappa_-) scales by the product of the two
-    halves' scales in :func:`fock.random_fock_vector`.
-
-    The coefficients come from one :func:`fock.complex_normals` draw, and ``count``
-    works as in :func:`fock.random_fock_vector`.
-    """
-    scales = _outer_products(pair, np.sqrt(pair.positive_weights),
-                             np.sqrt(pair.negative_weights), truncation)
-    coefs = fock._unit_gaussians(rng, scales, count or 1)
-    return BiFockVector(pair, truncation, coefs if count else coefs[:, 0])
-
-
 def exponential_pair(pair: ChiralGridPair, psi_pos, phi_neg,
                      truncation: int) -> BiFockVector:
     """e^psi (x) e^phi with component (a, b) = psi^(x a) (x) phi^(x b) / sqrt(a! b!)."""

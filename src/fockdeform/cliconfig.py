@@ -14,8 +14,7 @@ from .inner import POLE_EPSILON, BlaschkeSpec, Root, make_root
 from .suites import REPORT_SCHEMA, ConfigError, SuiteConfig, SuiteReport
 
 # top-level scalar key -> type; the key is also the SuiteConfig field
-_SCALAR_KEYS = {"tolerance": float, "seed": int, "repetitions": int,
-                "truncation": int, "root_count": int}
+_SCALAR_KEYS = {"tolerance": float, "seed": int, "truncation": int, "root_count": int}
 # grid section -> {key: (SuiteConfig field, type)}
 _GRID_KEYS = {
     "massless_grid": {

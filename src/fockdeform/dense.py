@@ -69,9 +69,7 @@ class _Basis:
     """What the two bases share: the state ``_vector(c)`` with coefficient vector c
     (a trailing batch axis gives a batched state) and its inverse ``coefficients(v)``,
     both in union-label order: coefficient j is label j of the tower over the
-    ``union_size``-point union grid (:func:`fock._tower`).  ``random(rng, count)`` is
-    a batch of ``count`` random unit vectors, drawn as ``len(self)`` complex Gaussian
-    coefficients each."""
+    ``union_size``-point union grid (:func:`fock._tower`)."""
 
     truncation: int
     union_size: int
@@ -92,9 +90,6 @@ class FockBasis(_Basis):
     def _vector(self, flat: np.ndarray) -> FockVector:
         return FockVector(self.grid, flat, self.truncation)
 
-    def random(self, rng: fock.Draws, count: int) -> FockVector:
-        return fock.random_fock_vector(self.grid, self.truncation, rng, count)
-
     def coefficients(self, psi: FockVector) -> np.ndarray:
         """Expansion coefficients <b_i, psi>, shape (len(self),) + B: the state's own array."""
         return psi.coefficients
@@ -113,9 +108,6 @@ class BiFockBasis(_Basis):
     def _vector(self, flat: np.ndarray) -> BiFockVector:
         """The state of union-label coefficients ``flat``: one gather, as in a split."""
         return BiFockVector(self.pair, self.truncation, flat[self.layout.order])
-
-    def random(self, rng: fock.Draws, count: int) -> BiFockVector:
-        return chiral.random_bifock(self.pair, self.truncation, rng, count)
 
     def coefficients(self, xi: BiFockVector) -> np.ndarray:
         """Expansion coefficients <b_i, xi> in union-label order: one gather, as in a merge."""
@@ -242,21 +234,6 @@ def block_runs(count: int, width: int, sector=None):
             first += width
     if first < count:
         yield first, count
-
-
-def random_batches(basis: _Basis, count: int, rng: fock.Draws, group: int = 1):
-    """``count`` groups of ``group`` successive random unit vectors, batch by batch.
-
-    Each batch is one tuple of ``group`` batched vectors; member i holds vector
-    i of each group of the batch, so reading column 0 of every member, then
-    column 1, and so on gives the vectors in the order that single draws from
-    ``rng`` would.  A batch is one draw of whole groups, at most
-    ``_BLOCK_ENTRIES`` coefficients (``len(basis)`` per vector) or one group
-    (:func:`block_width`), as for a probe block.
-    """
-    for first, last in block_runs(count, block_width(group * len(basis))):
-        vec = basis.random(rng, group * (last - first))
-        yield tuple(vec._with(vec.coefficients[:, i::group]) for i in range(group))
 
 
 @functools.lru_cache(maxsize=32)

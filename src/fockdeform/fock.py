@@ -633,37 +633,6 @@ def complex_normals(rng: Draws, size) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
 
 
-def _unit_gaussians(rng: Draws, scales: np.ndarray, count: int):
-    """``count`` columns of complex Gaussians ``scales * z``, each scaled to unit norm,
-    shape (D, count), from one :func:`complex_normals` draw in coefficient order: column j
-    holds the coefficients that the j-th of ``count`` successive single draws would give.
-    """
-    coefs = _scale(complex_normals(rng, (count, scales.size)).T, scales)
-    # each norm sums one contiguous column, as for a single vector: the batch is the
-    # single draws bit for bit
-    coefs *= 1.0 / np.linalg.norm(coefs, axis=0)
-    return np.ascontiguousarray(coefs)
-
-
-def random_fock_vector(grid: MomentumGrid, truncation: int, rng: Draws,
-                       count: int | None = None) -> FockVector:
-    """Random vector of unit norm: the coefficients of a symmetrized complex
-    Gaussian tensor per sector, drawn directly.
-
-    Projecting (:func:`symmetrize`) a tensor of independent standard complex
-    Gaussians sums the n!/prod m_q! entries at the rearrangements of label
-    kappa, times |kappa| prod m_q! / n!: independent coefficients of variance
-    2 prod_i w_{k_i}, drawn here with the scale sqrt(prod_i w_{k_i}).
-
-    The coefficients come from one :func:`complex_normals` draw.  With ``count`` the
-    result is a batch of shape (count,) whose column j is the j-th of ``count``
-    successive single draws, each column scaled to unit norm; without, column 0 of a
-    batch of one.
-    """
-    coefs = _unit_gaussians(rng, _slot_products(np.sqrt(grid.weights), truncation), count or 1)
-    return FockVector(grid, coefs if count else coefs[:, 0], truncation)
-
-
 def random_one_particle(grid: MomentumGrid, rng: Draws) -> np.ndarray:
     """Random one-particle amplitude."""
     return complex_normals(rng, grid.size)

@@ -1,9 +1,11 @@
 """Named verification suites producing machine-readable pass/fail reports.
 
-Every check certifies one operator identity or structural law, by its action on
-seeded random vectors or by an entrywise comparison on the whole truncated space
-through the probe oracle of :mod:`dense` (exhaustive).  The two schemes meet in
-the main relation and its field form, which the probe oracle alone certifies.
+Every check certifies one operator identity or structural law, by a closed-form
+value or by a complete reading of the operators on the truncated space through the
+probe oracle of :mod:`dense`: their entries, or an entrywise comparison of two routes.
+An antilinear operator J is read as the linear J C, C the conjugation of coefficients
+in the real basis (:func:`_conjugate`).  The two schemes meet in the main relation and
+its field form.
 
 :data:`CHECKS` lists every check once, as a :class:`Check`: its suite, name,
 the anchor naming the identity family it certifies, and its bound (``None``
@@ -20,9 +22,9 @@ deviation is finite and at most its bound, or, for a negative control (a
 check that must *detect* a mismatch), finite and above it.  The deviation a
 record carries is the one that decided it.
 
-All randomness flows from the configured seed through two :class:`fock.Draws` streams
-per suite (:func:`_suite_streams`), one for roots, samples and amplitudes and its child
-for random vectors, so identical configurations reproduce identical numbers.
+All randomness flows from the configured seed through one :class:`fock.Draws` stream
+per suite (:func:`_suite_stream`), for roots, samples and amplitudes, so identical
+configurations reproduce identical numbers.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from . import chiral, dense, fock
 from .deformation import (KernelSpec, SharpTwistVariant, _kernel_values,
                           _delta, _sharp_twist_each, annihilate_deformed,
                           apply_kernel_phases, apply_pair_twist, create_deformed,
-                          field_deformed, kernel, sharp_momentum_twist,
-                          wedge_invariant)
+                          field_deformed, sharp_momentum_twist, wedge_invariant)
 from .grids import ChiralGridPair, MomentumGrid, boost_momentum, chiral_pair, rapidity_grid
 from .inner import (BlaschkeSpec, Root, check_symmetric_inner, eval_inner, eval_root,
                     make_root, merge_flip_sets, random_symmetric_blaschke, root_ratio,
@@ -93,7 +94,6 @@ class SuiteConfig:
 
     tolerance: float = 1e-10
     seed: int = 7
-    repetitions: int = 20
     truncation: int = 3
     root_count: int = 5
     roots: tuple[Root, ...] | None = None
@@ -116,8 +116,8 @@ class SuiteConfig:
             raise ConfigError("truncation must be >= 2")
         if self.massless_points_per_side < 2 or self.massive_size < 2:
             raise ConfigError("grids need at least 2 points (per side)")
-        if self.repetitions < 1 or self.root_count < 1:
-            raise ConfigError("repetitions and root_count must be >= 1")
+        if self.root_count < 1:
+            raise ConfigError("root_count must be >= 1")
         if self.roots is not None and not self.roots:
             raise ConfigError("roots must hold at least one root")
         if self.suites is not None:
@@ -281,17 +281,19 @@ def _nonzero_samples(rng: fock.Draws, count: int, lo=0.02, hi=30.0) -> np.ndarra
     return (lo + (hi - lo) * u[:count]) * np.where(u[count:] < 0.5, -1.0, 1.0)
 
 
-def _norms(vec) -> np.ndarray:
-    """The norm of each column of a batched vector."""
-    return np.linalg.norm(vec.coefficients, axis=0)
+def _conjugate(v):
+    """C: the state with conjugated coefficients in the real basis of either tower, so
+    that J C is linear for an antilinear J and the probe oracle reads it."""
+    return v._with(np.conj(v.coefficients))
 
 
-def _inners(u, v) -> np.ndarray:
-    """<u_j, v_j> for each column j of two batched vectors."""
-    return np.sum(np.conj(u.coefficients) * v.coefficients, axis=0)
+def _low_sector_defect(entries: dense.Entries, basis) -> float:
+    """Max |entry - 1| over the labels of sectors 0 and 1, which a pair phase fixes."""
+    low = entries.rows < fock._offsets(basis.union_size, basis.truncation)[2]
+    return float(np.max(np.abs(entries.values[low] - 1.0)))
 
 
-def suite_inner(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_inner(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     roots = cfg.resolve_roots(rng)
     t = _nonzero_samples(rng, 1000)
 
@@ -341,7 +343,7 @@ def suite_inner(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Devia
     yield "ratio-rejects-distinct-squares", rep.max_sign_defect
 
 
-def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_fock(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     grid = cfg.massive_grid(size=4)  # the ccr check reads sectors 0..N-2 whole: smallest scale
     basis = dense.FockBasis(grid, n_top)
@@ -361,18 +363,19 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviat
         vec = basis._vector(np.eye(len(basis), last - first, -first, dtype=complex))
         comm = (fock.annihilate(xi, fock.create(eta, vec))
                 - fock.create(eta, fock.annihilate(xi, vec)))
-        yield "ccr-below-truncation", np.max(_norms(comm - pairing * vec))
+        yield "ccr-below-truncation", np.max(np.linalg.norm(
+            (comm - pairing * vec).coefficients, axis=0))
 
     x = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-    for (psi,) in dense.random_batches(basis, cfg.repetitions, vectors):
-        yield "translation-multiplier", np.max(np.abs(
-            _norms(fock.apply_translation(x, psi)) - _norms(psi)))
+    translate = functools.partial(fock.apply_translation, x)
+    yield "translation-multiplier", dense.probe_entries(translate, dense.DIAGONAL,
+                                                        basis).unitarity_defect()
     vac = fock.vacuum(grid, n_top)
-    yield "translation-multiplier", fock.norm(fock.apply_translation(x, vac) - vac)
+    yield "translation-multiplier", fock.norm(translate(vac) - vac)
     one = fock.create(xi, vac)
     phases = np.exp(1j * (x[0] * grid.omegas - x[1] * grid.points))
     yield "translation-multiplier", np.max(np.abs(
-        fock.apply_translation(x, one).sectors[1] - phases * np.sqrt(grid.weights) * xi))
+        translate(one).sectors[1] - phases * np.sqrt(grid.weights) * xi))
 
     unit = np.eye(grid.size)
     for shift in (0, 1, -1):
@@ -383,17 +386,17 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviat
             else:
                 yield "boost-index-shift", fock.norm(res.vector)
                 yield "boost-index-shift", 0.0 if res.truncated else 1.0
-    mid = fock.random_fock_vector(grid, n_top, vectors)
-    res = fock.apply_boost(0, mid)
-    yield "boost-index-shift", fock.norm(res.vector - mid)
+    yield "boost-index-shift", dense.probe_deviations((
+        lambda v: v, lambda v: fock.apply_boost(0, v).vector), dense.DIAGONAL, basis)[0]
 
-    for a, b in dense.random_batches(basis, cfg.repetitions, vectors, group=2):
-        lhs = _inners(fock.apply_reflection(a), fock.apply_reflection(b))
-        yield "reflection-antiunitary", np.max(np.abs(lhs - np.conj(_inners(a, b))))
-        yield "reflection-antiunitary", np.max(_norms(
-            fock.apply_reflection(fock.apply_reflection(a)) - a))
-        yield "reflection-antiunitary", np.max(_norms(
-            fock.apply_reflection(1j * a) + 1j * fock.apply_reflection(a)))
+    # J C unitary (J antiunitary), J J = 1, and i J(i C v) = v (J antilinear)
+    reflect = fock.apply_reflection
+    yield "reflection-antiunitary", dense.probe_entries(
+        lambda v: reflect(_conjugate(v)), dense.DIAGONAL, basis).unitarity_defect()
+    for dev in dense.probe_deviations((lambda v: v, lambda v: reflect(reflect(v)),
+                                       lambda v: 1j * reflect(1j * _conjugate(v))),
+                                      dense.DIAGONAL, basis):
+        yield "reflection-antiunitary", dev
 
     fd = fock.real_test_function(xi)
     field = dense.probe_entries(lambda v: fock.field(fd, v), dense.FIELD, basis)
@@ -412,16 +415,17 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviat
     yield "exponential-inner", abs(lhs - rhs)
 
     def roundtrip(sec, n, w=grid.weights):  # packed -> tensor -> packed: Symm projects
-        return np.max(np.abs(fock.symmetrize(fock.sector_tensor(sec, w, n), w, n) - sec))
+        return fock.symmetrize(fock.sector_tensor(sec, w, n), w, n)
 
-    raw = fock.complex_normals(rng, (grid.size,) * 3)
-    yield "symmetrizer-projects", roundtrip(fock.symmetrize(raw, grid.weights, 3), 3)
-    probe = fock.create(eta, fock.annihilate(xi, fock.random_fock_vector(grid, n_top, vectors)))
-    for n, sec in enumerate(probe.sectors[:4]):  # up to the raw tensor's degree: M^n entries
-        yield "symmetrizer-projects", roundtrip(sec, n)
+    packed = fock.symmetrize(fock.complex_normals(rng, (grid.size,) * 3), grid.weights, 3)
+    yield "symmetrizer-projects", np.max(np.abs(roundtrip(packed, 3) - packed))
+    low = dense.FockBasis(grid, min(n_top, 3))  # up to the raw tensor's degree: M^n entries
+    yield "symmetrizer-projects", dense.probe_deviations((lambda v: v, lambda v: v._with(
+        np.concatenate([roundtrip(sec, n) for n, sec in enumerate(v.sectors)]))),
+        dense.DIAGONAL, low)[0]
 
 
-def suite_kernel(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_kernel(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     roots = cfg.resolve_roots(rng)
     masses = (0.0, cfg.massive_mass)
 
@@ -547,7 +551,7 @@ def _control_spec(grid: MomentumGrid, spec: BlaschkeSpec) -> KernelSpec:
                                                   spec.sign)), mass=grid.mass)
 
 
-def suite_deformed(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_deformed(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     roots = cfg.resolve_roots(rng)
     grids = (cfg.massive_grid(), cfg.massless_pair().union)
@@ -555,16 +559,14 @@ def suite_deformed(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> De
 
     for grid, basis in zip(grids, bases):
         spec = KernelSpec(root=roots[0], mass=grid.mass)
-        p_ref = float(grid.points[1])
-        for (psi,) in dense.random_batches(basis, cfg.repetitions, vectors):
-            yield "phase-dressing-unitary", np.max(np.abs(
-                _norms(apply_kernel_phases(spec, p_ref, psi)) - _norms(psi)))
+        dress = functools.partial(apply_kernel_phases, spec, float(grid.points[1]))
+        yield "phase-dressing-unitary", dense.probe_entries(dress, dense.DIAGONAL,
+                                                            basis).unitarity_defect()
         vac = fock.vacuum(grid, n_top)
-        yield "phase-dressing-unitary", fock.norm(apply_kernel_phases(spec, p_ref, vac) - vac)
+        yield "phase-dressing-unitary", fock.norm(dress(vac) - vac)
         one = fock.create(fock.random_one_particle(grid, rng), vac)
-        row = np.array([kernel(spec, p_ref, q) for q in grid.points])
-        yield "phase-dressing-unitary", np.max(np.abs(
-            apply_kernel_phases(spec, p_ref, one).sectors[1] - row * one.sectors[1]))
+        row = _kernel_values(spec, grid.points[1], grid.points)
+        yield "phase-dressing-unitary", np.max(np.abs(dress(one).sectors[1] - row * one.sectors[1]))
 
     # the first two roots, one slot each: per run, each root's amplitude in turn, then
     # root by root the delta_p amplitudes of every grid point (no draw), one slot each
@@ -609,14 +611,13 @@ def suite_deformed(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> De
     for grid, basis in zip(grids, bases):
         spec = KernelSpec(root=triv, mass=grid.mass)
         xi = fock.random_one_particle(grid, rng)
-        for (psi,) in dense.random_batches(basis, 3, vectors):
-            diff_a = annihilate_deformed(spec, xi, psi) - fock.annihilate(xi, psi)
-            diff_c = create_deformed(spec, xi, psi) - fock.create(xi, psi)
-            for sec in diff_a.sectors + diff_c.sectors:
-                yield "trivial-root-degeneration", np.max(np.abs(sec))
+        for free, deformed, pattern in ((fock.annihilate, annihilate_deformed, dense.LOWER),
+                                        (fock.create, create_deformed, dense.RAISE)):
+            yield "trivial-root-degeneration", dense.probe_deviations((
+                lambda v: free(xi, v), lambda v: deformed(spec, xi, v)), pattern, basis)[0]
 
 
-def suite_root_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_root_equivalence(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     roots = cfg.resolve_roots(rng)
     base_spec = roots[0].base
@@ -629,17 +630,16 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draw
     def conjugated(y, op):  # a +-1 pair twist is real and self-adjoint
         return lambda v: apply_pair_twist(y, op(apply_pair_twist(y, v)))
 
+    pair_twist = functools.partial(apply_pair_twist, twist)
+    translate = functools.partial(fock.apply_translation, (0.7, -0.4))
     for grid, basis in zip(grids, bases):
-        for (psi,) in dense.random_batches(basis, cfg.repetitions, vectors):
-            yield "pair-twist-unitary", np.max(np.abs(
-                _norms(apply_pair_twist(twist, psi)) - _norms(psi)))
+        yield "pair-twist-unitary", dense.probe_entries(pair_twist, dense.DIAGONAL,
+                                                        basis).unitarity_defect()
         vac = fock.vacuum(grid, n_top)
-        yield "pair-twist-unitary", fock.norm(apply_pair_twist(twist, vac) - vac)
-        x = (0.7, -0.4)
-        psi = fock.random_fock_vector(grid, n_top, vectors)
-        yield "pair-twist-unitary", fock.norm(
-            apply_pair_twist(twist, fock.apply_translation(x, psi))
-            - fock.apply_translation(x, apply_pair_twist(twist, psi)))
+        yield "pair-twist-unitary", fock.norm(pair_twist(vac) - vac)
+        yield "pair-twist-unitary", dense.probe_deviations((
+            lambda v: pair_twist(translate(v)), lambda v: translate(pair_twist(v))),
+            dense.DIAGONAL, basis)[0]
 
     for grid, basis in zip(grids, bases):
         spec2 = KernelSpec(root=r2, mass=grid.mass)
@@ -671,7 +671,7 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draw
     yield "detects-square-mismatch", np.min(dense.probe_deviations(ops, dense.FIELD, basis))
 
 
-def suite_chiral(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_chiral(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     grid = pair.union
@@ -684,9 +684,9 @@ def suite_chiral(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Devi
                                                fbasis).unitarity_defect()
     yield "merge-unitary", fock.norm(chiral.merge_chiral(chiral.bifock_vacuum(pair, n_top))
                                      - fock.vacuum(grid, n_top))
-    for u, v in dense.random_batches(bbasis, cfg.repetitions, vectors, group=2):
-        yield "merge-unitary", np.max(np.abs(
-            _inners(chiral.merge_chiral(u), chiral.merge_chiral(v)) - _inners(u, v)))
+    yield "merge-unitary", dense.probe_deviations((
+        chiral.merge_chiral, lambda xi: fbasis._vector(bbasis.coefficients(xi))),
+        dense.DIAGONAL, bbasis, fbasis)[0]
 
     # amplitudes over the root of each half-line's weights: the exponential vectors'
     # norms do not grow with the weight
@@ -696,67 +696,57 @@ def suite_chiral(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Devi
     expected = fock.exponential_vector(grid, np.concatenate([phi_neg, psi_pos]), n_top)
     yield "merge-exponentials", fock.norm(merged - expected)
 
-    for _ in range(max(1, cfg.repetitions // 2)):
-        psi = fock.random_fock_vector(grid, n_top, vectors)
-        yield "split-roundtrip", fock.norm(chiral.merge_chiral(chiral.split_chiral(psi, pair))
-                                           - psi)
-        xi = chiral.random_bifock(pair, n_top, vectors)
-        yield "split-roundtrip", chiral.bifock_norm(
-            chiral.split_chiral(chiral.merge_chiral(xi), pair) - xi)
+    merge, split = chiral.merge_chiral, functools.partial(chiral.split_chiral, pair=pair)
+    yield "split-roundtrip", dense.probe_deviations((lambda v: v, lambda v: merge(split(v))),
+                                                    dense.DIAGONAL, fbasis)[0]
+    yield "split-roundtrip", dense.probe_deviations((lambda xi: xi, lambda xi: split(merge(xi))),
+                                                    dense.DIAGONAL, bbasis)[0]
 
     x = (0.9, -0.3)
-    for (xi,) in dense.random_batches(bbasis, 5, vectors):
-        lhs = fock.apply_translation(x, chiral.merge_chiral(xi))
-        rhs = chiral.merge_chiral(chiral.apply_translation_bifock(x, xi))
-        yield "translation-intertwining", np.max(_norms(lhs - rhs))
+    shift = functools.partial(chiral.apply_translation_bifock, x)
+    yield "translation-intertwining", dense.probe_deviations((
+        lambda xi: fock.apply_translation(x, merge(xi)), lambda xi: merge(shift(xi))),
+        dense.DIAGONAL, bbasis, fbasis)[0]
 
-    root = roots[0]
-    for (xi,) in dense.random_batches(bbasis, cfg.repetitions, vectors):
-        yield "cross-twist-unitary", np.max(np.abs(
-            _norms(chiral.apply_cross_twist(root, xi)) - _norms(xi)))
-        twisted = chiral.apply_cross_twist(root, chiral.apply_translation_bifock(x, xi))
-        translated = chiral.apply_translation_bifock(x, chiral.apply_cross_twist(root, xi))
-        yield "cross-twist-unitary", np.max(_norms(twisted - translated))
+    cross = functools.partial(chiral.apply_cross_twist, roots[0])
+    yield "cross-twist-unitary", dense.probe_entries(cross, dense.DIAGONAL,
+                                                     bbasis).unitarity_defect()
+    yield "cross-twist-unitary", dense.probe_deviations((
+        lambda xi: cross(shift(xi)), lambda xi: shift(cross(xi))), dense.DIAGONAL, bbasis)[0]
     vac = chiral.bifock_vacuum(pair, n_top)
-    yield "cross-twist-unitary", chiral.bifock_norm(chiral.apply_cross_twist(root, vac) - vac)
+    yield "cross-twist-unitary", chiral.bifock_norm(cross(vac) - vac)
     one_sided = chiral.bifock_zero(pair, n_top)
     one_sided.components[(2, 0)][:, 0] = fock.symmetrize(
         rng.standard_normal((pair.n_positive,) * 2), pair.positive_weights, 2)
-    yield "cross-twist-unitary", chiral.bifock_norm(
-        chiral.apply_cross_twist(root, one_sided) - one_sided)
+    yield "cross-twist-unitary", chiral.bifock_norm(cross(one_sided) - one_sided)
 
     for r in roots[:3]:
         smat_sq = chiral.cross_matrix(grid.points, lambda a, r=r: eval_inner(r.base, a))
-        for (xi,) in dense.random_batches(bbasis, 3, vectors):
-            twice = chiral.apply_cross_twist(r, chiral.apply_cross_twist(r, xi))
-            squared = chiral.apply_cross_twist_matrix(
-                pair, smat_sq[pair.n_negative:, :pair.n_negative], xi)
-            yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
-        for (psi,) in dense.random_batches(fbasis, 3, vectors):
-            twice = chiral.apply_cross_twist_fock(r, chiral.apply_cross_twist_fock(r, psi))
-            squared = fock.apply_pair_phase(smat_sq, psi)
-            yield "twist-square-is-squared-root", np.max(_norms(twice - squared))
+        cmat_sq = smat_sq[pair.n_negative:, :pair.n_negative]
+        yield "twist-square-is-squared-root", dense.probe_deviations((
+            lambda xi: chiral.apply_cross_twist(r, chiral.apply_cross_twist(r, xi)),
+            lambda xi: chiral.apply_cross_twist_matrix(pair, cmat_sq, xi)),
+            dense.DIAGONAL, bbasis)[0]
+        yield "twist-square-is-squared-root", dense.probe_deviations((
+            lambda v: chiral.apply_cross_twist_fock(r, chiral.apply_cross_twist_fock(r, v)),
+            lambda v: fock.apply_pair_phase(smat_sq, v)), dense.DIAGONAL, fbasis)[0]
 
     for chunk in _root_chunks(roots, fbasis, dense.DIAGONAL):
         yield "merged-twist-lemma", dense.probe_deviations((
             lambda v: chiral.apply_cross_twist_fock(chunk, v),
-            lambda v: chiral.merge_chiral(
-                chiral.apply_cross_twist(chunk, chiral.split_chiral(v, pair)))),
+            lambda v: merge(chiral.apply_cross_twist(chunk, split(v)))),
             dense.DIAGONAL, fbasis, copies=len(chunk))[0]
-    psi = fock.random_fock_vector(grid, n_top, vectors)
-    low = chiral.apply_cross_twist_fock(roots[0], psi)
-    for n in (0, 1):
-        yield "merged-twist-lemma", np.max(np.abs(low.sectors[n] - psi.sectors[n]))
+    yield "merged-twist-lemma", _low_sector_defect(dense.probe_entries(
+        functools.partial(chiral.apply_cross_twist_fock, roots[0]), dense.DIAGONAL, fbasis), fbasis)
 
+    # J Y C = Y* J C on each tower (J the reflection, one function for both towers)
+    reflect = chiral.apply_reflection_bifock
     for r in roots[:3]:
-        psi = fock.random_fock_vector(grid, n_top, vectors)
-        lhs = fock.apply_reflection(chiral.apply_cross_twist_fock(r, psi))
-        rhs = chiral.apply_cross_twist_fock(r, fock.apply_reflection(psi), adjoint=True)
-        yield "reflection-compatibility", fock.norm(lhs - rhs)
-        xi = chiral.random_bifock(pair, n_top, vectors)
-        lhs_b = chiral.apply_reflection_bifock(chiral.apply_cross_twist(r, xi))
-        rhs_b = chiral.apply_cross_twist(r, chiral.apply_reflection_bifock(xi), adjoint=True)
-        yield "reflection-compatibility", chiral.bifock_norm(lhs_b - rhs_b)
+        for twist, basis in ((chiral.apply_cross_twist_fock, fbasis),
+                             (chiral.apply_cross_twist, bbasis)):
+            yield "reflection-compatibility", dense.probe_deviations((
+                lambda v: reflect(twist(r, _conjugate(v))),
+                lambda v: twist(r, reflect(_conjugate(v)), adjoint=True)), dense.DIAGONAL, basis)[0]
 
     p, q = pair.positive_points[:, None], pair.negative_points[None, :]
     unboosted = eval_root(roots[0], -p * q)
@@ -801,7 +791,7 @@ def _massless_specs(chunk) -> tuple[KernelSpec, ...]:
     return tuple(KernelSpec(root=r, mass=0.0) for r in chunk)
 
 
-def suite_main_relation(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_main_relation(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     roots = cfg.resolve_roots(rng)
@@ -828,7 +818,7 @@ def suite_main_relation(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) 
         yield from zip(("trivial-root-exact",) * 2 + ("trivial-root-roundtrip",), devs)
 
 
-def suite_field_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_field_equivalence(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     pair = cfg.massless_pair()
     roots = cfg.resolve_roots(rng)
@@ -854,7 +844,7 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Dra
     yield "one-sided-data-realization", np.max(np.abs(created.components[(0, 1)]))
 
 
-def suite_sharp(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Deviations:
+def suite_sharp(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     n_top = cfg.truncation
     roots = cfg.resolve_roots(rng)
     grids = (cfg.massive_grid(), cfg.massless_pair().union)
@@ -893,14 +883,10 @@ def suite_sharp(cfg: SuiteConfig, rng: fock.Draws, vectors: fock.Draws) -> Devia
 
     spec = KernelSpec(root=roots[0], mass=grid.mass)
     p_ref = float(grid.points[min(2, grid.size - 1)])
-    vac = fock.vacuum(grid, n_top)
-    psi = fock.random_fock_vector(grid, n_top, vectors)
     for variant in SharpTwistVariant:
-        out = sharp_momentum_twist(spec, variant, p_ref, vac)
-        yield "twist-unitary-low-sectors", fock.norm(out - vac)
-        low = sharp_momentum_twist(spec, variant, p_ref, psi)
-        for n in (0, 1):
-            yield "twist-unitary-low-sectors", np.max(np.abs(low.sectors[n] - psi.sectors[n]))
+        twist = functools.partial(sharp_momentum_twist, spec, variant, p_ref)
+        yield "twist-unitary-low-sectors", _low_sector_defect(
+            dense.probe_entries(twist, dense.DIAGONAL, basis), basis)
 
 
 SUITES = {
@@ -935,7 +921,7 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     Blocks: two ``dense._BLOCK_ENTRIES`` budgets, each charged g = max(M, N) as
     :func:`dense.copy_chunks` charges it for the step's (rows, g, P) coefficient and
     (rows, N, g, P) kernel-factor tables, at most the largest block: R roots' probe columns of
-    a field (``dense.FIELD.width``, the widest pattern) or 2 ``repetitions`` vectors.  Not
+    a field (``dense.FIELD.width``, the widest pattern).  Not
     counted: the P M^2 kernel, cross and twist matrices.
 
     The estimate grows with each count, so grid sizes, R, N and D past ``COUNT_CAP`` count as
@@ -951,7 +937,7 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     m = max(2 * side, size)
     d = min(math.comb(m + n, n), COUNT_CAP) if min(m, n) < 64 else COUNT_CAP
     u = m * n / (m + n)
-    block = min(dense._BLOCK_ENTRIES, d * max(r * dense.FIELD.width(m, n), 2 * cfg.repetitions))
+    block = min(dense._BLOCK_ENTRIES, d * r * dense.FIELD.width(m, n))
     slots = min(r * m, max(1, dense._BLOCK_ENTRIES // (d * dense.DIAGONAL.width(m, n))))
     pairs, cross, plans = (cache.cache_parameters()["maxsize"] for cache in (
         fock._pair_multipliers, chiral._cross_multipliers, dense._plan))
@@ -960,15 +946,14 @@ def memory_estimate(cfg: SuiteConfig) -> int:
     return held + math.ceil(d * (index + 16 * entries) + 2 * 16 * max(m, n) * block)
 
 
-def _suite_streams(seed: int, suite_name: str) -> tuple[fock.Draws, fock.Draws]:
-    key = f"{seed}/{SUITE_NAMES.index(suite_name)}"
-    return fock.Draws(key), fock.Draws(f"{key}/vectors")
+def _suite_stream(seed: int, suite_name: str) -> fock.Draws:
+    return fock.Draws(f"{seed}/{SUITE_NAMES.index(suite_name)}")
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run the selected suites and fold each check's yields into its record.
 
-    Each suite draws from its own seed-derived streams, so the records do not
+    Each suite draws from its own seed-derived stream, so the records do not
     depend on which other suites run alongside.  This is the only place a
     check passes or fails (see the module docstring).
     """
@@ -979,7 +964,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     devs = {(c.suite, c.name): [] for c in CHECKS if c.suite in selected}
     for suite in SUITE_NAMES:
         if suite in selected:
-            for name, dev in SUITES[suite](cfg, *_suite_streams(cfg.seed, suite)):
+            for name, dev in SUITES[suite](cfg, _suite_stream(cfg.seed, suite)):
                 devs[suite, name].append(dev)  # KeyError: a check CHECKS does not list
     records = []
     for c in CHECKS:

@@ -18,6 +18,7 @@ from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_de
 from fockdeform.grids import boost_momentum, chiral_pair, rapidity_grid
 from fockdeform.inner import (BlaschkeSpec, eval_inner, eval_root, make_root,
                               merge_flip_sets, random_symmetric_blaschke, trivial_root)
+from random_states import random_bifock_state, random_fock_state
 
 TOL = 1e-10
 SEED = 20120911
@@ -298,12 +299,12 @@ def test_criterion_10_modular_compatibility():
     dev_sq = 0.0
     for root in _random_roots(rng):
         for _ in range(3):
-            psi = fock.random_fock_vector(pair.union, n_top, rng)
+            psi = random_fock_state(pair.union, n_top, rng)
             lhs = fock.apply_reflection(chiral.apply_cross_twist_fock(root, psi))
             rhs = chiral.apply_cross_twist_fock(root, fock.apply_reflection(psi),
                                                 adjoint=True)
             dev_j = _worst(dev_j, fock.norm(lhs - rhs))
-            xi = chiral.random_bifock(pair, n_top, rng)
+            xi = random_bifock_state(pair, n_top, rng)
             twice = chiral.apply_cross_twist(root, chiral.apply_cross_twist(root, xi))
             cmat_sq = np.asarray(eval_inner(root.base, -np.multiply.outer(
                 pair.positive_points, pair.negative_points)))

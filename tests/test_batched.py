@@ -19,6 +19,7 @@ from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _sharp_twist_
                                     sharp_momentum_twist)
 from fockdeform.inner import make_root, random_symmetric_blaschke
 from fockdeform.suites import SuiteConfig
+from random_states import random_bifock_state, random_fock_state
 
 N = 3
 CFG = SuiteConfig()
@@ -31,7 +32,7 @@ def spec_on(grid, seed=17):
 
 
 def batch(grid, count, seed=5):
-    return fock.random_fock_vector(grid, N, np.random.default_rng(seed), count)
+    return random_fock_state(grid, N, np.random.default_rng(seed), count)
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -128,7 +129,7 @@ def test_sharp_suite_evaluates_each_root_once_per_variant_and_chunk(monkeypatch)
         cache.cache_clear()
     calls = counting(monkeypatch, deformation, "eval_root_at_zero_one",
                      lambda root, t: (root, in_twist_tables()))
-    list(suites.suite_sharp(CFG, *suites._suite_streams(CFG.seed, "sharp")))
+    list(suites.suite_sharp(CFG, suites._suite_stream(CFG.seed, "sharp")))
     twist_calls = [root for root, twist in calls if twist]
 
     def root_runs(grid, roots):
@@ -148,7 +149,7 @@ def test_sharp_suite_evaluates_each_root_once_per_variant_and_chunk(monkeypatch)
 def test_kernel_suite_boosts_whole_sample_arrays(monkeypatch):
     calls = counting(monkeypatch, suites, "boost_momentum",
                      lambda p, rapidity, mass: np.size(rapidity))
-    list(suites.suite_kernel(CFG, *suites._suite_streams(CFG.seed, "kernel")))
+    list(suites.suite_kernel(CFG, suites._suite_stream(CFG.seed, "kernel")))
     assert calls and min(calls) >= 50
     assert len(calls) <= 18
 
@@ -207,7 +208,7 @@ def test_stacked_cross_multipliers_are_the_columns_of_single_ones():
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_stacked_cross_twists_equal_the_single_root_twists(adjoint):
     psi = batch(PAIR.union, 3)
-    xi = chiral.random_bifock(PAIR, N, np.random.default_rng(4), 3)
+    xi = random_bifock_state(PAIR, N, np.random.default_rng(4), 3)
     union = chiral.apply_cross_twist_fock(ROOTS, slots(psi, len(ROOTS)), adjoint=adjoint)
     split = chiral.apply_cross_twist(ROOTS, slots(xi, len(ROOTS)), adjoint=adjoint)
     for j, r in enumerate(ROOTS):
@@ -338,8 +339,9 @@ def test_dressing_tables_are_read_only_and_column_exact():
 
 def test_default_run_batches_the_root_loops(monkeypatch):
     """Each operator family runs once per run of roots: a default run applies operators
-    to probe blocks at most 70 times (counting those of probe_entries and
-    probe_deviations)."""
+    to probe blocks at most 132 times (counting those of probe_entries and
+    probe_deviations), 63 of them reading the multipliers, relabellings and
+    trivial-root ladders, each applied once to one block of sector or colour columns."""
     calls, real = [], dense.probe_blocks
 
     def probe_blocks(ops, *args, **kwargs):
@@ -348,7 +350,7 @@ def test_default_run_batches_the_root_loops(monkeypatch):
 
     monkeypatch.setattr(dense, "probe_blocks", probe_blocks)
     suites.run_suite(CFG)
-    assert 0 < len(calls) <= 70
+    assert 0 < len(calls) <= 132
 
 
 def test_inner_suite_evaluates_each_sample_set_once(monkeypatch):
@@ -359,14 +361,14 @@ def test_inner_suite_evaluates_each_sample_set_once(monkeypatch):
 
     roots = counting(monkeypatch, suites, "eval_root", key)
     phis = counting(monkeypatch, suites, "eval_inner", key)
-    list(suites.suite_inner(CFG, *suites._suite_streams(CFG.seed, "inner")))
+    list(suites.suite_inner(CFG, suites._suite_stream(CFG.seed, "inner")))
     assert len(roots) >= 2 * CFG.root_count and len(set(roots)) == len(roots)
     assert len(phis) >= CFG.root_count and len(set(phis)) == len(phis)
 
 
 def test_kernel_suite_evaluates_each_pair_family_in_one_call(monkeypatch):
     calls = counting(monkeypatch, suites, "_kernel_values", lambda spec, p, q: np.size(p))
-    list(suites.suite_kernel(CFG, *suites._suite_streams(CFG.seed, "kernel")))
+    list(suites.suite_kernel(CFG, suites._suite_stream(CFG.seed, "kernel")))
     roots = CFG.root_count
     # inverse symmetry per (mass, root), boost invariance per (mass, first 3 roots), the
     # massive definition, the 4 massless values and the generalized kernel's 3 families
@@ -402,7 +404,7 @@ def test_streamed_ladder_steps_equal_the_gathered_sum(name, batch_shape):
     grid = GRIDS[name]
     rng = np.random.default_rng(9)
     count = math.prod(batch_shape) or None
-    src = fock.random_fock_vector(grid, N, rng, count).coefficients.reshape((-1,) + batch_shape)
+    src = random_fock_state(grid, N, rng, count).coefficients.reshape((-1,) + batch_shape)
     xi = np.stack([fock.random_one_particle(grid, rng) for _ in range(3)])
     amp = np.sqrt(grid.weights) * xi
     kmat = deformation._kernels(tuple(KernelSpec(root=r, mass=grid.mass) for r in ROOTS), grid)
@@ -415,7 +417,7 @@ def test_streamed_split_tower_steps_equal_the_gathered_sum(side, batch_shape):
     """The half-line ladders of the split tower (chiral._half_ladder), as above."""
     rng = np.random.default_rng(10)
     count = math.prod(batch_shape) or None
-    src = chiral.random_bifock(PAIR, N, rng, count).coefficients
+    src = random_bifock_state(PAIR, N, rng, count).coefficients
     w = PAIR.positive_weights if side == "+" else PAIR.negative_weights
     amp = np.sqrt(w) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
     tower = fock._tower(w.size, N)

@@ -15,6 +15,7 @@ from fockdeform.deformation import (KernelSpec, SharpTwistVariant, apply_pair_tw
 from fockdeform.grids import chiral_pair
 from fockdeform.inner import BlaschkeSpec, make_root, merge_flip_sets
 from fockdeform.suites import FLIP_ATOMS, SuiteConfig, run_suite
+from random_states import random_bifock_state, random_fock_state
 
 CACHES = (deformation._kernel_table, deformation._sharp_twist_tables,
           chiral._root_cross_matrix, fock._pair_multipliers, chiral._cross_multipliers,
@@ -55,7 +56,7 @@ def root(base):
 
 
 def probe_vector(grid, truncation=3, seed=3):
-    return fock.random_fock_vector(grid, truncation, np.random.default_rng(seed))
+    return random_fock_state(grid, truncation, np.random.default_rng(seed))
 
 
 def test_default_grids_have_equal_sizes_and_distinct_tables(grids, root):
@@ -155,7 +156,7 @@ def test_split_route_cross_multipliers_are_cached_per_matrix(root):
     through the merge permutation only up to rounding."""
     pair = chiral_pair(3)
     q = pair.n_negative
-    xi = chiral.random_bifock(pair, 4, np.random.default_rng(5))
+    xi = random_bifock_state(pair, 4, np.random.default_rng(5))
     twisted = chiral.apply_cross_twist(root, xi)
     again = chiral.apply_cross_twist(root, xi)
     adj = chiral.apply_cross_twist(root, xi, adjoint=True)
@@ -191,8 +192,8 @@ def test_adjoint_of_a_stacked_twist_conjugates_its_one_table(cfg, grids, base):
     def slots(vec):
         return vec._with(np.stack([vec.coefficients] * 2, axis=1))
 
-    psi, phi = (slots(fock.random_fock_vector(g, 3, rng, 3)) for g in (union, massive))
-    xi = slots(chiral.random_bifock(pair, 3, rng, 3))
+    psi, phi = (slots(random_fock_state(g, 3, rng, 3)) for g in (union, massive))
+    xi = slots(random_bifock_state(pair, 3, rng, 3))
     cases = [
         (fock._pair_multipliers, psi, smats, (union.size, 3),
          lambda adj: chiral.apply_cross_twist_fock(roots, psi, adj)),

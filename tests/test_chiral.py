@@ -14,13 +14,14 @@ from fockdeform.chiral import (BiFockVector, annihilate_half, apply_cross_twist,
                                apply_reflection_bifock, apply_translation_bifock,
                                bifock_inner, bifock_norm, bifock_vacuum, bifock_zero,
                                chiral_field, create_half, cross_matrix, exponential_pair,
-                               merge_chiral, random_bifock, split_chiral,
+                               merge_chiral, split_chiral,
                                twisted_annihilator, twisted_field)
 from fockdeform.deformation import KernelSpec, annihilate_deformed, field_deformed
 from fockdeform.grids import ChiralGridPair, MomentumGrid, chiral_pair
 from fockdeform.inner import (eval_inner, eval_root, make_root,
                               random_symmetric_blaschke, trivial_root)
 from fockdeform.suites import FLIP_ATOMS, _equivalence
+from random_states import random_bifock_state, random_fock_state
 
 TOL = 1e-10
 
@@ -74,22 +75,8 @@ def test_bifock_norm_refuses_batch(pair):
         bifock_norm(batched_bifock(pair, 2, (4,)))
 
 
-@pytest.mark.parametrize("count", [1, 3, 7])
-def test_random_bifock_batch_columns_are_successive_draws(pair, count):
-    """Column j of a batched draw is the j-th of count single draws from the
-    same stream, and the stream ends where the single draws leave it."""
-    batched, single = fock.Draws("99"), fock.Draws("99")
-    batch = random_bifock(pair, 3, batched, count)
-    assert batch.batch_shape == (count,)
-    for j in range(count):
-        xi = random_bifock(pair, 3, single)
-        for key, comp in xi.components.items():
-            assert np.max(np.abs(batch.components[key][..., j] - comp)) <= 1e-15
-    assert batched.random() == single.random()
-
-
 def test_bifock_inner_positive(pair, rng):
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     val = bifock_inner(xi, xi)
     assert val.real > 0 and abs(val.imag) < 1e-12
 
@@ -98,8 +85,8 @@ def test_half_operators_adjoint(pair, rng):
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     for side in ("+", "-"):
         for _ in range(5):
-            xi = random_bifock(pair, 3, rng)
-            eta = random_bifock(pair, 3, rng)
+            xi = random_bifock_state(pair, 3, rng)
+            eta = random_bifock_state(pair, 3, rng)
             lhs = bifock_inner(create_half(side, g, xi), eta)
             rhs = bifock_inner(xi, annihilate_half(side, g, eta))
             assert abs(lhs - rhs) < 1e-12
@@ -110,7 +97,7 @@ def test_half_annihilator_matches_merged(pair, rng):
     for side in ("+", "-"):
         amp = one_sided(pair, side, rng)
         g = amp[pair.n_negative:] if side == "+" else amp[:pair.n_negative]
-        xi = random_bifock(pair, 3, rng)
+        xi = random_bifock_state(pair, 3, rng)
         lhs = fock.annihilate(amp, merge_chiral(xi))
         rhs = merge_chiral(annihilate_half(side, g, xi))
         assert fock.norm(lhs - rhs) < 1e-12
@@ -158,7 +145,7 @@ def test_cross_matrix_equals_ordered_double_product(pair, root, rng):
     assert np.all(smat[:q, :q] == 1.0) and np.all(smat[q:, q:] == 1.0)
     assert np.max(np.abs(smat - bmat * bmat.T)) < 1e-14
     assert abs(smat[q + 1, 0] - eval_root(root, -pts[q + 1] * pts[0])) < 1e-14
-    psi = fock.random_fock_vector(grid, 3, rng)
+    psi = random_fock_state(grid, 3, rng)
     labels = basis_labels(dense.FockBasis(grid, 3))
     for adjoint in (False, True):
         twisted = np.concatenate(apply_cross_twist_fock(root, psi, adjoint=adjoint).sectors)
@@ -171,13 +158,13 @@ def test_cross_matrix_equals_ordered_double_product(pair, root, rng):
 
 
 def test_cross_twist_trivial_identity(pair, rng):
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     out = apply_cross_twist(trivial_root(), xi)
     assert bifock_norm(out - xi) == 0.0
 
 
 def test_cross_twist_unitary_vacuum_one_sided(pair, root, rng):
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     assert abs(bifock_norm(apply_cross_twist(root, xi)) - bifock_norm(xi)) < 1e-12
     vac = bifock_vacuum(pair, 3)
     assert bifock_norm(apply_cross_twist(root, vac) - vac) == 0.0
@@ -189,7 +176,7 @@ def test_cross_twist_unitary_vacuum_one_sided(pair, root, rng):
 
 def test_cross_twist_square_law(pair, root, rng):
     """Applying the twist twice multiplies by the squared root, i.e. the inner function."""
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     twice = apply_cross_twist(root, apply_cross_twist(root, xi))
     cmat_sq = np.asarray(eval_inner(
         root.base, -np.multiply.outer(pair.positive_points, pair.negative_points)))
@@ -198,7 +185,7 @@ def test_cross_twist_square_law(pair, root, rng):
 
 
 def test_cross_twist_adjoint_inverse(pair, root, rng):
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     roundtrip = apply_cross_twist(root, apply_cross_twist(root, xi), adjoint=True)
     assert bifock_norm(roundtrip - xi) < 1e-13
 
@@ -282,9 +269,9 @@ def test_asymmetric_split_ladders_and_cross_multipliers_match_an_enumeration():
 
 
 def test_merge_and_split_invert_each_other_exactly_on_batches(pair, rng):
-    xi = random_bifock(pair, 3, rng, count=4)
+    xi = random_bifock_state(pair, 3, rng, count=4)
     assert np.array_equal(split_chiral(merge_chiral(xi), pair).coefficients, xi.coefficients)
-    psi = fock.random_fock_vector(pair.union, 3, rng, count=4)
+    psi = random_fock_state(pair.union, 3, rng, count=4)
     assert np.array_equal(merge_chiral(split_chiral(psi, pair)).coefficients, psi.coefficients)
 
 
@@ -355,7 +342,7 @@ def test_merge_matches_permutation_sum_on_asymmetric_split():
     pair = ChiralGridPair(union=grid, n_negative=2)
     assert pair.n_positive == 3
     n_top = 4
-    xi = random_bifock(pair, n_top, np.random.default_rng(31))
+    xi = random_bifock_state(pair, n_top, np.random.default_rng(31))
     total = [np.zeros((5,) * n, dtype=complex) for n in range(n_top + 1)]
     for (a, b), comp in xi.components.items():
         alone = bifock_zero(pair, n_top)
@@ -391,9 +378,9 @@ def test_split_one_particle_sign_patterns(pair, rng):
 
 
 def test_merge_split_roundtrip(pair, rng):
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     assert fock.norm(merge_chiral(split_chiral(psi, pair)) - psi) < 1e-13
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     assert bifock_norm(split_chiral(merge_chiral(xi), pair) - xi) < 1e-13
 
 
@@ -407,29 +394,29 @@ def test_merge_unitary_on_basis(pair):
 
 def test_merge_preserves_inner_products(pair, rng):
     for _ in range(5):
-        xi = random_bifock(pair, 3, rng)
-        eta = random_bifock(pair, 3, rng)
+        xi = random_bifock_state(pair, 3, rng)
+        eta = random_bifock_state(pair, 3, rng)
         assert abs(fock.inner(merge_chiral(xi), merge_chiral(eta))
                    - bifock_inner(xi, eta)) < 1e-12
 
 
 def test_translation_intertwining(pair, rng):
     x = (0.6, -0.9)
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     lhs = fock.apply_translation(x, merge_chiral(xi))
     rhs = merge_chiral(apply_translation_bifock(x, xi))
     assert fock.norm(lhs - rhs) < 1e-12
 
 
 def test_reflection_intertwining(pair, rng):
-    xi = random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     lhs = fock.apply_reflection(merge_chiral(xi))
     rhs = merge_chiral(apply_reflection_bifock(xi))
     assert fock.norm(lhs - rhs) < 1e-12
 
 
 def test_fock_twist_trivial_and_low_sectors(pair, root, rng):
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     assert fock.norm(apply_cross_twist_fock(trivial_root(), psi) - psi) == 0.0
     out = apply_cross_twist_fock(root, psi)
     assert np.array_equal(out.sectors[0], psi.sectors[0])
@@ -445,7 +432,7 @@ def test_fock_twist_equals_conjugated_split_twist(pair, root, rng):
 
 
 def test_fock_twist_reflection_conjugation(pair, root, rng):
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     lhs = fock.apply_reflection(apply_cross_twist_fock(root, psi))
     rhs = apply_cross_twist_fock(root, fock.apply_reflection(psi), adjoint=True)
     assert fock.norm(lhs - rhs) == 0.0
@@ -476,7 +463,7 @@ def test_boost_kernel_invariance(pair, root, rng):
 
 
 def test_twisted_annihilator_requires_one_sided(pair, root, rng):
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     both = np.ones(6, dtype=complex)
     with pytest.raises(ValueError):
         twisted_annihilator(root, both, pair, psi)
@@ -510,7 +497,7 @@ def test_annihilator_equivalence(side, pair, root, rng):
 def test_annihilator_equivalence_trivial_root_exact(pair, rng):
     """With the identity kernel the direct route degenerates bit for bit."""
     amp = one_sided(pair, "+", rng)
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     direct = twisted_annihilator(trivial_root(), amp, pair, psi, "direct")
     plain = fock.annihilate(amp, psi)
     assert all(np.array_equal(a, b) for a, b in zip(direct.sectors, plain.sectors))
@@ -530,7 +517,7 @@ def test_field_equivalence(side, pair, root, rng):
 def test_field_equivalence_trivial_root_exact(pair, rng):
     """With the identity kernel the twisted field degenerates bit for bit."""
     fd = fock.real_test_function(one_sided(pair, "+", rng))
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     direct = twisted_field(trivial_root(), fd, pair, psi, "direct")
     plain = fock.field(fd, psi)
     assert all(np.array_equal(a, b) for a, b in zip(direct.sectors, plain.sectors))
@@ -540,7 +527,7 @@ def test_wrong_twist_orientation_fails(pair, root, rng):
     """Swapping the twist order between the sign cases must be detectable."""
     amp = one_sided(pair, "+", rng)
     spec = KernelSpec(root=root, mass=0.0)
-    psi = fock.random_fock_vector(pair.union, 3, rng)
+    psi = random_fock_state(pair.union, 3, rng)
     swapped = apply_cross_twist_fock(
         root, fock.annihilate(amp, apply_cross_twist_fock(root, psi, adjoint=True)))
     correct = annihilate_deformed(spec, amp, psi)

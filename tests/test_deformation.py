@@ -20,6 +20,7 @@ from fockdeform.deformation import (KernelSpec, SharpTwistVariant, _kernel_value
 from fockdeform.grids import boost_momentum, chiral_pair, rapidity_grid
 from fockdeform.inner import (BlaschkeSpec, eval_root, make_root,
                               random_symmetric_blaschke, trivial_root)
+from random_states import random_fock_state
 
 TOL = 1e-10
 
@@ -219,7 +220,7 @@ def test_phase_dressing_unitary_and_vacuum(root, massive_grid, rng):
     p_ref = float(massive_grid.points[1])
     vac = fock.vacuum(massive_grid, 3)
     assert fock.norm(apply_kernel_phases(spec, p_ref, vac) - vac) == 0.0
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     assert abs(fock.norm(apply_kernel_phases(spec, p_ref, psi)) - fock.norm(psi)) < 1e-12
 
 
@@ -234,7 +235,7 @@ def test_phase_dressing_one_particle_row(root, massive_grid, rng):
 
 def test_trivial_phase_dressing_identity(massive_grid, rng):
     spec = KernelSpec(root=trivial_root(), mass=1.0)
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     out = apply_kernel_phases(spec, float(massive_grid.points[2]), psi)
     assert fock.norm(out - psi) == 0.0
 
@@ -243,7 +244,7 @@ def test_deformed_annihilator_trivial_root_bitwise(massive_grid, rng):
     """With the identity kernel the deformed operators coincide bit for bit."""
     spec = KernelSpec(root=trivial_root(), mass=1.0)
     xi = fock.random_one_particle(massive_grid, rng)
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     da = annihilate_deformed(spec, xi, psi)
     ua = fock.annihilate(xi, psi)
     assert all(np.array_equal(a, b) for a, b in zip(da.sectors, ua.sectors))
@@ -304,7 +305,7 @@ def test_deformed_field_hermitian_and_vacuum(root, massive_grid, rng):
 
 
 def test_pair_twist_trivial_and_vacuum(massive_grid, rng):
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     assert fock.norm(apply_pair_twist(trivial_root(), psi) - psi) == 0.0
     tw = make_root(BlaschkeSpec((), 1), [(0.3, 0.9), (-0.9, -0.3)])
     vac = fock.vacuum(massive_grid, 3)
@@ -314,7 +315,7 @@ def test_pair_twist_trivial_and_vacuum(massive_grid, rng):
 
 def test_pair_twist_rejects_nonunimodular_sign(root, massive_grid, rng):
     # a generic Blaschke root is not +-1-valued on the wedge arguments
-    psi = fock.random_fock_vector(massive_grid, 2, rng)
+    psi = random_fock_state(massive_grid, 2, rng)
     with pytest.raises(ValueError):
         apply_pair_twist(root, psi)
 
@@ -340,7 +341,7 @@ def test_pair_twist_conjugates_to_merged_root(massive_grid, rng):
 
 
 def test_sharp_annihilate_row_extraction(massive_grid, rng):
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     p = float(massive_grid.points[2])
     out = ref.tower(sharp_annihilate(p, psi))
     tensors = ref.tower(psi)
@@ -352,7 +353,7 @@ def test_sharp_annihilate_row_extraction(massive_grid, rng):
 
 def test_sharp_twist_trivial_root_identity(massive_grid, rng):
     spec = KernelSpec(root=trivial_root(), mass=1.0)
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     for variant in SharpTwistVariant:
         out = sharp_momentum_twist(spec, variant, float(massive_grid.points[1]), psi)
         assert fock.norm(out - psi) == 0.0
@@ -360,7 +361,7 @@ def test_sharp_twist_trivial_root_identity(massive_grid, rng):
 
 def test_sharp_twist_low_sectors_unchanged(root, massive_grid, rng):
     spec = KernelSpec(root=root, mass=1.0)
-    psi = fock.random_fock_vector(massive_grid, 3, rng)
+    psi = random_fock_state(massive_grid, 3, rng)
     for variant in SharpTwistVariant:
         out = sharp_momentum_twist(spec, variant, float(massive_grid.points[4]), psi)
         assert np.array_equal(out.sectors[0], psi.sectors[0])

@@ -16,6 +16,7 @@ from fockdeform.deformation import (KernelSpec, SharpTwistVariant, annihilate_de
                                     apply_kernel_phases, sharp_momentum_twist)
 from fockdeform.grids import chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke
+from random_states import random_bifock_state, random_fock_state
 
 
 def test_fock_basis_orthonormal():
@@ -31,7 +32,7 @@ def test_fock_coefficients_match_explicit_inner():
     grid = rapidity_grid(1.0, 4)
     basis = dense.FockBasis(grid, 3)
     rng = np.random.default_rng(5)
-    psi = fock.random_fock_vector(grid, 3, rng)
+    psi = random_fock_state(grid, 3, rng)
     fast = basis.coefficients(psi)
     slow = np.array([fock.inner(b, psi) for b in basis_vectors(basis)])
     assert np.max(np.abs(fast - slow)) < 1e-12
@@ -41,7 +42,7 @@ def test_coefficients_reconstruct_vector():
     grid = rapidity_grid(1.0, 3, -0.8, 1.2)
     basis = dense.FockBasis(grid, 2)
     rng = np.random.default_rng(6)
-    psi = fock.random_fock_vector(grid, 2, rng)
+    psi = random_fock_state(grid, 2, rng)
     rebuilt = fock.zero_vector(grid, 2)
     for c, b in zip(basis.coefficients(psi), basis_vectors(basis)):
         rebuilt = rebuilt + complex(c) * b
@@ -55,7 +56,7 @@ def test_bifock_basis_orthonormal_and_coefficients():
                      for u in basis_vectors(basis)])
     assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-13
     rng = np.random.default_rng(7)
-    xi = chiral.random_bifock(pair, 2, rng)
+    xi = random_bifock_state(pair, 2, rng)
     fast = basis.coefficients(xi)
     slow = np.array([chiral.bifock_inner(b, xi) for b in basis_vectors(basis)])
     assert np.max(np.abs(fast - slow)) < 1e-12
@@ -65,7 +66,7 @@ def test_bifock_coefficients_are_in_union_label_order():
     """The split basis reads a state as its merge does, and writes it back."""
     pair = chiral_pair(3)
     basis = dense.BiFockBasis(pair, 3)
-    xi = chiral.random_bifock(pair, 3, np.random.default_rng(9), 2)
+    xi = random_bifock_state(pair, 3, np.random.default_rng(9), 2)
     coefficients = basis.coefficients(xi)
     assert np.array_equal(coefficients, chiral.merge_chiral(xi).coefficients)
     assert np.array_equal(basis._vector(coefficients).coefficients, xi.coefficients)
@@ -90,7 +91,7 @@ def test_operator_matrix_reproduces_action():
     rng = np.random.default_rng(8)
     xi = fock.random_one_particle(grid, rng)
     mat = dense.operator_matrix(lambda v: fock.create(xi, v), basis)
-    psi = fock.random_fock_vector(grid, 3, rng)
+    psi = random_fock_state(grid, 3, rng)
     coef_out = mat @ basis.coefficients(psi)
     direct = basis.coefficients(fock.create(xi, psi))
     assert np.max(np.abs(coef_out - direct)) < 1e-12
@@ -142,14 +143,14 @@ def test_coefficients_equal_per_label_loop_exactly():
     rng = np.random.default_rng(8)
     grid = rapidity_grid(1.0, 4)
     basis = dense.FockBasis(grid, 3)
-    psi = fock.random_fock_vector(grid, 3, rng)
+    psi = random_fock_state(grid, 3, rng)
     assert np.all(basis.coefficients(psi) == loop_coefficients(basis, psi))
     # a non-contiguous coefficient array (column 1 of a batch) is read the same way
     psi = fock.FockVector(grid, np.stack([-psi.coefficients, psi.coefficients], axis=1)[:, 1], 3)
     assert np.all(basis.coefficients(psi) == loop_coefficients(basis, psi))
     pair = chiral_pair(3)
     bbasis = dense.BiFockBasis(pair, 3)
-    xi = chiral.random_bifock(pair, 3, rng)
+    xi = random_bifock_state(pair, 3, rng)
     assert np.all(bbasis.coefficients(xi) == loop_coefficients(bbasis, xi))
     xi = chiral.BiFockVector(pair, 3, np.stack([-xi.coefficients, xi.coefficients], axis=1)[:, 1])
     assert np.all(bbasis.coefficients(xi) == loop_coefficients(bbasis, xi))
@@ -257,29 +258,6 @@ def test_block_runs_without_sectors_are_strided_ranges(entries, monkeypatch):
     for count in (0, 1, 5, 12, 13, 30):
         assert list(dense.block_runs(count, width)) == [
             (first, min(first + width, count)) for first in range(0, count, width)]
-
-
-@pytest.mark.parametrize("block", [dense._BLOCK_ENTRIES, 600, 100, 50])
-def test_random_batches_follow_the_single_draw_order(monkeypatch, block):
-    """Column j of each member, member by member, is the next single draw; a
-    batch stays within the budget unless one pair alone exceeds it (at 50)."""
-    grid = rapidity_grid(1.0, 4)
-    basis = dense.FockBasis(grid, 3)  # 1 + 4 + 10 + 20 = 35 coefficients per vector
-    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", block)
-    batched, single = fock.Draws("5"), fock.Draws("5")
-    drawn = 0
-    for a, b in dense.random_batches(basis, 7, batched, group=2):
-        width = a.batch_shape[0]
-        assert b.batch_shape == (width,)
-        assert 2 * width * len(basis) <= block or width == 1
-        for j in range(width):
-            for member in (a, b):
-                psi = fock.random_fock_vector(grid, 3, single)
-                assert np.max(np.abs(basis.coefficients(member)[:, j]
-                                     - basis.coefficients(psi))) <= 1e-15
-        drawn += width
-    assert drawn == 7
-    assert batched.random() == single.random()
 
 
 def test_vectors_reject_disagreeing_batch_shapes():

@@ -1,6 +1,6 @@
 """The seeded draws of :class:`fock.Draws`: keyed streams, prefix consistency, the
-moments and ranges of its draws, the complex normals of :func:`fock.complex_normals`
-and the random vectors drawn from them, and the suites' child streams for vectors."""
+moments and ranges of its draws, the complex normals of :func:`fock.complex_normals`,
+and a control root of the sharp suite that its draws must not defeat."""
 
 import dataclasses
 import math
@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from fockdeform import chiral, fock
 from fockdeform.cliconfig import config_from_json
 from fockdeform.fock import Draws, complex_normals
-from fockdeform.suites import SuiteConfig, run_suite
+from fockdeform.suites import run_suite
 
 SIZE = 100_000
 
@@ -19,7 +18,7 @@ SIZE = 100_000
 def test_equal_keys_give_equal_streams_and_different_keys_different_ones():
     assert np.array_equal(Draws("7/3").standard_normal(50), Draws("7/3").standard_normal(50))
     assert np.array_equal(Draws("7/3").random((4, 5)), Draws("7/3").random(20).reshape(4, 5))
-    streams = [Draws(key).random(8) for key in ("7/3", "7/4", "8/3", "7/3/vectors")]
+    streams = [Draws(key).random(8) for key in ("7/3", "7/4", "8/3", "7/33")]
     assert len({tuple(s) for s in streams}) == len(streams)
 
 
@@ -93,32 +92,11 @@ def test_n_complex_normals_then_m_equal_n_plus_m(first):
     assert counted.random() == words.random()
 
 
-@pytest.mark.parametrize("count", [1, 4, 9])
-def test_vector_batches_equal_their_single_draws_bit_for_bit(count):
-    """A batch of ``count`` random vectors, Fock or split tower, is the ``count`` single
-    draws from the same stream, bit for bit, and leaves the stream where they do."""
-    cfg = SuiteConfig()
-    grid, pair = cfg.massive_grid(), cfg.massless_pair()
-    draws = {"fock": lambda rng, n=None: fock.random_fock_vector(grid, 3, rng, n),
-             "bifock": lambda rng, n=None: chiral.random_bifock(pair, 3, rng, n)}
-    for name, draw in draws.items():
-        batched, single = Draws(f"{name}/batch"), Draws(f"{name}/batch")
-        batch = draw(batched, count).coefficients
-        singles = np.stack([draw(single).coefficients for _ in range(count)], axis=1)
-        assert np.array_equal(batch, singles), name
-        assert batched.random() == single.random()
-
-
 def test_a_numpy_generator_serves_the_complex_draws():
     """Tests may pass a numpy Generator as ``rng``: its ``random`` gives the uniform pairs."""
     z = complex_normals(np.random.default_rng(3), (2, 5))
     u = np.random.default_rng(3).random((2, 5, 2))
     assert np.array_equal(z, np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1]))
-    cfg = SuiteConfig()
-    psi = fock.random_fock_vector(cfg.massive_grid(), 3, np.random.default_rng(4), 3)
-    xi = chiral.random_bifock(cfg.massless_pair(), 3, np.random.default_rng(4))
-    assert np.allclose(np.linalg.norm(psi.coefficients, axis=0), 1.0)
-    assert math.isclose(chiral.bifock_norm(xi), 1.0)
 
 
 class ArrayDraws(Draws):
@@ -165,26 +143,6 @@ def test_scalar_draws_equal_the_array_path_bit_for_bit(key):
         assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).dtype == np.asarray(want).dtype
     assert draws.random() == reference.random()
-
-
-# checks that read no random vector, drawn in their suite after some that do
-VECTOR_FREE = {"root_equivalence": ("pair-twist-maps-annihilators", "field-conjugation",
-                                    "detects-square-mismatch"),
-               "chiral": ("merge-exponentials", "twist-boost-kernel-invariance")}
-
-
-@pytest.mark.parametrize("suite", sorted(VECTOR_FREE))
-def test_one_more_vector_moves_no_root_or_amplitude_draw(suite):
-    """Vectors come from each suite's child stream: one more repetition draws more
-    vectors, and every check that reads roots and amplitudes alone keeps its record
-    bit for bit."""
-    def records(repetitions):
-        cfg = SuiteConfig(suites=(suite,), repetitions=repetitions)
-        return {r.check: r.max_deviation for r in run_suite(cfg).records}
-
-    base, more = records(20), records(21)
-    for check in VECTOR_FREE[suite]:
-        assert more[check] == base[check]
 
 
 def test_a_control_root_scaled_to_the_grid_separates_the_sharp_variants():

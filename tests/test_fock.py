@@ -10,6 +10,7 @@ import tensor_reference as ref
 from dense_reference import basis_vectors
 from fockdeform import chiral, dense, fock
 from fockdeform.grids import MomentumGrid, chiral_pair, rapidity_grid
+from random_states import random_fock_state
 
 TOL = 1e-10
 
@@ -35,8 +36,8 @@ def test_vacuum_normalized(grid):
 
 
 def test_inner_conjugate_symmetric_positive(grid, rng):
-    a = fock.random_fock_vector(grid, 3, rng)
-    b = fock.random_fock_vector(grid, 3, rng)
+    a = random_fock_state(grid, 3, rng)
+    b = random_fock_state(grid, 3, rng)
     assert abs(fock.inner(a, b) - np.conj(fock.inner(b, a))) < 1e-12
     assert fock.inner(a, a).real >= 0.0
     assert abs(fock.inner(a, a).imag) < 1e-12
@@ -61,20 +62,6 @@ def test_inner_refuses_batch(grid):
         fock.inner(psi, psi)
     with pytest.raises(ValueError):
         fock.inner(fock.vacuum(grid, 2), psi)
-
-
-@pytest.mark.parametrize("count", [1, 3, 7])
-def test_random_batch_columns_are_successive_draws(grid, count):
-    """Column j of a batched draw is the j-th of count single draws from the
-    same stream, and the stream ends where the single draws leave it."""
-    batched, single = fock.Draws("99"), fock.Draws("99")
-    batch = fock.random_fock_vector(grid, 3, batched, count)
-    assert batch.batch_shape == (count,)
-    for j in range(count):
-        psi = fock.random_fock_vector(grid, 3, single)
-        for col, sec in zip(batch.sectors, psi.sectors):
-            assert np.max(np.abs(col[:, j] - sec)) <= 1e-15
-    assert batched.random() == single.random()
 
 
 def test_norm_refuses_batch(grid):
@@ -200,8 +187,7 @@ def draw_scale(weights, n):
 def test_projected_gaussian_tensor_has_independent_coefficients(n):
     """The projection S, one column per unit tensor, has S S^H = diag(prod_i w_{k_i}):
     projecting a tensor of independent standard complex Gaussians gives
-    independent coefficients of variance 2 prod_i w_{k_i}, which is how
-    random_fock_vector draws them."""
+    independent coefficients of variance 2 prod_i w_{k_i}."""
     m = WEIGHTS.size
     proj = fock.symmetrize(np.eye(m ** n).reshape((m,) * n + (m ** n,)), WEIGHTS, n)
     cov = proj @ proj.conj().T
@@ -219,33 +205,6 @@ def test_projected_bifock_component_has_independent_coefficients():
     proj = np.moveaxis(fock.symmetrize(pos, nw, b), -1, 0).reshape(-1, k)
     scale = np.multiply.outer(draw_scale(pw, a), draw_scale(nw, b)).ravel()
     assert np.max(np.abs(proj @ proj.conj().T - np.diag(scale ** 2))) <= 1e-14
-
-
-class OnesGenerator:
-    """Stands in for a numpy Generator whose every uniform pair is (1/2, 1/8): every
-    complex normal is sqrt(2 log 2) e^{i pi/4}, a positive multiple of 1 + i."""
-
-    def random(self, shape):
-        return np.broadcast_to([0.5, 0.125], shape)
-
-
-def test_random_vectors_scale_each_label_by_the_root_of_its_weights():
-    """With every complex normal a positive multiple of 1 + i, a random vector is
-    (1 + i) times the per-label scale sqrt(prod_i w_{k_i}), normalized."""
-    def assert_parallel(coeffs, scale):
-        expected = (1 + 1j) / math.sqrt(2) * scale / np.linalg.norm(scale)
-        assert np.max(np.abs(coeffs - expected)) <= 1e-15
-
-    grid = MomentumGrid(np.array([0.5, 1.0, 1.5]), WEIGHTS, 1.0)
-    psi = fock.random_fock_vector(grid, 3, OnesGenerator())
-    assert_parallel(np.concatenate(psi.sectors),
-                    np.concatenate([draw_scale(WEIGHTS, n) for n in range(4)]))
-    pair = UNEQUAL_PAIR
-    xi = chiral.random_bifock(pair, 3, OnesGenerator())
-    assert_parallel(np.concatenate([c.ravel() for c in xi.components.values()]),
-                    np.concatenate([np.multiply.outer(draw_scale(pair.positive_weights, a),
-                                                      draw_scale(pair.negative_weights, b)).ravel()
-                                    for a, b in xi.components]))
 
 
 def test_annihilate_vacuum(grid, rng):
@@ -284,8 +243,8 @@ def test_adjoint_pairing_explicit_inner(grid, rng):
     """<adag(xi) psi, phi> = <psi, a(xi) phi> on random pairs, via fock.inner."""
     xi = fock.random_one_particle(grid, rng)
     for _ in range(5):
-        psi = fock.random_fock_vector(grid, 3, rng)
-        phi = fock.random_fock_vector(grid, 3, rng)
+        psi = random_fock_state(grid, 3, rng)
+        phi = random_fock_state(grid, 3, rng)
         lhs = fock.inner(fock.create(xi, psi), phi)
         rhs = fock.inner(psi, fock.annihilate(xi, phi))
         assert abs(lhs - rhs) < 1e-12
@@ -311,7 +270,7 @@ def test_ccr_below_truncation(grid, rng):
     xi = fock.random_one_particle(grid, rng)
     eta = fock.random_one_particle(grid, rng)
     pairing = complex(weighted_pairing(grid, xi, eta))
-    full = fock.random_fock_vector(grid, 3, rng)
+    full = random_fock_state(grid, 3, rng)
     psi = fock.FockVector(grid, full.coefficients.copy(), 3)
     for sec in psi.sectors[2:]:
         sec[...] = 0.0
@@ -346,7 +305,7 @@ def test_exponential_inner_closed_form(grid, rng):
 
 
 def test_translation_identity_and_unitarity(grid, rng):
-    psi = fock.random_fock_vector(grid, 3, rng)
+    psi = random_fock_state(grid, 3, rng)
     assert fock.norm(fock.apply_translation((0.0, 0.0), psi) - psi) == 0.0
     moved = fock.apply_translation((0.8, -1.1), psi)
     assert abs(fock.norm(moved) - fock.norm(psi)) < 1e-12
@@ -361,7 +320,7 @@ def test_translation_one_particle_phase(grid, rng):
 
 
 def test_boost_identity_and_vacuum(grid, rng):
-    psi = fock.random_fock_vector(grid, 3, rng)
+    psi = random_fock_state(grid, 3, rng)
     res = fock.apply_boost(0, psi)
     assert not res.truncated
     assert fock.norm(res.vector - psi) == 0.0
@@ -424,8 +383,8 @@ def test_boost_norm_preserved_in_range(grid, rng):
 
 
 def test_reflection_antiunitary(grid, rng):
-    a = fock.random_fock_vector(grid, 3, rng)
-    b = fock.random_fock_vector(grid, 3, rng)
+    a = random_fock_state(grid, 3, rng)
+    b = random_fock_state(grid, 3, rng)
     ja, jb = fock.apply_reflection(a), fock.apply_reflection(b)
     assert abs(fock.inner(ja, jb) - np.conj(fock.inner(a, b))) < 1e-12
     assert fock.norm(fock.apply_reflection(ja) - a) == 0.0
@@ -455,8 +414,8 @@ def test_field_vacuum_sectors(grid, rng):
 def test_field_hermitian_for_real_data(grid, rng):
     fd = fock.real_test_function(fock.random_one_particle(grid, rng))
     for _ in range(5):
-        psi = fock.random_fock_vector(grid, 3, rng)
-        phi = fock.random_fock_vector(grid, 3, rng)
+        psi = random_fock_state(grid, 3, rng)
+        phi = random_fock_state(grid, 3, rng)
         assert abs(fock.inner(fock.field(fd, psi), phi)
                    - fock.inner(psi, fock.field(fd, phi))) < 1e-12
 
@@ -470,8 +429,8 @@ def test_test_function_data_validation(grid, rng):
 
 
 def test_vector_arithmetic(grid, rng):
-    a = fock.random_fock_vector(grid, 2, rng)
-    b = fock.random_fock_vector(grid, 2, rng)
+    a = random_fock_state(grid, 2, rng)
+    b = random_fock_state(grid, 2, rng)
     assert fock.norm((a + b) - b - a) < 1e-14
     assert fock.norm(2.0 * a - a - a) < 1e-14
     assert fock.norm(-a + a) == 0.0

@@ -10,6 +10,7 @@ from fockdeform.deformation import (KernelSpec, _delta, annihilate_deformed, cre
                                     kernel_matrix)
 from fockdeform.grids import ChiralGridPair, MomentumGrid, boost_blocks, chiral_pair, rapidity_grid
 from fockdeform.inner import make_root, random_symmetric_blaschke
+from random_states import random_bifock_state, random_fock_state
 
 N = 3
 TOL = 1e-14
@@ -53,7 +54,7 @@ def test_symmetrize_and_sector_tensor_match_reference(n):
                                   "create_deformed"])
 def test_ladder_matches_reference(name):
     r = rng()
-    psi = fock.random_fock_vector(GRID, N, r)
+    psi = random_fock_state(GRID, N, r)
     xi = amplitude(6, r)
     spec = KernelSpec(root=root(), mass=0.0)
     kmat = kernel_matrix(spec, GRID)
@@ -72,7 +73,7 @@ def test_ladder_matches_reference(name):
 
 @pytest.mark.parametrize("dressed", [False, True])
 def test_sharp_annihilators_match_reference(dressed):
-    psi = fock.random_fock_vector(GRID, N, rng())
+    psi = random_fock_state(GRID, N, rng())
     spec = KernelSpec(root=root(), mass=0.0)
     tensors = ref.tower(psi)
     for q, p in enumerate(GRID.points):
@@ -103,7 +104,7 @@ def test_batched_sharp_annihilator_slices(grid, dressed, inputs):
     for bit, and the tensor reference's up to rounding; slots may repeat a point."""
     r = rng()
     spec = KernelSpec(root=root(), mass=grid.mass)
-    psi = fock.random_fock_vector(grid, N, r, 2)
+    psi = random_fock_state(grid, N, r, 2)
     if inputs == "one-sector":
         start = fock._offsets(grid.size, N)
         coefs = np.zeros(start[-1], dtype=complex)
@@ -132,7 +133,7 @@ def test_batched_sharp_annihilator_zeros_and_nan(dressed):
     dim = fock._offsets(GRID.size, N)[-1]
     zero = sharp_each(idx, fock.FockVector(GRID, np.zeros((dim, 6, 3)), N), spec)
     assert np.all(zero.coefficients == 0.0)
-    coefs = np.stack([fock.random_fock_vector(GRID, N, rng()).coefficients] * 6, axis=1)
+    coefs = np.stack([random_fock_state(GRID, N, rng()).coefficients] * 6, axis=1)
     coefs[:, 3] = np.nan
     out = sharp_each(idx, fock.FockVector(GRID, coefs, N), spec).coefficients
     assert np.all(np.isfinite(np.delete(out, 3, axis=1)))
@@ -144,11 +145,11 @@ def test_pair_phases_match_reference():
     r = rng()
     gmat = np.exp(1j * r.uniform(0, 2 * np.pi, (6, 6)))
     gmat = gmat * gmat.T
-    psi = fock.random_fock_vector(GRID, N, r)
+    psi = random_fock_state(GRID, N, r)
     expected = ref.pair_phase(gmat, ref.tower(psi))
     assert worst(fock.apply_pair_phase(gmat, psi).sectors,
                  ref.packed(GRID, expected).sectors) <= TOL
-    xi = chiral.random_bifock(PAIR, N, r)
+    xi = random_bifock_state(PAIR, N, r)
     cmat = gmat[3:, :3]
     tensors = ref.bitower(xi)
     twisted = {(a, b): ref.entrywise(t, lambda idx, a=a: np.prod(
@@ -158,7 +159,7 @@ def test_pair_phases_match_reference():
 
 
 def test_translation_and_reflection_match_reference():
-    psi = fock.random_fock_vector(GRID, N, rng())
+    psi = random_fock_state(GRID, N, rng())
     x = (0.7, -1.3)
     phases = np.exp(1j * (x[0] * GRID.omegas - x[1] * GRID.points))
     expected = ref.translation(phases, ref.tower(psi))
@@ -172,7 +173,7 @@ def test_translation_and_reflection_match_reference():
                          ids=["rapidity", "geometric"])
 @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
 def test_boost_matches_reference(grid, shift):
-    psi = fock.random_fock_vector(grid, N, rng())
+    psi = random_fock_state(grid, N, rng())
     expected = ref.boost(shift, boost_blocks(grid), ref.tower(psi))
     res = fock.apply_boost(shift, psi)
     assert worst(res.vector.sectors, ref.packed(grid, expected).sectors) <= TOL
@@ -182,10 +183,10 @@ def test_boost_matches_reference(grid, shift):
 
 def test_merge_and_split_match_reference():
     r = rng()
-    xi = chiral.random_bifock(PAIR, N, r)
+    xi = random_bifock_state(PAIR, N, r)
     expected = ref.merge(PAIR, ref.bitower(xi), N)
     assert worst(chiral.merge_chiral(xi).sectors, ref.packed(GRID, expected).sectors) <= TOL
-    psi = fock.random_fock_vector(GRID, N, r)
+    psi = random_fock_state(GRID, N, r)
     expected = ref.split(PAIR, ref.tower(psi))
     assert bi_worst(chiral.split_chiral(psi, PAIR).components,
                     ref.bipacked(PAIR, N, expected).components) <= TOL
@@ -194,7 +195,7 @@ def test_merge_and_split_match_reference():
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_half_operators_match_reference(side):
     r = rng()
-    xi = chiral.random_bifock(PAIR, N, r)
+    xi = random_bifock_state(PAIR, N, r)
     g = amplitude(3, r)
     tensors = ref.bitower(xi)
     got = chiral.annihilate_half(side, g, xi)
@@ -315,11 +316,11 @@ HALF_OPS = tuple(half_operators(supported(3, "point")))
 
 
 def random_union(generator, count):
-    return fock.random_fock_vector(GRID, N, generator, count)
+    return random_fock_state(GRID, N, generator, count)
 
 
 def random_split(generator, count):
-    return chiral.random_bifock(PAIR, N, generator, count)
+    return random_bifock_state(PAIR, N, generator, count)
 
 
 @pytest.mark.parametrize("amp", AMPLITUDES)

@@ -64,9 +64,8 @@ def run_records(name: str, seed: int) -> list[list]:
 @contextlib.contextmanager
 def one_slot_runs():
     """Every :func:`dense.copy_chunks` run holds one slot: the chunk rule runs under
-    a budget of D (N + 1) entries, the sector columns of one slot.  Probe blocks and
-    random batches keep the normal budget (random batches of another size round
-    differently, which is no property of the root runs)."""
+    a budget of D (N + 1) entries, the sector columns of one slot.  Probe blocks keep
+    the normal budget."""
     real = dense.copy_chunks
 
     def chunks(count, domain, pattern):

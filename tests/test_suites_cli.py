@@ -175,7 +175,7 @@ def test_config_roundtrip_every_key_non_default():
                         [(0.3, 0.9), (-0.9, -0.3)])
     plain = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
     cfg = SuiteConfig(
-        tolerance=1e-9, seed=13, repetitions=4, truncation=4, root_count=2,
+        tolerance=1e-9, seed=13, truncation=4, root_count=2,
         roots=(flipped, plain), ratio_roots=(plain, flipped),
         suites=("chiral", "inner"),
         massless_points_per_side=4, massless_p_min=0.25, massless_p_max=3.0,
@@ -315,7 +315,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"truncation": 2.7}',
     '{"seed": 7.9}',
     '{"massless_grid": {"points_per_side": 3.5}}',
-    '{"repetitions": true}',
+    '{"repetitions": 20}',
     '{"roots": [{"zeros": [], "sign": 1.5}]}',
     '{"seed": Infinity}',
     '{"suites": []}',
@@ -334,7 +334,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     '{"seed": 1' + '0' * 5000 + '}',
 ], ids=["truncation-abc", "tolerance-null", "massless-grid-int", "seed-negative",
         "tolerance-nan", "root-not-object", "ratio-roots-not-list", "truncation-float",
-        "seed-float", "points-per-side-float", "repetitions-bool", "root-sign-float",
+        "seed-float", "points-per-side-float", "repetitions-unknown", "root-sign-float",
         "seed-infinite", "suites-empty", "root-unknown-key", "roots-empty",
         "mass-infinite", "p-max-ratio-overflows", "theta-max-overflows", "p-min-subnormal",
         "flip-one-number", "flip-three-numbers", "zero-nan", "zero-infinite", "zero-bool",
@@ -452,45 +452,32 @@ def test_late_nan_fails_the_aggregated_check(monkeypatch):
     assert math.isnan(rec.max_deviation) and not rec.passed
 
 
-def test_split_roundtrip_probes_with_one_repetition(monkeypatch):
-    """repetitions = 1 still takes a probe, so a non-unitary merge is caught."""
+def test_a_non_unitary_merge_fails_the_merge_checks(monkeypatch):
+    """merge split = 1 and split merge = 1 are read on the probe columns of both towers,
+    and the merge's entries too, so a non-unitary merge is caught by both checks."""
     real = chiral.merge_chiral
     monkeypatch.setattr(chiral, "merge_chiral", lambda xi: real(xi) * 1.5)
-    report = run_suite(SuiteConfig(repetitions=1, suites=("chiral",)))
-    rec = next(r for r in report.records if r.check == "split-roundtrip")
-    assert rec.max_deviation > 0.1 and not rec.passed
+    records = {r.check: r for r in run_suite(SuiteConfig(suites=("chiral",))).records}
+    for check in ("split-roundtrip", "merge-unitary"):
+        assert records[check].max_deviation > 0.1 and not records[check].passed
 
 
-@pytest.mark.parametrize("block", [600, 200])
-def test_random_batches_under_a_small_budget_keep_the_records(monkeypatch, block):
-    """Drawing the random vectors in several batches (at 200 each batch of a
-    merge-unitary check holds one pair) moves the records by rounding only."""
-    cfg = SuiteConfig(suites=("fock", "chiral"))
-    names = ("translation-multiplier", "merge-unitary")
-    whole = {r.check: r for r in run_suite(cfg).records if r.check in names}
-    monkeypatch.setattr(dense, "_BLOCK_ENTRIES", block)
-    fock_basis = dense.FockBasis(cfg.massive_grid(size=4), cfg.truncation)
-    bifock_basis = dense.BiFockBasis(cfg.massless_pair(), cfg.truncation)
-    assert len(list(dense.random_batches(fock_basis, cfg.repetitions,
-                                         np.random.default_rng(0)))) > 1
-    assert len(list(dense.random_batches(bifock_basis, cfg.repetitions,
-                                         np.random.default_rng(0), group=2))) > 1
-    batched = {r.check: r for r in run_suite(cfg).records if r.check in names}
-    for name in names:
-        assert batched[name].passed == whole[name].passed
-        assert abs(batched[name].max_deviation - whole[name].max_deviation) <= 1e-15
+def test_the_removed_repetitions_key_is_an_unknown_key():
+    """No check draws random vectors, so a config naming their count is refused."""
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['repetitions'\]"):
+        config_from_json({"repetitions": 20})
 
 
-def test_nan_in_a_late_batch_column_fails_the_check(monkeypatch):
-    """A NaN in column 13 of the 20 translated random vectors reaches the record."""
+def test_nan_in_a_probe_image_fails_the_check(monkeypatch):
+    """A NaN in the top-sector probe column of the translated probes reaches the record."""
     real = fock.apply_translation
 
     def injected(x, psi):
         out = real(x, psi)
-        if psi.batch_shape != (20,):
+        if not psi.batch_shape:  # the vacuum and the one-particle state
             return out
         coefs = out.coefficients.copy()
-        coefs[:, 13] = np.nan
+        coefs[-1, 0, -1] = np.nan
         return fock.FockVector(out.grid, coefs, out.truncation)
 
     monkeypatch.setattr(fock, "apply_translation", injected)
@@ -501,7 +488,7 @@ def test_nan_in_a_late_batch_column_fails_the_check(monkeypatch):
 
 def _stub_records(monkeypatch, *yields) -> dict:
     """The inner suite's records when the suite yields just these pairs."""
-    monkeypatch.setitem(suites.SUITES, "inner", lambda cfg, rng, vectors: iter(yields))
+    monkeypatch.setitem(suites.SUITES, "inner", lambda cfg, rng: iter(yields))
     return {r.check: r for r in run_suite(SuiteConfig(suites=("inner",))).records}
 
 
@@ -790,7 +777,7 @@ def test_fock_suite_holds_no_square_array():
 
 def ccr_yields(cfg: SuiteConfig) -> list[float]:
     """The deviations that the fock suite yields for ccr-below-truncation, one per block."""
-    return [dev for name, dev in suites.suite_fock(cfg, *suites._suite_streams(cfg.seed, "fock"))
+    return [dev for name, dev in suites.suite_fock(cfg, suites._suite_stream(cfg.seed, "fock"))
             if name == "ccr-below-truncation"]
 
 
@@ -858,6 +845,6 @@ def test_fock_suite_builds_no_symmetrizer_table_above_the_raw_tensor_degree(monk
     real = fock._tensor_ranks
     monkeypatch.setattr(fock, "_tensor_ranks", lambda m, n: built.append((m, n)) or real(m, n))
     cfg = SuiteConfig(truncation=6, suites=("fock",))
-    list(suites.suite_fock(cfg, *suites._suite_streams(cfg.seed, "fock")))
+    list(suites.suite_fock(cfg, suites._suite_stream(cfg.seed, "fock")))
     assert (4, 3) in built
     assert [(m, n) for m, n in built if n > 3] == []

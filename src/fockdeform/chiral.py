@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .fock import FockVector, TestFunctionData
+from .fock import FockVector
 from .grids import ChiralGridPair
 from .inner import Root, eval_root_at_zero_one
 
@@ -403,11 +403,9 @@ def twisted_annihilator(root: Root | tuple, amplitude, pair: ChiralGridPair,
                            lambda v: fock.annihilate(amplitude, v), annihilate_half)
 
 
-def twisted_field(root: Root | tuple, fd: TestFunctionData, pair: ChiralGridPair,
-                  psi: FockVector, route: str = "direct") -> FockVector:
-    """One-light-ray field conjugated by the cross twist, sign-adapted like
-    :func:`twisted_annihilator`."""
-    if _support_side(pair, fd.fplus) != _support_side(pair, np.conj(fd.fminus)):
-        raise ValueError("field data must be supported on a single half-line")
-    return _twist_sandwich(root, fd.fplus, pair, psi, route,
-                           lambda v: fock.field(fd, v), chiral_field)
+def twisted_field(root: Root | tuple, f, pair: ChiralGridPair, psi: FockVector,
+                  route: str = "direct") -> FockVector:
+    """One-light-ray field of real data f, supported on one half-line, conjugated by
+    the cross twist, sign-adapted like :func:`twisted_annihilator`."""
+    return _twist_sandwich(root, f, pair, psi, route, lambda v: fock.field(f, v),
+                           chiral_field)

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import fock
-from .fock import FockVector, TestFunctionData
+from .fock import FockVector
 from .grids import MomentumGrid, omega
 from .inner import Root, check_inversion_symmetry, eval_root, eval_root_at_zero_one
 
@@ -162,10 +162,9 @@ def create_deformed(spec: KernelSpec | tuple, xi, psi: FockVector) -> FockVector
     return fock._create_with_kernel(xi, psi, np.conj(_kernels(spec, psi.grid)))
 
 
-def field_deformed(spec: KernelSpec | tuple, fd: TestFunctionData, psi: FockVector) -> FockVector:
-    """Deformed field create_deformed(fplus) + annihilate_deformed(conj(fminus))."""
-    return (create_deformed(spec, fd.fplus, psi)
-            + annihilate_deformed(spec, np.conj(fd.fminus), psi))
+def field_deformed(spec: KernelSpec | tuple, f, psi: FockVector) -> FockVector:
+    """Deformed field of real data f, create_deformed(f) + annihilate_deformed(f)."""
+    return create_deformed(spec, f, psi) + annihilate_deformed(spec, f, psi)
 
 
 def apply_pair_twist(root_of_unity: Root, psi: FockVector) -> FockVector:

@@ -309,9 +309,6 @@ class _Coefficients:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1.0)
-
 
 @dataclass(frozen=True)
 class FockVector(_Coefficients):
@@ -494,37 +491,13 @@ def exponential_vector(grid: MomentumGrid, xi, truncation: int) -> FockVector:
     return FockVector(grid, _monomials(amp, truncation), truncation)
 
 
-@dataclass(frozen=True)
-class TestFunctionData:
-    """Momentum-space one-particle data (f_plus, f_minus) defining a field.
+def field(f, psi: FockVector) -> FockVector:
+    """Free field of real data f, create(f) + annihilate(f): hermitian.
 
-    ``real`` asserts f_minus = conj(f_plus) pointwise, the momentum-space
-    expression of a real test function.
+    A real test function's negative-frequency data is conj(f), which the
+    antilinear annihilator reads as f, so one amplitude gives both ladders.
     """
-
-    fplus: np.ndarray
-    fminus: np.ndarray
-    real: bool = False
-
-    def __post_init__(self):
-        fp = np.asarray(self.fplus, dtype=complex)
-        fm = np.asarray(self.fminus, dtype=complex)
-        if fp.shape != fm.shape:
-            raise ValueError("fplus and fminus must have the same shape")
-        if self.real and np.max(np.abs(fm - np.conj(fp))) > 1e-12:
-            raise ValueError("real data requires fminus = conj(fplus)")
-        object.__setattr__(self, "fplus", fp)
-        object.__setattr__(self, "fminus", fm)
-
-
-def real_test_function(fplus) -> TestFunctionData:
-    fp = np.asarray(fplus, dtype=complex)
-    return TestFunctionData(fplus=fp, fminus=np.conj(fp), real=True)
-
-
-def field(fd: TestFunctionData, psi: FockVector) -> FockVector:
-    """Free field create(fplus) + annihilate(conj(fminus)); hermitian for real data."""
-    return create(fd.fplus, psi) + annihilate(np.conj(fd.fminus), psi)
+    return create(f, psi) + annihilate(f, psi)
 
 
 def apply_translation(x, psi: FockVector) -> FockVector:
@@ -547,22 +520,14 @@ def apply_reflection(psi: _Coefficients) -> _Coefficients:
     return psi._with(np.conj(psi.coefficients))
 
 
-@dataclass(frozen=True)
-class BoostResult:
-    """Boosted vector plus a flag marking amplitude pushed off the grid."""
-
-    vector: FockVector
-    truncated: bool
-
-
-def apply_boost(shift: int, psi: FockVector) -> BoostResult:
+def apply_boost(shift: int, psi: FockVector) -> FockVector:
     """Exact boost index shift on an adapted grid.
 
     A one-particle basis vector at rapidity slot k moves to slot k - shift
     (blockwise per sign half-line for the massless geometric layout), so
     label kappa moves to kappa - shift; the adapted layouts have equal
     weights, so the shift maps basis vectors to basis vectors.  Amplitude
-    whose target leaves the grid is dropped and flagged.
+    whose target leaves the grid is dropped: it shows as norm loss.
     """
     grid = psi.grid
     target = np.append(np.full(grid.size, -1), grid.size)  # each slot's, -1 off the grid
@@ -575,7 +540,7 @@ def apply_boost(shift: int, psi: FockVector) -> BoostResult:
     src = psi.coefficients
     out = np.zeros_like(src)
     out[tower.index(moved[kept])] = src[kept]
-    return BoostResult(psi._with(out), bool(np.any(src[~kept] != 0)))
+    return psi._with(out)
 
 
 class Draws:

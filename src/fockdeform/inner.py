@@ -35,8 +35,8 @@ class BlaschkeSpec:
     ``zeros`` must be finite points of the open upper half plane.  The
     boundary symmetry phi(-t) = phi(t)**-1 additionally requires the zero
     multiset to be closed under a -> -conj(a); that closure is *checked*, not
-    enforced, so that defective inputs can be diagnosed by
-    :func:`check_symmetric_inner`.
+    enforced, so that defective inputs can be diagnosed by the inner suite's
+    boundary-symmetry check (:mod:`suites`).
     """
 
     zeros: tuple[complex, ...]
@@ -175,54 +175,6 @@ def scattering_from_inner(spec: BlaschkeSpec, zeta):
     if np.any((zeta.imag < -1e-12) | (zeta.imag > math.pi + 1e-12)):
         raise ValueError("zeta must satisfy 0 <= Im zeta <= pi")
     return eval_inner(spec, np.sinh(zeta))
-
-
-@dataclass(frozen=True)
-class InnerSymmetryReport:
-    """Sampled deviations from conj(phi) = phi**-1 = phi(-t)."""
-
-    max_conjugation_defect: float
-    max_reflection_defect: float
-
-
-def check_symmetric_inner(spec: BlaschkeSpec, samples) -> InnerSymmetryReport:
-    """Check the defining boundary symmetries of phi on nonzero real samples."""
-    t = np.asarray(samples, dtype=float)
-    if t.size == 0 or np.any(t == 0.0):
-        raise ValueError("samples must be nonempty and nonzero")
-    vals = eval_inner(spec, t)
-    vals_neg = eval_inner(spec, -t)
-    inv = 1.0 / vals
-    return InnerSymmetryReport(
-        max_conjugation_defect=float(np.max(np.abs(np.conj(vals) - inv))),
-        max_reflection_defect=float(np.max(np.abs(inv - vals_neg))),
-    )
-
-
-@dataclass(frozen=True)
-class RootRatioReport:
-    """Sampled defects of r(t) = R1(t)/R2(t) from a +-1-valued symmetric function:
-    max |r**2 - 1| and max |r(-t) - r(t)|.
-
-    Both vanish exactly when R1 and R2 are roots of the same inner function,
-    i.e. R1**2 = R2**2 samplewise.
-    """
-
-    max_sign_defect: float
-    max_reflection_defect: float
-
-
-def root_ratio(r1: Root, r2: Root, samples) -> RootRatioReport:
-    """How far two roots are from differing only by a +-1-valued symmetric factor."""
-    t = np.asarray(samples, dtype=float)
-    if t.size == 0 or np.any(t == 0.0):
-        raise ValueError("samples must be nonempty and nonzero")
-    ratio = eval_root(r1, t) / eval_root(r2, t)
-    ratio_neg = eval_root(r1, -t) / eval_root(r2, -t)
-    return RootRatioReport(
-        max_sign_defect=float(np.max(np.abs(ratio ** 2 - 1.0))),
-        max_reflection_defect=float(np.max(np.abs(ratio_neg - ratio))),
-    )
 
 
 def check_inversion_symmetry(root: Root, samples) -> float:

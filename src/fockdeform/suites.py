@@ -45,9 +45,8 @@ from .deformation import (KernelSpec, SharpTwistVariant, _kernel_values,
                           apply_kernel_phases, apply_pair_twist, create_deformed,
                           field_deformed, sharp_momentum_twist, wedge_invariant)
 from .grids import ChiralGridPair, MomentumGrid, boost_momentum, chiral_pair, rapidity_grid
-from .inner import (BlaschkeSpec, Root, check_symmetric_inner, eval_inner, eval_root,
-                    make_root, merge_flip_sets, random_symmetric_blaschke, root_ratio,
-                    scattering_from_inner, trivial_root)
+from .inner import (BlaschkeSpec, Root, eval_inner, eval_root, make_root, merge_flip_sets,
+                    random_symmetric_blaschke, scattering_from_inner, trivial_root)
 
 REPORT_SCHEMA = "fockdeform-report/1"
 
@@ -297,11 +296,6 @@ def suite_inner(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     roots = cfg.resolve_roots(rng)
     t = _nonzero_samples(rng, 1000)
 
-    for r in roots:
-        rep = check_symmetric_inner(r.base, t)
-        yield "boundary-symmetry", rep.max_conjugation_defect
-        yield "boundary-symmetry", rep.max_reflection_defect
-
     values = [eval_root(r, t) for r in roots]
     for r, vals in zip(roots, values):
         reflected = eval_root(r, -t)
@@ -310,8 +304,11 @@ def suite_inner(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
         yield "root-reflection-symmetry", np.max(np.abs(np.conj(vals) - reflected))
 
     for r, vals in zip(roots, values):
+        phi = eval_inner(r.base, t)  # conj(phi) = 1 / phi = phi(-t)
+        inverse = 1.0 / phi
+        yield "boundary-symmetry", np.max(np.abs(np.conj(phi) - inverse))
+        yield "boundary-symmetry", np.max(np.abs(inverse - eval_inner(r.base, -t)))
         bare = make_root(r.base)  # principal branch, no flips
-        phi = eval_inner(r.base, t)
         yield "root-squaring", np.max(np.abs((vals if bare == r else eval_root(bare, t)) ** 2
                                              - phi))
         yield "root-squaring", np.max(np.abs(vals ** 2 - phi))
@@ -334,13 +331,14 @@ def suite_inner(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
         spec = roots[0].base
         r1 = make_root(spec, FLIP_ATOMS[0])
         r2 = make_root(spec, FLIP_ATOMS[1])
-    rep = root_ratio(r1, r2, t)  # same square: the ratio is +-1 and even
-    yield "ratio-classifies-same-square", rep.max_sign_defect
-    yield "ratio-classifies-same-square", rep.max_reflection_defect
+    ratio = eval_root(r1, t) / eval_root(r2, t)  # same square: the ratio is +-1 and even
+    yield "ratio-classifies-same-square", np.max(np.abs(ratio ** 2 - 1.0))
+    yield "ratio-classifies-same-square", np.max(np.abs(
+        eval_root(r1, -t) / eval_root(r2, -t) - ratio))
 
     specs = [random_symmetric_blaschke(rng) for _ in range(2)]
-    rep = root_ratio(make_root(specs[0]), make_root(specs[1]), t)
-    yield "ratio-rejects-distinct-squares", rep.max_sign_defect
+    ratio = eval_root(make_root(specs[0]), t) / eval_root(make_root(specs[1]), t)
+    yield "ratio-rejects-distinct-squares", np.max(np.abs(ratio ** 2 - 1.0))
 
 
 def suite_fock(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
@@ -377,17 +375,23 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     yield "translation-multiplier", np.max(np.abs(
         translate(one).sectors[1] - phases * np.sqrt(grid.weights) * xi))
 
+    # U_s e_k = e_{k-s} on one particle (norm 0 off the grid), which U_s = 0 fails; U_0 = 1;
+    # and U_s a*(xi) = a*(xi_s) U_s on every sector, xi_s = xi moved by -s
     unit = np.eye(grid.size)
     for shift in (0, 1, -1):
         for k in range(grid.size):
-            res = fock.apply_boost(shift, fock.create(unit[k], vac))
-            if 0 <= k - shift < grid.size:
-                yield "boost-index-shift", fock.norm(res.vector - fock.create(unit[k - shift], vac))
-            else:
-                yield "boost-index-shift", fock.norm(res.vector)
-                yield "boost-index-shift", 0.0 if res.truncated else 1.0
+            moved = fock.apply_boost(shift, fock.create(unit[k], vac))
+            on_grid = 0 <= k - shift < grid.size
+            yield "boost-index-shift", fock.norm(
+                moved - fock.create(unit[k - shift], vac) if on_grid else moved)
     yield "boost-index-shift", dense.probe_deviations((
-        lambda v: v, lambda v: fock.apply_boost(0, v).vector), dense.DIAGONAL, basis)[0]
+        lambda v: v, lambda v: fock.apply_boost(0, v)), dense.DIAGONAL, basis)[0]
+    for shift in (1, -1):
+        # xi_s[j] = xi[j + shift], 0 off the grid: the rapidity grid is one boost block
+        xi_s = np.eye(grid.size, k=shift) @ xi
+        yield "boost-index-shift", dense.probe_deviations((
+            lambda v: fock.apply_boost(shift, fock.create(xi, v)),
+            lambda v: fock.create(xi_s, fock.apply_boost(shift, v))), dense.RAISE, basis)[0]
 
     # J C unitary (J antiunitary), J J = 1, and i J(i C v) = v (J antilinear)
     reflect = fock.apply_reflection
@@ -398,12 +402,10 @@ def suite_fock(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
                                       dense.DIAGONAL, basis):
         yield "reflection-antiunitary", dev
 
-    fd = fock.real_test_function(xi)
-    field = dense.probe_entries(lambda v: fock.field(fd, v), dense.FIELD, basis)
+    field = dense.probe_entries(lambda v: fock.field(xi, v), dense.FIELD, basis)
     yield "field-hermitian", field.deviation(field.adjoint())
-    phi_vac = fock.field(fd, vac)
-    yield "field-hermitian", np.max(np.abs(
-        phi_vac.sectors[1] - np.sqrt(grid.weights) * fd.fplus))
+    phi_vac = fock.field(xi, vac)
+    yield "field-hermitian", np.max(np.abs(phi_vac.sectors[1] - np.sqrt(grid.weights) * xi))
     for sec in phi_vac.sectors[2:]:
         yield "field-hermitian", np.max(np.abs(sec))
 
@@ -600,12 +602,11 @@ def suite_deformed(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
 
     for grid, basis in zip(grids, bases):
         spec = KernelSpec(root=roots[0], mass=grid.mass)
-        fd = fock.real_test_function(fock.random_one_particle(grid, rng))
-        field = dense.probe_entries(lambda v: field_deformed(spec, fd, v), dense.FIELD, basis)
+        f = fock.random_one_particle(grid, rng)
+        field = dense.probe_entries(lambda v: field_deformed(spec, f, v), dense.FIELD, basis)
         yield "deformed-field-hermitian", field.deviation(field.adjoint())
-        out = field_deformed(spec, fd, fock.vacuum(grid, n_top))
-        yield "deformed-field-hermitian", np.max(np.abs(
-            out.sectors[1] - np.sqrt(grid.weights) * fd.fplus))
+        out = field_deformed(spec, f, fock.vacuum(grid, n_top))
+        yield "deformed-field-hermitian", np.max(np.abs(out.sectors[1] - np.sqrt(grid.weights) * f))
 
     triv = trivial_root()
     for grid, basis in zip(grids, bases):
@@ -652,21 +653,21 @@ def suite_root_equivalence(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
     for grid, basis in zip(grids, bases):
         spec2 = KernelSpec(root=r2, mass=grid.mass)
         spec1 = KernelSpec(root=r1, mass=grid.mass)
-        fd = fock.real_test_function(fock.random_one_particle(grid, rng))
+        f = fock.random_one_particle(grid, rng)
         yield "field-conjugation", dense.probe_deviations((
-            conjugated(twist, lambda v: field_deformed(spec2, fd, v)),
-            lambda v: field_deformed(spec1, fd, v)), dense.FIELD, basis)[0]
+            conjugated(twist, lambda v: field_deformed(spec2, f, v)),
+            lambda v: field_deformed(spec1, f, v)), dense.FIELD, basis)[0]
 
     # negative control: roots of different squares are not related by any
     # candidate +-1 twist from the atom pool
     grid, basis = grids[0], bases[0]
     spec_a, spec_b = (_control_spec(grid, random_symmetric_blaschke(rng)) for _ in range(2))
-    fd = fock.real_test_function(fock.random_one_particle(grid, rng))
+    f = fock.random_one_particle(grid, rng)
     candidates = [trivial_root(),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[0]),
                   make_root(BlaschkeSpec((), 1), FLIP_ATOMS[1])]
-    ops = [lambda v: field_deformed(spec_a, fd, v)]
-    ops += [conjugated(cand, lambda v: field_deformed(spec_b, fd, v)) for cand in candidates]
+    ops = [lambda v: field_deformed(spec_a, f, v)]
+    ops += [conjugated(cand, lambda v: field_deformed(spec_b, f, v)) for cand in candidates]
     # the closest candidate must still miss: NaN if any deviation is NaN
     yield "detects-square-mismatch", np.min(dense.probe_deviations(ops, dense.FIELD, basis))
 
@@ -828,10 +829,8 @@ def suite_field_equivalence(cfg: SuiteConfig, rng: fock.Draws) -> Deviations:
                        ("-", "field-equivalence-negative")):
         yield from _equivalence(
             name, roots, lambda: _one_sided_amplitude(pair, side, rng),
-            lambda chunk, amp, v: field_deformed(_massless_specs(chunk),
-                                                 fock.real_test_function(amp), v),
-            lambda chunk, amp, v, route: chiral.twisted_field(
-                chunk, fock.real_test_function(amp), pair, v, route),
+            lambda chunk, amp, v: field_deformed(_massless_specs(chunk), amp, v),
+            lambda chunk, amp, v, route: chiral.twisted_field(chunk, amp, pair, v, route),
             dense.FIELD, basis)
 
     bbasis = dense.BiFockBasis(pair, n_top)

@@ -203,11 +203,11 @@ def test_criterion_7_field_equivalence():
     for root in _random_roots(rng):
         spec = KernelSpec(root=root, mass=0.0)
         for side in ("+", "-"):
-            fd = fock.real_test_function(_one_sided(pair, side, rng))
-            m_deformed = dense.operator_matrix(lambda v: field_deformed(spec, fd, v), basis)
+            f = _one_sided(pair, side, rng)
+            m_deformed = dense.operator_matrix(lambda v: field_deformed(spec, f, v), basis)
             for route in ("direct", "split"):
                 m_twisted = dense.operator_matrix(
-                    lambda v: chiral.twisted_field(root, fd, pair, v, route), basis)
+                    lambda v: chiral.twisted_field(root, f, pair, v, route), basis)
                 dev = _worst(dev, dense.matrix_deviation(m_twisted, m_deformed))
     _report(7, "twisted one-ray field equals deformed field, both routes, dense", dev, TOL)
 
@@ -226,11 +226,11 @@ def test_criterion_8_root_independence():
         basis = dense.FockBasis(grid, 3)
         k1 = KernelSpec(root=r1, mass=grid.mass)
         k2 = KernelSpec(root=r2, mass=grid.mass)
-        fd = fock.real_test_function(fock.random_one_particle(grid, rng))
+        f = fock.random_one_particle(grid, rng)
         m_conj = dense.operator_matrix(
             lambda v: apply_pair_twist(twist, field_deformed(
-                k2, fd, apply_pair_twist(twist, v))), basis)
-        m_target = dense.operator_matrix(lambda v: field_deformed(k1, fd, v), basis)
+                k2, f, apply_pair_twist(twist, v))), basis)
+        m_target = dense.operator_matrix(lambda v: field_deformed(k1, f, v), basis)
         dev = _worst(dev, dense.matrix_deviation(m_conj, m_target))
     _report(8, "pair twist maps equal-square deformed fields, m in {0,1}", dev, TOL)
 
@@ -238,15 +238,15 @@ def test_criterion_8_root_independence():
     basis = dense.FockBasis(grid, 3)
     ka = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
     kb = KernelSpec(root=make_root(random_symmetric_blaschke(rng)), mass=grid.mass)
-    fd = fock.real_test_function(fock.random_one_particle(grid, rng))
-    m_target = dense.operator_matrix(lambda v: field_deformed(ka, fd, v), basis)
+    f = fock.random_one_particle(grid, rng)
+    m_target = dense.operator_matrix(lambda v: field_deformed(ka, f, v), basis)
     candidates = [trivial_root(), make_root(BlaschkeSpec((), 1), atom_a),
                   make_root(BlaschkeSpec((), 1), atom_b)]
     min_dev = math.inf
     for cand in candidates:
         m_conj = dense.operator_matrix(
             lambda v: apply_pair_twist(cand, field_deformed(
-                kb, fd, apply_pair_twist(cand, v))), basis)
+                kb, f, apply_pair_twist(cand, v))), basis)
         min_dev = _worst(min_dev, dense.matrix_deviation(m_conj, m_target), pick=np.min)
     _report(8, "unequal squares detectably fail under every candidate twist",
             min_dev, 1e-3, passed=min_dev > 1e-3)

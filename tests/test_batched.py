@@ -232,19 +232,17 @@ def test_stacked_operators_equal_the_single_root_operators(side, route):
     amp = one_sided_stack(side, len(ROOTS))
     psi = batch(PAIR.union, 4)
     stacked = slots(psi, len(ROOTS))
-    fd = fock.real_test_function(amp)
     got = {"annihilate": annihilate_deformed(specs, amp, stacked),
            "create": deformation.create_deformed(specs, amp, stacked),
-           "field": deformation.field_deformed(specs, fd, stacked),
+           "field": deformation.field_deformed(specs, amp, stacked),
            "twisted": chiral.twisted_annihilator(ROOTS, amp, PAIR, stacked, route),
-           "twisted-field": chiral.twisted_field(ROOTS, fd, PAIR, stacked, route)}
+           "twisted-field": chiral.twisted_field(ROOTS, amp, PAIR, stacked, route)}
     for j, (spec, r) in enumerate(zip(specs, ROOTS)):
-        one = fock.real_test_function(amp[j])
         want = {"annihilate": annihilate_deformed(spec, amp[j], psi),
                 "create": deformation.create_deformed(spec, amp[j], psi),
-                "field": deformation.field_deformed(spec, one, psi),
+                "field": deformation.field_deformed(spec, amp[j], psi),
                 "twisted": chiral.twisted_annihilator(r, amp[j], PAIR, psi, route),
-                "twisted-field": chiral.twisted_field(r, one, PAIR, psi, route)}
+                "twisted-field": chiral.twisted_field(r, amp[j], PAIR, psi, route)}
         for key, vec in want.items():
             assert np.array_equal(got[key].coefficients[:, j], vec.coefficients), key
 
@@ -339,9 +337,10 @@ def test_dressing_tables_are_read_only_and_column_exact():
 
 def test_default_run_batches_the_root_loops(monkeypatch):
     """Each operator family runs once per run of roots: a default run applies operators
-    to probe blocks at most 132 times (counting those of probe_entries and
-    probe_deviations), 63 of them reading the multipliers, relabellings and
-    trivial-root ladders, each applied once to one block of sector or colour columns."""
+    to probe blocks at most 136 times (counting those of probe_entries and
+    probe_deviations), 67 of them reading the multipliers, relabellings, the boost's
+    intertwining with creation and the trivial-root ladders, each applied once to one
+    block of sector or colour columns."""
     calls, real = [], dense.probe_blocks
 
     def probe_blocks(ops, *args, **kwargs):
@@ -350,7 +349,7 @@ def test_default_run_batches_the_root_loops(monkeypatch):
 
     monkeypatch.setattr(dense, "probe_blocks", probe_blocks)
     suites.run_suite(CFG)
-    assert 0 < len(calls) <= 132
+    assert 0 < len(calls) <= 136
 
 
 def test_inner_suite_evaluates_each_sample_set_once(monkeypatch):

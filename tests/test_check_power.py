@@ -1,6 +1,8 @@
 """Each check that reads a diagonal multiplier, a relabelling, the reflection or the
 trivial-root ladders through the probe oracle fails on a one-line fault of the operator
-it certifies: each fault is one that a sample of random vectors also catches."""
+it certifies: each fault is one that a sample of random vectors also catches, and one
+that no random vector of the boost check reached, since those were boosted at shift 0
+only."""
 
 import numpy as np
 import pytest
@@ -22,11 +24,25 @@ def split_dropping_one_coefficient(real):
     return split
 
 
-# check -> (module, function, fault built from the real function)
+def scaling_the_last_label_after_a_shift(real):
+    """The top sector's last label, (M-1, ..., M-1), scaled by 1.001 when the shift is
+    nonzero: no one-particle state reaches it."""
+    def boost(shift, psi):
+        out = real(shift, psi)
+        coefficients = out.coefficients.copy()
+        if shift:
+            coefficients[-1] *= 1.001
+        return out._with(coefficients)
+    return boost
+
+
+# case (the check, then "/" and a name where a check has several) -> (module, function,
+# fault built from the real function)
 FAULTS = {
     "translation-multiplier": (fock, "apply_translation", scaled),
-    "boost-index-shift": (fock, "apply_boost", lambda real: lambda shift, psi: fock.BoostResult(
-        real(shift, psi).vector * (1 + 1e-6), False)),
+    "boost-index-shift": (fock, "apply_boost", scaled),
+    "boost-index-shift/top-label-after-a-shift": (fock, "apply_boost",
+                                                  scaling_the_last_label_after_a_shift),
     "reflection-antiunitary": (fock, "apply_reflection",
                                lambda real: lambda psi: psi._with(psi.coefficients.copy())),
     "symmetrizer-projects": (fock, "sector_tensor", lambda real: scaled(real, 1.5)),
@@ -51,10 +67,11 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("check", FAULTS)
-def test_a_fault_of_the_read_operator_fails_the_check(check, monkeypatch):
-    module, name, fault = FAULTS[check]
+@pytest.mark.parametrize("case", FAULTS)
+def test_a_fault_of_the_read_operator_fails_the_check(case, monkeypatch):
+    module, name, fault = FAULTS[case]
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    check = case.split("/")[0]
     suite = next(c.suite for c in CHECKS if c.name == check)
     (rec,) = [r for r in run_suite(SuiteConfig(suites=(suite,))).records if r.check == check]
     assert not rec.passed and rec.max_deviation > 0.0

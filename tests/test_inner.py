@@ -11,22 +11,41 @@ from hypothesis import strategies as st
 import root_reference
 from fockdeform.fock import Draws
 from fockdeform.inner import (BlaschkeSpec, PoleProximityError, check_inversion_symmetry,
-                              check_symmetric_inner, eval_inner, eval_root, eval_root_at_zero_one,
-                              make_root, merge_flip_sets, random_symmetric_blaschke, root_ratio,
-                              scattering_from_inner, trivial_root)
+                              eval_inner, eval_root, eval_root_at_zero_one, make_root,
+                              merge_flip_sets, random_symmetric_blaschke, scattering_from_inner,
+                              trivial_root)
 from fockdeform.suites import FLIP_ATOMS
 
 TOL = 1e-10
 
 
-def symmetric(rep):
+def boundary_defects(spec, t):
+    """max |conj(phi) - 1/phi| and max |1/phi - phi(-t)| on nonzero samples t, as the
+    inner suite's boundary-symmetry check reads them."""
+    t = np.asarray(t, dtype=float)
+    phi = eval_inner(spec, t)
+    inverse = 1.0 / phi
+    return (np.max(np.abs(np.conj(phi) - inverse)),
+            np.max(np.abs(inverse - eval_inner(spec, -t))))
+
+
+def ratio_defects(r1, r2, t):
+    """max |r^2 - 1| and max |r(-t) - r(t)| of r = R1 / R2 on nonzero samples t, as the
+    inner suite's ratio checks read them."""
+    t = np.asarray(t, dtype=float)
+    ratio = eval_root(r1, t) / eval_root(r2, t)
+    return (np.max(np.abs(ratio ** 2 - 1.0)),
+            np.max(np.abs(eval_root(r1, -t) / eval_root(r2, -t) - ratio)))
+
+
+def symmetric(spec, t):
     """The boundary symmetries hold to TOL."""
-    return rep.max_conjugation_defect <= TOL and rep.max_reflection_defect <= TOL
+    return max(boundary_defects(spec, t)) <= TOL
 
 
-def same_square(rep):
+def same_square(r1, r2, t):
     """The root ratio is a +-1-valued symmetric function to TOL."""
-    return rep.max_sign_defect <= TOL and rep.max_reflection_defect <= TOL
+    return max(ratio_defects(r1, r2, t)) <= TOL
 
 
 def test_eval_inner_single_zero_at_origin():
@@ -77,26 +96,26 @@ def test_flips_must_be_pairs():
         make_root(spec, [(0.3, 0.9, 5.0), (-0.9, -0.3)])
 
 
-def test_check_symmetric_inner_passes_for_symmetric_spec():
+def test_boundary_symmetry_holds_for_symmetric_spec():
     spec = BlaschkeSpec(zeros=(1j,), sign=1)
-    rep = check_symmetric_inner(spec, np.linspace(-5, 5, 101)[np.linspace(-5, 5, 101) != 0])
-    assert symmetric(rep)
-    assert rep.max_conjugation_defect <= 1e-12
-    assert rep.max_reflection_defect <= 1e-12
+    t = np.linspace(-5, 5, 101)[np.linspace(-5, 5, 101) != 0]
+    assert symmetric(spec, t)
+    conjugation, reflection = boundary_defects(spec, t)
+    assert conjugation <= 1e-12
+    assert reflection <= 1e-12
 
 
-def test_check_symmetric_inner_fails_for_unpaired_zero():
+def test_boundary_symmetry_fails_for_unpaired_zero():
     # {1+i} is not closed under a -> -conj(a); the reflection law must break
     spec = BlaschkeSpec(zeros=(1 + 1j,), sign=1)
-    rep = check_symmetric_inner(spec, [1.0, -1.0, 2.0, -2.0])
-    assert not symmetric(rep)
-    assert rep.max_reflection_defect > 1e-3
+    t = [1.0, -1.0, 2.0, -2.0]
+    assert not symmetric(spec, t)
+    assert boundary_defects(spec, t)[1] > 1e-3
 
 
-def test_check_symmetric_inner_constant_minus_one():
+def test_boundary_symmetry_of_constant_minus_one():
     spec = BlaschkeSpec(zeros=(), sign=-1)
-    rep = check_symmetric_inner(spec, [0.5, -0.5, 3.0])
-    assert symmetric(rep)
+    assert symmetric(spec, [0.5, -0.5, 3.0])
 
 
 def test_make_root_trivial_cases():
@@ -166,9 +185,9 @@ def test_scattering_trivial():
 
 def test_root_ratio_same_root():
     r = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
-    rep = root_ratio(r, r, [0.5, 1.0, -2.0])
-    assert same_square(rep)
-    assert rep.max_sign_defect < 1e-14
+    t = [0.5, 1.0, -2.0]
+    assert same_square(r, r, t)
+    assert ratio_defects(r, r, t)[0] < 1e-14
 
 
 def test_root_ratio_flip_variants():
@@ -176,8 +195,7 @@ def test_root_ratio_flip_variants():
     r1 = make_root(spec, [(0.3, 0.9), (-0.9, -0.3)])
     r2 = make_root(spec, [(1.3, 2.1), (-2.1, -1.3)])
     t = np.array([0.5, 0.7, 1.5, 3.0, -0.5, -1.7])
-    rep = root_ratio(r1, r2, t)
-    assert same_square(rep)
+    assert same_square(r1, r2, t)
     # and the ratio is genuinely -1 somewhere on the flip set
     assert abs(eval_root(r1, 0.5) / eval_root(r2, 0.5) - (-1.0)) < 1e-12
 
@@ -185,9 +203,9 @@ def test_root_ratio_flip_variants():
 def test_root_ratio_distinct_squares():
     r1 = make_root(BlaschkeSpec(zeros=(1j,), sign=1))
     r2 = make_root(BlaschkeSpec(zeros=(0.7 + 1.2j, -0.7 + 1.2j), sign=1))
-    rep = root_ratio(r1, r2, np.linspace(0.2, 4.0, 25))
-    assert not same_square(rep)
-    assert rep.max_sign_defect > 1e-3
+    t = np.linspace(0.2, 4.0, 25)
+    assert not same_square(r1, r2, t)
+    assert ratio_defects(r1, r2, t)[0] > 1e-3
 
 
 def test_root_ratio_iff_squares_agree():
@@ -200,9 +218,8 @@ def test_root_ratio_iff_squares_agree():
         (make_root(spec), make_root(random_symmetric_blaschke(rng))),
     ]
     for r1, r2 in cases:
-        rep = root_ratio(r1, r2, t)
         sq_gap = float(np.max(np.abs(eval_root(r1, t) ** 2 - eval_root(r2, t) ** 2)))
-        assert same_square(rep) == (sq_gap <= TOL)
+        assert same_square(r1, r2, t) == (sq_gap <= TOL)
 
 
 def test_merge_flip_sets():

@@ -175,10 +175,7 @@ def test_translation_and_reflection_match_reference():
 def test_boost_matches_reference(grid, shift):
     psi = random_fock_state(grid, N, rng())
     expected = ref.boost(shift, boost_blocks(grid), ref.tower(psi))
-    res = fock.apply_boost(shift, psi)
-    assert worst(res.vector.sectors, ref.packed(grid, expected).sectors) <= TOL
-    # equal weights on the adapted layouts: the shift is an isometry on what it keeps
-    assert res.truncated == (fock.norm(psi) - fock.norm(ref.packed(grid, expected)) > 1e-12)
+    assert worst(fock.apply_boost(shift, psi).sectors, ref.packed(grid, expected).sectors) <= TOL
 
 
 def test_merge_and_split_match_reference():

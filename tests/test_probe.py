@@ -102,7 +102,6 @@ def cases():
     split = dense.BiFockBasis(pair, N)
     xi, eta = fock.random_one_particle(massive, rng), fock.random_one_particle(massive, rng)
     spec = KernelSpec(root=root, mass=massive.mass)
-    fd = fock.real_test_function(xi)
     amp = np.zeros(pair.union.size, dtype=complex)
     amp[pair.n_negative:] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     uspec = KernelSpec(root=root, mass=0.0)
@@ -128,8 +127,8 @@ def cases():
          dense.LOWER, mbasis, None),
         ("create", lambda v: fock.create(xi, v), lambda v: fock.create(eta, v),
          dense.RAISE, mbasis, None),
-        ("free-vs-deformed-field", lambda v: fock.field(fd, v),
-         lambda v: field_deformed(spec, fd, v), dense.FIELD, mbasis, None),
+        ("free-vs-deformed-field", lambda v: fock.field(xi, v),
+         lambda v: field_deformed(spec, xi, v), dense.FIELD, mbasis, None),
         ("twisted-annihilator-direct", lambda v: annihilate_deformed(uspec, amp, v),
          lambda v: chiral.twisted_annihilator(root, amp, pair, v, "direct"),
          dense.LOWER, union, None),
@@ -215,9 +214,9 @@ def test_hermiticity_defect_equals_dense():
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     split = dense.BiFockBasis(pair, N)
     for op, domain in (
-            (lambda v: fock.field(fock.real_test_function(xi), v), basis),
-            (lambda v: field_deformed(spec, fock.real_test_function(xi), v), basis),
-            (lambda v: fock.field(fock.TestFunctionData(xi, eta), v), basis),  # not real
+            (lambda v: fock.field(xi, v), basis),
+            (lambda v: field_deformed(spec, xi, v), basis),
+            (lambda v: fock.create(xi, v) + fock.annihilate(eta, v), basis),  # not real
             (lambda v: chiral.chiral_field("+", g, v), split),
             (lambda v: chiral.create_half("-", g, v) + chiral.annihilate_half("-", 2 * g, v),
              split)):
@@ -301,8 +300,7 @@ def test_two_sector_drop_in_an_annihilator_is_caught(fault_setting):
 def test_sector_skipping_map_is_caught(fault_setting):
     """(0, 1, 2) -> (4,): two sectors down."""
     _, _, grid, basis, xi = fault_setting
-    fd = fock.real_test_function(xi)
-    field = lambda v: fock.field(fd, v)  # noqa: E731
+    field = lambda v: fock.field(xi, v)  # noqa: E731
     faulty = inject(field, basis, basis, fock_index(basis, (4,)),
                     fock_index(basis, (0, 1, 2)))
     assert dense.probe_deviations((field, faulty), dense.FIELD, basis)[0] >= EPS / 2

@@ -548,19 +548,25 @@ def test_runner_rejects_unlisted_check(monkeypatch):
 
 
 def test_ratio_check_records_the_reflection_defect(monkeypatch):
-    """A broken reflection law fails the same-square check, and its record says by how much."""
-    real = suites.root_ratio
+    """A broken reflection law fails the same-square check, and its record says by how much.
+
+    The ratio roots are sign flips of phi = 1, so R1 / R2 is exactly +-1; the first of
+    them is negated on the negative half-line, R1(-t) = -conj(R1(t)), so r(-t) = -r(t)."""
+    r1, r2 = (make_root(BlaschkeSpec((), 1), atoms) for atoms in suites.FLIP_ATOMS[:2])
+    real = suites.eval_root
     calls = []
 
-    def injected(*args):
-        calls.append(args)
-        rep = real(*args)
-        return dataclasses.replace(rep, max_reflection_defect=1.0) if len(calls) == 1 else rep
+    def injected(root, t):
+        if root != r1:
+            return real(root, t)
+        calls.append(t)
+        return real(root, t) * np.where(np.asarray(t) < 0.0, -1.0, 1.0)
 
-    monkeypatch.setattr(suites, "root_ratio", injected)
-    recs = {r.check: r for r in run_suite(SuiteConfig(suites=("inner",))).records}
-    assert len(calls) == 2
-    assert recs["ratio-classifies-same-square"].max_deviation == 1.0
+    monkeypatch.setattr(suites, "eval_root", injected)
+    recs = {r.check: r for r in run_suite(SuiteConfig(suites=("inner",),
+                                                      ratio_roots=(r1, r2))).records}
+    assert len(calls) == 2  # R1 at t and at -t
+    assert recs["ratio-classifies-same-square"].max_deviation == 2.0
     assert not recs["ratio-classifies-same-square"].passed
     assert recs["ratio-rejects-distinct-squares"].passed
 
